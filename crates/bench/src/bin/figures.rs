@@ -14,7 +14,8 @@
 
 use dctopo_bench::figs;
 use dctopo_bench::FigConfig;
-use dctopo_flow::{Backend, FlowOptions};
+use dctopo_core::BackendChoice;
+use dctopo_flow::FlowOptions;
 
 fn usage() -> ! {
     eprintln!(
@@ -24,21 +25,6 @@ fn usage() -> ! {
          [--backend fptas|fptas-strict|exact|ksp:<k>]"
     );
     std::process::exit(2);
-}
-
-/// Parse a `--backend` argument (`fptas`, `fptas-strict`, `exact`, or
-/// `ksp:<k>`); the second element selects the FPTAS's strict legacy
-/// trajectory (`FlowOptions::strict_reference`).
-fn parse_backend(s: &str) -> Option<(Backend, bool)> {
-    match s {
-        "fptas" => Some((Backend::Fptas, false)),
-        "fptas-strict" => Some((Backend::Fptas, true)),
-        "exact" => Some((Backend::ExactLp, false)),
-        _ => {
-            let k: usize = s.strip_prefix("ksp:")?.parse().ok()?;
-            (k > 0).then_some((Backend::KspRestricted { k }, false))
-        }
-    }
 }
 
 fn main() {
@@ -69,12 +55,10 @@ fn main() {
             }
             "--backend" => {
                 i += 1;
-                let (backend, strict) = args
-                    .get(i)
-                    .and_then(|s| parse_backend(s))
-                    .unwrap_or_else(|| usage());
-                cfg.opts.backend = backend;
-                cfg.opts.strict_reference = strict;
+                args.get(i)
+                    .and_then(|s| s.parse::<BackendChoice>().ok())
+                    .unwrap_or_else(|| usage())
+                    .apply(&mut cfg.opts);
             }
             _ => usage(),
         }

@@ -28,6 +28,12 @@
 //! * [`sweep`] — the scenario sweep engine: evaluate a full
 //!   `{topology × scenario × traffic × backend}` grid on the persistent
 //!   worker pool, bit-identical at every thread count.
+//!
+//! The experiment axes are also the workspace's one **spec grammar**:
+//! [`TopologyPoint`], [`TrafficModel`], [`BackendChoice`] and
+//! [`RoutingMode`] each implement [`FromStr`](std::str::FromStr) as the
+//! inverse of their `name()`, and every front-end (`topobench`, the
+//! serve protocol, `figures`) parses through those impls.
 
 #![warn(missing_docs)]
 
@@ -47,6 +53,6 @@ pub use solve::{
     ThroughputResult,
 };
 pub use sweep::{
-    BackendChoice, CellMetrics, ErrorKindCount, ErrorSummary, SweepCell, SweepReport, SweepRunner,
-    SweepSpec, TopologyPoint, TrafficModel,
+    BackendChoice, CellMetrics, ErrorKindCount, ErrorSummary, SpecError, SweepCell, SweepReport,
+    SweepRunner, SweepSpec, TopologyPoint, TrafficModel,
 };

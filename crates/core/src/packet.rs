@@ -30,6 +30,7 @@ use dctopo_traffic::TrafficMatrix;
 
 use crate::scenario::AppliedScenario;
 use crate::solve::{surviving_traffic, ThroughputEngine};
+use crate::sweep::{positive_after, SpecError};
 
 /// How commodities are mapped to simulator paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +53,34 @@ pub enum RoutingMode {
         /// Maximum equal-cost paths per commodity.
         limit: usize,
     },
+}
+
+impl RoutingMode {
+    /// Stable display name (`decomposed`, `ksp:<k>`, `ecmp:<n>`) — the
+    /// spelling [`FromStr`](std::str::FromStr) accepts.
+    pub fn name(&self) -> String {
+        match self {
+            RoutingMode::Decomposed => "decomposed".into(),
+            RoutingMode::Ksp { k } => format!("ksp:{k}"),
+            RoutingMode::Ecmp { limit } => format!("ecmp:{limit}"),
+        }
+    }
+}
+
+/// The routing grammar: `decomposed`, `ksp:<k>`, `ecmp:<n>`, both counts
+/// `≥ 1`.
+impl std::str::FromStr for RoutingMode {
+    type Err = SpecError;
+
+    fn from_str(s: &str) -> Result<Self, SpecError> {
+        if s == "decomposed" {
+            return Ok(RoutingMode::Decomposed);
+        }
+        positive_after(s, "ksp:")
+            .map(|k| RoutingMode::Ksp { k })
+            .or_else(|| positive_after(s, "ecmp:").map(|limit| RoutingMode::Ecmp { limit }))
+            .ok_or_else(|| SpecError::new("routing", s, "decomposed, ksp:<k>, or ecmp:<n>"))
+    }
 }
 
 /// Parameters of a co-validation run. Times are model time units, as

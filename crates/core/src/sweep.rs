@@ -26,9 +26,13 @@
 //! transaction.
 
 use dctopo_flow::{Backend, CacheStats, Commodity, FlowError, FlowOptions};
+use dctopo_graph::mix::derive_seed;
 use dctopo_graph::{CsrNet, GraphError, MsBfsWorkspace};
 use dctopo_obs as obs;
-use dctopo_topology::Topology;
+use dctopo_topology::classic::{complete, fat_tree, hypercube, torus2d};
+use dctopo_topology::hetero::{two_cluster, CrossSpec};
+use dctopo_topology::vl2::{rewired_vl2, vl2, Vl2Params};
+use dctopo_topology::{ClusterSpec, Topology};
 use dctopo_traffic::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,6 +40,32 @@ use rayon::prelude::*;
 
 use crate::scenario::Scenario;
 use crate::solve::ThroughputEngine;
+
+/// A string that does not name a point on its experiment axis. Every
+/// axis type's [`FromStr`](std::str::FromStr) returns this; the message
+/// names the axis, quotes the input and lists the accepted spellings.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError(String);
+
+impl SpecError {
+    pub(crate) fn new(axis: &str, input: &str, want: &str) -> Self {
+        SpecError(format!("bad {axis} '{input}' (want {want})"))
+    }
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+/// Parse the positive integer after `prefix` (`ksp:<k>`, `ecmp:<n>`,
+/// `hotspot:<n>`); `None` when the prefix or a positive count is absent.
+pub(crate) fn positive_after(s: &str, prefix: &str) -> Option<usize> {
+    s.strip_prefix(prefix)?.parse().ok().filter(|&n| n > 0)
+}
 
 /// Seeded topology builder carried by a [`TopologyPoint`].
 pub type TopologyBuilder = Box<dyn Fn(&mut StdRng) -> Result<Topology, GraphError> + Send + Sync>;
@@ -70,6 +100,162 @@ impl TopologyPoint {
     }
 }
 
+/// One row of the family table.
+struct Family {
+    name: &'static str,
+    /// The CLI flag naming each dimension of the family's flag form
+    /// (`rrg --switches 16 --ports 8 --degree 4`), in spec order; empty
+    /// for a family that only has a spec form.
+    flags: &'static [&'static str],
+    /// The seeded builder the `x`-separated dimensions select; `None`
+    /// for a wrong dimension count.
+    build: fn(&[usize]) -> Option<TopologyBuilder>,
+}
+
+/// The family table — the one place a topology family is named, by
+/// [`TopologyPoint`]'s `FromStr` and (through
+/// [`TopologyPoint::flag_forms`]) by the CLI's flag form.
+const FAMILIES: &[Family] = &[
+    Family {
+        name: "rrg",
+        flags: &["switches", "ports", "degree"],
+        build: |dims| match *dims {
+            [n, k, r] => Some(Box::new(move |rng| Topology::random_regular(n, k, r, rng))),
+            _ => None,
+        },
+    },
+    Family {
+        name: "fat-tree",
+        flags: &["k"],
+        build: |dims| match *dims {
+            [k] => Some(Box::new(move |_| fat_tree(k))),
+            _ => None,
+        },
+    },
+    Family {
+        name: "complete",
+        flags: &["switches", "servers"],
+        build: |dims| match *dims {
+            [n, s] => Some(Box::new(move |_| complete(n, s))),
+            _ => None,
+        },
+    },
+    Family {
+        name: "hypercube",
+        flags: &["dim", "servers"],
+        build: |dims| match *dims {
+            // an oversized dimension saturates into hypercube's own range check
+            [d, s] => Some(Box::new(move |_| {
+                hypercube(u32::try_from(d).unwrap_or(u32::MAX), s)
+            })),
+            _ => None,
+        },
+    },
+    Family {
+        name: "torus",
+        flags: &["rows", "cols", "servers"],
+        build: |dims| match *dims {
+            [r, c, s] => Some(Box::new(move |_| torus2d(r, c, s))),
+            _ => None,
+        },
+    },
+    Family {
+        name: "vl2",
+        flags: &["da", "di", "tors"],
+        build: |dims| {
+            let params = vl2_params(dims)?;
+            Some(Box::new(move |_| vl2(params)))
+        },
+    },
+    Family {
+        name: "vl2-rewired",
+        flags: &["da", "di", "tors"],
+        build: |dims| {
+            let params = vl2_params(dims)?;
+            Some(Box::new(move |rng| rewired_vl2(params, rng)))
+        },
+    },
+    Family {
+        name: "two-cluster",
+        flags: &[],
+        // large cluster, small cluster, cross links
+        build: |dims| match *dims {
+            [n, p, s, m, q, t, cross] => {
+                let cluster = |count, ports, servers_per_switch| ClusterSpec {
+                    count,
+                    ports,
+                    servers_per_switch,
+                };
+                let (large, small) = (cluster(n, p, s), cluster(m, q, t));
+                Some(Box::new(move |rng| {
+                    two_cluster(large, small, CrossSpec::Exact(cross), rng)
+                }))
+            }
+            _ => None,
+        },
+    },
+];
+
+/// `AxI` (ToR count at VL2's design capacity) or `AxIxT`.
+fn vl2_params(d: &[usize]) -> Option<Vl2Params> {
+    match *d {
+        [d_a, d_i, ref tors @ ..] if tors.len() <= 1 => Some(Vl2Params {
+            d_a,
+            d_i,
+            tors: tors.first().copied(),
+        }),
+        _ => None,
+    }
+}
+
+/// The family-spec grammar: `<family>:<d1>x<d2>...` (`two-cluster`
+/// groups its dimensions `NxPxS-nxpxs-X`), the point's name being the
+/// spec itself, so `point.name.parse()` rebuilds the point.
+impl std::str::FromStr for TopologyPoint {
+    type Err = SpecError;
+
+    fn from_str(s: &str) -> Result<Self, SpecError> {
+        let parse = || {
+            let (family, params) = s.split_once(':')?;
+            let groups: Vec<Vec<usize>> = params
+                .split('-')
+                .map(|g| g.split('x').map(|d| d.parse().ok()).collect())
+                .collect::<Option<_>>()?;
+            let shape: Vec<usize> = groups.iter().map(Vec::len).collect();
+            let grouped = match family {
+                "two-cluster" => shape == [3, 3, 1],
+                _ => shape.len() == 1,
+            };
+            let row = FAMILIES.iter().find(|f| f.name == family)?;
+            (row.build)(&groups.concat()).filter(|_| grouped)
+        };
+        let build = parse().ok_or_else(|| {
+            SpecError::new(
+                "family",
+                s,
+                "rrg:NxKxR, fat-tree:K, complete:NxS, hypercube:DxS, torus:RxCxS, \
+                 vl2:AxI[xT], vl2-rewired:AxI[xT], or two-cluster:NxPxS-nxpxs-X",
+            )
+        })?;
+        Ok(TopologyPoint {
+            name: s.to_string(),
+            build,
+        })
+    }
+}
+
+impl TopologyPoint {
+    /// Every family that has a CLI flag form, with the flag naming each
+    /// of its spec dimensions in order: `rrg` + `--switches 16 --ports 8
+    /// --degree 4` spells the spec `rrg:16x8x4`.
+    pub fn flag_forms() -> impl Iterator<Item = (&'static str, &'static [&'static str])> {
+        FAMILIES
+            .iter()
+            .filter(|f| !f.flags.is_empty())
+            .map(|f| (f.name, f.flags))
+    }
+}
+
 impl std::fmt::Debug for TopologyPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TopologyPoint")
@@ -98,13 +284,26 @@ pub enum TrafficModel {
 }
 
 impl TrafficModel {
-    /// Stable display name.
+    /// Stable display name — the spelling [`FromStr`](std::str::FromStr)
+    /// accepts, so `model.name().parse()` is `model`.
     pub fn name(&self) -> String {
         match self {
             TrafficModel::Permutation => "permutation".into(),
             TrafficModel::AllToAll => "all-to-all".into(),
             TrafficModel::Chunky { percent } => format!("chunky:{percent}"),
             TrafficModel::Hotspot { hot } => format!("hotspot:{hot}"),
+        }
+    }
+
+    /// How many `(src, dst)` pairs [`TrafficModel::generate`] would
+    /// materialize on `servers` servers — analytic, so a caller can
+    /// refuse a dense pair list *before* allocating it.
+    pub fn pair_count(&self, servers: usize) -> u128 {
+        let n = servers as u128;
+        match self {
+            TrafficModel::AllToAll => n * n.saturating_sub(1),
+            // permutation / chunky / hotspot are all O(servers) pairs
+            _ => n,
         }
     }
 
@@ -155,6 +354,37 @@ impl TrafficModel {
     }
 }
 
+/// The traffic grammar: `permutation`, `all-to-all`,
+/// `chunky:<percent>` with the percentage in `[0, 100]`, `hotspot:<n>`
+/// with `n ≥ 1`.
+impl std::str::FromStr for TrafficModel {
+    type Err = SpecError;
+
+    fn from_str(s: &str) -> Result<Self, SpecError> {
+        let chunky = |pct: &str| {
+            let percent: f64 = pct.parse().ok()?;
+            (0.0..=100.0)
+                .contains(&percent)
+                .then_some(TrafficModel::Chunky { percent })
+        };
+        match s {
+            "permutation" => Some(TrafficModel::Permutation),
+            "all-to-all" => Some(TrafficModel::AllToAll),
+            _ => s
+                .strip_prefix("chunky:")
+                .and_then(chunky)
+                .or_else(|| positive_after(s, "hotspot:").map(|hot| TrafficModel::Hotspot { hot })),
+        }
+        .ok_or_else(|| {
+            SpecError::new(
+                "traffic",
+                s,
+                "permutation, all-to-all, chunky:<percent 0..100>, or hotspot:<n>",
+            )
+        })
+    }
+}
+
 /// One point on the backend axis: a solver plus the FPTAS trajectory
 /// flag.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -198,13 +428,38 @@ impl BackendChoice {
         }
     }
 
-    /// Stable display name (`fptas`, `fptas-strict`, `exact-lp`,
-    /// `ksp:<k>`).
+    /// Stable display name (`fptas`, `fptas-strict`, `exact`, `ksp:<k>`)
+    /// — the spelling [`FromStr`](std::str::FromStr) accepts, so
+    /// `choice.name().parse()` is `choice`.
     pub fn name(&self) -> String {
         match (self.backend, self.strict) {
+            (Backend::Fptas, false) => "fptas".into(),
             (Backend::Fptas, true) => "fptas-strict".into(),
+            (Backend::ExactLp, _) => "exact".into(),
             (Backend::KspRestricted { k }, _) => format!("ksp:{k}"),
-            (b, _) => b.name().into(),
+        }
+    }
+
+    /// Point `opts` at this backend and trajectory.
+    pub fn apply(self, opts: &mut FlowOptions) {
+        opts.backend = self.backend;
+        opts.strict_reference = self.strict;
+    }
+}
+
+/// The backend grammar: `fptas`, `fptas-strict`, `exact`, `ksp:<k>` with
+/// `k ≥ 1`.
+impl std::str::FromStr for BackendChoice {
+    type Err = SpecError;
+
+    fn from_str(s: &str) -> Result<Self, SpecError> {
+        match s {
+            "fptas" => Ok(Self::fptas()),
+            "fptas-strict" => Ok(Self::fptas_strict()),
+            "exact" => Ok(Self::exact()),
+            _ => positive_after(s, "ksp:").map(Self::ksp).ok_or_else(|| {
+                SpecError::new("backend", s, "fptas, fptas-strict, exact, or ksp:<k>")
+            }),
         }
     }
 }
@@ -633,11 +888,8 @@ impl SweepRunner {
             .map(|i| {
                 let t_cell = obs::clock();
                 let (m, b) = (i / n_backends, i % n_backends);
-                let choice = spec.backends[b];
-                let opts = spec
-                    .opts
-                    .with_backend(choice.backend)
-                    .with_strict_reference(choice.strict);
+                let mut opts = spec.opts;
+                spec.backends[b].apply(&mut opts);
                 let mut cell = cell_shell(m, b);
                 cell.live_links = ap.net.live_arc_count() / 2;
                 let tm_full = match &matrices[m] {
@@ -743,21 +995,6 @@ pub fn hop_throughput_bound(net: &CsrNet, commodities: &[Commodity]) -> f64 {
         }
         net.total_capacity() / alpha
     })
-}
-
-/// Mix grid coordinates into the master seed (splitmix64 finalizer) so
-/// every cell's randomness is independent of evaluation order and of
-/// the other axes.
-fn derive_seed(base: u64, domain: u64, a: usize, b: usize) -> u64 {
-    let mut z = base
-        .wrapping_add(domain.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add((a as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add((b as u64).wrapping_mul(0x94D0_49BB_1331_11EB));
-    z ^= z >> 30;
-    z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^= z >> 27;
-    z = z.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

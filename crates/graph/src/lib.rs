@@ -17,11 +17,9 @@
 //!   shortest-path enumeration ([`kshortest`]).
 //! * average shortest path length (ASPL) and diameter ([`paths::PathStats`]).
 //! * connectivity queries ([`components`]).
-//! * degree-preserving double-edge swaps ([`swaps`]), the repair move used
-//!   by the Jellyfish-style random regular graph construction.
-//! * spectral diagnostics ([`spectral`]): second adjacency eigenvalue and
-//!   sampled edge expansion, verifying the expander properties the
-//!   paper's §6.2 analysis assumes.
+//! * seed derivation and FNV-1a content hashing ([`mix`]) — the one copy
+//!   behind every layer's coordinate-derived RNG seeds, fingerprints and
+//!   trace hashes.
 //!
 //! Nodes are dense indices `0..n` (`NodeId = usize`). Node *roles* (switch
 //! vs. server, large vs. small switch) are deliberately not stored here;
@@ -37,10 +35,9 @@ pub mod error;
 pub mod graph;
 pub mod io;
 pub mod kshortest;
+pub mod mix;
 pub mod msbfs;
 pub mod paths;
-pub mod spectral;
-pub mod swaps;
 
 pub use csr::{CsrNet, DijkstraWorkspace};
 pub use delta::DeltaStats;

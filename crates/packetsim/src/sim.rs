@@ -13,6 +13,7 @@
 //! the scheduler. After setup the hot loop performs no heap allocation
 //! beyond the scheduler's amortised bucket growth.
 
+use dctopo_graph::mix::Fnv1a;
 use dctopo_graph::CsrNet;
 
 use crate::calendar::{CalendarQueue, EventScheduler, HeapScheduler};
@@ -163,19 +164,6 @@ enum Ev {
     /// The paced source of `path` injects its next packet.
     Inject { path: u32 },
 }
-
-/// FNV-1a 64-bit fold of one word into the running trace hash.
-#[inline]
-fn fnv(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for byte in x.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// Convert a nonnegative time-unit quantity to ticks, minimum 1.
 fn ticks(t: f64) -> u64 {
@@ -482,28 +470,28 @@ impl Engine {
             }
         }
         let mut events = 0u64;
-        let mut hash = FNV_OFFSET;
+        let mut hash = Fnv1a::default();
         while let Some((t, ev)) = q.pop() {
             if t >= self.end {
                 break;
             }
             events += 1;
-            hash = fnv(hash, t);
-            hash = match ev {
-                Ev::TxDone { link } => fnv(fnv(hash, 0), u64::from(link)),
-                Ev::Arrive { link, pkt } => {
-                    let h = fnv(fnv(hash, 1), u64::from(link));
-                    fnv(
-                        fnv(h, (u64::from(pkt.path) << 16) | u64::from(pkt.hop)),
-                        pkt.seq,
-                    )
+            hash.write_u64(t);
+            match ev {
+                Ev::TxDone { link } => hash.write_u64(0).write_u64(u64::from(link)),
+                Ev::Arrive { link, pkt } => hash
+                    .write_u64(1)
+                    .write_u64(u64::from(link))
+                    .write_u64((u64::from(pkt.path) << 16) | u64::from(pkt.hop))
+                    .write_u64(pkt.seq),
+                Ev::Ack { path, seq } => {
+                    hash.write_u64(2).write_u64(u64::from(path)).write_u64(seq)
                 }
-                Ev::Ack { path, seq } => fnv(fnv(fnv(hash, 2), u64::from(path)), seq),
-                Ev::Timeout { path, seq, gen } => fnv(
-                    fnv(fnv(hash, 3), (u64::from(path) << 16) | u64::from(gen)),
-                    seq,
-                ),
-                Ev::Inject { path } => fnv(fnv(hash, 4), u64::from(path)),
+                Ev::Timeout { path, seq, gen } => hash
+                    .write_u64(3)
+                    .write_u64((u64::from(path) << 16) | u64::from(gen))
+                    .write_u64(seq),
+                Ev::Inject { path } => hash.write_u64(4).write_u64(u64::from(path)),
             };
             self.dispatch(q, t, ev);
         }
@@ -519,7 +507,7 @@ impl Engine {
             drops: self.drops,
             retransmits: self.retransmits,
             events,
-            trace_hash: hash,
+            trace_hash: hash.finish(),
         }
     }
 }

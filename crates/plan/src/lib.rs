@@ -93,19 +93,3 @@ pub use planner::{
     plan_migration, Conflict, DegradedPlan, Fidelity, MigrationPlan, PlanError, PlanSpec,
     PlanStage, PlanStats,
 };
-
-/// Mix grid coordinates into a master seed (splitmix64 finalizer), the
-/// same discipline as the sweep and search engines: every per-probe RNG
-/// is a function of the spec seed and its `(depth, candidate)` grid
-/// coordinates, never of scheduling or evaluation order.
-pub(crate) fn derive_seed(base: u64, domain: u64, a: usize, b: usize) -> u64 {
-    let mut z = base
-        .wrapping_add(domain.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add((a as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add((b as u64).wrapping_mul(0x94D0_49BB_1331_11EB));
-    z ^= z >> 30;
-    z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^= z >> 27;
-    z = z.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}

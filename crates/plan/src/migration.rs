@@ -12,6 +12,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use dctopo_graph::mix::derive_seed;
 use dctopo_graph::{CsrNet, Graph, GraphError};
 use dctopo_search::{CapacityPlan, ResolvedMove};
 use dctopo_topology::Topology;
@@ -340,7 +341,7 @@ fn churn_pairs(
         })
         .collect();
 
-    let mut rng = StdRng::seed_from_u64(crate::derive_seed(seed, DOMAIN_CHURN, pairs, 0));
+    let mut rng = StdRng::seed_from_u64(derive_seed(seed, DOMAIN_CHURN, pairs, 0));
     let key = |u: usize, v: usize| (u.min(v), u.max(v));
     let mut used: HashSet<(usize, usize)> = HashSet::new();
     let mut picked = Vec::with_capacity(pairs);

@@ -10,6 +10,7 @@ use dctopo_core::solve::aggregate_commodities;
 use dctopo_core::sweep::hop_throughput_bound;
 use dctopo_core::ThroughputEngine;
 use dctopo_flow::{Commodity, FlowError, FlowOptions};
+use dctopo_graph::mix::{derive_seed, Fnv1a};
 use dctopo_graph::{CsrNet, GraphError};
 use dctopo_search::ladder::cut_probes;
 use dctopo_search::CutProbe;
@@ -172,24 +173,18 @@ impl MigrationPlan {
     /// suite pins across thread counts and reruns. Work counters are
     /// excluded: they describe the run, not the plan.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let put = |h: &mut u64, x: u64| {
-            for b in x.to_le_bytes() {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        put(&mut h, self.order.len() as u64);
+        let mut h = Fnv1a::default();
+        h.write_u64(self.order.len() as u64);
         for &i in &self.order {
-            put(&mut h, i as u64);
+            h.write_u64(i as u64);
         }
-        put(&mut h, self.stages.len() as u64);
+        h.write_u64(self.stages.len() as u64);
         for s in &self.stages {
-            put(&mut h, s.moves.len() as u64);
+            h.write_u64(s.moves.len() as u64);
             for &i in &s.moves {
-                put(&mut h, i as u64);
+                h.write_u64(i as u64);
             }
-            put(&mut h, s.lambda.to_bits());
+            h.write_u64(s.lambda.to_bits());
         }
         for x in [
             self.floor,
@@ -197,17 +192,17 @@ impl MigrationPlan {
             self.lambda_a,
             self.lambda_b,
         ] {
-            put(&mut h, x.to_bits());
+            h.write_u64(x.to_bits());
         }
         for l in &self.step_lambda {
-            put(&mut h, l.to_bits());
+            h.write_u64(l.to_bits());
         }
-        put(&mut h, self.learned.len() as u64);
+        h.write_u64(self.learned.len() as u64);
         for c in &self.learned {
-            put(&mut h, c.before as u64);
-            put(&mut h, c.after as u64);
+            h.write_u64(c.before as u64);
+            h.write_u64(c.after as u64);
         }
-        h
+        h.finish()
     }
 }
 
@@ -360,7 +355,7 @@ impl<'a> Planner<'a> {
     /// every `(depth, candidate)` pair sees its own cut, independent of
     /// scheduling.
     fn extra_probe(&self, n: usize, depth: usize, cand: usize) -> CutProbe {
-        let seed = crate::derive_seed(self.spec.seed, DOMAIN_PROBE, depth, cand);
+        let seed = derive_seed(self.spec.seed, DOMAIN_PROBE, depth, cand);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut idx: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {

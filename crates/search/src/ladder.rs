@@ -17,6 +17,7 @@
 
 use dctopo_bounds::{cross_capacity_with, demand_cut_bound};
 use dctopo_flow::Commodity;
+use dctopo_graph::mix::derive_seed;
 use dctopo_graph::msbfs::{ms_bfs, MsBfsWorkspace, MAX_LANES};
 use dctopo_graph::paths::{path_stats_with, BfsWorkspace, UNREACHABLE};
 use dctopo_graph::{Graph, GraphError};
@@ -24,9 +25,7 @@ use dctopo_topology::Topology;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::derive_seed;
-
-/// Domain tag for probe-bisection seeds (see [`crate::derive_seed`]).
+/// Domain tag for probe-bisection seeds (see [`derive_seed`]).
 const DOMAIN_PROBE: u64 = 11;
 
 /// `Σ_j demand_j · hopdist(src_j, dst_j)` over the switch graph — the

@@ -18,6 +18,7 @@
 
 use dctopo_core::solve::{aggregate_commodities, nic_limit};
 use dctopo_flow::{Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow};
+use dctopo_graph::mix::derive_seed;
 use dctopo_graph::{CsrNet, MsBfsWorkspace};
 use dctopo_topology::expand::expand_random;
 use dctopo_topology::moves::{apply_two_swap, two_swap_is_valid, TwoSwap};
@@ -27,7 +28,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
 
-use crate::derive_seed;
 use crate::ladder::{cut_probes, hop_alpha, hop_bound, min_cut_bound, CutProbe};
 use crate::moves::{CapacityPlan, MoveKind};
 

@@ -34,5 +34,5 @@ pub mod proto;
 pub mod server;
 
 pub use json::Json;
-pub use proto::{backend_name, parse_backend, Drift, Op, ProtoError, QuerySpec, Request};
+pub use proto::{Drift, Op, ProtoError, QuerySpec, Request};
 pub use server::{ServeConfig, ServeStats, Server};

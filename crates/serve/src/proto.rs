@@ -22,7 +22,7 @@
 //!   per-commodity factor in `(1-F, 1+F]` (see
 //!   [`QuerySpec::drift_factor`]).
 //! * `"backend"` — `"fptas"` (default), `"fptas-strict"`, `"exact"`,
-//!   or `"ksp:K"` (the CLI's backend syntax).
+//!   or `"ksp:K"` (the [`BackendChoice`] grammar the CLI shares).
 //! * `"warm"` — override the server's warm-start default for this
 //!   query.
 //!
@@ -30,8 +30,8 @@
 //! `bad-request` errors — a closed protocol catches typos instead of
 //! silently ignoring them.
 
-use dctopo_core::Degradation;
-use dctopo_flow::Backend;
+use dctopo_core::{BackendChoice, Degradation};
+use dctopo_graph::mix::{derive_seed, Fnv1a};
 
 use crate::json::Json;
 
@@ -79,9 +79,8 @@ pub struct QuerySpec {
     pub degradations: Vec<Degradation>,
     /// Optional demand drift.
     pub drift: Option<Drift>,
-    /// Backend override `(backend, strict_reference)`; `None` keeps
-    /// the server default.
-    pub backend: Option<(Backend, bool)>,
+    /// Backend override; `None` keeps the server default.
+    pub backend: Option<BackendChoice>,
     /// Warm-start override; `None` keeps the server default.
     pub warm: Option<bool>,
 }
@@ -242,8 +241,8 @@ fn parse_query(v: &Json) -> Result<QuerySpec, ProtoError> {
             .as_str()
             .ok_or_else(|| ProtoError::BadRequest("\"backend\" must be a string".into()))?;
         spec.backend = Some(
-            parse_backend(name)
-                .ok_or_else(|| ProtoError::BadRequest(format!("unknown backend \"{name}\"")))?,
+            name.parse()
+                .map_err(|_| ProtoError::BadRequest(format!("unknown backend \"{name}\"")))?,
         );
     }
     if let Some(warm) = v.get("warm") {
@@ -255,44 +254,7 @@ fn parse_query(v: &Json) -> Result<QuerySpec, ProtoError> {
     Ok(spec)
 }
 
-/// Parse the CLI's backend syntax: `fptas` | `fptas-strict` | `exact` |
-/// `ksp:K`. Returns `(backend, strict_reference)`.
-pub fn parse_backend(s: &str) -> Option<(Backend, bool)> {
-    match s {
-        "fptas" => Some((Backend::Fptas, false)),
-        "fptas-strict" => Some((Backend::Fptas, true)),
-        "exact" => Some((Backend::ExactLp, false)),
-        _ => {
-            let k: usize = s.strip_prefix("ksp:")?.parse().ok()?;
-            (k > 0).then_some((Backend::KspRestricted { k }, false))
-        }
-    }
-}
-
-/// Display name for a backend choice (the response's `backend` field).
-pub fn backend_name(backend: Backend, strict: bool) -> String {
-    match backend {
-        Backend::Fptas if strict => "fptas-strict".into(),
-        Backend::Fptas => "fptas".into(),
-        Backend::ExactLp => "exact".into(),
-        Backend::KspRestricted { k } => format!("ksp:{k}"),
-    }
-}
-
 // ---- canonical keys ------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 fn push_u64(out: &mut Vec<u8>, x: u64) {
     out.extend_from_slice(&x.to_le_bytes());
@@ -344,7 +306,9 @@ impl QuerySpec {
     pub fn structure_key(&self) -> u64 {
         let mut bytes = Vec::new();
         push_degradations(&mut bytes, &self.degradations);
-        fnv1a(&bytes)
+        let mut h = Fnv1a::default();
+        h.write_bytes(&bytes);
+        h.finish()
     }
 
     /// The query's **canonical content encoding**: every
@@ -364,8 +328,8 @@ impl QuerySpec {
             push_u64(&mut bytes, d.seed);
         }
         bytes.push(0xfd);
-        if let Some((backend, strict)) = self.backend {
-            bytes.extend_from_slice(backend_name(backend, strict).as_bytes());
+        if let Some(backend) = self.backend {
+            bytes.extend_from_slice(backend.name().as_bytes());
         }
         bytes.push(0xfc);
         match self.warm {
@@ -382,20 +346,14 @@ impl QuerySpec {
     /// on its endpoints), so drifted demand is identical however the
     /// commodity list is produced.
     pub fn drift_factor(drift: Drift, src: usize, dst: usize) -> f64 {
-        let mut key = Vec::with_capacity(16);
-        push_u64(&mut key, src as u64);
-        push_u64(&mut key, dst as u64);
-        let u = (splitmix64(drift.seed ^ fnv1a(&key)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let mut pair = Fnv1a::default();
+        pair.write_u64(src as u64);
+        pair.write_u64(dst as u64);
+        // derive_seed(x, 1, 0, 0) is one splitmix64 step of x
+        let bits = derive_seed(drift.seed ^ pair.finish(), 1, 0, 0);
+        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         1.0 + drift.spread * (2.0 * u - 1.0)
     }
-}
-
-/// splitmix64: the standard 64-bit finalizer-style mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -426,7 +384,7 @@ mod tests {
                 seed: 7
             })
         );
-        assert_eq!(q.backend, Some((Backend::KspRestricted { k: 4 }, false)));
+        assert_eq!(q.backend, Some(BackendChoice::ksp(4)));
         assert_eq!(q.warm, Some(false));
     }
 

@@ -44,7 +44,9 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 
-use dctopo_core::{Degradation, Scenario, ThroughputEngine, ThroughputResult, WarmState};
+use dctopo_core::{
+    BackendChoice, Degradation, Scenario, ThroughputEngine, ThroughputResult, WarmState,
+};
 use dctopo_flow::FlowError;
 use dctopo_flow::FlowOptions;
 use dctopo_graph::GraphError;
@@ -54,7 +56,7 @@ use dctopo_traffic::TrafficMatrix;
 use rayon::prelude::*;
 
 use crate::json::Json;
-use crate::proto::{backend_name, Op, ProtoError, QuerySpec, Request};
+use crate::proto::{Op, ProtoError, QuerySpec, Request};
 
 /// Server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -493,11 +495,12 @@ fn eval_query(
         }
     }
     let mut opts = cfg.opts;
-    if let Some((backend, strict)) = spec.backend {
-        opts.backend = backend;
-        opts.strict_reference = strict;
-    }
-    let eligible = matches!(opts.backend, dctopo_flow::Backend::Fptas) && !opts.strict_reference;
+    let choice = spec.backend.unwrap_or(BackendChoice {
+        backend: opts.backend,
+        strict: opts.strict_reference,
+    });
+    choice.apply(&mut opts);
+    let eligible = choice == BackendChoice::fptas();
     let warm_requested = spec.warm.unwrap_or(cfg.warm_default);
     let warm = if eligible && warm_requested {
         warm_in.filter(|w| w.is_seeded())
@@ -505,7 +508,7 @@ fn eval_query(
         None
     };
     let warm_used = warm.is_some();
-    let backend = backend_name(opts.backend, opts.strict_reference);
+    let backend = choice.name();
     match engine.solve_commodities_warm(&applied.net, commodities, *nic, *flows, &opts, warm) {
         Ok((result, state)) => QueryOut {
             payload: result_payload(&result, warm_used, skey, &backend, *flows),

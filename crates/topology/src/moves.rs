@@ -3,10 +3,10 @@
 //!
 //! [`crate::Topology`]-level search needs *addressable* moves: a
 //! candidate must be describable as data (so batches can be generated
-//! from seeds, evaluated in parallel, and replayed), unlike
-//! [`dctopo_graph::swaps::try_random_swap`], which samples and applies
-//! in one step. [`TwoSwap`] names a degree-preserving double-edge swap
-//! explicitly; [`apply_two_swap`] validates it and applies it, and
+//! from seeds, evaluated in parallel, and replayed), unlike a swap
+//! that is sampled and applied in one step. [`TwoSwap`] names a
+//! degree-preserving double-edge swap explicitly; [`apply_two_swap`]
+//! validates it and applies it, and
 //! [`two_swap_is_valid`] is the cheap pre-check move generators use to
 //! reject illegal samples without touching the graph.
 //!

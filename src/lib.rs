@@ -6,7 +6,7 @@
 //! This facade crate re-exports every subsystem of the workspace under a
 //! single dependency:
 //!
-//! * [`graph`] — capacitated multigraph + shortest paths / k-shortest / swaps
+//! * [`graph`] — capacitated multigraph + shortest paths / k-shortest / seed mixing
 //! * [`linprog`] — dense two-phase simplex LP solver
 //! * [`flow`] — max concurrent multi-commodity flow (FPTAS + exact bridge)
 //! * [`topology`] — RRG, heterogeneous, two-cluster, fat-tree, VL2, ... generators

@@ -8,7 +8,6 @@ use dctopo::flow::{
 };
 use dctopo::graph::components::{cut_size, is_connected};
 use dctopo::graph::paths::path_stats;
-use dctopo::graph::swaps::shuffle_edges;
 use dctopo::graph::Graph;
 use dctopo::prelude::*;
 use dctopo::topology::hetero::{place_servers, two_cluster, CrossSpec};
@@ -49,16 +48,6 @@ proptest! {
             let bound = aspl_lower_bound(n, r).unwrap();
             prop_assert!(aspl >= bound - 1e-9, "ASPL {} < bound {}", aspl, bound);
         }
-    }
-
-    /// Degree-preserving swaps preserve the degree sequence.
-    #[test]
-    fn swaps_preserve_degrees(seed in any::<u64>(), n in 10usize..30) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut topo = Topology::random_regular(n, 6, 4, &mut rng).unwrap();
-        let before = topo.graph.degrees();
-        let _ = shuffle_edges(&mut topo.graph, 20, &mut rng);
-        prop_assert_eq!(topo.graph.degrees(), before);
     }
 
     /// two_cluster realises the exact requested cross-link count.
