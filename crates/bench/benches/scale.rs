@@ -5,7 +5,7 @@
 //! paper's headline plots use and the one that breaks naive per-pair
 //! code: at the default 1024 switches there are 16384 servers and
 //! ~268M server flows, which never exist individually anywhere in this
-//! run. Three gates:
+//! run. Four gates:
 //!
 //! 1. **ms-BFS ≥ 4× over scalar BFS** on the Theorem-1 hop-bound
 //!    ladder: the all-to-all hop sum `α = Σ_u s_u Σ_{v≠u} s_v·hop(u,v)`
@@ -16,10 +16,15 @@
 //!    solver produces a valid certified interval on the full instance
 //!    inside `DCTOPO_SCALE_BUDGET_MS`, with the network λ also under
 //!    the independently computed hop bound.
-//! 3. **Bit-identical λ at 1/2/8 threads**: the same solve through
+//! 3. **Bit-identical solve at 1/2/8 threads**: the same solve through
 //!    scoped rayon pools of 1, 2 and 8 threads returns bitwise-equal
-//!    λ, dual bound, and arc flows — the delta-stepping determinism
-//!    contract, observed at the top of the stack.
+//!    λ, dual bound and arc flows, and the same settle count — the
+//!    grouped solver builds every tree with the sequential heap
+//!    Dijkstra and touches the pool nowhere.
+//! 4. **Width costs nothing**: within this one run, the 2- and
+//!    8-thread walls are each at most 1.15× the 1-thread wall. (Before
+//!    the bucketed SSSP left the solver, its per-round fork/join made
+//!    eight threads 0.83× of one on this instance.)
 //!
 //! Knobs (env): `DCTOPO_SCALE_SWITCHES` (default 1024; CI runs small),
 //! `DCTOPO_SCALE_PHASES` (GK phase cap, default 2 — the gates check
@@ -183,6 +188,18 @@ fn bench_scale(c: &mut Criterion) {
         for (a, (x, y)) in solved.arc_flow.iter().zip(&s.arc_flow).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "arc flow diverged at arc {a}");
         }
+        assert_eq!(
+            solved.settles, s.settles,
+            "settle count diverged at {threads} threads"
+        );
+    }
+    // gate 4: a ratio inside one run, so host speed cancels
+    for (threads, ms, _) in &runs[1..] {
+        assert!(
+            *ms <= 1.15 * one_ms,
+            "aggregated solve at {threads} threads took {ms:.0} ms, more than \
+             1.15x the 1-thread {one_ms:.0} ms"
+        );
     }
     // the certified interval is valid and consistent with Theorem-1
     assert!(solved.throughput > 0.0);
@@ -193,9 +210,10 @@ fn bench_scale(c: &mut Criterion) {
         base.network_lambda,
         hop_bound
     );
-    let eight_ms = runs[2].1;
+    let (two_ms, eight_ms) = (runs[1].1, runs[2].1);
 
     let servers = topo.server_count();
+    let cores = std::thread::available_parallelism().map_or(0, usize::from);
     report::emit_from_env(&[
         SpeedupRecord {
             name: "scale_msbfs_hopbound".into(),
@@ -213,12 +231,14 @@ fn bench_scale(c: &mut Criterion) {
             instance: format!(
                 "RRG({switches}, 32, 16) aggregated all-to-all, {servers} \
                  servers / {} flows, eps 0.3, {} phases; lambda {:.3e} <= \
-                 {:.3e} certified, bit-identical at 1/2/8 threads; \
-                 1-thread vs 8-thread wall",
+                 {:.3e} certified, {} settles, bit-identical at 1/2/8 \
+                 threads; host has {cores} logical cores; old_ms = pool \
+                 width 1, new_ms = pool width 8 (width 2: {two_ms:.3} ms)",
                 agg.flow_count(),
                 solved.phases,
                 solved.throughput,
                 solved.upper_bound,
+                solved.settles,
             ),
             old_ms: *one_ms,
             new_ms: eight_ms,

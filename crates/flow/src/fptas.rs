@@ -60,11 +60,10 @@
 
 use std::collections::HashMap;
 
-use dctopo_graph::{CsrNet, DeltaStats, DijkstraWorkspace, NodeId};
+use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 use rayon::prelude::*;
 
-use crate::trace::with_delta_stats;
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// Minimum `source groups × arcs` before the dual-bound Dijkstra pass
@@ -79,18 +78,6 @@ const PARALLEL_DUAL_MIN_WORK: usize = 1 << 12;
 /// lengths, and so are shortest paths — so we rescale whenever lengths
 /// grow large to avoid overflow corrupting the bound.
 const RESCALE_ABOVE: f64 = 1e100;
-
-/// Node count at or above which the fast path's **full-tree** passes
-/// (exact rebuilds, post-rescale refreshes, full-tree dual harvests)
-/// run the bucketed parallel SSSP ([`dctopo_graph::delta`]) instead of
-/// scalar heap Dijkstra. Distances are bitwise identical either way;
-/// parent trees may differ inside float-absorption plateaus (both
-/// valid, both deterministic), which can steer a different — equally
-/// certified — trajectory. The gate keeps the small pinned instances
-/// (RRG(64, 12, 8) benches, strict-vs-fast pins) on their historical
-/// byte-exact trajectories while 1024-switch solves get bucket-level
-/// parallelism inside every tree build, not just across groups.
-const DELTA_MIN_NODES: usize = 512;
 
 /// Terminal solver state a later solve can warm-start from: the arc
 /// length function the FPTAS ended on.
@@ -178,19 +165,6 @@ fn warm_lengths(net: &CsrNet, warm: &WarmState) -> Option<Vec<f64>> {
         })
         .collect();
     Some(out)
-}
-
-/// One full shortest-path tree under `length`: bucketed parallel SSSP
-/// at scale, scalar Dijkstra below [`DELTA_MIN_NODES`]. Either way the
-/// workspace ends in completed-full-run state, satisfying
-/// [`CsrNet::dijkstra_repair`]'s preconditions.
-#[inline]
-pub(crate) fn full_tree(net: &CsrNet, src: NodeId, length: &[f64], ws: &mut DijkstraWorkspace) {
-    if net.node_count() >= DELTA_MIN_NODES {
-        dctopo_graph::delta::sssp(net, src, length, ws);
-    } else {
-        net.dijkstra(src, length, ws);
-    }
 }
 
 /// Fast path: opening (coarse) step size of the annealing schedule.
@@ -545,23 +519,16 @@ fn solve_strict(
     sol.phases = phases;
     sol.settles = groups.iter().map(|g| g.ws.settles()).sum();
     if obs::enabled() {
-        let mut ds = DeltaStats::default();
-        for g in &groups {
-            ds.merge(g.ws.delta_stats());
-        }
-        with_delta_stats(
-            obs::Event::new("fptas_solve")
-                .field("mode", "strict")
-                .field("groups", groups.len())
-                .field("commodities", commodities.len())
-                .field("phases", phases as u64)
-                .field("settles", sol.settles)
-                .field("lambda", sol.throughput)
-                .field("upper_bound", sol.upper_bound),
-            &ds,
-        )
-        .nd("wall_us", obs::us_since(t_solve))
-        .emit();
+        obs::Event::new("fptas_solve")
+            .field("mode", "strict")
+            .field("groups", groups.len())
+            .field("commodities", commodities.len())
+            .field("phases", phases as u64)
+            .field("settles", sol.settles)
+            .field("lambda", sol.throughput)
+            .field("upper_bound", sol.upper_bound)
+            .nd("wall_us", obs::us_since(t_solve))
+            .emit();
     }
     Ok(sol)
 }
@@ -705,7 +672,7 @@ fn solve_fast(
         if exact_pass {
             let clock = base + log.len();
             let rebuild = |g: &mut GroupState| {
-                full_tree(net, g.src, &length, &mut g.ws);
+                net.dijkstra(g.src, &length, &mut g.ws);
                 g.cursor = clock;
                 g.needs_full = false;
             };
@@ -771,7 +738,7 @@ fn solve_fast(
                 if g.needs_full {
                     // post-rescale: stored distances are in pre-rescale
                     // units, so the drift gate cannot be trusted — rebuild
-                    full_tree(net, g.src, &length, &mut g.ws);
+                    net.dijkstra(g.src, &length, &mut g.ws);
                     g.cursor = base + log.len();
                     g.needs_full = false;
                     ph_rebuilds += 1;
@@ -990,28 +957,21 @@ fn solve_fast(
     sol.phases = phases;
     sol.settles = groups.iter().map(|g| g.ws.settles()).sum();
     if obs::enabled() {
-        let mut ds = DeltaStats::default();
-        for g in &groups {
-            ds.merge(g.ws.delta_stats());
-        }
-        with_delta_stats(
-            obs::Event::new("fptas_solve")
-                .field("mode", "fast")
-                .field("warm", warm_started)
-                .field("groups", groups.len())
-                .field("commodities", commodities.len())
-                .field("phases", phases as u64)
-                .field("settles", sol.settles)
-                .field("aug_exact", tot_exact)
-                .field("aug_drift", tot_drift)
-                .field("repairs", tot_repairs)
-                .field("rescale_rebuilds", tot_rebuilds)
-                .field("lambda", sol.throughput)
-                .field("upper_bound", sol.upper_bound),
-            &ds,
-        )
-        .nd("wall_us", obs::us_since(t_solve))
-        .emit();
+        obs::Event::new("fptas_solve")
+            .field("mode", "fast")
+            .field("warm", warm_started)
+            .field("groups", groups.len())
+            .field("commodities", commodities.len())
+            .field("phases", phases as u64)
+            .field("settles", sol.settles)
+            .field("aug_exact", tot_exact)
+            .field("aug_drift", tot_drift)
+            .field("repairs", tot_repairs)
+            .field("rescale_rebuilds", tot_rebuilds)
+            .field("lambda", sol.throughput)
+            .field("upper_bound", sol.upper_bound)
+            .nd("wall_us", obs::us_since(t_solve))
+            .emit();
     }
     Ok((sol, WarmState { lengths: length }))
 }
@@ -1023,7 +983,7 @@ fn solve_fast(
 /// path computes it in full per call; the fast path maintains it
 /// incrementally). `α(l)` needs one shortest-path tree per source group
 /// against fixed lengths — a read-only pass that runs **in parallel on
-/// rayon** into the disjoint per-group workspaces; with `full_trees`
+/// rayon** into the disjoint per-group workspaces; with `settle_all`
 /// the pass settles whole components (the fast path's tree refresh),
 /// otherwise it early-terminates at each group's targets. The `α`
 /// reduction itself is sequential in group order, so the bound is
@@ -1033,11 +993,11 @@ fn dual_bound(
     groups: &mut [GroupState],
     length: &[f64],
     d_l: f64,
-    full_trees: bool,
+    settle_all: bool,
 ) -> Result<Option<f64>, FlowError> {
     let settle = |g: &mut GroupState| {
-        if full_trees {
-            full_tree(net, g.src, length, &mut g.ws);
+        if settle_all {
+            net.dijkstra(g.src, length, &mut g.ws);
         } else {
             net.dijkstra_targets(g.src, length, &g.targets, &mut g.ws);
         }

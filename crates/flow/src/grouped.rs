@@ -30,8 +30,8 @@
 //! arc once all its tree children have pushed onto it — which costs
 //! `O(n + arcs)` per step independent of how many sinks the group has:
 //!
-//! 1. build the tree under current lengths (`fptas::full_tree`:
-//!    bucketed parallel SSSP at scale, scalar Dijkstra below the gate);
+//! 1. build the tree under current lengths ([`CsrNet::dijkstra`], at
+//!    every node count and pool width);
 //! 2. `L(a)` = demand in the subtree hanging under arc `a`;
 //! 3. `τ = min(1, min_a c(a)/L(a))` — the capacity-scaled step;
 //! 4. `flow(a) += τ·L(a)`, `l(a) *= 1 + ε·τ·L(a)/c(a)`,
@@ -66,18 +66,19 @@
 //! seeds its ready stack in node-index order, so its visit sequence —
 //! and therefore every float accumulation order — is a pure function
 //! of the parent forest; sink iteration is input order
-//! (`List`) or index order (`Weighted`); the tree builds are
-//! [`dctopo_graph::delta`] (bit-identical at any thread count) or
-//! scalar Dijkstra. The whole solve is therefore **bit-identical
-//! across thread counts and reruns**, same as the pairwise paths.
+//! (`List`) or index order (`Weighted`); every tree is one sequential
+//! heap Dijkstra. The solve touches the worker pool nowhere, so it is
+//! **bit-identical across thread counts and reruns** — `settles`
+//! included — by construction rather than by argument. (A window of
+//! groups routed against one stale length snapshot was measured and
+//! rejected: on hot-spot demand it multiplies the certified gap; see
+//! `docs/PERF_NOTES.md`, *Resolution*.)
 
 use std::sync::Arc;
 
 use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 
-use crate::fptas;
-use crate::trace::with_delta_stats;
 use crate::{FlowError, FlowOptions};
 
 /// Where lengths get rescaled (mirrors the pairwise solver).
@@ -178,7 +179,8 @@ pub struct GroupedFlow {
     pub group_rate_factor: Vec<f64>,
     /// Phases executed.
     pub phases: usize,
-    /// Total shortest-path tree settles (work metric).
+    /// Total shortest-path tree settles — heap pops, one per node per
+    /// tree — the work metric, identical at every thread count.
     pub settles: u64,
 }
 
@@ -288,6 +290,17 @@ pub fn solve_grouped(
     groups: &[DemandGroup],
     opts: &FlowOptions,
 ) -> Result<GroupedFlow, FlowError> {
+    solve_grouped_observed(net, groups, opts, |_| {})
+}
+
+/// [`solve_grouped`], showing `phase_lengths` the arc lengths each
+/// phase ends on (tests compare shortest-path kernels on them).
+fn solve_grouped_observed(
+    net: &CsrNet,
+    groups: &[DemandGroup],
+    opts: &FlowOptions,
+    mut phase_lengths: impl FnMut(&[f64]),
+) -> Result<GroupedFlow, FlowError> {
     validate_grouped(net.node_count(), groups, opts)?;
     if net.arc_count() == 0 {
         let mut first = None;
@@ -350,7 +363,7 @@ pub fn solve_grouped(
                 }
                 ph_steps += 1;
                 let t_tree = obs::clock();
-                fptas::full_tree(net, g.src, &length, &mut ws);
+                net.dijkstra(g.src, &length, &mut ws);
                 tree_us += obs::us_since(t_tree);
 
                 // seed the per-node sink demand for this step and check
@@ -460,6 +473,7 @@ pub fn solve_grouped(
                 *l *= inv;
             }
         }
+        phase_lengths(&length);
 
         // certified primal: scale by worst congestion
         let mu = arc_flow
@@ -522,7 +536,7 @@ pub fn solve_grouped(
     let t_harvest = obs::clock();
     let mut alpha_final = 0.0f64;
     for g in groups {
-        fptas::full_tree(net, g.src, &length, &mut ws);
+        net.dijkstra(g.src, &length, &mut ws);
         g.for_each_sink(|dst, d| {
             let dist = ws.distance(dst);
             if dist.is_finite() {
@@ -553,16 +567,13 @@ pub fn solve_grouped(
     sol.phases = phases;
     sol.settles = ws.settles();
     if obs::enabled() {
-        with_delta_stats(
-            obs::Event::new("grouped_solve")
-                .field("groups", groups.len())
-                .field("phases", phases as u64)
-                .field("settles", sol.settles)
-                .field("lambda", sol.throughput)
-                .field("upper_bound", sol.upper_bound),
-            ws.delta_stats(),
-        )
-        .emit();
+        obs::Event::new("grouped_solve")
+            .field("groups", groups.len())
+            .field("phases", phases as u64)
+            .field("settles", sol.settles)
+            .field("lambda", sol.throughput)
+            .field("upper_bound", sol.upper_bound)
+            .emit();
     }
     Ok(sol)
 }
@@ -571,7 +582,13 @@ pub fn solve_grouped(
 mod tests {
     use super::*;
     use crate::{max_concurrent_flow_csr, Commodity};
+    // the retired bucketed kernel, kept as the differential's other side
+    use dctopo_graph::delta as bucketed;
     use dctopo_graph::Graph;
+    use dctopo_topology::Topology;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use rayon::ThreadPoolBuilder;
 
     fn ring(n: usize, cap: f64) -> CsrNet {
         let mut g = Graph::new(n);
@@ -767,5 +784,136 @@ mod tests {
         assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
         assert_eq!(a.upper_bound.to_bits(), b.upper_bound.to_bits());
         assert_eq!(a.settles, b.settles);
+    }
+
+    /// A seeded `RRG(n, ·, r)` switch graph with unit capacities.
+    fn rrg(n: usize, r: usize, rng: &mut StdRng) -> CsrNet {
+        let topo = Topology::random_regular(n, r + 1, r, rng).expect("n·r is even");
+        CsrNet::from_graph(&topo.graph)
+    }
+
+    /// Hot-spot demand in the [`SinkSpec::Weighted`] shape: every
+    /// twelfth switch sends to all others, sixteen of them weighted
+    /// fiftyfold, so the arcs into those grow much faster than the
+    /// rest: a group needs several capacity-scaled steps per phase and
+    /// lengths spread about tenfold per phase.
+    fn weighted_hotspot(n: usize) -> Vec<DemandGroup> {
+        let weights: Vec<f64> = (0..n).map(|v| if v < 16 { 0.4 } else { 0.008 }).collect();
+        let weights = Arc::new(weights);
+        (0..n)
+            .step_by(12)
+            .map(|s| DemandGroup::weighted(s, Arc::clone(&weights), 1.0 + (s % 3) as f64))
+            .collect()
+    }
+
+    /// Sparse random demand in the [`SinkSpec::List`] shape, half of
+    /// it aimed at the same sixteen switches.
+    fn random_lists(n: usize, rng: &mut StdRng) -> Vec<DemandGroup> {
+        (0..n)
+            .step_by(12)
+            .map(|src| {
+                let sinks = (0..12)
+                    .map(|k| {
+                        let dst = rng.random_range(0..if k % 2 == 0 { 16 } else { n });
+                        (dst, rng.random_range(0.4..3.2f64))
+                    })
+                    .filter(|&(dst, _)| dst != src)
+                    .collect();
+                DemandGroup {
+                    src,
+                    sinks: SinkSpec::List(sinks),
+                }
+            })
+            .collect()
+    }
+
+    /// What replacing delta-stepping by the heap under every solver
+    /// tree rests on: on lengths `solve_grouped` itself evolved (not
+    /// uniform-random ones), both kernels build the *same tree* from
+    /// every group source — every distance bit and every parent arc.
+    /// Distances agree by the fixed-point argument; parents agree as
+    /// long as no float-absorption plateau separates the heap's
+    /// strict-`<` rule from the bucketed kernel's `(tail distance, tail
+    /// id, arc id)` rule. A failure here names the instance: report
+    /// it, do not loosen the comparison.
+    #[test]
+    fn heap_and_bucketed_kernels_build_the_same_trees_on_evolved_lengths() {
+        let o = FlowOptions {
+            epsilon: 0.3,
+            max_phases: 3,
+            ..FlowOptions::default()
+        };
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(0x5EED_0000 + seed);
+            let n = 512 + 32 * (seed as usize % 5);
+            let r = 8 + seed as usize % 9;
+            let net = rrg(n, r, &mut rng);
+            let shapes = [
+                ("weighted", weighted_hotspot(n)),
+                ("list", random_lists(n, &mut rng)),
+            ];
+            for (shape, groups) in &shapes {
+                let mut heap = DijkstraWorkspace::new(n);
+                let mut buckets = DijkstraWorkspace::new(n);
+                let mut phase = 0;
+                solve_grouped_observed(&net, groups, &o, |length| {
+                    phase += 1;
+                    for g in groups {
+                        net.dijkstra(g.src, length, &mut heap);
+                        bucketed::sssp(&net, g.src, length, &mut buckets);
+                        for v in 0..n {
+                            assert!(
+                                heap.distance(v).to_bits() == buckets.distance(v).to_bits()
+                                    && heap.parent(v) == buckets.parent(v),
+                                "seed {seed} RRG({n}, {r}) {shape} phase {phase} source {} \
+                                 node {v}: heap ({}, {:?}) vs bucketed ({}, {:?})",
+                                g.src,
+                                heap.distance(v),
+                                heap.parent(v),
+                                buckets.distance(v),
+                                buckets.parent(v)
+                            );
+                        }
+                    }
+                })
+                .unwrap();
+                assert_eq!(phase, 3, "seed {seed} {shape}: every phase was compared");
+            }
+        }
+    }
+
+    /// No pool call is left in the solve, so every output — the work
+    /// counter included, which delta-stepping's racing rounds made
+    /// wander at two threads — is the same at every pool width.
+    #[test]
+    fn bit_identical_at_1_2_and_8_threads_settles_included() {
+        let mut rng = StdRng::seed_from_u64(20140404);
+        let net = rrg(512, 8, &mut rng);
+        let groups = weighted_hotspot(512);
+        let o = FlowOptions {
+            epsilon: 0.3,
+            max_phases: 4,
+            ..FlowOptions::default()
+        };
+        let solve_at = |threads: usize| {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| solve_grouped(&net, &groups, &o)).unwrap()
+        };
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let base = solve_at(1);
+        for threads in [2, 8] {
+            let s = solve_at(threads);
+            assert_eq!(s.throughput.to_bits(), base.throughput.to_bits());
+            assert_eq!(s.upper_bound.to_bits(), base.upper_bound.to_bits());
+            assert_eq!(bits(&s.arc_flow), bits(&base.arc_flow));
+            assert_eq!(bits(&s.group_rate_factor), bits(&base.group_rate_factor));
+            assert_eq!(s.phases, base.phases);
+            assert_eq!(s.settles, base.settles, "{threads} threads");
+        }
+        // one heap pop per node per tree: routing steps plus the harvest
+        assert_eq!(base.settles % 512, 0);
     }
 }

@@ -64,7 +64,6 @@ mod fptas;
 pub mod grouped;
 pub mod ksp;
 pub mod reference;
-mod trace;
 
 use std::fmt;
 
@@ -232,8 +231,9 @@ pub struct SolvedFlow {
     pub commodity_rate: Vec<f64>,
     /// Number of phases executed.
     pub phases: usize,
-    /// Dijkstra-equivalent settle operations (heap pops) the solver
-    /// performed — the work metric the fast-path FPTAS optimises.
+    /// Heap pops of every Dijkstra run the solver made (full trees,
+    /// early-terminated runs and repairs alike, at every node count) —
+    /// the work metric the fast-path FPTAS optimises.
     /// `0` for solvers that are not instrumented ([`ExactLp`],
     /// [`KspRestricted`], and the [`mod@reference`] baseline).
     pub settles: u64,

@@ -2,13 +2,19 @@
 //! paths over a [`CsrNet`], bitwise-compatible with
 //! [`CsrNet::dijkstra`].
 //!
-//! The FPTAS dual-length passes run one full Dijkstra per source group
-//! against a shared length snapshot. At 1024+ switches a scalar heap
-//! traversal serialises the whole pass; this module replaces it with a
-//! delta-stepping formulation (Meyer & Sanders): nodes are grouped into
-//! distance buckets of width Δ, buckets are processed in fixed
-//! ascending order, and the relaxations *within* a bucket — the bulk of
-//! the work — fan out over the worker pool.
+//! **Status: no solver calls this module.** It was built to give the
+//! FPTAS's full-tree passes bucket-level parallelism on 512+ switch
+//! fabrics, and measured slower than [`CsrNet::dijkstra`] at every
+//! pool width there (2.18 node expansions per node against one heap
+//! pop, plus a fork/join barrier per wide round; see
+//! `docs/PERF_NOTES.md`, *Resolution*), so every solver tree now comes
+//! from the heap. The module stays only because the `benchmark/`
+//! package probes it; it is to be deleted together with those probes.
+//!
+//! The formulation is delta-stepping (Meyer & Sanders): nodes are
+//! grouped into distance buckets of width Δ, buckets are processed in
+//! fixed ascending order, and the relaxations *within* a bucket — the
+//! bulk of the work — fan out over the worker pool.
 //!
 //! ## Why the result is bitwise thread-count-invariant
 //!
@@ -67,13 +73,19 @@ pub const OCCUPANCY_BINS: usize = 24;
 /// settle counter) so sequential callers can snapshot/diff them per
 /// solver phase.
 ///
-/// Every field except the `cas_*` pair is **deterministic** — a pure
-/// function of the instance and lengths, identical at any thread
-/// count, because the per-round frontier *sets* are schedule-invariant
-/// (each round's distance array is the minimum over all offers of the
-/// previous round, regardless of interleaving). The `cas_*` counters
-/// depend on how relaxations race and belong in a trace's
-/// non-deterministic section only.
+/// While every round runs sequentially — one thread configured, or no
+/// frontier reaching the parallel threshold — every field except the
+/// `cas_*` pair is a pure function of the instance and lengths. Once a
+/// round fans out that stops holding: a worker reads its node's
+/// tentative distance while other workers may still be lowering it, so
+/// which offers it makes, and with them the next round's frontier,
+/// depend on the interleaving. Only the final distances and parents
+/// are schedule-invariant then; every counter built on the round
+/// frontiers (`light_rounds`, `expansions`, `edge_scans`, the round
+/// classes, the histogram — and the workspace settle counter, which
+/// sums expansions) wanders by a few units between runs, and
+/// `par_rounds` is zero at one thread by definition. None of these
+/// counters belongs among a trace's deterministic fields.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DeltaStats {
     /// Completed [`sssp`] runs.
@@ -398,9 +410,9 @@ fn run(
     // pop does on the scalar path. Counting unique settled nodes here
     // under-reported the bucketed path's actual work, because a node
     // re-entering the frontier across rounds scans its arcs each time.
-    // Both terms are deterministic (round frontiers are
-    // schedule-invariant sets), so the settle counter stays bitwise
-    // thread-count-invariant.
+    // The light term is schedule-dependent once a round has fanned out
+    // (see `DeltaStats`), so unlike the heap's pop count this credit is
+    // thread-count-invariant only while every round ran sequentially.
     ws.note_settles(st.expansions + st.heavy_expansions);
     ws.note_delta_stats(&st);
     assign_parents(net, src, arc_len, ws, scratch);
@@ -409,10 +421,10 @@ fn run(
 /// Relax the selected arcs (`keep(len)`) of every frontier node,
 /// returning the nodes whose distance decreased. Fans out on the worker
 /// pool above [`PAR_MIN_FRONTIER`]; the sequential and parallel paths
-/// produce the identical decrease *set* (chunks assemble in index
-/// order). Statistics accumulate into `st`: edge scans are
-/// deterministic (per-task locals merged in worker-index order sum to
-/// a schedule-invariant total), the `cas_*` pair is not.
+/// assemble the decreases in frontier-index order, but the parallel
+/// path's decrease set itself depends on the interleaving (a node's
+/// `du` is loaded while other workers may lower it). Statistics
+/// accumulate into `st`; see [`DeltaStats`] for which survive that.
 fn relax(
     net: &CsrNet,
     arc_len: &[f64],
@@ -618,6 +630,11 @@ mod tests {
         assert!(ws.parent(2).is_none());
     }
 
+    /// A 300-node net never reaches a [`PAR_MIN_FRONTIER`]-node
+    /// frontier, so every round below runs sequentially at every pool
+    /// width: this pins the sequential rounds' counters only. Rounds
+    /// that do fan out leave the counters schedule-dependent (see
+    /// [`DeltaStats`]).
     #[test]
     fn stats_deterministic_and_settles_count_expansions() {
         let (g, lens) = random_net(11, 300, 900);
@@ -644,10 +661,11 @@ mod tests {
             base.occupancy_hist.iter().sum::<u64>(),
             base.par_rounds + base.seq_rounds
         );
-        // every deterministic field is thread-count-invariant; only the
-        // cas_* pair may differ between schedules
+        // with no parallel round (asserted), every field but the cas_*
+        // pair is thread-count-invariant
         for t in [2usize, 8] {
             let (s, st) = run_at(t);
+            assert_eq!(st.par_rounds, 0, "{t} threads: a round fanned out");
             assert_eq!(s, settles, "{t} threads: settles diverged");
             let mut masked = st.clone();
             masked.cas_success = base.cas_success;

@@ -50,6 +50,16 @@ impl Graph {
         }
     }
 
+    /// Reserve room for `edges` more edges and `degree` more neighbours
+    /// per node, so a builder that knows its degree sequence grows no
+    /// vector twice.
+    pub fn reserve(&mut self, edges: usize, degree: usize) {
+        self.edges.reserve_exact(edges);
+        for adj in &mut self.adj {
+            adj.reserve_exact(degree);
+        }
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -259,6 +269,7 @@ mod tests {
 
     fn triangle() -> Graph {
         let mut g = Graph::new(3);
+        g.reserve(3, 2);
         g.add_unit_edge(0, 1).unwrap();
         g.add_unit_edge(1, 2).unwrap();
         g.add_unit_edge(2, 0).unwrap();

@@ -45,6 +45,7 @@ impl Topology {
         let mut last_err = None;
         for _ in 0..8 {
             let mut g = Graph::new(n);
+            g.reserve(n * r / 2, r);
             match pair_stubs(&mut g, stubs_from_counts(&counts), 1.0, rng) {
                 Ok(unused) => {
                     debug_assert_eq!(unused, 0);

@@ -109,19 +109,6 @@ pub fn run(args: &Args) -> CliResult {
                 ev_f64(s, "rescale_rebuilds")
             );
         }
-        if ev_f64(s, "sssp_runs") > 0.0 {
-            println!(
-                "delta-stepping: {} runs, {} buckets, {} light rounds \
-                 ({} parallel / {} sequential), {} expansions, {} edge scans",
-                ev_f64(s, "sssp_runs"),
-                ev_f64(s, "buckets"),
-                ev_f64(s, "light_rounds"),
-                ev_f64(s, "par_rounds"),
-                ev_f64(s, "seq_rounds"),
-                ev_f64(s, "expansions"),
-                ev_f64(s, "edge_scans")
-            );
-        }
     }
     let cache = engine.cache_stats();
     println!("path cache: {} hits / {} misses", cache.hits, cache.misses);

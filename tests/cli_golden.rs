@@ -7,6 +7,8 @@
 
 use std::process::Command;
 
+use dctopo::obs::Json;
+
 /// Run `topobench` with `args`; stdout of a successful run.
 fn stdout_of(args: &str) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_topobench"))
@@ -88,4 +90,50 @@ fn profile_prints_the_pre_refactor_work_counters() {
         .map(|l| format!("{l}\n"))
         .collect();
     assert_eq!(deterministic, include_str!("golden/profile.txt"));
+}
+
+/// The `aggregate-solve` instance's trajectory, captured at the commit
+/// *before* `solve_grouped`'s trees moved from delta-stepping to the
+/// heap Dijkstra: every deterministic float of every trace record,
+/// compared as bits. Only `settles` was re-pinned by that swap
+/// (7,505,184 bucket expansions became 3,446,272 heap pops, 512 per
+/// tree), so this is the proof the kernel swap moved no certificate.
+#[test]
+fn aggregate_profile_trace_matches_the_pre_swap_trajectory() {
+    let path = format!("{}/profile_agg_trace.jsonl", env!("CARGO_TARGET_TMPDIR"));
+    stdout_of(&format!(
+        "profile rrg --switches 512 --ports 10 --degree 8 --seed 20140404 \
+         --traffic hotspot-agg:16 --eps 0.3 --phases 12 --threads 1 --trace {path}"
+    ));
+    let trace = std::fs::read_to_string(&path).expect("profile wrote the trace");
+    let mut pinned = String::new();
+    for line in trace.lines() {
+        let ev = Json::parse(line).expect("trace lines are JSON");
+        let count = |key: &str| ev.get(key).and_then(Json::as_u64).expect("counter field");
+        let bits = |keys: &[&str]| -> String {
+            keys.iter()
+                .map(|key| {
+                    let x = ev.get(key).and_then(Json::as_f64).expect("float field");
+                    format!(" {key} {:#018x}", x.to_bits())
+                })
+                .collect()
+        };
+        pinned += &match ev.get("ev").and_then(Json::as_str) {
+            Some("grouped_phase") => format!(
+                "phase {}{}\n",
+                count("phase"),
+                bits(&["alpha", "d_l", "primal", "dual"])
+            ),
+            Some("grouped_harvest") => format!("harvest{}\n", bits(&["alpha", "d_l", "bound"])),
+            Some("grouped_solve") => format!(
+                "solve groups {} phases {}{} settles {}\n",
+                count("groups"),
+                count("phases"),
+                bits(&["lambda", "upper_bound"]),
+                count("settles")
+            ),
+            other => panic!("unexpected trace event {other:?}"),
+        };
+    }
+    assert_eq!(pinned, include_str!("golden/profile_agg_trace.txt"));
 }
