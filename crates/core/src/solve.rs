@@ -304,49 +304,16 @@ impl<'t> ThroughputEngine<'t> {
         tm: &TrafficMatrix,
         opts: &FlowOptions,
     ) -> Result<ThroughputResult, FlowError> {
-        if tm.flow_count() == 0 {
-            // nothing demands service (e.g. a scenario killed every
-            // flow-bearing switch): the min-over-flows throughput is
-            // vacuous, and it must read as 0, not as a healthy 1.0, so
-            // sweep aggregates never show a dead fabric beating a
-            // degraded one
-            return Ok(ThroughputResult {
-                throughput: 0.0,
-                network_lambda: 0.0,
-                network_upper_bound: 0.0,
-                nic_limit: f64::INFINITY,
-                commodities: Vec::new(),
-                solved: None,
-            });
-        }
-        let commodities = aggregate_commodities(self.topo, tm);
-        let nic = nic_limit(tm);
-        if commodities.is_empty() {
-            // all traffic is intra-switch: NIC-limited only
-            return Ok(ThroughputResult {
-                throughput: nic.min(1.0),
-                network_lambda: f64::INFINITY,
-                network_upper_bound: f64::INFINITY,
-                nic_limit: nic,
-                commodities,
-                solved: None,
-            });
-        }
-        let solved = dctopo_flow::solve_with_cache(net, &commodities, opts, &self.cache)?;
-        Ok(ThroughputResult {
-            throughput: solved.throughput.min(nic),
-            network_lambda: solved.throughput,
-            network_upper_bound: solved.upper_bound,
-            nic_limit: nic,
-            commodities,
-            solved: Some(solved),
-        })
+        let (commodities, nic, flows) = self.demand(tm);
+        self.solve_commodities_warm(net, commodities, nic, flows, opts, None)
+            .map(|(result, _)| result)
     }
 
     /// Solve the topology's throughput under a degradation scenario:
     /// flows of servers on failed switches are dropped from the demand
     /// (see [`surviving_traffic`]), then the surviving traffic is solved
-    /// against the scenario's delta view.
+    /// against the scenario's delta view — [`Self::scenario_demand`]
+    /// followed by a cold [`Self::solve_commodities_warm`].
     ///
     /// # Errors
     /// As [`ThroughputEngine::solve`] — notably
@@ -358,16 +325,24 @@ impl<'t> ThroughputEngine<'t> {
         tm: &TrafficMatrix,
         opts: &FlowOptions,
     ) -> Result<ThroughputResult, FlowError> {
-        if applied.failed_switch_count() > 0 {
-            let survivors = surviving_traffic(self.topo, tm, &applied.failed_switch);
-            self.solve_on(&applied.net, &survivors, opts)
-        } else {
-            self.solve_on(&applied.net, tm, opts)
-        }
+        let (commodities, nic, flows) = self.scenario_demand(applied, tm);
+        self.solve_commodities_warm(&applied.net, commodities, nic, flows, opts, None)
+            .map(|(result, _)| result)
+    }
+
+    /// Lower a traffic matrix to switch-level demand: the commodities
+    /// (deterministic `(src, dst)` order), the NIC cap, and the
+    /// server-flow count.
+    fn demand(&self, tm: &TrafficMatrix) -> (Vec<Commodity>, f64, usize) {
+        (
+            aggregate_commodities(self.topo, tm),
+            nic_limit(tm),
+            tm.flow_count(),
+        )
     }
 
     /// Lower a scenario + traffic matrix to exactly the demand
-    /// [`ThroughputEngine::solve_scenario`] would solve: the surviving
+    /// [`ThroughputEngine::solve_scenario`] solves: the surviving
     /// switch-level commodities (deterministic `(src, dst)` order), the
     /// NIC cap of the surviving traffic, and the surviving server-flow
     /// count (`0` distinguishes a dead demand set from an all-local
@@ -379,18 +354,9 @@ impl<'t> ThroughputEngine<'t> {
         tm: &TrafficMatrix,
     ) -> (Vec<Commodity>, f64, usize) {
         if applied.failed_switch_count() > 0 {
-            let survivors = surviving_traffic(self.topo, tm, &applied.failed_switch);
-            (
-                aggregate_commodities(self.topo, &survivors),
-                nic_limit(&survivors),
-                survivors.flow_count(),
-            )
+            self.demand(&surviving_traffic(self.topo, tm, &applied.failed_switch))
         } else {
-            (
-                aggregate_commodities(self.topo, tm),
-                nic_limit(tm),
-                tm.flow_count(),
-            )
+            self.demand(tm)
         }
     }
 
@@ -403,8 +369,8 @@ impl<'t> ThroughputEngine<'t> {
     /// commodities were lowered with (see
     /// [`ThroughputEngine::scenario_demand`]); `flows == 0` yields the
     /// zero result and an empty commodity list with `flows > 0` yields
-    /// the NIC-limited result, both exactly as
-    /// [`ThroughputEngine::solve_on`] produces them.
+    /// the NIC-limited result. Every pairwise solve of the engine ends
+    /// here.
     ///
     /// Warm-starting applies only to the default FPTAS fast path
     /// ([`Backend::Fptas`] without
@@ -426,6 +392,11 @@ impl<'t> ThroughputEngine<'t> {
         warm: Option<&WarmState>,
     ) -> Result<(ThroughputResult, WarmState), FlowError> {
         if flows == 0 {
+            // nothing demands service (e.g. a scenario killed every
+            // flow-bearing switch): the min-over-flows throughput is
+            // vacuous, and it must read as 0, not as a healthy 1.0, so
+            // sweep aggregates never show a dead fabric beating a
+            // degraded one
             return Ok((
                 ThroughputResult {
                     throughput: 0.0,
@@ -439,6 +410,7 @@ impl<'t> ThroughputEngine<'t> {
             ));
         }
         if commodities.is_empty() {
+            // all traffic is intra-switch: NIC-limited only
             return Ok((
                 ThroughputResult {
                     throughput: nic.min(1.0),
@@ -451,7 +423,8 @@ impl<'t> ThroughputEngine<'t> {
                 WarmState::cold(),
             ));
         }
-        let (solved, state) = if matches!(opts.backend, Backend::Fptas) && !opts.strict_reference {
+        // the strict trajectory ignores `warm` and hands back a cold state
+        let (solved, state) = if matches!(opts.backend, Backend::Fptas) {
             dctopo_flow::max_concurrent_flow_warm(net, &commodities, opts, warm)?
         } else {
             (

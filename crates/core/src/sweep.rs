@@ -944,57 +944,75 @@ impl SweepRunner {
 /// disconnected (λ is forced to 0 there anyway).
 ///
 /// Distances come from a 64-lane batched multi-source BFS over the
-/// view's live adjacency ([`dctopo_graph::ms_bfs_csr`]) through a
-/// thread-local workspace, so repeated per-cell calls allocate nothing
-/// after warm-up. Hop counts are exact small integers, so
-/// `f64::from(hops)` equals the unit-length Dijkstra distance this
-/// computed before bit for bit — the bound's value is unchanged.
+/// view's live adjacency ([`dctopo_graph::ms_bfs_csr`], see
+/// [`hop_alpha`]) through a thread-local workspace, so repeated
+/// per-cell calls allocate nothing after warm-up.
 pub fn hop_throughput_bound(net: &CsrNet, commodities: &[Commodity]) -> f64 {
-    use dctopo_graph::msbfs::MAX_LANES;
-    use dctopo_graph::paths::UNREACHABLE;
     if commodities.is_empty() {
         return f64::INFINITY;
     }
     thread_local! {
         static HOP_WS: std::cell::RefCell<MsBfsWorkspace> = std::cell::RefCell::default();
     }
-    HOP_WS.with(|cell| {
-        let ws = &mut *cell.borrow_mut();
-        let mut alpha = 0.0f64;
-        let mut i = 0;
-        // commodities arrive sorted by (src, dst) from the aggregation,
-        // so each distinct source is one contiguous run and one lane
-        while i < commodities.len() {
-            let mut sources = [0usize; MAX_LANES];
-            let mut lanes = 0usize;
-            let mut j = i;
-            while j < commodities.len() {
-                let s = commodities[j].src;
-                if lanes == 0 || sources[lanes - 1] != s {
-                    if lanes == MAX_LANES {
-                        break;
-                    }
-                    sources[lanes] = s;
-                    lanes += 1;
+    let alpha = HOP_WS.with(|cell| {
+        let bfs =
+            |sources: &[usize], ws: &mut MsBfsWorkspace| dctopo_graph::ms_bfs_csr(net, sources, ws);
+        hop_alpha(commodities, &mut cell.borrow_mut(), bfs)
+    });
+    // α = ∞ (a disconnected commodity) reads as the bound 0
+    net.total_capacity() / alpha
+}
+
+/// `Σ_j demand_j · hopdist(src_j, dst_j)` — the denominator of the hop
+/// bound — with `bfs(sources, ws)` supplying the multi-source BFS of
+/// whichever graph representation the caller holds. `∞` when any
+/// commodity's endpoints are disconnected.
+///
+/// Commodities must be sorted by source (the order
+/// [`crate::solve::aggregate_commodities`] emits) so each distinct
+/// source occupies one contiguous run and one bit-lane; distinct
+/// sources are batched [`MAX_LANES`](dctopo_graph::msbfs::MAX_LANES)
+/// at a time. Hop counts are exact small integers, so `f64::from(hops)`
+/// equals the unit-length Dijkstra distance bit for bit.
+pub fn hop_alpha(
+    commodities: &[Commodity],
+    ws: &mut MsBfsWorkspace,
+    mut bfs: impl FnMut(&[usize], &mut MsBfsWorkspace),
+) -> f64 {
+    use dctopo_graph::msbfs::MAX_LANES;
+    let mut alpha = 0.0f64;
+    let mut i = 0;
+    while i < commodities.len() {
+        // gather the next batch of up to MAX_LANES distinct sources
+        let mut sources = [0usize; MAX_LANES];
+        let mut lanes = 0usize;
+        let mut j = i;
+        while j < commodities.len() {
+            let s = commodities[j].src;
+            if lanes == 0 || sources[lanes - 1] != s {
+                if lanes == MAX_LANES {
+                    break;
                 }
-                j += 1;
+                sources[lanes] = s;
+                lanes += 1;
             }
-            dctopo_graph::ms_bfs_csr(net, &sources[..lanes], ws);
-            let mut lane = 0usize;
-            for c in &commodities[i..j] {
-                if c.src != sources[lane] {
-                    lane += 1;
-                }
-                let d = ws.lane_distances(lane)[c.dst];
-                if d == UNREACHABLE {
-                    return 0.0;
-                }
-                alpha += c.demand * f64::from(d);
-            }
-            i = j;
+            j += 1;
         }
-        net.total_capacity() / alpha
-    })
+        bfs(&sources[..lanes], ws);
+        let mut lane = 0usize;
+        for c in &commodities[i..j] {
+            if c.src != sources[lane] {
+                lane += 1;
+            }
+            let d = ws.lane_distances(lane)[c.dst];
+            if d == dctopo_graph::paths::UNREACHABLE {
+                return f64::INFINITY;
+            }
+            alpha += c.demand * f64::from(d);
+        }
+        i = j;
+    }
+    alpha
 }
 
 #[cfg(test)]

@@ -1,128 +1,51 @@
-//! The [`SolverBackend`] abstraction: every max-concurrent-flow solver
-//! consumes the same shared, immutable [`CsrNet`] and produces the same
-//! certified [`SolvedFlow`], so experiment code can swap solvers by
-//! flipping [`FlowOptions::backend`].
+//! Backend selection: every max-concurrent-flow solver consumes the
+//! same shared, immutable [`CsrNet`] and produces the same certified
+//! [`SolvedFlow`], so experiment code can swap solvers by flipping
+//! [`FlowOptions::backend`]. Every backend is deterministic for fixed
+//! inputs: repeated calls (at any rayon thread count) return
+//! bit-identical results.
 //!
 //! | backend | algorithm | role |
 //! |---|---|---|
-//! | [`Fptas`] | parallel Garg–Könemann / Fleischer | production path |
-//! | [`ExactLp`] | edge-flow LP via `dctopo-linprog` | ground truth on small instances |
-//! | [`KspRestricted`] | multiplicative weights on frozen k-shortest path sets | practical-routing model (§8) |
+//! | [`Backend::Fptas`] | parallel Garg–Könemann / Fleischer ([`max_concurrent_flow_csr`](crate::max_concurrent_flow_csr)) | production path |
+//! | [`Backend::ExactLp`] | edge-flow LP via `dctopo-linprog` ([`crate::exact`]) | ground truth on small instances |
+//! | [`Backend::KspRestricted`] | multiplicative weights on frozen k-shortest path sets ([`crate::ksp`]) | practical-routing model (§8) |
 
 use dctopo_graph::CsrNet;
 
 use crate::cache::PathSetCache;
 use crate::{Commodity, FlowError, FlowOptions, SolvedFlow};
 
-/// A max-concurrent-flow solver over the shared CSR network.
-///
-/// Implementations must be deterministic for fixed inputs: repeated
-/// calls (at any rayon thread count) return bit-identical results.
-pub trait SolverBackend: Send + Sync {
-    /// Short stable identifier (used in logs and benchmark output).
-    fn name(&self) -> &'static str;
-
-    /// Solve for the given commodities under `opts`.
-    fn solve(
-        &self,
-        net: &CsrNet,
-        commodities: &[Commodity],
-        opts: &FlowOptions,
-    ) -> Result<SolvedFlow, FlowError>;
-}
-
-/// The parallel multiplicative-weights FPTAS (see [`max_concurrent_flow_csr`](crate::max_concurrent_flow_csr)).
-///
-/// Runs the incremental fast path (tree reuse + increase-only Dijkstra
-/// repair + annealed ε) by default; set
-/// [`FlowOptions::strict_reference`] to pin the legacy trajectory,
-/// bit-identical to [`crate::reference`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fptas;
-
-impl SolverBackend for Fptas {
-    fn name(&self) -> &'static str {
-        "fptas"
-    }
-
-    fn solve(
-        &self,
-        net: &CsrNet,
-        commodities: &[Commodity],
-        opts: &FlowOptions,
-    ) -> Result<SolvedFlow, FlowError> {
-        crate::fptas::max_concurrent_flow_csr(net, commodities, opts)
-    }
-}
-
-/// The exact edge-flow LP (see [`crate::exact`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactLp;
-
-impl SolverBackend for ExactLp {
-    fn name(&self) -> &'static str {
-        "exact-lp"
-    }
-
-    fn solve(
-        &self,
-        net: &CsrNet,
-        commodities: &[Commodity],
-        opts: &FlowOptions,
-    ) -> Result<SolvedFlow, FlowError> {
-        crate::exact::exact_solved_flow(net, commodities, opts)
-    }
-}
-
-/// Flow restricted to each commodity's `k` shortest paths
-/// (see [`crate::ksp`]).
-#[derive(Debug, Clone, Copy)]
-pub struct KspRestricted {
-    /// Paths per commodity (must be ≥ 1).
-    pub k: usize,
-}
-
-impl SolverBackend for KspRestricted {
-    fn name(&self) -> &'static str {
-        "ksp"
-    }
-
-    fn solve(
-        &self,
-        net: &CsrNet,
-        commodities: &[Commodity],
-        opts: &FlowOptions,
-    ) -> Result<SolvedFlow, FlowError> {
-        crate::ksp::max_concurrent_flow_ksp_csr(net, commodities, self.k, opts)
-    }
-}
-
 /// Value-level backend selector carried inside [`FlowOptions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// [`Fptas`] — the default.
+    /// The parallel multiplicative-weights FPTAS — the default. Runs
+    /// the incremental fast path (tree reuse + increase-only Dijkstra
+    /// repair + annealed ε) unless [`FlowOptions::strict_reference`]
+    /// pins the legacy trajectory, bit-identical to [`crate::reference`].
     #[default]
     Fptas,
-    /// [`ExactLp`].
+    /// The exact edge-flow LP.
     ExactLp,
-    /// [`KspRestricted`] with the given path budget.
+    /// Flow restricted to each commodity's `k` shortest paths.
     KspRestricted {
-        /// Paths per commodity.
+        /// Paths per commodity (must be ≥ 1).
         k: usize,
     },
 }
 
 impl Backend {
-    /// The backend's stable name.
+    /// The backend's short stable name (used in logs and benchmark
+    /// output).
     pub fn name(self) -> &'static str {
         match self {
-            Backend::Fptas => Fptas.name(),
-            Backend::ExactLp => ExactLp.name(),
-            Backend::KspRestricted { k } => KspRestricted { k }.name(),
+            Backend::Fptas => "fptas",
+            Backend::ExactLp => "exact-lp",
+            Backend::KspRestricted { .. } => "ksp",
         }
     }
 
-    /// Dispatch to the corresponding [`SolverBackend`].
+    /// Solve for the given commodities under `opts` with this backend.
     pub fn solve(
         self,
         net: &CsrNet,
@@ -130,9 +53,11 @@ impl Backend {
         opts: &FlowOptions,
     ) -> Result<SolvedFlow, FlowError> {
         match self {
-            Backend::Fptas => Fptas.solve(net, commodities, opts),
-            Backend::ExactLp => ExactLp.solve(net, commodities, opts),
-            Backend::KspRestricted { k } => KspRestricted { k }.solve(net, commodities, opts),
+            Backend::Fptas => crate::max_concurrent_flow_csr(net, commodities, opts),
+            Backend::ExactLp => crate::exact::exact_solved_flow(net, commodities, opts),
+            Backend::KspRestricted { k } => {
+                crate::ksp::max_concurrent_flow_ksp_csr(net, commodities, k, opts)
+            }
         }
     }
 
@@ -241,8 +166,12 @@ mod tests {
         let opts = FlowOptions::default().with_backend(Backend::ExactLp);
         let s = solve(&net, &cs, &opts).unwrap();
         assert!((s.throughput - 2.0).abs() < 1e-6);
-        // dynamic dispatch through the trait object works too
-        let backends: [&dyn SolverBackend; 3] = [&Fptas, &ExactLp, &KspRestricted { k: 2 }];
+        // and every selector value dispatches to a working solver
+        let backends = [
+            Backend::Fptas,
+            Backend::ExactLp,
+            Backend::KspRestricted { k: 2 },
+        ];
         for b in backends {
             let s = b.solve(&net, &cs, &FlowOptions::default()).unwrap();
             assert!(s.throughput > 1.5, "{}: λ = {}", b.name(), s.throughput);

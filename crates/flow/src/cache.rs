@@ -1,4 +1,4 @@
-//! Amortised path-set preprocessing for the [`crate::KspRestricted`]
+//! Amortised path-set preprocessing for the [`crate::Backend::KspRestricted`]
 //! backend.
 //!
 //! Freezing a commodity's k-shortest path set (Yen's algorithm over an
@@ -81,7 +81,7 @@ pub struct KeyStats {
 }
 
 /// Memoises frozen k-shortest path sets per `(CsrNet identity, k)` so
-/// repeated [`crate::KspRestricted`] solves on one topology amortise
+/// repeated [`crate::Backend::KspRestricted`] solves on one topology amortise
 /// Yen preprocessing across traffic matrices — mirroring what the FPTAS
 /// already gets from reusing one [`CsrNet`].
 ///

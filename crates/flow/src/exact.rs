@@ -8,7 +8,7 @@
 //! instances small enough for a dense simplex (≲ 6,000 variables).
 //!
 //! The LP is assembled from the shared [`CsrNet`] arc arrays; the
-//! [`crate::ExactLp`] backend wraps [`exact_solved_flow`], which also
+//! [`crate::Backend::ExactLp`] backend wraps [`exact_solved_flow`], which also
 //! recovers the optimal per-arc flow and per-commodity rates from the
 //! simplex solution so exact results are drop-in replacements for FPTAS
 //! results everywhere downstream (metrics, decomposition, figures).

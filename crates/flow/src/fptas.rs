@@ -14,41 +14,46 @@
 //! `λ* ≤ D(l)/α(l)` for *any* positive lengths `l`, where
 //! `D(l) = Σ_a c(a)·l(a)` and `α(l) = Σ_j d_j · dist_l(s_j, t_j)`.
 //! We track the best (smallest) dual bound seen and stop as soon as the
-//! certified primal/dual gap is below `target_gap`.
+//! certified primal/dual gap is below `target_gap`. All of that
+//! arithmetic is `gk::Core`'s (see `gk.rs`); this module decides which
+//! tree each augmentation is charged along.
 //!
-//! ## Two execution strategies
+//! ## One loop, two tree policies
 //!
-//! Commodities are grouped by source; routing is *sequential in fixed
-//! group order* in both modes, so seeded runs are bit-identical at every
-//! thread count either way. [`crate::FlowOptions::strict_reference`]
-//! selects the trajectory:
+//! Commodities are grouped by source and routed *sequentially in fixed
+//! group order* by one loop, `solve_pairwise`, whose tree policy is an
+//! `Option<Ladder>` chosen by [`crate::FlowOptions::strict_reference`].
+//! Every point where the two trajectories differ is one `match` on that
+//! option:
 //!
-//! * **Fast path (default).** Each source group keeps a *full*
-//!   shortest-path tree in its [`DijkstraWorkspace`] and routes against
-//!   it through a three-tier reuse ladder (see [`solve_fast`] docs):
-//!   exact reuse of untouched paths (increase-only lengths keep them
-//!   *exactly* shortest), Fleischer `(1+ε·δ)` drift tolerance for
-//!   touched ones, and [`CsrNet::dijkstra_repair`] — an increase-only
-//!   incremental re-settle of just the drifted subtree, fed by a global
-//!   length-increase log with one cursor per group — beyond the gate.
-//!   Every few phases all trees are rebuilt in one **rayon-parallel**
-//!   exact pass, the dual bound is harvested every phase for free from
-//!   the (possibly mixed-age) trees, `D(l)` is maintained incrementally
-//!   at the length-update sites (verified against the full sum in debug
-//!   builds), and the step size ε anneals from coarse to the configured
-//!   value as the certified gap closes. None of this bends correctness:
-//!   the primal stays feasible by construction (capacity-scaled steps)
-//!   and `D(l)/α(l)` upper-bounds λ* for *any* positive lengths, so the
-//!   reported gap is certified no matter how the trajectory was chosen.
-//! * **Strict path** (`strict_reference: true`). The retained
-//!   pre-fast-path trajectory: every inner augmentation recomputes the
-//!   group's shortest-path tree under the current lengths with
-//!   target-set early termination — operation-for-operation the
-//!   trajectory of [`crate::reference`], so the two produce
-//!   bit-identical results. This is the escape hatch that keeps the
-//!   legacy baseline pinned.
+//! * **`Some(Ladder)` — the fast path (default).** Each source group
+//!   keeps a *full* shortest-path tree in its [`DijkstraWorkspace`] and
+//!   routes against it through a three-tier reuse ladder (see
+//!   [`Ladder`]): exact reuse of untouched paths (increase-only lengths
+//!   keep them *exactly* shortest), Fleischer `(1+ε·δ)` drift tolerance
+//!   for touched ones, and [`CsrNet::dijkstra_repair`] — an
+//!   increase-only incremental re-settle of just the drifted subtree,
+//!   fed by a global length-increase log with one cursor per group —
+//!   beyond the gate. Every few phases all trees are rebuilt in one
+//!   **rayon-parallel** exact pass, the dual bound is harvested every
+//!   phase for free from the (possibly mixed-age) trees, `D(l)` is
+//!   maintained incrementally as lengths grow (verified against the
+//!   full sum in debug builds), and the step size ε anneals from coarse
+//!   to the configured value as the certified gap closes. None of this
+//!   bends correctness: the primal stays feasible by construction
+//!   (capacity-scaled steps) and `D(l)/α(l)` upper-bounds λ* for *any*
+//!   positive lengths, so the reported gap is certified no matter how
+//!   the trajectory was chosen.
+//! * **`None` — the strict path** (`strict_reference: true`). The fast
+//!   path with the ladder taken out: every inner augmentation recomputes
+//!   the group's shortest-path tree under the current lengths with
+//!   target-set early termination, ε is fixed, the exact `α(l)` pass
+//!   runs every eighth phase, and congestion is `x / c(a)` —
+//!   operation-for-operation the trajectory of [`crate::reference`], so
+//!   the two produce bit-identical results. This is the escape hatch
+//!   that keeps the legacy baseline pinned.
 //!
-//! Every multi-tree pass (the strict dual pass, the fast path's batched
+//! Every multi-tree pass (the strict dual pass, the ladder's batched
 //! rebuilds) writes into disjoint per-group workspaces and fans out on
 //! **rayon**, with every floating-point reduction performed sequentially
 //! in fixed group order — so a seeded run is **bit-identical at every
@@ -64,20 +69,20 @@ use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 use rayon::prelude::*;
 
+use crate::gk::{Cong, Core, Pairwise, Verdict, RESCALE_ABOVE};
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
-/// Minimum `source groups × arcs` before the dual-bound Dijkstra pass
-/// fans out on rayon; below this, even a pool dispatch costs more than
-/// the pass. Rayon's persistent worker pool made fan-out ~two orders of
-/// magnitude cheaper than the scoped-thread spawning this gate was
-/// originally calibrated for (65536), so instances as small as a
-/// 32-switch RRG now take the parallel path.
+/// Minimum `source groups × arcs` before a multi-tree pass fans out on
+/// rayon; below this, even a pool dispatch costs more than the pass.
+/// Rayon's persistent worker pool made fan-out ~two orders of magnitude
+/// cheaper than the scoped-thread spawning this gate was originally
+/// calibrated for (65536), so instances as small as a 32-switch RRG now
+/// take the parallel path.
 const PARALLEL_DUAL_MIN_WORK: usize = 1 << 12;
 
-/// The dual bound D(l)/α(l) is invariant under uniform scaling of all
-/// lengths, and so are shortest paths — so we rescale whenever lengths
-/// grow large to avoid overflow corrupting the bound.
-const RESCALE_ABOVE: f64 = 1e100;
+/// Strict path: evaluate the exact dual every this many phases (it
+/// changes slowly and costs a Dijkstra per source group).
+const STRICT_DUAL_EVERY: usize = 8;
 
 /// Terminal solver state a later solve can warm-start from: the arc
 /// length function the FPTAS ended on.
@@ -193,19 +198,53 @@ struct GroupState {
     /// (commodity index, dst, demand)
     sinks: Vec<(usize, NodeId, f64)>,
     /// Unique sink nodes: the strict path's Dijkstra stops once all of
-    /// them are settled (the fast path keeps full trees instead).
+    /// them are settled (the ladder keeps full trees instead).
     targets: Vec<u32>,
-    /// Per-group scratch: written by the parallel pass, read by routing.
-    /// In fast mode it holds the group's persistent shortest-path tree.
+    /// Per-group scratch: written by the parallel passes, read by
+    /// routing. Under the ladder it holds the group's persistent
+    /// shortest-path tree.
     ws: DijkstraWorkspace,
     /// Per-sink demand left to route in the current phase.
     remaining: Vec<f64>,
-    /// Fast path: absolute increase-log position up to which this
-    /// group's tree is exact (pending repairs start there).
-    cursor: usize,
-    /// Fast path: the tree's stored distances are unusable (after a
-    /// uniform length rescale) — recompute in full before routing.
-    needs_full: bool,
+}
+
+/// What lets the ladder keep routing on a tree older than the lengths:
+/// the group's `cursor`, the per-arc update stamps and the drift factor.
+type Gate<'l> = (usize, &'l [usize], f64);
+
+impl GroupState {
+    /// Charge every unfinished sink's remaining demand along its path in
+    /// the stored tree. With a `gate`, stop at the first path that an
+    /// update since the tree was built has stretched past the drift
+    /// factor — `Ok(false)`: the tree is stale — leaving the partial
+    /// load for the caller to drop.
+    fn load_paths(&self, core: &mut Core, gate: Option<Gate>) -> Result<bool, FlowError> {
+        for (k, &(_, dst, _)) in self.sinks.iter().enumerate() {
+            let r = self.remaining[k];
+            if r <= 1e-12 {
+                continue;
+            }
+            let dist = self.ws.distance(dst);
+            if !dist.is_finite() {
+                return Err(FlowError::Unreachable { src: self.src, dst });
+            }
+            let mut plen = 0.0f64;
+            let mut hit = false;
+            self.ws.walk_path(core.net(), dst, |a| {
+                core.load(a, r);
+                if let Some((cursor, updated_at, _)) = gate {
+                    plen += core.length()[a];
+                    hit |= updated_at[a] != usize::MAX && updated_at[a] >= cursor;
+                }
+            });
+            // tier 1: an untouched path is still exactly shortest;
+            // tier 2: touched but within the gate
+            if gate.is_some_and(|(_, _, drift)| hit && plen > drift * dist) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 }
 
 fn group_by_source(commodities: &[Commodity], n: usize) -> Vec<GroupState> {
@@ -225,8 +264,6 @@ fn group_by_source(commodities: &[Commodity], n: usize) -> Vec<GroupState> {
                     targets: Vec::new(),
                     ws: DijkstraWorkspace::new(n),
                     remaining: Vec::new(),
-                    cursor: 0,
-                    needs_full: false,
                 });
             }
         }
@@ -238,16 +275,6 @@ fn group_by_source(commodities: &[Commodity], n: usize) -> Vec<GroupState> {
         g.targets.dedup();
     }
     groups
-}
-
-/// `D(l) = Σ_a c(a)·l(a)` as one full pass (the strict path's per-call
-/// form, and the fast path's init/rescale/debug-verification form).
-fn weighted_length_sum(net: &CsrNet, length: &[f64]) -> f64 {
-    length
-        .iter()
-        .zip(net.capacities())
-        .map(|(&l, &c)| l * c)
-        .sum()
 }
 
 /// Solve max concurrent flow on `net` for `commodities` with the
@@ -297,134 +324,97 @@ pub fn max_concurrent_flow_warm(
     warm: Option<&WarmState>,
 ) -> Result<(SolvedFlow, WarmState), FlowError> {
     validate(net.node_count(), commodities, opts)?;
-    if net.arc_count() == 0 {
-        // commodities exist but there are no edges at all
-        let c = &commodities[0];
-        return Err(FlowError::Unreachable {
-            src: c.src,
-            dst: c.dst,
-        });
-    }
-    if opts.strict_reference {
-        Ok((solve_strict(net, commodities, opts)?, WarmState::cold()))
-    } else {
-        solve_fast(net, commodities, opts, warm)
-    }
+    let ladder = (!opts.strict_reference).then(|| Ladder::new(net, warm));
+    solve_pairwise(net, commodities, opts, ladder)
 }
 
-/// The legacy trajectory: recompute each group's (early-terminated)
-/// shortest-path tree on every inner augmentation. Bit-identical to
-/// [`crate::reference::max_concurrent_flow_graph`].
-fn solve_strict(
+/// The pairwise phase loop. `ladder: None` is the strict trajectory —
+/// bit-identical to [`crate::reference::max_concurrent_flow_graph`] —
+/// and `Some` the incremental fast path; the two differ exactly where
+/// this function matches on it (see the module docs).
+fn solve_pairwise(
     net: &CsrNet,
     commodities: &[Commodity],
     opts: &FlowOptions,
-) -> Result<SolvedFlow, FlowError> {
-    let num_arcs = net.arc_count();
-    let eps = opts.epsilon;
+    mut ladder: Option<Ladder>,
+) -> Result<(SolvedFlow, WarmState), FlowError> {
     let mut groups = group_by_source(commodities, net.node_count());
-    let inv_cap = net.inv_capacities();
+    let (mode, cong, dual_every) = match ladder {
+        Some(_) => ("fast", Cong::Reciprocal, EXACT_PASS_EVERY),
+        None => ("strict", Cong::Divide, STRICT_DUAL_EVERY),
+    };
+    let eps = opts.epsilon;
+    let (length, eps) = (ladder.as_mut()).map_or((None, eps), |l| l.opener(eps));
+    let warm_started = length.is_some();
+    let mut core = Core::new(net, cong, length, eps);
+    let mut pairs = Pairwise::new(commodities, net.arc_count(), opts);
 
-    // lengths l(a) = 1/c(a) initially
-    let mut length: Vec<f64> = inv_cap.to_vec();
-    // raw (pre-scaling) accumulated flow
-    let mut arc_flow = vec![0.0f64; num_arcs];
-    let mut routed = vec![0.0f64; commodities.len()];
-    // optional per-commodity arc-flow record, same units as arc_flow
-    let mut cf: Option<Vec<Vec<f64>>> = opts
-        .record_commodity_flows
-        .then(|| vec![vec![0.0f64; num_arcs]; commodities.len()]);
-
-    let mut best_dual = f64::INFINITY;
-    // reachability check up front (also seeds the first dual bound)
-    let d_l = weighted_length_sum(net, &length);
-    if let Some(bound) = dual_bound(net, &mut groups, &length, d_l, false)? {
-        best_dual = best_dual.min(bound);
+    // reachability check up front (an edgeless net fails it at the
+    // first commodity); it seeds the first dual bound and, under the
+    // ladder, every group's full tree
+    let d_l = core.d_l();
+    tree_pass(net, &mut groups, core.length(), ladder.is_some());
+    core.note_dual(d_l, alpha_of(&groups)?);
+    if let Some(l) = ladder.as_mut() {
+        // every tree is exact as of clock 0
+        (l.d_l, l.cursor) = (d_l, vec![0; groups.len()]);
     }
-    // evaluate the dual every few phases (it changes slowly and costs a
-    // Dijkstra per source group — the parallel pass)
-    let dual_every = 8usize;
-    // plateau detection: stop when the primal stops improving materially
-    let mut last_primal_check = 0.0f64;
-    let mut stagnant_phases = 0usize;
 
-    let mut best: Option<SolvedFlow> = None;
     let mut phases = 0usize;
-    // routing scratch shared across groups (routing is sequential)
-    let mut tree_load = vec![0.0f64; num_arcs];
-    let mut touched: Vec<usize> = Vec::new();
     let t_solve = obs::clock();
-
     while phases < opts.max_phases {
         phases += 1;
         let t_phase = obs::clock();
-        // sequential routing in fixed group order, shortest paths always
-        // under the *current* lengths (see module docs for why routing
-        // is not parallelised)
-        for g in &mut groups {
+        let eps = core.eps();
+        // Every few phases the dual bound is the exact `D(l)/α(l)`, from
+        // one tree per group against one length snapshot: the ladder
+        // opens such a phase with it (and harvests a free, looser bound
+        // at the top of every other), the strict path closes it with it.
+        let exact_pass = phases.is_multiple_of(dual_every) || phases == opts.max_phases;
+        if let Some(l) = ladder.as_mut() {
+            l.begin_phase(&mut core, &mut groups, exact_pass);
+        }
+
+        // sequential routing in fixed group order (see module docs for
+        // why routing is not parallelised)
+        for (gi, g) in groups.iter_mut().enumerate() {
             for (k, &(_, _, d)) in g.sinks.iter().enumerate() {
                 g.remaining[k] = d;
             }
-            let mut inner = 0usize;
-            // route until the group's phase demand is (essentially) done
-            while g.remaining.iter().any(|&r| r > 1e-12) {
-                inner += 1;
-                if inner > 64 {
-                    // Extremely skewed instances can shrink τ repeatedly;
-                    // carry the leftover to the next phase (correctness is
-                    // unaffected — `routed` only counts what was sent).
+            // Route until the group's phase demand is (essentially)
+            // done. Extremely skewed instances can shrink τ repeatedly:
+            // after 64 steps the leftover is carried to the next phase
+            // (correctness is unaffected — `routed` only counts what was
+            // sent).
+            for _ in 0..64 {
+                if !g.remaining.iter().any(|&r| r > 1e-12) {
                     break;
                 }
-                net.dijkstra_targets(g.src, &length, &g.targets, &mut g.ws);
-                // accumulate load if all remaining demand were routed
-                touched.clear();
-                for (k, &(_, dst, _)) in g.sinks.iter().enumerate() {
+                // charge the remaining demand along the group's tree:
+                // a fresh one under the current lengths, or the stored
+                // one walked through the ladder
+                match ladder.as_mut() {
+                    Some(l) => l.charge(&mut core, g, gi)?,
+                    None => {
+                        net.dijkstra_targets(g.src, core.length(), &g.targets, &mut g.ws);
+                        g.load_paths(&mut core, None)?;
+                    }
+                }
+                let tau = core.step(|a, old, new| {
+                    if let Some(l) = ladder.as_mut() {
+                        l.grew(net, a, old, new);
+                    }
+                });
+                for (k, &(j, dst, _)) in g.sinks.iter().enumerate() {
                     let r = g.remaining[k];
-                    if r <= 1e-12 {
-                        continue;
+                    let sent = tau * r;
+                    // mirror the tree walk that charged this sink into
+                    // the per-commodity record; the workspace still
+                    // holds the tree the load went along
+                    if let (Some(record), true) = (pairs.arc_record.as_mut(), r > 1e-12) {
+                        g.ws.walk_path(net, dst, |a| record[j][a] += sent);
                     }
-                    if !g.ws.distance(dst).is_finite() {
-                        return Err(FlowError::Unreachable { src: g.src, dst });
-                    }
-                    g.ws.walk_path(net, dst, |a| {
-                        if tree_load[a] == 0.0 {
-                            touched.push(a);
-                        }
-                        tree_load[a] += r;
-                    });
-                }
-                // capacity-scaled step: never send more than c(a) on any arc
-                let mut tau = 1.0f64;
-                for &a in &touched {
-                    tau = tau.min(net.capacity(a) / tree_load[a]);
-                }
-                // send τ·remaining along the tree, update lengths.
-                // Divide by the capacity (rather than multiplying by the
-                // precomputed reciprocal the fast path uses): division
-                // is what `reference` does, and the strict path's whole
-                // point is ulp-for-ulp agreement with it.
-                for &a in &touched {
-                    let sent = tau * tree_load[a];
-                    arc_flow[a] += sent;
-                    length[a] *= 1.0 + eps * (sent / net.capacity(a));
-                    tree_load[a] = 0.0;
-                }
-                // mirror the same tree walk into the per-commodity
-                // record before `remaining` is consumed; the workspace
-                // still holds the tree the load was charged along
-                if let Some(cf) = cf.as_mut() {
-                    for (k, &(j, dst, _)) in g.sinks.iter().enumerate() {
-                        let r = g.remaining[k];
-                        if r <= 1e-12 {
-                            continue;
-                        }
-                        let sent = tau * r;
-                        g.ws.walk_path(net, dst, |a| cf[j][a] += sent);
-                    }
-                }
-                for (k, &(j, _, _)) in g.sinks.iter().enumerate() {
-                    let sent = tau * g.remaining[k];
-                    routed[j] += sent;
+                    pairs.routed[j] += sent;
                     g.remaining[k] -= sent;
                 }
                 if tau >= 1.0 {
@@ -433,107 +423,132 @@ fn solve_strict(
             }
         }
 
-        // rescale lengths when they get large (scale-invariant)
-        let max_len = length.iter().copied().fold(0.0f64, f64::max);
-        if max_len > RESCALE_ABOVE {
-            let inv = 1.0 / max_len;
-            for l in length.iter_mut() {
-                *l *= inv;
+        if core.rescale() {
+            if let Some(l) = ladder.as_mut() {
+                l.rescaled(&core);
             }
         }
-
-        // certified primal: scale by max congestion
-        let mu = arc_flow
-            .iter()
-            .zip(net.capacities())
-            .map(|(&f, &c)| f / c)
-            .fold(0.0f64, f64::max)
-            .max(1e-300);
-        let primal = commodities
-            .iter()
-            .enumerate()
-            .map(|(j, c)| routed[j] / (mu * c.demand))
-            .fold(f64::INFINITY, f64::min);
-
-        // certified dual: D(l)/α(l) at current lengths, every few phases
-        // — the rayon-parallel source-group Dijkstra pass
-        if phases.is_multiple_of(dual_every) || phases == opts.max_phases {
-            let d_l = weighted_length_sum(net, &length);
-            if let Some(bound) = dual_bound(net, &mut groups, &length, d_l, false)? {
-                best_dual = best_dual.min(bound);
-            }
+        let primal = pairs.snapshot(&core);
+        if ladder.is_none() && exact_pass {
+            let d_l = core.d_l();
+            tree_pass(net, &mut groups, core.length(), false);
+            core.note_dual(d_l, alpha_of(&groups)?);
         }
 
         // emission sits in the sequential phase loop, so the event
         // sequence is deterministic whenever solves themselves are run
         // sequentially (see dctopo-obs crate docs)
         if obs::enabled() {
-            obs::Event::new("fptas_phase")
-                .field("mode", "strict")
+            let mut ev = obs::Event::new("fptas_phase")
+                .field("mode", mode)
                 .field("phase", phases as u64)
-                .field("eps", eps)
-                .field("primal", primal)
-                .field("dual", best_dual)
-                .field(
-                    "settles",
-                    groups.iter().map(|g| g.ws.settles()).sum::<u64>(),
-                )
+                .field("eps", eps);
+            if ladder.is_some() {
+                ev = ev.field("exact_pass", exact_pass);
+            }
+            ev = ev.field("primal", primal).field("dual", core.best_dual());
+            if let Some(l) = &ladder {
+                ev = tier_fields(ev.field("d_l", l.d_l), l.total, l.before_phase);
+            }
+            ev.field("settles", settles(&groups))
                 .nd("wall_us", obs::us_since(t_phase))
                 .emit();
         }
-
-        let better = best.as_ref().is_none_or(|b| primal > b.throughput);
-        if better {
-            best = Some(SolvedFlow {
-                throughput: primal,
-                upper_bound: best_dual,
-                arc_flow: arc_flow.iter().map(|&f| f / mu).collect(),
-                commodity_rate: routed.iter().map(|&r| r / mu).collect(),
-                phases,
-                settles: 0,
-                commodity_arc_flow: cf.as_ref().map(|c| {
-                    c.iter()
-                        .map(|v| v.iter().map(|&f| f / mu).collect())
-                        .collect()
-                }),
-            });
-        }
-        if primal >= (1.0 - opts.target_gap) * best_dual {
+        if core.verdict(primal, opts, phases) == Verdict::Stop {
             break;
-        }
-        // plateau stop: the primal is certified-feasible regardless; when
-        // it stops improving the remaining gap is dual-side looseness
-        if primal > last_primal_check * 1.0005 {
-            last_primal_check = primal;
-            stagnant_phases = 0;
-        } else {
-            stagnant_phases += 1;
-            if stagnant_phases >= opts.stall_phases {
-                break;
-            }
         }
     }
 
-    let mut sol = best.expect("at least one phase ran");
-    sol.upper_bound = best_dual;
-    sol.phases = phases;
-    sol.settles = groups.iter().map(|g| g.ws.settles()).sum();
+    let sol = pairs.finish(&core, phases, settles(&groups));
     if obs::enabled() {
-        obs::Event::new("fptas_solve")
-            .field("mode", "strict")
+        let mut ev = obs::Event::new("fptas_solve").field("mode", mode);
+        if ladder.is_some() {
+            ev = ev.field("warm", warm_started);
+        }
+        ev = ev
             .field("groups", groups.len())
             .field("commodities", commodities.len())
             .field("phases", phases as u64)
-            .field("settles", sol.settles)
-            .field("lambda", sol.throughput)
+            .field("settles", sol.settles);
+        if let Some(l) = &ladder {
+            ev = tier_fields(ev, l.total, [0; 4]);
+        }
+        ev.field("lambda", sol.throughput)
             .field("upper_bound", sol.upper_bound)
             .nd("wall_us", obs::us_since(t_solve))
             .emit();
     }
-    Ok(sol)
+    // only the ladder's terminal lengths are worth inheriting
+    let lengths = ladder.map_or_else(Vec::new, |_| core.into_length());
+    Ok((sol, WarmState { lengths }))
 }
 
-/// The incremental fast path. Each source group keeps a persistent
+/// Heap pops of every Dijkstra run so far, over all groups.
+fn settles(groups: &[GroupState]) -> u64 {
+    groups.iter().map(|g| g.ws.settles()).sum()
+}
+
+/// One shortest-path tree per source group against fixed lengths — a
+/// read-only pass that runs **in parallel on rayon** into the disjoint
+/// per-group workspaces. `full` trees settle whole components (what the
+/// ladder stores); otherwise each run early-terminates at its group's
+/// targets.
+fn tree_pass(net: &CsrNet, groups: &mut [GroupState], length: &[f64], full: bool) {
+    let settle = |g: &mut GroupState| {
+        if full {
+            net.dijkstra(g.src, length, &mut g.ws);
+        } else {
+            net.dijkstra_targets(g.src, length, &g.targets, &mut g.ws);
+        }
+    };
+    // Fan out only when the pass is big enough to amortise the pool
+    // dispatch (and to avoid contending for pool workers when many
+    // Runner threads each solve their own instance). Results are
+    // identical either way — the sequential path is exactly the
+    // one-thread schedule.
+    if groups.len() * net.arc_count() >= PARALLEL_DUAL_MIN_WORK {
+        groups.par_iter_mut().for_each(settle);
+    } else {
+        groups.iter_mut().for_each(settle);
+    }
+}
+
+/// `α = Σ_j d_j · dist(s_j, t_j)` over the trees the groups hold, summed
+/// sequentially in group order so it is bit-identical at every thread
+/// count; the first sink outside its source's component is an error.
+fn alpha_of(groups: &[GroupState]) -> Result<f64, FlowError> {
+    let mut alpha = 0.0f64;
+    for g in groups {
+        for &(_, dst, demand) in &g.sinks {
+            let d = g.ws.distance(dst);
+            if !d.is_finite() {
+                return Err(FlowError::Unreachable { src: g.src, dst });
+            }
+            alpha += demand * d;
+        }
+    }
+    Ok(alpha)
+}
+
+/// Ladder tier counters, in the order traces print them:
+/// augmentations accepted on an exact tree (tier 1 / post-repair),
+/// accepted inside the drift gate (tier 2), incremental repairs
+/// (tier 3), and post-rescale full rebuilds.
+const TIERS: [&str; 4] = ["aug_exact", "aug_drift", "repairs", "rescale_rebuilds"];
+const EXACT: usize = 0;
+const DRIFT: usize = 1;
+const REPAIRS: usize = 2;
+const REBUILDS: usize = 3;
+
+/// Append the tier counts accrued since `since`.
+fn tier_fields(mut ev: obs::Event, now: [u64; 4], since: [u64; 4]) -> obs::Event {
+    for (tier, name) in TIERS.iter().enumerate() {
+        ev = ev.field(name, now[tier] - since[tier]);
+    }
+    ev
+}
+
+/// The fast path's tree policy. Each source group keeps a persistent
 /// **full** shortest-path tree and routes against it through a
 /// three-tier reuse ladder, cheapest first:
 ///
@@ -562,468 +577,163 @@ fn solve_strict(
 /// step size ε anneals from [`COARSE_EPS`] down to the configured
 /// value as the certified gap closes — coarse steps cross the early
 /// primal ground in far fewer phases, fine steps finish the endgame.
-fn solve_fast(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    opts: &FlowOptions,
-    warm: Option<&WarmState>,
-) -> Result<(SolvedFlow, WarmState), FlowError> {
-    let num_arcs = net.arc_count();
-    let eps = opts.epsilon;
-    let mut groups = group_by_source(commodities, net.node_count());
-    let inv_cap = net.inv_capacities();
+/// Both certificates remain valid at every step, so annealing changes
+/// the trajectory, never the guarantees.
+#[derive(Default)]
+struct Ladder {
+    /// Re-anchored lengths of a usable warm state, until the loop takes
+    /// them as its opener.
+    warm: Option<Vec<f64>>,
+    /// `D(l)`, maintained incrementally wherever a length grows;
+    /// recomputed in full only when seeded and after a uniform rescale.
+    d_l: f64,
+    /// Global monotone increase log. `base + log.len()` is an absolute
+    /// event clock; a group whose tree was computed at clock `c` repairs
+    /// with `log[c - base..]`. The prefix is compacted whenever every
+    /// cursor reaches the clock (each exact pass), keeping memory
+    /// proportional to the inter-pass update volume.
+    log: Vec<u32>,
+    base: usize,
+    /// Each arc's last absolute update clock (the exact-reuse stamp;
+    /// `usize::MAX` = never).
+    updated_at: Vec<usize>,
+    /// Per group: the clock up to which its tree is exact, or
+    /// [`UNUSABLE`] when a rescale left its stored distances in stale
+    /// units and it must be rebuilt in full before routing.
+    cursor: Vec<usize>,
+    /// Tier counters ([`TIERS`]) of the solve so far, and their values
+    /// when the current phase began: pure functions of the trajectory,
+    /// a few scalar adds per augmentation, so maintained whether or not
+    /// tracing is on.
+    total: [u64; 4],
+    before_phase: [u64; 4],
+}
 
-    // Cross-solve warm start: inherit a previous solve's terminal
-    // lengths (re-anchored to the cold gauge, per-arc healed) instead
-    // of the flat `1/c(a)` opener. An unusable state degrades to a
-    // cold start, bit-identical to `warm: None`.
-    let warm_init = warm.and_then(|w| warm_lengths(net, w));
-    let warm_started = warm_init.is_some();
-    let mut length: Vec<f64> = warm_init.unwrap_or_else(|| inv_cap.to_vec());
-    let mut arc_flow = vec![0.0f64; num_arcs];
-    let mut routed = vec![0.0f64; commodities.len()];
-    // optional per-commodity arc-flow record, same units as arc_flow
-    let mut cf: Option<Vec<Vec<f64>>> = opts
-        .record_commodity_flows
-        .then(|| vec![vec![0.0f64; num_arcs]; commodities.len()]);
+/// A [`Ladder::cursor`] no clock reaches.
+const UNUSABLE: usize = usize::MAX;
 
-    // D(l) maintained incrementally at the length-update sites below;
-    // recomputed in full only at init and after a uniform rescale, and
-    // cross-checked against the full sum in debug builds.
-    let mut d_l = weighted_length_sum(net, &length);
-
-    // Global monotone increase log. `clock = base + log.len()` is an
-    // absolute event counter; a group whose tree was computed at
-    // absolute cursor `c` repairs with `log[c - base..]`. `updated_at`
-    // holds each arc's last absolute update index (the exact-reuse
-    // stamp). The log prefix is compacted whenever every cursor reaches
-    // the clock (each dual refresh), keeping memory proportional to the
-    // inter-refresh update volume.
-    let mut log: Vec<u32> = Vec::new();
-    let mut base = 0usize;
-    let mut updated_at = vec![usize::MAX; num_arcs];
-
-    let mut best_dual = f64::INFINITY;
-    // seeds every group's full tree and checks reachability up front
-    if let Some(bound) = dual_bound(net, &mut groups, &length, d_l, true)? {
-        best_dual = best_dual.min(bound);
-    }
-    let dual_every = EXACT_PASS_EVERY;
-    let mut last_primal_check = 0.0f64;
-    let mut stagnant_phases = 0usize;
-
-    let mut best: Option<SolvedFlow> = None;
-    let mut phases = 0usize;
-    let mut tree_load = vec![0.0f64; num_arcs];
-    let mut touched: Vec<usize> = Vec::new();
-    // Annealed step size: open with a coarse ε (few, productive phases
-    // while the primal is far from optimal), halve it whenever the
-    // primal stalls, and finish at the configured ε which governs the
-    // endgame accuracy. Both certificates remain valid at every step —
-    // the primal is feasible by construction and `D(l)/α(l)` bounds λ*
-    // for *any* positive lengths — so annealing changes the trajectory,
-    // never the guarantees.
-    //
-    // A warm-started solve skips the ramp entirely: the inherited
-    // lengths already encode the congestion landscape the coarse
-    // phases exist to discover, and re-coarsening would churn them.
-    let mut eps_cur = if warm_started {
-        eps
-    } else {
-        eps.max(COARSE_EPS)
-    };
-    // Patience before halving ε (or, at the final ε, before the
-    // `stall_phases` plateau stop takes over).
-    let anneal_patience = 10usize.min(opts.stall_phases);
-
-    // Tier-ladder telemetry: augmentations accepted on an exact tree
-    // (tier 1 / post-repair), accepted inside the drift gate (tier 2),
-    // incremental repairs (tier 3), and post-rescale full rebuilds.
-    // Per-phase counts with running solve totals; deterministic (pure
-    // functions of the trajectory) and cheap (a few scalar adds per
-    // augmentation), so they are maintained unconditionally — only
-    // event emission is gated on `obs::enabled()`.
-    let (mut ph_exact, mut ph_drift, mut ph_repairs, mut ph_rebuilds) = (0u64, 0u64, 0u64, 0u64);
-    let (mut tot_exact, mut tot_drift, mut tot_repairs, mut tot_rebuilds) =
-        (0u64, 0u64, 0u64, 0u64);
-    let t_solve = obs::clock();
-
-    while phases < opts.max_phases {
-        phases += 1;
-        let t_phase = obs::clock();
-        // Tier-2 gate: tolerate a touched path while its current length
-        // stays within (1 + ε/2) of the tree-time distance. A
-        // tighter-than-(1+ε) gate keeps routing reactive to other
-        // groups' congestion (the multiplicative-weights trajectory
-        // degrades sharply when groups keep loading paths that
-        // competitors already saturated).
-        let drift = 1.0 + eps_cur * DRIFT_FRACTION;
-
-        // ---- periodic exact pass (the parallel refresh) ----
-        // Trees are rebuilt *lazily* inside the routing ladder (a
-        // speculative per-phase refresh measurably double-pays: a tree
-        // rebuilt at phase start is often drifted again by the earlier
-        // groups of the same phase before its turn comes). Every
-        // `dual_every`-th phase, though, all trees are rebuilt in one
-        // rayon-parallel pass against a consistent length snapshot so
-        // the dual bound below is the exact `D(l)/α(l)`, every repair
-        // cursor realigns, and the increase log can be compacted.
-        let exact_pass = phases.is_multiple_of(dual_every) || phases == opts.max_phases;
-        if exact_pass {
-            let clock = base + log.len();
-            let rebuild = |g: &mut GroupState| {
-                net.dijkstra(g.src, &length, &mut g.ws);
-                g.cursor = clock;
-                g.needs_full = false;
-            };
-            if groups.len() * net.arc_count() >= PARALLEL_DUAL_MIN_WORK {
-                groups.par_iter_mut().for_each(rebuild);
-            } else {
-                groups.iter_mut().for_each(rebuild);
-            }
+impl Ladder {
+    fn new(net: &CsrNet, warm: Option<&WarmState>) -> Self {
+        // an unusable state degrades to a cold start, bit-identical to
+        // `warm: None`
+        Ladder {
+            warm: warm.and_then(|w| warm_lengths(net, w)),
+            updated_at: vec![usize::MAX; net.arc_count()],
+            ..Ladder::default()
         }
+    }
 
-        // ---- dual bound, every phase and essentially free ----
-        // Each group's stored distances were exact under the (older)
-        // lengths its tree was computed at; lengths only grow, so they
-        // are lower bounds on the current distances, Σ d_j·dist_j is a
+    /// The lengths and step size to open with. A usable warm state
+    /// replaces the flat `1/c(a)` opener and skips the coarse-ε ramp:
+    /// the inherited lengths already encode the congestion landscape
+    /// the coarse phases exist to discover, and re-coarsening would
+    /// churn them.
+    fn opener(&mut self, eps: f64) -> (Option<Vec<f64>>, f64) {
+        let ramp = if self.warm.is_some() { eps } else { COARSE_EPS };
+        (self.warm.take(), eps.max(ramp))
+    }
+
+    fn clock(&self) -> usize {
+        self.base + self.log.len()
+    }
+
+    /// Open a phase: the exact pass when one is due, the dual bound,
+    /// log compaction.
+    fn begin_phase(&mut self, core: &mut Core, groups: &mut [GroupState], exact_pass: bool) {
+        self.before_phase = self.total;
+        // All trees are rebuilt against one consistent length snapshot
+        // so the bound below is the exact `D(l)/α(l)` and every repair
+        // cursor realigns.
+        if exact_pass {
+            tree_pass(core.net(), groups, core.length(), true);
+            let clock = self.clock();
+            self.cursor.fill(clock);
+        }
+        // The dual bound, every phase and essentially free. Each
+        // group's stored distances were exact under the (older) lengths
+        // its tree was computed at; lengths only grow, so they are
+        // lower bounds on the current distances, Σ d_j·dist_j is a
         // lower bound on α(l), and `d_l / Σ` is a *valid* (if slightly
-        // weak) upper bound on λ*. On exact-pass phases every tree was
-        // just rebuilt, making the bound the exact `D(l)/α(l)`.
+        // weak) upper bound on λ*.
         //
         // The one exception is the aftermath of a uniform rescale:
         // un-rebuilt trees then hold distances in *pre-rescale* units —
         // far larger than any current distance, which would fabricate a
         // too-small (invalid!) bound. Skip the harvest until the next
-        // rebuild has cleared every `needs_full` flag.
-        if groups.iter().all(|g| !g.needs_full) {
+        // rebuild has made every tree usable again.
+        if !self.cursor.contains(&UNUSABLE) {
             #[cfg(debug_assertions)]
             {
-                let full = weighted_length_sum(net, &length);
+                let full = core.d_l();
                 debug_assert!(
-                    (d_l - full).abs() <= 1e-6 * full.max(f64::MIN_POSITIVE),
-                    "incremental D(l) drifted: {d_l} vs {full}"
+                    (self.d_l - full).abs() <= 1e-6 * full.max(f64::MIN_POSITIVE),
+                    "incremental D(l) drifted: {} vs {full}",
+                    self.d_l
                 );
             }
-            let mut alpha = 0.0f64;
-            for g in groups.iter() {
-                for &(_, dst, demand) in &g.sinks {
-                    alpha += demand * g.ws.distance(dst);
-                }
-            }
-            let bound = d_l / alpha;
-            if bound.is_finite() && bound > 0.0 {
-                best_dual = best_dual.min(bound);
-            }
+            // every sink was reachable when the trees were seeded; a
+            // sum that overflowed since is a degenerate ratio, not one
+            core.note_dual(self.d_l, alpha_of(groups).unwrap_or(f64::INFINITY));
         }
         if exact_pass {
             // every cursor is at the clock: compact the increase log
-            base += log.len();
-            log.clear();
-        }
-
-        // ---- sequential routing in fixed group order ----
-        for g in &mut groups {
-            for (k, &(_, _, d)) in g.sinks.iter().enumerate() {
-                g.remaining[k] = d;
-            }
-            let mut inner = 0usize;
-            while g.remaining.iter().any(|&r| r > 1e-12) {
-                inner += 1;
-                if inner > 64 {
-                    // carry skewed-instance leftovers to the next phase
-                    // (correctness unaffected; see strict path)
-                    break;
-                }
-                if g.needs_full {
-                    // post-rescale: stored distances are in pre-rescale
-                    // units, so the drift gate cannot be trusted — rebuild
-                    net.dijkstra(g.src, &length, &mut g.ws);
-                    g.cursor = base + log.len();
-                    g.needs_full = false;
-                    ph_rebuilds += 1;
-                }
-                // walk the tree through the reuse ladder; repair at most
-                // once per augmentation (a repaired tree is exact)
-                let mut exact = base + log.len() == g.cursor;
-                loop {
-                    touched.clear();
-                    let mut stale = false;
-                    for (k, &(_, dst, _)) in g.sinks.iter().enumerate() {
-                        let r = g.remaining[k];
-                        if r <= 1e-12 {
-                            continue;
-                        }
-                        if !g.ws.distance(dst).is_finite() {
-                            return Err(FlowError::Unreachable { src: g.src, dst });
-                        }
-                        let mut plen = 0.0f64;
-                        let mut hit = false;
-                        g.ws.walk_path(net, dst, |a| {
-                            if tree_load[a] == 0.0 {
-                                touched.push(a);
-                            }
-                            tree_load[a] += r;
-                            plen += length[a];
-                            hit |= updated_at[a] != usize::MAX && updated_at[a] >= g.cursor;
-                        });
-                        // tier 1: untouched path is still exactly
-                        // shortest; tier 2: touched but within the gate
-                        if !exact && hit && plen > drift * g.ws.distance(dst) {
-                            stale = true;
-                            break;
-                        }
-                    }
-                    if !stale {
-                        break;
-                    }
-                    // tier 3: incremental repair of the drifted tree
-                    // (every stored tree is full — seeded, exact-pass,
-                    // and repaired trees all settle the component, as
-                    // repair's preconditions require)
-                    for &a in &touched {
-                        tree_load[a] = 0.0;
-                    }
-                    net.dijkstra_repair(g.src, &length, &log[g.cursor - base..], &mut g.ws);
-                    g.cursor = base + log.len();
-                    exact = true;
-                    ph_repairs += 1;
-                }
-                if exact {
-                    ph_exact += 1;
-                } else {
-                    ph_drift += 1;
-                }
-                let mut tau = 1.0f64;
-                for &a in &touched {
-                    tau = tau.min(net.capacity(a) / tree_load[a]);
-                }
-                for &a in &touched {
-                    let sent = tau * tree_load[a];
-                    arc_flow[a] += sent;
-                    let old = length[a];
-                    let new = old * (1.0 + eps_cur * (sent * inv_cap[a]));
-                    length[a] = new;
-                    // incremental D(l), the repair log, and the
-                    // exact-reuse stamp — all maintained at the one
-                    // place lengths ever change
-                    d_l += net.capacity(a) * (new - old);
-                    updated_at[a] = base + log.len();
-                    log.push(a as u32);
-                    tree_load[a] = 0.0;
-                }
-                // mirror the same tree walk into the per-commodity
-                // record before `remaining` is consumed; the workspace
-                // still holds the tree the load was charged along
-                if let Some(cf) = cf.as_mut() {
-                    for (k, &(j, dst, _)) in g.sinks.iter().enumerate() {
-                        let r = g.remaining[k];
-                        if r <= 1e-12 {
-                            continue;
-                        }
-                        let sent = tau * r;
-                        g.ws.walk_path(net, dst, |a| cf[j][a] += sent);
-                    }
-                }
-                for (k, &(j, _, _)) in g.sinks.iter().enumerate() {
-                    let sent = tau * g.remaining[k];
-                    routed[j] += sent;
-                    g.remaining[k] -= sent;
-                }
-                if tau >= 1.0 {
-                    break;
-                }
-            }
-        }
-
-        // rescale lengths when they get large (scale-invariant). Scaling
-        // is not an arcwise *increase*, so incremental repair no longer
-        // applies: recompute D(l) in full and flag every tree for a full
-        // rebuild in the next refresh pass.
-        let max_len = length.iter().copied().fold(0.0f64, f64::max);
-        if max_len > RESCALE_ABOVE {
-            let inv = 1.0 / max_len;
-            for l in length.iter_mut() {
-                *l *= inv;
-            }
-            d_l = weighted_length_sum(net, &length);
-            for g in groups.iter_mut() {
-                g.needs_full = true;
-            }
-        }
-
-        let mu = arc_flow
-            .iter()
-            .zip(inv_cap)
-            .map(|(&f, &ic)| f * ic)
-            .fold(0.0f64, f64::max)
-            .max(1e-300);
-        let primal = commodities
-            .iter()
-            .enumerate()
-            .map(|(j, c)| routed[j] / (mu * c.demand))
-            .fold(f64::INFINITY, f64::min);
-
-        // emission sits in the sequential phase loop, so the event
-        // sequence is deterministic whenever solves themselves are run
-        // sequentially (see dctopo-obs crate docs)
-        if obs::enabled() {
-            obs::Event::new("fptas_phase")
-                .field("mode", "fast")
-                .field("phase", phases as u64)
-                .field("eps", eps_cur)
-                .field("exact_pass", exact_pass)
-                .field("primal", primal)
-                .field("dual", best_dual)
-                .field("d_l", d_l)
-                .field("aug_exact", ph_exact)
-                .field("aug_drift", ph_drift)
-                .field("repairs", ph_repairs)
-                .field("rescale_rebuilds", ph_rebuilds)
-                .field(
-                    "settles",
-                    groups.iter().map(|g| g.ws.settles()).sum::<u64>(),
-                )
-                .nd("wall_us", obs::us_since(t_phase))
-                .emit();
-        }
-        tot_exact += ph_exact;
-        tot_drift += ph_drift;
-        tot_repairs += ph_repairs;
-        tot_rebuilds += ph_rebuilds;
-        (ph_exact, ph_drift, ph_repairs, ph_rebuilds) = (0, 0, 0, 0);
-
-        let better = best.as_ref().is_none_or(|b| primal > b.throughput);
-        if better {
-            best = Some(SolvedFlow {
-                throughput: primal,
-                upper_bound: best_dual,
-                arc_flow: arc_flow.iter().map(|&f| f / mu).collect(),
-                commodity_rate: routed.iter().map(|&r| r / mu).collect(),
-                phases,
-                settles: 0,
-                commodity_arc_flow: cf.as_ref().map(|c| {
-                    c.iter()
-                        .map(|v| v.iter().map(|&f| f / mu).collect())
-                        .collect()
-                }),
-            });
-        }
-        if primal >= (1.0 - opts.target_gap) * best_dual {
-            break;
-        }
-        // a coarse step size has done its job once the certified gap
-        // shrinks to its own order (it cannot certify much further):
-        // halve ε and keep going
-        if eps_cur > eps && primal >= (1.0 - eps_cur) * best_dual {
-            let next = (eps_cur * 0.5).max(eps);
-            if obs::enabled() {
-                obs::Event::new("fptas_anneal")
-                    .field("phase", phases as u64)
-                    .field("from", eps_cur)
-                    .field("to", next)
-                    .field("reason", "gap")
-                    .emit();
-            }
-            eps_cur = next;
-            stagnant_phases = 0;
-        }
-        if primal > last_primal_check * 1.0005 {
-            last_primal_check = primal;
-            stagnant_phases = 0;
-        } else {
-            stagnant_phases += 1;
-            // a stall at a coarse ε also means that step is exhausted
-            if eps_cur > eps && stagnant_phases >= anneal_patience {
-                let next = (eps_cur * 0.5).max(eps);
-                if obs::enabled() {
-                    obs::Event::new("fptas_anneal")
-                        .field("phase", phases as u64)
-                        .field("from", eps_cur)
-                        .field("to", next)
-                        .field("reason", "stall")
-                        .emit();
-                }
-                eps_cur = next;
-                stagnant_phases = 0;
-            } else if stagnant_phases >= opts.stall_phases {
-                break;
-            }
+            self.base += self.log.len();
+            self.log.clear();
         }
     }
 
-    let mut sol = best.expect("at least one phase ran");
-    sol.upper_bound = best_dual;
-    sol.phases = phases;
-    sol.settles = groups.iter().map(|g| g.ws.settles()).sum();
-    if obs::enabled() {
-        obs::Event::new("fptas_solve")
-            .field("mode", "fast")
-            .field("warm", warm_started)
-            .field("groups", groups.len())
-            .field("commodities", commodities.len())
-            .field("phases", phases as u64)
-            .field("settles", sol.settles)
-            .field("aug_exact", tot_exact)
-            .field("aug_drift", tot_drift)
-            .field("repairs", tot_repairs)
-            .field("rescale_rebuilds", tot_rebuilds)
-            .field("lambda", sol.throughput)
-            .field("upper_bound", sol.upper_bound)
-            .nd("wall_us", obs::us_since(t_solve))
-            .emit();
+    /// Charge group `gi`'s remaining demand along its stored tree,
+    /// walking it through the ladder; repair at most once per
+    /// augmentation (a repaired tree is exact).
+    fn charge(&mut self, core: &mut Core, g: &mut GroupState, gi: usize) -> Result<(), FlowError> {
+        if self.cursor[gi] == UNUSABLE {
+            // post-rescale: stored distances are in pre-rescale units,
+            // so the drift gate cannot be trusted — rebuild
+            core.net().dijkstra(g.src, core.length(), &mut g.ws);
+            self.cursor[gi] = self.clock();
+            self.total[REBUILDS] += 1;
+        }
+        let cursor = self.cursor[gi];
+        let mut exact = self.clock() == cursor;
+        // Tier-2 gate `1 + ε/2`: tighter than `(1+ε)` so routing stays
+        // reactive to other groups' congestion (the
+        // multiplicative-weights trajectory degrades sharply when
+        // groups keep loading paths that competitors already saturated).
+        let drift = 1.0 + core.eps() * DRIFT_FRACTION;
+        let gate = (!exact).then_some((cursor, &self.updated_at[..], drift));
+        if !g.load_paths(core, gate)? {
+            // tier 3: incremental repair of the drifted tree (every
+            // stored tree is full — seeded, exact-pass, and repaired
+            // trees all settle the component, as repair's preconditions
+            // require)
+            core.unload();
+            let grown = &self.log[cursor - self.base..];
+            core.net()
+                .dijkstra_repair(g.src, core.length(), grown, &mut g.ws);
+            self.cursor[gi] = self.clock();
+            exact = true;
+            self.total[REPAIRS] += 1;
+            g.load_paths(core, None)?;
+        }
+        self.total[if exact { EXACT } else { DRIFT }] += 1;
+        Ok(())
     }
-    Ok((sol, WarmState { lengths: length }))
-}
 
-/// The certified dual bound `D(l)/α(l)` at the given lengths, or `None`
-/// when the ratio is degenerate (e.g. α = 0 before any length growth).
-///
-/// `d_l` is `D(l) = Σ_a c(a)·l(a)` supplied by the caller (the strict
-/// path computes it in full per call; the fast path maintains it
-/// incrementally). `α(l)` needs one shortest-path tree per source group
-/// against fixed lengths — a read-only pass that runs **in parallel on
-/// rayon** into the disjoint per-group workspaces; with `settle_all`
-/// the pass settles whole components (the fast path's tree refresh),
-/// otherwise it early-terminates at each group's targets. The `α`
-/// reduction itself is sequential in group order, so the bound is
-/// bit-identical at every thread count.
-fn dual_bound(
-    net: &CsrNet,
-    groups: &mut [GroupState],
-    length: &[f64],
-    d_l: f64,
-    settle_all: bool,
-) -> Result<Option<f64>, FlowError> {
-    let settle = |g: &mut GroupState| {
-        if settle_all {
-            net.dijkstra(g.src, length, &mut g.ws);
-        } else {
-            net.dijkstra_targets(g.src, length, &g.targets, &mut g.ws);
-        }
-    };
-    // Fan out only when the pass is big enough to amortise the pool
-    // dispatch (and to avoid contending for pool workers when many
-    // Runner threads each solve their own instance). Results are
-    // identical either way — the sequential path is exactly the
-    // one-thread schedule.
-    if groups.len() * net.arc_count() >= PARALLEL_DUAL_MIN_WORK {
-        groups.par_iter_mut().for_each(settle);
-    } else {
-        groups.iter_mut().for_each(settle);
+    /// Arc `a` grew from `old` to `new`: incremental `D(l)`, the repair
+    /// log and the exact-reuse stamp, all kept where lengths change.
+    fn grew(&mut self, net: &CsrNet, a: usize, old: f64, new: f64) {
+        self.d_l += net.capacity(a) * (new - old);
+        self.updated_at[a] = self.clock();
+        self.log.push(a as u32);
     }
-    let mut alpha = 0.0f64;
-    for g in groups.iter() {
-        for &(_, dst, demand) in &g.sinks {
-            let d = g.ws.distance(dst);
-            if !d.is_finite() {
-                return Err(FlowError::Unreachable { src: g.src, dst });
-            }
-            alpha += demand * d;
-        }
+
+    /// Scaling is not an arcwise *increase*, so incremental repair no
+    /// longer applies: recompute `D(l)` in full and flag every tree for
+    /// a full rebuild.
+    fn rescaled(&mut self, core: &Core) {
+        self.d_l = core.d_l();
+        self.cursor.fill(UNUSABLE);
     }
-    let bound = d_l / alpha;
-    Ok((bound.is_finite() && bound > 0.0).then_some(bound))
 }
 
 #[cfg(test)]

@@ -1,0 +1,346 @@
+//! The certificate core every multiplicative-weights loop in this crate
+//! runs on.
+//!
+//! The four production loops — the pairwise FPTAS with and without its
+//! reuse ladder ([`crate::max_concurrent_flow_csr`]), the grouped solver
+//! ([`crate::solve_grouped`]) and the frozen-path solver ([`crate::ksp`])
+//! — differ in how they *route*: which tree or path carries a step, in
+//! what order loads are charged, what a residual looks like. What turns
+//! a routing trajectory into a certificate is the same arithmetic in all
+//! of them, and it lives here once:
+//!
+//! * **lengths** `l(a)`, grown by `1 + ε·sent/c(a)` in exactly one
+//!   place ([`Core::grow`], which [`Core::step`] calls for every arc a
+//!   capacity-scaled step touched) and rescaled uniformly past
+//!   [`RESCALE_ABOVE`];
+//! * the **step size** ε: the configured one, or a coarser opening
+//!   value halved towards it as the gap closes (only the fast pairwise
+//!   path opens coarse; for every other loop the schedule is inert);
+//! * the **primal**: accumulated raw flow divided by its worst
+//!   congestion `μ` ([`Core::congestion`]) is feasible by construction;
+//! * the **dual**: `D(l)/α(l)` bounds λ* for *any* positive lengths, so
+//!   every loop hands its `α` — however it harvested it — to
+//!   [`Core::note_dual`], which admits the bound only when it is finite
+//!   and positive;
+//! * the **stop rule** ([`Core::verdict`]): certified gap closed, or the
+//!   primal has not improved by 0.05 % for `stall_phases` phases.
+//!
+//! Routing stays with the callers on purpose. They differ at a dozen
+//! points and every float order in them is pinned bit for bit
+//! (`tests/trajectory_pins.rs`), so one loop over routing *policies*
+//! would have to branch on its caller. [`crate::reference`] shares
+//! nothing with this module: it is the oracle the strict trajectory is
+//! compared against, and an oracle that ran on the code under test would
+//! check nothing.
+
+use dctopo_graph::CsrNet;
+use dctopo_obs as obs;
+
+use crate::{Commodity, FlowOptions, SolvedFlow};
+
+/// The dual bound `D(l)/α(l)` and shortest paths are invariant under
+/// uniform scaling of all lengths, so lengths are rescaled whenever one
+/// exceeds this, before overflow can corrupt the bound.
+pub(crate) const RESCALE_ABOVE: f64 = 1e100;
+
+/// How `x / c(a)` is evaluated — the one numeric difference between the
+/// loops, fixed when a [`Core`] is built.
+///
+/// The two forms differ in the last place whenever `1/c(a)` is inexact,
+/// and every trajectory is pinned bit for bit, so each loop keeps the
+/// form it has always used. The `match` is on a loop-invariant `Copy`
+/// value and inlines to a perfectly predicted branch, not a call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cong {
+    /// `x / c(a)`. The strict pairwise trajectory, because
+    /// [`crate::reference`] divides and the two are compared ulp for ulp;
+    /// the grouped solver, which was written from the strict one.
+    Divide,
+    /// `x * (1/c(a))` with the reciprocal [`CsrNet`] precomputes: the
+    /// fast pairwise path and the frozen-path solver.
+    Reciprocal,
+}
+
+impl Cong {
+    #[inline]
+    fn of(self, net: &CsrNet, a: usize, x: f64) -> f64 {
+        match self {
+            Cong::Divide => x / net.capacity(a),
+            Cong::Reciprocal => x * net.inv_capacity(a),
+        }
+    }
+}
+
+/// Outcome of a phase: keep routing or return the best certificate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// The gap closed or the primal plateaued.
+    Stop,
+    /// Neither yet.
+    Continue,
+}
+
+/// Lengths, step size, raw flow, the pending step's load, the best dual
+/// bound and the plateau counters of one solve. See the module docs.
+pub(crate) struct Core<'n> {
+    net: &'n CsrNet,
+    cong: Cong,
+    length: Vec<f64>,
+    eps: f64,
+    /// Raw (pre-scaling) accumulated flow per arc.
+    arc_flow: Vec<f64>,
+    /// Load the pending step would put on each arc if it were sent in
+    /// full, and the arcs where that is non-zero, in first-touch order.
+    tree_load: Vec<f64>,
+    touched: Vec<usize>,
+    best_dual: f64,
+    last_primal: f64,
+    stagnant: usize,
+}
+
+impl<'n> Core<'n> {
+    /// A core over `net` starting from `length` (`None`: the cold
+    /// `1/c(a)`) and step size `eps` (the configured ε, or a coarser
+    /// one for [`Core::verdict`] to anneal down to it).
+    pub(crate) fn new(net: &'n CsrNet, cong: Cong, length: Option<Vec<f64>>, eps: f64) -> Self {
+        let arcs = net.arc_count();
+        Core {
+            net,
+            cong,
+            length: length.unwrap_or_else(|| net.inv_capacities().to_vec()),
+            eps,
+            arc_flow: vec![0.0; arcs],
+            tree_load: vec![0.0; arcs],
+            touched: Vec::new(),
+            best_dual: f64::INFINITY,
+            last_primal: 0.0,
+            stagnant: 0,
+        }
+    }
+
+    /// The network this core routes on.
+    pub(crate) fn net(&self) -> &'n CsrNet {
+        self.net
+    }
+
+    /// Current step size.
+    pub(crate) fn eps(&self) -> f64 {
+        self.eps
+    }
+
+    /// Current arc lengths.
+    pub(crate) fn length(&self) -> &[f64] {
+        &self.length
+    }
+
+    /// The lengths the solve ended on (a warm start for the next one).
+    pub(crate) fn into_length(self) -> Vec<f64> {
+        self.length
+    }
+
+    /// Smallest admitted dual bound so far (`∞` before the first).
+    pub(crate) fn best_dual(&self) -> f64 {
+        self.best_dual
+    }
+
+    /// Charge `r` units of the pending step to arc `a`.
+    #[inline]
+    pub(crate) fn load(&mut self, a: usize, r: f64) {
+        if self.tree_load[a] == 0.0 {
+            self.touched.push(a);
+        }
+        self.tree_load[a] += r;
+    }
+
+    /// Drop the pending step's load (its tree turned out stale).
+    pub(crate) fn unload(&mut self) {
+        for a in self.touched.drain(..) {
+            self.tree_load[a] = 0.0;
+        }
+    }
+
+    /// Send the pending load scaled by `τ = min(1, min_a c(a)/load(a))`,
+    /// so no step puts more than `c(a)` on an arc, and return `τ`.
+    /// `on_grow(a, old, new)` sees every length change.
+    pub(crate) fn step(&mut self, mut on_grow: impl FnMut(usize, f64, f64)) -> f64 {
+        let mut tau = 1.0f64;
+        for &a in &self.touched {
+            tau = tau.min(self.net.capacity(a) / self.tree_load[a]);
+        }
+        for i in 0..self.touched.len() {
+            let a = self.touched[i];
+            let old = self.length[a];
+            self.grow(a, tau * self.tree_load[a]);
+            on_grow(a, old, self.length[a]);
+            self.tree_load[a] = 0.0;
+        }
+        self.touched.clear();
+        tau
+    }
+
+    /// Put `sent` more raw flow on arc `a` and lengthen it by
+    /// `1 + ε·sent/c(a)` — the only place a length grows.
+    #[inline]
+    pub(crate) fn grow(&mut self, a: usize, sent: f64) {
+        self.arc_flow[a] += sent;
+        self.length[a] *= 1.0 + self.eps * self.cong.of(self.net, a, sent);
+    }
+
+    /// `D(l) = Σ_a c(a)·l(a)` as one full pass.
+    pub(crate) fn d_l(&self) -> f64 {
+        let caps = self.net.capacities();
+        self.length.iter().zip(caps).map(|(&l, &c)| l * c).sum()
+    }
+
+    /// Admit `d_l / alpha` as a dual bound if it is one (degenerate
+    /// ratios — `α = 0` before any growth, an overflowed sum — are
+    /// not); returns the ratio either way, for telemetry.
+    pub(crate) fn note_dual(&mut self, d_l: f64, alpha: f64) -> f64 {
+        let bound = d_l / alpha;
+        if bound.is_finite() && bound > 0.0 {
+            self.best_dual = self.best_dual.min(bound);
+        }
+        bound
+    }
+
+    /// Rescale all lengths by `1/max` once one exceeds
+    /// [`RESCALE_ABOVE`]; says whether it did (stored distances are
+    /// then in stale units).
+    pub(crate) fn rescale(&mut self) -> bool {
+        let max_len = self.length.iter().copied().fold(0.0f64, f64::max);
+        if max_len <= RESCALE_ABOVE {
+            return false;
+        }
+        let inv = 1.0 / max_len;
+        for l in self.length.iter_mut() {
+            *l *= inv;
+        }
+        true
+    }
+
+    /// Worst congestion `μ = max_a flow(a)/c(a)` of the raw flow,
+    /// floored away from zero so the first phases can divide by it.
+    pub(crate) fn congestion(&self) -> f64 {
+        let worst = self
+            .arc_flow
+            .iter()
+            .enumerate()
+            .map(|(a, &f)| self.cong.of(self.net, a, f))
+            .fold(0.0f64, f64::max);
+        worst.max(1e-300)
+    }
+
+    /// The raw flow scaled down to feasibility by `mu`.
+    pub(crate) fn feasible_flow(&self, mu: f64) -> Vec<f64> {
+        self.arc_flow.iter().map(|&f| f / mu).collect()
+    }
+
+    /// Stop when `primal` is within `target_gap` of the best dual, or
+    /// has not grown by 0.05 % for `stall_phases` phases (it is
+    /// certified feasible regardless; what is left of the gap is then
+    /// dual-side looseness). A step size still coarser than the
+    /// configured one is halved instead — once the certified gap has
+    /// shrunk to its own order, which it cannot certify much past, or
+    /// after ten stalled phases — and the count restarts.
+    pub(crate) fn verdict(&mut self, primal: f64, opts: &FlowOptions, phases: usize) -> Verdict {
+        if primal >= (1.0 - opts.target_gap) * self.best_dual {
+            return Verdict::Stop;
+        }
+        if primal >= (1.0 - self.eps) * self.best_dual {
+            self.anneal(opts, phases, "gap");
+        }
+        if primal > self.last_primal * 1.0005 {
+            self.last_primal = primal;
+            self.stagnant = 0;
+            return Verdict::Continue;
+        }
+        self.stagnant += 1;
+        if self.stagnant >= 10usize.min(opts.stall_phases) && self.anneal(opts, phases, "stall") {
+            return Verdict::Continue;
+        }
+        if self.stagnant >= opts.stall_phases {
+            return Verdict::Stop;
+        }
+        Verdict::Continue
+    }
+
+    /// Halve a step size that is still above the configured one and
+    /// restart the plateau count; says whether there was one to halve.
+    /// Both certificates hold at every step size, so annealing changes
+    /// the trajectory, never the guarantees.
+    fn anneal(&mut self, opts: &FlowOptions, phases: usize, reason: &'static str) -> bool {
+        if self.eps <= opts.epsilon {
+            return false;
+        }
+        let next = (self.eps * 0.5).max(opts.epsilon);
+        if obs::enabled() {
+            obs::Event::new("fptas_anneal")
+                .field("phase", phases as u64)
+                .field("from", self.eps)
+                .field("to", next)
+                .field("reason", reason)
+                .emit();
+        }
+        self.eps = next;
+        self.stagnant = 0;
+        true
+    }
+}
+
+/// The per-commodity side of a pairwise solve: what each commodity has
+/// been sent, the optional per-commodity arc record, and the best
+/// feasible solution seen so far.
+pub(crate) struct Pairwise<'c> {
+    commodities: &'c [Commodity],
+    /// Raw amount routed per commodity, same units as the core's flow.
+    pub(crate) routed: Vec<f64>,
+    /// Raw per-commodity arc flows, when the caller asked for them.
+    pub(crate) arc_record: Option<Vec<Vec<f64>>>,
+    best: Option<SolvedFlow>,
+}
+
+impl<'c> Pairwise<'c> {
+    pub(crate) fn new(commodities: &'c [Commodity], arcs: usize, opts: &FlowOptions) -> Self {
+        Pairwise {
+            commodities,
+            routed: vec![0.0; commodities.len()],
+            arc_record: opts
+                .record_commodity_flows
+                .then(|| vec![vec![0.0; arcs]; commodities.len()]),
+            best: None,
+        }
+    }
+
+    /// The certified primal after a phase — `min_j routed_j / (μ·d_j)` —
+    /// keeping the scaled solution whenever it beats the best so far.
+    pub(crate) fn snapshot(&mut self, core: &Core) -> f64 {
+        let mu = core.congestion();
+        let primal = (self.commodities.iter().zip(&self.routed))
+            .map(|(c, &r)| r / (mu * c.demand))
+            .fold(f64::INFINITY, f64::min);
+        if self.best.as_ref().is_none_or(|b| primal > b.throughput) {
+            let scaled = |v: &Vec<f64>| v.iter().map(|&f| f / mu).collect();
+            self.best = Some(SolvedFlow {
+                throughput: primal,
+                upper_bound: f64::INFINITY,
+                arc_flow: core.feasible_flow(mu),
+                commodity_rate: scaled(&self.routed),
+                phases: 0,
+                settles: 0,
+                commodity_arc_flow: (self.arc_record.as_ref())
+                    .map(|record| record.iter().map(scaled).collect()),
+            });
+        }
+        primal
+    }
+
+    /// The best solution, stamped with the solve's final dual bound and
+    /// work counters.
+    pub(crate) fn finish(self, core: &Core, phases: usize, settles: u64) -> SolvedFlow {
+        let mut sol = self.best.expect("at least one phase ran");
+        sol.upper_bound = core.best_dual();
+        sol.phases = phases;
+        sol.settles = settles;
+        sol
+    }
+}

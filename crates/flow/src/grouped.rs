@@ -79,10 +79,8 @@ use std::sync::Arc;
 use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 
-use crate::{FlowError, FlowOptions};
-
-/// Where lengths get rescaled (mirrors the pairwise solver).
-const RESCALE_ABOVE: f64 = 1e100;
+use crate::gk::{Cong, Core, Verdict};
+use crate::{node_in_range, validate_opts, validate_pair, FlowError, FlowOptions};
 
 /// The sinks of one [`DemandGroup`].
 #[derive(Debug, Clone)]
@@ -202,45 +200,13 @@ fn validate_grouped(
     if groups.is_empty() {
         return Err(FlowError::NoCommodities);
     }
-    if !(opts.epsilon > 0.0 && opts.epsilon < 1.0) {
-        return Err(FlowError::BadOptions(format!(
-            "epsilon must be in (0, 1), got {}",
-            opts.epsilon
-        )));
-    }
-    if !(opts.target_gap > 0.0 && opts.target_gap < 1.0) {
-        return Err(FlowError::BadOptions(format!(
-            "target_gap must be in (0, 1), got {}",
-            opts.target_gap
-        )));
-    }
-    if opts.max_phases == 0 {
-        return Err(FlowError::BadOptions("max_phases must be > 0".into()));
-    }
+    validate_opts(opts)?;
     for (gi, g) in groups.iter().enumerate() {
-        if g.src >= node_count {
-            return Err(FlowError::BadOptions(format!(
-                "group {gi}: src {} out of range (n = {node_count})",
-                g.src
-            )));
-        }
+        node_in_range(g.src, node_count)?;
         match &g.sinks {
             SinkSpec::List(pairs) => {
                 for &(dst, d) in pairs {
-                    if dst >= node_count {
-                        return Err(FlowError::BadOptions(format!(
-                            "group {gi}: dst {dst} out of range (n = {node_count})"
-                        )));
-                    }
-                    if dst == g.src {
-                        return Err(FlowError::SelfCommodity { index: gi });
-                    }
-                    if !(d.is_finite() && d > 0.0) {
-                        return Err(FlowError::BadDemand {
-                            index: gi,
-                            demand: d,
-                        });
-                    }
+                    validate_pair(node_count, gi, g.src, dst, d)?;
                 }
             }
             SinkSpec::Weighted { weights, scale } => {
@@ -302,22 +268,12 @@ fn solve_grouped_observed(
     mut phase_lengths: impl FnMut(&[f64]),
 ) -> Result<GroupedFlow, FlowError> {
     validate_grouped(net.node_count(), groups, opts)?;
-    if net.arc_count() == 0 {
-        let mut first = None;
-        groups[0].for_each_sink(|dst, _| first = first.or(Some(dst)));
-        return Err(FlowError::Unreachable {
-            src: groups[0].src,
-            dst: first.expect("validated: at least one sink"),
-        });
-    }
 
     let n = net.node_count();
-    let num_arcs = net.arc_count();
-    let eps = opts.epsilon;
-
-    // lengths l(a) = 1/c(a) initially, as in the pairwise solver
-    let mut length: Vec<f64> = net.inv_capacities().to_vec();
-    let mut arc_flow = vec![0.0f64; num_arcs];
+    // lengths l(a) = 1/c(a) initially, as in the pairwise solver, and
+    // the strict pairwise loop's `x / c(a)` (this loop was written from
+    // it and is pinned in that form)
+    let mut core = Core::new(net, Cong::Divide, None, opts.epsilon);
     // cumulative fraction of each group's demand that has been routed
     // (unscaled): sink dst of group g has received routed_frac[g]·d(dst)
     let mut routed_frac = vec![0.0f64; groups.len()];
@@ -329,13 +285,8 @@ fn solve_grouped_observed(
     let mut node_demand = vec![0.0f64; n];
     let mut child_count = vec![0u32; n];
     let mut ready: Vec<u32> = Vec::with_capacity(n);
-    let mut tree_load = vec![0.0f64; num_arcs];
-    let mut touched: Vec<usize> = Vec::new();
 
-    let mut best_dual = f64::INFINITY;
     let mut best: Option<GroupedFlow> = None;
-    let mut last_primal_check = 0.0f64;
-    let mut stagnant_phases = 0usize;
     let mut phases = 0usize;
 
     while phases < opts.max_phases {
@@ -363,7 +314,7 @@ fn solve_grouped_observed(
                 }
                 ph_steps += 1;
                 let t_tree = obs::clock();
-                net.dijkstra(g.src, &length, &mut ws);
+                net.dijkstra(g.src, core.length(), &mut ws);
                 tree_us += obs::us_since(t_tree);
 
                 // seed the per-node sink demand for this step and check
@@ -412,7 +363,6 @@ fn solve_grouped_observed(
                 ready.extend((0..n as u32).filter(|&v| {
                     child_count[v as usize] == 0 && ws.distance(v as usize).is_finite()
                 }));
-                touched.clear();
                 while let Some(vu) = ready.pop() {
                     let v = vu as usize;
                     let load = node_demand[v];
@@ -420,10 +370,7 @@ fn solve_grouped_observed(
                     // the root absorbs everything pushed up to it
                     let Some(a) = ws.parent(v) else { continue };
                     if load > 0.0 {
-                        if tree_load[a] == 0.0 {
-                            touched.push(a);
-                        }
-                        tree_load[a] += load;
+                        core.load(a, load);
                         node_demand[net.arc_tail(a)] += load;
                     }
                     let t = net.arc_tail(a);
@@ -434,17 +381,7 @@ fn solve_grouped_observed(
                 }
                 kahn_us += obs::us_since(t_kahn);
 
-                // capacity-scaled step: never overload any arc
-                let mut tau = 1.0f64;
-                for &a in &touched {
-                    tau = tau.min(net.capacity(a) / tree_load[a]);
-                }
-                for &a in &touched {
-                    let sent = tau * tree_load[a];
-                    arc_flow[a] += sent;
-                    length[a] *= 1.0 + eps * (sent / net.capacity(a));
-                    tree_load[a] = 0.0;
-                }
+                let tau = core.step(|_, _, _| {});
                 routed_frac[gi] += tau * frac_remaining;
                 frac_remaining -= tau * frac_remaining;
                 if tau >= 1.0 {
@@ -456,32 +393,13 @@ fn solve_grouped_observed(
         // dual BEFORE rescale: α was harvested under in-phase lengths,
         // which only grew since — D(l_end)/α_harvest ≥ D(l_end)/α(l_end)
         // ≥ λ*, a valid certificate (module docs)
-        let d_l: f64 = length
-            .iter()
-            .zip(net.capacities())
-            .map(|(&l, &c)| l * c)
-            .sum();
-        let bound = d_l / alpha_phase;
-        if bound.is_finite() && bound > 0.0 {
-            best_dual = best_dual.min(bound);
-        }
-
-        let max_len = length.iter().copied().fold(0.0f64, f64::max);
-        if max_len > RESCALE_ABOVE {
-            let inv = 1.0 / max_len;
-            for l in length.iter_mut() {
-                *l *= inv;
-            }
-        }
-        phase_lengths(&length);
+        let d_l = core.d_l();
+        core.note_dual(d_l, alpha_phase);
+        core.rescale();
+        phase_lengths(core.length());
 
         // certified primal: scale by worst congestion
-        let mu = arc_flow
-            .iter()
-            .zip(net.capacities())
-            .map(|(&f, &c)| f / c)
-            .fold(0.0f64, f64::max)
-            .max(1e-300);
+        let mu = core.congestion();
         let primal = routed_frac.iter().copied().fold(f64::INFINITY, f64::min) / mu;
 
         // groups route sequentially, so this sits outside any parallel
@@ -493,7 +411,7 @@ fn solve_grouped_observed(
                 .field("alpha", alpha_phase)
                 .field("d_l", d_l)
                 .field("primal", primal)
-                .field("dual", best_dual)
+                .field("dual", core.best_dual())
                 .field("settles", ws.settles())
                 .nd("tree_us", tree_us)
                 .nd("kahn_us", kahn_us)
@@ -501,28 +419,18 @@ fn solve_grouped_observed(
                 .emit();
         }
 
-        let better = best.as_ref().is_none_or(|b| primal > b.throughput);
-        if better {
+        if best.as_ref().is_none_or(|b| primal > b.throughput) {
             best = Some(GroupedFlow {
                 throughput: primal,
-                upper_bound: best_dual,
-                arc_flow: arc_flow.iter().map(|&f| f / mu).collect(),
+                upper_bound: core.best_dual(),
+                arc_flow: core.feasible_flow(mu),
                 group_rate_factor: routed_frac.iter().map(|&r| r / mu).collect(),
                 phases,
                 settles: 0,
             });
         }
-        if primal >= (1.0 - opts.target_gap) * best_dual {
+        if core.verdict(primal, opts, phases) == Verdict::Stop {
             break;
-        }
-        if primal > last_primal_check * 1.0005 {
-            last_primal_check = primal;
-            stagnant_phases = 0;
-        } else {
-            stagnant_phases += 1;
-            if stagnant_phases >= opts.stall_phases {
-                break;
-            }
         }
     }
 
@@ -536,7 +444,7 @@ fn solve_grouped_observed(
     let t_harvest = obs::clock();
     let mut alpha_final = 0.0f64;
     for g in groups {
-        net.dijkstra(g.src, &length, &mut ws);
+        net.dijkstra(g.src, core.length(), &mut ws);
         g.for_each_sink(|dst, d| {
             let dist = ws.distance(dst);
             if dist.is_finite() {
@@ -544,15 +452,8 @@ fn solve_grouped_observed(
             }
         });
     }
-    let d_final: f64 = length
-        .iter()
-        .zip(net.capacities())
-        .map(|(&l, &c)| l * c)
-        .sum();
-    let final_bound = d_final / alpha_final;
-    if final_bound.is_finite() && final_bound > 0.0 {
-        best_dual = best_dual.min(final_bound);
-    }
+    let d_final = core.d_l();
+    let final_bound = core.note_dual(d_final, alpha_final);
     if obs::enabled() {
         obs::Event::new("grouped_harvest")
             .field("alpha", alpha_final)
@@ -563,7 +464,7 @@ fn solve_grouped_observed(
     }
 
     let mut sol = best.expect("at least one phase ran");
-    sol.upper_bound = best_dual;
+    sol.upper_bound = core.best_dual();
     sol.phases = phases;
     sol.settles = ws.settles();
     if obs::enabled() {
@@ -584,7 +485,7 @@ mod tests {
     use crate::{max_concurrent_flow_csr, Commodity};
     // the retired bucketed kernel, kept as the differential's other side
     use dctopo_graph::delta as bucketed;
-    use dctopo_graph::Graph;
+    use dctopo_graph::{Graph, GraphError};
     use dctopo_topology::Topology;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -765,6 +666,24 @@ mod tests {
             solve_grouped(&net, &allzero, &o),
             Err(FlowError::BadDemand { index: 0, .. })
         ));
+        // out-of-range endpoints read as they do from the pairwise
+        // entry points: the graph's own typed error, naming the node
+        let far_src = [DemandGroup {
+            src: 9,
+            sinks: SinkSpec::List(vec![(1, 1.0)]),
+        }];
+        assert_eq!(
+            solve_grouped(&net, &far_src, &o).unwrap_err(),
+            FlowError::Graph(GraphError::NodeOutOfRange { node: 9, n: 4 })
+        );
+        let far_dst = [DemandGroup {
+            src: 0,
+            sinks: SinkSpec::List(vec![(7, 1.0)]),
+        }];
+        assert_eq!(
+            solve_grouped(&net, &far_dst, &o).unwrap_err(),
+            FlowError::Graph(GraphError::NodeOutOfRange { node: 7, n: 4 })
+        );
         let shortw = [DemandGroup::weighted(0, Arc::new(vec![1.0; 3]), 1.0)];
         assert!(matches!(
             solve_grouped(&net, &shortw, &o),

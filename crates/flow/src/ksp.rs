@@ -2,10 +2,10 @@
 //! commodity — the *practical routing* model (§8: real fabrics route on
 //! k-shortest paths with MPTCP/ECMP, not on arbitrary splittable routes).
 //!
-//! Comparing [`crate::KspRestricted`] against the unrestricted optimum
-//! from [`crate::Fptas`] quantifies how much throughput a k-path routing
-//! scheme leaves on the table — the flow-level analogue of the paper's
-//! Fig. 13 question.
+//! Comparing [`crate::Backend::KspRestricted`] against the unrestricted
+//! optimum from [`crate::Backend::Fptas`] quantifies how much throughput
+//! a k-path routing scheme leaves on the table — the flow-level analogue
+//! of the paper's Fig. 13 question.
 //!
 //! The algorithm is multiplicative weights over the *fixed* path sets:
 //! each round, every commodity routes its demand on its currently
@@ -29,6 +29,7 @@ use dctopo_graph::kshortest::yen_k_shortest;
 use dctopo_graph::{CsrNet, Graph, NodeId};
 
 use crate::cache::{FrozenPathSet, PathSetCache};
+use crate::gk::{Cong, Core, Pairwise, Verdict};
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// Solve max concurrent flow where commodity `j` may only use its `k`
@@ -44,8 +45,8 @@ pub fn max_concurrent_flow_ksp(
 }
 
 /// k-shortest-paths-restricted solve on a prebuilt net (the
-/// [`crate::KspRestricted`] backend entry point), freezing path sets
-/// from scratch — the *cold* path.
+/// [`crate::Backend::KspRestricted`] backend entry point), freezing path
+/// sets from scratch — the *cold* path.
 ///
 /// Returns the same certified [`SolvedFlow`] as the unrestricted solver;
 /// `throughput` ≤ the unrestricted optimum by construction.
@@ -75,12 +76,9 @@ pub fn max_concurrent_flow_ksp_cached(
     opts: &FlowOptions,
     cache: &PathSetCache,
 ) -> Result<SolvedFlow, FlowError> {
-    validate(net.node_count(), commodities, opts)?;
-    if k == 0 {
-        return Err(FlowError::BadOptions("k must be at least 1".into()));
-    }
-    let paths = cache.freeze(net, commodities, k)?;
-    solve_frozen(net, commodities, &paths, opts)
+    solve_frozen(net, commodities, k, opts, || {
+        cache.freeze(net, commodities, k)
+    })
 }
 
 /// Freeze one `(src, dst)` pair's k-shortest path set as arc sequences.
@@ -115,40 +113,32 @@ fn freeze_and_solve(
     k: usize,
     opts: &FlowOptions,
 ) -> Result<SolvedFlow, FlowError> {
+    solve_frozen(net, commodities, k, opts, || {
+        (commodities.iter())
+            .map(|c| freeze_pair(g, net, c.src, c.dst, k).map(Arc::new))
+            .collect()
+    })
+}
+
+/// Validate, `freeze` the path sets (one [`FrozenPathSet`] per
+/// commodity, commodity order), and run the multiplicative-weights loop
+/// over them. Cold and cached entry points converge here, which is what
+/// makes them bit-identical.
+fn solve_frozen(
+    net: &CsrNet,
+    commodities: &[Commodity],
+    k: usize,
+    opts: &FlowOptions,
+    freeze: impl FnOnce() -> Result<Vec<FrozenPathSet>, FlowError>,
+) -> Result<SolvedFlow, FlowError> {
     validate(net.node_count(), commodities, opts)?;
     if k == 0 {
         return Err(FlowError::BadOptions("k must be at least 1".into()));
     }
-    let paths = commodities
-        .iter()
-        .map(|c| freeze_pair(g, net, c.src, c.dst, k).map(Arc::new))
-        .collect::<Result<Vec<FrozenPathSet>, _>>()?;
-    solve_frozen(net, commodities, &paths, opts)
-}
-
-/// The multiplicative-weights loop over frozen path sets (one
-/// [`FrozenPathSet`] per commodity, commodity order). Cold and cached
-/// entry points converge here, which is what makes them bit-identical.
-fn solve_frozen(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    paths: &[FrozenPathSet],
-    opts: &FlowOptions,
-) -> Result<SolvedFlow, FlowError> {
-    let num_arcs = net.arc_count();
-    let eps = opts.epsilon;
-    let mut length: Vec<f64> = net.inv_capacities().to_vec();
-    let mut arc_flow = vec![0.0f64; num_arcs];
-    let mut routed = vec![0.0f64; commodities.len()];
-    let mut cf: Option<Vec<Vec<f64>>> = opts
-        .record_commodity_flows
-        .then(|| vec![vec![0.0f64; num_arcs]; commodities.len()]);
-    let mut best_dual = f64::INFINITY;
-    let mut best: Option<SolvedFlow> = None;
+    let paths = freeze()?;
+    let mut core = Core::new(net, Cong::Reciprocal, None, opts.epsilon);
+    let mut pairs = Pairwise::new(commodities, net.arc_count(), opts);
     let mut phases = 0usize;
-    let mut last_primal = 0.0f64;
-    let mut stagnant = 0usize;
-    const RESCALE_ABOVE: f64 = 1e100;
 
     while phases < opts.max_phases {
         phases += 1;
@@ -158,7 +148,7 @@ fn solve_frozen(
             let mut inner = 0;
             while remaining > 1e-12 && inner < 16 {
                 inner += 1;
-                let (best_path, _) = cheapest(&paths[j][..], &length);
+                let (best_path, _) = cheapest(&paths[j][..], core.length());
                 // capacity-scaled step along that path
                 let bottleneck = best_path
                     .iter()
@@ -166,86 +156,33 @@ fn solve_frozen(
                     .fold(f64::INFINITY, f64::min);
                 let send = remaining.min(bottleneck);
                 for &a in best_path {
-                    arc_flow[a] += send;
-                    length[a] *= 1.0 + eps * (send * net.inv_capacity(a));
+                    core.grow(a, send);
                 }
-                if let Some(cf) = cf.as_mut() {
+                if let Some(record) = pairs.arc_record.as_mut() {
                     for &a in best_path {
-                        cf[j][a] += send;
+                        record[j][a] += send;
                     }
                 }
-                routed[j] += send;
+                pairs.routed[j] += send;
                 remaining -= send;
             }
         }
-        // rescale lengths
-        let max_len = length.iter().copied().fold(0.0f64, f64::max);
-        if max_len > RESCALE_ABOVE {
-            let inv = 1.0 / max_len;
-            for l in length.iter_mut() {
-                *l *= inv;
-            }
-        }
-        // certificates
-        let mu = arc_flow
-            .iter()
-            .zip(net.inv_capacities())
-            .map(|(&f, &ic)| f * ic)
-            .fold(0.0f64, f64::max)
-            .max(1e-300);
-        let primal = commodities
-            .iter()
-            .enumerate()
-            .map(|(j, c)| routed[j] / (mu * c.demand))
-            .fold(f64::INFINITY, f64::min);
+        core.rescale();
+        let primal = pairs.snapshot(&core);
+        // the restricted dual: α over each commodity's cheapest frozen path
         if phases.is_multiple_of(4) {
-            let d_l: f64 = length
-                .iter()
-                .zip(net.capacities())
-                .map(|(&l, &c)| l * c)
-                .sum();
             let alpha: f64 = commodities
                 .iter()
                 .enumerate()
-                .map(|(j, c)| c.demand * cheapest(&paths[j][..], &length).1)
+                .map(|(j, c)| c.demand * cheapest(&paths[j][..], core.length()).1)
                 .sum();
-            let bound = d_l / alpha;
-            if bound.is_finite() && bound > 0.0 {
-                best_dual = best_dual.min(bound);
-            }
+            core.note_dual(core.d_l(), alpha);
         }
-        if best.as_ref().is_none_or(|b| primal > b.throughput) {
-            best = Some(SolvedFlow {
-                throughput: primal,
-                upper_bound: best_dual,
-                arc_flow: arc_flow.iter().map(|&f| f / mu).collect(),
-                commodity_rate: routed.iter().map(|&r| r / mu).collect(),
-                commodity_arc_flow: cf.as_ref().map(|c| {
-                    c.iter()
-                        .map(|v| v.iter().map(|&f| f / mu).collect())
-                        .collect()
-                }),
-                phases,
-                settles: 0,
-            });
-        }
-        if primal >= (1.0 - opts.target_gap) * best_dual {
+        if core.verdict(primal, opts, phases) == Verdict::Stop {
             break;
         }
-        if primal > last_primal * 1.0005 {
-            last_primal = primal;
-            stagnant = 0;
-        } else {
-            stagnant += 1;
-            if stagnant >= opts.stall_phases {
-                break;
-            }
-        }
     }
-    let mut sol = best.expect("at least one phase");
-    sol.upper_bound = best_dual;
-    sol.phases = phases;
-    Ok(sol)
+    Ok(pairs.finish(&core, phases, 0))
 }
 
 fn cheapest<'p>(paths: &'p [Vec<usize>], length: &[f64]) -> (&'p Vec<usize>, f64) {
@@ -261,24 +198,18 @@ fn cheapest<'p>(paths: &'p [Vec<usize>], length: &[f64]) -> (&'p Vec<usize>, f64
     (best, best_len)
 }
 
-/// Translate a node path into the net's arc ids: each hop takes the
-/// first live adjacency slot from `u` to `v`, i.e. the minimum arc id —
-/// the same arc the old `Graph::find_edge` + `arc_of` translation chose
-/// (adjacency slots are in edge-insertion order), pinned bitwise by the
-/// cache property suite.
+/// Translate a node path into the net's arc ids: each hop takes
+/// [`CsrNet::arc_between`], the first live adjacency slot from `u` to
+/// `v`, i.e. the minimum arc id — the same arc the old
+/// `Graph::find_edge` + `arc_of` translation chose (adjacency slots are
+/// in edge-insertion order), pinned bitwise by the cache property suite.
 fn nodes_to_arcs(net: &CsrNet, nodes: &[NodeId]) -> Result<Vec<usize>, FlowError> {
     nodes
         .windows(2)
         .map(|w| {
-            let (arcs, heads) = net.out_slots(w[0]);
-            arcs.iter()
-                .zip(heads)
-                .find(|&(_, &h)| h as usize == w[1])
-                .map(|(&a, _)| a as usize)
-                .ok_or(FlowError::Unreachable {
-                    src: w[0],
-                    dst: w[1],
-                })
+            let (src, dst) = (w[0], w[1]);
+            net.arc_between(src, dst)
+                .ok_or(FlowError::Unreachable { src, dst })
         })
         .collect()
 }

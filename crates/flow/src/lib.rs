@@ -29,29 +29,45 @@
 //!    step, which keeps each length update bounded by `(1+ε)` while
 //!    doing one shortest-path computation for the whole source group.
 //!
+//! ## One certificate core, four routing loops
+//!
+//! Four loops in this crate are multiplicative-weights solvers: the
+//! pairwise FPTAS with and without its tree-reuse ladder (one phase
+//! loop over an `Option<Ladder>` tree policy — the ladder is the default
+//! fast path, `None` is the strict trajectory
+//! [`FlowOptions::strict_reference`] pins), the aggregated-demand solver
+//! ([`solve_grouped`]) and the frozen-path solver ([`ksp`]). They differ
+//! in *routing* — which tree or path carries a step — and share the
+//! arithmetic that makes a trajectory a certificate: length growth and
+//! the `1e100` rescale, the step size, the worst congestion `μ`, the
+//! `D(l)/α(l)` admission, the plateau stop. That arithmetic is written
+//! once, in the private `gk` module (`gk::Core`), and every loop calls
+//! it. [`mod@reference`] deliberately does not: it is the oracle the
+//! strict trajectory is compared against bit for bit, and it shares no
+//! code with what it checks.
+//!
 //! ## Backends
 //!
 //! All solvers run against one shared, immutable [`CsrNet`] — the flat
-//! arc-level view of the graph built once per topology — and implement
-//! the [`SolverBackend`] trait:
+//! arc-level view of the graph built once per topology — and are
+//! selected by the [`Backend`] value in [`FlowOptions::backend`]:
 //!
-//! * [`Fptas`] — the production path described above. Its per-phase
-//!   source-group Dijkstra passes run in parallel on rayon against a
+//! * [`Backend::Fptas`] — the production path described above. Its
+//!   multi-tree Dijkstra passes run in parallel on rayon against a
 //!   length snapshot, with a fixed sequential reduction order, so seeded
 //!   runs are bit-identical at every thread count.
-//! * [`ExactLp`] — the edge-flow LP (via `dctopo-linprog`) the paper
-//!   hands to CPLEX; ground truth on small instances.
-//! * [`KspRestricted`] — flow restricted to each commodity's k shortest
-//!   paths (the practical-routing model of §8). Its per-topology path
-//!   freezing is memoised by [`PathSetCache`], so multi-matrix sweeps
-//!   pay for Yen's algorithm once per `(topology, k)` — go through
-//!   [`solve_with_cache`] to amortise it.
+//! * [`Backend::ExactLp`] — the edge-flow LP (via `dctopo-linprog`) the
+//!   paper hands to CPLEX; ground truth on small instances.
+//! * [`Backend::KspRestricted`] — flow restricted to each commodity's k
+//!   shortest paths (the practical-routing model of §8). Its
+//!   per-topology path freezing is memoised by [`PathSetCache`], so
+//!   multi-matrix sweeps pay for Yen's algorithm once per
+//!   `(topology, k)` — go through [`solve_with_cache`] to amortise it.
 //!
-//! Callers pick a backend with [`FlowOptions::backend`] and go through
-//! [`solve`] (or the [`max_concurrent_flow`] convenience wrapper that
-//! still accepts a [`Graph`]). The pre-CSR, single-threaded FPTAS is
-//! kept verbatim in [`mod@reference`] as the benchmark baseline and as an
-//! independent cross-check.
+//! Callers go through [`solve`] (or the [`max_concurrent_flow`]
+//! convenience wrapper that still accepts a [`Graph`]). The pre-CSR,
+//! single-threaded FPTAS is kept verbatim in [`mod@reference`] as the
+//! benchmark baseline and as an independent cross-check.
 
 #![warn(missing_docs)]
 
@@ -61,6 +77,7 @@ pub mod cut;
 pub mod decompose;
 pub mod exact;
 mod fptas;
+mod gk;
 pub mod grouped;
 pub mod ksp;
 pub mod reference;
@@ -72,14 +89,14 @@ use dctopo_graph::{CsrNet, Graph, GraphError};
 /// Re-export: node index type used by [`Commodity`].
 pub use dctopo_graph::NodeId;
 
-pub use backend::{solve, solve_with_cache, Backend, ExactLp, Fptas, KspRestricted, SolverBackend};
+pub use backend::{solve, solve_with_cache, Backend};
 pub use cache::{CacheStats, KeyStats, PathSetCache};
 pub use decompose::{decompose_paths, PathFlow};
 pub use fptas::{max_concurrent_flow_csr, max_concurrent_flow_warm, WarmState};
 pub use grouped::{solve_grouped, DemandGroup, GroupedFlow, SinkSpec};
 
 /// Solve max concurrent flow on `g` with the backend selected in
-/// `opts.backend` (the [`Fptas`] by default).
+/// `opts.backend` ([`Backend::Fptas`] by default).
 ///
 /// Builds the [`CsrNet`] internally; hot paths that solve many traffic
 /// matrices on one topology should build the net once and call
@@ -136,12 +153,12 @@ pub struct FlowOptions {
     /// times; stalling means the remaining reported gap is dual-side
     /// looseness). Set to `max_phases` to disable.
     pub stall_phases: usize,
-    /// Which [`SolverBackend`] services [`solve`] /
+    /// Which [`Backend`] services [`solve`] /
     /// [`max_concurrent_flow`] calls. The iterative knobs above apply to
     /// the FPTAS and k-shortest-path backends; [`Backend::ExactLp`]
     /// ignores them.
     pub backend: Backend,
-    /// Route the [`Fptas`] backend through the legacy strict trajectory
+    /// Route [`Backend::Fptas`] through the legacy strict trajectory
     /// (recompute every group's shortest-path tree per augmentation)
     /// instead of the default incremental fast path (tree reuse +
     /// increase-only Dijkstra repair).
@@ -234,8 +251,9 @@ pub struct SolvedFlow {
     /// Heap pops of every Dijkstra run the solver made (full trees,
     /// early-terminated runs and repairs alike, at every node count) —
     /// the work metric the fast-path FPTAS optimises.
-    /// `0` for solvers that are not instrumented ([`ExactLp`],
-    /// [`KspRestricted`], and the [`mod@reference`] baseline).
+    /// `0` for solvers that are not instrumented
+    /// ([`Backend::ExactLp`], [`Backend::KspRestricted`], and the
+    /// [`mod@reference`] baseline).
     pub settles: u64,
     /// Per-commodity arc flows (outer index = commodity in input
     /// order, inner = [`dctopo_graph::ArcId`]), scaled like
@@ -364,6 +382,43 @@ pub(crate) fn validate(
     if commodities.is_empty() {
         return Err(FlowError::NoCommodities);
     }
+    validate_opts(opts)?;
+    for (i, c) in commodities.iter().enumerate() {
+        validate_pair(node_count, i, c.src, c.dst, c.demand)?;
+    }
+    Ok(())
+}
+
+/// Validate one `(src, dst, demand)` triple — commodity `index` of a
+/// pairwise solve, or a listed sink of demand group `index`.
+pub(crate) fn validate_pair(
+    node_count: usize,
+    index: usize,
+    src: NodeId,
+    dst: NodeId,
+    demand: f64,
+) -> Result<(), FlowError> {
+    if !(demand.is_finite() && demand > 0.0) {
+        return Err(FlowError::BadDemand { index, demand });
+    }
+    if src == dst {
+        return Err(FlowError::SelfCommodity { index });
+    }
+    node_in_range(src, node_count)?;
+    node_in_range(dst, node_count)
+}
+
+/// `node` must name one of the net's `n` nodes.
+pub(crate) fn node_in_range(node: NodeId, n: usize) -> Result<(), FlowError> {
+    if node >= n {
+        return Err(FlowError::Graph(GraphError::NodeOutOfRange { node, n }));
+    }
+    Ok(())
+}
+
+/// Validate the iterative-solver knobs every multiplicative-weights
+/// entry point shares (pairwise and grouped alike).
+pub(crate) fn validate_opts(opts: &FlowOptions) -> Result<(), FlowError> {
     if !(opts.epsilon > 0.0 && opts.epsilon < 1.0) {
         return Err(FlowError::BadOptions(format!(
             "epsilon {} not in (0,1)",
@@ -378,29 +433,6 @@ pub(crate) fn validate(
     }
     if opts.max_phases == 0 {
         return Err(FlowError::BadOptions("max_phases must be positive".into()));
-    }
-    for (i, c) in commodities.iter().enumerate() {
-        if !(c.demand.is_finite() && c.demand > 0.0) {
-            return Err(FlowError::BadDemand {
-                index: i,
-                demand: c.demand,
-            });
-        }
-        if c.src == c.dst {
-            return Err(FlowError::SelfCommodity { index: i });
-        }
-        if c.src >= node_count {
-            return Err(FlowError::Graph(GraphError::NodeOutOfRange {
-                node: c.src,
-                n: node_count,
-            }));
-        }
-        if c.dst >= node_count {
-            return Err(FlowError::Graph(GraphError::NodeOutOfRange {
-                node: c.dst,
-                n: node_count,
-            }));
-        }
     }
     Ok(())
 }

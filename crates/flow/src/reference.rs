@@ -3,7 +3,7 @@
 //! This is the pre-CSR implementation: single-threaded, nested-adjacency
 //! Dijkstra (via [`dctopo_graph::paths::dijkstra`]), one shortest-path
 //! recomputation per inner augmentation step. The production path is
-//! [`crate::Fptas`] over [`dctopo_graph::CsrNet`]; this module exists so
+//! [`crate::Backend::Fptas`] over [`dctopo_graph::CsrNet`]; this module exists so
 //! that
 //!
 //! 1. criterion benches can quantify the CSR engine's speedup against an

@@ -18,8 +18,8 @@
 use dctopo_bounds::{cross_capacity_with, demand_cut_bound};
 use dctopo_flow::Commodity;
 use dctopo_graph::mix::derive_seed;
-use dctopo_graph::msbfs::{ms_bfs, MsBfsWorkspace, MAX_LANES};
-use dctopo_graph::paths::{path_stats_with, BfsWorkspace, UNREACHABLE};
+use dctopo_graph::msbfs::{ms_bfs, MsBfsWorkspace};
+use dctopo_graph::paths::{path_stats_with, BfsWorkspace};
 use dctopo_graph::{Graph, GraphError};
 use dctopo_topology::Topology;
 use rand::rngs::StdRng;
@@ -32,47 +32,10 @@ const DOMAIN_PROBE: u64 = 11;
 /// denominator of the level-0 hop bound. `∞` when any commodity's
 /// endpoints are disconnected (the candidate cannot route at all).
 ///
-/// Commodities must be sorted by source (the order
-/// `dctopo_core::solve::aggregate_commodities` emits) so each distinct
-/// source occupies one contiguous run and one bit-lane. Distinct
-/// sources are batched [`MAX_LANES`] at a time through [`ms_bfs`],
-/// whose per-lane distances are bitwise identical to the scalar BFS
-/// this ran before, so the surrogate's values (and every pruning
-/// decision built on them) are unchanged.
+/// [`dctopo_core::sweep::hop_alpha`] over [`ms_bfs`] on the candidate's
+/// [`Graph`]; commodities must be sorted by source, as there.
 pub fn hop_alpha(g: &Graph, commodities: &[Commodity], ws: &mut MsBfsWorkspace) -> f64 {
-    let mut alpha = 0.0f64;
-    let mut i = 0;
-    while i < commodities.len() {
-        // gather the next batch of up to MAX_LANES distinct sources
-        let mut sources = [0usize; MAX_LANES];
-        let mut lanes = 0usize;
-        let mut j = i;
-        while j < commodities.len() {
-            let s = commodities[j].src;
-            if lanes == 0 || sources[lanes - 1] != s {
-                if lanes == MAX_LANES {
-                    break;
-                }
-                sources[lanes] = s;
-                lanes += 1;
-            }
-            j += 1;
-        }
-        ms_bfs(g, &sources[..lanes], ws);
-        let mut lane = 0usize;
-        for c in &commodities[i..j] {
-            if c.src != sources[lane] {
-                lane += 1;
-            }
-            let d = ws.lane_distances(lane)[c.dst];
-            if d == UNREACHABLE {
-                return f64::INFINITY;
-            }
-            alpha += c.demand * f64::from(d);
-        }
-        i = j;
-    }
-    alpha
+    dctopo_core::sweep::hop_alpha(commodities, ws, |sources, ws| ms_bfs(g, sources, ws))
 }
 
 /// The level-0 hop bound: `C / α` with `C` the total capacity (both

@@ -47,9 +47,9 @@
 //!
 //! ## Solver backends and the throughput engine
 //!
-//! All solvers implement [`flow::SolverBackend`] over one shared
-//! [`graph::CsrNet`]; [`FlowOptions::backend`](flow::FlowOptions)
-//! selects which one a solve uses, and
+//! All solvers run over one shared [`graph::CsrNet`];
+//! [`FlowOptions::backend`](flow::FlowOptions) selects which
+//! [`flow::Backend`] a solve uses, and
 //! [`ThroughputEngine`](core::ThroughputEngine) flattens a topology once
 //! (CSR arrays plus a [`flow::PathSetCache`] of frozen k-shortest path
 //! sets) to amortise preprocessing over many traffic matrices:
@@ -103,7 +103,7 @@ pub mod prelude {
         Scenario, SweepRunner, SweepSpec, ThroughputEngine, ThroughputResult, TopologyPoint,
         TrafficModel,
     };
-    pub use dctopo_flow::{Backend, Commodity, FlowOptions, SolvedFlow, SolverBackend};
+    pub use dctopo_flow::{Backend, Commodity, FlowOptions, SolvedFlow};
     pub use dctopo_graph::{CsrNet, DijkstraWorkspace, Graph, GraphError, NodeId};
     pub use dctopo_metrics::{decompose, Decomposition};
     pub use dctopo_plan::{plan_migration, Migration, MigrationPlan, PlanSpec};
