@@ -33,10 +33,11 @@
 //!   keep them *exactly* shortest), Fleischer `(1+ε·δ)` drift tolerance
 //!   for touched ones, and [`CsrNet::dijkstra_repair`] — an
 //!   increase-only incremental re-settle of just the drifted subtree,
-//!   fed by a global length-increase log with one cursor per group —
-//!   beyond the gate. Every few phases all trees are rebuilt in one
-//!   **rayon-parallel** exact pass, the dual bound is harvested every
-//!   phase for free from the (possibly mixed-age) trees, `D(l)` is
+//!   seeded with the tree arcs whose update stamp is newer than the
+//!   group's cursor — beyond the gate. Every few phases all trees are
+//!   rebuilt in one **rayon-parallel** exact pass, the dual bound is
+//!   harvested every phase for free from the (possibly mixed-age)
+//!   trees, `D(l)` is
 //!   maintained incrementally as lengths grow (verified against the
 //!   full sum in debug builds), and the step size ε anneals from coarse
 //!   to the configured value as the certified gap closes. None of this
@@ -178,10 +179,9 @@ fn warm_lengths(net: &CsrNet, warm: &WarmState) -> Option<Vec<f64>> {
 const COARSE_EPS: f64 = 0.55;
 
 /// Fast path: rebuild every tree (making that phase's dual bound the
-/// exact `D(l)/α(l)`) and compact the increase log every this many
-/// phases. Between exact passes trees are only repaired lazily by the
-/// routing ladder and the per-phase dual bound is the valid mixed-age
-/// lower-bound form.
+/// exact `D(l)/α(l)`) every this many phases. Between exact passes
+/// trees are only repaired lazily by the routing ladder and the
+/// per-phase dual bound is the valid mixed-age lower-bound form.
 const EXACT_PASS_EVERY: usize = 2;
 
 /// Fast path: tier-2 tolerates a touched path while its current length
@@ -234,7 +234,7 @@ impl GroupState {
                 core.load(a, r);
                 if let Some((cursor, updated_at, _)) = gate {
                     plen += core.length()[a];
-                    hit |= updated_at[a] != usize::MAX && updated_at[a] >= cursor;
+                    hit |= grew_since(updated_at, a, cursor);
                 }
             });
             // tier 1: an untouched path is still exactly shortest;
@@ -564,7 +564,8 @@ fn tier_fields(mut ev: obs::Event, now: [u64; 4], since: [u64; 4]) -> obs::Event
 ///    recomputes.
 /// 3. **Incremental repair.** Beyond the gate,
 ///    [`CsrNet::dijkstra_repair`] re-settles just the subtrees hanging
-///    off the arcs that actually grew (`log[cursor..]`) instead of
+///    off the tree arcs that grew since the group's cursor (read off
+///    the parent array by their `updated_at` stamps) instead of
 ///    recomputing from scratch.
 ///
 /// Ladder misses rebuild lazily (speculative per-phase refreshes
@@ -572,9 +573,8 @@ fn tier_fields(mut ev: obs::Event, now: [u64; 4], since: [u64; 4]) -> obs::Event
 /// drifted again before its routing turn). Every [`EXACT_PASS_EVERY`]
 /// phases a **rayon-parallel** exact pass (disjoint workspaces)
 /// rebuilds all trees against one length snapshot, which makes that
-/// phase's dual bound exact and lets the increase log compact; the
-/// in-between phases harvest the valid mixed-age bound for free. The
-/// step size ε anneals from [`COARSE_EPS`] down to the configured
+/// phase's dual bound exact; the in-between phases harvest the valid
+/// mixed-age bound for free. The step size ε anneals from [`COARSE_EPS`] down to the configured
 /// value as the certified gap closes — coarse steps cross the early
 /// primal ground in far fewer phases, fine steps finish the endgame.
 /// Both certificates remain valid at every step, so annealing changes
@@ -587,16 +587,14 @@ struct Ladder {
     /// `D(l)`, maintained incrementally wherever a length grows;
     /// recomputed in full only when seeded and after a uniform rescale.
     d_l: f64,
-    /// Global monotone increase log. `base + log.len()` is an absolute
-    /// event clock; a group whose tree was computed at clock `c` repairs
-    /// with `log[c - base..]`. The prefix is compacted whenever every
-    /// cursor reaches the clock (each exact pass), keeping memory
-    /// proportional to the inter-pass update volume.
-    log: Vec<u32>,
-    base: usize,
-    /// Each arc's last absolute update clock (the exact-reuse stamp;
-    /// `usize::MAX` = never).
+    /// Event clock: the number of length increases so far.
+    clock: usize,
+    /// Each arc's last update clock (the exact-reuse stamp and the
+    /// repair seed test; `usize::MAX` = never).
     updated_at: Vec<usize>,
+    /// Scratch for [`Ladder::charge`]: the tree arcs that grew since the
+    /// repairing group's cursor.
+    grown: Vec<u32>,
     /// Per group: the clock up to which its tree is exact, or
     /// [`UNUSABLE`] when a rescale left its stored distances in stale
     /// units and it must be rebuilt in full before routing.
@@ -611,6 +609,12 @@ struct Ladder {
 
 /// A [`Ladder::cursor`] no clock reaches.
 const UNUSABLE: usize = usize::MAX;
+
+/// Whether arc `a` has grown at or after clock `cursor`.
+#[inline]
+fn grew_since(updated_at: &[usize], a: usize, cursor: usize) -> bool {
+    updated_at[a] != usize::MAX && updated_at[a] >= cursor
+}
 
 impl Ladder {
     fn new(net: &CsrNet, warm: Option<&WarmState>) -> Self {
@@ -633,12 +637,8 @@ impl Ladder {
         (self.warm.take(), eps.max(ramp))
     }
 
-    fn clock(&self) -> usize {
-        self.base + self.log.len()
-    }
-
-    /// Open a phase: the exact pass when one is due, the dual bound,
-    /// log compaction.
+    /// Open a phase: the exact pass when one is due, then the dual
+    /// bound.
     fn begin_phase(&mut self, core: &mut Core, groups: &mut [GroupState], exact_pass: bool) {
         self.before_phase = self.total;
         // All trees are rebuilt against one consistent length snapshot
@@ -646,8 +646,7 @@ impl Ladder {
         // cursor realigns.
         if exact_pass {
             tree_pass(core.net(), groups, core.length(), true);
-            let clock = self.clock();
-            self.cursor.fill(clock);
+            self.cursor.fill(self.clock);
         }
         // The dual bound, every phase and essentially free. Each
         // group's stored distances were exact under the (older) lengths
@@ -675,11 +674,6 @@ impl Ladder {
             // sum that overflowed since is a degenerate ratio, not one
             core.note_dual(self.d_l, alpha_of(groups).unwrap_or(f64::INFINITY));
         }
-        if exact_pass {
-            // every cursor is at the clock: compact the increase log
-            self.base += self.log.len();
-            self.log.clear();
-        }
     }
 
     /// Charge group `gi`'s remaining demand along its stored tree,
@@ -690,11 +684,11 @@ impl Ladder {
             // post-rescale: stored distances are in pre-rescale units,
             // so the drift gate cannot be trusted — rebuild
             core.net().dijkstra(g.src, core.length(), &mut g.ws);
-            self.cursor[gi] = self.clock();
+            self.cursor[gi] = self.clock;
             self.total[REBUILDS] += 1;
         }
         let cursor = self.cursor[gi];
-        let mut exact = self.clock() == cursor;
+        let mut exact = self.clock == cursor;
         // Tier-2 gate `1 + ε/2`: tighter than `(1+ε)` so routing stays
         // reactive to other groups' congestion (the
         // multiplicative-weights trajectory degrades sharply when
@@ -707,10 +701,19 @@ impl Ladder {
             // trees all settle the component, as repair's preconditions
             // require)
             core.unload();
-            let grown = &self.log[cursor - self.base..];
+            // only an increased *tree* arc can move a distance, and the
+            // tree has at most n − 1 of them: read them off the parent
+            // array by their stamps
+            self.grown.clear();
+            self.grown.extend(
+                (0..core.net().node_count())
+                    .filter_map(|w| g.ws.parent(w))
+                    .filter(|&a| grew_since(&self.updated_at, a, cursor))
+                    .map(|a| a as u32),
+            );
             core.net()
-                .dijkstra_repair(g.src, core.length(), grown, &mut g.ws);
-            self.cursor[gi] = self.clock();
+                .dijkstra_repair(g.src, core.length(), &self.grown, &mut g.ws);
+            self.cursor[gi] = self.clock;
             exact = true;
             self.total[REPAIRS] += 1;
             g.load_paths(core, None)?;
@@ -719,12 +722,12 @@ impl Ladder {
         Ok(())
     }
 
-    /// Arc `a` grew from `old` to `new`: incremental `D(l)`, the repair
-    /// log and the exact-reuse stamp, all kept where lengths change.
+    /// Arc `a` grew from `old` to `new`: incremental `D(l)` and the
+    /// update stamp, both kept where lengths change.
     fn grew(&mut self, net: &CsrNet, a: usize, old: f64, new: f64) {
         self.d_l += net.capacity(a) * (new - old);
-        self.updated_at[a] = self.clock();
-        self.log.push(a as u32);
+        self.updated_at[a] = self.clock;
+        self.clock += 1;
     }
 
     /// Scaling is not an arcwise *increase*, so incremental repair no

@@ -69,6 +69,7 @@
 //! single-threaded FPTAS is kept verbatim in [`mod@reference`] as the
 //! benchmark baseline and as an independent cross-check.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

@@ -517,6 +517,12 @@ impl CsrNet {
     /// as every node in `targets` is settled (an empty list settles the
     /// whole component, i.e. plain Dijkstra).
     ///
+    /// `targets` must be **sorted ascending and free of duplicates**:
+    /// membership is a binary search per settle, and the exit counts one
+    /// settle per entry, so a repeated entry would leave the count one
+    /// short of zero and the run would settle the whole component
+    /// (checked in debug builds).
+    ///
     /// Settled nodes — which include every target, every node on a
     /// shortest path to a target, and anything nearer — carry their exact
     /// final distance and parent arc; other nodes may hold tentative
@@ -540,35 +546,48 @@ impl CsrNet {
         ws: &mut DijkstraWorkspace,
     ) {
         debug_assert_eq!(arc_len.len(), self.arc_count());
+        debug_assert!(
+            targets.windows(2).all(|w| w[0] < w[1]),
+            "targets must be sorted and deduplicated"
+        );
         ws.begin(self.n);
-        ws.dist[src] = 0.0;
-        ws.heap_insert(pack(0.0, src as u32));
+        // split the workspace once: the relax loop keeps `dist`,
+        // `parent_arc`, `pos` and the heap as disjoint locals instead of
+        // reloading them through `ws` on every arc
+        let n = self.n;
+        let dist = &mut ws.dist[..n];
+        let parent_arc = &mut ws.parent_arc[..n];
+        let pos = &mut ws.pos[..n];
+        let heap = &mut ws.heap;
+        dist[src] = 0.0;
+        heap_insert(heap, pos, pack(0.0, src as u32));
         let mut outstanding = targets.len();
-        while let Some(item) = ws.heap_pop() {
-            ws.settles += 1;
+        let mut settles = 0u64;
+        while let Some(item) = heap_pop(heap, pos) {
+            settles += 1;
             let (d, v) = unpack(item);
-            let v = v as usize;
-            if !targets.is_empty() && targets.contains(&(v as u32)) {
+            if outstanding > 0 && targets.binary_search(&v).is_ok() {
                 outstanding -= 1;
                 if outstanding == 0 {
-                    return;
+                    break;
                 }
             }
-            let (arcs, heads) = self.out_slots(v);
+            let (arcs, heads) = self.out_slots(v as usize);
             for (&a, &w) in arcs.iter().zip(heads) {
-                let (a, w) = (a as usize, w as usize);
+                let w = w as usize;
                 // no settled-check needed: settle order is nondecreasing
                 // in distance and lengths are non-negative, so
                 // `nd ≥ d ≥ dist[w]` for any settled `w` and the strict
                 // comparison rejects it
-                let nd = d + arc_len[a];
-                if nd < ws.dist[w] {
-                    ws.dist[w] = nd;
-                    ws.parent_arc[w] = a as u32;
-                    ws.heap_upsert(pack(nd, w as u32));
+                let nd = d + arc_len[a as usize];
+                if nd < dist[w] {
+                    dist[w] = nd;
+                    parent_arc[w] = a;
+                    heap_upsert(heap, pos, pack(nd, w as u32));
                 }
             }
         }
+        ws.settles += settles;
     }
 
     /// Incrementally repair a **full** shortest-path tree after
@@ -661,24 +680,31 @@ impl CsrNet {
                 return;
             }
         }
+        // the closure stands; split the workspace for the settle loops
+        // exactly as `dijkstra_targets` does
+        let n = self.n;
+        let generation = ws.mark_gen;
+        let dist = &mut ws.dist[..n];
+        let parent_arc = &mut ws.parent_arc[..n];
+        let pos = &mut ws.pos[..n];
+        let mark = &mut ws.mark[..n];
+        let heap = &mut ws.heap;
         // 3. invalidate the affected set
-        for i in 0..ws.affected.len() {
-            let w = ws.affected[i] as usize;
-            ws.dist[w] = f64::INFINITY;
-            ws.parent_arc[w] = NO_ARC;
+        for &w in &ws.affected {
+            dist[w as usize] = f64::INFINITY;
+            parent_arc[w as usize] = NO_ARC;
         }
         // 4. seed each affected node from its best *unaffected* in-arc
         //    (in-arc of `w` = reverse of out-arc, i.e. `a ^ 1`); paths
         //    entering through affected tails are found by relaxation
-        for i in 0..ws.affected.len() {
-            let w = ws.affected[i];
+        for &w in &ws.affected {
             let (arcs, heads) = self.out_slots(w as usize);
             let mut best = f64::INFINITY;
             for (&a_out, &v) in arcs.iter().zip(heads) {
-                if ws.mark[v as usize] == ws.mark_gen {
+                if mark[v as usize] == generation {
                     continue;
                 }
-                let dv = ws.dist[v as usize];
+                let dv = dist[v as usize];
                 if !dv.is_finite() {
                     continue;
                 }
@@ -688,8 +714,8 @@ impl CsrNet {
                 }
             }
             if best.is_finite() {
-                ws.dist[w as usize] = best;
-                ws.heap_insert(pack(best, w));
+                dist[w as usize] = best;
+                heap_insert(heap, pos, pack(best, w));
             }
         }
         // 5. re-settle. A popped node's distance is final; its parent is
@@ -700,19 +726,20 @@ impl CsrNet {
         //    (every value read is final) and the tree cycle-free even
         //    inside absorption plateaus, where an equal-distance
         //    not-yet-popped neighbor could otherwise be chosen mutually.
-        while let Some(item) = ws.heap_pop() {
-            ws.settles += 1;
+        let mut settles = 0u64;
+        while let Some(item) = heap_pop(heap, pos) {
+            settles += 1;
             let (d, w) = unpack(item);
             let wu = w as usize;
-            ws.mark[wu] = ws.mark_gen | POPPED_BIT;
+            mark[wu] = generation | POPPED_BIT;
             let (arcs, heads) = self.out_slots(wu);
             let mut best: Option<(u128, u32)> = None;
             for (&a_out, &v) in arcs.iter().zip(heads) {
-                let m = ws.mark[v as usize];
-                if m & MARK_MASK == ws.mark_gen && m & POPPED_BIT == 0 {
+                let m = mark[v as usize];
+                if m & MARK_MASK == generation && m & POPPED_BIT == 0 {
                     continue; // affected and still pending: not final
                 }
-                let dv = ws.dist[v as usize];
+                let dv = dist[v as usize];
                 if !dv.is_finite() {
                     continue;
                 }
@@ -726,20 +753,21 @@ impl CsrNet {
             }
             debug_assert!(best.is_some(), "re-settled node {wu} has no parent");
             if let Some((_, a)) = best {
-                ws.parent_arc[wu] = a;
+                parent_arc[wu] = a;
             }
             for (&a, &u) in arcs.iter().zip(heads) {
                 let u = u as usize;
                 let nd = d + arc_len[a as usize];
-                if nd < ws.dist[u] {
+                if nd < dist[u] {
                     // increase-only updates cannot improve an unaffected
                     // node: its stored distance is already optimal
-                    debug_assert_eq!(ws.mark[u] & MARK_MASK, ws.mark_gen);
-                    ws.dist[u] = nd;
-                    ws.heap_upsert(pack(nd, u as u32));
+                    debug_assert_eq!(mark[u] & MARK_MASK, generation);
+                    dist[u] = nd;
+                    heap_upsert(heap, pos, pack(nd, u as u32));
                 }
             }
         }
+        ws.settles += settles;
     }
 }
 
@@ -759,6 +787,86 @@ fn unpack(item: u128) -> (f64, u32) {
     (f64::from_bits((item >> 32) as u64), item as u32)
 }
 
+/// Move `item` towards the root from slot `i`, maintaining `pos`.
+#[inline]
+fn sift_up(heap: &mut [u128], pos: &mut [u32], mut i: usize, item: u128) {
+    while i > 0 {
+        let p = (i - 1) >> 2;
+        let parent = heap[p];
+        if parent <= item {
+            break;
+        }
+        heap[i] = parent;
+        pos[parent as u32 as usize] = i as u32;
+        i = p;
+    }
+    heap[i] = item;
+    pos[item as u32 as usize] = i as u32;
+}
+
+/// Insert a node known to be absent from the heap.
+#[inline]
+fn heap_insert(heap: &mut Vec<u128>, pos: &mut [u32], item: u128) {
+    let i = heap.len();
+    heap.push(item);
+    sift_up(heap, pos, i, item);
+}
+
+/// Insert `item`'s node, or decrease its key in place if queued.
+#[inline]
+fn heap_upsert(heap: &mut Vec<u128>, pos: &mut [u32], item: u128) {
+    match pos[item as u32 as usize] {
+        NOT_QUEUED => heap_insert(heap, pos, item),
+        slot => sift_up(heap, pos, slot as usize, item),
+    }
+}
+
+/// Pop the minimum key from the indexed 4-ary min-heap.
+///
+/// The former tail sifts down from the root. A full fan of four
+/// children picks its minimum with selects — keys are unique (node id
+/// in the low half), so the comparisons are data-dependent coin flips
+/// a branch predictor cannot learn; only the one partial fan at the
+/// bottom of the heap runs the scalar loop.
+#[inline]
+fn heap_pop(heap: &mut Vec<u128>, pos: &mut [u32]) -> Option<u128> {
+    let last = heap.pop()?;
+    let Some(&top) = heap.first() else {
+        pos[last as u32 as usize] = NOT_QUEUED;
+        return Some(last);
+    };
+    pos[top as u32 as usize] = NOT_QUEUED;
+    let heap = heap.as_mut_slice();
+    let mut i = 0;
+    loop {
+        let first_child = (i << 2) + 1;
+        let (child, c) = if let Some(&[c0, c1, c2, c3]) = heap.get(first_child..first_child + 4) {
+            let lt01 = c1 < c0;
+            let lt23 = c3 < c2;
+            let (m01, m23) = (if lt01 { c1 } else { c0 }, if lt23 { c3 } else { c2 });
+            let lt = m23 < m01;
+            let off = if lt { 2 + lt23 as usize } else { lt01 as usize };
+            (if lt { m23 } else { m01 }, first_child + off)
+        } else if let Some(fan) = heap.get(first_child..) {
+            let Some((off, &m)) = fan.iter().enumerate().min_by_key(|&(_, &k)| k) else {
+                break;
+            };
+            (m, first_child + off)
+        } else {
+            break;
+        };
+        if child >= last {
+            break;
+        }
+        heap[i] = child;
+        pos[child as u32 as usize] = i as u32;
+        i = c;
+    }
+    heap[i] = last;
+    pos[last as u32 as usize] = i as u32;
+    Some(top)
+}
+
 /// Sentinel in the heap position index: node not currently queued.
 const NOT_QUEUED: u32 = u32::MAX;
 
@@ -776,7 +884,7 @@ const MARK_MASK: u32 = POPPED_BIT - 1;
 /// node's queued entry in place, so the heap never holds duplicates and
 /// every pop is a settle. Reuse one workspace per thread (or per source
 /// group) across thousands of Dijkstra runs: after warm-up no run
-/// allocates. Per-run reset cost is four `memset`-speed fills.
+/// allocates. Per-run reset cost is three `memset`-speed fills.
 #[derive(Debug, Clone, Default)]
 pub struct DijkstraWorkspace {
     /// Tentative/final distance per node (`INFINITY` = unreached).
@@ -894,76 +1002,6 @@ impl DijkstraWorkspace {
         } else {
             None
         }
-    }
-
-    /// Move `item` towards the root from slot `i`, maintaining `pos`.
-    #[inline]
-    fn sift_up(&mut self, mut i: usize, item: u128) {
-        while i > 0 {
-            let p = (i - 1) >> 2;
-            let parent = self.heap[p];
-            if parent <= item {
-                break;
-            }
-            self.heap[i] = parent;
-            self.pos[parent as u32 as usize] = i as u32;
-            i = p;
-        }
-        self.heap[i] = item;
-        self.pos[item as u32 as usize] = i as u32;
-    }
-
-    /// Insert a node known to be absent from the heap.
-    #[inline]
-    fn heap_insert(&mut self, item: u128) {
-        let i = self.heap.len();
-        self.heap.push(item);
-        self.sift_up(i, item);
-    }
-
-    /// Insert `item`'s node, or decrease its key in place if queued.
-    #[inline]
-    fn heap_upsert(&mut self, item: u128) {
-        match self.pos[item as u32 as usize] {
-            NOT_QUEUED => self.heap_insert(item),
-            slot => self.sift_up(slot as usize, item),
-        }
-    }
-
-    /// Pop the minimum key from the indexed 4-ary min-heap.
-    #[inline]
-    fn heap_pop(&mut self) -> Option<u128> {
-        let top = *self.heap.first()?;
-        self.pos[top as u32 as usize] = NOT_QUEUED;
-        let last = self.heap.pop().expect("non-empty");
-        let len = self.heap.len();
-        if len > 0 {
-            // sift the former tail down from the root
-            let mut i = 0;
-            loop {
-                let first_child = (i << 2) + 1;
-                if first_child >= len {
-                    break;
-                }
-                let mut min_c = first_child;
-                let end = (first_child + 4).min(len);
-                for c in first_child + 1..end {
-                    if self.heap[c] < self.heap[min_c] {
-                        min_c = c;
-                    }
-                }
-                let child = self.heap[min_c];
-                if child >= last {
-                    break;
-                }
-                self.heap[i] = child;
-                self.pos[child as u32 as usize] = i as u32;
-                i = min_c;
-            }
-            self.heap[i] = last;
-            self.pos[last as u32 as usize] = i as u32;
-        }
-        Some(top)
     }
 
     /// Walk parent arcs from `dst` to the source, invoking `visit` for
@@ -1267,6 +1305,82 @@ mod tests {
         assert_eq!(ws.settles(), 6, "full run settles every node");
         net.dijkstra(0, &lens, &mut ws);
         assert_eq!(ws.settles(), 12, "counter is cumulative");
+    }
+
+    /// The early exit fires: a run to two nearby sinks on a long ring
+    /// settles the ball that covers them, not the component.
+    #[test]
+    fn two_target_run_settles_fewer_nodes_than_a_full_run() {
+        let g = ring_with_chords(200, &[]);
+        let net = CsrNet::from_graph(&g);
+        let lens = vec![1.0; net.arc_count()];
+        let mut ws = DijkstraWorkspace::new(200);
+        net.dijkstra(0, &lens, &mut ws);
+        let full = ws.settles();
+        assert_eq!(full, 200);
+        net.dijkstra_targets(0, &lens, &[3, 197], &mut ws);
+        // 0, then 1/199, 2/198, 3/197 in (distance, node id) order
+        assert_eq!(ws.settles() - full, 7);
+        assert_eq!(ws.distance(3), 3.0);
+        assert_eq!(ws.distance(197), 3.0);
+        assert!(ws.walk_path(&net, 197, |a| assert!(net.arc_head(a) >= 197)));
+    }
+
+    /// The indexed heap against a `BTreeSet` model: inserts, in-place
+    /// decrease-keys and pops at every size from 1 to 40 — so the
+    /// partial bottom fans of 1, 2 and 3 children and the full-fan
+    /// select path are all hit — over a palette of six distances, so
+    /// runs of equal distance bits leave the node id to decide.
+    #[test]
+    fn heap_matches_a_btreeset_model() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::collections::BTreeSet;
+        const NODES: usize = 48;
+        let check = |ws: &DijkstraWorkspace, queued: &[Option<u128>], what: &str| {
+            for (v, key) in queued.iter().enumerate() {
+                match key {
+                    Some(k) => assert_eq!(ws.heap[ws.pos[v] as usize], *k, "{what}: node {v}"),
+                    None => assert_eq!(ws.pos[v], NOT_QUEUED, "{what}: node {v}"),
+                }
+            }
+        };
+        for seed in 0..120u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cap = 1 + (seed as usize % 40);
+            let mut ws = DijkstraWorkspace::new(NODES);
+            let mut model: BTreeSet<u128> = BTreeSet::new();
+            let mut queued: Vec<Option<u128>> = vec![None; NODES];
+            // grow to `cap` with pops mixed in, then drain through every
+            // smaller size
+            let mut draining = false;
+            while !(draining && model.is_empty()) {
+                draining |= model.len() == cap;
+                if draining || rng.random_range(0..4) == 0 {
+                    let popped = heap_pop(&mut ws.heap, &mut ws.pos);
+                    assert_eq!(popped, model.pop_first(), "seed {seed}: pop order");
+                    if let Some(k) = popped {
+                        queued[k as u32 as usize] = None;
+                    }
+                } else {
+                    let v = rng.random_range(0..NODES);
+                    let key = pack(rng.random_range(0..6) as f64 * 0.25, v as u32);
+                    match queued[v] {
+                        Some(old) if key < old => {
+                            heap_upsert(&mut ws.heap, &mut ws.pos, key);
+                            model.remove(&old);
+                        }
+                        Some(_) => continue, // not a decrease
+                        None if rng.random_bool(0.5) => heap_insert(&mut ws.heap, &mut ws.pos, key),
+                        None => heap_upsert(&mut ws.heap, &mut ws.pos, key),
+                    }
+                    model.insert(key);
+                    queued[v] = Some(key);
+                }
+                assert_eq!(ws.heap.len(), model.len(), "seed {seed}");
+                check(&ws, &queued, &format!("seed {seed}"));
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! they belong to `dctopo-topology`, which layers meaning on top of the
 //! bare graph.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod components;

@@ -488,6 +488,86 @@ fn dijkstra_repair_matches_cold_on_random_increase_sequences() {
     }
 }
 
+/// `dijkstra_repair` needs only the *tree* arcs among the increased
+/// ones: fed the solver's whole increase log (a few hundred entries,
+/// duplicates, mostly arcs the tree never used) and fed just the log's
+/// tree arcs read off the parent array in node order — what
+/// `Ladder::charge` passes — it builds the same tree: distance bits,
+/// parent arcs, settles and the bail-out to a cold rebuild.
+#[test]
+fn repair_from_tree_arc_seeds_matches_repair_from_the_full_log() {
+    use dctopo::graph::csr::DijkstraWorkspace;
+    use dctopo::graph::CsrNet;
+    use rand::RngExt;
+
+    let (mut repaired, mut bailed) = (0usize, 0usize);
+    for case in 0..200u64 {
+        let n = if case % 2 == 0 { 64 } else { 512 };
+        let mut rng = StdRng::seed_from_u64(0x5EED ^ case);
+        let topo = Topology::random_regular(n, 12, 8, &mut rng).unwrap();
+        let net = CsrNet::from_graph(&topo.graph);
+        let mut lens = net.inv_capacities().to_vec();
+        let src = rng.random_range(0..n);
+        let mut full = DijkstraWorkspace::new(n);
+        net.dijkstra(src, &lens, &mut full);
+        let mut seeded = full.clone();
+        let mut other = DijkstraWorkspace::new(n);
+        for round in 0..4 {
+            // solver-shaped increases: other sources route down their
+            // own trees and every arc on the way grows, logged per visit
+            let mut log: Vec<u32> = Vec::new();
+            for _ in 0..rng.random_range(8..(if n == 64 { 40 } else { 120 })) {
+                net.dijkstra(rng.random_range(0..n), &lens, &mut other);
+                for _ in 0..rng.random_range(1..4) {
+                    other.walk_path(&net, rng.random_range(0..n), |a| {
+                        lens[a] *= 1.0 + 0.3 * rng.random_range(0.1..1.0);
+                        log.push(a as u32);
+                    });
+                }
+            }
+            let seeds: Vec<u32> = (0..n)
+                .filter_map(|w| seeded.parent(w))
+                .filter(|&a| log.contains(&(a as u32)))
+                .map(|a| a as u32)
+                .collect();
+            assert!(
+                seeds.len() < log.len(),
+                "case {case}: the log is mostly non-tree"
+            );
+            let before = (full.settles(), seeded.settles());
+            net.dijkstra_repair(src, &lens, &log, &mut full);
+            net.dijkstra_repair(src, &lens, &seeds, &mut seeded);
+            let settled = full.settles() - before.0;
+            assert_eq!(
+                settled,
+                seeded.settles() - before.1,
+                "case {case} round {round}: settles (and with them the bail-out)"
+            );
+            if settled == n as u64 {
+                bailed += 1;
+            } else {
+                repaired += 1;
+            }
+            for v in 0..n {
+                assert_eq!(
+                    full.distance(v).to_bits(),
+                    seeded.distance(v).to_bits(),
+                    "case {case} round {round} node {v}: distance"
+                );
+                assert_eq!(
+                    full.parent(v),
+                    seeded.parent(v),
+                    "case {case} round {round} node {v}: parent"
+                );
+            }
+        }
+    }
+    assert!(
+        repaired > 100 && bailed > 100,
+        "both outcomes exercised: {repaired} repaired, {bailed} bailed out"
+    );
+}
+
 /// The metamorphic property suite on 50 seeded RRG/VL2 instances: the
 /// paper's monotonicity and dominance laws hold on every scenario cell.
 ///
