@@ -1,4 +1,5 @@
-//! One module per figure of the paper (see DESIGN.md §5 for the index).
+//! One module per figure of the paper (the `figures` binary's usage
+//! text is the index).
 
 pub mod extras;
 pub mod fig01_02;

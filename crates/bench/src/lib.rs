@@ -15,11 +15,10 @@
 //! By default every experiment runs at a reduced scale (the paper's
 //! small/medium configurations, 3 seeds per point) so the whole suite
 //! finishes in minutes; `--full` switches to paper-scale parameters and
-//! seed counts. Criterion performance benches for the underlying
-//! algorithms live in `benches/`.
+//! seed counts. Nothing here times anything: wall clocks and work
+//! counters are `dcbench`'s job (`benchmark/README.md`).
 
 pub mod figs;
-pub mod report;
 
 use dctopo_flow::FlowOptions;
 

@@ -10,8 +10,8 @@
 //! [`CsrNet`] — including scenario delta views, since the sim's link
 //! `a` is exactly CSR arc `a`.
 //!
-//! The co-validation law (enforced by `tests/packetsim_covalidation.rs`
-//! and the packetsim bench gate): the fluid certificate upper-bounds
+//! The co-validation law (enforced by
+//! `tests/packetsim_covalidation.rs`): the fluid certificate upper-bounds
 //! packet goodput — no flow's goodput exceeds its offered share of the
 //! certified rate — while at `η < 1` the network actually delivers the
 //! scaled solution, so the ratio is near 1. Goodput is monotone

@@ -742,6 +742,7 @@ mod tests {
 #[cfg(test)]
 mod aggregate_tests {
     use super::*;
+    use crate::sweep::hop_throughput_bound;
     use dctopo_topology::Topology;
     use dctopo_traffic::AggregateTraffic;
     use rand::rngs::StdRng;
@@ -798,6 +799,9 @@ mod aggregate_tests {
         assert!(gr.network_lambda <= pw.network_upper_bound * (1.0 + 1e-9));
         assert!(pw.network_lambda <= gr.network_upper_bound * (1.0 + 1e-9));
         assert!(gr.throughput <= gr.nic_limit);
+        // Theorem 1 binds the grouped solve like any other
+        let hop = hop_throughput_bound(engine.net(), &aggregate_commodities(&topo, &tm));
+        assert!(gr.network_lambda <= hop * (1.0 + 1e-9));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use dctopo_flow::{Backend, CacheStats, Commodity, FlowError, FlowOptions};
 use dctopo_graph::mix::derive_seed;
 use dctopo_graph::{CsrNet, GraphError, MsBfsWorkspace};
-use dctopo_obs as obs;
+use dctopo_obs::{self as obs, Json};
 use dctopo_topology::classic::{complete, fat_tree, hypercube, torus2d};
 use dctopo_topology::hetero::{two_cluster, CrossSpec};
 use dctopo_topology::vl2::{rewired_vl2, vl2, Vl2Params};
@@ -535,6 +535,37 @@ impl SweepCell {
     pub fn metrics(&self) -> Option<&CellMetrics> {
         self.result.as_ref().ok()
     }
+
+    /// The cell as a JSON object: its grid coordinates, then `status`
+    /// (`"ok"` or the error's display text), then the metrics — `null`
+    /// for a failed cell and for a non-finite value (an all-local
+    /// cell's λ is `∞`).
+    fn to_json(&self) -> Json {
+        let m = self.metrics();
+        let num = |f: fn(&CellMetrics) -> f64| m.map_or(Json::Null, |m| Json::num(f(m)));
+        let status = match &self.result {
+            Ok(_) => "ok".to_string(),
+            Err(e) => e.to_string(),
+        };
+        let fields: [(&str, Json); 15] = [
+            ("topology", self.topology.as_str().into()),
+            ("run", self.run.into()),
+            ("scenario", self.scenario.as_str().into()),
+            ("traffic", self.traffic.as_str().into()),
+            ("backend", self.backend.as_str().into()),
+            ("switches", self.switches.into()),
+            ("live_links", self.live_links.into()),
+            ("flows", self.flows.into()),
+            ("status", status.into()),
+            ("throughput", num(|m| m.throughput)),
+            ("network_lambda", num(|m| m.network_lambda)),
+            ("upper_bound", num(|m| m.upper_bound)),
+            ("gap", num(|m| m.gap)),
+            ("hop_bound", num(|m| m.hop_bound)),
+            ("settles", m.map_or(Json::Null, |m| m.settles.into())),
+        ];
+        Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+    }
 }
 
 /// The evaluated grid, cells in row-major
@@ -566,6 +597,19 @@ impl SweepReport {
     pub fn cell(&self, t: usize, run: usize, s: usize, m: usize, b: usize) -> &SweepCell {
         let [_, r, sc, tm, bk] = self.dims;
         &self.cells[(((t * r + run) * sc + s) * tm + m) * bk + b]
+    }
+
+    /// The grid as a JSON array, one cell object per line in row-major
+    /// order — what `topobench sweep --json` writes. Floats are
+    /// shortest-round-trip decimals ([`Json`]), so a parsed value has
+    /// the solved value's bits.
+    pub fn to_json(&self) -> String {
+        let rows: Vec<String> = self
+            .cells
+            .iter()
+            .map(|c| format!("  {}", c.to_json()))
+            .collect();
+        format!("[\n{}\n]\n", rows.join(",\n"))
     }
 
     /// Number of cells that solved successfully.
@@ -1221,5 +1265,104 @@ mod tests {
         assert_eq!(hop_throughput_bound(&net, &[Commodity::unit(0, 2)]), 0.0);
         // single edge, one unit commodity at distance 1: C = 4, α = 1
         assert_eq!(hop_throughput_bound(&net, &[Commodity::unit(0, 1)]), 4.0);
+    }
+
+    #[test]
+    fn sweep_cell_schema_handles_ok_error_and_infinity() {
+        let ok = SweepCell {
+            topology: "rrg-8x5x3".into(),
+            run: 0,
+            scenario: "fail\"2".into(),
+            traffic: "permutation".into(),
+            backend: "fptas".into(),
+            switches: 8,
+            live_links: 10,
+            flows: 16,
+            result: Ok(CellMetrics {
+                throughput: 0.75,
+                network_lambda: 1.114e-5,
+                upper_bound: 0.82,
+                gap: 0.024,
+                hop_bound: 2.198e-7,
+                nic_limit: 1.0,
+                settles: 123,
+            }),
+        };
+        let local = SweepCell {
+            result: Ok(CellMetrics {
+                throughput: 1.0,
+                network_lambda: f64::INFINITY,
+                upper_bound: f64::INFINITY,
+                gap: 0.0,
+                hop_bound: f64::INFINITY,
+                nic_limit: 1.0,
+                settles: 0,
+            }),
+            ..ok.clone()
+        };
+        let failed = SweepCell {
+            result: Err(FlowError::Unreachable { src: 1, dst: 5 }),
+            ..ok.clone()
+        };
+        let report = SweepReport {
+            cells: vec![ok, local, failed],
+            dims: [1, 1, 3, 1, 1],
+            cache: CacheStats::default(),
+        };
+        let text = report.to_json();
+        assert_eq!(text.lines().count(), 5, "one cell per line:\n{text}");
+        let parsed = Json::parse(&text).expect("valid JSON");
+        let [ok, local, failed] = parsed.as_arr().unwrap() else {
+            panic!("three cells: {text}")
+        };
+        assert_eq!(
+            ok.keys(),
+            [
+                "topology",
+                "run",
+                "scenario",
+                "traffic",
+                "backend",
+                "switches",
+                "live_links",
+                "flows",
+                "status",
+                "throughput",
+                "network_lambda",
+                "upper_bound",
+                "gap",
+                "hop_bound",
+                "settles"
+            ]
+        );
+        let f = |cell: &Json, k: &str| cell.get(k).and_then(Json::as_f64);
+        assert_eq!(ok.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(ok.get("scenario").and_then(Json::as_str), Some("fail\"2"));
+        assert_eq!(f(ok, "throughput"), Some(0.75));
+        // small values keep every digit (a fixed six decimals wrote
+        // these as 0.000011 and 0.000000)
+        assert_eq!(f(ok, "network_lambda"), Some(1.114e-5));
+        assert_eq!(f(ok, "hop_bound"), Some(2.198e-7));
+        assert_eq!(ok.get("settles").and_then(Json::as_u64), Some(123));
+        // infinities serialize as null, keeping the artifact valid JSON
+        assert_eq!(local.get("network_lambda"), Some(&Json::Null));
+        assert_eq!(local.get("hop_bound"), Some(&Json::Null));
+        assert_eq!(f(local, "throughput"), Some(1.0));
+        // errors carry their display text and null metrics
+        let status = failed.get("status").and_then(Json::as_str).unwrap();
+        assert_eq!(
+            status,
+            FlowError::Unreachable { src: 1, dst: 5 }.to_string()
+        );
+        for k in [
+            "throughput",
+            "network_lambda",
+            "upper_bound",
+            "gap",
+            "hop_bound",
+            "settles",
+        ] {
+            assert_eq!(failed.get(k), Some(&Json::Null), "{k}");
+        }
     }
 }

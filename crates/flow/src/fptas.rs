@@ -175,7 +175,8 @@ fn warm_lengths(net: &CsrNet, warm: &WarmState) -> Option<Vec<f64>> {
 
 /// Fast path: opening (coarse) step size of the annealing schedule.
 /// Solves whose configured ε is already coarser start there instead.
-/// Calibrated on RRG(64, 12, 8) permutation sweeps — see `BENCH_fptas`.
+/// Calibrated on RRG(64, 12, 8) permutation sweeps — the instance of
+/// `fptas_fast_path_settles_less_on_rrg_sweep_matrix` (`tests/properties.rs`).
 const COARSE_EPS: f64 = 0.55;
 
 /// Fast path: rebuild every tree (making that phase's dual bound the

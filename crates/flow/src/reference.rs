@@ -6,8 +6,10 @@
 //! [`crate::Backend::Fptas`] over [`dctopo_graph::CsrNet`]; this module exists so
 //! that
 //!
-//! 1. criterion benches can quantify the CSR engine's speedup against an
-//!    unchanged baseline, and
+//! 1. the strict trajectory has an unchanged baseline to stay
+//!    bit-identical to
+//!    (`strict_reference_bitwise_matches_reference_on_50_seeded_graphs`),
+//!    and
 //! 2. cross-validation tests have a third, independently-implemented
 //!    solver to agree with.
 //!

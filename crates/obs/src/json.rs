@@ -11,8 +11,7 @@
 //! throughput value survives a write/parse cycle **bitwise**, which is
 //! what lets the CLI test suite compare serve responses against
 //! in-process engine results with `to_bits()` equality. Non-finite
-//! values serialize as `null` (the same convention as the bench
-//! report writer).
+//! values serialize as `null`.
 
 use std::fmt;
 

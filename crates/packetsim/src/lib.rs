@@ -29,9 +29,9 @@
 //!
 //! ## Performance contract
 //!
-//! Single-threaded, ≥10⁷ packet-events per second on the bench
-//! instance (`BENCH_packetsim.json`, gated in
-//! `crates/bench/benches/packetsim.rs`). The hot loop allocates
+//! Single-threaded, about 10⁷ packet-events per second; dcbench reads
+//! it as `packetsim.ns_per_event` on the `design-witness` workload
+//! (`benchmark/README.md`). The hot loop allocates
 //! nothing per packet: link queues are rings in one shared slab,
 //! transport windows are fixed bitmaps, events are `Copy`.
 

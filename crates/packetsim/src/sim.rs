@@ -670,6 +670,10 @@ mod tests {
         assert!(total > 8.0, "shared link underused: {total}");
         let ratio = a.min(b) / a.max(b);
         assert!(ratio > 0.3, "AIMD share too skewed: {a} vs {b}");
+        // contention, drops and retransmits included, the reference
+        // scheduler realises the same run
+        assert!(res.drops > 0);
+        assert_eq!(res, simulate_with_heap(&net, &flows, &cfg).unwrap());
     }
 
     #[test]

@@ -49,8 +49,9 @@
 //! [`runner::Fidelity::CertifyAll`] certifies every valid candidate but
 //! applies the same gates, so the accepted-move sequence — and the
 //! final topology — is **identical** between the two modes; the ladder
-//! only changes how much work rejection costs. `BENCH_search.json`
-//! records the resulting speedup.
+//! only changes how much work rejection costs
+//! (`fidelity_modes_agree_on_the_final_topology` pins the identity,
+//! dcbench's `search.prune_ratio` reads the saving).
 //!
 //! ## Determinism contract
 //!

@@ -80,7 +80,7 @@ pub enum Fidelity {
     /// Certify every valid candidate. The ladder gates still apply to
     /// *acceptance*, so the accepted-move sequence is identical to
     /// [`Fidelity::Ladder`] — this mode exists to measure what the
-    /// ladder saves (`BENCH_search.json`).
+    /// ladder saves (dcbench's `search.prune_ratio`).
     CertifyAll,
 }
 

@@ -3,7 +3,6 @@
 
 use dctopo::core::{Degradation, Scenario, SweepRunner, SweepSpec};
 use dctopo::prelude::*;
-use dctopo_bench::report::{self, SweepCellRecord};
 
 use crate::args::{Args, CliError, CliResult, OrFail};
 use crate::instance::profile;
@@ -114,9 +113,8 @@ pub fn run(args: &Args) -> CliResult {
         cache.hits, cache.misses
     );
     if let Some(path) = args.text("json") {
-        let records: Vec<SweepCellRecord> = grid.cells.iter().map(Into::into).collect();
-        report::write_cells_json(path, &records).or_fail(format_args!("failed to write {path}"))?;
-        eprintln!("# wrote {} cell records to {path}", records.len());
+        std::fs::write(path, grid.to_json()).or_fail(format_args!("failed to write {path}"))?;
+        eprintln!("# wrote {} cell records to {path}", grid.cells.len());
     }
     if args.switch("strict") {
         if let Some(summary) = grid.error_summary() {

@@ -1,7 +1,12 @@
-//! End-to-end CLI pins for the strict sweep gate and the planner
-//! subcommand, driving the real `topobench` binary.
+//! End-to-end CLI pins for the strict sweep gate, the `sweep --json`
+//! writer and the planner subcommand, driving the real `topobench`
+//! binary.
 
 use std::process::Command;
+
+use dctopo::core::{Degradation, Scenario, SweepCell, SweepRunner, SweepSpec};
+use dctopo::flow::FlowOptions;
+use dctopo::obs::Json;
 
 fn topobench() -> Command {
     Command::new(env!("CARGO_BIN_EXE_topobench"))
@@ -84,6 +89,154 @@ fn strict_sweep_fails_on_error_cells_with_typed_summary() {
         stderr.contains("unreachable") && stderr.contains("first:"),
         "summary must name the error kind and a witness cell:\n{stderr}"
     );
+}
+
+/// A comma-separated axis, each entry through its `FromStr`.
+fn axis<T: std::str::FromStr>(list: &str) -> Vec<T> {
+    let parse = |x: &str| x.parse().unwrap_or_else(|_| panic!("bad axis entry '{x}'"));
+    list.split(',').map(parse).collect()
+}
+
+/// Run `topobench sweep` (seed 1, one run, the `fptas` backend) over
+/// the given axes with `--json`, and return the parsed file beside the
+/// grid the same spec solves to in process. `degrade` is the CLI's
+/// degradation flags, `scenarios` the axis they spell.
+fn sweep_json_and_grid(
+    tag: &str,
+    families: &str,
+    traffic: &str,
+    degrade: &[&str],
+    scenarios: Vec<Scenario>,
+) -> (Vec<Json>, Vec<SweepCell>) {
+    let path = format!("{}/sweep_{tag}.json", env!("CARGO_TARGET_TMPDIR"));
+    let out = topobench()
+        .args(["sweep", "--families", families, "--traffic", traffic])
+        .args(degrade)
+        .args(["--json", &path])
+        .output()
+        .expect("failed to run topobench");
+    assert!(
+        out.status.success(),
+        "sweep failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&path).expect("sweep wrote the file");
+    let Json::Arr(cells) = Json::parse(&text).expect("valid JSON") else {
+        panic!("--json must hold one array:\n{text}");
+    };
+    let grid = SweepRunner::new(SweepSpec {
+        topologies: axis(families),
+        traffic: axis(traffic),
+        scenarios,
+        backends: axis("fptas"),
+        opts: FlowOptions::fast(),
+        seed: 1,
+        runs: 1,
+    })
+    .run();
+    (cells, grid.cells)
+}
+
+/// `sweep --json` is the grid itself: every coordinate and count as the
+/// in-process cell has it, every float equal **by bits** after a parse
+/// (so no digit is lost however small λ is), `settles` exactly; a
+/// failed cell carries its error's display text with `null` metrics,
+/// and a non-finite value (an all-local cell's λ = ∞) is `null`.
+#[test]
+fn sweep_json_matches_the_in_process_grid_bitwise() {
+    let fail_links = Degradation::FailLinks { count: 2, seed: 1 };
+    let (mut written, mut solved) = sweep_json_and_grid(
+        "grid",
+        "rrg:16x8x4",
+        "permutation,all-to-all",
+        &["--failures", "0,2"],
+        vec![
+            Scenario::baseline(),
+            Scenario::new("fail:2", vec![fail_links]),
+        ],
+    );
+    assert_eq!(written.len(), 4);
+    // `complete:1x4` cannot be built (an error cell); `complete:2x4`
+    // with one switch failed keeps only same-switch flows (λ = ∞)
+    let fail_switch = Degradation::FailSwitches { count: 1, seed: 1 };
+    let (w, s) = sweep_json_and_grid(
+        "edge",
+        "complete:1x4,complete:2x4",
+        "permutation",
+        &["--failures", "0", "--switch-failures", "0,1"],
+        vec![
+            Scenario::baseline(),
+            Scenario::new("sw-fail:1", vec![fail_switch]),
+        ],
+    );
+    written.extend(w);
+    solved.extend(s);
+    assert_eq!(written.len(), solved.len());
+
+    const METRICS: [&str; 5] = [
+        "throughput",
+        "network_lambda",
+        "upper_bound",
+        "gap",
+        "hop_bound",
+    ];
+    let (mut errors, mut infinite) = (0, 0);
+    for (j, cell) in written.iter().zip(&solved) {
+        let ctx = format!("{}/{}/{}", cell.topology, cell.scenario, cell.traffic);
+        let text = |k: &str| {
+            j.get(k)
+                .and_then(Json::as_str)
+                .unwrap_or_else(|| panic!("{ctx}: {k}"))
+        };
+        let count = |k: &str| {
+            j.get(k)
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("{ctx}: {k}"))
+        };
+        assert_eq!(text("topology"), cell.topology);
+        assert_eq!(text("scenario"), cell.scenario, "{ctx}");
+        assert_eq!(text("traffic"), cell.traffic, "{ctx}");
+        assert_eq!(text("backend"), cell.backend, "{ctx}");
+        assert_eq!(count("run"), cell.run as u64, "{ctx}");
+        assert_eq!(count("switches"), cell.switches as u64, "{ctx}");
+        assert_eq!(count("live_links"), cell.live_links as u64, "{ctx}");
+        assert_eq!(count("flows"), cell.flows as u64, "{ctx}");
+        match &cell.result {
+            Ok(m) => {
+                assert_eq!(text("status"), "ok", "{ctx}");
+                assert_eq!(count("settles"), m.settles, "{ctx}");
+                let values = [
+                    m.throughput,
+                    m.network_lambda,
+                    m.upper_bound,
+                    m.gap,
+                    m.hop_bound,
+                ];
+                for (k, x) in METRICS.into_iter().zip(values) {
+                    if x.is_finite() {
+                        let got = j.get(k).and_then(Json::as_f64);
+                        assert_eq!(
+                            got.map(f64::to_bits),
+                            Some(x.to_bits()),
+                            "{ctx}: {k} {got:?} vs {x}"
+                        );
+                    } else {
+                        assert_eq!(j.get(k), Some(&Json::Null), "{ctx}: {k} = {x}");
+                        infinite += 1;
+                    }
+                }
+            }
+            Err(e) => {
+                assert_eq!(text("status"), e.to_string(), "{ctx}");
+                for k in METRICS.into_iter().chain(["settles"]) {
+                    assert_eq!(j.get(k), Some(&Json::Null), "{ctx}: {k}");
+                }
+                errors += 1;
+            }
+        }
+    }
+    assert!(errors > 0, "the edge grid must hold an error cell");
+    assert!(infinite > 0, "the edge grid must hold an all-local cell");
 }
 
 /// `topobench plan` produces a staged plan with a fingerprint, and the

@@ -7,8 +7,9 @@
 //!   (declaration-ordered, certify-everything, dominance-free
 //!   certificates) and the pruned planner (best-bound-first scan +
 //!   fidelity ladder + counter-example-guided constraints) both honor
-//!   the bitwise-identical spec floor, with the naive one paying at
-//!   least as many certified solves; and at the planner's shared scan
+//!   the bitwise-identical spec floor and land within 2% of each
+//!   other's achieved floor, the naive one paying strictly more
+//!   certified solves; and at the planner's shared scan
 //!   order, certify-all is bitwise decision-identical to the ladder;
 //! * **bit-identical at 1, 2, and 8 rayon threads and across reruns**
 //!   — a plan fingerprint is a function of the spec, never of
@@ -104,7 +105,7 @@ fn every_stage_certifies_above_the_floor_on_fresh_views() {
     assert_eq!(sorted, (0..mig.move_count()).collect::<Vec<_>>());
 }
 
-/// The honest naive ordering search the planner is benchmarked
+/// The honest naive ordering search the planner is compared
 /// against: declaration-ordered first-fit, certify everything, no
 /// learning, and the dominance-free certificates (landed prefixes +
 /// singleton stages) a search without the transient-dominance theorem
@@ -121,8 +122,10 @@ fn naive_spec() -> PlanSpec {
 }
 
 /// The naive baseline and the pruned planner both honor the
-/// bitwise-identical spec floor with complete orderings; pruning only
-/// removes solves. And with the scan order shared, certify-all is
+/// bitwise-identical spec floor with complete orderings, every step
+/// above it; pruning only removes solves (how many on an 80-move
+/// migration is dcbench's `plan.certified_solves`). And with the scan
+/// order shared, certify-all is
 /// bitwise decision-identical to the ladder — screens change cost,
 /// never outcome.
 #[test]
@@ -135,13 +138,23 @@ fn naive_and_pruned_honor_the_identical_floor() {
     assert_eq!(pruned.floor.to_bits(), naive.floor.to_bits());
     for plan in [&pruned, &naive] {
         assert!(plan.achieved_floor >= plan.floor);
+        assert!(plan.step_lambda.iter().all(|&l| l >= plan.floor));
         let mut sorted = plan.order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..mig.move_count()).collect::<Vec<_>>());
     }
+    // pruning may reroute the search, never degrade the outcome
+    let drift = (pruned.achieved_floor - naive.achieved_floor).abs() / naive.achieved_floor;
     assert!(
-        naive.stats.certified_solves >= pruned.stats.certified_solves,
-        "naive paid fewer solves ({}) than pruned ({})",
+        drift <= 0.02,
+        "pruned achieved floor {} drifted {drift} from naive {}",
+        pruned.achieved_floor,
+        naive.achieved_floor
+    );
+    // 20 against 11 when this was written
+    assert!(
+        naive.stats.certified_solves > pruned.stats.certified_solves,
+        "naive paid {} solves, pruned {}",
         naive.stats.certified_solves,
         pruned.stats.certified_solves
     );

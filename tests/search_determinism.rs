@@ -157,8 +157,9 @@ fn ladder_never_certifies_an_ungated_candidate() {
 
 /// The paper's §4 claim as a test: RRG(64, 12, 8) sits so close to the
 /// throughput bound that local search barely moves it. (Same instance
-/// family as the solver benches; the improvement is certified on both
-/// ends because greedy acceptance re-certifies every accepted move.)
+/// family as the fast-path settle law in `tests/properties.rs`; the
+/// improvement is certified on both ends because greedy acceptance
+/// re-certifies every accepted move.)
 #[test]
 fn structural_search_on_rrg_64_improves_less_than_3_percent() {
     let mut rng = StdRng::seed_from_u64(20140402);
@@ -227,9 +228,10 @@ fn capacity_search_beats_uniform_by_certified_margin() {
         .all(|m| matches!(m.kind, MoveKind::ShiftCapacity { .. })));
 }
 
-/// Certify-every-move reaches the identical final configuration — the
-/// ladder only removes wasted work (the full-size version of this
-/// comparison, with the ≥ 2× speedup gate, runs in the `search` bench).
+/// Certify-every-move accepts the identical move sequence and reaches
+/// the identical final configuration — the ladder only removes wasted
+/// solves, strictly fewer here (what that saves in wall clock is
+/// dcbench's `search.prune_ratio` beside `search.run_ms`).
 #[test]
 fn fidelity_modes_agree_on_the_final_topology() {
     let topo = scarce_cross_topo();
@@ -249,8 +251,25 @@ fn fidelity_modes_agree_on_the_final_topology() {
         .unwrap()
         .run()
         .unwrap();
+    let trajectory = |r: &SearchResult| -> Vec<(usize, usize, MoveKind, u64)> {
+        r.accepted
+            .iter()
+            .map(|m| (m.round, m.index, m.kind, m.certificate.lambda.to_bits()))
+            .collect()
+    };
+    assert!(
+        !ladder.accepted.is_empty(),
+        "nothing accepted, nothing compared"
+    );
+    assert_eq!(trajectory(&ladder), trajectory(&all));
     assert_eq!(ladder.best.lambda.to_bits(), all.best.lambda.to_bits());
     assert_eq!(ladder.topology.graph.edges(), all.topology.graph.edges());
     assert_eq!(ladder.plan.multipliers(), all.plan.multipliers());
-    assert!(ladder.certified_solves <= all.certified_solves);
+    // 5 against 7 when this was written
+    assert!(
+        ladder.certified_solves < all.certified_solves,
+        "ladder certified {} solves, certify-all {}",
+        ladder.certified_solves,
+        all.certified_solves
+    );
 }
