@@ -47,7 +47,7 @@ pub mod json;
 pub use json::Json;
 
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, LineWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::Instant;
@@ -64,7 +64,12 @@ static STATE: Mutex<Option<State>> = Mutex::new(None);
 static AUTO: Once = Once::new();
 
 enum Sink {
-    File(BufWriter<File>),
+    /// Line-buffered: the recorder lives in a `static`, which is never
+    /// dropped, so whatever a buffer still held at process exit would
+    /// be lost — and only `topobench` ends with a [`flush`]. Every
+    /// event is one line, so every event reaches the file as it is
+    /// emitted, whoever the caller is and however it exits.
+    File(LineWriter<File>),
     Mem(Vec<String>),
 }
 
@@ -88,7 +93,7 @@ pub fn enabled() -> bool {
 pub fn enable_file(path: &str) -> io::Result<()> {
     let file = File::create(path)?;
     *STATE.lock().unwrap() = Some(State {
-        sink: Sink::File(BufWriter::new(file)),
+        sink: Sink::File(LineWriter::new(file)),
         seq: 0,
     });
     ENABLED.store(true, Ordering::Relaxed);
@@ -235,12 +240,14 @@ impl Event {
         }
         let mut state = STATE.lock().unwrap();
         let Some(state) = state.as_mut() else { return };
-        let line = self.render(state.seq);
+        let mut line = self.render(state.seq);
         state.seq += 1;
         EVENTS.fetch_add(1, Ordering::Relaxed);
         match &mut state.sink {
             Sink::File(w) => {
-                let _ = writeln!(w, "{line}");
+                // one write ending in the newline: one syscall a line
+                line.push('\n');
+                let _ = w.write_all(line.as_bytes());
             }
             Sink::Mem(lines) => lines.push(line),
         }

@@ -117,8 +117,13 @@ pub struct PlanStage {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Certified flow solves, including endpoint λ's, rescuer
-    /// certifications, and stage packing.
+    /// certifications, and stage packing. Real solves only: a view
+    /// whose content was certified before is answered from that
+    /// certificate and counted in `views_reused`.
     pub certified_solves: usize,
+    /// Certifications answered by an earlier solve of the identical
+    /// view.
+    pub views_reused: usize,
     /// Steps attempted (certified) during the ordering search.
     pub attempts: usize,
     /// Candidate steps rejected by the hop bound without a solve.
@@ -307,6 +312,9 @@ struct Planner<'a> {
     learned_preds: Vec<Vec<usize>>,
     conflicts: Vec<Conflict>,
     memo: HashMap<(Vec<u64>, usize), ()>,
+    /// λ of every view certified so far, by capacity bits (see
+    /// [`Planner::certify`]).
+    certified: HashMap<Vec<u64>, f64>,
     best_prefix: Vec<usize>,
 }
 
@@ -322,11 +330,28 @@ impl<'a> Planner<'a> {
     }
 
     fn certify_unbudgeted(&mut self, view: &CsrNet) -> f64 {
-        self.stats.certified_solves += 1;
-        match self.engine.solve_on(view, self.tm, &self.spec.opts) {
-            Ok(r) => r.network_lambda,
-            Err(_) => 0.0,
+        self.certify(view).unwrap_or(0.0)
+    }
+
+    /// Certified λ of `view`, solved once per view *content*. Distinct
+    /// states share a view more often than it looks: an in-flight
+    /// removal is its landed state, an in-flight addition is the state
+    /// before it, so a removal followed by an addition certifies the
+    /// same links twice. Every view here is a delta view of the one
+    /// union base, so its capacity vector (0 = link down) is its whole
+    /// content; the key is that vector, compared in full on a hit. The
+    /// solver is deterministic, so a hit returns the bits a re-solve
+    /// would, and only real solves are counted.
+    fn certify(&mut self, view: &CsrNet) -> Result<f64, FlowError> {
+        let key: Vec<u64> = view.capacities().iter().map(|c| c.to_bits()).collect();
+        if let Some(&lambda) = self.certified.get(&key) {
+            self.stats.views_reused += 1;
+            return Ok(lambda);
         }
+        self.stats.certified_solves += 1;
+        let solved = self.engine.solve_on(view, self.tm, &self.spec.opts)?;
+        self.certified.insert(key, solved.network_lambda);
+        Ok(solved.network_lambda)
     }
 
     /// Sound upper bound on `view`'s λ: hop bound, fixed cut probes,
@@ -821,24 +846,11 @@ pub fn plan_migration(
         learned_preds: vec![Vec::new(); migration.move_count()],
         conflicts: Vec::new(),
         memo: HashMap::new(),
+        certified: HashMap::new(),
         best_prefix: Vec::new(),
     };
-    let lambda_a = {
-        let view = migration.initial_view()?;
-        planner.stats.certified_solves += 1;
-        planner
-            .engine
-            .solve_on(&view, tm, &spec.opts)?
-            .network_lambda
-    };
-    let lambda_b = {
-        let view = migration.final_view()?;
-        planner.stats.certified_solves += 1;
-        planner
-            .engine
-            .solve_on(&view, tm, &spec.opts)?
-            .network_lambda
-    };
+    let lambda_a = planner.certify(&migration.initial_view()?)?;
+    let lambda_b = planner.certify(&migration.final_view()?)?;
     planner.floor = spec
         .floor
         .unwrap_or(spec.floor_frac * lambda_a.min(lambda_b));

@@ -108,6 +108,11 @@ pub fn run(args: &Args) -> CliResult {
                 ev_f64(s, "repairs"),
                 ev_f64(s, "rescale_rebuilds")
             );
+            println!(
+                "dual: final bound from the {} lengths, {} passes at the mean",
+                s.get("dual_from").and_then(Json::as_str).unwrap_or("?"),
+                ev_f64(s, "mean_dual_passes")
+            );
         }
     }
     let cache = engine.cache_stats();

@@ -83,9 +83,15 @@ fn profile_prints_the_pre_refactor_work_counters() {
     let deterministic: String = out
         .lines()
         .filter(|l| {
-            ["throughput", "solve:", "reuse ladder:", "path cache:"]
-                .iter()
-                .any(|p| l.starts_with(p))
+            [
+                "throughput",
+                "solve:",
+                "reuse ladder:",
+                "dual:",
+                "path cache:",
+            ]
+            .iter()
+            .any(|p| l.starts_with(p))
         })
         .map(|l| format!("{l}\n"))
         .collect();

@@ -112,6 +112,42 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
         "deterministic residue differs between 1 and 8 threads"
     );
 
+    // ---- the averaged dual's fields are in that residue (so equal at
+    // 1/2/8 threads) and add up: a solve's `mean_dual_passes` is the
+    // number of its phases that carry a `mean_dual`, and a bound said
+    // to come from the mean is the smallest one those phases recorded ----
+    let (mut passes, mut smallest, mut from_mean) = (0u64, f64::INFINITY, 0usize);
+    for line in &residues[0] {
+        let ev = obs::Json::parse(line).expect("residue lines are JSON");
+        let num = |key: &str| ev.get(key).and_then(obs::Json::as_f64);
+        match ev.get("ev").and_then(obs::Json::as_str) {
+            Some("fptas_phase") => {
+                if let Some(bound) = num("mean_dual") {
+                    assert!(num("phase").unwrap() >= 8.0, "evaluated too early: {line}");
+                    passes += 1;
+                    smallest = smallest.min(bound);
+                }
+            }
+            Some("fptas_solve") => {
+                assert_eq!(num("mean_dual_passes"), Some(passes as f64), "{line}");
+                match ev.get("dual_from").and_then(obs::Json::as_str) {
+                    Some("mean") => {
+                        assert_eq!(num("upper_bound"), Some(smallest), "{line}");
+                        from_mean += 1;
+                    }
+                    Some("last") => assert!(num("upper_bound").unwrap() <= smallest, "{line}"),
+                    other => panic!("dual_from {other:?} in {line}"),
+                }
+                (passes, smallest) = (0, f64::INFINITY);
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        from_mean > 0,
+        "no solve took its bound from the mean lengths"
+    );
+
     // ---- replay: a second traced run reproduces the residue byte for
     // byte (and really did strip something: phase events carry wall
     // clocks) ----
