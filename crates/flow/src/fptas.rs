@@ -211,10 +211,13 @@ const DRIFT_FRACTION: f64 = 0.5;
 /// that a plain mean would carry for the whole solve. Normalising each
 /// iterate by its own `D(l)` weighs them equally however far the
 /// lengths have grown, and makes a uniform rescale invisible. Sized together
-/// with [`MEAN_DUAL_EVERY`] and [`MEAN_DUAL_FROM`] on dcbench's
-/// `pairwise-solve` (RRG(64, 12, 8); two permutations, `chunky:50`,
-/// `hotspot:8`): ρ ∈ {0.9, 0.95, 0.98, 1.0} × every ∈ {2, 4, 8} × from
-/// ∈ {4, 8, 16} all land within 10 % of each other in settles.
+/// with [`MEAN_DUAL_EVERY`] and [`MEAN_DUAL_FROM`] on the settles of
+/// dcbench's `pairwise-solve` (RRG(64, 12, 8); two permutations,
+/// `chunky:50`, `hotspot:8`; 6.14 M without this candidate): sixteen
+/// points of ρ ∈ {0.9, 0.95, 0.98, 1.0} × every ∈ {2, 4, 8} × from ∈
+/// {4, 8, 16} read 2.28 M to 2.80 M and this one 2.41 M, so the choice
+/// is flat; what moves it is `every` (2: +10 to 16 %, 8: −5 %). Table
+/// in `docs/PERF_NOTES.md`, *The averaged dual*.
 const MEAN_DUAL_DECAY: f64 = 0.95;
 
 /// Fast path: evaluate the dual at the mean lengths every this many
@@ -513,21 +516,20 @@ fn solve_pairwise(
             .field("phases", phases as u64)
             .field("settles", sol.settles);
         if let Some(l) = &ladder {
-            ev = tier_fields(ev, l.total, [0; 4]).field("mean_dual_passes", l.mean_passes);
-        }
-        ev = ev
-            .field("lambda", sol.throughput)
-            .field("upper_bound", sol.upper_bound);
-        if let Some(l) = &ladder {
             // which candidate the final bound came from
             let from = if l.mean_best == sol.upper_bound {
                 "mean"
             } else {
                 "last"
             };
-            ev = ev.field("dual_from", from);
+            ev = tier_fields(ev, l.total, [0; 4])
+                .field("mean_dual_passes", l.mean_passes)
+                .field("dual_from", from);
         }
-        ev.nd("wall_us", obs::us_since(t_solve)).emit();
+        ev.field("lambda", sol.throughput)
+            .field("upper_bound", sol.upper_bound)
+            .nd("wall_us", obs::us_since(t_solve))
+            .emit();
     }
     // only the ladder's terminal lengths are worth inheriting
     let lengths = ladder.map_or_else(Vec::new, |_| core.into_length());
@@ -753,23 +755,18 @@ impl Ladder {
             // sum that overflowed since is a degenerate ratio, not one
             core.note_dual(self.d_l, alpha_of(groups).unwrap_or(f64::INFINITY));
         }
-        let d_mean = self.average(core);
+        self.average(core);
         let due = phase >= MEAN_DUAL_FROM && phase.is_multiple_of(MEAN_DUAL_EVERY);
-        self.mean_dual = due.then(|| self.note_mean_dual(core, groups, d_mean));
+        self.mean_dual = due.then(|| self.note_mean_dual(core, groups));
     }
 
-    /// Fold the current lengths into the running mean — one pass over
-    /// the arcs — and return `D(mean)`. Dead arcs have length and
-    /// capacity 0 and stay out of both.
-    fn average(&mut self, core: &Core) -> f64 {
+    /// Fold the current lengths into the running mean: one pass over
+    /// the arcs. Dead arcs have length 0 and stay 0.
+    fn average(&mut self, core: &Core) {
         let weight = 1.0 / self.d_l;
-        let caps = core.net().capacities();
-        let mut d_mean = 0.0f64;
-        for ((m, &l), &c) in self.mean.iter_mut().zip(core.length()).zip(caps) {
+        for (m, &l) in self.mean.iter_mut().zip(core.length()) {
             *m = MEAN_DUAL_DECAY * *m + l * weight;
-            d_mean += c * *m;
         }
-        d_mean
     }
 
     /// The second dual candidate, `D(mean)/α(mean)`: as valid as the
@@ -780,7 +777,9 @@ impl Ladder {
     /// workspace, so no stored tree, cursor or stamp moves and routing
     /// is the same until the stop rule or the ε-anneal acts on the
     /// smaller bound.
-    fn note_mean_dual(&mut self, core: &mut Core, groups: &[GroupState], d_mean: f64) -> f64 {
+    fn note_mean_dual(&mut self, core: &mut Core, groups: &[GroupState]) -> f64 {
+        let caps = core.net().capacities();
+        let d_mean: f64 = self.mean.iter().zip(caps).map(|(&m, &c)| m * c).sum();
         let mut alpha = 0.0f64;
         for g in groups {
             (core.net()).dijkstra_targets(g.src, &self.mean, &g.targets, &mut self.mean_ws);
