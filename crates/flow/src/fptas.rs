@@ -10,7 +10,11 @@
 //! lengths, multiplying the length of every used arc `a` by
 //! `1 + ε·(sent_a / c(a))`; congested arcs grow exponentially long, so
 //! later flow avoids them. The accumulated (infeasible) flow divided by
-//! its maximum congestion is feasible; LP duality gives the upper bound
+//! its maximum congestion is feasible — and "accumulated" may be any
+//! non-negative weighted sum of the per-step flows, which is still a
+//! flow: the fast path credits phase `t` at weight `√t`, so the coarse
+//! single-path flows it opens with fade from the average instead of
+//! holding λ down for the whole solve. LP duality gives the upper bound
 //! `λ* ≤ D(l)/α(l)` for *any* positive lengths `l`, where
 //! `D(l) = Σ_a c(a)·l(a)` and `α(l) = Σ_j d_j · dist_l(s_j, t_j)`.
 //! We track the best (smallest) dual bound seen and stop as soon as the
@@ -51,9 +55,14 @@
 //!   scratch workspace of its own. On chunky traffic the last-iterate
 //!   bound plateaus a few percent above λ* while the primal creeps up
 //!   to it; the mean-length bound does not, and the solve stops on its
-//!   gap in a third of the phases instead of on the stall rule. None of
-//!   this bends correctness: the primal stays feasible by construction
-//!   (capacity-scaled steps) and `D(l)/α(l)` upper-bounds λ* for *any*
+//!   gap in a third of the phases instead of on the stall rule. The
+//!   primal is averaged the same way, polynomially instead of by decay
+//!   (`primal_weight`): lengths grow by what was sent and never read
+//!   the accumulators, so routing is the same until the stop rule or
+//!   the ε-anneal acts on the larger λ. None of this bends
+//!   correctness: the primal stays feasible by construction (a
+//!   non-negative combination of capacity-scaled steps, divided by its
+//!   own worst congestion) and `D(l)/α(l)` upper-bounds λ* for *any*
 //!   positive lengths, so the reported gap is certified no matter how
 //!   the trajectory was chosen.
 //! * **`None` — the strict path** (`strict_reference: true`). The fast
@@ -190,6 +199,38 @@ fn warm_lengths(net: &CsrNet, warm: &WarmState) -> Option<Vec<f64>> {
 /// Calibrated on RRG(64, 12, 8) permutation sweeps — the instance of
 /// `fptas_fast_path_settles_less_on_rrg_sweep_matrix` (`tests/properties.rs`).
 const COARSE_EPS: f64 = 0.55;
+
+/// Fast path: the weight `t^p`, `p = ½`, at which phase `t`'s flow
+/// enters the primal average (`Core::set_weight`). A uniform average
+/// keeps the single-path flows of the [`COARSE_EPS`] opening phases at
+/// full weight for the whole solve, diluted only as `1/T`; a growing
+/// weight lets them fade the way [`MEAN_DUAL_DECAY`] forgets the flat
+/// opening lengths on the dual side. Sized on dcbench's deterministic
+/// counters (the same on every host) against the uniform `p = 0`:
+///
+/// | `p`  | `pairwise-solve` settles | `sweep-grid` settles | `serve-whatif` phases |
+/// |------|-----------:|-----------:|------:|
+/// | 0    | 2,413,027 | 1,929,818 | 2,233 |
+/// | 0.25 | 1,878,921 | 1,358,299 | 2,100 |
+/// | 0.35 | 1,665,099 | 1,312,788 | 1,969 |
+/// | 0.4  | 1,585,544 | 1,268,615 | 1,991 |
+/// | **0.5** | **1,594,095** | **1,177,777** | **1,971** |
+/// | 0.6  | 1,604,622 | 1,145,359 | 2,081 |
+/// | 0.65 | 1,631,328 | 1,063,678 | 2,182 |
+/// | 0.75 | 1,705,401 | 1,050,394 | 2,195 |
+/// | 1    | 1,898,248 |   999,227 | 2,393 |
+/// | 1.5  | 1,996,234 |   933,966 | 2,615 |
+/// | 2    | 2,650,995 |   988,983 | 2,979 |
+///
+/// Steeper weights keep helping cold solves with a long coarse ramp
+/// (`sweep-grid`) and hurt warm-started ones, which open on good
+/// lengths and want their early phases (`serve-whatif`, the gate:
+/// anything above 2,233 is a regression). `½` is the flat middle, and
+/// `f64::sqrt` is correctly rounded on every host where a libm `powf`
+/// is not — the solver's pinned trajectories call no libm function.
+fn primal_weight(phase: usize) -> f64 {
+    (phase as f64).sqrt()
+}
 
 /// Fast path: rebuild every tree (making that phase's dual bound the
 /// exact `D(l)/α(l)`) every this many phases. Between exact passes
@@ -414,6 +455,7 @@ fn solve_pairwise(
         // at the top of every other), the strict path closes it with it.
         let exact_pass = phases.is_multiple_of(dual_every) || phases == opts.max_phases;
         if let Some(l) = ladder.as_mut() {
+            core.set_weight(primal_weight(phases));
             l.begin_phase(&mut core, &mut groups, phases, exact_pass);
         }
 
@@ -450,13 +492,16 @@ fn solve_pairwise(
                 for (k, &(j, dst, _)) in g.sinks.iter().enumerate() {
                     let r = g.remaining[k];
                     let sent = tau * r;
+                    // the accumulators take what `Core::grow` put on the
+                    // arcs, so the three stay one conserved flow
+                    let credit = core.weight() * sent;
                     // mirror the tree walk that charged this sink into
                     // the per-commodity record; the workspace still
                     // holds the tree the load went along
                     if let (Some(record), true) = (pairs.arc_record.as_mut(), r > 1e-12) {
-                        g.ws.walk_path(net, dst, |a| record[j][a] += sent);
+                        g.ws.walk_path(net, dst, |a| record[j][a] += credit);
                     }
-                    pairs.routed[j] += sent;
+                    pairs.routed[j] += credit;
                     g.remaining[k] -= sent;
                 }
                 if tau >= 1.0 {
@@ -470,7 +515,7 @@ fn solve_pairwise(
                 l.rescaled(&core);
             }
         }
-        let primal = pairs.snapshot(&core);
+        let primal = pairs.snapshot(&core, phases);
         if ladder.is_none() && exact_pass {
             let d_l = core.d_l();
             tree_pass(net, &mut groups, core.length(), false);
@@ -486,7 +531,9 @@ fn solve_pairwise(
                 .field("phase", phases as u64)
                 .field("eps", eps);
             if ladder.is_some() {
-                ev = ev.field("exact_pass", exact_pass);
+                ev = ev
+                    .field("weight", core.weight())
+                    .field("exact_pass", exact_pass);
             }
             ev = ev.field("primal", primal).field("dual", core.best_dual());
             if let Some(l) = &ladder {
@@ -504,6 +551,7 @@ fn solve_pairwise(
         }
     }
 
+    let best_phase = pairs.best_phase();
     let sol = pairs.finish(&core, phases, settles(&groups, ladder.as_ref()));
     if obs::enabled() {
         let mut ev = obs::Event::new("fptas_solve").field("mode", mode);
@@ -516,7 +564,8 @@ fn solve_pairwise(
             .field("phases", phases as u64)
             .field("settles", sol.settles);
         if let Some(l) = &ladder {
-            // which candidate the final bound came from
+            // which candidate the final bound came from, and which
+            // phase's primal is the one returned
             let from = if l.mean_best == sol.upper_bound {
                 "mean"
             } else {
@@ -524,7 +573,8 @@ fn solve_pairwise(
             };
             ev = tier_fields(ev, l.total, [0; 4])
                 .field("mean_dual_passes", l.mean_passes)
-                .field("dual_from", from);
+                .field("dual_from", from)
+                .field("best_phase", best_phase as u64);
         }
         ev.field("lambda", sol.throughput)
             .field("upper_bound", sol.upper_bound)
@@ -637,7 +687,9 @@ fn tier_fields(mut ev: obs::Event, now: [u64; 4], since: [u64; 4]) -> obs::Event
 /// when the last iterate's bound has stopped moving. The step size ε
 /// anneals from [`COARSE_EPS`] down to the configured
 /// value as the certified gap closes — coarse steps cross the early
-/// primal ground in far fewer phases, fine steps finish the endgame.
+/// primal ground in far fewer phases, fine steps finish the endgame,
+/// and the flow of the coarse phases fades from the primal as the
+/// later ones enter it at growing weight ([`primal_weight`]).
 /// Both certificates remain valid at every step, so annealing changes
 /// the trajectory, never the guarantees.
 #[derive(Default)]

@@ -17,7 +17,14 @@
 //!   value halved towards it as the gap closes (only the fast pairwise
 //!   path opens coarse; for every other loop the schedule is inert);
 //! * the **primal**: accumulated raw flow divided by its worst
-//!   congestion `μ` ([`Core::congestion`]) is feasible by construction;
+//!   congestion `μ` ([`Core::congestion`]) is feasible by construction.
+//!   "Accumulated" is a weighted sum: every step enters the
+//!   accumulators at the core's current weight ([`Core::set_weight`]),
+//!   and any non-negative combination of flows is a flow, so the
+//!   argument does not care what the weights are. Only the fast
+//!   pairwise path sets one (phase `t` at `√t`, so its coarse opening
+//!   phases fade from the average); for every other loop it stays 1.0
+//!   and `1.0·x` is exact;
 //! * the **dual**: `D(l)/α(l)` bounds λ* for *any* positive lengths, so
 //!   every loop hands its `α` — however it harvested it — to
 //!   [`Core::note_dual`], which admits the bound only when it is finite
@@ -89,6 +96,9 @@ pub(crate) struct Core<'n> {
     eps: f64,
     /// Raw (pre-scaling) accumulated flow per arc.
     arc_flow: Vec<f64>,
+    /// What a unit of sent flow adds to the accumulators (not to the
+    /// lengths, which grow by what was sent).
+    weight: f64,
     /// Load the pending step would put on each arc if it were sent in
     /// full, and the arcs where that is non-zero, in first-touch order.
     tree_load: Vec<f64>,
@@ -110,6 +120,7 @@ impl<'n> Core<'n> {
             length: length.unwrap_or_else(|| net.inv_capacities().to_vec()),
             eps,
             arc_flow: vec![0.0; arcs],
+            weight: 1.0,
             tree_load: vec![0.0; arcs],
             touched: Vec::new(),
             best_dual: f64::INFINITY,
@@ -126,6 +137,18 @@ impl<'n> Core<'n> {
     /// Current step size.
     pub(crate) fn eps(&self) -> f64 {
         self.eps
+    }
+
+    /// Weight of the flow sent from now on in the primal average.
+    pub(crate) fn weight(&self) -> f64 {
+        self.weight
+    }
+
+    /// Set that weight. The caller credits its per-commodity
+    /// accumulators with the same `weight·sent`, so the three stay one
+    /// conserved flow.
+    pub(crate) fn set_weight(&mut self, weight: f64) {
+        self.weight = weight;
     }
 
     /// Current arc lengths.
@@ -178,11 +201,14 @@ impl<'n> Core<'n> {
         tau
     }
 
-    /// Put `sent` more raw flow on arc `a` and lengthen it by
-    /// `1 + ε·sent/c(a)` — the only place a length grows.
+    /// Put `sent` more raw flow on arc `a`, at the current weight, and
+    /// lengthen it by `1 + ε·sent/c(a)` — the only place a length
+    /// grows, and by the unweighted `sent`: lengths never read the
+    /// accumulators, so the weight reaches routing only through the
+    /// primal [`Core::verdict`] is handed.
     #[inline]
     pub(crate) fn grow(&mut self, a: usize, sent: f64) {
-        self.arc_flow[a] += sent;
+        self.arc_flow[a] += self.weight * sent;
         self.length[a] *= 1.0 + self.eps * self.cong.of(self.net, a, sent);
     }
 
@@ -297,6 +323,8 @@ pub(crate) struct Pairwise<'c> {
     /// Raw per-commodity arc flows, when the caller asked for them.
     pub(crate) arc_record: Option<Vec<Vec<f64>>>,
     best: Option<SolvedFlow>,
+    /// The phase `best` was snapshotted after (0 before the first).
+    best_phase: usize,
 }
 
 impl<'c> Pairwise<'c> {
@@ -308,12 +336,14 @@ impl<'c> Pairwise<'c> {
                 .record_commodity_flows
                 .then(|| vec![vec![0.0; arcs]; commodities.len()]),
             best: None,
+            best_phase: 0,
         }
     }
 
-    /// The certified primal after a phase — `min_j routed_j / (μ·d_j)` —
-    /// keeping the scaled solution whenever it beats the best so far.
-    pub(crate) fn snapshot(&mut self, core: &Core) -> f64 {
+    /// The certified primal after phase `phase` —
+    /// `min_j routed_j / (μ·d_j)` — keeping the scaled solution whenever
+    /// it beats the best so far.
+    pub(crate) fn snapshot(&mut self, core: &Core, phase: usize) -> f64 {
         let mu = core.congestion();
         let primal = (self.commodities.iter().zip(&self.routed))
             .map(|(c, &r)| r / (mu * c.demand))
@@ -330,8 +360,14 @@ impl<'c> Pairwise<'c> {
                 commodity_arc_flow: (self.arc_record.as_ref())
                     .map(|record| record.iter().map(scaled).collect()),
             });
+            self.best_phase = phase;
         }
         primal
+    }
+
+    /// The phase whose snapshot [`Pairwise::finish`] returns.
+    pub(crate) fn best_phase(&self) -> usize {
+        self.best_phase
     }
 
     /// The best solution, stamped with the solve's final dual bound and

@@ -168,7 +168,7 @@ fn solve_frozen(
             }
         }
         core.rescale();
-        let primal = pairs.snapshot(&core);
+        let primal = pairs.snapshot(&core, phases);
         // the restricted dual: α over each commodity's cheapest frozen path
         if phases.is_multiple_of(4) {
             let alpha: f64 = commodities

@@ -113,6 +113,16 @@ pub fn run(args: &Args) -> CliResult {
                 s.get("dual_from").and_then(Json::as_str).unwrap_or("?"),
                 ev_f64(s, "mean_dual_passes")
             );
+            // the weight the last phase's flow entered the average at
+            let weight = (events.iter().rev())
+                .find(|e| e.get("ev").and_then(Json::as_str) == Some("fptas_phase"))
+                .map_or(0.0, |e| ev_f64(e, "weight"));
+            println!(
+                "primal: returned from phase {} of {}, last phase at weight {:.3}",
+                ev_f64(s, "best_phase"),
+                ev_f64(s, "phases"),
+                weight
+            );
         }
     }
     let cache = engine.cache_stats();

@@ -112,20 +112,29 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
         "deterministic residue differs between 1 and 8 threads"
     );
 
-    // ---- the averaged dual's fields are in that residue (so equal at
-    // 1/2/8 threads) and add up: a solve's `mean_dual_passes` is the
-    // number of its phases that carry a `mean_dual`, and a bound said
-    // to come from the mean is the smallest one those phases recorded ----
+    // ---- the averaged dual's and the weighted primal's fields are in
+    // that residue (so equal at 1/2/8 threads) and add up: a solve's
+    // `mean_dual_passes` is the number of its phases that carry a
+    // `mean_dual`, a bound said to come from the mean is the smallest
+    // one those phases recorded, every phase carries the weight √phase
+    // its flow entered the primal at, and `best_phase` is the first
+    // phase that reached the λ the solve returned ----
     let (mut passes, mut smallest, mut from_mean) = (0u64, f64::INFINITY, 0usize);
+    let (mut best, mut before_last) = ((0.0f64, 0.0f64), 0usize);
     for line in &residues[0] {
         let ev = obs::Json::parse(line).expect("residue lines are JSON");
         let num = |key: &str| ev.get(key).and_then(obs::Json::as_f64);
         match ev.get("ev").and_then(obs::Json::as_str) {
             Some("fptas_phase") => {
+                let phase = num("phase").unwrap();
                 if let Some(bound) = num("mean_dual") {
-                    assert!(num("phase").unwrap() >= 8.0, "evaluated too early: {line}");
+                    assert!(phase >= 8.0, "evaluated too early: {line}");
                     passes += 1;
                     smallest = smallest.min(bound);
+                }
+                assert_eq!(num("weight"), Some(phase.sqrt()), "{line}");
+                if num("primal").unwrap() > best.1 {
+                    best = (phase, num("primal").unwrap());
                 }
             }
             Some("fptas_solve") => {
@@ -138,7 +147,12 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
                     Some("last") => assert!(num("upper_bound").unwrap() <= smallest, "{line}"),
                     other => panic!("dual_from {other:?} in {line}"),
                 }
-                (passes, smallest) = (0, f64::INFINITY);
+                assert_eq!(
+                    (num("best_phase"), num("lambda")),
+                    (Some(best.0), Some(best.1))
+                );
+                before_last += usize::from(num("best_phase") < num("phases"));
+                (passes, smallest, best) = (0, f64::INFINITY, (0.0, 0.0));
             }
             _ => {}
         }
@@ -146,6 +160,10 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
     assert!(
         from_mean > 0,
         "no solve took its bound from the mean lengths"
+    );
+    assert!(
+        before_last > 0,
+        "every solve returned its last phase: best_phase is untested"
     );
 
     // ---- replay: a second traced run reproduces the residue byte for
