@@ -88,6 +88,7 @@ fn profile_prints_the_pre_refactor_work_counters() {
                 "solve:",
                 "reuse ladder:",
                 "dual:",
+                "primal:",
                 "path cache:",
             ]
             .iter()

@@ -53,8 +53,8 @@ fn corpus_is_pinned_and_law_abiding() {
             name: "decomposed",
             routing: RoutingMode::Decomposed,
             min_ratio: 0.8,
-            delivered: 3110,
-            trace_hash: 0x578c3c8b366ff99e,
+            delivered: 3119,
+            trace_hash: 0xebe52854fd23def3,
         },
         Cell {
             name: "ksp4",
@@ -68,7 +68,7 @@ fn corpus_is_pinned_and_law_abiding() {
             routing: RoutingMode::Ecmp { limit: 4 },
             min_ratio: 0.3,
             delivered: 2421,
-            trace_hash: 0xebca3f8c66c329d6,
+            trace_hash: 0x8e9fa76912ef217d,
         },
     ];
     let (topo, tm) = rrg_instance(11);

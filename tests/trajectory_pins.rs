@@ -12,7 +12,13 @@
 //! captured again when that path gained its second dual candidate, the
 //! bound at the mean lengths: where it never binds the row kept λ,
 //! bound, phases and fold and only `settles` grew by the extra trees;
-//! where the gap cannot close (`long`) only the bound moved.
+//! where the gap cannot close (`long`) only the bound moved. They were
+//! captured a third time when that path's primal became a √phase-
+//! weighted average of its phase flows: five stop earlier on a larger
+//! λ, and `long`, which nothing can stop, kept bound, phases and
+//! settles and moved λ and fold only (lengths never read the flow
+//! accumulators). No strict, KSP or grouped row has moved since the
+//! first capture.
 //!
 //! The third instance runs on a `with_scaled_capacity(1.5)` view:
 //! `x / 1.5` and `x * (1 / 1.5)` differ in the last place, so a solver
@@ -40,26 +46,26 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const PINS: &str = "\
-rrg24x8x5 fptas lambda=0x3fe59942a745330f upper=0x3fe641cc1ef308f5 phases=407 settles=488707 fold=0x00fd431df437dc92\n\
+rrg24x8x5 fptas lambda=0x3fe5a42a2d87f16d upper=0x3fe64e0ce73fae0c phases=326 settles=385284 fold=0x10c00675a428fd74\n\
 rrg24x8x5 fptas-strict lambda=0x3fe5a6c511e4ccb9 upper=0x3fe6620e327c047f phases=532 settles=482940 fold=0x49f41eca8f99ac49\n\
 rrg24x8x5 ksp:4 lambda=0x3fe53ef368eb0432 upper=0x3fe5e6fb919503b6 phases=729 settles=0 fold=0x7367c7d622c1c1b0\n\
 rrg24x8x5 grouped-weighted lambda=0x3f8136d2b96da702 upper=0x3f8c7f0a8db6fd31 phases=152 settles=5603904 fold=0xcd762522c6710847\n\
 rrg24x8x5 grouped-list lambda=0x3fe5a6c511e4ccb9 upper=0x3fe680e0fdb84a48 phases=532 settles=500304 fold=0xc197042197c5b552\n\
-rrg32x10x6 fptas lambda=0x3fe44a0b27b075a9 upper=0x3fe4ea9f4f00edcd phases=502 settles=1204221 fold=0xc2a39f89c0a51095\n\
+rrg32x10x6 fptas lambda=0x3fe44caa1a9fe2da upper=0x3fe4ed20b6841f89 phases=272 settles=651149 fold=0x51cf822f5709bad1\n\
 rrg32x10x6 fptas-strict lambda=0x3fe45eb92e9378e1 upper=0x3fe5059f7ffafeaf phases=758 settles=1507270 fold=0x912789ff4cc2b67a\n\
 rrg32x10x6 ksp:4 lambda=0x3fe301080b8d4e2f upper=0x3fe3971d73f144b6 phases=737 settles=0 fold=0x533842d4709eb8fe\n\
 rrg32x10x6 grouped-weighted lambda=0x3f72aaa03c149135 upper=0x3f81b291b56cf7ed phases=164 settles=10748928 fold=0x01f89cf4f275d902\n\
 rrg32x10x6 grouped-list lambda=0x3fe45eb92e9378e1 upper=0x3fe50c09ce07be82 phases=758 settles=1473056 fold=0xa5c0bb5f3d18d94a\n\
-rrg20x8x4@1.5 fptas lambda=0x3fe38300763992b5 upper=0x3fe41bf1339e075d phases=170 settles=163308 fold=0x14e39200942017b2\n\
+rrg20x8x4@1.5 fptas lambda=0x3fe3883bbedf7395 upper=0x3fe4223189f4022f phases=133 settles=127561 fold=0xdf50a5f3cc592ea4\n\
 rrg20x8x4@1.5 fptas-strict lambda=0x3fe383183b95d663 upper=0x3fe41cfcdc18be06 phases=372 settles=279068 fold=0x80cfa14859682212\n\
 rrg20x8x4@1.5 ksp:4 lambda=0x3fe2d2d2d2d2d2d3 upper=0x3fe366d857bc1a1e phases=370 settles=0 fold=0x20617a7384095a04\n\
 rrg20x8x4@1.5 grouped-weighted lambda=0x3f7c48717ad80b78 upper=0x3f8c246b68322577 phases=318 settles=8141200 fold=0x4f96aa5fb95364ef\n\
 rrg20x8x4@1.5 grouped-list lambda=0x3fe3a78f82abc0aa upper=0x3fe42747d16782d6 phases=1108 settles=823960 fold=0x11b549e4ee513fda\n\
-rrg20x8x4@1.5 fptas-warm lambda=0x3fe37216659c1a1e upper=0x3fe4087b459b39d6 phases=350 settles=345256 fold=0xe4d0e050362f0c15\n\
-rrg24x8x5 fptas+record lambda=0x3fe59942a745330f upper=0x3fe641cc1ef308f5 phases=407 settles=488707 fold=0xd15bec238ccf8eb7\n\
+rrg20x8x4@1.5 fptas-warm lambda=0x3fe37df9278f5258 upper=0x3fe4174510022978 phases=255 settles=251287 fold=0x74de5bfb4e2a5075\n\
+rrg24x8x5 fptas+record lambda=0x3fe5a42a2d87f16d upper=0x3fe64e0ce73fae0c phases=326 settles=385284 fold=0xc991bbc559eac1f4\n\
 rrg24x8x5 fptas-strict+record lambda=0x3fe5a6c511e4ccb9 upper=0x3fe6620e327c047f phases=532 settles=482940 fold=0x4b9ae7ace6c7b43e\n\
 rrg24x8x5 ksp:4+record lambda=0x3fe53ef368eb0432 upper=0x3fe5e6fb919503b6 phases=729 settles=0 fold=0x943c066e9104618b\n\
-rrg20x8x4@1.5 long fptas lambda=0x3fe2e1c2f9d7c5fc upper=0x3fe5002b548b6a45 phases=700 settles=689313 fold=0xff1eef8a78f412bd\n\
+rrg20x8x4@1.5 long fptas lambda=0x3fe2ec7a1d1a6987 upper=0x3fe5002b548b6a45 phases=700 settles=689313 fold=0xd80c699a125784db\n\
 rrg20x8x4@1.5 long fptas-strict lambda=0x3fe2e186da7642d1 upper=0x3fe52e9096d8a9a6 phases=700 settles=513938 fold=0xce8bafed50b6f41e\n\
 rrg20x8x4@1.5 long ksp:4 lambda=0x3fe2750ff68a58b0 upper=0x3fe47c460a6ad9c4 phases=700 settles=0 fold=0xd00c3caa4b168e15\n\
 rrg20x8x4@1.5 long grouped-list lambda=0x3fe2e186da7642d1 upper=0x3fe63963e9a2cd29 phases=700 settles=518540 fold=0xaab8cb20b9a76a5e\n\
