@@ -226,19 +226,19 @@ proptest! {
                 continue;
             }
             let exact = dctopo::flow::solve(&net, &cs, &opts.with_backend(Backend::ExactLp)).unwrap();
-            // ... and a warm-started one: it opens on the cold solve's
-            // terminal lengths and skips the coarse ramp, so the primal
-            // weights meet a trajectory whose early phases are its best
-            let (_, state) =
-                max_concurrent_flow_warm(&net, &cs, &FlowOptions::fast(), None).unwrap();
-            let (warm, _) =
-                max_concurrent_flow_warm(&net, &cs, &FlowOptions::fast(), Some(&state)).unwrap();
-            let cold = [FlowOptions::fast(), long].map(|p| dctopo::flow::solve(&net, &cs, &p).unwrap());
-            for (kind, fast) in [("fast", &cold[0]), ("long", &cold[1]), ("warm", &warm)] {
-                prop_assert!(fast.throughput <= exact.throughput * (1.0 + 1e-6),
-                    "{family}/{kind}: primal {} above exact {}", fast.throughput, exact.throughput);
-                prop_assert!(fast.upper_bound >= exact.throughput * (1.0 - 1e-6),
-                    "{family}/{kind}: dual {} below exact {}", fast.upper_bound, exact.throughput);
+            // both cold profiles and a warm-started solve, which opens
+            // on the cold one's terminal lengths and skips the coarse
+            // ramp: the primal weights then meet a trajectory whose
+            // early phases are its best
+            let fast = FlowOptions::fast();
+            let (cold, state) = max_concurrent_flow_warm(&net, &cs, &fast, None).unwrap();
+            let (warm, _) = max_concurrent_flow_warm(&net, &cs, &fast, Some(&state)).unwrap();
+            let long = dctopo::flow::solve(&net, &cs, &long).unwrap();
+            for (kind, s) in [("fast", &cold), ("long", &long), ("warm", &warm)] {
+                prop_assert!(s.throughput <= exact.throughput * (1.0 + 1e-6),
+                    "{family}/{kind}: primal {} above exact {}", s.throughput, exact.throughput);
+                prop_assert!(s.upper_bound >= exact.throughput * (1.0 - 1e-6),
+                    "{family}/{kind}: dual {} below exact {}", s.upper_bound, exact.throughput);
             }
         }
     }
