@@ -44,6 +44,7 @@ fn main() {
                 cfg.runs = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
+                    .filter(|&runs| runs > 0)
                     .unwrap_or_else(|| usage());
             }
             "--seed" => {

@@ -7,18 +7,15 @@
 //! * `extra-bisection` — "bisection bandwidth is not a good measure of
 //!   performance" (§6): the cut shrinks long before throughput drops.
 
-use dctopo_core::experiment::Runner;
-use dctopo_core::solve_throughput;
-use dctopo_core::vl2::CoreError;
+use dctopo_core::{solve_throughput, TopologyPoint, TrafficModel};
 use dctopo_graph::components::cut_capacity;
-use dctopo_topology::classic::{fat_tree, hypercube};
+use dctopo_topology::classic::fat_tree;
 use dctopo_topology::hetero::{heterogeneous_fleet, two_cluster, CrossSpec};
-use dctopo_topology::{ClusterSpec, ServerPlacement, Topology};
+use dctopo_topology::{ClusterSpec, ServerPlacement};
 use dctopo_traffic::TrafficMatrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::figs::fig06_07::ratio_grid;
+use crate::figs::{curve, samples};
 use crate::{columns, header, row, FigConfig};
 
 /// Hypercube vs RRG with identical equipment: compare the *network*
@@ -34,38 +31,26 @@ pub fn run_hypercube(cfg: &FigConfig) {
         "rrg_lambda",
         "rrg/hypercube",
     ]);
-    let dims: Vec<u32> = if cfg.full {
+    let dims: Vec<usize> = if cfg.full {
         vec![5, 6, 7, 8, 9]
     } else {
         vec![5, 6, 7]
     };
     let spw = 1usize; // one server per switch
-    for &dim in &dims {
-        let n = 1usize << dim;
-        let runner = Runner::new(cfg.effective_runs(), cfg.seed);
-        let cube = hypercube(dim, spw).expect("hypercube");
-        let cube_t = runner
-            .run(|seed| -> Result<f64, CoreError> {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let tm = TrafficMatrix::random_permutation(cube.server_count(), &mut rng);
-                Ok(solve_throughput(&cube, &tm, &cfg.opts)?.network_lambda)
-            })
-            .expect("cube solve");
-        let rrg_t = runner
-            .run(|seed| -> Result<f64, CoreError> {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let topo = Topology::random_regular(n, dim as usize + spw, dim as usize, &mut rng)?;
-                let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
-                Ok(solve_throughput(&topo, &tm, &cfg.opts)?.network_lambda)
-            })
-            .expect("rrg solve");
-        row(&[
-            f64::from(dim),
-            n as f64,
-            cube_t.mean,
-            rrg_t.mean,
-            rrg_t.mean / cube_t.mean,
-        ]);
+    let points = dims
+        .iter()
+        .flat_map(|&dim| {
+            let cube = format!("hypercube:{dim}x{spw}");
+            [
+                cube.parse::<TopologyPoint>().expect("family spec"),
+                TopologyPoint::rrg(1 << dim, dim + spw, dim),
+            ]
+        })
+        .collect();
+    let lambda = curve(cfg, points, TrafficModel::Permutation, |m| m.network_lambda);
+    for (&dim, pair) in dims.iter().zip(lambda.chunks(2)) {
+        let (cube, rrg) = (pair[0].mean, pair[1].mean);
+        row(&[dim as f64, (1usize << dim) as f64, cube, rrg, rrg / cube]);
     }
 }
 
@@ -88,43 +73,42 @@ pub fn run_fattree(cfg: &FigConfig) {
     } else {
         vec![4, 6, 8]
     };
-    for &k in &ks {
+    // same fleet: as many k-port switches and as many servers as the
+    // fat-tree, servers spread proportionally (= as evenly as integers
+    // allow), every remaining port wired uniformly at random
+    let fleet = |k: usize| {
         let ft = fat_tree(k).expect("fat tree");
-        let n_switches = ft.switch_count();
-        let servers = ft.server_count();
-        let runner = Runner::new(cfg.effective_runs(), cfg.seed);
-        let ft_t = runner
-            .run(|seed| -> Result<f64, CoreError> {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let tm = TrafficMatrix::random_permutation(servers, &mut rng);
-                Ok(solve_throughput(&ft, &tm, &cfg.opts)?.network_lambda)
-            })
-            .expect("ft solve");
-        let rrg_t = runner
-            .run(|seed| -> Result<f64, CoreError> {
-                let mut rng = StdRng::seed_from_u64(seed);
-                // same fleet: n_switches switches with k ports; servers
-                // spread proportionally (= as evenly as integers allow),
-                // every remaining port wired uniformly at random
-                let topo = heterogeneous_fleet(
+        (ft.switch_count(), ft.server_count())
+    };
+    let points = ks
+        .iter()
+        .flat_map(|&k| {
+            let (n_switches, servers) = fleet(k);
+            let random = TopologyPoint::new(format!("random-fleet:{k}"), move |rng| {
+                heterogeneous_fleet(
                     &vec![k; n_switches],
                     vec![0; n_switches],
                     vec!["switch".into()],
                     servers,
                     &ServerPlacement::Proportional,
-                    &mut rng,
-                )?;
-                let tm = TrafficMatrix::random_permutation(servers, &mut rng);
-                Ok(solve_throughput(&topo, &tm, &cfg.opts)?.network_lambda)
-            })
-            .expect("rrg solve");
+                    rng,
+                )
+            });
+            let ft = format!("fat-tree:{k}");
+            [ft.parse::<TopologyPoint>().expect("family spec"), random]
+        })
+        .collect();
+    let lambda = curve(cfg, points, TrafficModel::Permutation, |m| m.network_lambda);
+    for (&k, pair) in ks.iter().zip(lambda.chunks(2)) {
+        let (n_switches, servers) = fleet(k);
+        let (ft, rrg) = (pair[0].mean, pair[1].mean);
         row(&[
             k as f64,
             n_switches as f64,
             servers as f64,
-            ft_t.mean,
-            rrg_t.mean,
-            rrg_t.mean / ft_t.mean,
+            ft,
+            rrg,
+            rrg / ft,
         ]);
     }
 }
@@ -146,23 +130,15 @@ pub fn run_bisection(cfg: &FigConfig) {
     let grid = ratio_grid(large, small, cfg.full);
     let mut series = Vec::new();
     for &ratio in &grid {
-        let runner = Runner::new(cfg.effective_runs(), cfg.seed);
-        let mut ts = Vec::new();
-        let mut cuts = Vec::new();
-        for &seed in &runner.seeds {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let topo = two_cluster(large, small, CrossSpec::Ratio(ratio), &mut rng).expect("build");
+        let [t, cut] = samples(cfg, |rng| {
+            let topo = two_cluster(large, small, CrossSpec::Ratio(ratio), rng)?;
             let in_large: Vec<bool> = (0..40).map(|v| v < 20).collect();
-            cuts.push(cut_capacity(&topo.graph, &in_large));
-            let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
-            ts.push(
-                solve_throughput(&topo, &tm, &cfg.opts)
-                    .expect("solve")
-                    .throughput,
-            );
-        }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        series.push((ratio, mean(&ts), mean(&cuts)));
+            let cut = cut_capacity(&topo.graph, &in_large);
+            let tm = TrafficMatrix::random_permutation(topo.server_count(), rng);
+            Ok([solve_throughput(&topo, &tm, &cfg.opts)?.throughput, cut])
+        })
+        .expect("bisection sample");
+        series.push((ratio, t.mean, cut.mean));
     }
     let t_max = series.iter().map(|&(_, t, _)| t).fold(0.0f64, f64::max);
     let c_max = series.iter().map(|&(_, _, c)| c).fold(0.0f64, f64::max);

@@ -10,62 +10,57 @@
 //! are near-optimal (within a few percent at a few thousand servers).
 
 use dctopo_bounds::{aspl_lower_bound, throughput_upper_bound};
-use dctopo_core::experiment::{Runner, Stats};
-use dctopo_core::solve_throughput;
-use dctopo_core::vl2::CoreError;
+use dctopo_core::{TopologyPoint, TrafficModel};
 use dctopo_graph::paths::path_stats;
 use dctopo_topology::Topology;
-use dctopo_traffic::TrafficMatrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
+use crate::figs::{curve, samples};
 use crate::{columns, header, row, FigConfig};
 
-/// Throughput ratio to the Theorem-1 bound for `RRG(n, r+spw, r)` under
-/// permutation traffic with `spw` servers per switch.
-fn perm_ratio(cfg: &FigConfig, n: usize, r: usize, spw: usize) -> Result<Stats, CoreError> {
-    let flows = n * spw;
-    let bound = throughput_upper_bound(n, r, flows);
-    let runner = Runner::new(cfg.effective_runs(), cfg.seed);
-    runner.run(|seed| -> Result<f64, CoreError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let topo = Topology::random_regular(n, r + spw, r, &mut rng)?;
-        let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
-        let res = solve_throughput(&topo, &tm, &cfg.opts)?;
-        // Theorem 1 bounds the *network* concurrent flow: the paper's
-        // model here has no server NICs, so compare the uncapped λ
-        Ok(res.network_lambda / bound)
-    })
+/// Mean network λ over the Theorem-1 bound for `RRG(n, r + spw, r)`
+/// under `traffic`, one value per `(n, r)` in `sizes`. Theorem 1 bounds
+/// the *network* concurrent flow — the paper's model here has no server
+/// NICs — so the ratio uses the uncapped λ.
+fn ratio_curve(
+    cfg: &FigConfig,
+    sizes: &[(usize, usize)],
+    spw: usize,
+    traffic: TrafficModel,
+) -> Vec<f64> {
+    let points = sizes
+        .iter()
+        .map(|&(n, r)| TopologyPoint::rrg(n, r + spw, r))
+        .collect();
+    let flows = |n: usize| traffic.pair_count(n * spw) as usize;
+    curve(cfg, points, traffic.clone(), |m| m.network_lambda)
+        .iter()
+        .zip(sizes)
+        .map(|(lambda, &(n, r))| lambda.mean / throughput_upper_bound(n, r, flows(n)))
+        .collect()
 }
 
-/// Throughput ratio to the bound for all-to-all traffic with one server
-/// per switch (`f = n(n−1)` unit flows).
-fn a2a_ratio(cfg: &FigConfig, n: usize, r: usize) -> Result<Stats, CoreError> {
-    let flows = n * (n - 1);
-    let bound = throughput_upper_bound(n, r, flows);
-    let runner = Runner::new(cfg.effective_runs(), cfg.seed);
-    runner.run(|seed| -> Result<f64, CoreError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let topo = Topology::random_regular(n, r + 1, r, &mut rng)?;
-        let tm = TrafficMatrix::all_to_all(n);
-        let res = solve_throughput(&topo, &tm, &cfg.opts)?;
-        Ok(res.network_lambda / bound)
-    })
-}
-
-/// Observed mean ASPL of `RRG(n, ·, r)`.
-fn observed_aspl(cfg: &FigConfig, n: usize, r: usize) -> Result<Stats, CoreError> {
-    let runner = Runner::new(cfg.effective_runs(), cfg.seed);
-    runner.run(|seed| -> Result<f64, CoreError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let topo = Topology::random_regular(n, r + 1, r, &mut rng)?;
-        Ok(path_stats(&topo.graph)?.aspl)
-    })
+/// The rows both figures print, one per `(n, r)` in `sizes` (ascending
+/// in `n`), keyed by `x`. All-to-all runs with one server per switch and
+/// only at `n ≤ 40`: its flow count grows as `n²`.
+fn rows(cfg: &FigConfig, sizes: &[(usize, usize)], x: fn((usize, usize)) -> usize) {
+    let small = sizes.iter().take_while(|&&(n, _)| n <= 40).count();
+    let a2a = ratio_curve(cfg, &sizes[..small], 1, TrafficModel::AllToAll);
+    let p10 = ratio_curve(cfg, sizes, 10, TrafficModel::Permutation);
+    let p5 = ratio_curve(cfg, sizes, 5, TrafficModel::Permutation);
+    for (i, &(n, r)) in sizes.iter().enumerate() {
+        let [aspl] = samples(cfg, |rng| {
+            let topo = Topology::random_regular(n, r + 1, r, rng)?;
+            Ok([path_stats(&topo.graph)?.aspl])
+        })
+        .expect("aspl");
+        let bound = aspl_lower_bound(n, r).expect("bound");
+        let a2a = a2a.get(i).copied().unwrap_or(f64::NAN);
+        row(&[x((n, r)) as f64, a2a, p10[i], p5[i], aspl.mean, bound]);
+    }
 }
 
 /// Fig. 1: N = 40, degree sweep.
 pub fn run_fig1(cfg: &FigConfig) {
-    let n = 40;
     let degrees: Vec<usize> = if cfg.full {
         (3..=33).step_by(2).collect()
     } else {
@@ -81,23 +76,16 @@ pub fn run_fig1(cfg: &FigConfig) {
         "aspl_observed",
         "aspl_bound",
     ]);
-    for &r in &degrees {
-        let a2a = a2a_ratio(cfg, n, r).expect("a2a solve");
-        let p10 = perm_ratio(cfg, n, r, 10).expect("perm10 solve");
-        let p5 = perm_ratio(cfg, n, r, 5).expect("perm5 solve");
-        let aspl = observed_aspl(cfg, n, r).expect("aspl");
-        let bound = aspl_lower_bound(n, r).expect("bound");
-        row(&[r as f64, a2a.mean, p10.mean, p5.mean, aspl.mean, bound]);
-    }
+    let sizes: Vec<(usize, usize)> = degrees.iter().map(|&r| (40, r)).collect();
+    rows(cfg, &sizes, |(_, r)| r);
 }
 
 /// Fig. 2: degree 10, size sweep.
 pub fn run_fig2(cfg: &FigConfig) {
-    let r = 10;
-    let sizes: Vec<usize> = if cfg.full {
-        vec![15, 20, 30, 40, 60, 80, 100, 120, 140, 160, 180, 200]
+    let sizes: &[usize] = if cfg.full {
+        &[15, 20, 30, 40, 60, 80, 100, 120, 140, 160, 180, 200]
     } else {
-        vec![15, 20, 30, 40, 60, 80, 120, 160, 200]
+        &[15, 20, 30, 40, 60, 80, 120, 160, 200]
     };
     header("Fig 2(a): throughput / Theorem-1 bound, degree 10, size sweep");
     header("Fig 2(b): ASPL vs Cerf lower bound");
@@ -110,16 +98,6 @@ pub fn run_fig2(cfg: &FigConfig) {
         "aspl_observed",
         "aspl_bound",
     ]);
-    for &n in &sizes {
-        let a2a = if n <= 40 {
-            a2a_ratio(cfg, n, r).expect("a2a").mean
-        } else {
-            f64::NAN
-        };
-        let p10 = perm_ratio(cfg, n, r, 10).expect("perm10");
-        let p5 = perm_ratio(cfg, n, r, 5).expect("perm5");
-        let aspl = observed_aspl(cfg, n, r).expect("aspl");
-        let bound = aspl_lower_bound(n, r).expect("bound");
-        row(&[n as f64, a2a, p10.mean, p5.mean, aspl.mean, bound]);
-    }
+    let sizes: Vec<(usize, usize)> = sizes.iter().map(|&n| (n, 10)).collect();
+    rows(cfg, &sizes, |(n, _)| n);
 }

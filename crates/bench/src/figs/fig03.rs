@@ -5,13 +5,10 @@
 //! full N = 1457 even in the default profile.
 
 use dctopo_bounds::{aspl_lower_bound, moore_level_boundaries};
-use dctopo_core::experiment::Runner;
-use dctopo_core::vl2::CoreError;
 use dctopo_graph::paths::path_stats;
 use dctopo_topology::Topology;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
+use crate::figs::samples;
 use crate::{columns, header, row, FigConfig};
 
 /// Fig. 3: degree-4 ASPL versus the bound across sizes.
@@ -35,15 +32,12 @@ pub fn run(cfg: &FigConfig) {
     ));
     columns(&["size", "aspl_observed", "aspl_bound", "ratio"]);
     for &n in &sizes {
-        let runner = Runner::new(cfg.effective_runs(), cfg.seed);
-        let stats = runner
-            .run(|seed| -> Result<f64, CoreError> {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let topo = Topology::random_regular(n, r + 1, r, &mut rng)?;
-                Ok(path_stats(&topo.graph)?.aspl)
-            })
-            .expect("aspl run");
+        let [aspl] = samples(cfg, |rng| {
+            let topo = Topology::random_regular(n, r + 1, r, rng)?;
+            Ok([path_stats(&topo.graph)?.aspl])
+        })
+        .expect("aspl run");
         let bound = aspl_lower_bound(n, r).expect("bound");
-        row(&[n as f64, stats.mean, bound, stats.mean / bound]);
+        row(&[n as f64, aspl.mean, bound, aspl.mean / bound]);
     }
 }

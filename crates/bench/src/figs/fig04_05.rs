@@ -9,13 +9,13 @@
 //! * Fig. 5 — a power-law port-count fleet; attach servers ∝ `k^β` and
 //!   sweep β. β = 1 (proportional) is among the optima.
 
-use dctopo_core::vl2::CoreError;
+use dctopo_core::{TopologyPoint, TrafficModel};
 use dctopo_topology::hetero::{heterogeneous, heterogeneous_fleet, power_law_ports};
 use dctopo_topology::ServerPlacement;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::figs::mean_perm_throughput;
+use crate::figs::curve;
 use crate::{columns, header, proportional_servers_large, row_keyed, server_splits, FigConfig};
 
 /// One Fig. 4 curve: sweep server splits for the given fleet.
@@ -27,17 +27,24 @@ fn sweep_split_curve(
     n_s: usize,
     ports_s: usize,
     total_servers: usize,
-) -> Result<(), CoreError> {
+) {
     let prop = proportional_servers_large(total_servers, n_l, n_s, ports_l, ports_s);
-    for (s_l, s_s) in server_splits(total_servers, n_l, n_s, ports_l, ports_s) {
-        let stats = mean_perm_throughput(cfg, |rng| {
-            heterogeneous(
-                &[(n_l, ports_l), (n_s, ports_s)],
-                total_servers,
-                &ServerPlacement::PerClass(vec![s_l, s_s]),
-                rng,
-            )
-        })?;
+    let splits = server_splits(total_servers, n_l, n_s, ports_l, ports_s);
+    let points = splits
+        .iter()
+        .map(|&(s_l, s_s)| {
+            TopologyPoint::new(format!("{label}:{s_l}/{s_s}"), move |rng| {
+                heterogeneous(
+                    &[(n_l, ports_l), (n_s, ports_s)],
+                    total_servers,
+                    &ServerPlacement::PerClass(vec![s_l, s_s]),
+                    rng,
+                )
+            })
+        })
+        .collect();
+    let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput);
+    for (&(s_l, s_s), stats) in splits.iter().zip(throughput) {
         row_keyed(
             label,
             &[
@@ -49,7 +56,6 @@ fn sweep_split_curve(
             ],
         );
     }
-    Ok(())
 }
 
 /// Fig. 4(a)–(c).
@@ -64,17 +70,17 @@ pub fn run_fig4(cfg: &FigConfig) {
         "servers_small",
     ]);
     // (a) port ratios 3:1, 2:1, 3:2 — 20 large, 40 small
-    sweep_split_curve(cfg, "a:3to1", 20, 30, 40, 10, 500).expect("fig4a 3:1");
-    sweep_split_curve(cfg, "a:2to1", 20, 30, 40, 15, 480).expect("fig4a 2:1");
-    sweep_split_curve(cfg, "a:3to2", 20, 30, 40, 20, 420).expect("fig4a 3:2");
+    sweep_split_curve(cfg, "a:3to1", 20, 30, 40, 10, 500);
+    sweep_split_curve(cfg, "a:2to1", 20, 30, 40, 15, 480);
+    sweep_split_curve(cfg, "a:3to2", 20, 30, 40, 20, 420);
     // (b) small-switch count 20/30/40 (20 large of 30p, smalls of 20p)
-    sweep_split_curve(cfg, "b:20small", 20, 30, 20, 20, 300).expect("fig4b 20");
-    sweep_split_curve(cfg, "b:30small", 20, 30, 30, 20, 360).expect("fig4b 30");
-    sweep_split_curve(cfg, "b:40small", 20, 30, 40, 20, 420).expect("fig4b 40");
+    sweep_split_curve(cfg, "b:20small", 20, 30, 20, 20, 300);
+    sweep_split_curve(cfg, "b:30small", 20, 30, 30, 20, 360);
+    sweep_split_curve(cfg, "b:40small", 20, 30, 40, 20, 420);
     // (c) oversubscription: same equipment (20×30p + 30×20p), more servers
-    sweep_split_curve(cfg, "c:480srv", 20, 30, 30, 20, 480).expect("fig4c 480");
-    sweep_split_curve(cfg, "c:510srv", 20, 30, 30, 20, 510).expect("fig4c 510");
-    sweep_split_curve(cfg, "c:540srv", 20, 30, 30, 20, 540).expect("fig4c 540");
+    sweep_split_curve(cfg, "c:480srv", 20, 30, 30, 20, 480);
+    sweep_split_curve(cfg, "c:510srv", 20, 30, 30, 20, 510);
+    sweep_split_curve(cfg, "c:540srv", 20, 30, 30, 20, 540);
 }
 
 /// Fig. 5: power-law port counts, servers ∝ `k^β`.
@@ -94,21 +100,24 @@ pub fn run_fig5(cfg: &FigConfig) {
         let total_servers = (total_ports as f64 * 0.4).round() as usize;
         let class_of: Vec<usize> = vec![0; n_switches];
         let names = vec!["powerlaw".to_string()];
-        let mut results = Vec::new();
-        for &beta in &betas {
-            let stats = mean_perm_throughput(cfg, |rng| {
-                heterogeneous_fleet(
-                    &ports,
-                    class_of.clone(),
-                    names.clone(),
-                    total_servers,
-                    &ServerPlacement::PowerLaw { beta },
-                    rng,
-                )
+        let points = betas
+            .iter()
+            .map(|&beta| {
+                let (ports, class_of, names) = (ports.clone(), class_of.clone(), names.clone());
+                TopologyPoint::new(format!("{label}:beta{beta}"), move |rng| {
+                    heterogeneous_fleet(
+                        &ports,
+                        class_of.clone(),
+                        names.clone(),
+                        total_servers,
+                        &ServerPlacement::PowerLaw { beta },
+                        rng,
+                    )
+                })
             })
-            .expect("fig5 solve");
-            results.push((beta, stats));
-        }
+            .collect();
+        let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput);
+        let results: Vec<_> = betas.iter().copied().zip(throughput).collect();
         let norm = results
             .iter()
             .find(|(b, _)| (*b - 1.0).abs() < 1e-9)
@@ -118,5 +127,4 @@ pub fn run_fig5(cfg: &FigConfig) {
             row_keyed(label, &[beta, stats.mean / norm, stats.std / norm]);
         }
     }
-    let _: Option<CoreError> = None;
 }

@@ -8,11 +8,11 @@
 //!   optima exist, but proportional placement + vanilla random
 //!   interconnect is among them.
 
-use dctopo_core::vl2::CoreError;
+use dctopo_core::{TopologyPoint, TrafficModel};
 use dctopo_topology::hetero::{two_cluster, CrossSpec};
 use dctopo_topology::{expected_cross_links, ClusterSpec};
 
-use crate::figs::mean_perm_throughput;
+use crate::figs::curve;
 use crate::{columns, header, row_keyed, FigConfig};
 
 /// The standard cross-ratio grid, clamped to what the port budgets allow.
@@ -30,19 +30,20 @@ pub(crate) fn ratio_grid(large: ClusterSpec, small: ClusterSpec, dense: bool) ->
 }
 
 /// One Fig. 6 curve: cross-connectivity sweep at a fixed server split.
-fn sweep_cross_curve(
-    cfg: &FigConfig,
-    label: &str,
-    large: ClusterSpec,
-    small: ClusterSpec,
-) -> Result<(), CoreError> {
-    for ratio in ratio_grid(large, small, cfg.full) {
-        let stats = mean_perm_throughput(cfg, |rng| {
-            two_cluster(large, small, CrossSpec::Ratio(ratio), rng)
-        })?;
+fn sweep_cross_curve(cfg: &FigConfig, label: &str, large: ClusterSpec, small: ClusterSpec) {
+    let ratios = ratio_grid(large, small, cfg.full);
+    let points = ratios
+        .iter()
+        .map(|&ratio| {
+            TopologyPoint::new(format!("{label}:x{ratio}"), move |rng| {
+                two_cluster(large, small, CrossSpec::Ratio(ratio), rng)
+            })
+        })
+        .collect();
+    let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput);
+    for (ratio, stats) in ratios.into_iter().zip(throughput) {
         row_keyed(label, &[ratio, stats.mean, stats.std]);
     }
-    Ok(())
 }
 
 /// Fig. 6(a)–(c).
@@ -56,17 +57,17 @@ pub fn run_fig6(cfg: &FigConfig) {
         servers_per_switch: servers,
     };
     // (a) port ratios (servers proportional to ports)
-    sweep_cross_curve(cfg, "a:3to1", spec(20, 30, 15), spec(40, 10, 5)).expect("6a 3:1");
-    sweep_cross_curve(cfg, "a:2to1", spec(20, 30, 12), spec(40, 15, 6)).expect("6a 2:1");
-    sweep_cross_curve(cfg, "a:3to2", spec(20, 30, 9), spec(40, 20, 6)).expect("6a 3:2");
+    sweep_cross_curve(cfg, "a:3to1", spec(20, 30, 15), spec(40, 10, 5));
+    sweep_cross_curve(cfg, "a:2to1", spec(20, 30, 12), spec(40, 15, 6));
+    sweep_cross_curve(cfg, "a:3to2", spec(20, 30, 9), spec(40, 20, 6));
     // (b) small-switch counts
-    sweep_cross_curve(cfg, "b:20small", spec(20, 30, 9), spec(20, 20, 6)).expect("6b 20");
-    sweep_cross_curve(cfg, "b:30small", spec(20, 30, 9), spec(30, 20, 6)).expect("6b 30");
-    sweep_cross_curve(cfg, "b:40small", spec(20, 30, 9), spec(40, 20, 6)).expect("6b 40");
+    sweep_cross_curve(cfg, "b:20small", spec(20, 30, 9), spec(20, 20, 6));
+    sweep_cross_curve(cfg, "b:30small", spec(20, 30, 9), spec(30, 20, 6));
+    sweep_cross_curve(cfg, "b:40small", spec(20, 30, 9), spec(40, 20, 6));
     // (c) oversubscription (same switches, more servers)
-    sweep_cross_curve(cfg, "c:360srv", spec(20, 30, 9), spec(30, 20, 6)).expect("6c 360");
-    sweep_cross_curve(cfg, "c:480srv", spec(20, 30, 12), spec(30, 20, 8)).expect("6c 480");
-    sweep_cross_curve(cfg, "c:600srv", spec(20, 30, 15), spec(30, 20, 10)).expect("6c 600");
+    sweep_cross_curve(cfg, "c:360srv", spec(20, 30, 9), spec(30, 20, 6));
+    sweep_cross_curve(cfg, "c:480srv", spec(20, 30, 12), spec(30, 20, 8));
+    sweep_cross_curve(cfg, "c:600srv", spec(20, 30, 15), spec(30, 20, 10));
 }
 
 /// Fig. 7(a), (b): joint server-split × cross-connectivity sweeps.
@@ -86,7 +87,7 @@ pub fn run_fig7(cfg: &FigConfig) {
             ports: 10,
             servers_per_switch: l,
         };
-        sweep_cross_curve(cfg, &format!("a:{h}H,{l}L"), large, small).expect("fig7a");
+        sweep_cross_curve(cfg, &format!("a:{h}H,{l}L"), large, small);
     }
     // (b) 20 large (30p), 40 small (20p), 560 servers total
     for &(h, l) in &[(22usize, 3usize), (18, 5), (14, 7), (10, 9), (6, 11)] {
@@ -100,6 +101,6 @@ pub fn run_fig7(cfg: &FigConfig) {
             ports: 20,
             servers_per_switch: l,
         };
-        sweep_cross_curve(cfg, &format!("b:{h}H,{l}L"), large, small).expect("fig7b");
+        sweep_cross_curve(cfg, &format!("b:{h}H,{l}L"), large, small);
     }
 }

@@ -6,12 +6,12 @@
 //! (c) sweeps the trunk count. Higher trunk capacity helps, but its
 //! impact vanishes when cross-cluster connectivity is the bottleneck.
 
-use dctopo_core::vl2::CoreError;
+use dctopo_core::{TopologyPoint, TrafficModel};
 use dctopo_topology::hetero::{two_cluster_linespeed, CrossSpec};
 use dctopo_topology::ClusterSpec;
 
+use crate::figs::curve;
 use crate::figs::fig06_07::ratio_grid;
-use crate::figs::mean_perm_throughput;
 use crate::{columns, header, row_keyed, FigConfig};
 
 fn sweep(
@@ -21,21 +21,21 @@ fn sweep(
     small: ClusterSpec,
     high_links: usize,
     high_speed: f64,
-) -> Result<(), CoreError> {
-    for ratio in ratio_grid(large, small, cfg.full) {
-        let stats = mean_perm_throughput(cfg, |rng| {
-            two_cluster_linespeed(
-                large,
-                small,
-                CrossSpec::Ratio(ratio),
-                high_links,
-                high_speed,
-                rng,
-            )
-        })?;
+) {
+    let ratios = ratio_grid(large, small, cfg.full);
+    let points = ratios
+        .iter()
+        .map(|&ratio| {
+            TopologyPoint::new(format!("{label}:x{ratio}"), move |rng| {
+                let cross = CrossSpec::Ratio(ratio);
+                two_cluster_linespeed(large, small, cross, high_links, high_speed, rng)
+            })
+        })
+        .collect();
+    let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput);
+    for (ratio, stats) in ratios.into_iter().zip(throughput) {
         row_keyed(label, &[ratio, stats.mean, stats.std]);
     }
-    Ok(())
 }
 
 /// Fig. 8(a)–(c).
@@ -55,7 +55,7 @@ pub fn run(cfg: &FigConfig) {
     };
     // (a) server splits, 3 trunks at 10x (total servers fixed at 860)
     for &(h, l) in &[(36usize, 7usize), (35, 8), (34, 9), (33, 10), (32, 11)] {
-        sweep(cfg, &format!("a:{h}H,{l}L"), large(h), small(l), 3, 10.0).expect("fig8a");
+        sweep(cfg, &format!("a:{h}H,{l}L"), large(h), small(l), 3, 10.0);
     }
     // (b) trunk speed sweep at 6 trunks, servers fixed (34, 9)
     for &speed in &[2.0, 4.0, 8.0] {
@@ -66,8 +66,7 @@ pub fn run(cfg: &FigConfig) {
             small(9),
             6,
             speed,
-        )
-        .expect("fig8b");
+        );
     }
     // (c) trunk count sweep at speed 4, servers fixed (34, 9)
     for &links in &[3usize, 6, 9] {
@@ -78,7 +77,6 @@ pub fn run(cfg: &FigConfig) {
             small(9),
             links,
             4.0,
-        )
-        .expect("fig8c");
+        );
     }
 }

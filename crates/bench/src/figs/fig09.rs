@@ -4,18 +4,17 @@
 //! The finding: utilization tracks throughput best — bottlenecks (not
 //! path lengths) govern the losses.
 
-use dctopo_core::experiment::Runner;
 use dctopo_core::solve_throughput;
-use dctopo_core::vl2::CoreError;
+use dctopo_flow::FlowError;
 use dctopo_graph::GraphError;
 use dctopo_metrics::decompose;
 use dctopo_topology::hetero::{heterogeneous, two_cluster, two_cluster_linespeed, CrossSpec};
 use dctopo_topology::{ClusterSpec, ServerPlacement, Topology};
 use dctopo_traffic::TrafficMatrix;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::figs::fig06_07::ratio_grid;
+use crate::figs::samples;
 use crate::{columns, header, row_keyed, server_splits, FigConfig};
 
 /// Per-point means of (throughput, utilization, 1/⟨D⟩, 1/AS).
@@ -27,15 +26,13 @@ struct Point {
     inv_as: f64,
 }
 
-fn measure<B>(cfg: &FigConfig, x: f64, build: B) -> Result<Point, CoreError>
+fn measure<B>(cfg: &FigConfig, x: f64, build: B) -> Result<Point, FlowError>
 where
     B: Fn(&mut StdRng) -> Result<Topology, GraphError> + Sync,
 {
-    let runner = Runner::new(cfg.effective_runs(), cfg.seed);
-    let samples = run_samples(&runner, |seed| -> Result<[f64; 4], CoreError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let topo = build(&mut rng)?;
-        let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
+    let [t, u, inv_d, inv_as] = samples(cfg, |rng| {
+        let topo = build(rng)?;
+        let tm = TrafficMatrix::random_permutation(topo.server_count(), rng);
         let res = solve_throughput(&topo, &tm, &cfg.opts)?;
         let solved = res.solved.as_ref().expect("network solve present");
         let d = decompose(&topo.graph, solved, &res.commodities)?;
@@ -46,14 +43,12 @@ where
             1.0 / d.stretch.max(1e-9),
         ])
     })?;
-    let n = samples.len() as f64;
-    let mean = |i: usize| samples.iter().map(|s| s[i]).sum::<f64>() / n;
     Ok(Point {
         x,
-        t: mean(0),
-        u: mean(1),
-        inv_d: mean(2),
-        inv_as: mean(3),
+        t: t.mean,
+        u: u.mean,
+        inv_d: inv_d.mean,
+        inv_as: inv_as.mean,
     })
 }
 
@@ -69,16 +64,6 @@ fn print_normalized(label: &str, points: &[Point]) {
             &[p.x, p.t / pt, p.u / pu, p.inv_d / pd, p.inv_as / pa],
         );
     }
-}
-
-/// `Runner::run_raw` is f64-typed; this local helper collects the
-/// 4-tuples fig 9 needs (sequentially — each sample is a full solver
-/// run, and seeds stay deterministic).
-fn run_samples<F, E>(runner: &Runner, f: F) -> Result<Vec<[f64; 4]>, E>
-where
-    F: Fn(u64) -> Result<[f64; 4], E>,
-{
-    runner.seeds.iter().map(|&s| f(s)).collect()
 }
 
 /// Fig. 9(a)–(c).

@@ -9,9 +9,8 @@
 //!   print both the series and the threshold.
 
 use dctopo_bounds::cbar_star;
-use dctopo_core::experiment::Runner;
 use dctopo_core::solve_throughput;
-use dctopo_core::vl2::CoreError;
+use dctopo_flow::FlowError;
 use dctopo_graph::components::cut_capacity;
 use dctopo_graph::paths::bfs_distances;
 use dctopo_graph::GraphError;
@@ -19,9 +18,9 @@ use dctopo_topology::hetero::{two_cluster, two_cluster_linespeed, CrossSpec};
 use dctopo_topology::{ClusterSpec, Topology};
 use dctopo_traffic::TrafficMatrix;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::figs::fig06_07::ratio_grid;
+use crate::figs::samples;
 use crate::{columns, header, row_keyed, FigConfig};
 
 /// The ⟨D⟩ that Theorem 1 actually needs under permutation traffic: the
@@ -53,19 +52,14 @@ fn server_weighted_aspl(topo: &Topology) -> f64 {
 }
 
 /// Mean (observed throughput, Eqn-1 bound) at one sweep point.
-fn observe<B>(cfg: &FigConfig, large_count: usize, build: B) -> Result<(f64, f64), CoreError>
+fn observe<B>(cfg: &FigConfig, large_count: usize, build: B) -> Result<(f64, f64), FlowError>
 where
     B: Fn(&mut StdRng) -> Result<Topology, GraphError> + Sync,
 {
-    let runner = Runner::new(cfg.effective_runs(), cfg.seed);
-    let mut ts = Vec::new();
-    let mut bs = Vec::new();
-    for &seed in &runner.seeds {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let topo = build(&mut rng)?;
-        let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
+    let [t, bound] = samples(cfg, |rng| {
+        let topo = build(rng)?;
+        let tm = TrafficMatrix::random_permutation(topo.server_count(), rng);
         let res = solve_throughput(&topo, &tm, &cfg.opts)?;
-        ts.push(res.throughput);
         // Eqn-1 ingredients from this concrete instance. The paper
         // evaluates the cut term at the *expected* cross-flow count and
         // notes the additive error; at our reduced scale that error is
@@ -84,10 +78,9 @@ where
             .max(1);
         let path_bound = c_total / (aspl * tm.flow_count() as f64);
         let cut_bound = c_bar / cross_flows as f64;
-        bs.push(path_bound.min(cut_bound));
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    Ok((mean(&ts), mean(&bs)))
+        Ok([res.throughput, path_bound.min(cut_bound)])
+    })?;
+    Ok((t.mean, bound.mean))
 }
 
 /// Fig. 10(a), (b).
@@ -201,25 +194,20 @@ fn threshold_check(
     name: &str,
     large: ClusterSpec,
     small: ClusterSpec,
-) -> Result<(), CoreError> {
+) -> Result<(), FlowError> {
     let n1 = large.count * large.servers_per_switch;
     let n2 = small.count * small.servers_per_switch;
     let grid = ratio_grid(large, small, false);
     let mut series: Vec<(f64, f64, f64)> = Vec::new(); // (ratio, T, C̄)
     for &ratio in &grid {
-        let runner = Runner::new(cfg.effective_runs(), cfg.seed);
-        let mut ts = Vec::new();
-        let mut cbars = Vec::new();
-        for &seed in &runner.seeds {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let topo = two_cluster(large, small, CrossSpec::Ratio(ratio), &mut rng)?;
+        let [t, cbar] = samples(cfg, |rng| {
+            let topo = two_cluster(large, small, CrossSpec::Ratio(ratio), rng)?;
             let in_large: Vec<bool> = (0..topo.switch_count()).map(|v| v < large.count).collect();
-            cbars.push(cut_capacity(&topo.graph, &in_large));
-            let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
-            ts.push(solve_throughput(&topo, &tm, &cfg.opts)?.throughput);
-        }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        series.push((ratio, mean(&ts), mean(&cbars)));
+            let cbar = cut_capacity(&topo.graph, &in_large);
+            let tm = TrafficMatrix::random_permutation(topo.server_count(), rng);
+            Ok([solve_throughput(&topo, &tm, &cfg.opts)?.throughput, cbar])
+        })?;
+        series.push((ratio, t.mean, cbar.mean));
     }
     let peak = series.iter().map(|&(_, t, _)| t).fold(0.0f64, f64::max);
     let cstar = cbar_star(peak, n1, n2);

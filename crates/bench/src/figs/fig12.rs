@@ -7,14 +7,15 @@
 //! (c) the support ratio when full throughput is required under
 //!     all-to-all / permutation / 100% chunky traffic.
 
-use dctopo_core::experiment::Runner;
-use dctopo_core::vl2::{permutation_tm, CoreError, SupportSearch};
+use dctopo_core::vl2::{permutation_tm, SupportSearch};
+use dctopo_core::{TopologyPoint, TrafficModel};
 use dctopo_topology::vl2::{rewired_vl2, vl2, Vl2Params};
 use dctopo_topology::Topology;
 use dctopo_traffic::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::figs::grid;
 use crate::{columns, header, row_keyed, FigConfig};
 
 fn grids(cfg: &FigConfig) -> (Vec<usize>, Vec<usize>) {
@@ -100,11 +101,8 @@ pub fn run_fig12a(cfg: &FigConfig) {
 }
 
 /// Fig. 12(b): chunky traffic on the rewired topology sized at its
-/// permutation-supported ToR count.
-///
-/// All chunky percentages are solved against one `ThroughputEngine`
-/// (one CSR flattening) per seeded topology via
-/// [`Runner::run_throughput`].
+/// permutation-supported ToR count. The traffic axis carries the chunky
+/// percentages, so each seeded topology is flattened once for all three.
 pub fn run_fig12b(cfg: &FigConfig) {
     header("Fig 12(b): throughput under x% chunky traffic (rewired VL2 at its");
     header("permutation-supported size)");
@@ -112,39 +110,22 @@ pub fn run_fig12b(cfg: &FigConfig) {
     let (das, dis) = grids(cfg);
     let d_i = *dis.last().expect("non-empty");
     const PCTS: [f64; 3] = [20.0, 60.0, 100.0];
-    for &d_a in &das {
-        let (_, rewired_tors) = support_pair(cfg, d_a, d_i, &permutation_tm);
-        if rewired_tors == 0 {
-            continue;
-        }
-        let runner = Runner::new(cfg.effective_runs(), cfg.seed);
-        let stats = runner
-            .run_throughput(
-                |rng: &mut StdRng| {
-                    rewired_vl2(
-                        Vl2Params {
-                            d_a,
-                            d_i,
-                            tors: Some(rewired_tors),
-                        },
-                        rng,
-                    )
-                    .map_err(CoreError::Graph)
-                },
-                |topo, rng| {
-                    let groups: Vec<Vec<usize>> = topo
-                        .server_groups()
-                        .into_iter()
-                        .filter(|g| !g.is_empty())
-                        .collect();
-                    PCTS.iter()
-                        .map(|&pct| TrafficMatrix::chunky(&groups, pct, rng))
-                        .collect()
-                },
-                &cfg.opts,
-            )
-            .expect("fig12b solve");
-        for (&pct, s) in PCTS.iter().zip(&stats) {
+    let traffic = PCTS.map(|percent| TrafficModel::Chunky { percent });
+    let sized: Vec<(usize, usize)> = das
+        .iter()
+        .map(|&d_a| (d_a, support_pair(cfg, d_a, d_i, &permutation_tm).1))
+        .filter(|&(_, rewired_tors)| rewired_tors > 0)
+        .collect();
+    let points = sized
+        .iter()
+        .map(|&(d_a, tors)| {
+            let spec = format!("vl2-rewired:{d_a}x{d_i}x{tors}");
+            spec.parse::<TopologyPoint>().expect("family spec")
+        })
+        .collect();
+    let stats = grid(cfg, points, &traffic, |m| m.throughput);
+    for (&(d_a, _), per_traffic) in sized.iter().zip(&stats) {
+        for (pct, s) in PCTS.iter().zip(per_traffic) {
             row_keyed(&format!("{pct:.0}%chunky"), &[d_a as f64, s.mean, s.std]);
         }
     }

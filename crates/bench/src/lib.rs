@@ -4,6 +4,14 @@
 //! each printing the same data series the paper plots, as
 //! tab-separated values with `#`-prefixed metadata lines.
 //!
+//! A figure is one of two shapes (see [`figs`]): a **curve** is a list
+//! of topology points handed to `dctopo_core`'s sweep engine and read
+//! back as mean/σ per point; an **instance figure** needs the sampled
+//! topology itself (ASPL, cuts, the throughput decomposition) and maps
+//! a closure over the seeded runs. Both run on the one worker pool, so
+//! `DCTOPO_THREADS` sets the width and the output is the same at every
+//! width.
+//!
 //! Run via the `figures` binary:
 //!
 //! ```text
@@ -47,7 +55,7 @@ impl Default for FigConfig {
 }
 
 impl FigConfig {
-    /// Runs to use, honouring `--full` (the paper's 20).
+    /// Runs to use: `--full` raises `runs` to at least 10.
     pub fn effective_runs(&self) -> usize {
         if self.full {
             self.runs.max(10)

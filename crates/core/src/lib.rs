@@ -11,10 +11,6 @@
 //!   line-rate cap. [`solve::ThroughputEngine`] is the amortised form
 //!   that flattens a topology to its `CsrNet` once and reuses it across
 //!   traffic matrices.
-//! * [`experiment`] — seeded, multi-threaded experiment runner with
-//!   mean/σ statistics (the paper averages most points over 20 runs);
-//!   [`experiment::Runner::run_throughput`] runs whole traffic sweeps on
-//!   one engine per topology.
 //! * [`vl2`] — the §7 case study: binary search for the number of ToRs a
 //!   topology family supports at full throughput, for stock VL2 and the
 //!   rewired variant.
@@ -37,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-pub mod experiment;
 pub mod packet;
 pub mod scenario;
 pub mod solve;
@@ -45,7 +40,6 @@ pub mod sweep;
 pub mod vl2;
 
 pub use dctopo_flow::WarmState;
-pub use experiment::{Runner, Stats};
 pub use packet::{CoValidation, PacketError, PacketParams, RoutingMode};
 pub use scenario::{AppliedScenario, Degradation, Scenario};
 pub use solve::{

@@ -3,8 +3,6 @@
 //! search exactly as the paper does ("We obtain the largest number of
 //! ToRs supported at full throughput by doing a binary search").
 
-use std::fmt;
-
 use dctopo_flow::{FlowError, FlowOptions};
 use dctopo_graph::GraphError;
 use dctopo_topology::Topology;
@@ -13,37 +11,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::solve::solve_throughput;
-
-/// Errors from the support search.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CoreError {
-    /// Topology construction failed.
-    Graph(GraphError),
-    /// Throughput solve failed.
-    Flow(FlowError),
-}
-
-impl fmt::Display for CoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CoreError::Graph(e) => write!(f, "topology error: {e}"),
-            CoreError::Flow(e) => write!(f, "flow error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CoreError {}
-
-impl From<GraphError> for CoreError {
-    fn from(e: GraphError) -> Self {
-        CoreError::Graph(e)
-    }
-}
-impl From<FlowError> for CoreError {
-    fn from(e: FlowError) -> Self {
-        CoreError::Flow(e)
-    }
-}
 
 /// Builds a topology with a given number of ToRs from a seed.
 pub type TopoBuilder<'a> = dyn Fn(usize, u64) -> Result<Topology, GraphError> + 'a;
@@ -91,7 +58,7 @@ impl SupportSearch {
         tors: usize,
         build: &TopoBuilder<'_>,
         tm: &TmBuilder<'_>,
-    ) -> Result<bool, CoreError> {
+    ) -> Result<bool, FlowError> {
         for run in 0..self.runs {
             let seed = self.base_seed.wrapping_add(run as u64 * 0x9E37_79B9);
             let topo = match build(tors, seed) {
@@ -118,7 +85,7 @@ impl SupportSearch {
         hi: usize,
         build: &TopoBuilder<'_>,
         tm: &TmBuilder<'_>,
-    ) -> Result<Option<usize>, CoreError> {
+    ) -> Result<Option<usize>, FlowError> {
         assert!(lo <= hi, "empty search range");
         if !self.supports(lo, build, tm)? {
             return Ok(None);

@@ -607,10 +607,8 @@ fn tree_pass(net: &CsrNet, groups: &mut [GroupState], length: &[f64], full: bool
         }
     };
     // Fan out only when the pass is big enough to amortise the pool
-    // dispatch (and to avoid contending for pool workers when many
-    // Runner threads each solve their own instance). Results are
-    // identical either way — the sequential path is exactly the
-    // one-thread schedule.
+    // dispatch. Results are identical either way — the sequential path
+    // is exactly the one-thread schedule.
     if groups.len() * net.arc_count() >= PARALLEL_DUAL_MIN_WORK {
         groups.par_iter_mut().for_each(settle);
     } else {

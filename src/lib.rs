@@ -97,7 +97,6 @@ pub use dctopo_traffic as traffic;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use dctopo_bounds::{aspl_lower_bound, throughput_upper_bound};
-    pub use dctopo_core::experiment::{Runner, Stats};
     pub use dctopo_core::{
         solve_throughput, BackendChoice, CoValidation, Degradation, PacketParams, RoutingMode,
         Scenario, SweepRunner, SweepSpec, ThroughputEngine, ThroughputResult, TopologyPoint,
