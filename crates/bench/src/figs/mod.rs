@@ -25,6 +25,7 @@ use dctopo_core::{
     BackendChoice, CellMetrics, Scenario, SweepRunner, SweepSpec, TopologyPoint, TrafficModel,
 };
 use dctopo_flow::FlowError;
+use dctopo_graph::mix::derive_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -113,6 +114,9 @@ pub(crate) fn curve(
     per_point.iter().map(|per_traffic| per_traffic[0]).collect()
 }
 
+/// [`derive_seed`] domain of [`samples`] (`"figs"`); sweep cells use 1 and 2.
+const DOMAIN_SAMPLE: u64 = 0x6669_6773;
+
 /// Evaluate `f` once per seeded run on the worker pool and summarise
 /// each of its `N` outputs over the runs. The seed depends on the run
 /// alone, so every x-point of an instance figure sees common random
@@ -124,7 +128,7 @@ pub(crate) fn samples<const N: usize>(
     let rows: Vec<[f64; N]> = (0..cfg.effective_runs())
         .into_par_iter()
         .map(|run| {
-            let seed = cfg.seed.wrapping_add(run as u64 * 0x9E37_79B9);
+            let seed = derive_seed(cfg.seed, DOMAIN_SAMPLE, 0, run);
             f(&mut StdRng::seed_from_u64(seed))
         })
         .collect::<Result<_, _>>()?;
