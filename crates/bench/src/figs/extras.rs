@@ -76,14 +76,16 @@ pub fn run_fattree(cfg: &FigConfig) {
     // same fleet: as many k-port switches and as many servers as the
     // fat-tree, servers spread proportionally (= as evenly as integers
     // allow), every remaining port wired uniformly at random
-    let fleet = |k: usize| {
-        let ft = fat_tree(k).expect("fat tree");
-        (ft.switch_count(), ft.server_count())
-    };
-    let points = ks
+    let fleets: Vec<(usize, usize, usize)> = ks
         .iter()
-        .flat_map(|&k| {
-            let (n_switches, servers) = fleet(k);
+        .map(|&k| {
+            let ft = fat_tree(k).expect("fat tree");
+            (k, ft.switch_count(), ft.server_count())
+        })
+        .collect();
+    let points = fleets
+        .iter()
+        .flat_map(|&(k, n_switches, servers)| {
             let random = TopologyPoint::new(format!("random-fleet:{k}"), move |rng| {
                 heterogeneous_fleet(
                     &vec![k; n_switches],
@@ -99,8 +101,7 @@ pub fn run_fattree(cfg: &FigConfig) {
         })
         .collect();
     let lambda = curve(cfg, points, TrafficModel::Permutation, |m| m.network_lambda);
-    for (&k, pair) in ks.iter().zip(lambda.chunks(2)) {
-        let (n_switches, servers) = fleet(k);
+    for (&(k, n_switches, servers), pair) in fleets.iter().zip(lambda.chunks(2)) {
         let (ft, rrg) = (pair[0].mean, pair[1].mean);
         row(&[
             k as f64,

@@ -98,17 +98,15 @@ pub fn run_fig5(cfg: &FigConfig) {
         let avg = total_ports as f64 / n_switches as f64;
         header(&format!("{label}: actual mean port count {avg:.2}"));
         let total_servers = (total_ports as f64 * 0.4).round() as usize;
-        let class_of: Vec<usize> = vec![0; n_switches];
-        let names = vec!["powerlaw".to_string()];
         let points = betas
             .iter()
             .map(|&beta| {
-                let (ports, class_of, names) = (ports.clone(), class_of.clone(), names.clone());
+                let ports = ports.clone();
                 TopologyPoint::new(format!("{label}:beta{beta}"), move |rng| {
                     heterogeneous_fleet(
                         &ports,
-                        class_of.clone(),
-                        names.clone(),
+                        vec![0; n_switches],
+                        vec!["powerlaw".to_string()],
                         total_servers,
                         &ServerPlacement::PowerLaw { beta },
                         rng,
