@@ -27,44 +27,34 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The target and configuration a command line names, or `None` where
+/// it is not one (the caller prints the usage). `--precise` picks the
+/// solver profile and `--backend` the backend within it, in either
+/// order.
+fn parse(args: &[String]) -> Option<(String, FigConfig)> {
+    let (target, flags) = args.split_first()?;
+    let mut cfg = FigConfig::default();
+    let mut backend: Option<BackendChoice> = None;
+    let mut flags = flags.iter();
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--full" => cfg.full = true,
+            "--precise" => cfg.opts = FlowOptions::precise(),
+            "--runs" => cfg.runs = flags.next()?.parse().ok().filter(|&runs| runs > 0)?,
+            "--seed" => cfg.seed = flags.next()?.parse().ok()?,
+            "--backend" => backend = Some(flags.next()?.parse().ok()?),
+            _ => return None,
+        }
+    }
+    if let Some(backend) = backend {
+        backend.apply(&mut cfg.opts);
+    }
+    Some((target.clone(), cfg))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let target = args[0].clone();
-    let mut cfg = FigConfig::default();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--full" => cfg.full = true,
-            "--precise" => cfg.opts = FlowOptions::default(),
-            "--runs" => {
-                i += 1;
-                cfg.runs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&runs| runs > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--backend" => {
-                i += 1;
-                args.get(i)
-                    .and_then(|s| s.parse::<BackendChoice>().ok())
-                    .unwrap_or_else(|| usage())
-                    .apply(&mut cfg.opts);
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
+    let (target, cfg) = parse(&args).unwrap_or_else(|| usage());
 
     let run_one = |name: &str| match name {
         "fig1" => figs::fig01_02::run_fig1(&cfg),
@@ -118,5 +108,66 @@ fn main() {
         }
     } else {
         run_one(&target);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dctopo_flow::Backend;
+
+    fn parsed(line: &str) -> Option<(String, FigConfig)> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn precise_and_backend_combine_in_either_order() {
+        let precise = FlowOptions::precise();
+        for line in [
+            "fig6 --backend ksp:4 --precise",
+            "fig6 --precise --backend ksp:4",
+        ] {
+            let (target, cfg) = parsed(line).expect(line);
+            assert_eq!(target, "fig6");
+            assert!(
+                matches!(cfg.opts.backend, Backend::KspRestricted { k: 4 }),
+                "{line}"
+            );
+            assert_eq!(cfg.opts.target_gap, precise.target_gap, "{line}");
+            assert_eq!(cfg.opts.epsilon, precise.epsilon, "{line}");
+        }
+        // strictness rides with the backend, whichever side of the flag
+        for line in [
+            "fig1 --backend fptas-strict --precise",
+            "fig1 --precise --backend fptas-strict",
+        ] {
+            let (_, cfg) = parsed(line).expect(line);
+            assert!(cfg.opts.strict_reference, "{line}");
+            assert_eq!(cfg.opts.max_phases, precise.max_phases, "{line}");
+        }
+        // without the flag the figure default stands
+        let (_, cfg) = parsed("fig1 --backend exact").unwrap();
+        assert_eq!(cfg.opts.target_gap, FlowOptions::fast().target_gap);
+        assert!(matches!(cfg.opts.backend, Backend::ExactLp));
+    }
+
+    #[test]
+    fn malformed_lines_are_usage_errors() {
+        for line in [
+            "",
+            "fig3 --runs 0",
+            "fig3 --runs",
+            "fig3 --runs x",
+            "fig3 --seed",
+            "fig3 --backend ksp:0",
+            "fig3 --bogus",
+        ] {
+            assert!(parsed(line).is_none(), "{line:?}");
+        }
+        let (target, cfg) = parsed("all --full --runs 2 --seed 9").unwrap();
+        assert_eq!(target, "all");
+        assert!(cfg.full);
+        assert_eq!((cfg.runs, cfg.seed), (2, 9));
     }
 }

@@ -1,6 +1,8 @@
 //! # dctopo-bounds
 //!
-//! The paper's analytic bounds:
+//! The paper's analytic bounds, in their closed forms (the per-instance
+//! forms — observed hop distances, a specific demand vector's cuts —
+//! live in `dctopo_core::ladder`):
 //!
 //! * **Theorem 1** — for any `r`-regular topology on `N` switches carrying
 //!   `f` uniform flows, `T ≤ N·r / (⟨D⟩·f)`: total capacity divided by the
@@ -14,6 +16,7 @@
 //! * **Cut bound, Eqn. 1** ([`cut_throughput_bound`]) — for two clusters
 //!   with `n1`/`n2` servers, cross-capacity `C̄` and total capacity `C`:
 //!   `T ≤ min( C/(⟨D⟩(n1+n2)), C̄(n1+n2)/(2·n1·n2) )`.
+//!   [`cross_capacity`] measures `C̄` on a [`Graph`].
 //! * **Thresholds** — [`cut_drop_point`] (Eqn. 2: the bound starts
 //!   dropping when `C̄ ≤ C/(2⟨D⟩)`) and [`cbar_star`] (Fig. 11: given an
 //!   observed peak `T*`, throughput must fall below `T*` once
@@ -146,9 +149,11 @@ pub fn cbar_star(t_star: f64, n1: usize, n2: usize) -> f64 {
 /// (the `C̄` of Eqn. 1): `2 × Σ` capacity of edges whose endpoints fall
 /// on different sides of `membership`.
 ///
-/// This is the cut-measurement half of the search engine's level-1
-/// surrogate: pair it with [`demand_cut_bound`] (or with
-/// [`cut_throughput_bound`] for the paper's random-permutation form).
+/// The [`Graph`]-side measurement of a cut, for the paper's
+/// random-permutation form ([`cut_throughput_bound`]). The
+/// per-instance, per-view form the search and the planner screen with
+/// is `dctopo_core::ladder::cut_bound`, which the property suite checks
+/// against this function.
 ///
 /// # Panics
 /// If `membership` is shorter than the graph's node count.
@@ -159,49 +164,12 @@ pub fn cross_capacity(g: &Graph, membership: &[bool]) -> f64 {
         membership.len(),
         g.node_count()
     );
-    cross_capacity_with(g, membership, |e| g.edge(e).capacity)
-}
-
-/// [`cross_capacity`] with per-edge effective capacities supplied by
-/// `edge_capacity` — the form re-rating analyses need, where an edge's
-/// effective capacity is its base capacity times some plan multiplier.
-/// Nodes beyond `membership`'s length (e.g. switches added by an
-/// expansion) count as the "false" side.
-pub fn cross_capacity_with<F: Fn(usize) -> f64>(
-    g: &Graph,
-    membership: &[bool],
-    edge_capacity: F,
-) -> f64 {
-    let side = |v: usize| membership.get(v).copied().unwrap_or(false);
     2.0 * g
         .edges()
         .iter()
-        .enumerate()
-        .filter(|(_, e)| side(e.u) != side(e.v))
-        .map(|(e, _)| edge_capacity(e))
+        .filter(|e| membership[e.u] != membership[e.v])
+        .map(|e| e.capacity)
         .sum::<f64>()
-}
-
-/// Demand-weighted cut bound on the concurrent-flow value λ of a
-/// *specific* commodity set: every commodity whose endpoints straddle
-/// the cut pushes at least `λ·d_j` units across it, so
-/// `λ ≤ C̄ / Σ_{j crossing} d_j`.
-///
-/// Unlike [`cut_throughput_bound`] (which assumes random permutation
-/// traffic and bounds the *expected* crossing demand), this form is a
-/// hard per-instance bound for any demand vector and any flow — the
-/// property the search engine's fidelity ladder needs to prune
-/// candidates soundly. `∞` when no demand crosses the cut.
-pub fn demand_cut_bound(cross_capacity: f64, cross_demand: f64) -> f64 {
-    assert!(
-        cross_capacity >= 0.0 && cross_demand >= 0.0,
-        "capacities and demands are non-negative"
-    );
-    if cross_demand == 0.0 {
-        f64::INFINITY
-    } else {
-        cross_capacity / cross_demand
-    }
 }
 
 #[cfg(test)]
@@ -308,29 +276,6 @@ mod tests {
         assert!((cbar - 2.0 * 5.0).abs() < 1e-12);
         // the trivial cut (everything on one side) has no cross capacity
         assert_eq!(cross_capacity(&g, &[true; 4]), 0.0);
-        // the weighted form: re-rating a crossing edge 2x moves C̄ by
-        // 2x its contribution; nodes beyond the membership default to
-        // the "false" side
-        let doubled = cross_capacity_with(&g, &membership, |e| {
-            let edge = g.edge(e);
-            if (edge.u, edge.v) == (0, 2) {
-                2.0 * edge.capacity
-            } else {
-                edge.capacity
-            }
-        });
-        assert!((doubled - 2.0 * 8.0).abs() < 1e-12);
-        let short = cross_capacity_with(&g, &[true], |e| g.edge(e).capacity);
-        assert!((short - 2.0 * 4.0).abs() < 1e-12); // edges 0-1, 0-2 cross
-    }
-
-    #[test]
-    fn demand_cut_bound_shapes() {
-        assert_eq!(demand_cut_bound(10.0, 0.0), f64::INFINITY);
-        assert!((demand_cut_bound(10.0, 4.0) - 2.5).abs() < 1e-12);
-        // scarcer cut -> lower bound; heavier demand -> lower bound
-        assert!(demand_cut_bound(5.0, 4.0) < demand_cut_bound(10.0, 4.0));
-        assert!(demand_cut_bound(10.0, 8.0) < demand_cut_bound(10.0, 4.0));
     }
 
     #[test]

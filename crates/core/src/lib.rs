@@ -19,6 +19,9 @@
 //!   simulating the decomposed (or KSP / ECMP) paths on the same
 //!   `CsrNet` the claim was solved on, at a utilization `η` of the
 //!   certified rates.
+//! * [`ladder`] — the screening ladder: Theorem 1's hop bound and the
+//!   per-instance cut bound as sound upper bounds on one view's λ, the
+//!   one copy the sweep, the search and the planner all evaluate.
 //! * [`scenario`] — failure/degradation recipes ([`scenario::Scenario`])
 //!   applied to a base topology's `CsrNet` as cheap delta views.
 //! * [`sweep`] — the scenario sweep engine: evaluate a full
@@ -33,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+pub mod ladder;
 pub mod packet;
 pub mod scenario;
 pub mod solve;

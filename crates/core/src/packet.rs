@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use dctopo_flow::{decompose_paths, Backend, FlowError, FlowOptions};
+use dctopo_flow::{decompose_paths, Backend, Commodity, FlowError, FlowOptions};
 use dctopo_graph::kshortest::ecmp_shortest_paths;
 use dctopo_graph::{CsrNet, GraphError};
 use dctopo_packetsim::{
@@ -29,7 +29,7 @@ use dctopo_packetsim::{
 use dctopo_traffic::TrafficMatrix;
 
 use crate::scenario::AppliedScenario;
-use crate::solve::{surviving_traffic, ThroughputEngine};
+use crate::solve::ThroughputEngine;
 use crate::sweep::{positive_after, SpecError};
 
 /// How commodities are mapped to simulator paths.
@@ -287,14 +287,14 @@ impl<'t> ThroughputEngine<'t> {
         flow_opts: &FlowOptions,
         params: &PacketParams,
     ) -> Result<CoValidation, PacketError> {
-        self.covalidate_on(self.net(), tm, flow_opts, params)
+        self.covalidate_on(self.net(), self.demand(tm), flow_opts, params)
     }
 
     /// [`ThroughputEngine::covalidate`] under a degradation scenario:
-    /// flows on failed switches are dropped (see
-    /// [`surviving_traffic`]), and both the solve and the simulation
-    /// run on the scenario's delta view, so the witness sees exactly
-    /// the degraded fabric the certificate was issued for.
+    /// the demand is lowered by [`ThroughputEngine::scenario_demand`]
+    /// (flows on failed switches are dropped), and both the solve and
+    /// the simulation run on the scenario's delta view, so the witness
+    /// sees exactly the degraded fabric the certificate was issued for.
     ///
     /// # Errors
     /// As [`ThroughputEngine::covalidate`].
@@ -305,18 +305,16 @@ impl<'t> ThroughputEngine<'t> {
         flow_opts: &FlowOptions,
         params: &PacketParams,
     ) -> Result<CoValidation, PacketError> {
-        if applied.failed_switch_count() > 0 {
-            let survivors = surviving_traffic(self.topology(), tm, &applied.failed_switch);
-            self.covalidate_on(&applied.net, &survivors, flow_opts, params)
-        } else {
-            self.covalidate_on(&applied.net, tm, flow_opts, params)
-        }
+        let demand = self.scenario_demand(applied, tm);
+        self.covalidate_on(&applied.net, demand, flow_opts, params)
     }
 
+    /// Solve the lowered demand `(commodities, nic, flows)` on `net` and
+    /// simulate the certificate there.
     fn covalidate_on(
         &self,
         net: &CsrNet,
-        tm: &TrafficMatrix,
+        (commodities, nic, flows): (Vec<Commodity>, f64, usize),
         flow_opts: &FlowOptions,
         params: &PacketParams,
     ) -> Result<CoValidation, PacketError> {
@@ -329,7 +327,7 @@ impl<'t> ThroughputEngine<'t> {
             }
             RoutingMode::Ecmp { .. } => {}
         }
-        let res = self.solve_on(net, tm, &opts)?;
+        let (res, _) = self.solve_commodities_warm(net, commodities, nic, flows, &opts, None)?;
         let solved = res.solved.as_ref().ok_or(PacketError::NoNetworkTraffic)?;
 
         // each commodity becomes one simulated flow offered η × its

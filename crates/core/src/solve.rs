@@ -333,7 +333,7 @@ impl<'t> ThroughputEngine<'t> {
     /// Lower a traffic matrix to switch-level demand: the commodities
     /// (deterministic `(src, dst)` order), the NIC cap, and the
     /// server-flow count.
-    fn demand(&self, tm: &TrafficMatrix) -> (Vec<Commodity>, f64, usize) {
+    pub(crate) fn demand(&self, tm: &TrafficMatrix) -> (Vec<Commodity>, f64, usize) {
         (
             aggregate_commodities(self.topo, tm),
             nic_limit(tm),

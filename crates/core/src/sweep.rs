@@ -6,10 +6,10 @@
 //! figure is a grid of throughput numbers against analytic bounds, swept
 //! over sizes, traffic models, and degraded variants. The engine owns
 //! the amortisation story — per `(topology, run)` it builds **one**
-//! topology, flattens **one** base [`CsrNet`], applies every scenario as
-//! a cheap delta view, generates every traffic matrix once, and shares
-//! one [`ThroughputEngine`] path-set cache across all cells — and the
-//! determinism story:
+//! topology, flattens **one** base [`CsrNet`](dctopo_graph::CsrNet),
+//! applies every scenario as a cheap delta view, generates every traffic
+//! matrix once, and shares one [`ThroughputEngine`] path-set cache
+//! across all cells — and the determinism story:
 //!
 //! * Every random choice (topology sample, traffic matrix, degradation
 //!   victims) derives from [`SweepSpec::seed`] and the cell's grid
@@ -25,9 +25,9 @@
 //! rather than aborting the grid: a sweep is a census, not a
 //! transaction.
 
-use dctopo_flow::{Backend, CacheStats, Commodity, FlowError, FlowOptions};
+use dctopo_flow::{Backend, CacheStats, FlowError, FlowOptions};
 use dctopo_graph::mix::derive_seed;
-use dctopo_graph::{CsrNet, GraphError, MsBfsWorkspace};
+use dctopo_graph::GraphError;
 use dctopo_obs::{self as obs, Json};
 use dctopo_topology::classic::{complete, fat_tree, hypercube, torus2d};
 use dctopo_topology::hetero::{two_cluster, CrossSpec};
@@ -38,6 +38,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
+pub use crate::ladder::hop_throughput_bound;
 use crate::scenario::Scenario;
 use crate::solve::ThroughputEngine;
 
@@ -894,35 +895,15 @@ impl SweepRunner {
             }
         };
 
-        // per-traffic precompute shared by the backend axis: the
-        // surviving traffic (filtered once, borrowed when no switch
-        // failed) and the hop bound (a batched BFS sweep that is
-        // bit-identical across backends)
-        struct Prepared {
-            /// `Some` = filtered by switch failures; `None` = borrow
-            /// the unfiltered matrix.
-            tm: Option<TrafficMatrix>,
-            flows: usize,
-            hop_bound: f64,
-        }
-        let prepared: Vec<Option<Prepared>> = (0..n_traffic)
-            .map(|m| {
-                let tm_full = matrices[m].as_ref().ok()?;
-                let (tm, flows, commodities) = if ap.failed_switch_count() > 0 {
-                    let tm = crate::solve::surviving_traffic(topo, tm_full, &ap.failed_switch);
-                    let cs = crate::solve::aggregate_commodities(topo, &tm);
-                    let flows = tm.flow_count();
-                    (Some(tm), flows, cs)
-                } else {
-                    let cs = crate::solve::aggregate_commodities(topo, tm_full);
-                    (None, tm_full.flow_count(), cs)
-                };
-                let hop_bound = hop_throughput_bound(&ap.net, &commodities);
-                Some(Prepared {
-                    tm,
-                    flows,
-                    hop_bound,
-                })
+        // lowered once per traffic and shared by the backend axis: the
+        // surviving demand and its hop bound (bit-identical across
+        // backends)
+        let lowered: Vec<Result<_, &FlowError>> = matrices
+            .iter()
+            .map(|tm| {
+                let demand = engine.scenario_demand(&ap, tm.as_ref()?);
+                let hop_bound = hop_throughput_bound(&ap.net, &demand.0);
+                Ok((demand, hop_bound))
             })
             .collect();
 
@@ -936,32 +917,32 @@ impl SweepRunner {
                 spec.backends[b].apply(&mut opts);
                 let mut cell = cell_shell(m, b);
                 cell.live_links = ap.net.live_arc_count() / 2;
-                let tm_full = match &matrices[m] {
-                    Ok(tm) => tm,
+                let ((commodities, nic, flows), hop_bound) = match &lowered[m] {
+                    Ok(lowered) => lowered,
                     Err(e) => {
-                        cell.result = Err(e.clone());
+                        cell.result = Err((*e).clone());
                         return (cell, obs::us_since(t_cell));
                     }
                 };
-                let prep = prepared[m].as_ref().expect("scenario and matrix both ok");
-                let tm = prep.tm.as_ref().unwrap_or(tm_full);
-                cell.flows = prep.flows;
-                cell.result = engine.solve_on(&ap.net, tm, &opts).map(|r| {
-                    let (gap, settles) = r
-                        .solved
-                        .as_ref()
-                        .map(|s| (s.gap(), s.settles))
-                        .unwrap_or((0.0, 0));
-                    CellMetrics {
-                        throughput: r.throughput,
-                        network_lambda: r.network_lambda,
-                        upper_bound: r.network_upper_bound,
-                        gap,
-                        hop_bound: prep.hop_bound,
-                        nic_limit: r.nic_limit,
-                        settles,
-                    }
-                });
+                cell.flows = *flows;
+                cell.result = engine
+                    .solve_commodities_warm(&ap.net, commodities.clone(), *nic, *flows, &opts, None)
+                    .map(|(r, _)| {
+                        let (gap, settles) = r
+                            .solved
+                            .as_ref()
+                            .map(|s| (s.gap(), s.settles))
+                            .unwrap_or((0.0, 0));
+                        CellMetrics {
+                            throughput: r.throughput,
+                            network_lambda: r.network_lambda,
+                            upper_bound: r.network_upper_bound,
+                            gap,
+                            hop_bound: *hop_bound,
+                            nic_limit: r.nic_limit,
+                            settles,
+                        }
+                    });
                 (cell, obs::us_since(t_cell))
             })
             .collect()
@@ -973,90 +954,6 @@ impl SweepRunner {
         let m = self.spec.traffic.len();
         (i / (m * b), (i / b) % m, i % b)
     }
-}
-
-/// Theorem-1 with per-cell observed distances: on the given (possibly
-/// degraded) view, any concurrent flow satisfies
-/// `λ · Σ_j demand_j · hopdist(src_j, dst_j) ≤ C_live`, because every
-/// unit of commodity `j` consumes at least `hopdist_j` units of
-/// capacity. Returns `C_live / Σ_j demand_j · hopdist_j` — a *hard*
-/// per-instance upper bound on the network λ of **every** backend
-/// (unlike the paper's `d*(n, r)` form, which bounds the average over
-/// all pairs and only holds for uniform traffic on regular graphs).
-///
-/// `∞` when there are no commodities; `0` when some commodity is
-/// disconnected (λ is forced to 0 there anyway).
-///
-/// Distances come from a 64-lane batched multi-source BFS over the
-/// view's live adjacency ([`dctopo_graph::ms_bfs_csr`], see
-/// [`hop_alpha`]) through a thread-local workspace, so repeated
-/// per-cell calls allocate nothing after warm-up.
-pub fn hop_throughput_bound(net: &CsrNet, commodities: &[Commodity]) -> f64 {
-    if commodities.is_empty() {
-        return f64::INFINITY;
-    }
-    thread_local! {
-        static HOP_WS: std::cell::RefCell<MsBfsWorkspace> = std::cell::RefCell::default();
-    }
-    let alpha = HOP_WS.with(|cell| {
-        let bfs =
-            |sources: &[usize], ws: &mut MsBfsWorkspace| dctopo_graph::ms_bfs_csr(net, sources, ws);
-        hop_alpha(commodities, &mut cell.borrow_mut(), bfs)
-    });
-    // α = ∞ (a disconnected commodity) reads as the bound 0
-    net.total_capacity() / alpha
-}
-
-/// `Σ_j demand_j · hopdist(src_j, dst_j)` — the denominator of the hop
-/// bound — with `bfs(sources, ws)` supplying the multi-source BFS of
-/// whichever graph representation the caller holds. `∞` when any
-/// commodity's endpoints are disconnected.
-///
-/// Commodities must be sorted by source (the order
-/// [`crate::solve::aggregate_commodities`] emits) so each distinct
-/// source occupies one contiguous run and one bit-lane; distinct
-/// sources are batched [`MAX_LANES`](dctopo_graph::msbfs::MAX_LANES)
-/// at a time. Hop counts are exact small integers, so `f64::from(hops)`
-/// equals the unit-length Dijkstra distance bit for bit.
-pub fn hop_alpha(
-    commodities: &[Commodity],
-    ws: &mut MsBfsWorkspace,
-    mut bfs: impl FnMut(&[usize], &mut MsBfsWorkspace),
-) -> f64 {
-    use dctopo_graph::msbfs::MAX_LANES;
-    let mut alpha = 0.0f64;
-    let mut i = 0;
-    while i < commodities.len() {
-        // gather the next batch of up to MAX_LANES distinct sources
-        let mut sources = [0usize; MAX_LANES];
-        let mut lanes = 0usize;
-        let mut j = i;
-        while j < commodities.len() {
-            let s = commodities[j].src;
-            if lanes == 0 || sources[lanes - 1] != s {
-                if lanes == MAX_LANES {
-                    break;
-                }
-                sources[lanes] = s;
-                lanes += 1;
-            }
-            j += 1;
-        }
-        bfs(&sources[..lanes], ws);
-        let mut lane = 0usize;
-        for c in &commodities[i..j] {
-            if c.src != sources[lane] {
-                lane += 1;
-            }
-            let d = ws.lane_distances(lane)[c.dst];
-            if d == dctopo_graph::paths::UNREACHABLE {
-                return f64::INFINITY;
-            }
-            alpha += c.demand * f64::from(d);
-        }
-        i = j;
-    }
-    alpha
 }
 
 #[cfg(test)]
@@ -1252,19 +1149,6 @@ mod tests {
             report.cells[0].result,
             Err(FlowError::Graph(GraphError::Unrealizable(_)))
         ));
-    }
-
-    #[test]
-    fn hop_bound_handles_edge_cases() {
-        let mut g = dctopo_graph::Graph::new(4);
-        g.add_unit_edge(0, 1).unwrap();
-        g.add_unit_edge(2, 3).unwrap();
-        let net = CsrNet::from_graph(&g);
-        assert_eq!(hop_throughput_bound(&net, &[]), f64::INFINITY);
-        // disconnected commodity: bound collapses to 0
-        assert_eq!(hop_throughput_bound(&net, &[Commodity::unit(0, 2)]), 0.0);
-        // single edge, one unit commodity at distance 1: C = 4, α = 1
-        assert_eq!(hop_throughput_bound(&net, &[Commodity::unit(0, 1)]), 4.0);
     }
 
     #[test]

@@ -89,8 +89,11 @@ pub fn max_concurrent_flow_ksp_cached(
 /// always use the net's own arc numbering. That distinction matters on
 /// degraded views: their [`CsrNet::to_graph`] rebuild compacts edge ids,
 /// but the view's arc ids (which flow vectors index) stay aligned with
-/// the base topology. `g` must have the same node set and per-node
-/// neighbor order as `net` (e.g. `net.to_graph()`).
+/// the base topology. `g` must be `net.to_graph()` (of this net or of a
+/// same-structure view): Yen breaks equal-length ties in `g`'s per-node
+/// neighbor order, which for that rebuild is ascending live edge id —
+/// *not* the net's own adjacency order — and the frozen sets, the
+/// cache's bitwise cold/warm identity and the KSP pins all assume it.
 pub(crate) fn freeze_pair(
     g: &Graph,
     net: &CsrNet,

@@ -489,9 +489,16 @@ impl CsrNet {
     ///
     /// Disabled edges are omitted, so on a degraded view the rebuilt
     /// graph's **edge ids compact** and no longer align with this net's
-    /// arc numbering (node ids are preserved, and per-node neighbor
-    /// order matches the view's adjacency order). Code that needs arc
-    /// ids must translate node paths through the view itself.
+    /// arc numbering; node ids are preserved. Edges are re-added in
+    /// ascending id, so the rebuild's per-node neighbor order is
+    /// **ascending live edge id** — *not* the view's adjacency order,
+    /// which [`CsrNet::from_graph`] copied from the source graph's
+    /// incident lists and which differs wherever that graph was built
+    /// with [`Graph::remove_edge`] swaps (most random regular graphs).
+    /// Yen's equal-length ties are broken in the rebuild's order, so the
+    /// frozen KSP path sets, and every pin over them, depend on it. Code
+    /// that needs arc ids must translate node paths through the view
+    /// itself.
     pub fn to_graph(&self) -> Graph {
         let mut g = Graph::new(self.n);
         for e in 0..self.arc_count() / 2 {
@@ -1060,6 +1067,63 @@ mod tests {
                 assert_eq!(heads[i] as usize, w);
             }
         }
+    }
+
+    /// The order Yen's ties are broken in: `to_graph` lists a node's
+    /// neighbors by ascending edge id, the net by the source graph's
+    /// incident order, and the two part ways on graphs randomised
+    /// through `remove_edge` (which renumbers the last edge).
+    #[test]
+    fn to_graph_orders_neighbors_by_edge_id_not_by_adjacency() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // a 4-regular graph on 10 nodes, randomised the way the RRG
+        // builders do it: seeded degree-preserving double-edge swaps
+        let n = 10;
+        let mut g = Graph::new(n);
+        for v in 0..n {
+            g.add_unit_edge(v, (v + 1) % n).unwrap();
+            g.add_unit_edge(v, (v + 2) % n).unwrap();
+        }
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut swaps = 0;
+        while swaps < 20 {
+            let e1 = rng.random_range(0..g.edge_count());
+            let e2 = rng.random_range(0..g.edge_count());
+            let ((a, b), (c, d)) = ((g.edge(e1).u, g.edge(e1).v), (g.edge(e2).u, g.edge(e2).v));
+            if e1 == e2 || a == c || b == d || g.has_edge(a, c) || g.has_edge(b, d) {
+                continue;
+            }
+            g.remove_edge(e1.max(e2));
+            g.remove_edge(e1.min(e2));
+            g.add_unit_edge(a, c).unwrap();
+            g.add_unit_edge(b, d).unwrap();
+            swaps += 1;
+        }
+        assert_eq!(g.regular_degree(), Some(4));
+
+        let net = CsrNet::from_graph(&g);
+        let back = net.to_graph();
+        let mut differs = false;
+        for v in 0..n {
+            let rebuilt = back.incident(v);
+            assert!(
+                rebuilt.windows(2).all(|w| w[0].0 < w[1].0),
+                "node {v}: rebuild not in ascending edge id: {rebuilt:?}"
+            );
+            // on a fully-live net edge ids survive the rebuild, so the
+            // net's slots are the same (edge, neighbor) pairs
+            let (arcs, heads) = net.out_slots(v);
+            let mut slots: Vec<(usize, usize)> = arcs
+                .iter()
+                .zip(heads)
+                .map(|(&a, &h)| (a as usize >> 1, h as usize))
+                .collect();
+            differs |= slots != rebuilt;
+            slots.sort_unstable();
+            assert_eq!(slots, rebuilt, "node {v}: different incident multiset");
+        }
+        assert!(differs, "seed 4 no longer separates the two orders");
     }
 
     #[test]

@@ -44,5 +44,5 @@ pub use csr::{CsrNet, DijkstraWorkspace};
 pub use delta::DeltaStats;
 pub use error::GraphError;
 pub use graph::{ArcId, EdgeId, Graph, NodeId};
-pub use msbfs::{ms_bfs, ms_bfs_csr, MsBfsWorkspace};
+pub use msbfs::{ms_bfs_csr, MsBfsWorkspace};
 pub use paths::{BfsWorkspace, PathStats};

@@ -1,8 +1,9 @@
 //! Batched multi-source BFS: up to 64 sources per traversal.
 //!
-//! The hop-bound surrogates (`dctopo-search`'s level-0 ladder,
-//! `dctopo-core`'s per-cell Theorem-1 bound) need hop distances from
-//! *every* demand source. Running one scalar BFS per source costs
+//! The hop bound (`dctopo-core`'s `ladder::hop_alpha` — the sweep's
+//! per-cell Theorem-1 bound, the search's level 0 and the planner's
+//! screen) needs hop distances from *every* demand source, over the
+//! [`CsrNet`] view about to be solved. One scalar BFS per source costs
 //! `O(sources · (n + m))`; at 1024+ switches with all-to-all-scale
 //! demand that is the dominant cost of every candidate evaluation.
 //!
@@ -23,10 +24,10 @@
 
 use crate::csr::CsrNet;
 use crate::paths::UNREACHABLE;
-use crate::{Graph, NodeId};
+use crate::NodeId;
 
-/// Maximum number of sources per [`ms_bfs`] / [`ms_bfs_csr`] batch: the
-/// lane count of one `u64` bitset word.
+/// Maximum number of sources per [`ms_bfs_csr`] batch: the lane count of
+/// one `u64` bitset word.
 pub const MAX_LANES: usize = 64;
 
 /// Reusable scratch state for batched multi-source BFS.
@@ -119,22 +120,11 @@ impl MsBfsWorkspace {
     }
 }
 
-/// Batched multi-source BFS over a [`Graph`]: `sources[l]` seeds lane
-/// `l`. Read per-lane distances through
-/// [`MsBfsWorkspace::lane_distances`].
-///
-/// # Panics
-/// If `sources` is empty or holds more than [`MAX_LANES`] entries.
-/// Duplicate sources are permitted (the lanes simply march in
-/// lock-step).
-pub fn ms_bfs(g: &Graph, sources: &[NodeId], ws: &mut MsBfsWorkspace) {
-    run(g.node_count(), sources, ws, |v| g.neighbors(v));
-}
-
 /// Batched multi-source BFS over a [`CsrNet`] (hop metric: every live
 /// arc counts 1; disabled arcs are absent from the adjacency and thus
 /// invisible, exactly as in the weighted traversals). `sources[l]`
-/// seeds lane `l`.
+/// seeds lane `l`; read per-lane distances through
+/// [`MsBfsWorkspace::lane_distances`].
 ///
 /// Assumes the live arc set is direction-symmetric (`u→v` live iff
 /// `v→u` live), which [`CsrNet::with_disabled_arcs`] guarantees by
@@ -142,31 +132,24 @@ pub fn ms_bfs(g: &Graph, sources: &[NodeId], ws: &mut MsBfsWorkspace) {
 /// bottom-up sweep direction pulls across out-arcs in reverse and
 /// would see phantom edges under one-sided disabling.
 ///
-/// # Panics
-/// As [`ms_bfs`].
-pub fn ms_bfs_csr(net: &CsrNet, sources: &[NodeId], ws: &mut MsBfsWorkspace) {
-    run(net.node_count(), sources, ws, |v| {
-        net.out_slots(v).1.iter().map(|&w| w as usize)
-    });
-}
-
-/// The shared level-synchronous word sweep, generic over neighbor
-/// iteration.
+/// The level-synchronous word sweep is direction-optimizing
+/// (Beamer-style): sparse levels push frontier words along out-arcs
+/// (top-down); once the frontier occupies at least 1/8 of the node
+/// words — on expander-like fabrics that is every level past the
+/// first — the sweep flips to a bottom-up pass that scans each
+/// still-unseen node's neighbors and ORs their frontier words,
+/// early-exiting as soon as every missing lane is covered. Both
+/// directions compute the identical next-level lane sets (the level
+/// sets are a pure function of net + sources), so the recorded
+/// distances are byte-for-byte the same either way.
 ///
-/// Direction-optimizing (Beamer-style): sparse levels push frontier
-/// words along out-arcs (top-down); once the frontier occupies at
-/// least 1/8 of the node words — on expander-like fabrics that is
-/// every level past the first — the sweep flips to a bottom-up pass
-/// that scans each still-unseen node's neighbors and ORs their
-/// frontier words, early-exiting as soon as every missing lane is
-/// covered. Both directions compute the identical next-level lane
-/// sets (the level sets are a pure function of graph + sources), so
-/// the recorded distances are byte-for-byte the same either way.
-fn run<I, F>(n: usize, sources: &[NodeId], ws: &mut MsBfsWorkspace, neighbors: F)
-where
-    I: Iterator<Item = NodeId>,
-    F: Fn(NodeId) -> I,
-{
+/// # Panics
+/// If `sources` is empty or holds more than [`MAX_LANES`] entries.
+/// Duplicate sources are permitted (the lanes simply march in
+/// lock-step).
+pub fn ms_bfs_csr(net: &CsrNet, sources: &[NodeId], ws: &mut MsBfsWorkspace) {
+    let n = net.node_count();
+    let neighbors = |v: NodeId| net.out_slots(v).1.iter().map(|&w| w as usize);
     ws.begin(n, sources.len());
     for (lane, &s) in sources.iter().enumerate() {
         assert!(s < n, "source {s} out of range for {n} nodes");
@@ -240,6 +223,7 @@ where
 mod tests {
     use super::*;
     use crate::paths::bfs_distances;
+    use crate::Graph;
 
     fn cube() -> Graph {
         let mut g = Graph::new(8);
@@ -259,7 +243,7 @@ mod tests {
         let g = cube();
         let sources: Vec<usize> = (0..8).collect();
         let mut ws = MsBfsWorkspace::new(g.node_count());
-        ms_bfs(&g, &sources, &mut ws);
+        ms_bfs_csr(&CsrNet::from_graph(&g), &sources, &mut ws);
         assert_eq!(ws.lane_count(), 8);
         for (lane, &s) in sources.iter().enumerate() {
             assert_eq!(ws.lane_distances(lane), &bfs_distances(&g, s)[..]);
@@ -272,7 +256,7 @@ mod tests {
         g.add_unit_edge(0, 1).unwrap();
         g.add_unit_edge(2, 3).unwrap();
         let mut ws = MsBfsWorkspace::default();
-        ms_bfs(&g, &[0, 2, 4], &mut ws);
+        ms_bfs_csr(&CsrNet::from_graph(&g), &[0, 2, 4], &mut ws);
         assert_eq!(
             ws.lane_distances(0),
             &[0, 1, UNREACHABLE, UNREACHABLE, UNREACHABLE]
@@ -304,11 +288,11 @@ mod tests {
     fn workspace_reuse_across_sizes() {
         let g = cube();
         let mut ws = MsBfsWorkspace::default();
-        ms_bfs(&g, &[7], &mut ws);
+        ms_bfs_csr(&CsrNet::from_graph(&g), &[7], &mut ws);
         assert_eq!(ws.lane_distances(0), &bfs_distances(&g, 7)[..]);
         let mut small = Graph::new(2);
         small.add_unit_edge(0, 1).unwrap();
-        ms_bfs(&small, &[1, 0], &mut ws);
+        ms_bfs_csr(&CsrNet::from_graph(&small), &[1, 0], &mut ws);
         assert_eq!(ws.lane_distances(0), &[1, 0]);
         assert_eq!(ws.lane_distances(1), &[0, 1]);
     }
@@ -318,6 +302,10 @@ mod tests {
     fn oversized_batch_panics() {
         let g = cube();
         let sources = vec![0usize; 65];
-        ms_bfs(&g, &sources, &mut MsBfsWorkspace::default());
+        ms_bfs_csr(
+            &CsrNet::from_graph(&g),
+            &sources,
+            &mut MsBfsWorkspace::default(),
+        );
     }
 }

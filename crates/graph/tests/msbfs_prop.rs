@@ -8,7 +8,7 @@
 //! tolerance question.
 
 use dctopo_graph::paths::bfs_distances;
-use dctopo_graph::{ms_bfs, ms_bfs_csr, CsrNet, Graph, MsBfsWorkspace};
+use dctopo_graph::{ms_bfs_csr, CsrNet, Graph, MsBfsWorkspace};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -53,7 +53,7 @@ fn ms_bfs_matches_scalar_bfs_on_50_seeded_graphs() {
         let g = random_graph(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBF5F);
         let sources = random_sources(&mut rng, g.node_count());
-        ms_bfs(&g, &sources, &mut ws);
+        ms_bfs_csr(&CsrNet::from_graph(&g), &sources, &mut ws);
         assert_eq!(ws.lane_count(), sources.len());
         for (lane, &s) in sources.iter().enumerate() {
             assert_eq!(

@@ -30,10 +30,11 @@
 //!
 //! ## Certification: sound bounds screen, certified solves decide
 //!
-//! Step safety climbs the same fidelity ladder as the search engine:
-//! the Theorem-1-style hop bound and demand/cut bounds are **upper**
-//! bounds on λ, so a step whose bound is below the floor is rejected
-//! without a solve — soundly. The same bounds double as a
+//! Step safety climbs the same fidelity ladder as the search engine —
+//! [`dctopo_core::ladder`], evaluated on the step's in-flight view: the
+//! Theorem-1-style hop bound and the cut bounds are **upper** bounds on
+//! λ, so a step whose bound is below the floor is rejected without a
+//! solve — soundly. The same bounds double as a
 //! **best-bound-first scan order**: at every depth the planner
 //! certifies the most promising candidate (typically a
 //! capacity-restoring move when the floor is churn-tight) before paying

@@ -5,20 +5,15 @@
 
 use std::collections::HashMap;
 
-use dctopo_bounds::demand_cut_bound;
+use dctopo_core::ladder::{cut_bound, cut_probes, hop_throughput_bound, min_cut_bound, CutProbe};
 use dctopo_core::solve::aggregate_commodities;
-use dctopo_core::sweep::hop_throughput_bound;
 use dctopo_core::ThroughputEngine;
 use dctopo_flow::{Commodity, FlowError, FlowOptions};
 use dctopo_graph::mix::{derive_seed, Fnv1a};
 use dctopo_graph::{CsrNet, GraphError};
-use dctopo_search::ladder::cut_probes;
-use dctopo_search::CutProbe;
 pub use dctopo_search::Fidelity;
 use dctopo_topology::Topology;
 use dctopo_traffic::TrafficMatrix;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
 
 use crate::migration::Migration;
@@ -364,38 +359,21 @@ impl<'a> Planner<'a> {
                 hop_reject: true,
             };
         }
-        let mut best = hop;
-        for p in &self.probes {
-            best = best.min(probe_bound(view, p));
-        }
-        let extra = self.extra_probe(view.node_count(), depth, cand);
-        best = best.min(probe_bound(view, &extra));
+        // a fresh random bisection derived from grid coordinates: every
+        // `(depth, candidate)` pair sees its own cut, independent of
+        // scheduling
+        let extra = CutProbe::bisection(
+            format!("extra-{depth}-{cand}"),
+            view.node_count(),
+            derive_seed(self.spec.seed, DOMAIN_PROBE, depth, cand),
+            &self.commodities,
+        );
         Screen {
-            bound: best,
+            bound: hop
+                .min(min_cut_bound(view, &self.probes))
+                .min(cut_bound(view, &extra)),
             hop_reject: false,
         }
-    }
-
-    /// A fresh random-bisection probe derived from grid coordinates —
-    /// every `(depth, candidate)` pair sees its own cut, independent of
-    /// scheduling.
-    fn extra_probe(&self, n: usize, depth: usize, cand: usize) -> CutProbe {
-        let seed = derive_seed(self.spec.seed, DOMAIN_PROBE, depth, cand);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            let j = rng.random_range(0..=i);
-            idx.swap(i, j);
-        }
-        let mut membership = vec![false; n];
-        for &v in &idx[..n / 2] {
-            membership[v] = true;
-        }
-        CutProbe::new(
-            format!("extra-{depth}-{cand}"),
-            membership,
-            &self.commodities,
-        )
     }
 
     fn bitset(applied: &[bool]) -> Vec<u64> {
@@ -903,27 +881,12 @@ pub fn plan_migration(
     }
 }
 
-/// `C̄ / crossing demand` of one probe on a delta view: live crossing
-/// arc capacities summed over both directions, matching the
-/// [`dctopo_bounds::cross_capacity_with`] convention, fed through
-/// [`demand_cut_bound`]. A sound upper bound on the view's λ.
-fn probe_bound(view: &CsrNet, probe: &CutProbe) -> f64 {
-    if probe.cross_demand == 0.0 {
-        return f64::INFINITY;
-    }
-    let mut cross = 0.0;
-    for a in 0..view.arc_count() {
-        if view.is_live(a) && probe.side(view.arc_tail(a)) != probe.side(view.arc_head(a)) {
-            cross += view.capacity(a);
-        }
-    }
-    demand_cut_bound(cross, probe.cross_demand)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::migration::cross_churn;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn instance() -> (Topology, TrafficMatrix) {
         let mut rng = StdRng::seed_from_u64(77);

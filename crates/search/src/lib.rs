@@ -31,12 +31,15 @@
 //! Certified solves are ~10⁴× the cost of a BFS sweep, so candidates
 //! climb a ladder and only survivors pay for certification:
 //!
+//! The bounds are [`dctopo_core::ladder`]'s, evaluated on the net +
+//! plan view the candidate would be solved on:
+//!
 //! 1. **Hop bound** (level 0) — the Theorem-1-style hard bound
 //!    `C / Σ_j d_j·hop_j` from 64-lane batched multi-source BFS
 //!    ([`ladder::hop_alpha`]).
 //!    Structural candidates must *strictly improve* it.
 //! 2. **Cut bound** (level 1) — `C̄ / crossing demand`
-//!    ([`dctopo_bounds::demand_cut_bound`]) over fixed probe partitions
+//!    ([`ladder::min_cut_bound`]) over fixed probe partitions
 //!    ([`ladder::CutProbe`]): a candidate whose tightest cut bound
 //!    cannot beat the incumbent's certified λ is pruned *soundly*.
 //! 3. **Certified solve** (level 2) — the FPTAS / KSP backend selected

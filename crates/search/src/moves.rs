@@ -4,8 +4,11 @@
 //! [`CsrNet::with_capacity_overrides`] delta views.
 
 use dctopo_graph::{ArcId, CsrNet, GraphError};
-use dctopo_topology::moves::TwoSwap;
+use dctopo_topology::expand::expand_random;
+use dctopo_topology::moves::{apply_two_swap, two_swap_is_valid, TwoSwap};
 use dctopo_topology::Topology;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// One candidate move, addressable as data so batches can be generated
 /// from seeds, evaluated in parallel, and replayed on acceptance.
@@ -38,7 +41,64 @@ pub enum MoveKind {
     },
 }
 
+/// What carrying out a move replaces: structural and growth moves
+/// yield a new topology, capacity moves a new plan.
+#[derive(Debug, Clone)]
+pub enum Moved {
+    /// The topology after a [`MoveKind::TwoSwap`] or
+    /// [`MoveKind::Expand`].
+    Topology(Topology),
+    /// The plan after a [`MoveKind::ShiftCapacity`].
+    Plan(CapacityPlan),
+}
+
 impl MoveKind {
+    /// Carry the move out on `(topo, plan)` — the one application the
+    /// search's candidate evaluation, its acceptance and the export
+    /// replay all share. `mult_range` is the `[min, max]` multiplier
+    /// band a capacity shift must stay inside; `seed` draws an
+    /// expansion's wiring.
+    ///
+    /// # Errors
+    /// Why the move does not apply: an illegal swap, a shift outside
+    /// the band, a stuck expansion.
+    pub fn applied(
+        &self,
+        topo: &Topology,
+        plan: &CapacityPlan,
+        mult_range: (f64, f64),
+        seed: u64,
+    ) -> Result<Moved, String> {
+        match *self {
+            MoveKind::TwoSwap(swap) => {
+                if !two_swap_is_valid(&topo.graph, &swap) {
+                    return Err("illegal two-swap".into());
+                }
+                let mut topo = topo.clone();
+                apply_two_swap(&mut topo.graph, &swap).expect("validated");
+                Ok(Moved::Topology(topo))
+            }
+            MoveKind::Expand {
+                network_degree,
+                class,
+            } => {
+                let mut topo = topo.clone();
+                let mut rng = StdRng::seed_from_u64(seed);
+                expand_random(&mut topo, network_degree, network_degree, class, &mut rng)
+                    .map_err(|e| e.to_string())?;
+                Ok(Moved::Topology(topo))
+            }
+            MoveKind::ShiftCapacity {
+                donor,
+                receiver,
+                step,
+            } => plan
+                .shifted(topo, donor, receiver, step, mult_range.0, mult_range.1)
+                .map(Moved::Plan)
+                .ok_or_else(|| "shift outside the line-card budget".into()),
+        }
+    }
+
     /// Whether this move changes the adjacency structure (and therefore
     /// invalidates structure-keyed caches).
     pub fn is_structural(&self) -> bool {

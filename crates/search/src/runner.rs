@@ -16,20 +16,19 @@
 //! `T_r` cooled geometrically per round and the coin drawn from a
 //! seed derived from the round index (deterministic annealing).
 
+use dctopo_core::ladder::{cut_probes, hop_alpha, hop_bound, min_cut_bound, CutProbe};
 use dctopo_core::solve::{aggregate_commodities, nic_limit};
 use dctopo_flow::{Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow};
 use dctopo_graph::mix::derive_seed;
-use dctopo_graph::{CsrNet, MsBfsWorkspace};
-use dctopo_topology::expand::expand_random;
-use dctopo_topology::moves::{apply_two_swap, two_swap_is_valid, TwoSwap};
+use dctopo_graph::CsrNet;
+use dctopo_topology::moves::TwoSwap;
 use dctopo_topology::Topology;
 use dctopo_traffic::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
 
-use crate::ladder::{cut_probes, hop_alpha, hop_bound, min_cut_bound, CutProbe};
-use crate::moves::{CapacityPlan, MoveKind};
+use crate::moves::{CapacityPlan, MoveKind, Moved};
 
 /// Domain tag for per-move generation seeds.
 const DOMAIN_MOVE: u64 = 21;
@@ -354,63 +353,51 @@ impl SearchResult {
         let mut plan = CapacityPlan::uniform(&topo);
         let mut out = Vec::with_capacity(self.accepted.len());
         for mv in &self.accepted {
-            match mv.kind {
-                MoveKind::TwoSwap(swap) => {
-                    let ((x1, y1), (x2, y2)) =
-                        two_swap_endpoints(&topo.graph, &swap).ok_or_else(|| {
-                            GraphError::Unrealizable(format!(
-                                "accepted swap ({}, {}) does not replay on the given \
-                                 starting topology",
-                                swap.e1, swap.e2
-                            ))
-                        })?;
-                    let (a, b) = {
-                        let e = topo.graph.edge(swap.e1);
-                        (e.u, e.v)
-                    };
-                    let (c, d) = {
-                        let e = topo.graph.edge(swap.e2);
-                        (e.u, e.v)
-                    };
-                    let cap1 = topo.graph.edge(swap.e1).capacity;
-                    let cap2 = topo.graph.edge(swap.e2).capacity;
-                    apply_two_swap(&mut topo.graph, &swap)?;
+            if matches!(mv.kind, MoveKind::Expand { .. }) {
+                return Err(GraphError::Unrealizable(
+                    "expand moves cannot be exported as a migration: the planner \
+                     reorders moves over a fixed switch set"
+                        .into(),
+                ));
+            }
+            // accepted shifts were already validated against the spec's
+            // budget bounds; replay with loose bounds
+            let moved = mv
+                .kind
+                .applied(&topo, &plan, (0.0, f64::INFINITY), 0)
+                .map_err(|why| {
+                    GraphError::Unrealizable(format!(
+                        "accepted {} does not replay on the given starting topology: {why}",
+                        mv.kind.describe()
+                    ))
+                })?;
+            match (mv.kind, moved) {
+                (MoveKind::TwoSwap(swap), Moved::Topology(next)) => {
+                    let [e1, e2] = [swap.e1, swap.e2].map(|e| topo.graph.edge(e));
+                    let (add1, add2) = two_swap_endpoints(&topo.graph, &swap)
+                        .expect("the swap applied, so it resolves");
                     out.push(ResolvedMove::Rewire {
-                        remove: [(a, b), (c, d)],
-                        add: [(x1, y1), (x2, y2)],
-                        cap: [cap1, cap2],
+                        remove: [(e1.u, e1.v), (e2.u, e2.v)],
+                        add: [add1, add2],
+                        cap: [e1.capacity, e2.capacity],
                     });
+                    topo = next;
                 }
-                MoveKind::ShiftCapacity {
-                    donor,
-                    receiver,
-                    step,
-                } => {
-                    let before_donor = plan.multiplier(donor);
-                    let before_receiver = plan.multiplier(receiver);
-                    // accepted shifts were already validated against the
-                    // spec's budget bounds; replay with loose bounds
-                    plan = plan
-                        .shifted(&topo, donor, receiver, step, 0.0, f64::INFINITY)
-                        .ok_or_else(|| {
-                            GraphError::Unrealizable(format!(
-                                "accepted shift {donor} -> {receiver} does not replay"
-                            ))
-                        })?;
+                (
+                    MoveKind::ShiftCapacity {
+                        donor, receiver, ..
+                    },
+                    Moved::Plan(next),
+                ) => {
                     out.push(ResolvedMove::Shift {
                         donor,
                         receiver,
-                        donor_factor: plan.multiplier(donor) / before_donor,
-                        receiver_factor: plan.multiplier(receiver) / before_receiver,
+                        donor_factor: next.multiplier(donor) / plan.multiplier(donor),
+                        receiver_factor: next.multiplier(receiver) / plan.multiplier(receiver),
                     });
+                    plan = next;
                 }
-                MoveKind::Expand { .. } => {
-                    return Err(GraphError::Unrealizable(
-                        "expand moves cannot be exported as a migration: the planner \
-                         reorders moves over a fixed switch set"
-                            .into(),
-                    ));
-                }
+                _ => unreachable!("a move yields what its family replaces"),
             }
         }
         Ok(out)
@@ -524,14 +511,13 @@ impl SearchRunner {
         let view = plan.view(&self.topo, &base_net).map_err(FlowError::Graph)?;
 
         // certify the starting configuration
-        let mut ws = MsBfsWorkspace::new(self.topo.switch_count());
-        let alpha0 = hop_alpha(&self.topo.graph, &self.commodities, &mut ws);
+        let alpha0 = hop_alpha(&view, &self.commodities);
         let solved0 = self.certify(&view, false)?;
         let initial = Certificate {
             lambda: solved0.throughput,
             upper: solved0.upper_bound,
             hop_bound: hop_bound(view.total_capacity(), alpha0),
-            cut_bound: self.cut_bound_of(&self.topo, &plan),
+            cut_bound: min_cut_bound(&view, &self.probes),
             hop_alpha: alpha0,
             settles: solved0.settles,
             passed_hop: true,
@@ -575,8 +561,7 @@ impl SearchRunner {
                     .expect("accepted candidates are certified");
                 let lambda_before = state.incumbent.lambda;
                 let seed = derive_seed(self.spec.seed, DOMAIN_APPLY, round, idx);
-                self.apply(&mut state, cand.kind, seed, cert)
-                    .map_err(FlowError::Graph)?;
+                self.apply(&mut state, cand.kind, seed, cert);
                 accepted.push(AcceptedMove {
                     round,
                     index: idx,
@@ -655,7 +640,17 @@ impl SearchRunner {
         (incumbent_lambda * (1.0 - 3.0 * temperature)).max(0.0)
     }
 
-    /// Climb the ladder for one candidate.
+    /// The multiplier band a capacity shift must stay inside (never
+    /// read without the capacity family: no shift is generated then).
+    fn mult_range(&self) -> (f64, f64) {
+        self.spec
+            .capacity
+            .map_or((0.0, f64::INFINITY), |b| (b.min_mult, b.max_mult))
+    }
+
+    /// Climb the ladder for one candidate: carry the move out, build
+    /// the net + plan view it would be solved on, and run levels 0–2 on
+    /// that one view.
     fn evaluate(
         &self,
         state: &State,
@@ -664,125 +659,50 @@ impl SearchRunner {
         apply_seed: u64,
         temperature: f64,
     ) -> Candidate {
-        let out = self.evaluate_outcome(state, kind, apply_seed, temperature);
+        let floor = self.prune_floor(state.incumbent.lambda, temperature);
+        let view = kind
+            .applied(&state.topo, &state.plan, self.mult_range(), apply_seed)
+            .and_then(|moved| {
+                match &moved {
+                    Moved::Plan(plan) => plan.view(&state.topo, &state.base_net),
+                    Moved::Topology(topo) => {
+                        state.plan.view(topo, &CsrNet::from_graph(&topo.graph))
+                    }
+                }
+                .map_err(|e| e.to_string())
+            });
+        let outcome = match view {
+            Ok(view) => self.climb(state, &view, kind.is_structural(), floor),
+            Err(why) => Outcome::Invalid(why),
+        };
         Candidate {
             index,
             kind,
-            outcome: out,
+            outcome,
         }
     }
 
-    fn evaluate_outcome(
-        &self,
-        state: &State,
-        kind: MoveKind,
-        apply_seed: u64,
-        temperature: f64,
-    ) -> Outcome {
-        let floor = self.prune_floor(state.incumbent.lambda, temperature);
+    /// Levels 0–2 on the candidate's view.
+    fn climb(&self, state: &State, view: &CsrNet, structural: bool, floor: f64) -> Outcome {
         let ladder = self.spec.fidelity == Fidelity::Ladder;
-        match kind {
-            MoveKind::ShiftCapacity {
-                donor,
-                receiver,
-                step,
-            } => {
-                let budget = self.spec.capacity.expect("capacity family enabled");
-                let Some(plan) = state.plan.shifted(
-                    &state.topo,
-                    donor,
-                    receiver,
-                    step,
-                    budget.min_mult,
-                    budget.max_mult,
-                ) else {
-                    return Outcome::Invalid("shift outside the line-card budget".into());
-                };
-                // level 0: the budget is conserved and hop distances are
-                // untouched, so the hop bound is the incumbent's — the
-                // gate passes by construction
-                let hop = hop_bound(
-                    plan.effective_capacity(&state.topo),
-                    state.incumbent.hop_alpha,
-                );
-                // level 1: capacity moved across cuts
-                let cut = self.cut_bound_of(&state.topo, &plan);
-                if ladder && cut <= floor {
-                    return Outcome::PrunedCut {
-                        hop_bound: hop,
-                        cut_bound: cut,
-                    };
-                }
-                let view = match plan.view(&state.topo, &state.base_net) {
-                    Ok(v) => v,
-                    Err(e) => return Outcome::Invalid(e.to_string()),
-                };
-                match self.certify(&view, false) {
-                    Ok(s) => Outcome::Certified(Certificate {
-                        lambda: s.throughput,
-                        upper: s.upper_bound,
-                        hop_bound: hop,
-                        cut_bound: cut,
-                        hop_alpha: state.incumbent.hop_alpha,
-                        settles: s.settles,
-                        passed_hop: true,
-                        passed_cut: cut > floor,
-                    }),
-                    Err(e) => Outcome::Invalid(e.to_string()),
-                }
-            }
-            MoveKind::TwoSwap(swap) => {
-                if !two_swap_is_valid(&state.topo.graph, &swap) {
-                    return Outcome::Invalid("illegal two-swap".into());
-                }
-                let mut topo = state.topo.clone();
-                apply_two_swap(&mut topo.graph, &swap).expect("validated");
-                self.evaluate_structural(state, &topo, ladder, floor)
-            }
-            MoveKind::Expand {
-                network_degree,
-                class,
-            } => {
-                let mut topo = state.topo.clone();
-                let mut rng = StdRng::seed_from_u64(apply_seed);
-                if let Err(e) =
-                    expand_random(&mut topo, network_degree, network_degree, class, &mut rng)
-                {
-                    return Outcome::Invalid(e.to_string());
-                }
-                self.evaluate_structural(state, &topo, ladder, floor)
-            }
-        }
-    }
-
-    /// Levels 0–2 for a structurally-changed candidate topology.
-    fn evaluate_structural(
-        &self,
-        state: &State,
-        topo: &Topology,
-        ladder: bool,
-        floor: f64,
-    ) -> Outcome {
-        // level 0: the hop bound must strictly improve. The workspace
-        // is thread-local: candidate evaluations fan out over the pool
-        // every round, and a per-candidate allocation here was the
-        // dominant level-0 cost at scale.
-        thread_local! {
-            static HOP_WS: std::cell::RefCell<MsBfsWorkspace> =
-                std::cell::RefCell::default();
-        }
-        let alpha =
-            HOP_WS.with(|ws| hop_alpha(&topo.graph, &self.commodities, &mut ws.borrow_mut()));
+        // level 0: a rewire's hop bound must strictly improve. A shift
+        // conserves the budget and leaves hop distances alone, so it
+        // keeps the incumbent's α and passes by construction.
+        let alpha = if structural {
+            hop_alpha(view, &self.commodities)
+        } else {
+            state.incumbent.hop_alpha
+        };
         if alpha.is_infinite() {
             return Outcome::Invalid("rewire disconnects a commodity".into());
         }
-        let hop = hop_bound(state.plan.effective_capacity(topo), alpha);
-        let passed_hop = hop > state.incumbent.hop_bound;
+        let hop = hop_bound(view.total_capacity(), alpha);
+        let passed_hop = !structural || hop > state.incumbent.hop_bound;
         if ladder && !passed_hop {
             return Outcome::PrunedHop { hop_bound: hop };
         }
         // level 1: the cut bound must leave the candidate acceptable
-        let cut = self.cut_bound_of(topo, &state.plan);
+        let cut = min_cut_bound(view, &self.probes);
         let passed_cut = cut > floor;
         if ladder && !passed_cut {
             return Outcome::PrunedCut {
@@ -790,13 +710,8 @@ impl SearchRunner {
                 cut_bound: cut,
             };
         }
-        // level 2: certified solve on a fresh net (+ plan view)
-        let net = CsrNet::from_graph(&topo.graph);
-        let view = match state.plan.view(topo, &net) {
-            Ok(v) => v,
-            Err(e) => return Outcome::Invalid(e.to_string()),
-        };
-        match self.certify(&view, true) {
+        // level 2: certified solve
+        match self.certify(view, structural) {
             Ok(s) => Outcome::Certified(Certificate {
                 lambda: s.throughput,
                 upper: s.upper_bound,
@@ -809,17 +724,6 @@ impl SearchRunner {
             }),
             Err(e) => Outcome::Invalid(e.to_string()),
         }
-    }
-
-    /// The level-1 surrogate for a configuration.
-    fn cut_bound_of(&self, topo: &Topology, plan: &CapacityPlan) -> f64 {
-        min_cut_bound(&topo.graph, &self.probes, |e| {
-            let edge = topo.graph.edge(e);
-            let mult = plan
-                .group_of(topo, edge.u, edge.v)
-                .map_or(1.0, |g| plan.multiplier(g));
-            edge.capacity * mult
-        })
     }
 
     /// Certified solve: structural candidates solve cold (their nets
@@ -883,59 +787,23 @@ impl SearchRunner {
         (rng.random_range(0.0..1.0) < p).then_some(idx)
     }
 
-    /// Replay an accepted move onto the state and install its
+    /// Carry an accepted move out on the state and install its
     /// certificate as the new incumbent.
-    fn apply(
-        &self,
-        state: &mut State,
-        kind: MoveKind,
-        apply_seed: u64,
-        cert: Certificate,
-    ) -> Result<(), dctopo_graph::GraphError> {
-        match kind {
-            MoveKind::TwoSwap(swap) => {
-                apply_two_swap(&mut state.topo.graph, &swap)?;
-                state.base_net = CsrNet::from_graph(&state.topo.graph);
+    fn apply(&self, state: &mut State, kind: MoveKind, apply_seed: u64, cert: Certificate) {
+        match kind
+            .applied(&state.topo, &state.plan, self.mult_range(), apply_seed)
+            .expect("an accepted move was valid when it was evaluated")
+        {
+            Moved::Topology(topo) => {
+                state.base_net = CsrNet::from_graph(&topo.graph);
+                state.topo = topo;
                 // frozen path sets of the old structure can never be
                 // queried again; drop them rather than accumulate
                 self.cache.clear();
             }
-            MoveKind::Expand {
-                network_degree,
-                class,
-            } => {
-                let mut rng = StdRng::seed_from_u64(apply_seed);
-                expand_random(
-                    &mut state.topo,
-                    network_degree,
-                    network_degree,
-                    class,
-                    &mut rng,
-                )?;
-                state.base_net = CsrNet::from_graph(&state.topo.graph);
-                self.cache.clear();
-            }
-            MoveKind::ShiftCapacity {
-                donor,
-                receiver,
-                step,
-            } => {
-                let budget = self.spec.capacity.expect("capacity family enabled");
-                state.plan = state
-                    .plan
-                    .shifted(
-                        &state.topo,
-                        donor,
-                        receiver,
-                        step,
-                        budget.min_mult,
-                        budget.max_mult,
-                    )
-                    .expect("accepted shift was valid at evaluation time");
-            }
+            Moved::Plan(plan) => state.plan = plan,
         }
         state.incumbent = cert;
-        Ok(())
     }
 }
 

@@ -941,6 +941,85 @@ fn metamorphic_failure_and_capacity_laws_on_50_seeded_instances() {
     assert!(checked >= 40, "only {checked} instances were connected");
 }
 
+/// The one screening ladder (`core::ladder`) against its `Graph`-side
+/// oracle and against certified solves, on 20 seeded instances (RRG and
+/// two-cluster, alternating) × {baseline, `fail-links`, `scale`} views:
+///
+/// * differential — `ladder::cut_bound(view, probe)` is
+///   `bounds::cross_capacity` of the view's rebuilt graph over the
+///   probe's crossing demand (the search used to compute it that way,
+///   per edge with a multiplier; the view form must not drift from it);
+/// * soundness — the certified λ of `fptas` and `ksp:4` sits under both
+///   the hop bound and the tightest cut bound of the view it was solved
+///   on, and a view that strands a commodity reads hop bound 0.
+#[test]
+fn ladder_bounds_match_the_graph_oracle_and_dominate_certified_lambda() {
+    use dctopo::bounds::cross_capacity;
+    use dctopo::core::ladder::{cut_bound, cut_probes, hop_throughput_bound, min_cut_bound};
+    use dctopo::core::solve::aggregate_commodities;
+
+    let mut solved = 0usize;
+    for seed in 0..20u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = if seed % 2 == 0 {
+            Topology::random_regular(10 + seed as usize % 6, 6, 4, &mut rng).unwrap()
+        } else {
+            let cluster = |count, ports, servers_per_switch| ClusterSpec {
+                count,
+                ports,
+                servers_per_switch,
+            };
+            let cross = CrossSpec::Exact(3 + seed as usize % 3);
+            two_cluster(cluster(6, 10, 3), cluster(6, 8, 2), cross, &mut rng).unwrap()
+        };
+        let tm = Tm::random_permutation(topo.server_count(), &mut rng);
+        let commodities = aggregate_commodities(&topo, &tm);
+        let probes = cut_probes(&topo, &commodities, 3, seed);
+        assert_eq!(probes.len(), 3 + (seed % 2) as usize, "seed {seed}");
+        let engine = ThroughputEngine::new(&topo);
+        for degradation in [
+            None,
+            Some(Degradation::FailLinks { count: 2, seed }),
+            Some(Degradation::ScaleCapacity { factor: 1.5 }),
+        ] {
+            let sc = Scenario::new("view", degradation.iter().cloned().collect());
+            let view = sc.apply(&topo, engine.net()).unwrap();
+            let rebuilt = view.net.to_graph();
+            for probe in probes.iter().filter(|p| p.cross_demand > 0.0) {
+                let (got, want) = (
+                    cut_bound(&view.net, probe),
+                    cross_capacity(&rebuilt, &probe.membership) / probe.cross_demand,
+                );
+                assert!(
+                    (got - want).abs() <= 1e-12 * want,
+                    "seed {seed} {degradation:?} {}: view {got} vs graph {want}",
+                    probe.name
+                );
+            }
+            let hop = hop_throughput_bound(&view.net, &commodities);
+            let bound = hop.min(min_cut_bound(&view.net, &probes));
+            for backend in ["fptas", "ksp:4"] {
+                let mut opts = solver_opts();
+                backend.parse::<BackendChoice>().unwrap().apply(&mut opts);
+                match engine.solve_scenario(&view, &tm, &opts) {
+                    Ok(r) => {
+                        solved += 1;
+                        assert!(
+                            r.network_lambda <= bound * (1.0 + 1e-9),
+                            "seed {seed} {degradation:?} {backend}: certified λ {} above \
+                             the ladder's bound {bound}",
+                            r.network_lambda
+                        );
+                    }
+                    Err(FlowError::Unreachable { .. }) => assert_eq!(hop, 0.0, "seed {seed}"),
+                    Err(e) => panic!("seed {seed} {degradation:?} {backend}: {e}"),
+                }
+            }
+        }
+    }
+    assert!(solved >= 100, "only {solved} of 120 solves ran");
+}
+
 /// Cross-backend differential on degraded scenarios — the 50-seeded-
 /// graph pin extended to failure deltas. On each seeded graph a seeded
 /// set of links fails through `CsrNet::with_disabled_arcs`; then:
