@@ -15,8 +15,8 @@
 //!   Fig. 3 visualises ([`moore_level_boundaries`]).
 //! * **Cut bound, Eqn. 1** ([`cut_throughput_bound`]) — for two clusters
 //!   with `n1`/`n2` servers, cross-capacity `C̄` and total capacity `C`:
-//!   `T ≤ min( C/(⟨D⟩(n1+n2)), C̄(n1+n2)/(2·n1·n2) )`.
-//!   [`cross_capacity`] measures `C̄` on a [`Graph`].
+//!   `T ≤ min( C/(⟨D⟩(n1+n2)), C̄(n1+n2)/(2·n1·n2) )`, with `C̄` as
+//!   `dctopo_graph::components::cut_capacity` measures it.
 //! * **Thresholds** — [`cut_drop_point`] (Eqn. 2: the bound starts
 //!   dropping when `C̄ ≤ C/(2⟨D⟩)`) and [`cbar_star`] (Fig. 11: given an
 //!   observed peak `T*`, throughput must fall below `T*` once
@@ -24,7 +24,7 @@
 
 #![warn(missing_docs)]
 
-use dctopo_graph::{Graph, GraphError};
+use dctopo_graph::GraphError;
 
 /// Cerf–Cowan–Mullin–Stanton lower bound on the average shortest path
 /// length of any `r`-regular graph with `n` nodes (the paper's §4).
@@ -145,33 +145,6 @@ pub fn cbar_star(t_star: f64, n1: usize, n2: usize) -> f64 {
     t_star * 2.0 * n1 as f64 * n2 as f64 / (n1 + n2) as f64
 }
 
-/// Total capacity crossing a bipartition, counting both directions
-/// (the `C̄` of Eqn. 1): `2 × Σ` capacity of edges whose endpoints fall
-/// on different sides of `membership`.
-///
-/// The [`Graph`]-side measurement of a cut, for the paper's
-/// random-permutation form ([`cut_throughput_bound`]). The
-/// per-instance, per-view form the search and the planner screen with
-/// is `dctopo_core::ladder::cut_bound`, which the property suite checks
-/// against this function.
-///
-/// # Panics
-/// If `membership` is shorter than the graph's node count.
-pub fn cross_capacity(g: &Graph, membership: &[bool]) -> f64 {
-    assert!(
-        membership.len() >= g.node_count(),
-        "membership covers {} of {} nodes",
-        membership.len(),
-        g.node_count()
-    );
-    2.0 * g
-        .edges()
-        .iter()
-        .filter(|e| membership[e.u] != membership[e.v])
-        .map(|e| e.capacity)
-        .sum::<f64>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,20 +235,6 @@ mod tests {
         let scarce = cut_throughput_bound(1000.0, 10.0, 2.5, 100, 100);
         assert!((scarce - 10.0 * 200.0 / (2.0 * 100.0 * 100.0)).abs() < 1e-12);
         assert!(scarce < plateau);
-    }
-
-    #[test]
-    fn cross_capacity_counts_both_directions() {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1, 1.0).unwrap(); // inside left
-        g.add_edge(2, 3, 1.0).unwrap(); // inside right
-        g.add_edge(0, 2, 3.0).unwrap(); // crossing
-        g.add_edge(1, 3, 2.0).unwrap(); // crossing
-        let membership = [true, true, false, false];
-        let cbar = cross_capacity(&g, &membership);
-        assert!((cbar - 2.0 * 5.0).abs() < 1e-12);
-        // the trivial cut (everything on one side) has no cross capacity
-        assert_eq!(cross_capacity(&g, &[true; 4]), 0.0);
     }
 
     #[test]

@@ -208,7 +208,8 @@ pub fn cut_probes(
 
 /// `C̄ / crossing demand` of one probe on a view: the capacities of the
 /// live arcs whose endpoints straddle the cut, summed over both
-/// directions (the `C̄` convention of `dctopo_bounds::cross_capacity`).
+/// directions (the `C̄` convention of
+/// [`dctopo_graph::components::cut_capacity`], its `Graph`-side twin).
 /// `∞` when no demand crosses the cut.
 pub fn cut_bound(view: &CsrNet, probe: &CutProbe) -> f64 {
     if probe.cross_demand == 0.0 {
@@ -267,11 +268,10 @@ mod tests {
         assert!((hop_throughput_bound(&view, &cs) - 12.0 / 7.0).abs() < 1e-12);
         // failing 2-3 sends 0->3 the other way round, same length; failing
         // 0-5 as well disconnects it: alpha infinite, bound zero
-        let one_down = view.with_disabled_arcs(&[view.arc_between(2, 3).unwrap()]);
-        let one_down = one_down.unwrap();
+        let down = |u, v| view.arc_between(u, v).unwrap();
+        let one_down = view.with_disabled_arcs(&[down(2, 3)]).unwrap();
         assert!((hop_alpha(&one_down, &cs) - 7.0).abs() < 1e-12);
-        let two_down = one_down.with_disabled_arcs(&[view.arc_between(0, 5).unwrap()]);
-        let two_down = two_down.unwrap();
+        let two_down = view.with_disabled_arcs(&[down(2, 3), down(0, 5)]).unwrap();
         assert!(hop_alpha(&two_down, &cs).is_infinite());
         assert_eq!(hop_throughput_bound(&two_down, &cs), 0.0);
     }

@@ -946,17 +946,17 @@ fn metamorphic_failure_and_capacity_laws_on_50_seeded_instances() {
 /// two-cluster, alternating) × {baseline, `fail-links`, `scale`} views:
 ///
 /// * differential — `ladder::cut_bound(view, probe)` is
-///   `bounds::cross_capacity` of the view's rebuilt graph over the
-///   probe's crossing demand (the search used to compute it that way,
-///   per edge with a multiplier; the view form must not drift from it);
+///   `graph::components::cut_capacity` of the view's rebuilt graph over
+///   the probe's crossing demand (the search used to compute it that
+///   way, per edge with a multiplier; the view form must not drift);
 /// * soundness — the certified λ of `fptas` and `ksp:4` sits under both
 ///   the hop bound and the tightest cut bound of the view it was solved
 ///   on, and a view that strands a commodity reads hop bound 0.
 #[test]
 fn ladder_bounds_match_the_graph_oracle_and_dominate_certified_lambda() {
-    use dctopo::bounds::cross_capacity;
     use dctopo::core::ladder::{cut_bound, cut_probes, hop_throughput_bound, min_cut_bound};
     use dctopo::core::solve::aggregate_commodities;
+    use dctopo::graph::components::cut_capacity;
 
     let mut solved = 0usize;
     for seed in 0..20u64 {
@@ -988,7 +988,7 @@ fn ladder_bounds_match_the_graph_oracle_and_dominate_certified_lambda() {
             for probe in probes.iter().filter(|p| p.cross_demand > 0.0) {
                 let (got, want) = (
                     cut_bound(&view.net, probe),
-                    cross_capacity(&rebuilt, &probe.membership) / probe.cross_demand,
+                    cut_capacity(&rebuilt, &probe.membership) / probe.cross_demand,
                 );
                 assert!(
                     (got - want).abs() <= 1e-12 * want,
