@@ -409,7 +409,21 @@ impl<'t> ThroughputEngine<'t> {
             initial_cwnd: params.initial_cwnd,
             rto: params.rto,
         };
+        let t_sim = dctopo_obs::clock();
         let result = simulate(net, &flows, &cfg)?;
+        if dctopo_obs::enabled() {
+            dctopo_obs::Event::new("packet_witness")
+                .field("flows", flows.len())
+                .field("paths", flows.iter().map(|f| f.paths.len()).sum::<usize>())
+                .field("events", result.events)
+                .field("delivered", result.delivered)
+                .field("drops", result.drops)
+                .field("retransmits", result.retransmits)
+                // a string: the hash does not fit a JSON number's 2^53
+                .field("trace_hash", format!("{:#018x}", result.trace_hash))
+                .nd("sim_us", dctopo_obs::us_since(t_sim))
+                .emit();
+        }
         Ok(CoValidation {
             lambda: res.network_lambda,
             upper_bound: res.network_upper_bound,

@@ -1,11 +1,21 @@
-//! Event schedulers: the production calendar queue and a naive binary
-//! heap used as a differential-testing reference.
+//! Event schedulers: the calendar queue — the one general-purpose
+//! scheduler — and a naive binary heap used as a differential-testing
+//! reference.
 //!
 //! Both implement [`EventScheduler`] and define the same total order:
 //! events pop by ascending `(time, seq)`, where `seq` is the insertion
 //! sequence number the scheduler assigns internally. Two schedulers fed
 //! the same interleaved push/pop trace therefore pop in exactly the
 //! same order — the determinism contract the simulator is built on.
+//!
+//! The simulator does not hand every event to the calendar: events
+//! whose delay is a constant of their kind are born sorted and wait in
+//! FIFO lanes beside it (`sim.rs`'s `Agenda`). The two methods that
+//! make that merge exact live here: [`CalendarQueue::reserve_seq`]
+//! draws a lane event's tiebreaker from the calendar's own counter,
+//! and [`CalendarQueue::peek_key`] exposes the `(time, seq)` the next
+//! [`pop`](EventScheduler::pop) would return, so the merged order is
+//! the order one calendar fed every push would realise.
 
 use std::collections::BinaryHeap;
 
@@ -28,6 +38,10 @@ pub trait EventScheduler<T> {
 
 /// Number of buckets in a calendar epoch. Power of two.
 const NUM_BUCKETS: usize = 512;
+
+/// Widest bucket, as a shift: `NUM_BUCKETS << MAX_SHIFT` is 2^63, the
+/// largest epoch span a `u64` holds.
+const MAX_SHIFT: u32 = 63 - NUM_BUCKETS.trailing_zeros();
 
 /// A calendar-queue scheduler: an epoch of `NUM_BUCKETS` (512) time buckets
 /// of width `2^shift` ticks, plus an overflow list for events beyond
@@ -65,9 +79,9 @@ pub struct CalendarQueue<T> {
 impl<T> CalendarQueue<T> {
     /// Create a queue tuned for events roughly `width_hint` ticks
     /// apart: the bucket width is the largest power of two ≤ the hint
-    /// (minimum 1).
+    /// (minimum 1), clamped so an epoch's span still fits a `u64`.
     pub fn with_width_hint(width_hint: u64) -> Self {
-        let shift = 63 - width_hint.max(1).leading_zeros();
+        let shift = (63 - width_hint.max(1).leading_zeros()).min(MAX_SHIFT);
         CalendarQueue {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             shift,
@@ -110,7 +124,8 @@ impl<T> CalendarQueue<T> {
         self.cur = ((min_t - self.base) >> self.shift) as usize;
         let pending = std::mem::take(&mut self.overflow);
         for (t, s, item) in pending {
-            if t >= self.base + span {
+            // offsets, not `base + span`: the last epoch ends at 2^64
+            if t - self.base >= span {
                 self.overflow.push((t, s, item));
             } else {
                 let idx = ((t - self.base) >> self.shift) as usize;
@@ -119,6 +134,46 @@ impl<T> CalendarQueue<T> {
         }
         Self::sort_desc(&mut self.buckets[self.cur]);
     }
+
+    /// Move the cursor to the bucket holding the earliest pending event
+    /// (sorting it on arrival); `false` when nothing is pending.
+    fn advance(&mut self) -> bool {
+        if self.len == 0 {
+            return false;
+        }
+        while self.buckets[self.cur].is_empty() {
+            match (self.cur + 1..NUM_BUCKETS).find(|&i| !self.buckets[i].is_empty()) {
+                Some(next) => {
+                    self.cur = next;
+                    Self::sort_desc(&mut self.buckets[next]);
+                }
+                None => self.rollover(),
+            }
+        }
+        true
+    }
+
+    /// Take the next insertion sequence number without inserting
+    /// anything. An event held outside the queue under a reserved
+    /// number, and merged back by [`CalendarQueue::peek_key`], pops
+    /// exactly where it would have had it been pushed instead.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// `(time, seq)` of the event the next [`pop`](EventScheduler::pop)
+    /// returns, `None` when the queue is empty. Takes `&mut self`
+    /// because finding it may advance the bucket cursor, which changes
+    /// no pop order: later pushes below the cursor join the current
+    /// bucket in sorted position, as they do after a pop.
+    pub fn peek_key(&mut self) -> Option<(u64, u64)> {
+        if !self.advance() {
+            return None;
+        }
+        self.buckets[self.cur].last().map(|e| (e.0, e.1))
+    }
 }
 
 impl<T> EventScheduler<T> for CalendarQueue<T> {
@@ -126,16 +181,14 @@ impl<T> EventScheduler<T> for CalendarQueue<T> {
         let seq = self.seq;
         self.seq += 1;
         self.len += 1;
-        let span = self.span();
-        if time >= self.base + span {
-            self.overflow.push((time, seq, item));
-            return;
-        }
         // past-of-epoch inserts (time < base) can only happen when the
         // epoch was re-based by a rollover; they are still in the
         // future of everything popped, so the current bucket is correct
         let idx = if time < self.base {
             0
+        } else if time - self.base >= self.span() {
+            self.overflow.push((time, seq, item));
+            return;
         } else {
             ((time - self.base) >> self.shift) as usize
         };
@@ -147,23 +200,12 @@ impl<T> EventScheduler<T> for CalendarQueue<T> {
     }
 
     fn pop(&mut self) -> Option<(u64, T)> {
-        if self.len == 0 {
+        if !self.advance() {
             return None;
         }
-        loop {
-            if let Some((t, _, item)) = self.buckets[self.cur].pop() {
-                self.len -= 1;
-                return Some((t, item));
-            }
-            // advance to the next non-empty bucket in this epoch
-            match (self.cur + 1..NUM_BUCKETS).find(|&i| !self.buckets[i].is_empty()) {
-                Some(next) => {
-                    self.cur = next;
-                    Self::sort_desc(&mut self.buckets[next]);
-                }
-                None => self.rollover(),
-            }
-        }
+        let (t, _, item) = self.buckets[self.cur].pop()?;
+        self.len -= 1;
+        Some((t, item))
     }
 
     fn len(&self) -> usize {
@@ -199,8 +241,9 @@ impl<T> Ord for HeapEntry<T> {
 
 /// Reference scheduler: a plain [`BinaryHeap`] over `(time, seq)`.
 ///
-/// Semantically identical to [`CalendarQueue`]; exists as the
-/// differential-testing and benchmarking baseline.
+/// Semantically identical to [`CalendarQueue`]; exists as the oracle
+/// the differential tests compare it, and the simulator's merged
+/// agenda, against.
 #[derive(Default)]
 pub struct HeapScheduler<T> {
     heap: BinaryHeap<HeapEntry<T>>,

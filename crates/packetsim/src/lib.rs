@@ -20,20 +20,35 @@
 //! * Events are totally ordered by `(time, seq)` where `seq` is the
 //!   scheduler-assigned insertion sequence; ties in time pop in
 //!   insertion order.
-//! * The production [`CalendarQueue`] and the reference
-//!   [`HeapScheduler`] realise the same order, verified by
-//!   differential tests; [`simulate`] and [`simulate_with_heap`]
-//!   return byte-for-byte identical [`SimResult`]s.
+//! * [`simulate`] keeps its agenda in four places: events whose delay
+//!   is a constant of their kind — a link's serialization, a link's
+//!   propagation, an ACK's return — are born sorted and wait in one
+//!   FIFO lane per kind; timeouts, paced injections, and any event a
+//!   lane would have to take out of order, go to the [`CalendarQueue`].
+//!   Lane events draw `seq` from the calendar's own counter and each
+//!   pop takes the least of the four heads, so the order realised is
+//!   the one a single [`CalendarQueue`], or the reference
+//!   [`HeapScheduler`], realises for the same pushes: [`simulate`] and
+//!   [`simulate_with_heap`] return byte-for-byte identical
+//!   [`SimResult`]s, on mixed line rates and hop counts too, verified
+//!   by differential tests.
 //! * No wall clock, no RNG, no address-dependent iteration: reruns
 //!   are bit-identical, pinned by [`SimResult::trace_hash`].
+//! * Tick arithmetic saturates. A delay too long for a `u64` is an
+//!   event that never happens, not one that wraps into the past;
+//!   non-finite delays are a [`SimError::BadConfig`].
 //!
 //! ## Performance contract
 //!
-//! Single-threaded, about 10⁷ packet-events per second; dcbench reads
-//! it as `packetsim.ns_per_event` on the `design-witness` workload
-//! (`benchmark/README.md`). The hot loop allocates
-//! nothing per packet: link queues are rings in one shared slab,
-//! transport windows are fixed bitmaps, events are `Copy`.
+//! Single-threaded, about 40 ns per packet-event on the benchmark's
+//! fabric (uniform line rate, 3.2 M events; `docs/PERF_NOTES.md`, *The
+//! merged agenda*), against 57–60 ns with every event in the calendar.
+//! The figure is read, not assumed: dcbench reports it as
+//! `packetsim.ns_per_event` on the `design-witness` workload
+//! (`benchmark/README.md`). The hot loop allocates nothing per packet:
+//! link queues are rings in one shared slab, transport windows are
+//! fixed bitmaps, events are `Copy`, and the lanes and buckets only
+//! grow.
 
 #![warn(missing_docs)]
 

@@ -4,14 +4,17 @@
 //! every event carries the scheduler-assigned insertion sequence as a
 //! tiebreaker, so execution order — and therefore every counter and
 //! the running trace hash — is a pure function of the inputs.
-//! Reruns are bit-identical; the calendar queue and the reference
-//! binary heap produce byte-for-byte the same [`SimResult`].
+//! Reruns are bit-identical; the merged agenda [`simulate`] runs on
+//! (FIFO lanes in front of the calendar queue) and the reference binary
+//! heap produce byte-for-byte the same [`SimResult`].
 //!
 //! All per-packet state lives in pre-sized arenas: link queues share
 //! one packet slab (ring buffers at `arc_id * queue_cap`), transport
 //! windows are fixed-size bitmaps, and events are `Copy` structs inside
 //! the scheduler. After setup the hot loop performs no heap allocation
-//! beyond the scheduler's amortised bucket growth.
+//! beyond the scheduler's amortised lane and bucket growth.
+
+use std::collections::VecDeque;
 
 use dctopo_graph::mix::Fnv1a;
 use dctopo_graph::CsrNet;
@@ -141,7 +144,7 @@ impl SimResult {
 
 /// A packet in flight: which global path it follows, the hop it last
 /// completed, and its sequence within the path's (sub)flow.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pkt {
     path: u32,
     hop: u16,
@@ -150,7 +153,7 @@ struct Pkt {
 
 /// Scheduler payload. `Copy`, 24 bytes: events live only inside the
 /// scheduler arena.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// The head packet of `link` finishes serialization.
     TxDone { link: u32 },
@@ -222,9 +225,10 @@ impl Engine {
         if cfg.queue == 0 {
             return Err(SimError::BadConfig("queue capacity must be >= 1".into()));
         }
-        if cfg.link_delay < 0.0 || cfg.ack_hop_delay < 0.0 || !positive(cfg.rto) {
+        let delay_ok = |d: f64| d.is_finite() && d >= 0.0;
+        if !delay_ok(cfg.link_delay) || !delay_ok(cfg.ack_hop_delay) || !positive(cfg.rto) {
             return Err(SimError::BadConfig(
-                "delays must be >= 0 and rto > 0".into(),
+                "delays must be finite and >= 0, rto finite and > 0".into(),
             ));
         }
         if cfg.initial_cwnd == 0 {
@@ -287,6 +291,14 @@ impl Engine {
         }
         let m = sim_net.service_ticks.len();
         let queue_cap = cfg.queue;
+        let end = ticks(cfg.duration);
+        let warm = (cfg.warmup * TICKS_PER_UNIT as f64).round() as u64;
+        if warm >= end {
+            return Err(SimError::BadConfig(format!(
+                "no tick left between warmup {} and duration {}",
+                cfg.warmup, cfg.duration
+            )));
+        }
         Ok(Engine {
             net: sim_net,
             path_arcs,
@@ -306,8 +318,8 @@ impl Engine {
             ],
             q_head: vec![0; m],
             q_len: vec![0; m],
-            end: ticks(cfg.duration),
-            warm: (cfg.warmup * TICKS_PER_UNIT as f64).round() as u64,
+            end,
+            warm,
             rto_ticks: ticks(cfg.rto),
             ack_hop_ticks: (cfg.ack_hop_delay * TICKS_PER_UNIT as f64).round() as u64,
             flow_delivered: vec![0; flows.len()],
@@ -328,6 +340,20 @@ impl Engine {
         self.path_arcs[self.path_off[p as usize] as usize + hop as usize]
     }
 
+    /// Schedule `ev` at `now + delay`, saturating, and only if that is
+    /// inside the run: [`Engine::run`] stops at the first event at or
+    /// after `end`, so one that late is never dispatched and queueing it
+    /// changes no [`SimResult`]. Every scheduling site goes through
+    /// here, which is what keeps tick arithmetic from wrapping on
+    /// delays that saturated in [`Engine::build`].
+    #[inline]
+    fn at<Q: EventScheduler<Ev>>(&self, q: &mut Q, now: u64, delay: u64, ev: Ev) {
+        let t = now.saturating_add(delay);
+        if t < self.end {
+            q.push(t, ev);
+        }
+    }
+
     /// Enqueue `pkt` on `link` at time `now`, drop-tail on overflow.
     fn enqueue<Q: EventScheduler<Ev>>(&mut self, q: &mut Q, now: u64, link: u32, pkt: Pkt) {
         let l = link as usize;
@@ -336,11 +362,15 @@ impl Engine {
             self.drops += 1;
             return;
         }
-        let slot = (self.q_head[l] + self.q_len[l]) % cap;
+        // head < cap and len < cap: one subtraction wraps the ring
+        let mut slot = self.q_head[l] + self.q_len[l];
+        if slot >= cap {
+            slot -= cap;
+        }
         self.slab[l * cap as usize + slot as usize] = pkt;
         self.q_len[l] += 1;
         if self.q_len[l] == 1 {
-            q.push(now + self.net.service_ticks[l], Ev::TxDone { link });
+            self.at(q, now, self.net.service_ticks[l], Ev::TxDone { link });
         }
     }
 
@@ -357,12 +387,17 @@ impl Engine {
             // jitter: retries sample different positions in the
             // contention cycle, breaking drop-tail lockout without RNG
             let sf = &self.subflows[path as usize];
-            let rto = self.rto_ticks << sf.backoff.min(6);
+            let rto = self.rto_ticks.saturating_mul(1 << sf.backoff.min(6));
             let jitter = seq
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(u64::from(gen).wrapping_mul(0xD1B5_4A32_D192_ED03))
                 % (self.rto_ticks / 4 + 1);
-            q.push(now + rto + jitter, Ev::Timeout { path, seq, gen });
+            self.at(
+                q,
+                now,
+                rto.saturating_add(jitter),
+                Ev::Timeout { path, seq, gen },
+            );
         }
     }
 
@@ -381,11 +416,12 @@ impl Engine {
                 let cap = self.net.queue_cap as u32;
                 debug_assert!(self.q_len[l] > 0);
                 let pkt = self.slab[l * cap as usize + self.q_head[l] as usize];
-                self.q_head[l] = (self.q_head[l] + 1) % cap;
+                let head = self.q_head[l] + 1;
+                self.q_head[l] = if head == cap { 0 } else { head };
                 self.q_len[l] -= 1;
-                q.push(t + self.net.delay_ticks, Ev::Arrive { link, pkt });
+                self.at(q, t, self.net.delay_ticks, Ev::Arrive { link, pkt });
                 if self.q_len[l] > 0 {
-                    q.push(t + self.net.service_ticks[l], Ev::TxDone { link });
+                    self.at(q, t, self.net.service_ticks[l], Ev::TxDone { link });
                 }
             }
             Ev::Arrive { link: _, pkt } => {
@@ -403,8 +439,10 @@ impl Engine {
                         // handles them, and a lost original must not
                         // strand the retransmission unacked
                         let hops = u64::from(self.path_len(p));
-                        q.push(
-                            t + hops * self.ack_hop_ticks,
+                        self.at(
+                            q,
+                            t,
+                            hops.saturating_mul(self.ack_hop_ticks),
                             Ev::Ack {
                                 path: p,
                                 seq: pkt.seq,
@@ -449,7 +487,7 @@ impl Engine {
                 sf.next_seq += 1;
                 let first_arc = self.path_arc(path, 0);
                 self.enqueue(q, t, first_arc, Pkt { path, hop: 0, seq });
-                q.push(t + self.interval[path as usize], Ev::Inject { path });
+                self.at(q, t, self.interval[path as usize], Ev::Inject { path });
             }
         }
     }
@@ -466,7 +504,7 @@ impl Engine {
                 // sources do not phase-lock on shared queues
                 let start =
                     (u64::from(p)).wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.interval[p as usize];
-                q.push(start, Ev::Inject { path: p });
+                self.at(q, 0, start, Ev::Inject { path: p });
             }
         }
         let mut events = 0u64;
@@ -512,6 +550,105 @@ impl Engine {
     }
 }
 
+/// One scheduler entry: `(time, seq, event)`.
+type Entry = (u64, u64, Ev);
+
+/// `(time, seq)` as one comparable word. An empty lane, or an empty
+/// calendar, reads [`NO_KEY`], which no entry reaches: `seq` counts
+/// pushes.
+#[inline]
+fn key(time: u64, seq: u64) -> u128 {
+    (u128::from(time) << 64) | u128::from(seq)
+}
+
+const NO_KEY: u128 = u128::MAX;
+
+/// The agenda [`simulate`] runs on: three FIFO lanes in front of the
+/// [`CalendarQueue`].
+///
+/// Simulated time never runs backwards, so events pushed at
+/// `now + d` with a `d` that is a constant of their kind are born
+/// sorted: serialization ends (`TxDone`), propagation ends (`Arrive`)
+/// and ACK returns (`Ack`) each get a lane that is only ever appended
+/// to. Uniform delays are not assumed — mixed line rates and mixed hop
+/// counts do produce an event earlier than its lane's tail — so `push`
+/// checks: such an event goes to the calendar, as `Timeout` and
+/// `Inject` always do. That keeps all four structures in `(time, seq)`
+/// order whatever the delays are, and `pop` is the minimum of four
+/// heads. Lane events take their `seq` from the calendar's counter, so
+/// the order is exactly the one a single [`CalendarQueue`], or the
+/// [`HeapScheduler`], realises for the same pushes.
+struct Agenda {
+    /// One lane per born-sorted kind, indexed by [`lane_of`].
+    lanes: [VecDeque<Entry>; 3],
+    calendar: CalendarQueue<Ev>,
+    /// Per lane: pushes appended, pushes the guard sent to the
+    /// calendar.
+    #[cfg(test)]
+    lane_pushes: [[u64; 2]; 3],
+}
+
+/// The lane an event kind waits in, `None` for the calendar's kinds.
+#[inline]
+fn lane_of(ev: &Ev) -> Option<usize> {
+    match ev {
+        Ev::TxDone { .. } => Some(0),
+        Ev::Arrive { .. } => Some(1),
+        Ev::Ack { .. } => Some(2),
+        Ev::Timeout { .. } | Ev::Inject { .. } => None,
+    }
+}
+
+impl Agenda {
+    fn new(width_hint: u64) -> Agenda {
+        Agenda {
+            lanes: Default::default(),
+            calendar: CalendarQueue::with_width_hint(width_hint),
+            #[cfg(test)]
+            lane_pushes: [[0; 2]; 3],
+        }
+    }
+}
+
+impl EventScheduler<Ev> for Agenda {
+    fn push(&mut self, time: u64, ev: Ev) {
+        let Some(kind) = lane_of(&ev) else {
+            return self.calendar.push(time, ev);
+        };
+        let lane = &mut self.lanes[kind];
+        let in_order = lane.back().is_none_or(|tail| tail.0 <= time);
+        #[cfg(test)]
+        {
+            self.lane_pushes[kind][usize::from(!in_order)] += 1;
+        }
+        if in_order {
+            lane.push_back((time, self.calendar.reserve_seq(), ev));
+        } else {
+            self.calendar.push(time, ev);
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u64, Ev)> {
+        // start from the calendar, index one past the lanes
+        let mut least = self.calendar.peek_key().map_or(NO_KEY, |(t, s)| key(t, s));
+        let mut from = self.lanes.len();
+        for (i, lane) in self.lanes.iter().enumerate() {
+            let head = lane.front().map_or(NO_KEY, |e| key(e.0, e.1));
+            if head < least {
+                (least, from) = (head, i);
+            }
+        }
+        match self.lanes.get_mut(from) {
+            Some(lane) => lane.pop_front().map(|(t, _, ev)| (t, ev)),
+            None => self.calendar.pop(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lanes.iter().map(VecDeque::len).sum::<usize>() + self.calendar.len()
+    }
+}
+
 /// Pick a calendar bucket width suited to the instance: a fraction of
 /// the smallest live service time, so consecutive TxDones on the
 /// fastest link land in distinct buckets.
@@ -527,17 +664,17 @@ fn width_hint(e: &Engine) -> u64 {
     (min_svc / 4).max(1)
 }
 
-/// Simulate `flows` over `net` with the production calendar-queue
-/// scheduler.
+/// Simulate `flows` over `net` on the production agenda: FIFO lanes
+/// for the born-sorted event kinds, merged with the calendar queue.
 pub fn simulate(net: &CsrNet, flows: &[FlowSpec], cfg: &SimConfig) -> Result<SimResult, SimError> {
     let engine = Engine::build(net, flows, cfg)?;
-    let mut q = CalendarQueue::with_width_hint(width_hint(&engine));
+    let mut q = Agenda::new(width_hint(&engine));
     Ok(engine.run(&mut q))
 }
 
 /// Simulate with the reference [`HeapScheduler`]. Byte-for-byte the
-/// same result as [`simulate`]; exists as the differential baseline
-/// for tests and the bench speedup denominator.
+/// same result as [`simulate`]; exists as the oracle the differential
+/// tests hold it to.
 pub fn simulate_with_heap(
     net: &CsrNet,
     flows: &[FlowSpec],
@@ -552,6 +689,8 @@ pub fn simulate_with_heap(
 mod tests {
     use super::*;
     use dctopo_graph::Graph;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     /// A directed line of `n` nodes with capacity-`cap` links; returns
     /// the net and the forward arc ids.
@@ -766,5 +905,141 @@ mod tests {
             simulate(&net, &[rev], &cfg).unwrap_err(),
             SimError::BrokenPath { flow: 0, .. }
         ));
+    }
+
+    #[test]
+    fn agenda_breaks_time_ties_in_push_order() {
+        let pkt = Pkt {
+            path: 0,
+            hop: 0,
+            seq: 0,
+        };
+        // every kind at one time, lanes and calendar interleaved
+        let pushed = [
+            Ev::Inject { path: 1 },
+            Ev::TxDone { link: 2 },
+            Ev::Ack { path: 3, seq: 0 },
+            Ev::Arrive { link: 4, pkt },
+            Ev::Timeout {
+                path: 5,
+                seq: 0,
+                gen: 0,
+            },
+            Ev::TxDone { link: 6 },
+            Ev::Inject { path: 7 },
+            Ev::Arrive { link: 8, pkt },
+        ];
+        let mut q = Agenda::new(4);
+        for ev in pushed {
+            q.push(9, ev);
+        }
+        assert_eq!(q.len(), pushed.len());
+        assert_eq!(q.calendar.len(), 3, "only Inject and Timeout");
+        for ev in pushed {
+            assert_eq!(q.pop(), Some((9, ev)));
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn agenda_out_of_order_tx_done_falls_back_and_pops_first() {
+        let mut q = Agenda::new(4);
+        q.push(100, Ev::TxDone { link: 0 }); // a slow link
+        q.push(40, Ev::TxDone { link: 1 }); // a fast one: later push, earlier due
+        q.push(100, Ev::TxDone { link: 2 }); // level with the tail: in order
+        assert_eq!(q.lane_pushes[0], [2, 1]);
+        assert_eq!((q.lanes[0].len(), q.calendar.len()), (2, 1));
+        assert_eq!(q.pop(), Some((40, Ev::TxDone { link: 1 })));
+        assert_eq!(q.pop(), Some((100, Ev::TxDone { link: 0 })));
+        assert_eq!(q.pop(), Some((100, Ev::TxDone { link: 2 })));
+        assert!(q.is_empty());
+    }
+
+    /// Three routes of one, two and three hops from node 0 to node 1,
+    /// every edge at one of `palette`'s capacities, and three flows
+    /// over 1–3 of the routes that reach their destination. Mixed
+    /// service times and mixed ACK distances are what makes the lane
+    /// guard refuse an event.
+    fn braid(rng: &mut StdRng, palette: &[f64]) -> (CsrNet, Vec<FlowSpec>) {
+        let mut g = Graph::new(5);
+        for (u, v) in [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)] {
+            let cap = palette[rng.random_range(0..palette.len())];
+            g.add_edge(u, v, cap).unwrap();
+        }
+        let net = CsrNet::from_graph(&g);
+        let routes: [&[&[usize]]; 3] = [
+            &[&[0, 1], &[0, 2, 1], &[0, 3, 4, 1]],
+            &[&[2, 1], &[2, 0, 1]],
+            &[&[3, 4, 1], &[3, 0, 1], &[3, 0, 2, 1]],
+        ];
+        let flows = routes
+            .iter()
+            .map(|walks| {
+                let first = rng.random_range(0..walks.len());
+                let count = rng.random_range(1..=walks.len());
+                let paths = (0..count)
+                    .map(|i| {
+                        let walk = walks[(first + i) % walks.len()];
+                        PathSpec {
+                            arcs: walk
+                                .windows(2)
+                                .map(|w| net.arc_between(w[0], w[1]).unwrap())
+                                .collect(),
+                            weight: rng.random_range(0.5..2.0),
+                        }
+                    })
+                    .collect();
+                FlowSpec {
+                    src: walks[0][0],
+                    dst: 1,
+                    rate: rng.random_range(0.3..1.2) * palette[0],
+                    paths,
+                }
+            })
+            .collect();
+        (net, flows)
+    }
+
+    #[test]
+    fn agenda_matches_heap_on_mixed_capacities_through_both_lane_outcomes() {
+        let mut pushes = [[0u64; 2]; 3];
+        for seed in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let palette: &[f64] = if seed % 2 == 0 {
+                &[1.0, 3.5]
+            } else {
+                &[2.0, 0.75, 9.0]
+            };
+            let (net, flows) = braid(&mut rng, palette);
+            let cfg = SimConfig {
+                mode: if seed % 3 == 0 {
+                    TransportMode::Paced
+                } else {
+                    TransportMode::Window
+                },
+                duration: 30.0,
+                warmup: 5.0,
+                queue: rng.random_range(2..=16),
+                rto: 3.0,
+                ..SimConfig::default()
+            };
+            let engine = Engine::build(&net, &flows, &cfg).unwrap();
+            let mut q = Agenda::new(width_hint(&engine));
+            let merged = engine.run(&mut q);
+            assert_eq!(
+                merged,
+                simulate_with_heap(&net, &flows, &cfg).unwrap(),
+                "seed {seed}"
+            );
+            for (sum, lane) in pushes.iter_mut().zip(q.lane_pushes) {
+                sum[0] += lane[0];
+                sum[1] += lane[1];
+            }
+        }
+        let [tx_done, arrive, ack] = pushes;
+        assert!(tx_done[0] > 0 && tx_done[1] > 0, "TxDone {tx_done:?}");
+        assert!(ack[0] > 0 && ack[1] > 0, "Ack {ack:?}");
+        // one propagation delay for every link: Arrive is never refused
+        assert!(arrive[0] > 0 && arrive[1] == 0, "Arrive {arrive:?}");
     }
 }

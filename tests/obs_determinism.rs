@@ -14,6 +14,9 @@
 //!   parallelize *across* solves, like sweep grids, pin output
 //!   determinism instead: their per-solve emissions interleave, which
 //!   is why sweep-level events are emitted post-assembly.)
+//! * **The packet witness is in the trace.** One `covalidate` emits one
+//!   `packet_witness` event whose counters are the returned
+//!   `SimResult`'s, and whose residue replays.
 //! * **Serve transcripts are tracing-invariant**, and the traced batch
 //!   emits the serve event taxonomy.
 //!
@@ -186,6 +189,46 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
         strip_all(&raw),
         residues[0],
         "replay residue diverged from the first traced run"
+    );
+
+    // ---- the packet witness: one `packet_witness` event per
+    // co-validation, carrying the simulator's counters and trace hash;
+    // tracing changes nothing it returns, and with the wall clock
+    // stripped the event replays byte for byte ----
+    let (topo, tm) = &insts[0];
+    let witness = |traced: bool| {
+        if traced {
+            obs::enable_memory();
+        }
+        let cv = ThroughputEngine::new(topo)
+            .covalidate(tm, &opts, &PacketParams::default())
+            .expect("covalidate");
+        let lines = obs::drain_memory();
+        obs::disable();
+        let events: Vec<String> = strip_all(&lines)
+            .into_iter()
+            .filter(|l| l.contains("\"ev\":\"packet_witness\""))
+            .collect();
+        (cv.result, lines, events)
+    };
+    let (plain, _, none) = witness(false);
+    let (traced, raw, first) = witness(true);
+    let (_, _, second) = witness(true);
+    assert_eq!(plain, traced, "tracing changed the packet witness");
+    assert!(none.is_empty() && first.len() == 1, "{none:?} {first:?}");
+    assert_eq!(first, second, "packet_witness residue diverged on replay");
+    assert!(raw.iter().any(|l| l.contains("\"sim_us\":")));
+    let ev = obs::Json::parse(&first[0]).unwrap();
+    let count = |key: &str| ev.get(key).and_then(obs::Json::as_u64);
+    assert_eq!(count("flows"), Some(plain.flow_goodput.len() as u64));
+    assert!(count("paths") >= count("flows"));
+    assert_eq!(count("events"), Some(plain.events));
+    assert_eq!(count("delivered"), Some(plain.delivered));
+    assert_eq!(count("drops"), Some(plain.drops));
+    assert_eq!(count("retransmits"), Some(plain.retransmits));
+    assert_eq!(
+        ev.get("trace_hash").and_then(obs::Json::as_str),
+        Some(format!("{:#018x}", plain.trace_hash).as_str())
     );
 
     // ---- serve: transcripts are tracing-invariant ----

@@ -242,6 +242,109 @@ proptest! {
             }
         }
     }
+
+    /// The packet simulator's merged agenda — FIFO lanes for TxDone,
+    /// Arrive and Ack in front of the calendar queue — realises the
+    /// reference heap's event order on nets that make the lanes refuse
+    /// events: two or three distinct line rates (a fast link's TxDone
+    /// falls due before a slow link's pushed earlier) and paths of
+    /// different hop counts (so do ACKs of a short path). Field for
+    /// field, trace hash included, in both transport modes.
+    #[test]
+    fn packetsim_agenda_matches_heap_on_mixed_capacity_nets(
+        seed in any::<u64>(),
+        n in 4usize..8,
+        rates in 2usize..=3,
+        window in any::<bool>(),
+        queue in 2usize..=16,
+    ) {
+        use dctopo::packetsim::{simulate, simulate_with_heap, SimConfig, TransportMode};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (net, flows) = mixed_capacity_instance(&mut rng, n, rates);
+        let cfg = SimConfig {
+            mode: if window { TransportMode::Window } else { TransportMode::Paced },
+            duration: 24.0,
+            warmup: 4.0,
+            queue,
+            rto: 3.0,
+            ..SimConfig::default()
+        };
+        let merged = simulate(&net, &flows, &cfg).unwrap();
+        prop_assert!(merged.events > 50, "a run too short to order anything: {:?}", merged);
+        prop_assert_eq!(merged, simulate_with_heap(&net, &flows, &cfg).unwrap());
+    }
+}
+
+/// A ring of `n` nodes with a few chords, every edge at one of `rates`
+/// distinct capacities, and three flows between random node pairs over
+/// one to three simple paths of pairwise different hop counts.
+fn mixed_capacity_instance(
+    rng: &mut StdRng,
+    n: usize,
+    rates: usize,
+) -> (dctopo::graph::CsrNet, Vec<dctopo::packetsim::FlowSpec>) {
+    use dctopo::packetsim::{FlowSpec, PathSpec};
+    use rand::RngExt;
+    let palette = &[1.0, 4.0, 0.6][..rates];
+    let mut g = Graph::new(n);
+    let cap = |rng: &mut StdRng| palette[rng.random_range(0..palette.len())];
+    for u in 0..n {
+        g.add_edge(u, (u + 1) % n, cap(rng)).unwrap();
+    }
+    for _ in 0..n / 2 {
+        let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+        if u != v && !g.neighbors(u).any(|w| w == v) {
+            g.add_edge(u, v, cap(rng)).unwrap();
+        }
+    }
+    let net = dctopo::graph::CsrNet::from_graph(&g);
+    // every simple walk src → dst of at most four hops, by DFS
+    fn walks(g: &Graph, walk: &mut Vec<usize>, dst: usize, out: &mut Vec<Vec<usize>>) {
+        let at = *walk.last().unwrap();
+        if at == dst {
+            out.push(walk.clone());
+            return;
+        }
+        if walk.len() > 4 {
+            return;
+        }
+        for next in g.neighbors(at).collect::<Vec<_>>() {
+            if !walk.contains(&next) {
+                walk.push(next);
+                walks(g, walk, dst, out);
+                walk.pop();
+            }
+        }
+    }
+    let flows = (0..3)
+        .map(|_| {
+            let src = rng.random_range(0..n);
+            let dst = (src + rng.random_range(1..n)) % n;
+            let mut found = Vec::new();
+            walks(&g, &mut vec![src], dst, &mut found);
+            // one walk per hop count, shortest first
+            found.sort_by_key(Vec::len);
+            found.dedup_by_key(|w| w.len());
+            found.truncate(rng.random_range(1..=3));
+            let paths = found
+                .iter()
+                .map(|walk| PathSpec {
+                    arcs: walk
+                        .windows(2)
+                        .map(|w| net.arc_between(w[0], w[1]).unwrap())
+                        .collect(),
+                    weight: rng.random_range(0.5..2.0),
+                })
+                .collect();
+            FlowSpec {
+                src,
+                dst,
+                rate: rng.random_range(0.4..1.5),
+                paths,
+            }
+        })
+        .collect();
+    (net, flows)
 }
 
 /// The KSP path-set cache is invisible to results: cached and cold
