@@ -16,7 +16,8 @@
 //! cheapest path within each commodity's set.
 //!
 //! Path freezing is a one-time preprocessing step and runs on an
-//! adjacency-list [`Graph`] (rebuilt from the [`CsrNet`] when needed);
+//! adjacency-list [`Graph`] (rebuilt from the [`CsrNet`] when needed),
+//! every pair of a freeze on one [`YenWorkspace`];
 //! the hot multiplicative-weights loop runs on the flat CSR arrays.
 //! Because freezing depends only on the topology and `k`, it is
 //! memoisable: [`max_concurrent_flow_ksp_cached`] reuses frozen path
@@ -25,8 +26,9 @@
 
 use std::sync::Arc;
 
-use dctopo_graph::kshortest::yen_k_shortest;
+use dctopo_graph::kshortest::{yen_k_shortest_with, YenWorkspace};
 use dctopo_graph::{CsrNet, Graph, NodeId};
+use dctopo_obs as obs;
 
 use crate::cache::{FrozenPathSet, PathSetCache};
 use crate::gk::{Cong, Core, Pairwise, Verdict};
@@ -94,15 +96,20 @@ pub fn max_concurrent_flow_ksp_cached(
 /// neighbor order, which for that rebuild is ascending live edge id —
 /// *not* the net's own adjacency order — and the frozen sets, the
 /// cache's bitwise cold/warm identity and the KSP pins all assume it.
+///
+/// `ws` is the caller's, one per freeze loop, so Yen's spur searches
+/// allocate nothing from the second pair on; what it served before does
+/// not show in the output.
 pub(crate) fn freeze_pair(
     g: &Graph,
     net: &CsrNet,
     src: NodeId,
     dst: NodeId,
     k: usize,
+    ws: &mut YenWorkspace,
 ) -> Result<Vec<Vec<usize>>, FlowError> {
     let node_paths =
-        yen_k_shortest(g, src, dst, k).map_err(|_| FlowError::Unreachable { src, dst })?;
+        yen_k_shortest_with(g, src, dst, k, ws).map_err(|_| FlowError::Unreachable { src, dst })?;
     node_paths
         .iter()
         .map(|p| nodes_to_arcs(net, p))
@@ -117,8 +124,9 @@ fn freeze_and_solve(
     opts: &FlowOptions,
 ) -> Result<SolvedFlow, FlowError> {
     solve_frozen(net, commodities, k, opts, || {
+        let mut ws = YenWorkspace::new(g.node_count());
         (commodities.iter())
-            .map(|c| freeze_pair(g, net, c.src, c.dst, k).map(Arc::new))
+            .map(|c| freeze_pair(g, net, c.src, c.dst, k, &mut ws).map(Arc::new))
             .collect()
     })
 }
@@ -126,7 +134,8 @@ fn freeze_and_solve(
 /// Validate, `freeze` the path sets (one [`FrozenPathSet`] per
 /// commodity, commodity order), and run the multiplicative-weights loop
 /// over them. Cold and cached entry points converge here, which is what
-/// makes them bit-identical.
+/// makes them bit-identical. With tracing on, one `ksp_solve` event
+/// closes the solve; its deterministic fields are the same cold or cached.
 fn solve_frozen(
     net: &CsrNet,
     commodities: &[Commodity],
@@ -138,7 +147,9 @@ fn solve_frozen(
     if k == 0 {
         return Err(FlowError::BadOptions("k must be at least 1".into()));
     }
+    let t_solve = obs::clock();
     let paths = freeze()?;
+    let freeze_us = obs::us_since(t_solve);
     let mut core = Core::new(net, Cong::Reciprocal, None, opts.epsilon);
     let mut pairs = Pairwise::new(commodities, net.arc_count(), opts);
     let mut phases = 0usize;
@@ -185,7 +196,21 @@ fn solve_frozen(
             break;
         }
     }
-    Ok(pairs.finish(&core, phases, 0))
+    let sol = pairs.finish(&core, phases, 0);
+    if obs::enabled() {
+        // hit / miss counts are `cache_key`'s: they race between solves
+        obs::Event::new("ksp_solve")
+            .field("k", k)
+            .field("commodities", commodities.len())
+            .field("paths", paths.iter().map(|p| p.len()).sum::<usize>())
+            .field("phases", phases as u64)
+            .field("lambda", sol.throughput)
+            .field("upper_bound", sol.upper_bound)
+            .nd("freeze_us", freeze_us)
+            .nd("wall_us", obs::us_since(t_solve))
+            .emit();
+    }
+    Ok(sol)
 }
 
 fn cheapest<'p>(paths: &'p [Vec<usize>], length: &[f64]) -> (&'p Vec<usize>, f64) {

@@ -3,9 +3,18 @@
 //!
 //! The packet-level simulator routes MPTCP subflows over the `k` shortest
 //! paths between each server pair, exactly as the paper's §8.2 ("MPTCP
-//! with the shortest paths, using as many as 8 MPTCP subflows").
-
-use std::collections::HashSet;
+//! with the shortest paths, using as many as 8 MPTCP subflows"), and the
+//! `ksp:k` flow backend freezes the same sets per switch pair.
+//!
+//! Yen runs one breadth-first *spur search* per node of every path it
+//! accepts, so the searches are the whole cost. They run on a
+//! [`YenWorkspace`] — generation-stamped marks, a parent array and a flat
+//! queue, the idiom of [`crate::DijkstraWorkspace`] — and allocate
+//! nothing; what a call allocates is the paths it returns and the
+//! candidates it keeps. The textbook transcription (a fresh `seen` /
+//! `banned_nodes` / `HashSet` of banned node pairs per search) is the
+//! reference in `crates/graph/tests/yen_model.rs`, compared `Result` for
+//! `Result`.
 
 use crate::graph::NodeId;
 use crate::paths::{bfs_distances, UNREACHABLE};
@@ -14,106 +23,192 @@ use crate::{Graph, GraphError};
 /// A simple path stored as the node sequence `src, ..., dst`.
 pub type NodePath = Vec<NodeId>;
 
-/// Shortest path by hop count avoiding a set of banned nodes and banned
-/// edges (edges given as unordered node pairs). Returns the node sequence.
-fn shortest_path_avoiding(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    banned_nodes: &[bool],
-    banned_edges: &HashSet<(NodeId, NodeId)>,
-) -> Option<NodePath> {
-    let n = g.node_count();
-    let mut prev = vec![usize::MAX; n];
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    seen[src] = true;
-    queue.push_back(src);
-    while let Some(v) = queue.pop_front() {
-        if v == dst {
-            break;
+/// Reusable scratch state for [`yen_k_shortest_with`]: hold one across
+/// the pairs of a freeze and no spur search allocates. Grows on demand,
+/// so one workspace serves graphs of different sizes. Node ids are kept
+/// as `u32`, as everywhere on the CSR side.
+#[derive(Debug, Clone, Default)]
+pub struct YenWorkspace {
+    /// `seen[v] == gen` ⇔ the current spur search may not enter `v`:
+    /// already discovered, or on the root path before the spur node.
+    /// The textbook keeps two arrays and only ever reads them as
+    /// `seen[w] || banned_nodes[w]`, so one stamp carries both.
+    seen: Vec<u32>,
+    /// `banned_next[w] == gen` ⇔ the hop *spur → `w`* is banned. Every
+    /// edge Yen bans in a spur search is `(p[i], p[i + 1])` of an
+    /// accepted path `p` with `p[i]` the spur node, so the set of banned
+    /// node pairs is a mark on the spur's next hops, read only while the
+    /// spur node itself is scanned (the reverse hop leads back into the
+    /// spur node, which is seen).
+    banned_next: Vec<u32>,
+    /// BFS parent; written at discovery, read only along the found path.
+    prev: Vec<u32>,
+    /// Flat visit queue with a read cursor (a node is queued once).
+    queue: Vec<u32>,
+    /// Stamp of the current spur search (0 = never used).
+    gen: u32,
+    /// The candidate under construction: root path, then the spur tail.
+    path: Vec<NodeId>,
+}
+
+impl YenWorkspace {
+    /// A workspace pre-sized for `n`-node graphs.
+    pub fn new(n: usize) -> Self {
+        YenWorkspace {
+            seen: vec![0; n],
+            banned_next: vec![0; n],
+            prev: vec![0; n],
+            queue: Vec::with_capacity(n),
+            ..YenWorkspace::default()
         }
-        for w in g.neighbors(v) {
-            let key = if v < w { (v, w) } else { (w, v) };
-            if seen[w] || banned_nodes[w] || banned_edges.contains(&key) {
-                continue;
+    }
+
+    /// Open a spur search on an `n`-node graph behind `root`, the path
+    /// from the source up to but excluding the spur node: every mark of
+    /// the last search lapses by a generation bump, not a fill, and the
+    /// root's nodes are closed to this one.
+    fn begin(&mut self, n: usize, root: &[NodeId]) {
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+            self.banned_next.resize(n, 0);
+            self.prev.resize(n, 0);
+        }
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            // the counter wrapped: stale stamps could alias
+            self.seen.fill(0);
+            self.banned_next.fill(0);
+            self.gen = 1;
+        }
+        self.path.clear();
+        self.path.extend_from_slice(root);
+        for &v in root {
+            self.seen[v] = self.gen;
+        }
+    }
+
+    /// Hop-shortest path from `spur` to `dst` under the marks set since
+    /// [`begin`](Self::begin), appended to the root in `self.path` as
+    /// `spur, ..., dst`; `false` when the marks cut `dst` off.
+    ///
+    /// Neighbours are scanned in `g.incident(v)` order and the search
+    /// stops when `dst` is *discovered*: its parent is final from then
+    /// on, and so is every parent behind it, so this is the path the
+    /// textbook search — which runs until `dst` is dequeued — returns.
+    fn spur_search(&mut self, g: &Graph, spur: NodeId, dst: NodeId) -> bool {
+        let gen = self.gen;
+        self.seen[spur] = gen;
+        self.queue.clear();
+        self.queue.push(spur as u32);
+        let mut head = 0;
+        'bfs: loop {
+            let Some(&v) = self.queue.get(head) else {
+                return false;
+            };
+            let at_spur = head == 0;
+            head += 1;
+            for &(_, w) in g.incident(v as usize) {
+                if self.seen[w] == gen || (at_spur && self.banned_next[w] == gen) {
+                    continue;
+                }
+                self.seen[w] = gen;
+                self.prev[w] = v;
+                if w == dst {
+                    break 'bfs;
+                }
+                self.queue.push(w as u32);
             }
-            seen[w] = true;
-            prev[w] = v;
-            queue.push_back(w);
         }
+        let tail = self.path.len();
+        let mut v = dst;
+        while v != spur {
+            self.path.push(v);
+            v = self.prev[v] as usize;
+        }
+        self.path.push(spur);
+        self.path[tail..].reverse();
+        true
     }
-    if !seen[dst] {
-        return None;
+}
+
+/// Both enumerators' prologue: endpoints in range and distinct.
+fn check_endpoints(g: &Graph, src: NodeId, dst: NodeId, what: &str) -> Result<(), GraphError> {
+    let n = g.node_count();
+    if let Some(node) = [src, dst].into_iter().find(|&v| v >= n) {
+        return Err(GraphError::NodeOutOfRange { node, n });
     }
-    let mut path = vec![dst];
-    let mut v = dst;
-    while v != src {
-        v = prev[v];
-        path.push(v);
+    if src == dst {
+        return Err(GraphError::Unrealizable(format!("{what} with src == dst")));
     }
-    path.reverse();
-    Some(path)
+    Ok(())
 }
 
 /// Yen's algorithm: up to `k` shortest *simple* paths from `src` to `dst`
 /// by hop count, in non-decreasing length order.
 ///
 /// Returns fewer than `k` paths when the graph does not contain that many
-/// simple paths; errors only when no path exists at all.
+/// simple paths (none for `k == 0`); errors when an endpoint is out of
+/// range, when `src == dst`, or when no path exists at all.
+///
+/// Allocates one [`YenWorkspace`]; a loop over pairs should hold its own
+/// and call [`yen_k_shortest_with`].
 pub fn yen_k_shortest(
     g: &Graph,
     src: NodeId,
     dst: NodeId,
     k: usize,
 ) -> Result<Vec<NodePath>, GraphError> {
-    if src == dst {
-        return Err(GraphError::Unrealizable(
-            "k-shortest with src == dst".into(),
-        ));
+    yen_k_shortest_with(g, src, dst, k, &mut YenWorkspace::new(g.node_count()))
+}
+
+/// [`yen_k_shortest`] on a reusable workspace: the same paths in the same
+/// order, whatever the workspace served before.
+///
+/// Two rules fix the output and everything frozen from it (the `ksp:k`
+/// path sets and their pins): a spur search takes the first hop-shortest
+/// path in `g.incident(v)` scan order, and among the candidates the next
+/// path is the least by `(length, node sequence)`.
+pub fn yen_k_shortest_with(
+    g: &Graph,
+    src: NodeId,
+    dst: NodeId,
+    k: usize,
+    ws: &mut YenWorkspace,
+) -> Result<Vec<NodePath>, GraphError> {
+    check_endpoints(g, src, dst, "k-shortest")?;
+    if k == 0 {
+        return Ok(Vec::new());
     }
-    let no_nodes = vec![false; g.node_count()];
-    let first = shortest_path_avoiding(g, src, dst, &no_nodes, &HashSet::new())
-        .ok_or(GraphError::NoPath { src, dst })?;
-    let mut found: Vec<NodePath> = vec![first];
+    let n = g.node_count();
+    ws.begin(n, &[]);
+    if !ws.spur_search(g, src, dst) {
+        return Err(GraphError::NoPath { src, dst });
+    }
+    let mut found: Vec<NodePath> = vec![ws.path.clone()];
     let mut candidates: Vec<NodePath> = Vec::new();
     while found.len() < k {
-        let last = found.last().expect("at least one path found").clone();
-        // For each spur node in the previous path, ban the edges that
-        // previous paths with the same root used, ban root nodes, and
-        // search for a deviation.
+        let last = &found[found.len() - 1];
+        // For each spur node of the previous path: ban the root before
+        // it and the next hop of every accepted path with the same root,
+        // and search for a deviation.
         for i in 0..last.len() - 1 {
-            let spur = last[i];
             let root = &last[..=i];
-            let mut banned_edges = HashSet::new();
-            for p in &found {
-                if p.len() > i && p[..=i] == *root {
-                    let (a, b) = (p[i], p[i + 1]);
-                    banned_edges.insert(if a < b { (a, b) } else { (b, a) });
-                }
+            ws.begin(n, &root[..i]);
+            for p in found.iter().filter(|p| p.starts_with(root)) {
+                ws.banned_next[p[i + 1]] = ws.gen;
             }
-            let mut banned_nodes = vec![false; g.node_count()];
-            for &v in &root[..i] {
-                banned_nodes[v] = true;
-            }
-            if let Some(tail) = shortest_path_avoiding(g, spur, dst, &banned_nodes, &banned_edges) {
-                let mut path = root[..i].to_vec();
-                path.extend(tail);
-                if !found.contains(&path) && !candidates.contains(&path) {
-                    candidates.push(path);
-                }
+            // (a deviation is never an accepted path: its hop out of the
+            // spur node is one no accepted path with this root takes)
+            if ws.spur_search(g, root[i], dst) && !candidates.contains(&ws.path) {
+                candidates.push(ws.path.clone());
             }
         }
-        if candidates.is_empty() {
+        // the least candidate by (length, node sequence)
+        let Some(best) =
+            (0..candidates.len()).min_by_key(|&c| (candidates[c].len(), &candidates[c]))
+        else {
             break;
-        }
-        // pick the shortest candidate (stable tie-break on node sequence)
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.len().cmp(&b.len()).then_with(|| a.cmp(b)))
-            .map(|(i, _)| i)
-            .expect("candidates not empty");
+        };
         found.push(candidates.swap_remove(best));
     }
     Ok(found)
@@ -123,16 +218,14 @@ pub fn yen_k_shortest(
 /// count) from `src` to `dst`, via DFS over the shortest-path DAG.
 ///
 /// This models ECMP: equal-cost multipath routing spreads traffic over
-/// exactly these paths.
+/// exactly these paths. Errors as [`yen_k_shortest`] does.
 pub fn ecmp_shortest_paths(
     g: &Graph,
     src: NodeId,
     dst: NodeId,
     limit: usize,
 ) -> Result<Vec<NodePath>, GraphError> {
-    if src == dst {
-        return Err(GraphError::Unrealizable("ecmp with src == dst".into()));
-    }
+    check_endpoints(g, src, dst, "ecmp")?;
     let dist_to_dst = bfs_distances(g, dst);
     if dist_to_dst[src] == UNREACHABLE {
         return Err(GraphError::NoPath { src, dst });
@@ -248,6 +341,59 @@ mod tests {
         // lengths non-decreasing
         for w in ps.windows(2) {
             assert!(w[0].len() <= w[1].len());
+        }
+    }
+
+    /// `k == 0` asks for nothing and gets nothing; an endpoint the graph
+    /// does not have is a typed error from both enumerators.
+    #[test]
+    fn edges_of_the_domain_are_typed_not_panics() {
+        let g = cycle4();
+        assert_eq!(yen_k_shortest(&g, 0, 2, 0), Ok(vec![]));
+        assert_eq!(ecmp_shortest_paths(&g, 0, 2, 0), Ok(vec![]));
+        for (src, dst, node) in [(0, 7, 7), (9, 1, 9), (4, 4, 4)] {
+            let err = Err(GraphError::NodeOutOfRange { node, n: 4 });
+            assert_eq!(yen_k_shortest(&g, src, dst, 2), err);
+            assert_eq!(yen_k_shortest(&g, src, dst, 0), err);
+            assert_eq!(ecmp_shortest_paths(&g, src, dst, 2), err);
+        }
+        assert!(matches!(
+            yen_k_shortest(&g, 1, 1, 0),
+            Err(GraphError::Unrealizable(_))
+        ));
+    }
+
+    /// Ring of `n` nodes with chords `v — v + 2` and one parallel edge.
+    fn chorded_ring(n: usize) -> Graph {
+        let mut g = Graph::new(n);
+        for v in 0..n {
+            g.add_unit_edge(v, (v + 1) % n).unwrap();
+            g.add_unit_edge(v, (v + 2) % n).unwrap();
+        }
+        g.add_unit_edge(0, 1).unwrap();
+        g
+    }
+
+    /// One workspace carried across graphs of different node counts, and
+    /// across the generation counter's wrap, answers like a fresh one.
+    #[test]
+    fn a_reused_workspace_answers_like_a_fresh_one() {
+        let mut ws = YenWorkspace::default();
+        for round in 0..3 {
+            for n in [12, 5, 9, 30, 6] {
+                let g = chorded_ring(n);
+                if round == 1 {
+                    // a dozen searches from the wrap, stale stamps of
+                    // every earlier generation still in the arrays
+                    ws.gen = u32::MAX - 12;
+                }
+                for dst in 1..n {
+                    let fresh = yen_k_shortest(&g, 0, dst, 8);
+                    assert_eq!(yen_k_shortest_with(&g, 0, dst, 8, &mut ws), fresh);
+                    assert_eq!(fresh.unwrap().len(), 8);
+                }
+            }
+            assert!(round != 1 || ws.gen < 1 << 20, "the counter wrapped");
         }
     }
 

@@ -17,6 +17,9 @@
 //! * **The packet witness is in the trace.** One `covalidate` emits one
 //!   `packet_witness` event whose counters are the returned
 //!   `SimResult`'s, and whose residue replays.
+//! * **A KSP solve is in the trace.** A `ksp:4` solve emits one
+//!   `ksp_solve` event whether its path sets were frozen for it (cold)
+//!   or served from the engine's cache; the two differ only under `nd`.
 //! * **Serve transcripts are tracing-invariant**, and the traced batch
 //!   emits the serve event taxonomy.
 //!
@@ -230,6 +233,59 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
         ev.get("trace_hash").and_then(obs::Json::as_str),
         Some(format!("{:#018x}", plain.trace_hash).as_str())
     );
+
+    // ---- the KSP backend: one `ksp_solve` event per solve, cold (every
+    // pair frozen by Yen) and cached (every pair a hit) alike; tracing
+    // changes neither result, and with the clocks stripped both events
+    // replay byte for byte — and are equal, the cache being invisible ----
+    let ksp_opts = opts.with_backend(Backend::KspRestricted { k: 4 });
+    let ksp = |traced: bool| {
+        if traced {
+            obs::enable_memory();
+        }
+        let engine = ThroughputEngine::new(topo);
+        let both = [(); 2].map(|()| engine.solve(tm, &ksp_opts).expect("ksp:4 solve"));
+        let lines = obs::drain_memory();
+        obs::disable();
+        let stats = engine.cache_stats();
+        assert!(stats.misses > 0 && stats.hits == stats.misses, "{stats:?}");
+        let pins = both.map(|r| {
+            let s = r.solved.expect("iterative backend");
+            (s.throughput.to_bits(), s.upper_bound.to_bits(), s.phases)
+        });
+        let events: Vec<String> = strip_all(&lines)
+            .into_iter()
+            .filter(|l| l.contains("\"ev\":\"ksp_solve\""))
+            .collect();
+        (pins, stats.misses, lines, events)
+    };
+    let (plain, _, _, none) = ksp(false);
+    let (traced, pairs, raw, first) = ksp(true);
+    let (_, _, _, second) = ksp(true);
+    assert_eq!(plain, traced, "tracing changed a ksp:4 solve");
+    assert_eq!(plain[0], plain[1], "a cached solve is the cold solve");
+    assert!(none.is_empty() && first.len() == 2, "{none:?} {first:?}");
+    assert_eq!(first, second, "ksp_solve residue diverged on replay");
+    for key in ["\"freeze_us\":", "\"wall_us\":"] {
+        assert!(raw
+            .iter()
+            .any(|l| l.contains("ksp_solve") && l.contains(key)));
+    }
+    let fields = |line: &String| {
+        let ev = obs::Json::parse(line).unwrap();
+        let count = |key: &str| ev.get(key).and_then(obs::Json::as_u64).unwrap();
+        let bits = |key: &str| ev.get(key).and_then(obs::Json::as_f64).unwrap().to_bits();
+        let [k, commodities, paths, phases] = ["k", "commodities", "paths", "phases"].map(count);
+        assert!(paths > pairs && paths <= 4 * pairs, "{paths} paths");
+        (
+            paths,
+            [k, commodities, phases, bits("lambda"), bits("upper_bound")],
+        )
+    };
+    let (lambda, upper, phases) = plain[0];
+    let (paths, cold) = fields(&first[0]);
+    assert_eq!(cold, [4, pairs, phases as u64, lambda, upper]);
+    assert_eq!(fields(&first[1]), (paths, cold), "the cache shows");
 
     // ---- serve: transcripts are tracing-invariant ----
     let mut rng = StdRng::seed_from_u64(7);

@@ -273,6 +273,64 @@ proptest! {
         prop_assert!(merged.events > 50, "a run too short to order anything: {:?}", merged);
         prop_assert_eq!(merged, simulate_with_heap(&net, &flows, &cfg).unwrap());
     }
+
+    /// What `PathSetCache::freeze` stores for a failure view: at most
+    /// `k` arc sequences per commodity, no two alike, in non-decreasing
+    /// hop order, the first of them a shortest path; each a walk over
+    /// live arcs of the view from `src` to `dst` that enters no node
+    /// twice. A freeze that fails names a pair the failures cut apart.
+    #[test]
+    fn frozen_path_sets_are_live_simple_walks_in_hop_order(
+        seed in any::<u64>(),
+        n in 8usize..28,
+        r in 3usize..6,
+        fails in 0usize..10,
+        k in 1usize..10,
+    ) {
+        use dctopo::flow::PathSetCache;
+        use dctopo::graph::paths::{bfs_distances, UNREACHABLE};
+        use dctopo::graph::CsrNet;
+        use dctopo::topology::degrade;
+        prop_assume!((n * r) % 2 == 0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = Topology::random_regular(n, r + 1, r, &mut rng).unwrap();
+        let failed: Vec<usize> = degrade::edge_failure_order(&topo.graph, seed)[..fails]
+            .iter()
+            .map(|&e| e << 1)
+            .collect();
+        let view = CsrNet::from_graph(&topo.graph).with_disabled_arcs(&failed).unwrap();
+        let survivors = view.to_graph();
+        let cs: Vec<Commodity> = (0..4).map(|i| Commodity::unit(i, n / 2 + i)).collect();
+        let sets = match PathSetCache::new().freeze(&view, &cs, k) {
+            Ok(sets) => sets,
+            Err(FlowError::Unreachable { src, dst }) => {
+                prop_assert_eq!(bfs_distances(&survivors, src)[dst], UNREACHABLE);
+                return Ok(());
+            }
+            Err(e) => return Err(TestCaseError::Fail(format!("freeze: {e}"))),
+        };
+        for (c, set) in cs.iter().zip(&sets) {
+            prop_assert!(!set.is_empty() && set.len() <= k, "{} paths, k = {}", set.len(), k);
+            let hops = bfs_distances(&survivors, c.src)[c.dst] as usize;
+            prop_assert_eq!(set[0].len(), hops);
+            for w in set.windows(2) {
+                prop_assert!(w[0].len() <= w[1].len(), "hop order: {:?}", set);
+            }
+            for (i, path) in set.iter().enumerate() {
+                prop_assert!(!set[..i].contains(path), "twice: {:?}", path);
+                let mut at = c.src;
+                let mut entered = vec![c.src];
+                for &a in path {
+                    prop_assert!(view.is_live(a), "dead arc {} in {:?}", a, path);
+                    prop_assert_eq!(view.arc_tail(a), at);
+                    at = view.arc_head(a);
+                    prop_assert!(!entered.contains(&at), "node {} twice in {:?}", at, path);
+                    entered.push(at);
+                }
+                prop_assert_eq!(at, c.dst);
+            }
+        }
+    }
 }
 
 /// A ring of `n` nodes with a few chords, every edge at one of `rates`
