@@ -4,10 +4,9 @@
 //! The finding: utilization tracks throughput best — bottlenecks (not
 //! path lengths) govern the losses.
 
-use dctopo_core::solve_throughput;
+use dctopo_core::ThroughputEngine;
 use dctopo_flow::FlowError;
 use dctopo_graph::GraphError;
-use dctopo_metrics::decompose;
 use dctopo_topology::hetero::{heterogeneous, two_cluster, two_cluster_linespeed, CrossSpec};
 use dctopo_topology::{ClusterSpec, ServerPlacement, Topology};
 use dctopo_traffic::TrafficMatrix;
@@ -33,9 +32,11 @@ where
     let [t, u, inv_d, inv_as] = samples(cfg, |rng| {
         let topo = build(rng)?;
         let tm = TrafficMatrix::random_permutation(topo.server_count(), rng);
-        let res = solve_throughput(&topo, &tm, &cfg.opts)?;
-        let solved = res.solved.as_ref().expect("network solve present");
-        let d = decompose(&topo.graph, solved, &res.commodities)?;
+        let engine = ThroughputEngine::new(&topo);
+        let res = engine.solve(&tm, &cfg.opts)?;
+        let d = res
+            .decomposition(engine.net())
+            .expect("a connected network solve");
         Ok([
             res.throughput,
             d.utilization,

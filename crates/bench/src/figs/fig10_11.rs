@@ -9,10 +9,10 @@
 //!   print both the series and the threshold.
 
 use dctopo_bounds::cbar_star;
-use dctopo_core::solve_throughput;
-use dctopo_flow::FlowError;
+use dctopo_core::ladder::hop_alpha;
+use dctopo_core::{solve_throughput, ThroughputEngine};
+use dctopo_flow::{Commodity, FlowError};
 use dctopo_graph::components::cut_capacity;
-use dctopo_graph::paths::bfs_distances;
 use dctopo_graph::GraphError;
 use dctopo_topology::hetero::{two_cluster, two_cluster_linespeed, CrossSpec};
 use dctopo_topology::{ClusterSpec, Topology};
@@ -23,34 +23,6 @@ use crate::figs::fig06_07::ratio_grid;
 use crate::figs::samples;
 use crate::{columns, header, row_keyed, FigConfig};
 
-/// The ⟨D⟩ that Theorem 1 actually needs under permutation traffic: the
-/// *expected shortest-path distance of a random server pair*, which
-/// weights each switch pair by its server counts (same-switch pairs
-/// contribute distance 0). The unweighted switch ASPL overestimates ⟨D⟩
-/// when big, well-connected switches host more servers, which would make
-/// the "bound" invalid.
-fn server_weighted_aspl(topo: &Topology) -> f64 {
-    let mut num = 0.0f64;
-    let mut den = 0.0f64;
-    for u in 0..topo.switch_count() {
-        let su = topo.servers_at[u] as f64;
-        if su == 0.0 {
-            continue;
-        }
-        let dist = bfs_distances(&topo.graph, u);
-        for (v, &servers) in topo.servers_at.iter().enumerate() {
-            let sv = servers as f64;
-            if sv == 0.0 {
-                continue;
-            }
-            let pairs = if u == v { su * (su - 1.0) } else { su * sv };
-            num += pairs * f64::from(dist[v]);
-            den += pairs;
-        }
-    }
-    num / den
-}
-
 /// Mean (observed throughput, Eqn-1 bound) at one sweep point.
 fn observe<B>(cfg: &FigConfig, large_count: usize, build: B) -> Result<(f64, f64), FlowError>
 where
@@ -59,7 +31,8 @@ where
     let [t, bound] = samples(cfg, |rng| {
         let topo = build(rng)?;
         let tm = TrafficMatrix::random_permutation(topo.server_count(), rng);
-        let res = solve_throughput(&topo, &tm, &cfg.opts)?;
+        let engine = ThroughputEngine::new(&topo);
+        let res = engine.solve(&tm, &cfg.opts)?;
         // Eqn-1 ingredients from this concrete instance. The paper
         // evaluates the cut term at the *expected* cross-flow count and
         // notes the additive error; at our reduced scale that error is
@@ -68,7 +41,26 @@ where
         let in_large: Vec<bool> = (0..topo.switch_count()).map(|v| v < large_count).collect();
         let c_total = topo.graph.total_capacity();
         let c_bar = cut_capacity(&topo.graph, &in_large);
-        let aspl = server_weighted_aspl(&topo);
+        // The ⟨D⟩ Theorem 1 needs under permutation traffic is the
+        // expected distance of a random server pair: switch pairs
+        // weighted by their server counts, a same-switch pair at
+        // distance 0. The unweighted switch ASPL overestimates it when
+        // big, well-connected switches host more servers, which would
+        // make the "bound" invalid.
+        let s = &topo.servers_at;
+        let mut server_pairs = Vec::new();
+        for u in (0..s.len()).filter(|&u| s[u] > 0) {
+            for v in (0..s.len()).filter(|&v| v != u && s[v] > 0) {
+                let demand = (s[u] * s[v]) as f64;
+                server_pairs.push(Commodity {
+                    src: u,
+                    dst: v,
+                    demand,
+                });
+            }
+        }
+        let servers = topo.server_count() as f64;
+        let aspl = hop_alpha(engine.net(), &server_pairs) / (servers * (servers - 1.0));
         let s2sw = topo.server_to_switch();
         let cross_flows = tm
             .pairs()

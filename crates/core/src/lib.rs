@@ -10,7 +10,8 @@
 //!   [`dctopo_flow::FlowOptions::backend`]), and apply the server-NIC
 //!   line-rate cap. [`solve::ThroughputEngine`] is the amortised form
 //!   that flattens a topology to its `CsrNet` once and reuses it across
-//!   traffic matrices.
+//!   traffic matrices. [`solve::ThroughputResult::decomposition`] factors
+//!   a result into the §6.1 identity `T = C·U / (⟨D⟩·AS)`.
 //! * [`vl2`] — the §7 case study: binary search for the number of ToRs a
 //!   topology family supports at full throughput, for stock VL2 and the
 //!   rewired variant.
@@ -21,7 +22,8 @@
 //!   certified rates.
 //! * [`ladder`] — the screening ladder: Theorem 1's hop bound and the
 //!   per-instance cut bound as sound upper bounds on one view's λ, the
-//!   one copy the sweep, the search and the planner all evaluate.
+//!   one copy the sweep, the search and the planner all evaluate; its
+//!   [`ladder::hop_alpha`] is also the decomposition's ⟨D⟩.
 //! * [`scenario`] — failure/degradation recipes ([`scenario::Scenario`])
 //!   applied to a base topology's `CsrNet` as cheap delta views.
 //! * [`sweep`] — the scenario sweep engine: evaluate a full
@@ -47,7 +49,7 @@ pub use dctopo_flow::WarmState;
 pub use packet::{CoValidation, PacketError, PacketParams, RoutingMode};
 pub use scenario::{AppliedScenario, Degradation, Scenario};
 pub use solve::{
-    aggregate_groups, solve_throughput, AggregateThroughputResult, ThroughputEngine,
+    aggregate_groups, solve_throughput, AggregateThroughputResult, Decomposition, ThroughputEngine,
     ThroughputResult,
 };
 pub use sweep::{

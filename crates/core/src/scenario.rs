@@ -160,14 +160,6 @@ impl Scenario {
         }
         Ok(AppliedScenario { net, failed_switch })
     }
-
-    /// Whether the recipe contains any switch failure (i.e. traffic
-    /// filtering will be needed).
-    pub fn fails_switches(&self) -> bool {
-        self.degradations
-            .iter()
-            .any(|d| matches!(d, Degradation::FailSwitches { .. }))
-    }
 }
 
 /// A scenario materialised against one base topology: the degraded

@@ -28,6 +28,7 @@ use dctopo_graph::CsrNet;
 use dctopo_topology::Topology;
 use dctopo_traffic::{AggregatePattern, AggregateTraffic, TrafficMatrix};
 
+use crate::ladder::hop_alpha;
 use crate::scenario::AppliedScenario;
 
 /// Result of [`solve_throughput`].
@@ -44,7 +45,7 @@ pub struct ThroughputResult {
     /// The NIC cap `1 / max(flows per server NIC)`.
     pub nic_limit: f64,
     /// The switch-level commodities that were solved (deterministic
-    /// order), for use with `dctopo-metrics`.
+    /// `(src, dst)` order).
     pub commodities: Vec<Commodity>,
     /// The underlying flow solution (`None` when all traffic was
     /// switch-local and no network solve was needed).
@@ -59,6 +60,63 @@ impl ThroughputResult {
     pub fn is_full_throughput(&self, tol: f64) -> bool {
         let reference = self.nic_limit.min(1.0);
         self.throughput >= reference * (1.0 - tol)
+    }
+
+    /// The §6.1 decomposition of this result; `net` must be the view it
+    /// was solved on. `⟨D⟩` is [`hop_alpha`] over the solved commodities
+    /// divided by their total demand — the same definition the screening
+    /// ladder bounds λ with.
+    ///
+    /// `None` when there was no network solve, or when a commodity is
+    /// disconnected on `net`.
+    pub fn decomposition(&self, net: &CsrNet) -> Option<Decomposition> {
+        let solved = self.solved.as_ref()?;
+        let alpha = hop_alpha(net, &self.commodities);
+        if alpha.is_infinite() {
+            return None;
+        }
+        let capacity = net.total_capacity();
+        let total_demand: f64 = self.commodities.iter().map(|c| c.demand).sum();
+        let aspl = alpha / total_demand;
+        let mean_flow_path_len = solved.mean_flow_path_len();
+        Some(Decomposition {
+            capacity,
+            utilization: solved.arc_flow.iter().sum::<f64>() / capacity,
+            aspl,
+            stretch: mean_flow_path_len / aspl,
+            mean_flow_path_len,
+            total_demand,
+        })
+    }
+}
+
+/// The paper's §6.1 factors of one solved instance: throughput per unit
+/// of demand is exactly `T = C·U / (⟨D⟩·AS)`, so a loss is attributable
+/// to capacity, utilization (bottlenecks), path length or stretch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decomposition {
+    /// Total network capacity `C` (both directions).
+    pub capacity: f64,
+    /// Average link utilization `U ∈ [0, 1]`.
+    pub utilization: f64,
+    /// Demand-weighted average *shortest-path* length ⟨D⟩ between
+    /// commodity endpoints.
+    pub aspl: f64,
+    /// Average stretch `AS ≥ 1`: flow-weighted routed path length / ⟨D⟩.
+    pub stretch: f64,
+    /// Flow-weighted routed path length (= `aspl · stretch`).
+    pub mean_flow_path_len: f64,
+    /// Total demand `Σ_j d_j`.
+    pub total_demand: f64,
+}
+
+impl Decomposition {
+    /// Reconstruct the concurrent throughput from the factors:
+    /// `T = C·U / (⟨D⟩·AS·f)` where `f` is total demand. Matches the
+    /// solver's λ when the optimum serves all commodities at equal rate
+    /// (uniform traffic), and is the paper's identity otherwise.
+    pub fn implied_throughput(&self) -> f64 {
+        self.capacity * self.utilization / (self.aspl * self.stretch * self.total_demand)
     }
 }
 
@@ -713,6 +771,107 @@ mod tests {
             assert!(warm.network_lambda <= direct.network_upper_bound * (1.0 + 1e-9));
             assert!(direct.network_lambda <= warm.network_upper_bound * (1.0 + 1e-9));
         }
+    }
+
+    /// One flow solve of `commodities` on `g`'s net, wrapped as the
+    /// result the engine would return (no NIC cap).
+    fn solved_on(
+        g: &dctopo_graph::Graph,
+        commodities: Vec<Commodity>,
+    ) -> (CsrNet, ThroughputResult) {
+        let opts = FlowOptions {
+            epsilon: 0.05,
+            target_gap: 0.02,
+            max_phases: 20000,
+            stall_phases: 2000,
+            ..FlowOptions::default()
+        };
+        let net = CsrNet::from_graph(g);
+        let s = dctopo_flow::solve(&net, &commodities, &opts).unwrap();
+        let result = ThroughputResult {
+            throughput: s.throughput,
+            network_lambda: s.throughput,
+            network_upper_bound: s.upper_bound,
+            nic_limit: f64::INFINITY,
+            commodities,
+            solved: Some(s),
+        };
+        (net, result)
+    }
+
+    /// On a path graph with one commodity, all factors are hand-checkable.
+    #[test]
+    fn decompose_path_graph() {
+        let mut g = dctopo_graph::Graph::new(3);
+        g.add_unit_edge(0, 1).unwrap();
+        g.add_unit_edge(1, 2).unwrap();
+        let (net, r) = solved_on(&g, vec![Commodity::unit(0, 2)]);
+        let d = r.decomposition(&net).unwrap();
+        assert_eq!(d.capacity, 4.0);
+        assert!((d.aspl - 2.0).abs() < 1e-12);
+        assert!((d.stretch - 1.0).abs() < 0.02, "stretch {}", d.stretch);
+        // one unit over 2 of 4 capacity-directions
+        assert!((d.utilization - 0.5).abs() < 0.03);
+        assert!((d.implied_throughput() - r.network_lambda).abs() < 0.05);
+    }
+
+    /// The identity T = C·U/(⟨D⟩·AS·f) holds on a symmetric instance.
+    #[test]
+    fn identity_holds_on_cycle() {
+        let mut g = dctopo_graph::Graph::new(6);
+        for v in 0..6 {
+            g.add_unit_edge(v, (v + 1) % 6).unwrap();
+        }
+        let cs = (0..6).map(|v| Commodity::unit(v, (v + 3) % 6)).collect();
+        let (net, r) = solved_on(&g, cs);
+        let d = r.decomposition(&net).unwrap();
+        let implied = d.implied_throughput();
+        assert!(
+            (implied - r.network_lambda).abs() / r.network_lambda < 0.05,
+            "implied {implied} vs actual {}",
+            r.network_lambda
+        );
+        assert!(d.stretch >= 1.0 - 0.02);
+    }
+
+    #[test]
+    fn stretch_detects_long_routes() {
+        // two routes: direct (1 hop) and long (3 hops); with enough
+        // demand the solver must also use the long one → stretch > 1
+        let mut g = dctopo_graph::Graph::new(4);
+        g.add_unit_edge(0, 1).unwrap(); // direct
+        g.add_unit_edge(0, 2).unwrap();
+        g.add_unit_edge(2, 3).unwrap();
+        g.add_unit_edge(3, 1).unwrap();
+        let cs = vec![Commodity {
+            src: 0,
+            dst: 1,
+            demand: 2.0,
+        }];
+        let (net, r) = solved_on(&g, cs);
+        let d = r.decomposition(&net).unwrap();
+        assert!(
+            d.stretch > 1.5,
+            "stretch {} should reflect the 3-hop detour",
+            d.stretch
+        );
+    }
+
+    /// No decomposition without a network solve, or on a view that
+    /// disconnects a commodity.
+    #[test]
+    fn decomposition_is_none_on_a_view_that_disconnects_a_commodity() {
+        let mut g = dctopo_graph::Graph::new(3);
+        g.add_unit_edge(0, 1).unwrap();
+        g.add_unit_edge(1, 2).unwrap();
+        let (net, mut r) = solved_on(&g, vec![Commodity::unit(0, 2)]);
+        assert!(r.decomposition(&net).is_some());
+        let cut = net
+            .with_disabled_arcs(&[net.arc_between(1, 2).unwrap()])
+            .unwrap();
+        assert_eq!(r.decomposition(&cut), None);
+        r.solved = None;
+        assert_eq!(r.decomposition(&net), None);
     }
 
     /// FlowOptions.backend is honored end-to-end: the exact LP and the

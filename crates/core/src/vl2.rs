@@ -53,12 +53,21 @@ impl SupportSearch {
     /// runs? A *construction* failure (e.g. VL2's bipartite layer cannot
     /// physically host that many ToRs) counts as "not supported";
     /// genuine solver failures propagate.
+    ///
+    /// # Errors
+    /// [`FlowError::BadOptions`] when `runs` is 0 (every `tors` would be
+    /// vacuously supported), else the solver's errors.
     pub fn supports(
         &self,
         tors: usize,
         build: &TopoBuilder<'_>,
         tm: &TmBuilder<'_>,
     ) -> Result<bool, FlowError> {
+        if self.runs == 0 {
+            return Err(FlowError::BadOptions(
+                "support search needs at least one run".into(),
+            ));
+        }
         for run in 0..self.runs {
             let seed = self.base_seed.wrapping_add(run as u64 * 0x9E37_79B9);
             let topo = match build(tors, seed) {
@@ -168,6 +177,27 @@ mod tests {
             b > a,
             "rewired VL2 supports {b} ToRs, stock {a} — expected an improvement"
         );
+    }
+
+    /// Zero runs would support every ToR count vacuously and return the
+    /// top of the range; it is a typed error instead.
+    #[test]
+    fn zero_runs_is_bad_options() {
+        let s = SupportSearch {
+            runs: 0,
+            ..search()
+        };
+        let build = |tors: usize, _| {
+            vl2(Vl2Params {
+                d_a: 4,
+                d_i: 4,
+                tors: Some(tors),
+            })
+        };
+        assert!(matches!(
+            s.max_tors(2, 8, &build, &permutation_tm),
+            Err(FlowError::BadOptions(_))
+        ));
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use dctopo_graph::kshortest::YenWorkspace;
-use dctopo_graph::{CsrNet, Graph, NodeId};
+use dctopo_graph::{CsrNet, NodeId};
 
 use crate::{Commodity, FlowError};
 
@@ -97,32 +97,27 @@ pub struct KeyStats {
 /// preprocessing.
 #[derive(Debug, Default)]
 pub struct PathSetCache {
-    inner: Mutex<Inner>,
+    /// One [`Key`] per `(net structure id, k)`.
+    keys: Mutex<HashMap<(u64, usize), Key>>,
 }
 
+/// What one `(structure, k)` key holds: its frozen pairs and the
+/// lookups made under it.
 #[derive(Debug, Default)]
-struct Inner {
-    /// Adjacency-list rebuild per net structure — Yen wants a [`Graph`],
-    /// and its per-node neighbour order is what breaks Yen's ties, so
-    /// every freeze of a structure must see the same one. The rebuild
-    /// itself is cheap (3–4 µs at 40 switches and 120 links, against
-    /// 1.6 ms of Yen for 153 pairs). (Yen is hop-metric, so the rebuilt
-    /// graph's capacities are irrelevant and any same-structure view's
-    /// rebuild serves all of them.)
-    graphs: HashMap<u64, Arc<Graph>>,
-    /// Frozen path sets keyed by `(net structure id, k)`, then
-    /// `(src, dst)`.
-    paths: HashMap<(u64, usize), HashMap<(NodeId, NodeId), FrozenPathSet>>,
-    stats: CacheStats,
-    /// Hit/miss split per `(structure id, k)` key (the telemetry view;
-    /// `stats` above stays the cheap global aggregate).
-    key_stats: HashMap<(u64, usize), CacheStats>,
+struct Key {
+    pairs: HashMap<(NodeId, NodeId), FrozenPathSet>,
+    hits: u64,
+    misses: u64,
 }
 
 impl PathSetCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<(u64, usize), Key>> {
+        self.keys.lock().expect("path cache poisoned")
     }
 
     /// Frozen path sets for every commodity, in commodity order: cached
@@ -139,22 +134,17 @@ impl PathSetCache {
         k: usize,
     ) -> Result<Vec<FrozenPathSet>, FlowError> {
         let key = (net.structure_id(), k);
-        // phase 1 (locked): resolve hits, collect distinct misses, and
-        // grab (or build) the shared adjacency-list view
+        // phase 1 (locked): resolve hits, collect distinct misses
         let mut out: Vec<Option<FrozenPathSet>> = vec![None; commodities.len()];
         let mut missing: Vec<(NodeId, NodeId)> = Vec::new();
         let mut missing_set: std::collections::HashSet<(NodeId, NodeId)> =
             std::collections::HashSet::new();
-        let graph: Arc<Graph> = {
-            let mut inner = self.inner.lock().expect("path cache poisoned");
-            let by_pair = inner.paths.entry(key).or_default();
-            let mut hits = 0u64;
+        {
+            let mut keys = self.lock();
+            let entry = keys.entry(key).or_default();
             for (j, c) in commodities.iter().enumerate() {
-                match by_pair.get(&(c.src, c.dst)) {
-                    Some(p) => {
-                        out[j] = Some(Arc::clone(p));
-                        hits += 1;
-                    }
+                match entry.pairs.get(&(c.src, c.dst)) {
+                    Some(p) => out[j] = Some(Arc::clone(p)),
                     None => {
                         if missing_set.insert((c.src, c.dst)) {
                             missing.push((c.src, c.dst));
@@ -162,36 +152,25 @@ impl PathSetCache {
                     }
                 }
             }
-            inner.stats.hits += hits;
-            inner.stats.misses += commodities.len() as u64 - hits;
-            let ks = inner.key_stats.entry(key).or_default();
-            ks.hits += hits;
-            ks.misses += commodities.len() as u64 - hits;
+            let hits = out.iter().filter(|p| p.is_some()).count() as u64;
+            entry.hits += hits;
+            entry.misses += commodities.len() as u64 - hits;
             if missing.is_empty() {
                 return Ok(out.into_iter().map(|p| p.expect("all hits")).collect());
             }
-            inner.graphs.get(&net.structure_id()).cloned()
         }
-        // The O(nodes + arcs) adjacency rebuild runs outside the lock,
-        // like the Yen runs below — concurrent solvers on different
-        // nets must not serialise on each other's preprocessing. A
-        // racing rebuild of the same net produces identical content
-        // (`to_graph` is deterministic), so first-writer-wins is safe.
-        .unwrap_or_else(|| {
-            let built = Arc::new(net.to_graph());
-            let mut inner = self.inner.lock().expect("path cache poisoned");
-            inner
-                .graphs
-                .entry(net.structure_id())
-                .or_insert(built)
-                .clone()
-        });
         // phase 2 (unlocked): freeze the missing pairs. Yen enumerates
-        // node paths on the adjacency-list rebuild; arc translation goes
-        // through `net` so the stored sequences use the net's own arc
-        // numbering (the rebuild's edge ids compact on degraded views).
-        let mut frozen: Vec<((NodeId, NodeId), FrozenPathSet)> = Vec::with_capacity(missing.len());
+        // node paths on an adjacency-list rebuild of the net — its
+        // per-node neighbour order (ascending live edge id) is what
+        // breaks Yen's ties, and `to_graph` is deterministic, so every
+        // freeze of a structure sees the same one; the rebuild costs
+        // 3–4 µs at 40 switches against 1.6 ms of Yen for 153 pairs.
+        // Arc translation goes through `net` so the stored sequences use
+        // the net's own arc numbering (the rebuild's edge ids compact on
+        // degraded views).
+        let graph = net.to_graph();
         let mut ws = YenWorkspace::new(graph.node_count());
+        let mut frozen: Vec<((NodeId, NodeId), FrozenPathSet)> = Vec::with_capacity(missing.len());
         for &(src, dst) in &missing {
             let paths = crate::ksp::freeze_pair(&graph, net, src, dst, k, &mut ws)?;
             frozen.push(((src, dst), Arc::new(paths)));
@@ -199,17 +178,14 @@ impl PathSetCache {
         // phase 3 (locked): publish. A racing freeze of the same pair
         // computed identical paths (Yen is deterministic), so
         // first-writer-wins is safe either way.
-        {
-            let mut inner = self.inner.lock().expect("path cache poisoned");
-            let by_pair = inner.paths.entry(key).or_default();
-            for (pair, paths) in frozen {
-                by_pair.entry(pair).or_insert(paths);
-            }
-            let by_pair = inner.paths.get(&key).expect("just inserted");
-            for (j, c) in commodities.iter().enumerate() {
-                if out[j].is_none() {
-                    out[j] = Some(Arc::clone(&by_pair[&(c.src, c.dst)]));
-                }
+        let mut keys = self.lock();
+        let pairs = &mut keys.entry(key).or_default().pairs;
+        for (pair, paths) in frozen {
+            pairs.entry(pair).or_insert(paths);
+        }
+        for (j, c) in commodities.iter().enumerate() {
+            if out[j].is_none() {
+                out[j] = Some(Arc::clone(&pairs[&(c.src, c.dst)]));
             }
         }
         Ok(out.into_iter().map(|p| p.expect("filled")).collect())
@@ -217,42 +193,41 @@ impl PathSetCache {
 
     /// Total frozen `(src, dst)` entries across all `(net, k)` keys.
     pub fn entry_count(&self) -> usize {
-        let inner = self.inner.lock().expect("path cache poisoned");
-        inner.paths.values().map(HashMap::len).sum()
+        self.lock().values().map(|key| key.pairs.len()).sum()
     }
 
-    /// Cumulative hit/miss counters.
+    /// Cumulative hit/miss counters: the sum over every key.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().expect("path cache poisoned").stats
+        self.lock()
+            .values()
+            .fold(CacheStats::default(), |sum, key| CacheStats {
+                hits: sum.hits + key.hits,
+                misses: sum.misses + key.misses,
+            })
     }
 
     /// Per-`(structure, k)` statistics, sorted by `(structure_id, k)`
     /// so the listing order is stable for a given set of keys.
     pub fn key_stats(&self) -> Vec<KeyStats> {
-        let inner = self.inner.lock().expect("path cache poisoned");
-        let mut out: Vec<KeyStats> = inner
-            .key_stats
+        let mut out: Vec<KeyStats> = self
+            .lock()
             .iter()
-            .map(|(&(structure_id, k), s)| KeyStats {
+            .map(|(&(structure_id, k), key)| KeyStats {
                 structure_id,
                 k,
-                entries: inner.paths.get(&(structure_id, k)).map_or(0, HashMap::len),
-                hits: s.hits,
-                misses: s.misses,
+                entries: key.pairs.len(),
+                hits: key.hits,
+                misses: key.misses,
             })
             .collect();
         out.sort_unstable_by_key(|s| (s.structure_id, s.k));
         out
     }
 
-    /// Drop every cached graph and path set (counters included). Useful
-    /// when sweeping many topologies through one long-lived cache.
+    /// Drop every cached path set (counters included). Useful when
+    /// sweeping many topologies through one long-lived cache.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("path cache poisoned");
-        inner.graphs.clear();
-        inner.paths.clear();
-        inner.stats = CacheStats::default();
-        inner.key_stats.clear();
+        self.lock().clear();
     }
 }
 

@@ -1078,19 +1078,6 @@ mod tests {
         assert!((s.mean_flow_path_len() - 3.0).abs() < 1e-6);
     }
 
-    /// Utilization on the single-edge instance is flow/capacity over both
-    /// directions: 1 unit flows one way on a 2-unit bidirectional edge.
-    #[test]
-    fn utilization_definition() {
-        let mut g = Graph::new(2);
-        g.add_unit_edge(0, 1).unwrap();
-        let s = max_concurrent_flow(&g, &[Commodity::unit(0, 1)], &opts()).unwrap();
-        let u = s.utilization(&g);
-        assert!((u - 0.5).abs() < 0.03, "U = {u}");
-        let eu = s.edge_utilization(&g);
-        assert!((eu[0] - 1.0).abs() < 0.03);
-    }
-
     /// Heterogeneous capacities: big trunk plus thin side path.
     #[test]
     fn heterogeneous_capacities() {

@@ -24,13 +24,11 @@
 //! sets from a [`PathSetCache`] and is bit-identical to the cold
 //! [`max_concurrent_flow_ksp_csr`].
 
-use std::sync::Arc;
-
 use dctopo_graph::kshortest::{yen_k_shortest_with, YenWorkspace};
 use dctopo_graph::{CsrNet, Graph, NodeId};
 use dctopo_obs as obs;
 
-use crate::cache::{FrozenPathSet, PathSetCache};
+use crate::cache::PathSetCache;
 use crate::gk::{Cong, Core, Pairwise, Verdict};
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
@@ -43,12 +41,12 @@ pub fn max_concurrent_flow_ksp(
     k: usize,
     opts: &FlowOptions,
 ) -> Result<SolvedFlow, FlowError> {
-    freeze_and_solve(g, &CsrNet::from_graph(g), commodities, k, opts)
+    max_concurrent_flow_ksp_csr(&CsrNet::from_graph(g), commodities, k, opts)
 }
 
 /// k-shortest-paths-restricted solve on a prebuilt net (the
 /// [`crate::Backend::KspRestricted`] backend entry point), freezing path
-/// sets from scratch — the *cold* path.
+/// sets from scratch through a fresh [`PathSetCache`] — the *cold* path.
 ///
 /// Returns the same certified [`SolvedFlow`] as the unrestricted solver;
 /// `throughput` ≤ the unrestricted optimum by construction.
@@ -62,15 +60,17 @@ pub fn max_concurrent_flow_ksp_csr(
     k: usize,
     opts: &FlowOptions,
 ) -> Result<SolvedFlow, FlowError> {
-    freeze_and_solve(&net.to_graph(), net, commodities, k, opts)
+    max_concurrent_flow_ksp_cached(net, commodities, k, opts, &PathSetCache::new())
 }
 
 /// [`max_concurrent_flow_ksp_csr`] with path-set preprocessing served
 /// from (and recorded into) `cache` — the *amortised* path.
 ///
-/// Bit-identical to the cold entry point for the same inputs: the cache
-/// stores exactly what cold freezing computes (Yen is deterministic),
-/// and the multiplicative-weights loop is shared.
+/// Bit-identical to the cold entry point for the same inputs: the cold
+/// path is this one on an empty cache, and a hit returns exactly what
+/// the miss computed (Yen is deterministic). With tracing on, one
+/// `ksp_solve` event closes the solve; its deterministic fields are the
+/// same cold or cached.
 pub fn max_concurrent_flow_ksp_cached(
     net: &CsrNet,
     commodities: &[Commodity],
@@ -78,77 +78,12 @@ pub fn max_concurrent_flow_ksp_cached(
     opts: &FlowOptions,
     cache: &PathSetCache,
 ) -> Result<SolvedFlow, FlowError> {
-    solve_frozen(net, commodities, k, opts, || {
-        cache.freeze(net, commodities, k)
-    })
-}
-
-/// Freeze one `(src, dst)` pair's k-shortest path set as arc sequences.
-/// Shared by cold freezing here and by [`PathSetCache`] misses.
-///
-/// Yen enumerates hop-metric node paths on the adjacency-list `g`; the
-/// translation to arc ids goes through `net`, so the frozen sequences
-/// always use the net's own arc numbering. That distinction matters on
-/// degraded views: their [`CsrNet::to_graph`] rebuild compacts edge ids,
-/// but the view's arc ids (which flow vectors index) stay aligned with
-/// the base topology. `g` must be `net.to_graph()` (of this net or of a
-/// same-structure view): Yen breaks equal-length ties in `g`'s per-node
-/// neighbor order, which for that rebuild is ascending live edge id —
-/// *not* the net's own adjacency order — and the frozen sets, the
-/// cache's bitwise cold/warm identity and the KSP pins all assume it.
-///
-/// `ws` is the caller's, one per freeze loop, so Yen's spur searches
-/// allocate nothing from the second pair on; what it served before does
-/// not show in the output.
-pub(crate) fn freeze_pair(
-    g: &Graph,
-    net: &CsrNet,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    ws: &mut YenWorkspace,
-) -> Result<Vec<Vec<usize>>, FlowError> {
-    let node_paths =
-        yen_k_shortest_with(g, src, dst, k, ws).map_err(|_| FlowError::Unreachable { src, dst })?;
-    node_paths
-        .iter()
-        .map(|p| nodes_to_arcs(net, p))
-        .collect::<Result<Vec<_>, _>>()
-}
-
-fn freeze_and_solve(
-    g: &Graph,
-    net: &CsrNet,
-    commodities: &[Commodity],
-    k: usize,
-    opts: &FlowOptions,
-) -> Result<SolvedFlow, FlowError> {
-    solve_frozen(net, commodities, k, opts, || {
-        let mut ws = YenWorkspace::new(g.node_count());
-        (commodities.iter())
-            .map(|c| freeze_pair(g, net, c.src, c.dst, k, &mut ws).map(Arc::new))
-            .collect()
-    })
-}
-
-/// Validate, `freeze` the path sets (one [`FrozenPathSet`] per
-/// commodity, commodity order), and run the multiplicative-weights loop
-/// over them. Cold and cached entry points converge here, which is what
-/// makes them bit-identical. With tracing on, one `ksp_solve` event
-/// closes the solve; its deterministic fields are the same cold or cached.
-fn solve_frozen(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    k: usize,
-    opts: &FlowOptions,
-    freeze: impl FnOnce() -> Result<Vec<FrozenPathSet>, FlowError>,
-) -> Result<SolvedFlow, FlowError> {
     validate(net.node_count(), commodities, opts)?;
     if k == 0 {
         return Err(FlowError::BadOptions("k must be at least 1".into()));
     }
     let t_solve = obs::clock();
-    let paths = freeze()?;
+    let paths = cache.freeze(net, commodities, k)?;
     let freeze_us = obs::us_since(t_solve);
     let mut core = Core::new(net, Cong::Reciprocal, None, opts.epsilon);
     let mut pairs = Pairwise::new(commodities, net.arc_count(), opts);
@@ -211,6 +146,39 @@ fn solve_frozen(
             .emit();
     }
     Ok(sol)
+}
+
+/// Freeze one `(src, dst)` pair's k-shortest path set as arc sequences
+/// — what a [`PathSetCache`] miss runs.
+///
+/// Yen enumerates hop-metric node paths on the adjacency-list `g`; the
+/// translation to arc ids goes through `net`, so the frozen sequences
+/// always use the net's own arc numbering. That distinction matters on
+/// degraded views: their [`CsrNet::to_graph`] rebuild compacts edge ids,
+/// but the view's arc ids (which flow vectors index) stay aligned with
+/// the base topology. `g` must be `net.to_graph()` (of this net or of a
+/// same-structure view): Yen breaks equal-length ties in `g`'s per-node
+/// neighbor order, which for that rebuild is ascending live edge id —
+/// *not* the net's own adjacency order — and the frozen sets, the
+/// cache's bitwise cold/warm identity and the KSP pins all assume it.
+///
+/// `ws` is the caller's, one per freeze loop, so Yen's spur searches
+/// allocate nothing from the second pair on; what it served before does
+/// not show in the output.
+pub(crate) fn freeze_pair(
+    g: &Graph,
+    net: &CsrNet,
+    src: NodeId,
+    dst: NodeId,
+    k: usize,
+    ws: &mut YenWorkspace,
+) -> Result<Vec<Vec<usize>>, FlowError> {
+    let node_paths =
+        yen_k_shortest_with(g, src, dst, k, ws).map_err(|_| FlowError::Unreachable { src, dst })?;
+    node_paths
+        .iter()
+        .map(|p| nodes_to_arcs(net, p))
+        .collect::<Result<Vec<_>, _>>()
 }
 
 fn cheapest<'p>(paths: &'p [Vec<usize>], length: &[f64]) -> (&'p Vec<usize>, f64) {

@@ -284,28 +284,6 @@ impl SolvedFlow {
         }
     }
 
-    /// Network utilization `U = Σ_a flow_a / Σ_a capacity_a`.
-    pub fn utilization(&self, g: &Graph) -> f64 {
-        let cap = g.total_capacity();
-        if cap > 0.0 {
-            self.arc_flow.iter().sum::<f64>() / cap
-        } else {
-            0.0
-        }
-    }
-
-    /// Per-undirected-edge utilization: `max` of the two arc directions'
-    /// `flow/capacity`.
-    pub fn edge_utilization(&self, g: &Graph) -> Vec<f64> {
-        (0..g.edge_count())
-            .map(|e| {
-                let c = g.edge(e).capacity;
-                let f = self.arc_flow[e << 1].max(self.arc_flow[(e << 1) | 1]);
-                f / c
-            })
-            .collect()
-    }
-
     /// Certified relative gap `(upper_bound - throughput) / upper_bound`.
     pub fn gap(&self) -> f64 {
         if self.upper_bound > 0.0 {

@@ -45,4 +45,4 @@ pub use delta::DeltaStats;
 pub use error::GraphError;
 pub use graph::{ArcId, EdgeId, Graph, NodeId};
 pub use msbfs::{ms_bfs_csr, MsBfsWorkspace};
-pub use paths::{BfsWorkspace, PathStats};
+pub use paths::PathStats;

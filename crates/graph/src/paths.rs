@@ -1,11 +1,13 @@
-//! Shortest-path algorithms: unweighted BFS, all-pairs path statistics,
-//! and Dijkstra over arbitrary per-arc lengths.
+//! Shortest paths on the adjacency-list [`Graph`]: unweighted BFS,
+//! all-pairs path statistics, and Dijkstra over arbitrary per-arc
+//! lengths.
 //!
-//! The throughput upper bound of the paper (Theorem 1) divides total
-//! capacity by `⟨D⟩ · f`, where `⟨D⟩` is the *average shortest path
-//! length* over the relevant node pairs, so ASPL computation is a
-//! first-class citizen here. The flow solver uses [`dijkstra`] with
-//! exponential length functions.
+//! [`path_stats`] is the all-pairs ASPL and diameter of the paper's
+//! Figs. 1–3. The demand-weighted `⟨D⟩` of Theorem 1 and of the §6.1
+//! decomposition is not here: it is `dctopo_core::ladder::hop_alpha`, a
+//! batched BFS on the `CsrNet` view being solved. [`bfs_distances`]
+//! feeds ECMP enumeration and is the oracle the batched BFS is tested
+//! against; [`dijkstra`] is the oracle for [`crate::CsrNet::dijkstra`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -35,62 +37,6 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
     dist
 }
 
-/// Reusable scratch state for repeated BFS runs.
-///
-/// Search loops (the `dctopo-search` surrogate ladder) run thousands of
-/// single-source BFS sweeps over candidate graphs of identical size;
-/// allocating the distance array and queue per run would dominate the
-/// O(n + m) traversal. The workspace owns both and
-/// [`bfs_distances_with`] reuses them, allocation-free once warm.
-#[derive(Debug, Clone, Default)]
-pub struct BfsWorkspace {
-    dist: Vec<u32>,
-    /// Flat visit queue: every node is enqueued at most once, so a Vec
-    /// plus a read cursor replaces a ring buffer.
-    queue: Vec<u32>,
-}
-
-impl BfsWorkspace {
-    /// A workspace pre-sized for `n`-node graphs (it transparently
-    /// regrows if handed a larger graph later).
-    pub fn new(n: usize) -> Self {
-        BfsWorkspace {
-            dist: Vec::with_capacity(n),
-            queue: Vec::with_capacity(n),
-        }
-    }
-
-    /// Distances of the most recent [`bfs_distances_with`] run
-    /// (unreachable nodes hold [`UNREACHABLE`]).
-    pub fn distances(&self) -> &[u32] {
-        &self.dist
-    }
-}
-
-/// [`bfs_distances`] into a reusable workspace: identical output,
-/// no per-call allocation once the workspace is warm. Read the result
-/// through [`BfsWorkspace::distances`].
-pub fn bfs_distances_with(g: &Graph, src: NodeId, ws: &mut BfsWorkspace) {
-    let n = g.node_count();
-    ws.dist.clear();
-    ws.dist.resize(n, UNREACHABLE);
-    ws.queue.clear();
-    ws.dist[src] = 0;
-    ws.queue.push(src as u32);
-    let mut head = 0usize;
-    while head < ws.queue.len() {
-        let v = ws.queue[head] as usize;
-        head += 1;
-        let dv = ws.dist[v];
-        for w in g.neighbors(v) {
-            if ws.dist[w] == UNREACHABLE {
-                ws.dist[w] = dv + 1;
-                ws.queue.push(w as u32);
-            }
-        }
-    }
-}
-
 /// Aggregate all-pairs shortest-path statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathStats {
@@ -106,67 +52,11 @@ pub struct PathStats {
 ///
 /// Fails with [`GraphError::Disconnected`] if any pair is unreachable.
 pub fn path_stats(g: &Graph) -> Result<PathStats, GraphError> {
-    path_stats_with(g, &mut BfsWorkspace::new(g.node_count()))
-}
-
-/// ASPL and diameter restricted to ordered pairs of the given node set.
-///
-/// This is what the heterogeneous experiments need: server-to-server path
-/// statistics where the interesting set is "nodes that host servers"
-/// (or the server nodes themselves).
-pub fn path_stats_over(g: &Graph, nodes: &[NodeId]) -> Result<PathStats, GraphError> {
     let mut sum = 0u64;
     let mut pairs = 0usize;
     let mut diameter = 0u32;
-    let member = {
-        let mut m = vec![false; g.node_count()];
-        for &v in nodes {
-            m[v] = true;
-        }
-        m
-    };
-    for &src in nodes {
-        let dist = bfs_distances(g, src);
-        for (w, &d) in dist.iter().enumerate() {
-            if w == src || !member[w] {
-                continue;
-            }
-            if d == UNREACHABLE {
-                return Err(GraphError::Disconnected);
-            }
-            sum += u64::from(d);
-            diameter = diameter.max(d);
-            pairs += 1;
-        }
-    }
-    if pairs == 0 {
-        return Err(GraphError::Unrealizable(
-            "no node pairs to average over".into(),
-        ));
-    }
-    Ok(PathStats {
-        aspl: sum as f64 / pairs as f64,
-        diameter,
-        pairs,
-    })
-}
-
-/// [`path_stats`] with a reusable [`BfsWorkspace`]: identical output,
-/// but the `n` BFS sweeps share one distance array and queue — the form
-/// repeated-evaluation loops (candidate scoring in topology search)
-/// use.
-///
-/// # Errors
-/// As [`path_stats`]: [`GraphError::Disconnected`] when any ordered
-/// pair is unreachable.
-pub fn path_stats_with(g: &Graph, ws: &mut BfsWorkspace) -> Result<PathStats, GraphError> {
-    let n = g.node_count();
-    let mut sum = 0u64;
-    let mut pairs = 0usize;
-    let mut diameter = 0u32;
-    for src in 0..n {
-        bfs_distances_with(g, src, ws);
-        for (w, &d) in ws.distances().iter().enumerate() {
+    for src in 0..g.node_count() {
+        for (w, &d) in bfs_distances(g, src).iter().enumerate() {
             if w == src {
                 continue;
             }
@@ -188,35 +78,6 @@ pub fn path_stats_with(g: &Graph, ws: &mut BfsWorkspace) -> Result<PathStats, Gr
         diameter,
         pairs,
     })
-}
-
-/// Average shortest-path distance over an explicit list of ordered pairs.
-///
-/// Used for traffic-matrix-weighted `⟨D⟩` (e.g. the `Σ d_i` term of
-/// Theorem 1 under a specific permutation).
-pub fn mean_pair_distance(g: &Graph, pairs: &[(NodeId, NodeId)]) -> Result<f64, GraphError> {
-    if pairs.is_empty() {
-        return Err(GraphError::Unrealizable("empty pair list".into()));
-    }
-    // group by source to reuse BFS runs
-    let mut by_src: Vec<Vec<NodeId>> = vec![Vec::new(); g.node_count()];
-    for &(s, t) in pairs {
-        by_src[s].push(t);
-    }
-    let mut sum = 0u64;
-    for (s, ts) in by_src.iter().enumerate() {
-        if ts.is_empty() {
-            continue;
-        }
-        let dist = bfs_distances(g, s);
-        for &t in ts {
-            if dist[t] == UNREACHABLE {
-                return Err(GraphError::NoPath { src: s, dst: t });
-            }
-            sum += u64::from(dist[t]);
-        }
-    }
-    Ok(sum as f64 / pairs.len() as f64)
 }
 
 #[derive(Copy, Clone, PartialEq)]
@@ -374,51 +235,6 @@ mod tests {
         g.add_unit_edge(0, 1).unwrap();
         g.add_unit_edge(2, 3).unwrap();
         assert_eq!(path_stats(&g), Err(GraphError::Disconnected));
-    }
-
-    #[test]
-    fn path_stats_over_subset() {
-        let g = path4();
-        let s = path_stats_over(&g, &[0, 3]).unwrap();
-        assert_eq!(s.pairs, 2);
-        assert!((s.aspl - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn workspace_bfs_matches_allocating_bfs() {
-        let g = cube();
-        let mut ws = BfsWorkspace::new(g.node_count());
-        for src in 0..g.node_count() {
-            bfs_distances_with(&g, src, &mut ws);
-            assert_eq!(ws.distances(), &bfs_distances(&g, src)[..]);
-        }
-        // reuse across differently-sized graphs (workspace regrows)
-        let p = path4();
-        bfs_distances_with(&p, 0, &mut ws);
-        assert_eq!(ws.distances(), &bfs_distances(&p, 0)[..]);
-    }
-
-    #[test]
-    fn path_stats_with_matches_path_stats() {
-        let mut ws = BfsWorkspace::default();
-        for g in [path4(), cube()] {
-            assert_eq!(
-                path_stats_with(&g, &mut ws).unwrap(),
-                path_stats(&g).unwrap()
-            );
-        }
-        let mut g = Graph::new(4);
-        g.add_unit_edge(0, 1).unwrap();
-        g.add_unit_edge(2, 3).unwrap();
-        assert_eq!(path_stats_with(&g, &mut ws), Err(GraphError::Disconnected));
-    }
-
-    #[test]
-    fn mean_pair_distance_matches_bfs() {
-        let g = cube();
-        let d = mean_pair_distance(&g, &[(0, 7), (1, 2), (3, 3_usize ^ 4)]).unwrap();
-        // 0->7: 3 hops, 1->2: 2 hops, 3->7: 1 hop
-        assert!((d - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -125,14 +125,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Smallest per-flow goodput.
-    pub fn min_goodput(&self) -> f64 {
-        self.flow_goodput
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Mean per-flow goodput.
     pub fn mean_goodput(&self) -> f64 {
         if self.flow_goodput.is_empty() {

@@ -72,7 +72,7 @@ pub mod ladder;
 pub mod moves;
 pub mod runner;
 
-pub use ladder::{hop_alpha, hop_bound, observed_aspl, CutProbe};
+pub use ladder::{hop_alpha, hop_bound, CutProbe};
 pub use moves::{CapacityPlan, MoveKind, ResolvedMove};
 pub use runner::{
     AcceptedMove, CapacityBudget, Certificate, Fidelity, GrowSpec, Outcome, RoundTrace,

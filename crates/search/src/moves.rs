@@ -204,12 +204,6 @@ impl CapacityPlan {
         self.groups.binary_search(&pair).ok()
     }
 
-    /// Current (effective) edge-capacity sum of group `g` under this
-    /// plan: `mult_g · Σ base_e` over the group's edges in `topo`.
-    pub fn group_capacity(&self, g: usize, topo: &Topology) -> f64 {
-        self.mult[g] * self.group_base_capacity(g, topo)
-    }
-
     /// Base edge-capacity sum of group `g` in `topo`.
     pub fn group_base_capacity(&self, g: usize, topo: &Topology) -> f64 {
         topo.graph

@@ -443,14 +443,27 @@ impl SearchRunner {
     /// # Errors
     /// [`FlowError::NoCommodities`] when all traffic is switch-local
     /// (there is no network objective to search on);
-    /// [`FlowError::BadOptions`] when no move family is enabled or an
+    /// [`FlowError::BadOptions`] when no move family is enabled, an
     /// enabled family cannot operate on this topology (capacity search
     /// needs ≥ 2 link groups, structural search ≥ 2 links, growth an
-    /// even positive degree).
+    /// even positive degree), the temperature is negative or not finite,
+    /// or the cooling factor lies outside `[0, 1]`.
     pub fn new(topo: &Topology, tm: &TrafficMatrix, spec: SearchSpec) -> Result<Self, FlowError> {
         let commodities = aggregate_commodities(topo, tm);
         if commodities.is_empty() {
             return Err(FlowError::NoCommodities);
+        }
+        if !(spec.temperature.is_finite() && spec.temperature >= 0.0) {
+            return Err(FlowError::BadOptions(format!(
+                "temperature must be finite and >= 0, got {}",
+                spec.temperature
+            )));
+        }
+        if !(0.0..=1.0).contains(&spec.cooling) {
+            return Err(FlowError::BadOptions(format!(
+                "cooling must lie in [0, 1], got {}",
+                spec.cooling
+            )));
         }
         let plan = CapacityPlan::uniform(topo);
         if !spec.structural && spec.capacity.is_none() && spec.grow.is_none() {
@@ -1094,6 +1107,23 @@ mod tests {
             SearchRunner::new(&topo, &tm, spec),
             Err(FlowError::BadOptions(_))
         ));
+        // a negative or non-finite temperature, a cooling outside [0, 1]
+        for (t, c) in [
+            (-1.0, 0.9),
+            (f64::NAN, 0.9),
+            (f64::INFINITY, 0.9),
+            (0.1, 1.5),
+            (0.1, -0.1),
+        ] {
+            let spec = SearchSpec::structural(1, 1, 1).with_temperature(t, c);
+            assert!(
+                matches!(
+                    SearchRunner::new(&topo, &tm, spec),
+                    Err(FlowError::BadOptions(_))
+                ),
+                "temperature {t}, cooling {c}"
+            );
+        }
         // all-local traffic: no network objective
         let local = TrafficMatrix::from_pairs(8, vec![]);
         assert!(matches!(

@@ -129,11 +129,6 @@ impl Topology {
             .collect()
     }
 
-    /// The network degree (graph degree) of each switch.
-    pub fn network_degrees(&self) -> Vec<usize> {
-        self.graph.degrees()
-    }
-
     /// Consistency check: every switch's servers + network links fit in
     /// its class's port budget. Returns the first violation.
     pub fn validate_ports(&self) -> Result<(), GraphError> {

@@ -56,8 +56,7 @@ impl Vl2Params {
                 self.d_i
             )));
         }
-        let full = self.d_a * self.d_i / 4;
-        let tors = self.tors.unwrap_or(full);
+        let tors = self.tors.unwrap_or(self.d_a * self.d_i / 4);
         if tors == 0 {
             return Err(GraphError::Unrealizable("need at least one ToR".into()));
         }
@@ -65,8 +64,15 @@ impl Vl2Params {
     }
 
     /// The ToR count VL2 supports at full throughput, `D_A·D_I/4`.
-    pub fn full_throughput_tors(&self) -> usize {
-        self.d_a * self.d_i / 4
+    ///
+    /// # Errors
+    /// As [`vl2`] when `D_A` or `D_I` is invalid (`tors` is ignored).
+    pub fn full_throughput_tors(&self) -> Result<usize, GraphError> {
+        let design = Vl2Params {
+            tors: None,
+            ..*self
+        };
+        design.shape().map(|(tors, _, _)| tors)
     }
 }
 

@@ -29,8 +29,10 @@ fn main() {
 
     // Throughput = maximum concurrent flow with max-min fairness,
     // solved by the Garg–Könemann/Fleischer FPTAS with certified bounds.
-    let result =
-        solve_throughput(&topo, &tm, &FlowOptions::default()).expect("connected topology solves");
+    let engine = ThroughputEngine::new(&topo);
+    let result = engine
+        .solve(&tm, &FlowOptions::default())
+        .expect("connected topology solves");
     println!(
         "throughput: {:.3} of line rate per flow (network λ = {:.3}, certified ≤ {:.3})",
         result.throughput, result.network_lambda, result.network_upper_bound
@@ -45,8 +47,9 @@ fn main() {
     );
 
     // Decompose throughput into the paper's §6.1 factors.
-    let solved = result.solved.as_ref().expect("network solve present");
-    let d = decompose(&topo.graph, solved, &result.commodities).expect("decomposition");
+    let d = result
+        .decomposition(engine.net())
+        .expect("network solve present");
     println!(
         "decomposition: U = {:.2}, ⟨D⟩ = {:.2}, stretch = {:.3}",
         d.utilization, d.aspl, d.stretch

@@ -2,7 +2,6 @@
 //! the §6.1 decomposition of the first run.
 
 use dctopo::core::ThroughputEngine;
-use dctopo::metrics::decompose;
 use dctopo::prelude::*;
 
 use crate::args::{Args, CliError, CliResult, OrFail};
@@ -32,9 +31,10 @@ pub fn run(args: &Args) -> CliResult {
                 topo.server_count(),
                 inst.traffic.flows()
             );
-            let decomposition = certified.pairwise.as_ref().and_then(|res| {
-                decompose(&topo.graph, res.solved.as_ref()?, &res.commodities).ok()
-            });
+            let decomposition = certified
+                .pairwise
+                .as_ref()
+                .and_then(|res| res.decomposition(engine.net()));
             if let Some(d) = decomposition {
                 println!(
                     "decomposition: U = {:.3}, <D> = {:.3}, stretch = {:.3}",

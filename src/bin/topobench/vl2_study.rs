@@ -6,21 +6,31 @@ use dctopo::topology::vl2::{rewired_vl2, vl2, Vl2Params};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::args::{Args, CliResult};
+use crate::args::{Args, CliError, CliResult, OrFail};
 
 pub fn run(args: &Args) -> CliResult {
     let d_a: usize = args.require("da")?;
     let d_i: usize = args.require("di")?;
-    let full = d_a * d_i / 4;
+    let runs = args.get("runs")?.unwrap_or(2);
+    if runs == 0 {
+        return Err(CliError::Usage("--runs must be positive".into()));
+    }
+    let design = Vl2Params {
+        d_a,
+        d_i,
+        tors: None,
+    };
+    let full = design
+        .full_throughput_tors()
+        .or_fail("invalid VL2 parameters")?;
     println!("VL2(D_A={d_a}, D_I={d_i}): design capacity {full} ToRs");
     let search = SupportSearch {
-        runs: args.get("runs")?.unwrap_or(2),
+        runs,
         ..SupportSearch::default()
     };
     let params = |tors: usize| Vl2Params {
-        d_a,
-        d_i,
         tors: Some(tors),
+        ..design
     };
     let stock_build = |tors: usize, _s: u64| vl2(params(tors));
     let rewired_build =

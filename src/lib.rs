@@ -12,10 +12,10 @@
 //! * [`topology`] — RRG, heterogeneous, two-cluster, fat-tree, VL2, ... generators
 //! * [`traffic`] — permutation / all-to-all / chunky / hotspot traffic matrices
 //! * [`bounds`] — Theorem 1 throughput bound, ASPL lower bound, cut bounds
-//! * [`metrics`] — throughput decomposition `T = C·U / (⟨D⟩·AS)`
 //! * [`obs`] — deterministic telemetry: trace recorder, typed events, JSONL sink
 //! * [`packetsim`] — discrete-event packet simulator with MPTCP-like transport
-//! * [`core`](mod@core) — experiment harness, scenario sweeps, VL2 case study
+//! * [`core`](mod@core) — experiment harness, throughput decomposition
+//!   `T = C·U / (⟨D⟩·AS)`, scenario sweeps, VL2 case study
 //! * [`search`] — multi-fidelity topology search (rewires + line-speed budgets)
 //! * [`plan`] — certified-safe reconfiguration planner (migration DAGs)
 //! * [`serve`] — batched what-if query server with warm incremental re-solves
@@ -85,7 +85,6 @@ pub use dctopo_core as core;
 pub use dctopo_flow as flow;
 pub use dctopo_graph as graph;
 pub use dctopo_linprog as linprog;
-pub use dctopo_metrics as metrics;
 pub use dctopo_obs as obs;
 pub use dctopo_packetsim as packetsim;
 pub use dctopo_plan as plan;
@@ -98,13 +97,12 @@ pub use dctopo_traffic as traffic;
 pub mod prelude {
     pub use dctopo_bounds::{aspl_lower_bound, throughput_upper_bound};
     pub use dctopo_core::{
-        solve_throughput, BackendChoice, CoValidation, Degradation, PacketParams, RoutingMode,
-        Scenario, SweepRunner, SweepSpec, ThroughputEngine, ThroughputResult, TopologyPoint,
-        TrafficModel,
+        solve_throughput, BackendChoice, CoValidation, Decomposition, Degradation, PacketParams,
+        RoutingMode, Scenario, SweepRunner, SweepSpec, ThroughputEngine, ThroughputResult,
+        TopologyPoint, TrafficModel,
     };
     pub use dctopo_flow::{Backend, Commodity, FlowOptions, SolvedFlow};
     pub use dctopo_graph::{CsrNet, DijkstraWorkspace, Graph, GraphError, NodeId};
-    pub use dctopo_metrics::{decompose, Decomposition};
     pub use dctopo_plan::{plan_migration, Migration, MigrationPlan, PlanSpec};
     pub use dctopo_search::{CapacityBudget, Fidelity, SearchResult, SearchRunner, SearchSpec};
     pub use dctopo_serve::{ServeConfig, ServeStats, Server};

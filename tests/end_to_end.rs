@@ -261,9 +261,9 @@ fn decomposition_identity_via_pipeline() {
     let mut rng = StdRng::seed_from_u64(6);
     let topo = Topology::random_regular(24, 10, 6, &mut rng).unwrap();
     let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
-    let res = solve_throughput(&topo, &tm, &opts()).unwrap();
-    let d = dctopo::metrics::decompose(&topo.graph, res.solved.as_ref().unwrap(), &res.commodities)
-        .unwrap();
+    let engine = ThroughputEngine::new(&topo);
+    let res = engine.solve(&tm, &opts()).unwrap();
+    let d = res.decomposition(engine.net()).unwrap();
     let implied = d.implied_throughput();
     assert!(
         (implied - res.network_lambda).abs() / res.network_lambda < 0.08,

@@ -1181,6 +1181,181 @@ fn ladder_bounds_match_the_graph_oracle_and_dominate_certified_lambda() {
     assert!(solved >= 100, "only {solved} of 120 solves ran");
 }
 
+/// The one demand-weighted hop distance: `ThroughputResult::
+/// decomposition`'s ⟨D⟩ and fig. 10's server-weighted ⟨D⟩ both read
+/// `core::ladder::hop_alpha`. The per-source `Graph` BFS loops they
+/// replaced are kept here as test models — verbatim, but for the deleted
+/// `SolvedFlow::utilization` inlined and the names changed — and must
+/// agree bit for bit on 56 seeded instances (7 families × 8 seeds,
+/// permutation traffic, `FlowOptions::fast()`).
+#[test]
+fn decomposition_and_server_aspl_match_the_bfs_models_bitwise() {
+    use dctopo::core::ladder::hop_alpha;
+    use dctopo::graph::paths::{bfs_distances, UNREACHABLE};
+
+    /// The metrics crate's decomposition, as deleted.
+    fn decompose_model(
+        g: &Graph,
+        solved: &SolvedFlow,
+        commodities: &[Commodity],
+    ) -> Result<Decomposition, FlowError> {
+        let capacity = g.total_capacity();
+        let utilization = if capacity > 0.0 {
+            solved.arc_flow.iter().sum::<f64>() / capacity
+        } else {
+            0.0
+        };
+        // demand-weighted ASPL between commodity endpoints, sharing BFS runs
+        // across commodities with the same source
+        let mut by_src: Vec<Vec<(usize, f64)>> = vec![Vec::new(); g.node_count()];
+        for c in commodities {
+            by_src[c.src].push((c.dst, c.demand));
+        }
+        let mut dist_sum = 0.0;
+        let mut demand_sum = 0.0;
+        for (src, sinks) in by_src.iter().enumerate() {
+            if sinks.is_empty() {
+                continue;
+            }
+            let dist = bfs_distances(g, src);
+            for &(dst, demand) in sinks {
+                if dist[dst] == UNREACHABLE {
+                    return Err(FlowError::Unreachable { src, dst });
+                }
+                dist_sum += demand * f64::from(dist[dst]);
+                demand_sum += demand;
+            }
+        }
+        let aspl = dist_sum / demand_sum;
+        let mean_flow_path_len = solved.mean_flow_path_len();
+        // stretch: routed length over shortest length (≥ 1 up to solver noise)
+        let stretch = if aspl > 0.0 {
+            mean_flow_path_len / aspl
+        } else {
+            1.0
+        };
+        Ok(Decomposition {
+            capacity,
+            utilization,
+            aspl,
+            stretch,
+            mean_flow_path_len,
+            total_demand: demand_sum,
+        })
+    }
+
+    /// Fig. 10's server-weighted ASPL loop, as deleted.
+    fn fig10_aspl_model(topo: &Topology) -> f64 {
+        let mut num = 0.0f64;
+        let mut den = 0.0f64;
+        for u in 0..topo.switch_count() {
+            let su = topo.servers_at[u] as f64;
+            if su == 0.0 {
+                continue;
+            }
+            let dist = bfs_distances(&topo.graph, u);
+            for (v, &servers) in topo.servers_at.iter().enumerate() {
+                let sv = servers as f64;
+                if sv == 0.0 {
+                    continue;
+                }
+                let pairs = if u == v { su * (su - 1.0) } else { su * sv };
+                num += pairs * f64::from(dist[v]);
+                den += pairs;
+            }
+        }
+        num / den
+    }
+
+    let bits = |d: &Decomposition| {
+        [
+            d.capacity,
+            d.utilization,
+            d.aspl,
+            d.stretch,
+            d.mean_flow_path_len,
+            d.total_demand,
+        ]
+        .map(f64::to_bits)
+    };
+    let mut checked = 0;
+    for family in [
+        "rrg:16x8x4",
+        "rrg:24x10x6",
+        "rrg:40x12x8",
+        "vl2:4x4",
+        "vl2:6x6",
+        "two-cluster:10x12x4-20x8x3-12",
+        "fat-tree:4",
+    ] {
+        let point: TopologyPoint = family.parse().unwrap();
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let topo = (point.build)(&mut rng).unwrap();
+            let tm = Tm::random_permutation(topo.server_count(), &mut rng);
+            let engine = ThroughputEngine::new(&topo);
+            let res = engine.solve(&tm, &FlowOptions::fast()).unwrap();
+            let model =
+                decompose_model(&topo.graph, res.solved.as_ref().unwrap(), &res.commodities);
+            let got = res.decomposition(engine.net()).unwrap();
+            assert_eq!(bits(&got), bits(&model.unwrap()), "{family} seed {seed}");
+
+            let s = &topo.servers_at;
+            let mut server_pairs = Vec::new();
+            for u in (0..s.len()).filter(|&u| s[u] > 0) {
+                for v in (0..s.len()).filter(|&v| v != u && s[v] > 0) {
+                    let demand = (s[u] * s[v]) as f64;
+                    server_pairs.push(Commodity {
+                        src: u,
+                        dst: v,
+                        demand,
+                    });
+                }
+            }
+            let servers = topo.server_count() as f64;
+            let aspl = hop_alpha(engine.net(), &server_pairs) / (servers * (servers - 1.0));
+            assert_eq!(
+                aspl.to_bits(),
+                fig10_aspl_model(&topo).to_bits(),
+                "{family} seed {seed}: server-weighted ASPL"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 56);
+}
+
+/// `path_stats` is exact where the Moore tree is achievable — the
+/// complete graph (ASPL 1) and the cycle C_9 (ASPL 2.5) equal `d*` —
+/// and never below `d*` on random regular graphs.
+#[test]
+fn path_stats_pins_against_the_moore_bound() {
+    use dctopo::topology::classic::complete;
+
+    for n in [4usize, 6, 9] {
+        let aspl = path_stats(&complete(n, 1).unwrap().graph).unwrap().aspl;
+        assert!((aspl - 1.0).abs() < 1e-12);
+        assert!((aspl - aspl_lower_bound(n, n - 1).unwrap()).abs() < 1e-12);
+    }
+    let mut ring = Graph::new(9);
+    for v in 0..9 {
+        ring.add_unit_edge(v, (v + 1) % 9).unwrap();
+    }
+    let aspl = path_stats(&ring).unwrap().aspl;
+    assert!((aspl - 2.5).abs() < 1e-12);
+    assert!((aspl - aspl_lower_bound(9, 2).unwrap()).abs() < 1e-12);
+    let bound = aspl_lower_bound(20, 4).unwrap();
+    for seed in 0..10u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = Topology::random_regular(20, 8, 4, &mut rng).unwrap();
+        let aspl = path_stats(&topo.graph).unwrap().aspl;
+        assert!(
+            aspl >= bound - 1e-12,
+            "seed {seed}: ASPL {aspl} below bound {bound}"
+        );
+    }
+}
+
 /// Cross-backend differential on degraded scenarios — the 50-seeded-
 /// graph pin extended to failure deltas. On each seeded graph a seeded
 /// set of links fails through `CsrNet::with_disabled_arcs`; then:

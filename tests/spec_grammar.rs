@@ -172,3 +172,61 @@ fn hotspot_traffic_is_accepted_by_the_flag_form_commands() {
         );
     }
 }
+
+/// A boundary input ends in the given exit code with `needle` on
+/// stderr, before anything reaches stdout: no panic (exit 101) and no
+/// made-up result.
+fn rejects(cmd: &str, code: i32, needle: &str) {
+    let args: Vec<&str> = cmd.split_whitespace().collect();
+    let out = topobench(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(code),
+        "`topobench {cmd}`:\n{stderr}"
+    );
+    assert!(stderr.contains(needle), "`topobench {cmd}`:\n{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "`topobench {cmd}` printed:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// Theorem 1 has no value for zero flows; it used to panic in
+/// `dctopo-bounds`.
+#[test]
+fn bounds_rejects_zero_flows() {
+    rejects(
+        "bounds --switches 5 --degree 3 --flows 0",
+        2,
+        "--flows must be positive",
+    );
+}
+
+/// Zero runs made every ToR count vacuously supported ("+100.0%").
+#[test]
+fn vl2_study_rejects_zero_runs() {
+    rejects(
+        "vl2-study --da 4 --di 4 --runs 0",
+        2,
+        "--runs must be positive",
+    );
+}
+
+/// An impossible VL2 used to print "design capacity 0 ToRs" and results.
+#[test]
+fn vl2_study_rejects_invalid_params() {
+    rejects("vl2-study --da 0 --di 0", 1, "D_A must be even ≥ 2");
+}
+
+/// A negative temperature made the pruning floor four times the
+/// incumbent λ, so nothing was ever certified.
+#[test]
+fn search_rejects_negative_temperature() {
+    rejects(
+        "search --family rrg:8x6x3 --temperature -1",
+        1,
+        "temperature must be finite",
+    );
+}
