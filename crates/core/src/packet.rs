@@ -419,6 +419,7 @@ impl<'t> ThroughputEngine<'t> {
                 .field("delivered", result.delivered)
                 .field("drops", result.drops)
                 .field("retransmits", result.retransmits)
+                .field("peak_queue", result.peak_queue)
                 // a string: the hash does not fit a JSON number's 2^53
                 .field("trace_hash", format!("{:#018x}", result.trace_hash))
                 .nd("sim_us", dctopo_obs::us_since(t_sim))

@@ -45,10 +45,17 @@
 //! merged agenda*), against 57–60 ns with every event in the calendar.
 //! The figure is read, not assumed: dcbench reports it as
 //! `packetsim.ns_per_event` on the `design-witness` workload
-//! (`benchmark/README.md`). The hot loop allocates nothing per packet:
-//! link queues are rings in one shared slab, transport windows are
-//! fixed bitmaps, events are `Copy`, and the lanes and buckets only
-//! grow.
+//! (`benchmark/README.md`). The hot loop allocates nothing per packet,
+//! and what the simulator holds follows what is in flight, not the
+//! configured bounds: a link's queue is a `VecDeque` that grows to the
+//! most packets the link has held (never to [`SimConfig::queue`]), a
+//! paced run keeps 16 bytes a path (window state exists in window mode
+//! only, as fixed bitmaps), events are `Copy`, each lane grows to the
+//! most events of its kind in flight, and the calendar passes drained
+//! buckets' buffers on, retaining storage for the buckets that hold
+//! events at once rather than for all 512. On the benchmark's witness
+//! `simulate` stays below the solve's own memory peak (`docs/PERF_NOTES.md`,
+//! *The witness's footprint*).
 
 #![warn(missing_docs)]
 

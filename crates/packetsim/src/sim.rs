@@ -8,11 +8,16 @@
 //! (FIFO lanes in front of the calendar queue) and the reference binary
 //! heap produce byte-for-byte the same [`SimResult`].
 //!
-//! All per-packet state lives in pre-sized arenas: link queues share
-//! one packet slab (ring buffers at `arc_id * queue_cap`), transport
-//! windows are fixed-size bitmaps, and events are `Copy` structs inside
-//! the scheduler. After setup the hot loop performs no heap allocation
-//! beyond the scheduler's amortised lane and bucket growth.
+//! Storage follows what is in flight, not the configured bounds: each
+//! link's drop-tail queue is a `VecDeque` that grows to the most packets
+//! the link has held (never to [`SimConfig::queue`]), a paced run keeps
+//! an injection interval and a sequence counter per path and nothing
+//! else, and the calendar hands a drained bucket's buffer to the next
+//! bucket that needs one. Window mode's per-subflow state is fixed-size
+//! (bitmaps and a pre-sized retransmission stack), and events are
+//! `Copy` structs inside the scheduler. The hot loop allocates only
+//! when a link queue, a lane or a bucket buffer reaches a new
+//! high-water mark.
 
 use std::collections::VecDeque;
 
@@ -26,6 +31,10 @@ use crate::transport::{Receiver, Subflow, MAX_CWND};
 /// Integer ticks per model time unit. A power of two, so tick
 /// arithmetic on round rates stays exact.
 pub const TICKS_PER_UNIT: u64 = 1 << 20;
+
+/// A run ends before tick 2^63: a longer duration would saturate its end
+/// to `u64::MAX`, and paced sources re-arm until the end.
+const MAX_END_TICKS: f64 = (1u64 << 63) as f64;
 
 /// Which traffic generator drives the flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,6 +128,9 @@ pub struct SimResult {
     pub retransmits: u64,
     /// Events processed (whole run).
     pub events: u64,
+    /// The most packets any one link held at once, counting the one in
+    /// service (whole run); at most [`SimConfig::queue`].
+    pub peak_queue: usize,
     /// FNV-1a hash over the processed event trace — the determinism
     /// fingerprint pinned by the regression corpus.
     pub trace_hash: u64,
@@ -165,6 +177,23 @@ fn ticks(t: f64) -> u64 {
     ((t * TICKS_PER_UNIT as f64).round() as u64).max(1)
 }
 
+/// Per-path source state. The variant is the [`TransportMode`], so a
+/// paced run carries no window state.
+enum Transport {
+    /// Open-loop sources: per path, the injection interval (ticks) and
+    /// the next sequence to inject.
+    Paced {
+        interval: Vec<u64>,
+        next_seq: Vec<u64>,
+    },
+    /// Closed-loop sources: per path, one AIMD subflow and the receiver
+    /// of its sequence space.
+    Window {
+        subflows: Vec<Subflow>,
+        receivers: Vec<Receiver>,
+    },
+}
+
 /// Flattened, validated simulation state.
 struct Engine {
     net: SimNet,
@@ -174,16 +203,9 @@ struct Engine {
     path_flow: Vec<u32>,
     // flow f owns paths flow_paths[f].0 .. flow_paths[f].1
     flow_paths: Vec<(u32, u32)>,
-    // paced mode: injection interval per path (ticks)
-    interval: Vec<u64>,
-    // window mode transport state
-    subflows: Vec<Subflow>,
-    receivers: Vec<Receiver>,
-    // per-link ring queues in one slab: packets of link a live at
-    // [a * queue_cap, (a+1) * queue_cap)
-    slab: Vec<Pkt>,
-    q_head: Vec<u32>,
-    q_len: Vec<u32>,
+    transport: Transport,
+    // per-link drop-tail FIFO, head in service
+    queues: Vec<VecDeque<Pkt>>,
     // timing
     end: u64,
     warm: u64,
@@ -194,7 +216,7 @@ struct Engine {
     delivered: u64,
     drops: u64,
     retransmits: u64,
-    window: bool,
+    peak_queue: usize,
 }
 
 /// Finite and strictly positive — the validity test for every rate,
@@ -234,8 +256,6 @@ impl Engine {
         let mut path_flow = Vec::new();
         let mut flow_paths = Vec::new();
         let mut interval = Vec::new();
-        let mut subflows = Vec::new();
-        let mut receivers_len = 0usize;
         let window = cfg.mode == TransportMode::Window;
         for (f, flow) in flows.iter().enumerate() {
             if flow.src == flow.dst {
@@ -270,19 +290,19 @@ impl Engine {
                 path_arcs.extend(path.arcs.iter().map(|&a| a as u32));
                 path_off.push(path_arcs.len() as u32);
                 path_flow.push(f as u32);
-                let rate = flow.rate * path.weight / weight_sum;
-                interval.push(if window {
-                    0
-                } else {
-                    ((TICKS_PER_UNIT as f64 / rate).round() as u64).max(1)
-                });
-                subflows.push(Subflow::new(cfg.initial_cwnd));
-                receivers_len += 1;
+                if !window {
+                    let rate = flow.rate * path.weight / weight_sum;
+                    interval.push(((TICKS_PER_UNIT as f64 / rate).round() as u64).max(1));
+                }
             }
             flow_paths.push((first, path_off.len() as u32 - 1));
         }
-        let m = sim_net.service_ticks.len();
-        let queue_cap = cfg.queue;
+        if cfg.duration * TICKS_PER_UNIT as f64 >= MAX_END_TICKS {
+            return Err(SimError::BadConfig(format!(
+                "duration {:?} ends beyond tick 2^63",
+                cfg.duration
+            )));
+        }
         let end = ticks(cfg.duration);
         let warm = (cfg.warmup * TICKS_PER_UNIT as f64).round() as u64;
         if warm >= end {
@@ -291,25 +311,26 @@ impl Engine {
                 cfg.warmup, cfg.duration
             )));
         }
+        let paths = path_flow.len();
+        let transport = if window {
+            Transport::Window {
+                subflows: (0..paths).map(|_| Subflow::new(cfg.initial_cwnd)).collect(),
+                receivers: (0..paths).map(|_| Receiver::new()).collect(),
+            }
+        } else {
+            Transport::Paced {
+                interval,
+                next_seq: vec![0; paths],
+            }
+        };
         Ok(Engine {
+            queues: vec![VecDeque::new(); sim_net.service_ticks.len()],
             net: sim_net,
             path_arcs,
             path_off,
             path_flow,
             flow_paths,
-            interval,
-            subflows,
-            receivers: (0..receivers_len).map(|_| Receiver::new()).collect(),
-            slab: vec![
-                Pkt {
-                    path: 0,
-                    hop: 0,
-                    seq: 0
-                };
-                m * queue_cap
-            ],
-            q_head: vec![0; m],
-            q_len: vec![0; m],
+            transport,
             end,
             warm,
             rto_ticks: ticks(cfg.rto),
@@ -318,7 +339,7 @@ impl Engine {
             delivered: 0,
             drops: 0,
             retransmits: 0,
-            window,
+            peak_queue: 0,
         })
     }
 
@@ -349,19 +370,15 @@ impl Engine {
     /// Enqueue `pkt` on `link` at time `now`, drop-tail on overflow.
     fn enqueue<Q: EventScheduler<Ev>>(&mut self, q: &mut Q, now: u64, link: u32, pkt: Pkt) {
         let l = link as usize;
-        let cap = self.net.queue_cap as u32;
-        if self.q_len[l] == cap {
+        let queue = &mut self.queues[l];
+        if queue.len() == self.net.queue_cap {
             self.drops += 1;
             return;
         }
-        // head < cap and len < cap: one subtraction wraps the ring
-        let mut slot = self.q_head[l] + self.q_len[l];
-        if slot >= cap {
-            slot -= cap;
-        }
-        self.slab[l * cap as usize + slot as usize] = pkt;
-        self.q_len[l] += 1;
-        if self.q_len[l] == 1 {
+        queue.push_back(pkt);
+        let held = queue.len();
+        self.peak_queue = self.peak_queue.max(held);
+        if held == 1 {
             self.at(q, now, self.net.service_ticks[l], Ev::TxDone { link });
         }
     }
@@ -369,8 +386,16 @@ impl Engine {
     /// Send as many packets as `path`'s windows admit (window mode).
     fn try_send<Q: EventScheduler<Ev>>(&mut self, q: &mut Q, now: u64, path: u32) {
         let first_arc = self.path_arc(path, 0);
-        while self.subflows[path as usize].can_send() {
-            let (seq, is_rtx, gen) = self.subflows[path as usize].take_seq();
+        loop {
+            let Transport::Window { subflows, .. } = &mut self.transport else {
+                unreachable!("paced sources have no window");
+            };
+            let sf = &mut subflows[path as usize];
+            if !sf.can_send() {
+                return;
+            }
+            let (seq, is_rtx, gen) = sf.take_seq();
+            let backoff = sf.backoff;
             if is_rtx {
                 self.retransmits += 1;
             }
@@ -378,8 +403,7 @@ impl Engine {
             // exponential backoff plus a deterministic per-send phase
             // jitter: retries sample different positions in the
             // contention cycle, breaking drop-tail lockout without RNG
-            let sf = &self.subflows[path as usize];
-            let rto = self.rto_ticks.saturating_mul(1 << sf.backoff.min(6));
+            let rto = self.rto_ticks.saturating_mul(1 << backoff.min(6));
             let jitter = seq
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(u64::from(gen).wrapping_mul(0xD1B5_4A32_D192_ED03))
@@ -402,46 +426,44 @@ impl Engine {
     }
 
     fn dispatch<Q: EventScheduler<Ev>>(&mut self, q: &mut Q, t: u64, ev: Ev) {
-        match ev {
-            Ev::TxDone { link } => {
+        match (ev, &mut self.transport) {
+            (Ev::TxDone { link }, _) => {
                 let l = link as usize;
-                let cap = self.net.queue_cap as u32;
-                debug_assert!(self.q_len[l] > 0);
-                let pkt = self.slab[l * cap as usize + self.q_head[l] as usize];
-                let head = self.q_head[l] + 1;
-                self.q_head[l] = if head == cap { 0 } else { head };
-                self.q_len[l] -= 1;
+                let queue = &mut self.queues[l];
+                let pkt = queue.pop_front().expect("TxDone on an idle link");
+                let busy = !queue.is_empty();
                 self.at(q, t, self.net.delay_ticks, Ev::Arrive { link, pkt });
-                if self.q_len[l] > 0 {
+                if busy {
                     self.at(q, t, self.net.service_ticks[l], Ev::TxDone { link });
                 }
             }
-            Ev::Arrive { link: _, pkt } => {
+            (Ev::Arrive { link: _, pkt }, _) => {
                 let hop = pkt.hop + 1;
                 let p = pkt.path;
                 if hop == self.path_len(p) {
                     let flow = self.path_flow[p as usize];
-                    if self.window {
-                        // one receiver per subflow: each path carries
-                        // its own sequence space
-                        if self.receivers[p as usize].on_packet(pkt.seq) {
-                            self.deliver(t, flow);
+                    match &mut self.transport {
+                        Transport::Paced { .. } => self.deliver(t, flow),
+                        Transport::Window { receivers, .. } => {
+                            // one receiver per subflow: each path carries
+                            // its own sequence space
+                            if receivers[p as usize].on_packet(pkt.seq) {
+                                self.deliver(t, flow);
+                            }
+                            // ACK even duplicates: the sender's own dedup
+                            // handles them, and a lost original must not
+                            // strand the retransmission unacked
+                            let hops = u64::from(self.path_len(p));
+                            self.at(
+                                q,
+                                t,
+                                hops.saturating_mul(self.ack_hop_ticks),
+                                Ev::Ack {
+                                    path: p,
+                                    seq: pkt.seq,
+                                },
+                            );
                         }
-                        // ACK even duplicates: the sender's own dedup
-                        // handles them, and a lost original must not
-                        // strand the retransmission unacked
-                        let hops = u64::from(self.path_len(p));
-                        self.at(
-                            q,
-                            t,
-                            hops.saturating_mul(self.ack_hop_ticks),
-                            Ev::Ack {
-                                path: p,
-                                seq: pkt.seq,
-                            },
-                        );
-                    } else {
-                        self.deliver(t, flow);
                     }
                 } else {
                     let next = self.path_arc(p, hop);
@@ -457,46 +479,51 @@ impl Engine {
                     );
                 }
             }
-            Ev::Ack { path, seq } => {
-                if self.subflows[path as usize].on_ack(seq) {
+            (Ev::Ack { path, seq }, Transport::Window { subflows, .. }) => {
+                if subflows[path as usize].on_ack(seq) {
                     // MPTCP-LIA coupled increase: +1/total over the
                     // flow's subflow windows, on the acked subflow
                     let flow = self.path_flow[path as usize] as usize;
                     let (lo, hi) = self.flow_paths[flow];
-                    let total: f64 = (lo..hi).map(|p| self.subflows[p as usize].cwnd).sum();
-                    let sf = &mut self.subflows[path as usize];
+                    let total: f64 = (lo..hi).map(|p| subflows[p as usize].cwnd).sum();
+                    let sf = &mut subflows[path as usize];
                     sf.cwnd = (sf.cwnd + 1.0 / total).min(MAX_CWND);
                 }
                 self.try_send(q, t, path);
             }
-            Ev::Timeout { path, seq, gen } => {
-                self.subflows[path as usize].on_timeout(seq, gen);
+            (Ev::Timeout { path, seq, gen }, Transport::Window { subflows, .. }) => {
+                subflows[path as usize].on_timeout(seq, gen);
                 self.try_send(q, t, path);
             }
-            Ev::Inject { path } => {
-                let sf = &mut self.subflows[path as usize];
-                let seq = sf.next_seq;
-                sf.next_seq += 1;
+            (Ev::Inject { path }, Transport::Paced { interval, next_seq }) => {
+                let every = interval[path as usize];
+                let seq = next_seq[path as usize];
+                next_seq[path as usize] += 1;
                 let first_arc = self.path_arc(path, 0);
                 self.enqueue(q, t, first_arc, Pkt { path, hop: 0, seq });
-                self.at(q, t, self.interval[path as usize], Ev::Inject { path });
+                self.at(q, t, every, Ev::Inject { path });
+            }
+            (Ev::Ack { .. } | Ev::Timeout { .. } | Ev::Inject { .. }, _) => {
+                unreachable!("a source event of the other transport mode")
             }
         }
     }
 
     fn run<Q: EventScheduler<Ev>>(mut self, q: &mut Q) -> SimResult {
         // prime the sources
-        if self.window {
-            for p in 0..self.subflows.len() as u32 {
-                self.try_send(q, 0, p);
+        match &self.transport {
+            Transport::Window { subflows, .. } => {
+                for p in 0..subflows.len() as u32 {
+                    self.try_send(q, 0, p);
+                }
             }
-        } else {
-            for p in 0..self.interval.len() as u32 {
-                // stagger starts deterministically so synchronized
-                // sources do not phase-lock on shared queues
-                let start =
-                    (u64::from(p)).wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.interval[p as usize];
-                self.at(q, 0, start, Ev::Inject { path: p });
+            Transport::Paced { interval, .. } => {
+                for (p, &every) in interval.iter().enumerate() {
+                    // stagger starts deterministically so synchronized
+                    // sources do not phase-lock on shared queues
+                    let start = (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % every;
+                    self.at(q, 0, start, Ev::Inject { path: p as u32 });
+                }
             }
         }
         let mut events = 0u64;
@@ -537,6 +564,7 @@ impl Engine {
             drops: self.drops,
             retransmits: self.retransmits,
             events,
+            peak_queue: self.peak_queue,
             trace_hash: hash.finish(),
         }
     }
@@ -1033,5 +1061,43 @@ mod tests {
         assert!(ack[0] > 0 && ack[1] > 0, "Ack {ack:?}");
         // one propagation delay for every link: Arrive is never refused
         assert!(arrive[0] > 0 && arrive[1] == 0, "Arrive {arrive:?}");
+    }
+
+    /// Paced sources over mixed line rates, with queues small enough to
+    /// fill: the heap realises the same run, and the peak occupancy
+    /// never passes the bound — and has reached it wherever drop-tail
+    /// shed.
+    #[test]
+    fn paced_mixed_capacities_match_heap_within_the_queue_bound() {
+        let mut shed = [0u32; 2];
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let palette: &[f64] = if seed % 2 == 0 {
+                &[1.0, 3.5]
+            } else {
+                &[2.0, 0.75, 9.0]
+            };
+            let (net, flows) = braid(&mut rng, palette);
+            let queue = rng.random_range(1..=8);
+            let cfg = SimConfig {
+                mode: TransportMode::Paced,
+                duration: 30.0,
+                warmup: 5.0,
+                queue,
+                ..SimConfig::default()
+            };
+            let res = simulate(&net, &flows, &cfg).unwrap();
+            assert_eq!(
+                res,
+                simulate_with_heap(&net, &flows, &cfg).unwrap(),
+                "seed {seed}"
+            );
+            assert!((1..=queue).contains(&res.peak_queue), "seed {seed}");
+            if res.drops > 0 {
+                assert_eq!(res.peak_queue, queue, "seed {seed}");
+            }
+            shed[usize::from(res.drops > 0)] += 1;
+        }
+        assert!(shed[0] > 0 && shed[1] > 0, "{shed:?}");
     }
 }

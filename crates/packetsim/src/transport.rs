@@ -1,10 +1,11 @@
 //! Window-based transport state: a per-path AIMD subflow (coupled
 //! across a flow's paths, MPTCP-LIA style, by the engine) and a
-//! per-flow receiver that deduplicates deliveries.
+//! per-path receiver that deduplicates deliveries.
 //!
-//! All state is fixed-size — sequence bitmaps are [`WINDOW_CAP`]-bit
-//! rings and the retransmission stack is pre-allocated — so transport
-//! processing never allocates per packet.
+//! Window mode only: a paced run builds none of it. All state is
+//! fixed-size — sequence bitmaps are [`WINDOW_CAP`]-bit rings and the
+//! retransmission stack is pre-allocated, about 5.3 KB a path — so
+//! transport processing never allocates per packet.
 
 /// Sender/receiver window in packets. Power of two; bounds how far
 /// `next_seq` may run ahead of the cumulative ACK, so the bitmaps
@@ -202,7 +203,7 @@ impl Subflow {
     }
 }
 
-/// Receiver-side state of one flow: cumulative receive point plus a
+/// Receiver-side state of one subflow: cumulative receive point plus a
 /// window bitmap, deduplicating late retransmissions.
 pub(crate) struct Receiver {
     cum: u64,

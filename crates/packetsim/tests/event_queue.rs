@@ -94,6 +94,46 @@ fn calendar_matches_heap_on_random_workload() {
     }
 }
 
+/// The differential on a workload that keeps draining buckets and
+/// refilling others, so pushes land in recycled buffers through both of
+/// the calendar's paths. On one-tick buckets (a 512-tick epoch), every
+/// round pushes 48 events into the 40 ticks ahead of the clock — into
+/// buckets that own no buffer, so each takes one a drained bucket gave
+/// up — and parks 8 more 512 to 4,096 ticks ahead, past the epoch. It
+/// then pops 52: the parked events come back when their epoch opens,
+/// and the rollover that opens it redistributes them into recycled
+/// buffers as well.
+#[test]
+fn calendar_matches_heap_through_recycled_buckets() {
+    for seed in [3u64, 11] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cal: CalendarQueue<u32> = CalendarQueue::with_width_hint(1);
+        let mut heap: HeapScheduler<u32> = HeapScheduler::new();
+        let (mut now, mut item) = (0u64, 0u32);
+        for round in 0..400 {
+            for i in 0..56 {
+                let ahead = if i < 48 {
+                    rng.random_range(0..40)
+                } else {
+                    rng.random_range(512..4_096)
+                };
+                cal.push(now + ahead, item);
+                heap.push(now + ahead, item);
+                item += 1;
+            }
+            for _ in 0..52 {
+                let popped = cal.pop();
+                assert_eq!(popped, heap.pop(), "round {round} (seed {seed})");
+                now = popped.unwrap().0;
+            }
+        }
+        while let Some(popped) = cal.pop() {
+            assert_eq!(Some(popped), heap.pop(), "drain (seed {seed})");
+        }
+        assert!(heap.is_empty());
+    }
+}
+
 /// Monotone pop order and exact FIFO on ties, checked directly.
 #[test]
 fn pop_order_is_total_and_fifo_on_ties() {

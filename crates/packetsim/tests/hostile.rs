@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use dctopo_graph::{CsrNet, Graph};
 use dctopo_packetsim::{
-    simulate, FlowSpec, PathSpec, SimConfig, SimError, SimResult, TransportMode,
+    simulate, FlowSpec, PathSpec, SimConfig, SimError, SimResult, TransportMode, TICKS_PER_UNIT,
 };
 
 /// A directed line `0 → 1 → … → caps.len()` with the given capacities.
@@ -137,4 +137,54 @@ fn astronomical_link_delay_delivers_nothing() {
     let res = guarded(&[1.0], 0.5, cfg).unwrap();
     // 10 injections, each serialized once: Inject + TxDone
     assert_eq!((res.events, res.delivered, res.drops), (20, 0, 0));
+}
+
+/// Queue bounds no link comes near. The queues were one slab of
+/// `arcs × queue` packets: `u32::MAX + 1` asked for terabytes and
+/// aborted the process, `1 << 60` wrapped the product to an empty slab
+/// while `queue as u32` read 0, so every packet dropped. A link queue
+/// holds what is queued now, so any bound above the peak is one run.
+#[test]
+fn queue_bounds_past_the_peak_are_the_same_run() {
+    for (mode, rate) in [(TransportMode::Paced, 0.9), (TransportMode::Window, 0.0)] {
+        let cfg = |queue| SimConfig {
+            mode,
+            queue,
+            ..paced()
+        };
+        let reference = guarded(&[1.0, 0.5], rate, cfg(1 << 20)).unwrap();
+        assert!(reference.peak_queue > 1, "{mode:?}: {reference:?}");
+        assert_eq!(reference.drops, 0, "{mode:?}");
+        for queue in [u32::MAX as usize + 1, 1 << 60, usize::MAX] {
+            let res = guarded(&[1.0, 0.5], rate, cfg(queue)).unwrap();
+            assert_eq!(res, reference, "{mode:?}, queue {queue}");
+        }
+    }
+}
+
+/// `duration: 1e300` saturated the end tick to `u64::MAX`, and paced
+/// sources re-arm until the end: the run never returned. An end at or
+/// past tick 2^63 is the typed error; a long run that fits is the
+/// caller's to ask for.
+#[test]
+fn duration_past_the_tick_range_is_a_typed_error() {
+    let first_too_long = (1u64 << 63) as f64 / TICKS_PER_UNIT as f64;
+    for duration in [1e300, f64::MAX, first_too_long] {
+        let cfg = SimConfig {
+            duration,
+            ..paced()
+        };
+        let err = guarded(&[1.0], 0.5, cfg).unwrap_err();
+        assert!(
+            matches!(&err, SimError::BadConfig(msg) if msg.contains("duration")),
+            "{duration}: {err}"
+        );
+    }
+    // just inside the range: a source with one packet to send ends at once
+    let cfg = SimConfig {
+        duration: first_too_long * 0.99,
+        ..paced()
+    };
+    let res = guarded(&[1.0], 1e-14, cfg).unwrap();
+    assert_eq!((res.events, res.delivered, res.drops), (3, 0, 0));
 }

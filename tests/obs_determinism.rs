@@ -229,6 +229,8 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
     assert_eq!(count("delivered"), Some(plain.delivered));
     assert_eq!(count("drops"), Some(plain.drops));
     assert_eq!(count("retransmits"), Some(plain.retransmits));
+    assert_eq!(count("peak_queue"), Some(plain.peak_queue as u64));
+    assert!((1..=PacketParams::default().queue).contains(&plain.peak_queue));
     assert_eq!(
         ev.get("trace_hash").and_then(obs::Json::as_str),
         Some(format!("{:#018x}", plain.trace_hash).as_str())

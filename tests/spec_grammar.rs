@@ -193,6 +193,46 @@ fn rejects(cmd: &str, code: i32, needle: &str) {
     );
 }
 
+/// Queue bounds no link reaches print the run any such bound prints.
+/// The link queues were one slab of `arcs × queue` packets: `2^32 + 1`
+/// aborted on a 3 TiB allocation, and `2^60` wrapped the slab to nothing
+/// while `queue as u32` read 0, so every packet dropped and the law
+/// still read "upheld".
+#[test]
+fn packetsim_queue_bounds_past_the_peak_print_one_run() {
+    const SIM: &str =
+        "packetsim rrg --switches 12 --ports 8 --degree 4 --duration 5 --warmup 1 --queue";
+    let run = |queue: &str| {
+        let cmd = format!("{SIM} {queue}");
+        let out = topobench(&cmd.split_whitespace().collect::<Vec<_>>());
+        assert!(
+            out.status.success(),
+            "`topobench {cmd}`:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let reference = run("1000000");
+    assert!(
+        reference.contains("sim: 395 events, 72 delivered, 0 drops"),
+        "{reference}"
+    );
+    for queue in ["4294967297", "1152921504606846976"] {
+        assert_eq!(run(queue), reference, "--queue {queue}");
+    }
+}
+
+/// A duration whose end tick does not fit below 2^63 saturated to
+/// `u64::MAX`, and the paced sources never stopped.
+#[test]
+fn packetsim_rejects_a_duration_past_the_tick_range() {
+    rejects(
+        "packetsim rrg --switches 12 --ports 8 --degree 4 --duration 1e300 --warmup 1",
+        1,
+        "duration 1e300 ends beyond tick 2^63",
+    );
+}
+
 /// Theorem 1 has no value for zero flows; it used to panic in
 /// `dctopo-bounds`.
 #[test]
