@@ -119,7 +119,7 @@ pub struct CutProbe {
     /// Display name (`class:large`, `bisection:0`, ...).
     pub name: String,
     /// `membership[v]` — switch `v` is on the "true" side. Switches
-    /// added later (growth moves) default to the "false" side.
+    /// beyond the vector are on the "false" side.
     pub membership: Vec<bool>,
     /// `Σ demand` of commodities whose endpoints straddle the cut.
     pub cross_demand: f64,
@@ -164,7 +164,7 @@ impl CutProbe {
     }
 
     /// Which side switch `v` is on (switches beyond the membership
-    /// vector — growth moves — land on the "false" side).
+    /// vector land on the "false" side).
     #[inline]
     pub fn side(&self, v: usize) -> bool {
         self.membership.get(v).copied().unwrap_or(false)

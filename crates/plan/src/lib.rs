@@ -43,13 +43,9 @@
 //! [`dctopo_core::ThroughputEngine`]) ever *accepts* a step. Because
 //! the transient view is pointwise dominated by the post-step state,
 //! its certificate also certifies the completed prefix.
-//! [`planner::Fidelity::CertifyAll`] keeps the scan order but skips the
-//! screens and certifies everything — same decisions, more solves.
-//! The speedup claim is benchmarked against the honest naive search,
-//! [`planner::PlanSpec::baseline`]: declaration-ordered first-fit with
-//! no bound machinery at all, which must also pay the certificates the
-//! dominance theorem makes redundant (every landed prefix state and
-//! every singleton stage).
+//! `planner::tests::every_screen_bounds_the_certified_lambda_of_its_view`
+//! certifies every candidate view along a returned order against the
+//! bound that screens it.
 //!
 //! ## Counter-example-guided pruning
 //!
@@ -91,6 +87,6 @@ pub mod planner;
 
 pub use migration::{cross_churn, maintenance_churn, Migration, UnionEdge};
 pub use planner::{
-    plan_migration, Conflict, DegradedPlan, Fidelity, MigrationPlan, PlanError, PlanSpec,
-    PlanStage, PlanStats,
+    plan_migration, Conflict, DegradedPlan, MigrationPlan, PlanError, PlanSpec, PlanStage,
+    PlanStats,
 };

@@ -11,7 +11,6 @@ use dctopo_core::ThroughputEngine;
 use dctopo_flow::{Commodity, FlowError, FlowOptions};
 use dctopo_graph::mix::{derive_seed, Fnv1a};
 use dctopo_graph::{CsrNet, GraphError};
-pub use dctopo_search::Fidelity;
 use dctopo_topology::Topology;
 use dctopo_traffic::TrafficMatrix;
 use rayon::prelude::*;
@@ -37,30 +36,13 @@ pub struct PlanSpec {
     pub floor: Option<f64>,
     /// Flow-solver profile used for every certification.
     pub opts: FlowOptions,
-    /// [`Fidelity::Ladder`] screens steps with sound upper bounds
-    /// before paying for a certified solve; [`Fidelity::CertifyAll`]
-    /// certifies every attempted step (same decisions, more solves).
-    pub fidelity: Fidelity,
     /// Number of seeded random-bisection cut probes (the switch-class
     /// probe, when the topology is heterogeneous, rides along).
     pub cut_probes: usize,
-    /// Learn hard ordering constraints from floor violations
-    /// (counter-example-guided pruning) and memoize failing steps.
-    pub learn: bool,
     /// Hard budget on certified solves during the ordering search; when
     /// exhausted the planner falls back to the degraded best-floor
     /// ordering.
     pub max_solves: usize,
-    /// Run as the *naive ordering search* the planner is benchmarked
-    /// against: candidates are scanned in declaration (index) order
-    /// instead of best-bound-first, no bound is ever computed (so
-    /// nothing is screened regardless of [`PlanSpec::fidelity`]), and
-    /// the search pays the certificates a dominance-free planner needs
-    /// — every landed prefix state and every singleton stage is
-    /// certified separately instead of being covered by the transient
-    /// view's certificate. Meant to be combined with
-    /// [`Fidelity::CertifyAll`] and `learn: false`.
-    pub baseline: bool,
 }
 
 impl Default for PlanSpec {
@@ -70,11 +52,8 @@ impl Default for PlanSpec {
             floor_frac: 0.9,
             floor: None,
             opts: FlowOptions::fast(),
-            fidelity: Fidelity::Ladder,
             cut_probes: 4,
-            learn: true,
             max_solves: 10_000,
-            baseline: false,
         }
     }
 }
@@ -156,7 +135,7 @@ pub struct MigrationPlan {
     /// Certified λ of each sequential step's in-flight view, aligned
     /// with `order`.
     pub step_lambda: Vec<f64>,
-    /// Conflicts learned along the way (empty when learning is off).
+    /// Conflicts learned along the way.
     pub learned: Vec<Conflict>,
     /// Work counters.
     pub stats: PlanStats,
@@ -314,6 +293,47 @@ struct Planner<'a> {
 }
 
 impl<'a> Planner<'a> {
+    /// A planner over `mig` with its commodities and fixed probes; the
+    /// floor is set once the endpoints are certified.
+    fn new(
+        topo: &'a Topology,
+        tm: &'a TrafficMatrix,
+        mig: &'a Migration,
+        spec: &'a PlanSpec,
+    ) -> Result<Self, PlanError> {
+        let commodities = aggregate_commodities(topo, tm);
+        if commodities.is_empty() {
+            return Err(PlanError::Flow(FlowError::NoCommodities));
+        }
+        let mut probes = cut_probes(topo, &commodities, spec.cut_probes, spec.seed);
+        // The canonical index-halves bisection rides along as a fixed,
+        // seed-independent probe. Any cut yields a sound upper bound, so
+        // this costs nothing in soundness — and on homogeneous topologies
+        // (where the ladder has no switch-class probe) it is frequently
+        // the binding cut a churn migration fights over, which is what
+        // lets the bound ordering rank capacity-restoring moves above
+        // doomed capacity-removing ones instead of tie-breaking by index.
+        let n = topo.switch_count();
+        let membership = (0..n).map(|v| v < n / 2).collect();
+        probes.push(CutProbe::new("index-bisection", membership, &commodities));
+        Ok(Planner {
+            mig,
+            engine: ThroughputEngine::new(topo),
+            tm,
+            commodities,
+            probes,
+            spec,
+            floor: 0.0,
+            stats: PlanStats::default(),
+            solves_used: 0,
+            learned_preds: vec![Vec::new(); mig.move_count()],
+            conflicts: Vec::new(),
+            memo: HashMap::new(),
+            certified: HashMap::new(),
+            best_prefix: Vec::new(),
+        })
+    }
+
     /// Certified λ of `view`, or `None` when the search budget is
     /// spent. Solver errors certify nothing, so they read as λ = 0.
     fn certify_step(&mut self, view: &CsrNet) -> Option<f64> {
@@ -501,7 +521,7 @@ impl<'a> Planner<'a> {
                 {
                     continue;
                 }
-                if self.spec.learn && self.memo.contains_key(&(key.clone(), i)) {
+                if self.memo.contains_key(&(key.clone(), i)) {
                     self.stats.memo_hits += 1;
                     failed.last_mut().expect("depth stack").push(i);
                     continue;
@@ -509,77 +529,58 @@ impl<'a> Planner<'a> {
                 cands.push(i);
             }
 
-            // Parallel screening (skipped in baseline mode): sound
-            // upper bounds are computed for every candidate. They do
-            // two jobs — under [`Fidelity::Ladder`] they reject doomed
-            // steps without a solve, and under *both* fidelities they
-            // order the scan best-bound-first, so the planner certifies
-            // the most promising candidate (e.g. a capacity-restoring
-            // move when the floor is churn-tight) before paying for any
-            // other. The ordering is pure prioritisation: acceptance is
-            // still certified, and since the two fidelities share it,
-            // they still make identical decisions.
-            let screens: Option<Vec<Screen>> = if self.spec.baseline {
-                None
-            } else {
-                let this: &Planner<'a> = self;
-                let r: Result<Vec<Screen>, GraphError> = cands
-                    .par_iter()
-                    .map(|&i| {
-                        let view = this.mig.state_view(&applied, &[i])?;
-                        Ok(this.bound_on(&view, depth, i))
-                    })
-                    .collect();
-                Some(r?)
-            };
+            // Parallel screening: sound upper bounds are computed for
+            // every candidate. They do two jobs — they reject doomed
+            // steps without a solve, and they order the scan
+            // best-bound-first, so the planner certifies the most
+            // promising candidate (e.g. a capacity-restoring move when
+            // the floor is churn-tight) before paying for any other.
+            // The ordering is pure prioritisation: acceptance is still
+            // certified.
+            let this: &Planner<'a> = self;
+            let screens: Vec<Screen> = cands
+                .par_iter()
+                .map(|&i| {
+                    let view = this.mig.state_view(&applied, &[i])?;
+                    Ok(this.bound_on(&view, depth, i))
+                })
+                .collect::<Result<_, GraphError>>()?;
             let mut slots: Vec<usize> = (0..cands.len()).collect();
-            if let Some(s) = &screens {
-                slots.sort_by(|&x, &y| {
-                    s[y].bound
-                        .partial_cmp(&s[x].bound)
-                        .expect("bounds are never NaN")
-                        .then(cands[x].cmp(&cands[y]))
-                });
-            }
+            slots.sort_by(|&x, &y| {
+                screens[y]
+                    .bound
+                    .partial_cmp(&screens[x].bound)
+                    .expect("bounds are never NaN")
+                    .then(cands[x].cmp(&cands[y]))
+            });
 
             let mut chosen: Option<(usize, f64)> = None;
             let mut budget_gone = false;
             for &slot in &slots {
                 let i = cands[slot];
-                if self.spec.fidelity == Fidelity::Ladder {
-                    if let Some(screens) = &screens {
-                        let s = &screens[slot];
-                        if s.bound < self.floor {
-                            if s.hop_reject {
-                                self.stats.hop_rejected += 1;
-                            } else {
-                                self.stats.cut_rejected += 1;
-                            }
-                            failed.last_mut().expect("depth stack").push(i);
-                            if self.spec.learn {
-                                self.memo.insert((key.clone(), i), ());
-                            }
-                            if learn {
-                                self.try_learn(i, &applied, &order, s.bound)?;
-                            }
-                            continue;
-                        }
+                let s = &screens[slot];
+                let lam = if s.bound < self.floor {
+                    if s.hop_reject {
+                        self.stats.hop_rejected += 1;
+                    } else {
+                        self.stats.cut_rejected += 1;
                     }
-                }
-                let view = self.mig.state_view(&applied, &[i])?;
-                let Some(lam) = self.certify_step(&view) else {
-                    budget_gone = true;
-                    break;
+                    s.bound
+                } else {
+                    let view = self.mig.state_view(&applied, &[i])?;
+                    let Some(lam) = self.certify_step(&view) else {
+                        budget_gone = true;
+                        break;
+                    };
+                    self.stats.attempts += 1;
+                    if lam >= self.floor {
+                        chosen = Some((i, lam));
+                        break;
+                    }
+                    lam
                 };
-                self.stats.attempts += 1;
-                if lam >= self.floor {
-                    chosen = Some((i, lam));
-                    break;
-                }
                 failed.last_mut().expect("depth stack").push(i);
-                if self.spec.learn {
-                    self.memo.insert((key.clone(), i), ());
-                }
+                self.memo.insert((key.clone(), i), ());
                 if learn {
                     self.try_learn(i, &applied, &order, lam)?;
                 }
@@ -590,15 +591,6 @@ impl<'a> Planner<'a> {
             match chosen {
                 Some((i, lam)) => {
                     applied[i] = true;
-                    if self.spec.baseline {
-                        // a dominance-free search cannot reuse the
-                        // transient certificate for the landed prefix
-                        // state; the decision is unchanged (the landed
-                        // state pointwise dominates the in-flight view)
-                        // but the solve is paid
-                        let view = self.mig.state_view(&applied, &[])?;
-                        self.certify_unbudgeted(&view);
-                    }
                     order.push(i);
                     lams.push(lam);
                     failed.push(Vec::new());
@@ -638,16 +630,8 @@ impl<'a> Planner<'a> {
         while k < order.len() {
             let mut stage = vec![order[k]];
             // singleton stage view == the sequential step view, so its
-            // certificate is reused rather than re-solved — except in
-            // baseline mode, where the dominance argument is off the
-            // table and the re-certification is paid (same λ, bitwise:
-            // the views are identical and the solver is deterministic)
+            // certificate is reused rather than re-solved
             let mut lambda = step_lambda[k];
-            if self.spec.baseline {
-                let view = self.mig.state_view(&applied, &stage)?;
-                lambda = self.certify_unbudgeted(&view);
-                self.stats.stage_solves += 1;
-            }
             let mut j = k + 1;
             while j < order.len() {
                 let cand = order[j];
@@ -663,16 +647,14 @@ impl<'a> Planner<'a> {
                 let mut inflight = stage.clone();
                 inflight.push(cand);
                 let view = self.mig.state_view(&applied, &inflight)?;
-                if self.spec.fidelity == Fidelity::Ladder {
-                    let s = self.bound_on(&view, order.len() + j, cand);
-                    if s.bound < self.floor {
-                        if s.hop_reject {
-                            self.stats.hop_rejected += 1;
-                        } else {
-                            self.stats.cut_rejected += 1;
-                        }
-                        break;
+                let s = self.bound_on(&view, order.len() + j, cand);
+                if s.bound < self.floor {
+                    if s.hop_reject {
+                        self.stats.hop_rejected += 1;
+                    } else {
+                        self.stats.cut_rejected += 1;
                     }
+                    break;
                 }
                 let Some(lam) = self.certify_step(&view) else {
                     break; // budget spent: finish with singleton stages
@@ -772,6 +754,8 @@ type OrderOutcome = Option<(Vec<usize>, Vec<f64>)>;
 /// # Errors
 /// [`PlanError::NoSafeOrdering`] (with a degraded best-floor ordering
 /// inside) when the floor is unreachable within the solve budget;
+/// [`PlanError::InvalidMigration`] for a migration over another switch
+/// set, an empty migration, or a floor that is not finite or below 0;
 /// [`PlanError::Flow`] / [`PlanError::Graph`] on endpoint solve or
 /// view-construction failures.
 pub fn plan_migration(
@@ -787,46 +771,13 @@ pub fn plan_migration(
             topo.switch_count()
         )));
     }
-    let commodities = aggregate_commodities(topo, tm);
-    if commodities.is_empty() {
-        return Err(PlanError::Flow(FlowError::NoCommodities));
-    }
-    let mut probes = cut_probes(topo, &commodities, spec.cut_probes, spec.seed);
-    // The canonical index-halves bisection rides along as a fixed,
-    // seed-independent probe. Any cut yields a sound upper bound, so
-    // this costs nothing in soundness — and on homogeneous topologies
-    // (where the ladder has no switch-class probe) it is frequently the
-    // binding cut a churn migration fights over, which is what lets the
-    // bound ordering rank capacity-restoring moves above doomed
-    // capacity-removing ones instead of tie-breaking by index.
-    {
-        let n = topo.switch_count();
-        let mut membership = vec![false; n];
-        for side in membership.iter_mut().take(n / 2) {
-            *side = true;
-        }
-        probes.push(CutProbe::new(
-            "index-bisection".to_string(),
-            membership,
-            &commodities,
+    if migration.move_count() == 0 {
+        // the achieved floor is a min over stages: of none, it is ∞
+        return Err(PlanError::InvalidMigration(
+            "an empty migration has nothing to order".into(),
         ));
     }
-    let mut planner = Planner {
-        mig: migration,
-        engine: ThroughputEngine::new(topo),
-        tm,
-        commodities,
-        probes,
-        spec,
-        floor: 0.0,
-        stats: PlanStats::default(),
-        solves_used: 0,
-        learned_preds: vec![Vec::new(); migration.move_count()],
-        conflicts: Vec::new(),
-        memo: HashMap::new(),
-        certified: HashMap::new(),
-        best_prefix: Vec::new(),
-    };
+    let mut planner = Planner::new(topo, tm, migration, spec)?;
     let lambda_a = planner.certify(&migration.initial_view()?)?;
     let lambda_b = planner.certify(&migration.final_view()?)?;
     planner.floor = spec
@@ -838,11 +789,18 @@ pub fn plan_migration(
             planner.floor
         )));
     }
+    if planner.floor < 0.0 {
+        return Err(PlanError::InvalidMigration(format!(
+            "negative safety floor {} certifies nothing",
+            planner.floor
+        )));
+    }
 
-    let mut found = planner.find_order(spec.learn)?;
-    if found.is_none() && spec.learn {
-        // completeness parity with the naive search: retry once without
-        // honoring (or extending) learned constraints
+    let mut found = planner.find_order(true)?;
+    if found.is_none() {
+        // learned constraints can over-constrain: retry once without
+        // honoring (or extending) them, so pruning never costs
+        // completeness
         found = planner.find_order(false)?;
     }
     match found {
@@ -885,6 +843,8 @@ pub fn plan_migration(
 mod tests {
     use super::*;
     use crate::migration::cross_churn;
+    use dctopo_topology::hetero::{two_cluster, CrossSpec};
+    use dctopo_topology::ClusterSpec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -948,27 +908,97 @@ mod tests {
         assert!(best_floor < f64::MAX);
     }
 
-    #[test]
-    fn certify_all_and_ladder_agree_on_the_plan() {
-        let (topo, tm) = instance();
-        let moves = cross_churn(&topo, 2, 5).unwrap();
-        let mig = Migration::new(&topo, &moves).unwrap();
-        let base = PlanSpec {
-            floor_frac: 0.5,
-            ..PlanSpec::default()
-        };
-        let ladder = plan_migration(&topo, &tm, &mig, &base).unwrap();
-        let all = plan_migration(
-            &topo,
-            &tm,
-            &mig,
-            &PlanSpec {
-                fidelity: Fidelity::CertifyAll,
-                ..base
+    /// A two-cluster fabric whose 8 cross links carry all-to-all
+    /// traffic: the cut screens bind here, where the hop bound binds on
+    /// [`instance`].
+    fn scarce_cross_instance() -> (Topology, TrafficMatrix) {
+        let mut rng = StdRng::seed_from_u64(77);
+        let topo = two_cluster(
+            ClusterSpec {
+                count: 6,
+                ports: 10,
+                servers_per_switch: 3,
             },
+            ClusterSpec {
+                count: 6,
+                ports: 8,
+                servers_per_switch: 2,
+            },
+            CrossSpec::Exact(8),
+            &mut rng,
         )
         .unwrap();
-        assert_eq!(ladder.fingerprint(), all.fingerprint());
-        assert!(all.stats.certified_solves >= ladder.stats.certified_solves);
+        let tm = TrafficMatrix::all_to_all(topo.server_count());
+        (topo, tm)
+    }
+
+    /// The screens' soundness, state by state: at every prefix of the
+    /// returned order, every candidate whose structural predecessors
+    /// have landed certifies at or below the bound that screens it —
+    /// so a step the bound rejects could not have met the floor.
+    #[test]
+    fn every_screen_bounds_the_certified_lambda_of_its_view() {
+        let (mut checked, mut cut_bound) = (0, 0);
+        for ((topo, tm), pairs) in [(instance(), 2), (scarce_cross_instance(), 3)] {
+            let moves = cross_churn(&topo, pairs, 5).unwrap();
+            let mig = Migration::new(&topo, &moves).unwrap();
+            let spec = PlanSpec {
+                floor_frac: 0.5,
+                ..PlanSpec::default()
+            };
+            let plan = plan_migration(&topo, &tm, &mig, &spec).unwrap();
+            let mut planner = Planner::new(&topo, &tm, &mig, &spec).unwrap();
+            planner.floor = plan.floor;
+            let mut applied = vec![false; mig.move_count()];
+            for depth in 0..plan.order.len() {
+                for i in 0..mig.move_count() {
+                    if applied[i] || !mig.preds(i).iter().all(|&p| applied[p]) {
+                        continue;
+                    }
+                    let view = mig.state_view(&applied, &[i]).unwrap();
+                    let bound = planner.bound_on(&view, depth, i).bound;
+                    let lambda = planner.certify(&view).unwrap();
+                    assert!(
+                        lambda <= bound * (1.0 + 1e-9),
+                        "prefix {:?}, move {i}: λ {lambda} above its bound {bound}",
+                        &plan.order[..depth]
+                    );
+                    checked += 1;
+                    if bound < hop_throughput_bound(&view, &planner.commodities) {
+                        cut_bound += 1;
+                    }
+                }
+                applied[plan.order[depth]] = true;
+            }
+        }
+        // both screens were the binding one somewhere
+        assert!(
+            0 < cut_bound && cut_bound < checked,
+            "{cut_bound} of {checked}"
+        );
+    }
+
+    #[test]
+    fn empty_migrations_and_negative_floors_are_invalid() {
+        let (topo, tm) = instance();
+        let empty = Migration::new(&topo, &[]).unwrap();
+        let err = plan_migration(&topo, &tm, &empty, &PlanSpec::default()).unwrap_err();
+        assert!(matches!(err, PlanError::InvalidMigration(_)), "{err}");
+
+        let moves = cross_churn(&topo, 2, 5).unwrap();
+        let mig = Migration::new(&topo, &moves).unwrap();
+        for spec in [
+            PlanSpec {
+                floor: Some(-0.5),
+                ..PlanSpec::default()
+            },
+            PlanSpec {
+                floor_frac: -1.0,
+                ..PlanSpec::default()
+            },
+        ] {
+            let err = plan_migration(&topo, &tm, &mig, &spec).unwrap_err();
+            assert!(matches!(err, PlanError::InvalidMigration(_)), "{err}");
+        }
     }
 }

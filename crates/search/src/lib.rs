@@ -15,10 +15,8 @@
 //! ## Move families ([`moves`])
 //!
 //! * **Structural** — degree-preserving double-edge rewires
-//!   ([`dctopo_topology::moves::TwoSwap`]) and Jellyfish-style
-//!   [`dctopo_topology::expand::expand_random`] switch insertions.
-//!   Every switch keeps its port budget; the capacity multiset is
-//!   preserved by rewires.
+//!   ([`dctopo_topology::moves::TwoSwap`]). Every switch keeps its
+//!   port budget and the capacity multiset is preserved.
 //! * **Capacity** — line-speed budget reallocation across switch-class
 //!   link groups ([`moves::CapacityPlan`]): multipliers per
 //!   `(class, class)` group, shifted budget-preservingly between groups
@@ -48,13 +46,12 @@
 //!
 //! The gates are part of the acceptance semantics, not just an
 //! optimisation: a move is accepted only if it passes every level
-//! *and* strictly improves the certified λ. Running with
-//! [`runner::Fidelity::CertifyAll`] certifies every valid candidate but
-//! applies the same gates, so the accepted-move sequence — and the
-//! final topology — is **identical** between the two modes; the ladder
-//! only changes how much work rejection costs
-//! (`fidelity_modes_agree_on_the_final_topology` pins the identity,
-//! dcbench's `search.prune_ratio` reads the saving).
+//! *and* strictly improves the certified λ. The cut gate is sound: a
+//! candidate it prunes certifies at or below the round's prune floor,
+//! so it could not have been accepted
+//! (`runner::tests::every_pruned_candidate_certifies_below_what_could_be_accepted`
+//! certifies every pruned candidate of a search to check it; dcbench's
+//! `search.prune_ratio` reads the share pruned).
 //!
 //! ## Determinism contract
 //!
@@ -75,6 +72,6 @@ pub mod runner;
 pub use ladder::{hop_alpha, hop_bound, CutProbe};
 pub use moves::{CapacityPlan, MoveKind, ResolvedMove};
 pub use runner::{
-    AcceptedMove, CapacityBudget, Certificate, Fidelity, GrowSpec, Outcome, RoundTrace,
-    SearchResult, SearchRunner, SearchSpec,
+    AcceptedMove, CapacityBudget, Certificate, Outcome, RoundTrace, SearchResult, SearchRunner,
+    SearchSpec,
 };

@@ -1,14 +1,11 @@
-//! The search engine's move vocabulary: structural rewires, Jellyfish
-//! expansions, and capacity-budget shifts, plus the [`CapacityPlan`]
-//! bookkeeping that turns per-group line-speed multipliers into
+//! The search engine's move vocabulary: structural rewires and
+//! capacity-budget shifts, plus the [`CapacityPlan`] bookkeeping that
+//! turns per-group line-speed multipliers into
 //! [`CsrNet::with_capacity_overrides`] delta views.
 
 use dctopo_graph::{ArcId, CsrNet, GraphError};
-use dctopo_topology::expand::expand_random;
 use dctopo_topology::moves::{apply_two_swap, two_swap_is_valid, TwoSwap};
 use dctopo_topology::Topology;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// One candidate move, addressable as data so batches can be generated
 /// from seeds, evaluated in parallel, and replayed on acceptance.
@@ -16,17 +13,6 @@ use rand::SeedableRng;
 pub enum MoveKind {
     /// Degree-preserving double-edge rewire (structural family).
     TwoSwap(TwoSwap),
-    /// Jellyfish-style switch insertion via
-    /// [`dctopo_topology::expand::expand_random`]: a new switch with
-    /// `network_degree` ports, every one wired by donating existing
-    /// links (growth family; no servers are attached, so the commodity
-    /// set is unchanged).
-    Expand {
-        /// Network ports of the new switch (must be even).
-        network_degree: usize,
-        /// Switch class the new switch joins.
-        class: usize,
-    },
     /// Shift a slice of the line-speed budget from one class-pair link
     /// group to another (capacity family). `step` is the fraction of
     /// the donor group's *current* capacity that moves; the shift is
@@ -41,12 +27,11 @@ pub enum MoveKind {
     },
 }
 
-/// What carrying out a move replaces: structural and growth moves
-/// yield a new topology, capacity moves a new plan.
+/// What carrying out a move replaces: a rewire yields a new topology,
+/// a capacity shift a new plan.
 #[derive(Debug, Clone)]
 pub enum Moved {
-    /// The topology after a [`MoveKind::TwoSwap`] or
-    /// [`MoveKind::Expand`].
+    /// The topology after a [`MoveKind::TwoSwap`].
     Topology(Topology),
     /// The plan after a [`MoveKind::ShiftCapacity`].
     Plan(CapacityPlan),
@@ -56,18 +41,16 @@ impl MoveKind {
     /// Carry the move out on `(topo, plan)` — the one application the
     /// search's candidate evaluation, its acceptance and the export
     /// replay all share. `mult_range` is the `[min, max]` multiplier
-    /// band a capacity shift must stay inside; `seed` draws an
-    /// expansion's wiring.
+    /// band a capacity shift must stay inside.
     ///
     /// # Errors
-    /// Why the move does not apply: an illegal swap, a shift outside
-    /// the band, a stuck expansion.
+    /// Why the move does not apply: an illegal swap or a shift outside
+    /// the band.
     pub fn applied(
         &self,
         topo: &Topology,
         plan: &CapacityPlan,
         mult_range: (f64, f64),
-        seed: u64,
     ) -> Result<Moved, String> {
         match *self {
             MoveKind::TwoSwap(swap) => {
@@ -76,16 +59,6 @@ impl MoveKind {
                 }
                 let mut topo = topo.clone();
                 apply_two_swap(&mut topo.graph, &swap).expect("validated");
-                Ok(Moved::Topology(topo))
-            }
-            MoveKind::Expand {
-                network_degree,
-                class,
-            } => {
-                let mut topo = topo.clone();
-                let mut rng = StdRng::seed_from_u64(seed);
-                expand_random(&mut topo, network_degree, network_degree, class, &mut rng)
-                    .map_err(|e| e.to_string())?;
                 Ok(Moved::Topology(topo))
             }
             MoveKind::ShiftCapacity {
@@ -110,12 +83,6 @@ impl MoveKind {
         match self {
             MoveKind::TwoSwap(s) => {
                 format!("two-swap({}, {}, cross={})", s.e1, s.e2, s.cross)
-            }
-            MoveKind::Expand {
-                network_degree,
-                class,
-            } => {
-                format!("expand(degree={network_degree}, class={class})")
             }
             MoveKind::ShiftCapacity {
                 donor,
@@ -216,8 +183,8 @@ impl CapacityPlan {
 
     /// Total effective capacity counting both directions (comparable to
     /// [`CsrNet::total_capacity`]). Edges whose class pair the plan does
-    /// not represent — e.g. links created by a growth move pairing
-    /// classes that had no edges at plan-construction time — ride at
+    /// not represent — e.g. a link a two-swap creates between classes
+    /// that had no edges at plan-construction time — ride at
     /// multiplier 1.
     pub fn effective_capacity(&self, topo: &Topology) -> f64 {
         2.0 * topo
@@ -503,11 +470,6 @@ mod tests {
             e2: 7,
             cross: true
         })
-        .is_structural());
-        assert!(MoveKind::Expand {
-            network_degree: 4,
-            class: 0
-        }
         .is_structural());
         let shift = MoveKind::ShiftCapacity {
             donor: 0,

@@ -32,8 +32,6 @@ use crate::moves::{CapacityPlan, MoveKind, Moved};
 
 /// Domain tag for per-move generation seeds.
 const DOMAIN_MOVE: u64 = 21;
-/// Domain tag for per-move application randomness (expansion wiring).
-const DOMAIN_APPLY: u64 = 22;
 /// Domain tag for the per-round annealing coin.
 const DOMAIN_ACCEPT: u64 = 23;
 
@@ -61,28 +59,6 @@ impl Default for CapacityBudget {
     }
 }
 
-/// Parameters of the growth (switch-insertion) move family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrowSpec {
-    /// Network ports of each inserted switch (must be even, positive).
-    pub network_degree: usize,
-    /// Switch class inserted switches join.
-    pub class: usize,
-}
-
-/// How candidates are certified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fidelity {
-    /// Multi-fidelity: only candidates that clear the hop and cut gates
-    /// pay for a certified solve (the default).
-    Ladder,
-    /// Certify every valid candidate. The ladder gates still apply to
-    /// *acceptance*, so the accepted-move sequence is identical to
-    /// [`Fidelity::Ladder`] — this mode exists to measure what the
-    /// ladder saves (dcbench's `search.prune_ratio`).
-    CertifyAll,
-}
-
 /// The full search specification.
 #[derive(Debug, Clone)]
 pub struct SearchSpec {
@@ -97,12 +73,8 @@ pub struct SearchSpec {
     pub structural: bool,
     /// Enable the capacity move family with these constraints.
     pub capacity: Option<CapacityBudget>,
-    /// Enable the growth (switch-insertion) move family.
-    pub grow: Option<GrowSpec>,
     /// Solver options for certified evaluations (backend included).
     pub opts: FlowOptions,
-    /// Ladder vs certify-every-move (see [`Fidelity`]).
-    pub fidelity: Fidelity,
     /// Seeded bisection probes for the cut surrogate (the class
     /// partition is always probed on heterogeneous topologies).
     pub cut_probes: usize,
@@ -121,9 +93,7 @@ impl SearchSpec {
             batch,
             structural: true,
             capacity: None,
-            grow: None,
             opts: FlowOptions::fast(),
-            fidelity: Fidelity::Ladder,
             cut_probes: 2,
             temperature: 0.0,
             cooling: 0.9,
@@ -142,12 +112,6 @@ impl SearchSpec {
     /// Same spec with different solver options.
     pub fn with_opts(mut self, opts: FlowOptions) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Same spec with a different certification mode.
-    pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
-        self.fidelity = fidelity;
         self
     }
 
@@ -175,17 +139,13 @@ pub struct Certificate {
     pub hop_alpha: f64,
     /// Dijkstra-equivalent settles the certified solve spent.
     pub settles: u64,
-    /// The hop gate was evaluated and passed before certification.
-    pub passed_hop: bool,
-    /// The cut gate was evaluated and passed before certification.
-    pub passed_cut: bool,
 }
 
 /// Why (or how) a candidate left the ladder.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Outcome {
     /// The move could not be applied (illegal swap, over-budget shift,
-    /// stuck expansion, disconnecting rewire, solver rejection).
+    /// disconnecting rewire, solver rejection).
     Invalid(String),
     /// Pruned at level 0: the hop bound did not clear the gate.
     PrunedHop {
@@ -336,11 +296,8 @@ impl SearchResult {
     /// topology and capacity plan.
     ///
     /// # Errors
-    /// [`dctopo_graph::GraphError::Unrealizable`] when the sequence
-    /// contains a [`MoveKind::Expand`] (a new switch has no meaning on
-    /// the fixed node set a migration is planned over), when a replayed
-    /// move no longer applies to `from` (wrong starting topology), or
-    /// when a shift's factors cannot be reconstructed.
+    /// [`dctopo_graph::GraphError::Unrealizable`] when a replayed move
+    /// no longer applies to `from` (wrong starting topology).
     pub fn export_moves(
         &self,
         from: &Topology,
@@ -353,18 +310,11 @@ impl SearchResult {
         let mut plan = CapacityPlan::uniform(&topo);
         let mut out = Vec::with_capacity(self.accepted.len());
         for mv in &self.accepted {
-            if matches!(mv.kind, MoveKind::Expand { .. }) {
-                return Err(GraphError::Unrealizable(
-                    "expand moves cannot be exported as a migration: the planner \
-                     reorders moves over a fixed switch set"
-                        .into(),
-                ));
-            }
             // accepted shifts were already validated against the spec's
             // budget bounds; replay with loose bounds
             let moved = mv
                 .kind
-                .applied(&topo, &plan, (0.0, f64::INFINITY), 0)
+                .applied(&topo, &plan, (0.0, f64::INFINITY))
                 .map_err(|why| {
                     GraphError::Unrealizable(format!(
                         "accepted {} does not replay on the given starting topology: {why}",
@@ -445,9 +395,12 @@ impl SearchRunner {
     /// (there is no network objective to search on);
     /// [`FlowError::BadOptions`] when no move family is enabled, an
     /// enabled family cannot operate on this topology (capacity search
-    /// needs ≥ 2 link groups, structural search ≥ 2 links, growth an
-    /// even positive degree), the temperature is negative or not finite,
-    /// or the cooling factor lies outside `[0, 1]`.
+    /// needs ≥ 2 link groups, structural search ≥ 2 links), the
+    /// capacity budget cannot make a move (`step` outside `(0, 1]`, or
+    /// not `0 ≤ min_mult < 1 < max_mult` with both finite: every shift
+    /// moves one group below the uniform multiplier and one above), the
+    /// temperature is negative or not finite, or the cooling factor lies
+    /// outside `[0, 1]`.
     pub fn new(topo: &Topology, tm: &TrafficMatrix, spec: SearchSpec) -> Result<Self, FlowError> {
         let commodities = aggregate_commodities(topo, tm);
         if commodities.is_empty() {
@@ -466,7 +419,7 @@ impl SearchRunner {
             )));
         }
         let plan = CapacityPlan::uniform(topo);
-        if !spec.structural && spec.capacity.is_none() && spec.grow.is_none() {
+        if !spec.structural && spec.capacity.is_none() {
             return Err(FlowError::BadOptions(
                 "search needs at least one move family enabled".into(),
             ));
@@ -476,23 +429,28 @@ impl SearchRunner {
                 "structural search needs at least 2 links".into(),
             ));
         }
-        if spec.capacity.is_some() && plan.group_count() < 2 {
-            return Err(FlowError::BadOptions(format!(
-                "capacity search needs >= 2 link groups, topology has {}",
-                plan.group_count()
-            )));
-        }
-        if let Some(grow) = &spec.grow {
-            if grow.network_degree == 0 || grow.network_degree % 2 != 0 {
+        if let Some(b) = &spec.capacity {
+            if plan.group_count() < 2 {
                 return Err(FlowError::BadOptions(format!(
-                    "growth degree must be even and positive, got {}",
-                    grow.network_degree
+                    "capacity search needs >= 2 link groups, topology has {}",
+                    plan.group_count()
                 )));
             }
-            if grow.class >= topo.classes.len() {
+            if !(b.step > 0.0 && b.step <= 1.0) {
                 return Err(FlowError::BadOptions(format!(
-                    "growth class {} does not exist",
-                    grow.class
+                    "capacity step must be a fraction in (0, 1], got {}",
+                    b.step
+                )));
+            }
+            if !(0.0 <= b.min_mult
+                && b.min_mult < 1.0
+                && 1.0 < b.max_mult
+                && b.max_mult.is_finite())
+            {
+                return Err(FlowError::BadOptions(format!(
+                    "capacity multipliers need 0 <= min_mult < 1 < max_mult, both finite, \
+                     got {} and {}",
+                    b.min_mult, b.max_mult
                 )));
             }
         }
@@ -533,8 +491,6 @@ impl SearchRunner {
             cut_bound: min_cut_bound(&view, &self.probes),
             hop_alpha: alpha0,
             settles: solved0.settles,
-            passed_hop: true,
-            passed_cut: true,
         };
 
         let mut state = State {
@@ -555,10 +511,7 @@ impl SearchRunner {
                 .collect();
             let candidates: Vec<Candidate> = (0..moves.len())
                 .into_par_iter()
-                .map(|i| {
-                    let seed = derive_seed(self.spec.seed, DOMAIN_APPLY, round, i);
-                    self.evaluate(&state, moves[i], i, seed, temperature)
-                })
+                .map(|i| self.evaluate(&state, moves[i], i, temperature))
                 .collect();
             for c in &candidates {
                 if let Outcome::Certified(cert) = &c.outcome {
@@ -573,8 +526,7 @@ impl SearchRunner {
                     .certificate()
                     .expect("accepted candidates are certified");
                 let lambda_before = state.incumbent.lambda;
-                let seed = derive_seed(self.spec.seed, DOMAIN_APPLY, round, idx);
-                self.apply(&mut state, cand.kind, seed, cert);
+                self.apply(&mut state, cand.kind, cert);
                 accepted.push(AcceptedMove {
                     round,
                     index: idx,
@@ -608,15 +560,12 @@ impl SearchRunner {
     /// state.
     fn generate_move(&self, state: &State, round: usize, i: usize) -> MoveKind {
         let mut rng = StdRng::seed_from_u64(derive_seed(self.spec.seed, DOMAIN_MOVE, round, i));
-        let mut families: Vec<u8> = Vec::with_capacity(3);
+        let mut families: Vec<u8> = Vec::with_capacity(2);
         if self.spec.structural {
             families.push(0);
         }
         if self.spec.capacity.is_some() {
             families.push(1);
-        }
-        if self.spec.grow.is_some() {
-            families.push(2);
         }
         match families[rng.random_range(0..families.len())] {
             0 => {
@@ -627,20 +576,13 @@ impl SearchRunner {
                     cross: rng.random_range(0..2) == 1,
                 })
             }
-            1 => {
+            _ => {
                 let budget = self.spec.capacity.expect("family enabled");
                 let groups = state.plan.group_count();
                 MoveKind::ShiftCapacity {
                     donor: rng.random_range(0..groups),
                     receiver: rng.random_range(0..groups),
                     step: budget.step * rng.random_range(1..=4usize) as f64 / 4.0,
-                }
-            }
-            _ => {
-                let grow = self.spec.grow.expect("family enabled");
-                MoveKind::Expand {
-                    network_degree: grow.network_degree,
-                    class: grow.class,
                 }
             }
         }
@@ -661,20 +603,10 @@ impl SearchRunner {
             .map_or((0.0, f64::INFINITY), |b| (b.min_mult, b.max_mult))
     }
 
-    /// Climb the ladder for one candidate: carry the move out, build
-    /// the net + plan view it would be solved on, and run levels 0–2 on
-    /// that one view.
-    fn evaluate(
-        &self,
-        state: &State,
-        kind: MoveKind,
-        index: usize,
-        apply_seed: u64,
-        temperature: f64,
-    ) -> Candidate {
-        let floor = self.prune_floor(state.incumbent.lambda, temperature);
-        let view = kind
-            .applied(&state.topo, &state.plan, self.mult_range(), apply_seed)
+    /// Carry `kind` out on `state` and build the net + plan view the
+    /// candidate would be solved on.
+    fn view_of(&self, state: &State, kind: MoveKind) -> Result<CsrNet, String> {
+        kind.applied(&state.topo, &state.plan, self.mult_range())
             .and_then(|moved| {
                 match &moved {
                     Moved::Plan(plan) => plan.view(&state.topo, &state.base_net),
@@ -683,8 +615,13 @@ impl SearchRunner {
                     }
                 }
                 .map_err(|e| e.to_string())
-            });
-        let outcome = match view {
+            })
+    }
+
+    /// Climb the ladder for one candidate: levels 0–2 on its one view.
+    fn evaluate(&self, state: &State, kind: MoveKind, index: usize, temperature: f64) -> Candidate {
+        let floor = self.prune_floor(state.incumbent.lambda, temperature);
+        let outcome = match self.view_of(state, kind) {
             Ok(view) => self.climb(state, &view, kind.is_structural(), floor),
             Err(why) => Outcome::Invalid(why),
         };
@@ -697,7 +634,6 @@ impl SearchRunner {
 
     /// Levels 0–2 on the candidate's view.
     fn climb(&self, state: &State, view: &CsrNet, structural: bool, floor: f64) -> Outcome {
-        let ladder = self.spec.fidelity == Fidelity::Ladder;
         // level 0: a rewire's hop bound must strictly improve. A shift
         // conserves the budget and leaves hop distances alone, so it
         // keeps the incumbent's α and passes by construction.
@@ -711,13 +647,13 @@ impl SearchRunner {
         }
         let hop = hop_bound(view.total_capacity(), alpha);
         let passed_hop = !structural || hop > state.incumbent.hop_bound;
-        if ladder && !passed_hop {
+        if !passed_hop {
             return Outcome::PrunedHop { hop_bound: hop };
         }
         // level 1: the cut bound must leave the candidate acceptable
         let cut = min_cut_bound(view, &self.probes);
         let passed_cut = cut > floor;
-        if ladder && !passed_cut {
+        if !passed_cut {
             return Outcome::PrunedCut {
                 hop_bound: hop,
                 cut_bound: cut,
@@ -732,8 +668,6 @@ impl SearchRunner {
                 cut_bound: cut,
                 hop_alpha: alpha,
                 settles: s.settles,
-                passed_hop,
-                passed_cut,
             }),
             Err(e) => Outcome::Invalid(e.to_string()),
         }
@@ -752,9 +686,10 @@ impl SearchRunner {
     }
 
     /// Pick the accepted candidate of a round, if any: the highest
-    /// certified λ among gate-passing strict improvers (ties to the
-    /// lowest index), else — at positive temperature — a Metropolis
-    /// coin on the best gate-passing candidate.
+    /// certified λ among strict improvers (ties to the lowest index),
+    /// else — at positive temperature — a Metropolis coin on the best
+    /// certified candidate. Only a candidate that passed both gates is
+    /// certified, so certification is gate-passing.
     fn choose(
         &self,
         candidates: &[Candidate],
@@ -762,11 +697,7 @@ impl SearchRunner {
         round: usize,
         temperature: f64,
     ) -> Option<usize> {
-        let eligible = |c: &Candidate| {
-            c.certificate()
-                .filter(|cert| cert.passed_hop && cert.passed_cut)
-                .map(|cert| cert.lambda)
-        };
+        let eligible = |c: &Candidate| c.certificate().map(|c| c.lambda);
         let mut best: Option<(usize, f64)> = None;
         for c in candidates {
             if let Some(lambda) = eligible(c) {
@@ -802,9 +733,9 @@ impl SearchRunner {
 
     /// Carry an accepted move out on the state and install its
     /// certificate as the new incumbent.
-    fn apply(&self, state: &mut State, kind: MoveKind, apply_seed: u64, cert: Certificate) {
+    fn apply(&self, state: &mut State, kind: MoveKind, cert: Certificate) {
         match kind
-            .applied(&state.topo, &state.plan, self.mult_range(), apply_seed)
+            .applied(&state.topo, &state.plan, self.mult_range())
             .expect("an accepted move was valid when it was evaluated")
         {
             Moved::Topology(topo) => {
@@ -915,7 +846,6 @@ mod tests {
         let result = SearchRunner::new(&topo, &tm, spec).unwrap().run().unwrap();
         for mv in &result.accepted {
             let c = &mv.certificate;
-            assert!(c.passed_hop && c.passed_cut, "move accepted past a gate");
             // the surrogate bounds are *hard*: certified λ must respect
             // both, so the ladder never certifies what its own levels
             // would refute
@@ -923,54 +853,98 @@ mod tests {
             assert!(c.lambda <= c.cut_bound * (1.0 + 1e-9));
             assert!(c.lambda <= c.upper * (1.0 + 1e-9));
         }
-        // every certified candidate in the trace passed its gates (the
-        // Ladder contract: no certification without a full climb)
+        // every certified candidate in the trace cleared both gates
+        // against the incumbent of its round (greedy: the floor is the
+        // incumbent's λ)
+        let mut incumbent = result.initial;
         for round in &result.rounds {
             for cand in &round.candidates {
                 if let Outcome::Certified(c) = &cand.outcome {
-                    assert!(c.passed_hop && c.passed_cut);
+                    assert!(
+                        c.hop_bound > incumbent.hop_bound,
+                        "{}",
+                        cand.kind.describe()
+                    );
+                    assert!(c.cut_bound > incumbent.lambda, "{}", cand.kind.describe());
                 }
             }
+            if let Some(idx) = round.accepted {
+                incumbent = *round.candidates[idx].certificate().unwrap();
+            }
         }
+        assert!(result.pruned_hop() + result.pruned_cut() > 0);
     }
 
+    /// The ladder's soundness, state by state: replay a mixed search,
+    /// carrying each accepted move forward on the round's incumbent, and
+    /// certify every candidate the ladder pruned. A cut-pruned candidate
+    /// certifies at or below its recorded cut bound, which sits at or
+    /// below the round's prune floor — so it could not have been
+    /// accepted. A hop-pruned one was a rewire that did not improve the
+    /// incumbent's hop bound, and certifies at or below its own.
     #[test]
-    fn ladder_and_certify_all_accept_identically() {
-        let topo = ring_topo(12);
-        let tm = perm(&topo, 3);
-        let base = SearchSpec::structural(11, 5, 8).with_opts(opts());
-        let ladder = SearchRunner::new(&topo, &tm, base.clone())
-            .unwrap()
-            .run()
-            .unwrap();
-        let all = SearchRunner::new(&topo, &tm, base.with_fidelity(Fidelity::CertifyAll))
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(ladder.accepted.len(), all.accepted.len());
-        for (a, b) in ladder.accepted.iter().zip(&all.accepted) {
-            assert_eq!(a.round, b.round);
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(
-                a.certificate.lambda.to_bits(),
-                b.certificate.lambda.to_bits()
-            );
+    fn every_pruned_candidate_certifies_below_what_could_be_accepted() {
+        let topo = scarce_cross_topo(1);
+        let tm = perm(&topo, 1);
+        let mut spec = SearchSpec::structural(9, 6, 8).with_opts(opts());
+        spec.capacity = Some(CapacityBudget::default());
+        let runner = SearchRunner::new(&topo, &tm, spec).unwrap();
+        let result = runner.run().unwrap();
+
+        let mut state = State {
+            topo: topo.clone(),
+            base_net: CsrNet::from_graph(&topo.graph),
+            plan: CapacityPlan::uniform(&topo),
+            incumbent: result.initial,
+        };
+        let (mut hop_pruned, mut cut_pruned) = (0, 0);
+        for round in &result.rounds {
+            let floor = runner.prune_floor(state.incumbent.lambda, round.temperature);
+            for cand in &round.candidates {
+                let certified = || {
+                    let view = runner
+                        .view_of(&state, cand.kind)
+                        .expect("a pruned move applies");
+                    let solved = runner.certify(&view, cand.kind.is_structural()).unwrap();
+                    solved.throughput
+                };
+                let what = format!("round {} {}", round.round, cand.kind.describe());
+                match cand.outcome {
+                    Outcome::PrunedHop { hop_bound } => {
+                        assert!(cand.kind.is_structural(), "{what}");
+                        assert!(hop_bound <= state.incumbent.hop_bound, "{what}");
+                        let lambda = certified();
+                        assert!(lambda <= hop_bound * (1.0 + 1e-9), "{what}: λ {lambda}");
+                        hop_pruned += 1;
+                    }
+                    Outcome::PrunedCut { cut_bound, .. } => {
+                        let lambda = certified();
+                        assert!(
+                            lambda <= cut_bound * (1.0 + 1e-9),
+                            "{what}: λ {lambda} above its cut bound {cut_bound}"
+                        );
+                        assert!(cut_bound <= floor, "{what}: {cut_bound} > floor {floor}");
+                        cut_pruned += 1;
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(idx) = round.accepted {
+                let cand = &round.candidates[idx];
+                runner.apply(&mut state, cand.kind, *cand.certificate().unwrap());
+            }
         }
-        assert_eq!(
-            ladder.best.lambda.to_bits(),
-            all.best.lambda.to_bits(),
-            "final configuration diverged between fidelity modes"
+        assert!(
+            hop_pruned > 0 && cut_pruned > 0,
+            "{hop_pruned} / {cut_pruned}"
         );
+        // the replay reached the search's own final configuration
         assert_eq!(
-            ladder.topology.graph.edges(),
-            all.topology.graph.edges(),
-            "final topology diverged between fidelity modes"
+            state.incumbent.lambda.to_bits(),
+            result.best.lambda.to_bits()
         );
-        // the ladder must actually have certified less
-        assert!(ladder.certified_solves <= all.certified_solves);
-        assert!(ladder.pruned_hop() + ladder.pruned_cut() > 0);
-        assert_eq!(all.pruned_hop() + all.pruned_cut(), 0);
+        assert_eq!(state.topo.graph.edges(), result.topology.graph.edges());
+        assert_eq!(state.plan, result.plan);
     }
 
     #[test]
@@ -1034,30 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn growth_moves_insert_switches_without_breaking_ports() {
-        let topo = ring_topo(10);
-        let tm = perm(&topo, 4);
-        let mut spec = SearchSpec::structural(21, 4, 6).with_opts(opts());
-        spec.structural = false;
-        spec.grow = Some(GrowSpec {
-            network_degree: 2,
-            class: 0,
-        });
-        let result = SearchRunner::new(&topo, &tm, spec).unwrap().run().unwrap();
-        // growth adds capacity, so accepted expansions strictly help
-        for mv in &result.accepted {
-            assert!(matches!(mv.kind, MoveKind::Expand { .. }));
-        }
-        let grown = result.topology.switch_count() - topo.switch_count();
-        assert_eq!(grown, result.accepted.len());
-        result.topology.validate_ports().unwrap();
-        // commodity endpoints (original switches) kept their degree
-        for v in 0..topo.switch_count() {
-            assert_eq!(result.topology.graph.degree(v), 2);
-        }
-    }
-
-    #[test]
     fn annealing_is_deterministic_and_bounded() {
         let topo = ring_topo(12);
         let tm = perm(&topo, 6);
@@ -1097,16 +1047,50 @@ mod tests {
             SearchRunner::new(&topo, &tm, spec),
             Err(FlowError::BadOptions(_))
         ));
-        // odd growth degree
-        let mut spec = SearchSpec::structural(1, 1, 1);
-        spec.grow = Some(GrowSpec {
-            network_degree: 3,
-            class: 0,
-        });
-        assert!(matches!(
-            SearchRunner::new(&topo, &tm, spec),
-            Err(FlowError::BadOptions(_))
-        ));
+        // a capacity budget that cannot make a move: a step that is not
+        // a fraction, or a multiplier band that does not straddle 1
+        let hetero = scarce_cross_topo(1);
+        let hetero_tm = perm(&hetero, 1);
+        let bad_budgets = [
+            (0.5, 2.0, 5.0),
+            (0.5, 2.0, -0.5),
+            (0.5, 2.0, 0.0),
+            (0.5, 2.0, f64::NAN),
+            (3.0, 0.5, 0.25),
+            (1.0, 2.0, 0.25),
+            (0.5, 1.0, 0.25),
+            (-0.1, 2.0, 0.25),
+            (0.5, f64::INFINITY, 0.25),
+            (f64::NAN, 2.0, 0.25),
+        ];
+        for (min_mult, max_mult, step) in bad_budgets {
+            let budget = CapacityBudget {
+                min_mult,
+                max_mult,
+                step,
+            };
+            let spec = SearchSpec::capacity(1, 1, 1, budget);
+            assert!(
+                matches!(
+                    SearchRunner::new(&hetero, &hetero_tm, spec),
+                    Err(FlowError::BadOptions(_))
+                ),
+                "{budget:?}"
+            );
+        }
+        // the edges of the domain are usable
+        for (min_mult, max_mult, step) in [(0.0, 2.0, 1.0), (0.5, 1.5, 0.01)] {
+            let budget = CapacityBudget {
+                min_mult,
+                max_mult,
+                step,
+            };
+            let spec = SearchSpec::capacity(1, 1, 1, budget);
+            assert!(
+                SearchRunner::new(&hetero, &hetero_tm, spec).is_ok(),
+                "{budget:?}"
+            );
+        }
         // a negative or non-finite temperature, a cooling outside [0, 1]
         for (t, c) in [
             (-1.0, 0.9),

@@ -25,8 +25,6 @@
 //! * [`classic`] — fat-tree, hypercube, complete graph, 2-D torus
 //!   baselines.
 //! * [`vl2`] — the VL2 topology and the paper's §7 rewired variant.
-//! * [`expand`] — Jellyfish-style incremental expansion (add a switch by
-//!   donating random existing links), the §2 operational claim.
 //! * [`degrade`] — seeded, prefix-nested failure orders (links /
 //!   switches) and heterogeneous line-card mixes, consumed by the
 //!   scenario sweep engine in `dctopo-core`.
@@ -38,7 +36,6 @@
 
 pub mod classic;
 pub mod degrade;
-pub mod expand;
 pub mod hetero;
 pub mod moves;
 pub mod rrg;

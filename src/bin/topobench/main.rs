@@ -39,17 +39,15 @@ usage:
       per-cell records, --strict exits non-zero when any cell failed
   topobench search [--family F] [--mode structural|capacity|both]
                   [--rounds N] [--batch B] [--traffic T] [--seed S]
-                  [--backend B] [--precise] [--certify-all]
+                  [--backend B] [--precise]
                   [--min-mult X] [--max-mult X] [--cap-step X]
                   [--temperature T] [--cooling C]
       multi-fidelity topology search; prints the accepted-move trace
   topobench plan [--family F] [--pairs P] [--maintenance] [--traffic T]
                   [--seed S] [--floor X | --floor-frac F] [--probes N]
-                  [--max-solves N] [--naive] [--certify-all] [--precise]
-                  [--backend B]
+                  [--max-solves N] [--precise] [--backend B]
       certified-safe migration plan over a churn migration (--maintenance
-      restores links at their original endpoints; --naive is the
-      declaration-ordered certify-everything baseline)
+      restores links at their original endpoints)
   topobench packetsim <family> [options] [--traffic T] [--seed S]
                   [--routing decomposed|ksp:<k>|ecmp:<n>] [--utilization X]
                   [--duration D] [--warmup W] [--queue Q] [--window]
@@ -120,14 +118,14 @@ const COMMANDS: &[Command] = &[
         family: false,
         values: "family mode rounds batch traffic seed backend \
                  min-mult max-mult cap-step temperature cooling",
-        switches: "precise certify-all",
+        switches: "precise",
         run: search::run,
     },
     Command {
         name: "plan",
         family: false,
         values: "family pairs traffic seed floor floor-frac probes max-solves backend",
-        switches: "maintenance naive certify-all precise",
+        switches: "maintenance precise",
         run: plan::run,
     },
     Command {

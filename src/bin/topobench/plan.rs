@@ -26,20 +26,8 @@ pub fn run(args: &Args) -> CliResult {
     .or_fail("failed to generate churn migration")?;
     let migration = Migration::new(&topo, &moves).or_fail("invalid migration")?;
 
-    // --naive is the benchmark baseline: declaration-ordered first-fit
-    // that certifies every attempted step (no bounds, no screening),
-    // learns nothing from violations, and pays the dominance-free
-    // certificates (landed prefixes + singleton stages)
-    let naive = args.switch("naive");
     let spec = PlanSpec {
         seed,
-        learn: !naive,
-        baseline: naive,
-        fidelity: if naive || args.switch("certify-all") {
-            Fidelity::CertifyAll
-        } else {
-            Fidelity::Ladder
-        },
         floor_frac: args.get("floor-frac")?.unwrap_or(defaults.floor_frac),
         floor: args.get("floor")?,
         cut_probes: args.get("probes")?.unwrap_or(defaults.cut_probes),
@@ -49,13 +37,12 @@ pub fn run(args: &Args) -> CliResult {
 
     eprintln!(
         "# planning {} ({} switches, {} links), {} traffic, \
-         {} moves ({pairs} churn pairs), mode {}",
+         {} moves ({pairs} churn pairs)",
         setup.label,
         topo.switch_count(),
         topo.graph.edge_count(),
         setup.traffic_label,
         migration.move_count(),
-        if naive { "naive" } else { "pruned" },
     );
     let plan = match plan_migration(&topo, &tm, &migration, &spec) {
         Ok(plan) => plan,

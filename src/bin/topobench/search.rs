@@ -9,6 +9,12 @@ use crate::instance::{FamilyArg, Setup};
 
 pub fn run(args: &Args) -> CliResult {
     let setup = Setup::parse(args, FamilyArg::Spec("rrg:32x10x6"), FlowOptions::fast())?;
+    let rounds: usize = args.get("rounds")?.unwrap_or(4);
+    let batch: usize = args.get("batch")?.unwrap_or(12);
+    if rounds == 0 || batch == 0 {
+        let flag = if rounds == 0 { "rounds" } else { "batch" };
+        return Err(CliError::Usage(format!("--{flag} must be positive")));
+    }
     let (topo, tm) = setup.build(setup.seed)?.pairs()?;
 
     let mode = args.text("mode").unwrap_or("structural");
@@ -17,11 +23,7 @@ pub fn run(args: &Args) -> CliResult {
         max_mult: args.get("max-mult")?.unwrap_or(2.0),
         step: args.get("cap-step")?.unwrap_or(0.25),
     };
-    let mut spec = SearchSpec::structural(
-        setup.seed,
-        args.get("rounds")?.unwrap_or(4),
-        args.get("batch")?.unwrap_or(12),
-    );
+    let mut spec = SearchSpec::structural(setup.seed, rounds, batch);
     match mode {
         "structural" => {}
         "capacity" => {
@@ -36,9 +38,6 @@ pub fn run(args: &Args) -> CliResult {
         }
     }
     spec.opts = setup.opts;
-    if args.switch("certify-all") {
-        spec.fidelity = Fidelity::CertifyAll;
-    }
     if let Some(t) = args.get::<f64>("temperature")? {
         spec.temperature = t;
         spec.cooling = args.get("cooling")?.unwrap_or(0.9);

@@ -48,6 +48,10 @@ fn scenarios(args: &Args, seed: u64) -> CliResult<Vec<Scenario>> {
 
 pub fn run(args: &Args) -> CliResult {
     let seed: u64 = args.get("seed")?.unwrap_or(1);
+    let runs: usize = args.get("runs")?.unwrap_or(1);
+    if runs == 0 {
+        return Err(CliError::Usage("--runs must be positive".into()));
+    }
     let spec = SweepSpec {
         topologies: args.list("families", "rrg:16x8x4,rrg:32x10x6,rrg:48x12x8")?,
         traffic: args.list("traffic", "permutation,all-to-all,chunky:50")?,
@@ -55,11 +59,11 @@ pub fn run(args: &Args) -> CliResult {
         backends: args.list("backends", "fptas")?,
         opts: profile(args, FlowOptions::fast()),
         seed,
-        runs: args.get("runs")?.unwrap_or(1),
+        runs,
     };
     let [t, r, s, m, b] = [
         spec.topologies.len(),
-        spec.runs.max(1),
+        runs,
         spec.scenarios.len(),
         spec.traffic.len(),
         spec.backends.len(),
@@ -85,7 +89,7 @@ pub fn run(args: &Args) -> CliResult {
     for cell in &grid.cells {
         match &cell.result {
             Ok(mtr) => println!(
-                "{:<14} {:>3} {:<18} {:<12} {:<12} {:>10.4} {:>10.4} {:>8.2}% {:>9}",
+                "{:<14} {:>3} {:<18} {:<12} {:<12} {:>10.4} {:>10} {:>8.2}% {:>9}",
                 cell.topology,
                 cell.run,
                 cell.scenario,
@@ -93,9 +97,9 @@ pub fn run(args: &Args) -> CliResult {
                 cell.backend,
                 mtr.throughput,
                 if mtr.hop_bound.is_finite() {
-                    mtr.hop_bound
+                    format!("{:.4}", mtr.hop_bound)
                 } else {
-                    f64::NAN
+                    "-".into()
                 },
                 mtr.gap * 100.0,
                 cell.flows

@@ -104,7 +104,7 @@ pub mod prelude {
     pub use dctopo_flow::{Backend, Commodity, FlowOptions, SolvedFlow};
     pub use dctopo_graph::{CsrNet, DijkstraWorkspace, Graph, GraphError, NodeId};
     pub use dctopo_plan::{plan_migration, Migration, MigrationPlan, PlanSpec};
-    pub use dctopo_search::{CapacityBudget, Fidelity, SearchResult, SearchRunner, SearchSpec};
+    pub use dctopo_search::{CapacityBudget, SearchResult, SearchRunner, SearchSpec};
     pub use dctopo_serve::{ServeConfig, ServeStats, Server};
     pub use dctopo_topology::{ClusterSpec, ServerPlacement, SwitchClass, Topology};
     pub use dctopo_traffic::TrafficMatrix;

@@ -3,14 +3,10 @@
 //! * **the floor law** — every stage of the execution DAG certifies
 //!   λ ≥ floor on a *freshly recomposed* transient-failure view (whole
 //!   stage in flight at once), not just on the planner's own word;
-//! * **pruning changes cost, never outcome** — the naive baseline
-//!   (declaration-ordered, certify-everything, dominance-free
-//!   certificates) and the pruned planner (best-bound-first scan +
-//!   fidelity ladder + counter-example-guided constraints) both honor
-//!   the bitwise-identical spec floor and land within 2% of each
-//!   other's achieved floor, the naive one paying strictly more
-//!   certified solves; and at the planner's shared scan
-//!   order, certify-all is bitwise decision-identical to the ladder;
+//! * **every solve is accounted for** — the pruned planner honors the
+//!   spec floor with a complete ordering, and its solve counters add up:
+//!   the endpoints, every ordering attempt and every stage-packing
+//!   attempt is a real solve or a reuse of an already certified view;
 //! * **bit-identical at 1, 2, and 8 rayon threads and across reruns**
 //!   — a plan fingerprint is a function of the spec, never of
 //!   scheduling;
@@ -39,19 +35,17 @@ fn instance() -> (Topology, TrafficMatrix, Migration) {
     (topo, tm, mig)
 }
 
-fn spec_with(learn: bool, fidelity: Fidelity) -> PlanSpec {
+fn spec() -> PlanSpec {
     PlanSpec {
         seed: 77,
         floor_frac: 0.5,
-        learn,
-        fidelity,
         ..PlanSpec::default()
     }
 }
 
 fn plan_instance() -> MigrationPlan {
     let (topo, tm, mig) = instance();
-    plan_migration(&topo, &tm, &mig, &spec_with(true, Fidelity::Ladder)).unwrap()
+    plan_migration(&topo, &tm, &mig, &spec()).unwrap()
 }
 
 /// Every DAG stage honors the floor on an *independently recomposed*
@@ -61,7 +55,7 @@ fn plan_instance() -> MigrationPlan {
 #[test]
 fn every_stage_certifies_above_the_floor_on_fresh_views() {
     let (topo, tm, mig) = instance();
-    let plan = plan_migration(&topo, &tm, &mig, &spec_with(true, Fidelity::Ladder)).unwrap();
+    let plan = plan_migration(&topo, &tm, &mig, &spec()).unwrap();
     assert!(!plan.stages.is_empty());
     assert!(plan.achieved_floor >= plan.floor);
 
@@ -105,76 +99,31 @@ fn every_stage_certifies_above_the_floor_on_fresh_views() {
     assert_eq!(sorted, (0..mig.move_count()).collect::<Vec<_>>());
 }
 
-/// The honest naive ordering search the planner is compared
-/// against: declaration-ordered first-fit, certify everything, no
-/// learning, and the dominance-free certificates (landed prefixes +
-/// singleton stages) a search without the transient-dominance theorem
-/// must pay.
-fn naive_spec() -> PlanSpec {
-    PlanSpec {
-        seed: 77,
-        floor_frac: 0.5,
-        learn: false,
-        baseline: true,
-        fidelity: Fidelity::CertifyAll,
-        ..PlanSpec::default()
-    }
-}
-
-/// The naive baseline and the pruned planner both honor the
-/// bitwise-identical spec floor with complete orderings, every step
-/// above it; pruning only removes solves (how many on an 80-move
-/// migration is dcbench's `plan.certified_solves`). And with the scan
-/// order shared, certify-all is
-/// bitwise decision-identical to the ladder — screens change cost,
-/// never outcome.
+/// The pruned planner honors the spec floor with a complete ordering,
+/// every step above it, and pays only the solves it counts: the two
+/// endpoints, every ordering attempt and every stage-packing attempt
+/// asked for a certificate, and the ones that met an already certified
+/// view (an in-flight addition is the state before it) are in
+/// `views_reused` instead. How many solves the screens save on an
+/// 80-move migration is dcbench's `plan.certified_solves`.
 #[test]
-fn naive_and_pruned_honor_the_identical_floor() {
+fn pruned_plan_honors_the_floor_and_accounts_every_solve() {
     let (topo, tm, mig) = instance();
-    let pruned = plan_migration(&topo, &tm, &mig, &spec_with(true, Fidelity::Ladder)).unwrap();
-    let naive = plan_migration(&topo, &tm, &mig, &naive_spec()).unwrap();
-    // same endpoints, same floor_frac → the bitwise-identical floor,
-    // honored by both searches with complete orderings
-    assert_eq!(pruned.floor.to_bits(), naive.floor.to_bits());
-    for plan in [&pruned, &naive] {
-        assert!(plan.achieved_floor >= plan.floor);
-        assert!(plan.step_lambda.iter().all(|&l| l >= plan.floor));
-        let mut sorted = plan.order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..mig.move_count()).collect::<Vec<_>>());
-    }
-    // pruning may reroute the search, never degrade the outcome
-    let drift = (pruned.achieved_floor - naive.achieved_floor).abs() / naive.achieved_floor;
-    assert!(
-        drift <= 0.02,
-        "pruned achieved floor {} drifted {drift} from naive {}",
-        pruned.achieved_floor,
-        naive.achieved_floor
-    );
-    // 16 against 9 when this was written (20 against 11 before a view
-    // certified once was answered from that certificate)
-    assert!(
-        naive.stats.certified_solves > pruned.stats.certified_solves,
-        "naive paid {} solves, pruned {}",
-        naive.stats.certified_solves,
-        pruned.stats.certified_solves
-    );
-    // only real solves are counted: the two endpoints, every ordering
-    // attempt and every stage-packing attempt asked for a certificate,
-    // and the ones that met an already certified view (an in-flight
-    // addition is the state before it) are in `views_reused` instead
-    let p = &pruned.stats;
+    let plan = plan_migration(&topo, &tm, &mig, &spec()).unwrap();
+    assert!(plan.achieved_floor >= plan.floor);
+    assert!(plan.step_lambda.iter().all(|&l| l >= plan.floor));
+    let mut sorted = plan.order.clone();
+    sorted.sort_unstable();
+    assert_eq!(sorted, (0..mig.move_count()).collect::<Vec<_>>());
+    // 9 real solves when this was written (11 before a view certified
+    // once was answered from that certificate)
+    let p = &plan.stats;
     assert_eq!(
         p.certified_solves + p.views_reused,
         2 + p.attempts + p.stage_solves,
         "{p:?}"
     );
     assert!(p.views_reused > 0, "{p:?}");
-    // certify-all at the planner's shared best-bound-first scan order
-    // makes the identical plan, paying at least as many solves
-    let all = plan_migration(&topo, &tm, &mig, &spec_with(true, Fidelity::CertifyAll)).unwrap();
-    assert_eq!(all.fingerprint(), pruned.fingerprint());
-    assert!(all.stats.certified_solves >= pruned.stats.certified_solves);
 }
 
 fn fingerprint_at(threads: usize) -> u64 {

@@ -118,16 +118,9 @@ fn search_bit_identical_across_threads_and_reruns() {
 #[test]
 fn ladder_never_certifies_an_ungated_candidate() {
     let result = mixed_search();
-    // per accepted move: the gates were evaluated and passed *before*
-    // the certified solve, and the hard bounds admit the certified λ
+    // per accepted move: the hard bounds admit the certified λ
     for mv in &result.accepted {
         let c = &mv.certificate;
-        assert!(
-            c.passed_hop && c.passed_cut,
-            "round {}: accepted {} without passing the ladder",
-            mv.round,
-            mv.kind.describe()
-        );
         assert!(
             c.lambda <= c.hop_bound * (1.0 + 1e-9),
             "round {}: certified λ {} above its own hop bound {}",
@@ -138,17 +131,29 @@ fn ladder_never_certifies_an_ungated_candidate() {
         assert!(c.lambda <= c.cut_bound * (1.0 + 1e-9));
         assert!(c.lambda <= c.upper * (1.0 + 1e-9));
     }
-    // and across the whole trace, certification implies a full climb
+    // and across the whole trace, certification implies a full climb:
+    // a rewire strictly improved the round incumbent's hop bound, and
+    // every certified candidate's cut bound cleared the greedy floor
+    // (the incumbent's certified λ)
+    let mut incumbent = result.initial;
     for round in &result.rounds {
         for cand in &round.candidates {
             if let Outcome::Certified(c) = &cand.outcome {
+                let what = format!("round {}: {}", round.round, cand.kind.describe());
+                if cand.kind.is_structural() {
+                    assert!(
+                        c.hop_bound > incumbent.hop_bound,
+                        "{what} certified past the hop gate"
+                    );
+                }
                 assert!(
-                    c.passed_hop && c.passed_cut,
-                    "round {}: candidate {} certified past a gate",
-                    round.round,
-                    cand.kind.describe()
+                    c.cut_bound > incumbent.lambda,
+                    "{what} certified past the cut gate"
                 );
             }
+        }
+        if let Some(idx) = round.accepted {
+            incumbent = *round.candidates[idx].certificate().unwrap();
         }
     }
     // the ladder did real pruning work on this instance
@@ -226,50 +231,4 @@ fn capacity_search_beats_uniform_by_certified_margin() {
         .accepted
         .iter()
         .all(|m| matches!(m.kind, MoveKind::ShiftCapacity { .. })));
-}
-
-/// Certify-every-move accepts the identical move sequence and reaches
-/// the identical final configuration — the ladder only removes wasted
-/// solves, strictly fewer here (what that saves in wall clock is
-/// dcbench's `search.prune_ratio` beside `search.run_ms`).
-#[test]
-fn fidelity_modes_agree_on_the_final_topology() {
-    let topo = scarce_cross_topo();
-    let tm = perm(&topo, 3);
-    let mk = |fidelity| {
-        let mut spec = SearchSpec::structural(17, 3, 6)
-            .with_opts(fast_opts())
-            .with_fidelity(fidelity);
-        spec.capacity = Some(CapacityBudget::default());
-        spec
-    };
-    let ladder = SearchRunner::new(&topo, &tm, mk(Fidelity::Ladder))
-        .unwrap()
-        .run()
-        .unwrap();
-    let all = SearchRunner::new(&topo, &tm, mk(Fidelity::CertifyAll))
-        .unwrap()
-        .run()
-        .unwrap();
-    let trajectory = |r: &SearchResult| -> Vec<(usize, usize, MoveKind, u64)> {
-        r.accepted
-            .iter()
-            .map(|m| (m.round, m.index, m.kind, m.certificate.lambda.to_bits()))
-            .collect()
-    };
-    assert!(
-        !ladder.accepted.is_empty(),
-        "nothing accepted, nothing compared"
-    );
-    assert_eq!(trajectory(&ladder), trajectory(&all));
-    assert_eq!(ladder.best.lambda.to_bits(), all.best.lambda.to_bits());
-    assert_eq!(ladder.topology.graph.edges(), all.topology.graph.edges());
-    assert_eq!(ladder.plan.multipliers(), all.plan.multipliers());
-    // 5 against 7 when this was written
-    assert!(
-        ladder.certified_solves < all.certified_solves,
-        "ladder certified {} solves, certify-all {}",
-        ladder.certified_solves,
-        all.certified_solves
-    );
 }

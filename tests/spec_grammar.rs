@@ -270,3 +270,62 @@ fn search_rejects_negative_temperature() {
         "temperature must be finite",
     );
 }
+
+/// A capacity budget outside its domain ran a search that could not
+/// make a move ("8 invalid … improvement +0.00%"): a step that is not a
+/// fraction, or a multiplier band that does not straddle the uniform
+/// plan's 1.
+#[test]
+fn search_rejects_an_unusable_capacity_budget() {
+    const SEARCH: &str =
+        "search --family two-cluster:6x8x3-6x5x2-6 --mode capacity --rounds 2 --batch 4";
+    for step in ["5", "-0.5", "nan"] {
+        rejects(
+            &format!("{SEARCH} --cap-step {step}"),
+            1,
+            "capacity step must be a fraction in (0, 1]",
+        );
+    }
+    rejects(
+        &format!("{SEARCH} --min-mult 3 --max-mult 0.5"),
+        1,
+        "capacity multipliers need 0 <= min_mult < 1 < max_mult",
+    );
+}
+
+/// An empty migration printed "achieved floor inf", and a negative
+/// floor called a plan certified-safe against nothing.
+#[test]
+fn plan_rejects_an_empty_migration_and_a_negative_floor() {
+    const PLAN: &str = "plan --family rrg:12x6x4";
+    rejects(
+        &format!("{PLAN} --pairs 0"),
+        1,
+        "an empty migration has nothing to order",
+    );
+    for floor in ["--floor -0.5", "--floor-frac -1"] {
+        rejects(&format!("{PLAN} {floor}"), 1, "negative safety floor");
+    }
+}
+
+/// Zero-sized loops are usage errors: `sweep --runs 0` ran one run, and
+/// `search --rounds 0` / `--batch 0` reported a search that evaluated
+/// nothing.
+#[test]
+fn zero_sized_loops_are_usage_errors() {
+    rejects(
+        "sweep --families rrg:8x6x4 --runs 0",
+        2,
+        "--runs must be positive",
+    );
+    rejects(
+        "search --family rrg:8x6x3 --rounds 0",
+        2,
+        "--rounds must be positive",
+    );
+    rejects(
+        "search --family rrg:8x6x3 --batch 0",
+        2,
+        "--batch must be positive",
+    );
+}
