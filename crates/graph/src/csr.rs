@@ -92,6 +92,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::error::usable_capacity;
 use crate::{ArcId, Graph, GraphError, NodeId};
 
 /// Sentinel in [`DijkstraWorkspace::parent_arc`]: no parent (source or
@@ -396,8 +397,8 @@ impl CsrNet {
     ///
     /// # Errors
     /// * [`GraphError::ArcOutOfRange`] for an arc id `>=` `arc_count`.
-    /// * [`GraphError::BadCapacity`] for a non-positive or non-finite
-    ///   capacity.
+    /// * [`GraphError::BadCapacity`] for a capacity that is not a normal
+    ///   positive float.
     /// * [`GraphError::Unrealizable`] when overriding a disabled arc —
     ///   re-rating a failed link is a scenario-composition bug, not a
     ///   repair mechanism.
@@ -413,9 +414,7 @@ impl CsrNet {
             if a >= m {
                 return Err(GraphError::ArcOutOfRange { arc: a, arcs: m });
             }
-            if !(c.is_finite() && c > 0.0) {
-                return Err(GraphError::BadCapacity { capacity: c });
-            }
+            usable_capacity(c)?;
             if !self.is_live(a) {
                 return Err(GraphError::Unrealizable(format!(
                     "cannot override capacity of disabled arc {a}"
@@ -452,12 +451,10 @@ impl CsrNet {
     /// `factor == 1.0` returns a plain clone (same `id`).
     ///
     /// # Errors
-    /// [`GraphError::BadCapacity`] when `factor` is non-positive or
-    /// non-finite.
+    /// [`GraphError::BadCapacity`] when `factor` or a product `c·factor`
+    /// is not a normal positive float.
     pub fn with_scaled_capacity(&self, factor: f64) -> Result<CsrNet, GraphError> {
-        if !(factor.is_finite() && factor > 0.0) {
-            return Err(GraphError::BadCapacity { capacity: factor });
-        }
+        usable_capacity(factor)?;
         if factor == 1.0 {
             return Ok(self.clone());
         }
@@ -465,7 +462,7 @@ impl CsrNet {
         let mut inv_capacity = self.inv_capacity.to_vec();
         for (c, i) in capacity.iter_mut().zip(inv_capacity.iter_mut()) {
             if *c > 0.0 {
-                *c *= factor;
+                *c = usable_capacity(*c * factor)?;
                 *i = 1.0 / *c;
             }
         }

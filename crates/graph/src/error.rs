@@ -24,7 +24,7 @@ pub enum GraphError {
         /// The node both endpoints referred to.
         node: usize,
     },
-    /// An edge capacity was not strictly positive and finite.
+    /// An edge capacity was not a normal positive float.
     BadCapacity {
         /// The invalid capacity value.
         capacity: f64,
@@ -60,7 +60,7 @@ impl fmt::Display for GraphError {
             GraphError::BadCapacity { capacity } => {
                 write!(
                     f,
-                    "edge capacity must be positive and finite, got {capacity}"
+                    "edge capacity must be a normal positive float, got {capacity}"
                 )
             }
             GraphError::Disconnected => write!(f, "graph is not connected"),
@@ -71,6 +71,15 @@ impl fmt::Display for GraphError {
 }
 
 impl std::error::Error for GraphError {}
+
+/// The one capacity rule: usable iff a normal positive float, so that the
+/// reciprocal (the length the solvers read) is finite too.
+pub(crate) fn usable_capacity(capacity: f64) -> Result<f64, GraphError> {
+    let usable = capacity.is_normal() && capacity > 0.0;
+    usable
+        .then_some(capacity)
+        .ok_or(GraphError::BadCapacity { capacity })
+}
 
 #[cfg(test)]
 mod tests {
@@ -86,6 +95,20 @@ mod tests {
         let e = GraphError::NoPath { src: 1, dst: 2 };
         assert!(e.to_string().contains("1"));
         assert!(GraphError::Disconnected.to_string().contains("connected"));
+    }
+
+    #[test]
+    fn usable_capacities_have_a_finite_reciprocal() {
+        for c in [f64::MIN_POSITIVE, 1.0, 1e308, f64::MAX] {
+            assert_eq!(usable_capacity(c), Ok(c));
+            assert!((1.0 / c).is_finite());
+        }
+        for c in [0.0, -0.0, -1.0, 1e-310, f64::INFINITY, f64::NAN] {
+            let Err(GraphError::BadCapacity { capacity }) = usable_capacity(c) else {
+                panic!("{c} is usable");
+            };
+            assert_eq!(capacity.to_bits(), c.to_bits());
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! model where "each network edge is of unit capacity ... counting both
 //! directions".
 
+use crate::error::usable_capacity;
 use crate::GraphError;
 
 /// Dense node index. Nodes are `0..n`.
@@ -88,7 +89,7 @@ impl Graph {
     /// Add an undirected edge with the given capacity per direction.
     ///
     /// Returns the new edge id. Parallel edges are permitted; self-loops
-    /// and non-positive or non-finite capacities are rejected.
+    /// and capacities that are not normal positive floats are rejected.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, capacity: f64) -> Result<EdgeId, GraphError> {
         if u >= self.n {
             return Err(GraphError::NodeOutOfRange { node: u, n: self.n });
@@ -99,9 +100,7 @@ impl Graph {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        if !(capacity.is_finite() && capacity > 0.0) {
-            return Err(GraphError::BadCapacity { capacity });
-        }
+        let capacity = usable_capacity(capacity)?;
         let id = self.edges.len();
         self.edges.push(Edge { u, v, capacity });
         self.adj[u].push((id, v));

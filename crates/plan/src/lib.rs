@@ -64,8 +64,9 @@
 //! that may execute concurrently: a stage is extended while its moves
 //! are mutually independent *and* the combined view with the whole
 //! stage in flight still certifies above the floor — which dominates
-//! every interleaving of the stage's members. When no safe ordering
-//! exists the planner returns the typed
+//! every interleaving of the stage's members. When the search finds no
+//! safe ordering within its budget and the greedy best-floor fallback
+//! violates the floor too, the planner returns the typed
 //! [`planner::PlanError::NoSafeOrdering`] carrying the best floor
 //! reached, the witness prefix, the learned conflicts, and a degraded
 //! best-floor ordering with its violation list.

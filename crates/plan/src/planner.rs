@@ -40,8 +40,8 @@ pub struct PlanSpec {
     /// probe, when the topology is heterogeneous, rides along).
     pub cut_probes: usize,
     /// Hard budget on certified solves during the ordering search; when
-    /// exhausted the planner falls back to the degraded best-floor
-    /// ordering.
+    /// exhausted the planner falls back to the greedy best-floor
+    /// ordering, which is the plan if it keeps the floor.
     pub max_solves: usize,
 }
 
@@ -204,9 +204,9 @@ pub struct DegradedPlan {
 /// Planner failures.
 #[derive(Debug)]
 pub enum PlanError {
-    /// No ordering keeps every intermediate state at or above the
-    /// floor (within the solve budget). Carries everything needed to
-    /// proceed anyway or to diagnose why not.
+    /// Neither the search (within the solve budget) nor the degraded
+    /// ordering keeps every intermediate state at or above the floor.
+    /// Carries everything needed to proceed anyway or to diagnose why not.
     NoSafeOrdering {
         /// Best (highest) `min`-step λ over the explored orderings —
         /// the floor the degraded ordering actually achieves.
@@ -753,7 +753,8 @@ type OrderOutcome = Option<(Vec<usize>, Vec<f64>)>;
 ///
 /// # Errors
 /// [`PlanError::NoSafeOrdering`] (with a degraded best-floor ordering
-/// inside) when the floor is unreachable within the solve budget;
+/// inside) when neither the search, within the solve budget, nor that
+/// fallback keeps the floor;
 /// [`PlanError::InvalidMigration`] for a migration over another switch
 /// set, an empty migration, or a floor that is not finite or below 0;
 /// [`PlanError::Flow`] / [`PlanError::Graph`] on endpoint solve or
@@ -803,40 +804,43 @@ pub fn plan_migration(
         // completeness
         found = planner.find_order(false)?;
     }
-    match found {
-        Some((order, step_lambda)) => {
-            let stages = planner.build_stages(&order, &step_lambda)?;
-            let achieved_floor = stages
-                .iter()
-                .map(|s| s.lambda)
-                .fold(f64::INFINITY, f64::min);
-            Ok(MigrationPlan {
-                order,
-                stages,
-                floor: planner.floor,
-                achieved_floor,
-                lambda_a,
-                lambda_b,
-                step_lambda,
-                learned: planner.conflicts.clone(),
-                stats: planner.stats.clone(),
-            })
-        }
+    let (order, step_lambda) = match found {
+        Some(found) => found,
         None => {
             let degraded = planner.degraded()?;
-            let best_floor = degraded
-                .step_lambda
-                .iter()
-                .copied()
-                .fold(f64::INFINITY, f64::min);
-            Err(PlanError::NoSafeOrdering {
-                best_floor,
-                witness_prefix: planner.best_prefix.clone(),
-                learned_conflicts: planner.conflicts.clone(),
-                degraded: Box::new(degraded),
-            })
+            if !degraded.violations.is_empty() {
+                let best_floor = degraded
+                    .step_lambda
+                    .iter()
+                    .copied()
+                    .fold(f64::INFINITY, f64::min);
+                return Err(PlanError::NoSafeOrdering {
+                    best_floor,
+                    witness_prefix: planner.best_prefix.clone(),
+                    learned_conflicts: planner.conflicts.clone(),
+                    degraded: Box::new(degraded),
+                });
+            }
+            // only the budget ran out: the fallback keeps the floor
+            (degraded.order, degraded.step_lambda)
         }
-    }
+    };
+    let stages = planner.build_stages(&order, &step_lambda)?;
+    let achieved_floor = stages
+        .iter()
+        .map(|s| s.lambda)
+        .fold(f64::INFINITY, f64::min);
+    Ok(MigrationPlan {
+        order,
+        stages,
+        floor: planner.floor,
+        achieved_floor,
+        lambda_a,
+        lambda_b,
+        step_lambda,
+        learned: planner.conflicts.clone(),
+        stats: planner.stats.clone(),
+    })
 }
 
 #[cfg(test)]
@@ -906,6 +910,29 @@ mod tests {
         assert_eq!(degraded.violations.len(), mig.move_count());
         assert!(best_floor.is_finite());
         assert!(best_floor < f64::MAX);
+    }
+
+    /// An exhausted budget is not an unreachable floor: the greedy
+    /// fallback keeps it on this instance, so it is the plan.
+    #[test]
+    fn an_exhausted_budget_returns_a_fallback_that_keeps_the_floor() {
+        let (topo, tm) = instance();
+        let moves = cross_churn(&topo, 2, 5).unwrap();
+        let mig = Migration::new(&topo, &moves).unwrap();
+        for max_solves in [0, 1] {
+            let spec = PlanSpec {
+                max_solves,
+                floor_frac: 0.5,
+                ..PlanSpec::default()
+            };
+            let plan = plan_migration(&topo, &tm, &mig, &spec)
+                .unwrap_or_else(|e| panic!("max_solves {max_solves}: {e}"));
+            assert_eq!(plan.order.len(), mig.move_count());
+            for s in &plan.stages {
+                assert!(s.lambda >= plan.floor, "max_solves {max_solves}");
+            }
+            assert!(plan.achieved_floor >= plan.floor);
+        }
     }
 
     /// A two-cluster fabric whose 8 cross links carry all-to-all

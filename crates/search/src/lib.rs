@@ -24,22 +24,23 @@
 //!   delta views, so the base net's `structure_id` (and therefore the
 //!   frozen path-set cache) stays warm across every candidate.
 //!
-//! ## The multi-fidelity ladder ([`ladder`])
+//! ## The multi-fidelity ladder
 //!
 //! Certified solves are ~10⁴× the cost of a BFS sweep, so candidates
-//! climb a ladder and only survivors pay for certification:
-//!
-//! The bounds are [`dctopo_core::ladder`]'s, evaluated on the net +
-//! plan view the candidate would be solved on:
+//! climb a ladder and only survivors pay for certification. The bounds
+//! are [`dctopo_core::ladder`]'s — the one copy the sweep and the
+//! planner evaluate too — on the net + plan view the candidate would be
+//! solved on:
 //!
 //! 1. **Hop bound** (level 0) — the Theorem-1-style hard bound
 //!    `C / Σ_j d_j·hop_j` from 64-lane batched multi-source BFS
-//!    ([`ladder::hop_alpha`]).
+//!    ([`hop_alpha`](dctopo_core::ladder::hop_alpha)).
 //!    Structural candidates must *strictly improve* it.
 //! 2. **Cut bound** (level 1) — `C̄ / crossing demand`
-//!    ([`ladder::min_cut_bound`]) over fixed probe partitions
-//!    ([`ladder::CutProbe`]): a candidate whose tightest cut bound
-//!    cannot beat the incumbent's certified λ is pruned *soundly*.
+//!    ([`min_cut_bound`](dctopo_core::ladder::min_cut_bound)) over
+//!    fixed probe partitions ([`CutProbe`](dctopo_core::ladder::CutProbe)):
+//!    a candidate whose tightest cut bound cannot beat the incumbent's
+//!    certified λ is pruned *soundly*.
 //! 3. **Certified solve** (level 2) — the FPTAS / KSP backend selected
 //!    by [`dctopo_flow::FlowOptions::backend`], warm-started through
 //!    the shared path-set cache for capacity candidates.
@@ -65,11 +66,9 @@
 
 #![warn(missing_docs)]
 
-pub mod ladder;
 pub mod moves;
 pub mod runner;
 
-pub use ladder::{hop_alpha, hop_bound, CutProbe};
 pub use moves::{CapacityPlan, MoveKind, ResolvedMove};
 pub use runner::{
     AcceptedMove, CapacityBudget, Certificate, Outcome, RoundTrace, SearchResult, SearchRunner,

@@ -113,15 +113,7 @@ impl Request {
         if !matches!(v, Json::Obj(_)) {
             return Err(ProtoError::Malformed("request is not a JSON object".into()));
         }
-        let id = match v.get("id") {
-            None | Some(Json::Null) => None,
-            Some(j @ (Json::Num(_) | Json::Str(_))) => Some(j.clone()),
-            Some(_) => {
-                return Err(ProtoError::BadRequest(
-                    "\"id\" must be a number or string".into(),
-                ))
-            }
-        };
+        let id = id_of(&v)?;
         let op = match v.get("op") {
             None => "query",
             Some(j) => j
@@ -149,6 +141,23 @@ impl Request {
             }
         }
         Ok(Request { id, op })
+    }
+
+    /// The id the error response to an invalid `line` echoes: its `"id"`
+    /// if it is a JSON object whose `"id"` is a number or a string.
+    pub fn echo_id(line: &str) -> Option<Json> {
+        Json::parse(line).ok().and_then(|v| id_of(&v).ok()?)
+    }
+}
+
+/// A request's `"id"`: absent, `null`, a number or a string.
+fn id_of(v: &Json) -> Result<Option<Json>, ProtoError> {
+    match v.get("id") {
+        None | Some(Json::Null) => Ok(None),
+        Some(j @ (Json::Num(_) | Json::Str(_))) => Ok(Some(j.clone())),
+        Some(_) => Err(ProtoError::BadRequest(
+            "\"id\" must be a number or string".into(),
+        )),
     }
 }
 

@@ -176,7 +176,7 @@ impl<'t> Server<'t> {
         let mut queries: Vec<QuerySpec> = Vec::new();
         for line in lines {
             match Request::parse(line) {
-                Err(e) => slots.push(Slot::Bad(None, e)),
+                Err(e) => slots.push(Slot::Bad(Request::echo_id(line), e)),
                 Ok(Request { id, op }) => match op {
                     Op::Ping => slots.push(Slot::Ping(id)),
                     Op::Stats => slots.push(Slot::Stats(id)),

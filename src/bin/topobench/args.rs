@@ -1,7 +1,7 @@
 //! The one typed argument layer: `--key value` pairs, boolean switches
-//! and at most one positional family, checked against the subcommand's
-//! declared flags so a typo or an unparsable value is a usage error
-//! instead of a silently applied default.
+//! and at most one positional (a family or a figure), checked against
+//! the subcommand's declared flags so a typo or an unparsable value is
+//! a usage error instead of a silently applied default.
 
 use std::collections::HashMap;
 use std::fmt::Display;
@@ -42,7 +42,7 @@ pub struct Args {
     cmd: &'static Command,
     values: HashMap<String, String>,
     switches: Vec<String>,
-    family: Option<String>,
+    positional: Option<String>,
 }
 
 impl Args {
@@ -51,7 +51,7 @@ impl Args {
             cmd,
             values: HashMap::new(),
             switches: Vec::new(),
-            family: None,
+            positional: None,
         };
         let mut raw = raw.iter();
         while let Some(tok) = raw.next() {
@@ -69,8 +69,8 @@ impl Args {
                         cmd.name
                     )));
                 }
-            } else if cmd.family && args.family.is_none() {
-                args.family = Some(tok.clone());
+            } else if !cmd.positional.is_empty() && args.positional.is_none() {
+                args.positional = Some(tok.clone());
             } else {
                 return Err(CliError::Usage(format!("unexpected argument '{tok}'")));
             }
@@ -80,22 +80,26 @@ impl Args {
 
     fn is_switch(&self, key: &str) -> bool {
         self.cmd.switches.split_whitespace().any(|s| s == key)
-            || (self.cmd.family && key == "rewired")
+            || (self.cmd.positional == "family" && key == "rewired")
     }
 
     /// Whether this subcommand takes `--key value`: its own flags, the
     /// family dimensions of the flag form, and the global two.
     pub fn declares(&self, key: &str) -> bool {
         self.cmd.values.split_whitespace().any(|v| v == key)
-            || (self.cmd.family && TopologyPoint::flag_forms().any(|(_, f)| f.contains(&key)))
+            || (self.cmd.positional == "family"
+                && TopologyPoint::flag_forms().any(|(_, f)| f.contains(&key)))
             || matches!(key, "threads" | "trace")
     }
 
-    /// The positional family of a flag-form subcommand.
-    pub fn family(&self) -> CliResult<&str> {
-        self.family
-            .as_deref()
-            .ok_or_else(|| CliError::Usage(format!("`{}` needs a <family>", self.cmd.name)))
+    /// The positional: a flag-form subcommand's family, `figures`' target.
+    pub fn positional(&self) -> CliResult<&str> {
+        self.positional.as_deref().ok_or_else(|| {
+            CliError::Usage(format!(
+                "`{}` needs a <{}>",
+                self.cmd.name, self.cmd.positional
+            ))
+        })
     }
 
     pub fn switch(&self, key: &str) -> bool {

@@ -7,16 +7,16 @@
 //! * `extra-bisection` — "bisection bandwidth is not a good measure of
 //!   performance" (§6): the cut shrinks long before throughput drops.
 
-use dctopo_core::{solve_throughput, TopologyPoint, TrafficModel};
-use dctopo_graph::components::cut_capacity;
-use dctopo_topology::classic::fat_tree;
-use dctopo_topology::hetero::{heterogeneous_fleet, two_cluster, CrossSpec};
-use dctopo_topology::{ClusterSpec, ServerPlacement};
-use dctopo_traffic::TrafficMatrix;
+use dctopo::core::{solve_throughput, TopologyPoint, TrafficModel};
+use dctopo::graph::components::cut_capacity;
+use dctopo::topology::classic::fat_tree;
+use dctopo::topology::hetero::{heterogeneous_fleet, two_cluster, CrossSpec};
+use dctopo::topology::{ClusterSpec, ServerPlacement};
+use dctopo::traffic::TrafficMatrix;
 
-use crate::figs::fig06_07::ratio_grid;
-use crate::figs::{curve, samples};
-use crate::{columns, header, row, FigConfig};
+use super::fig06_07::ratio_grid;
+use super::{columns, header, row, FigConfig};
+use super::{curve, samples};
 
 /// Hypercube vs RRG with identical equipment: compare the *network*
 /// concurrent-flow value λ (the NIC cap would saturate both at 1 on

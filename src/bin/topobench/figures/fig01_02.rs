@@ -9,13 +9,13 @@
 //! The paper's observation: both ratios approach 1, i.e. random graphs
 //! are near-optimal (within a few percent at a few thousand servers).
 
-use dctopo_bounds::{aspl_lower_bound, throughput_upper_bound};
-use dctopo_core::{TopologyPoint, TrafficModel};
-use dctopo_graph::paths::path_stats;
-use dctopo_topology::Topology;
+use dctopo::bounds::{aspl_lower_bound, throughput_upper_bound};
+use dctopo::core::{TopologyPoint, TrafficModel};
+use dctopo::graph::paths::path_stats;
+use dctopo::topology::Topology;
 
-use crate::figs::{curve, samples};
-use crate::{columns, header, row, FigConfig};
+use super::{columns, header, row, FigConfig};
+use super::{curve, samples};
 
 /// Mean network λ over the Theorem-1 bound for `RRG(n, r + spw, r)`
 /// under `traffic`, one value per `(n, r)` in `sizes`. Theorem 1 bounds

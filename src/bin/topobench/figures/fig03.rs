@@ -4,12 +4,12 @@
 //! Pure graph computation (BFS all-pairs), so this scales to the paper's
 //! full N = 1457 even in the default profile.
 
-use dctopo_bounds::{aspl_lower_bound, moore_level_boundaries};
-use dctopo_graph::paths::path_stats;
-use dctopo_topology::Topology;
+use dctopo::bounds::{aspl_lower_bound, moore_level_boundaries};
+use dctopo::graph::paths::path_stats;
+use dctopo::topology::Topology;
 
-use crate::figs::samples;
-use crate::{columns, header, row, FigConfig};
+use super::samples;
+use super::{columns, header, row, FigConfig};
 
 /// Fig. 3: degree-4 ASPL versus the bound across sizes.
 pub fn run(cfg: &FigConfig) {

@@ -9,14 +9,14 @@
 //! * Fig. 5 — a power-law port-count fleet; attach servers ∝ `k^β` and
 //!   sweep β. β = 1 (proportional) is among the optima.
 
-use dctopo_core::{TopologyPoint, TrafficModel};
-use dctopo_topology::hetero::{heterogeneous, heterogeneous_fleet, power_law_ports};
-use dctopo_topology::ServerPlacement;
+use dctopo::core::{TopologyPoint, TrafficModel};
+use dctopo::topology::hetero::{heterogeneous, heterogeneous_fleet, power_law_ports};
+use dctopo::topology::ServerPlacement;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::figs::curve;
-use crate::{columns, header, proportional_servers_large, row_keyed, server_splits, FigConfig};
+use super::curve;
+use super::{columns, header, proportional_servers_large, row_keyed, server_splits, FigConfig};
 
 /// One Fig. 4 curve: sweep server splits for the given fleet.
 fn sweep_split_curve(

@@ -8,12 +8,12 @@
 //!   optima exist, but proportional placement + vanilla random
 //!   interconnect is among them.
 
-use dctopo_core::{TopologyPoint, TrafficModel};
-use dctopo_topology::hetero::{two_cluster, CrossSpec};
-use dctopo_topology::{expected_cross_links, ClusterSpec};
+use dctopo::core::{TopologyPoint, TrafficModel};
+use dctopo::topology::hetero::{two_cluster, CrossSpec};
+use dctopo::topology::{expected_cross_links, ClusterSpec};
 
-use crate::figs::curve;
-use crate::{columns, header, row_keyed, FigConfig};
+use super::curve;
+use super::{columns, header, row_keyed, FigConfig};
 
 /// The standard cross-ratio grid, clamped to what the port budgets allow.
 pub(crate) fn ratio_grid(large: ClusterSpec, small: ClusterSpec, dense: bool) -> Vec<f64> {

@@ -6,13 +6,13 @@
 //! (c) sweeps the trunk count. Higher trunk capacity helps, but its
 //! impact vanishes when cross-cluster connectivity is the bottleneck.
 
-use dctopo_core::{TopologyPoint, TrafficModel};
-use dctopo_topology::hetero::{two_cluster_linespeed, CrossSpec};
-use dctopo_topology::ClusterSpec;
+use dctopo::core::{TopologyPoint, TrafficModel};
+use dctopo::topology::hetero::{two_cluster_linespeed, CrossSpec};
+use dctopo::topology::ClusterSpec;
 
-use crate::figs::curve;
-use crate::figs::fig06_07::ratio_grid;
-use crate::{columns, header, row_keyed, FigConfig};
+use super::curve;
+use super::fig06_07::ratio_grid;
+use super::{columns, header, row_keyed, FigConfig};
 
 fn sweep(
     cfg: &FigConfig,

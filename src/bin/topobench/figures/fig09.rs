@@ -4,17 +4,17 @@
 //! The finding: utilization tracks throughput best — bottlenecks (not
 //! path lengths) govern the losses.
 
-use dctopo_core::ThroughputEngine;
-use dctopo_flow::FlowError;
-use dctopo_graph::GraphError;
-use dctopo_topology::hetero::{heterogeneous, two_cluster, two_cluster_linespeed, CrossSpec};
-use dctopo_topology::{ClusterSpec, ServerPlacement, Topology};
-use dctopo_traffic::TrafficMatrix;
+use dctopo::core::ThroughputEngine;
+use dctopo::flow::FlowError;
+use dctopo::graph::GraphError;
+use dctopo::topology::hetero::{heterogeneous, two_cluster, two_cluster_linespeed, CrossSpec};
+use dctopo::topology::{ClusterSpec, ServerPlacement, Topology};
+use dctopo::traffic::TrafficMatrix;
 use rand::rngs::StdRng;
 
-use crate::figs::fig06_07::ratio_grid;
-use crate::figs::samples;
-use crate::{columns, header, row_keyed, server_splits, FigConfig};
+use super::fig06_07::ratio_grid;
+use super::samples;
+use super::{columns, header, row_keyed, server_splits, FigConfig};
 
 /// Per-point means of (throughput, utilization, 1/⟨D⟩, 1/AS).
 struct Point {
@@ -81,7 +81,7 @@ pub fn run(cfg: &FigConfig) {
 
     // (a) = Fig 4(c) '480 servers': server split sweep
     let mut pts = Vec::new();
-    let prop = crate::proportional_servers_large(480, 20, 30, 30, 20);
+    let prop = super::proportional_servers_large(480, 20, 30, 30, 20);
     for (s_l, s_s) in server_splits(480, 20, 30, 30, 20) {
         let p = measure(cfg, s_l as f64 / prop, |rng| {
             heterogeneous(

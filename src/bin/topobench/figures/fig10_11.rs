@@ -8,20 +8,20 @@
 //!   throughput *must* fall below its peak. We verify the claim and
 //!   print both the series and the threshold.
 
-use dctopo_bounds::cbar_star;
-use dctopo_core::ladder::hop_alpha;
-use dctopo_core::{solve_throughput, ThroughputEngine};
-use dctopo_flow::{Commodity, FlowError};
-use dctopo_graph::components::cut_capacity;
-use dctopo_graph::GraphError;
-use dctopo_topology::hetero::{two_cluster, two_cluster_linespeed, CrossSpec};
-use dctopo_topology::{ClusterSpec, Topology};
-use dctopo_traffic::TrafficMatrix;
+use dctopo::bounds::cbar_star;
+use dctopo::core::ladder::hop_alpha;
+use dctopo::core::{solve_throughput, ThroughputEngine};
+use dctopo::flow::{Commodity, FlowError};
+use dctopo::graph::components::cut_capacity;
+use dctopo::graph::GraphError;
+use dctopo::topology::hetero::{two_cluster, two_cluster_linespeed, CrossSpec};
+use dctopo::topology::{ClusterSpec, Topology};
+use dctopo::traffic::TrafficMatrix;
 use rand::rngs::StdRng;
 
-use crate::figs::fig06_07::ratio_grid;
-use crate::figs::samples;
-use crate::{columns, header, row_keyed, FigConfig};
+use super::fig06_07::ratio_grid;
+use super::samples;
+use super::{columns, header, row_keyed, FigConfig};
 
 /// Mean (observed throughput, Eqn-1 bound) at one sweep point.
 fn observe<B>(cfg: &FigConfig, large_count: usize, build: B) -> Result<(f64, f64), FlowError>

@@ -7,16 +7,16 @@
 //! (c) the support ratio when full throughput is required under
 //!     all-to-all / permutation / 100% chunky traffic.
 
-use dctopo_core::vl2::{permutation_tm, SupportSearch};
-use dctopo_core::{TopologyPoint, TrafficModel};
-use dctopo_topology::vl2::{rewired_vl2, vl2, Vl2Params};
-use dctopo_topology::Topology;
-use dctopo_traffic::TrafficMatrix;
+use dctopo::core::vl2::{permutation_tm, SupportSearch};
+use dctopo::core::{TopologyPoint, TrafficModel};
+use dctopo::topology::vl2::{rewired_vl2, vl2, Vl2Params};
+use dctopo::topology::Topology;
+use dctopo::traffic::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::figs::grid;
-use crate::{columns, header, row_keyed, FigConfig};
+use super::grid;
+use super::{columns, header, row_keyed, FigConfig};
 
 fn grids(cfg: &FigConfig) -> (Vec<usize>, Vec<usize>) {
     if cfg.full {
@@ -31,7 +31,7 @@ fn search_for(cfg: &FigConfig) -> SupportSearch {
     // (rewired) fabrics, so the solver gap must be small relative to the
     // effect size — always use the default profile here, whatever the
     // sweep profile is.
-    let opts = dctopo_flow::FlowOptions::default();
+    let opts = dctopo::flow::FlowOptions::default();
     SupportSearch {
         opts,
         tol: opts.target_gap + 0.01,

@@ -8,13 +8,13 @@
 //! solver's own path decomposition and report how much the packet level
 //! delivers of the offer.
 
-use dctopo_core::{PacketParams, ThroughputEngine};
-use dctopo_topology::vl2::{rewired_vl2, Vl2Params};
-use dctopo_traffic::TrafficMatrix;
+use dctopo::core::{PacketParams, ThroughputEngine};
+use dctopo::topology::vl2::{rewired_vl2, Vl2Params};
+use dctopo::traffic::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{columns, header, row, FigConfig};
+use super::{columns, header, row, FigConfig};
 
 /// Fig. 13.
 pub fn run(cfg: &FigConfig) {

@@ -30,7 +30,7 @@ pub enum FamilyArg {
 pub fn family_point(args: &Args, family: FamilyArg) -> CliResult<(String, TopologyPoint)> {
     match family {
         FamilyArg::Flags => {
-            let label = args.family()?;
+            let label = args.positional()?;
             let family = if label == "vl2" && args.switch("rewired") {
                 "vl2-rewired"
             } else {
@@ -60,14 +60,21 @@ pub fn family_point(args: &Args, family: FamilyArg) -> CliResult<(String, Topolo
     }
 }
 
-/// `--precise` selects the tight solver profile; otherwise the
-/// subcommand's own default stands.
-pub fn profile(args: &Args, default: FlowOptions) -> FlowOptions {
-    if args.switch("precise") {
+/// `--precise` picks the tight profile over the subcommand's `default`,
+/// then `--backend`, where declared, the backend within it (so the two
+/// combine in either order).
+pub fn solver_options(args: &Args, default: FlowOptions) -> CliResult<FlowOptions> {
+    let mut opts = if args.switch("precise") {
         FlowOptions::precise()
     } else {
         default
+    };
+    if args.declares("backend") {
+        if let Some(backend) = args.get::<BackendChoice>("backend")? {
+            backend.apply(&mut opts);
+        }
     }
+    Ok(opts)
 }
 
 /// `--traffic`: a materialized model, or one of the aggregated
@@ -192,15 +199,11 @@ impl Setup {
                 None => TrafficArg::Model(spec.parse()?),
             },
         };
-        let mut opts = profile(args, default_opts);
-        if let Some(backend) = args.get::<BackendChoice>("backend")? {
-            backend.apply(&mut opts);
-        }
         Ok(Setup {
             label,
             traffic_label,
             seed: args.get("seed")?.unwrap_or(1),
-            opts,
+            opts: solver_options(args, default_opts)?,
             point,
             traffic,
             // only the subcommands that take --max-pairs guard the list

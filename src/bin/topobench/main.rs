@@ -10,6 +10,7 @@
 mod args;
 mod bounds;
 mod build;
+mod figures;
 mod instance;
 mod packetsim;
 mod plan;
@@ -64,6 +65,11 @@ usage:
                   [--max-pairs P]
       one solve under the in-memory recorder, as a wall/work breakdown
       (takes the aggregated traffic forms too)
+  topobench figures <target> [--full] [--runs N] [--seed S] [--precise]
+                  [--backend B]
+      the paper's figures as TSV (--full: paper scale); <target> is all or
+      one of: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
+        fig12a fig12b fig12c fig13 extra-hypercube extra-fattree extra-bisection
   topobench bounds --switches N --degree R --flows F
   topobench vl2-study --da A --di I [--runs N]
 
@@ -79,13 +85,13 @@ family specs F: rrg:NxKxR | fat-tree:K | complete:NxS | hypercube:DxS |
 traffic T: permutation (default) | all-to-all | chunky:<percent> | hotspot:<n>
 backend B: fptas (default) | fptas-strict | exact | ksp:<k>";
 
-/// One subcommand: its name, whether it takes the positional
-/// `<family> [options]` form, the space-separated `--key value` flags
-/// and boolean switches it declares (anything else is a usage error),
-/// and its body.
+/// One subcommand: its name, its positional (`family`, with the flag
+/// form's dimension flags, `target`, or none), the space-separated
+/// `--key value` flags and boolean switches it declares (anything else
+/// is a usage error), and its body.
 pub struct Command {
     name: &'static str,
-    family: bool,
+    positional: &'static str,
     values: &'static str,
     switches: &'static str,
     run: fn(&Args) -> CliResult,
@@ -94,28 +100,28 @@ pub struct Command {
 const COMMANDS: &[Command] = &[
     Command {
         name: "build",
-        family: true,
+        positional: "family",
         values: "seed",
         switches: "dot",
         run: build::run,
     },
     Command {
         name: "solve",
-        family: true,
+        positional: "family",
         values: "traffic runs seed backend max-pairs",
         switches: "precise",
         run: solve::run,
     },
     Command {
         name: "sweep",
-        family: false,
+        positional: "",
         values: "families traffic failures switch-failures scales backends runs seed json",
         switches: "precise strict",
         run: sweep::run,
     },
     Command {
         name: "search",
-        family: false,
+        positional: "",
         values: "family mode rounds batch traffic seed backend \
                  min-mult max-mult cap-step temperature cooling",
         switches: "precise",
@@ -123,14 +129,14 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "plan",
-        family: false,
+        positional: "",
         values: "family pairs traffic seed floor floor-frac probes max-solves backend",
         switches: "maintenance precise",
         run: plan::run,
     },
     Command {
         name: "packetsim",
-        family: true,
+        positional: "family",
         values: "traffic seed routing utilization duration warmup queue rto cwnd \
                  failures backend max-pairs",
         switches: "window precise",
@@ -138,28 +144,35 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "serve",
-        family: true,
+        positional: "family",
         values: "traffic seed backend max-pairs",
         switches: "precise no-warm",
         run: serve::run,
     },
     Command {
         name: "profile",
-        family: true,
+        positional: "family",
         values: "traffic seed backend phases eps max-pairs",
         switches: "precise",
         run: profile::run,
     },
     Command {
+        name: "figures",
+        positional: "target",
+        values: "runs seed backend",
+        switches: "full precise",
+        run: figures::run,
+    },
+    Command {
         name: "bounds",
-        family: false,
+        positional: "",
         values: "switches degree flows",
         switches: "",
         run: bounds::run,
     },
     Command {
         name: "vl2-study",
-        family: false,
+        positional: "",
         values: "da di runs",
         switches: "",
         run: vl2_study::run,

@@ -5,7 +5,7 @@ use dctopo::core::{Degradation, Scenario, SweepRunner, SweepSpec};
 use dctopo::prelude::*;
 
 use crate::args::{Args, CliError, CliResult, OrFail};
-use crate::instance::profile;
+use crate::instance::solver_options;
 
 /// The degradation axis: link-failure levels × switch-failure levels ×
 /// capacity scales, named so cells stay self-describing.
@@ -57,7 +57,7 @@ pub fn run(args: &Args) -> CliResult {
         traffic: args.list("traffic", "permutation,all-to-all,chunky:50")?,
         scenarios: scenarios(args, seed)?,
         backends: args.list("backends", "fptas")?,
-        opts: profile(args, FlowOptions::fast()),
+        opts: solver_options(args, FlowOptions::fast())?,
         seed,
         runs,
     };

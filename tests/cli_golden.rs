@@ -99,6 +99,30 @@ fn profile_prints_the_pre_refactor_work_counters() {
     assert_eq!(deterministic, include_str!("golden/profile.txt"));
 }
 
+/// One instance figure (`fig3`, solve-free), the co-validated `fig13`
+/// and one curve figure (`extra-fattree`), each at pool widths 1 and 2:
+/// a figure is a function of the seed alone, never of the width.
+#[test]
+fn figures_match_the_goldens_at_every_width() {
+    let cases = [
+        ("fig3", include_str!("golden/fig3.txt")),
+        ("fig13", include_str!("golden/fig13.txt")),
+        (
+            "extra-fattree --runs 1",
+            include_str!("golden/extra_fattree.txt"),
+        ),
+    ];
+    for (args, golden) in cases {
+        for threads in ["1", "2"] {
+            assert_eq!(
+                stdout_of(&format!("figures {args} --threads {threads}")),
+                golden,
+                "stdout of `topobench figures {args}` at --threads {threads} moved"
+            );
+        }
+    }
+}
+
 /// The `aggregate-solve` instance's trajectory, captured at the commit
 /// *before* `solve_grouped`'s trees moved from delta-stepping to the
 /// heap Dijkstra: every deterministic float of every trace record,

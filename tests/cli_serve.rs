@@ -139,15 +139,21 @@ fn malformed_requests_get_typed_error_records_and_the_server_survives() {
 {\"id\":2,\"degrade\":[{\"kind\":\"fail-links\",\"count\":2,\"seed\":1,\"bogus\":3}]}\n\
 {\"id\":3,\"op\":\"teapot\"}\n\
 {\"id\":4,\"drift\":{\"spread\":1.5,\"seed\":1}}\n\
-{\"id\":5,\"op\":\"ping\"}\n";
+{\"id\":5,\"degrade\":[{\"kind\":\"scale-capacity\",\"factor\":1e308},\
+{\"kind\":\"scale-capacity\",\"factor\":1e308}],\"backend\":\"ksp:2\"}\n\
+{\"id\":6,\"op\":\"ping\"}\n";
     let (lines, stderr, ok) = serve_transcript(input, &[]);
     assert!(
         ok,
         "bad input must never crash or exit the server:\n{stderr}"
     );
-    assert_eq!(lines.len(), 6, "every line gets a response:\n{lines:?}");
-    let expect_err = |line: &str, kind: &str| {
+    assert_eq!(lines.len(), 7, "every line gets a response:\n{lines:?}");
+    // line i answers with id i, except the line that is not JSON
+    let expect_err = |i: usize, kind: &str| {
+        let line = &lines[i];
         let v = Json::parse(line).unwrap();
+        let id = v.get("id").and_then(Json::as_u64);
+        assert_eq!(id, (i > 0).then_some(i as u64), "{line}");
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{line}");
         let err = v.get("error").unwrap_or_else(|| panic!("no error: {line}"));
         assert_eq!(
@@ -163,15 +169,17 @@ fn malformed_requests_get_typed_error_records_and_the_server_survives() {
             "empty message: {line}"
         );
     };
-    expect_err(&lines[0], "malformed");
-    expect_err(&lines[1], "bad-request");
-    expect_err(&lines[2], "bad-request");
-    expect_err(&lines[3], "bad-request");
-    expect_err(&lines[4], "bad-request");
+    expect_err(0, "malformed");
+    expect_err(1, "bad-request");
+    expect_err(2, "bad-request");
+    expect_err(3, "bad-request");
+    expect_err(4, "bad-request");
+    // two scales past f64::MAX: a typed error, not a killed server
+    expect_err(5, "bad-capacity");
     // the good request in the same batch still answers
-    assert_eq!(lines[5], "{\"id\":5,\"ok\":true,\"pong\":true}");
+    assert_eq!(lines[6], "{\"id\":6,\"ok\":true,\"pong\":true}");
     assert!(
-        stderr.contains("5 errors"),
+        stderr.contains("6 errors"),
         "final stats must count the typed errors:\n{stderr}"
     );
 }

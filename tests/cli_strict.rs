@@ -91,6 +91,30 @@ fn strict_sweep_fails_on_error_cells_with_typed_summary() {
     );
 }
 
+/// A scale that over- or underflows a capacity fails its cell as a bad
+/// capacity, and the sweep goes on: `1e308` killed the whole sweep in a
+/// KSP solve and certified a `NaN%` gap on `fptas`, and `1e-310` failed
+/// the cell as `unreachable` because `1/c` overflowed.
+#[test]
+fn capacity_scales_past_the_normal_floats_fail_their_cell() {
+    for (family, scale, backend) in [
+        ("vl2:4x4", "1e308", "ksp:2"),
+        ("vl2:4x4", "1e308", "fptas"),
+        ("rrg:12x8x4", "1e-310", "fptas"),
+    ] {
+        let out = topobench()
+            .args(["sweep", "--families", family, "--traffic", "permutation"])
+            .args(["--failures", "0", "--scales", scale, "--backends", backend])
+            .output()
+            .expect("failed to run topobench");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let ctx = format!("{family} --scales {scale} --backends {backend}");
+        assert!(out.status.success(), "{ctx}: exit {:?}", out.status.code());
+        let bad = "FAILED: graph error: edge capacity must be a normal positive float";
+        assert_eq!(stdout.matches(bad).count(), 1, "{ctx}:\n{stdout}");
+    }
+}
+
 /// A comma-separated axis, each entry through its `FromStr`.
 fn axis<T: std::str::FromStr>(list: &str) -> Vec<T> {
     let parse = |x: &str| x.parse().unwrap_or_else(|_| panic!("bad axis entry '{x}'"));
@@ -281,4 +305,28 @@ fn plan_subcommand_emits_a_stable_staged_plan() {
         fp(&run()),
         "plan fingerprint drifted across runs"
     );
+}
+
+/// A solve budget that runs out before the search finishes is not an
+/// unreachable floor: the fallback ordering keeps the floor on this
+/// instance, so it is printed as the plan (exit 0), not as a failure.
+#[test]
+fn plan_with_an_exhausted_budget_prints_its_safe_fallback() {
+    for budget in ["0", "1"] {
+        let out = topobench()
+            .args(["plan", "--family", "rrg:16x6x4", "--pairs", "2"])
+            .args(["--max-solves", budget])
+            .output()
+            .expect("failed to run topobench plan");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "--max-solves {budget}:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains("plan: 4 moves in 4 stages") && stdout.contains("≥ 0.7492"),
+            "--max-solves {budget}:\n{stdout}"
+        );
+    }
 }

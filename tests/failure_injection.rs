@@ -113,7 +113,7 @@ fn capacity_override_error_paths_are_typed() {
         GraphError::ArcOutOfRange { arc: 9, arcs: 4 }
     );
     // bad values: the variant carries the offending capacity
-    for bad in [0.0, -3.0, f64::NAN, f64::INFINITY] {
+    for bad in [0.0, -3.0, 1e-310, f64::NAN, f64::INFINITY] {
         assert!(matches!(
             net.with_capacity_overrides(&[(0, bad)]),
             Err(GraphError::BadCapacity { .. })
@@ -123,6 +123,34 @@ fn capacity_override_error_paths_are_typed() {
             Err(GraphError::BadCapacity { .. })
         ));
     }
+    // arithmetic that leaves the normal floats, whose reciprocal is not
+    // finite: overflow through two scales, a subnormal through a scale
+    // and through a line-card mix — the variant carries the product
+    let huge = net.with_scaled_capacity(1e308).unwrap();
+    assert_eq!(
+        huge.with_scaled_capacity(1e308).unwrap_err(),
+        GraphError::BadCapacity {
+            capacity: f64::INFINITY
+        }
+    );
+    let tiny = net.with_scaled_capacity(1e-300).unwrap();
+    assert_eq!(
+        tiny.with_scaled_capacity(1e-10).unwrap_err(),
+        GraphError::BadCapacity {
+            capacity: 1e-300 * 1e-10
+        }
+    );
+    let mix = Degradation::LineCardMix {
+        fraction: 1.0,
+        factor: 1e-310,
+        seed: 0,
+    };
+    assert_eq!(
+        Scenario::new("mix", vec![mix])
+            .apply(&topo, &net)
+            .unwrap_err(),
+        GraphError::BadCapacity { capacity: 1e-310 }
+    );
     // overriding a failed link is a composition bug, not a repair
     let failed = net.with_disabled_arcs(&[0]).unwrap();
     assert!(matches!(

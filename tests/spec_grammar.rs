@@ -308,6 +308,18 @@ fn plan_rejects_an_empty_migration_and_a_negative_floor() {
     }
 }
 
+/// `figures` takes one target from the index and the flags it declares,
+/// nothing else; `--runs 0` would print means over no sample.
+#[test]
+fn figures_rejects_what_it_cannot_print() {
+    rejects("figures", 2, "`figures` needs a <target>");
+    rejects("figures fig99", 2, "unknown figure 'fig99'");
+    rejects("figures fig3 --runs 0", 2, "--runs must be positive");
+    rejects("figures fig3 --runs", 2, "missing value for --runs");
+    rejects("figures fig3 --bogus", 2, "unknown flag --bogus");
+    rejects("figures fig3 --backend ksp:0", 2, "--backend ksp:0");
+}
+
 /// Zero-sized loops are usage errors: `sweep --runs 0` ran one run, and
 /// `search --rounds 0` / `--batch 0` reported a search that evaluated
 /// nothing.
