@@ -134,6 +134,33 @@ impl Default for PacketParams {
     }
 }
 
+impl PacketParams {
+    /// The simulator configuration these parameters describe, refused
+    /// when no simulation could run: a utilization that is not finite
+    /// and positive, or whatever [`SimConfig::validate`] refuses. Needs
+    /// no flows, so it runs before the solve.
+    fn sim_config(&self) -> Result<SimConfig, SimError> {
+        if !(self.utilization.is_finite() && self.utilization > 0.0) {
+            return Err(SimError::BadConfig(format!(
+                "utilization {:?} must be finite and > 0",
+                self.utilization
+            )));
+        }
+        let cfg = SimConfig {
+            mode: self.mode,
+            duration: self.duration,
+            warmup: self.warmup,
+            link_delay: self.link_delay,
+            ack_hop_delay: self.ack_hop_delay,
+            queue: self.queue,
+            initial_cwnd: self.initial_cwnd,
+            rto: self.rto,
+        };
+        cfg.validate()?;
+        Ok(cfg)
+    }
+}
+
 /// Errors from the co-validation pipeline: the fluid solve, path
 /// construction, or the simulator itself.
 #[derive(Debug)]
@@ -278,6 +305,9 @@ impl<'t> ThroughputEngine<'t> {
     /// backend forced to [`Backend::KspRestricted`] for the latter).
     ///
     /// # Errors
+    /// [`PacketError::Sim`] before anything is solved when `params`
+    /// cannot be simulated (a utilization that is not finite and
+    /// positive, or a [`SimConfig`] its own check refuses);
     /// [`PacketError::NoNetworkTraffic`] when the matrix puts no load
     /// on the network; otherwise propagates solver, path-enumeration,
     /// and simulator errors.
@@ -318,6 +348,7 @@ impl<'t> ThroughputEngine<'t> {
         flow_opts: &FlowOptions,
         params: &PacketParams,
     ) -> Result<CoValidation, PacketError> {
+        let cfg = params.sim_config()?;
         let mut opts = *flow_opts;
         match params.routing {
             RoutingMode::Decomposed => opts.record_commodity_flows = true,
@@ -399,16 +430,6 @@ impl<'t> ThroughputEngine<'t> {
             return Err(PacketError::NoNetworkTraffic);
         }
 
-        let cfg = SimConfig {
-            mode: params.mode,
-            duration: params.duration,
-            warmup: params.warmup,
-            link_delay: params.link_delay,
-            ack_hop_delay: params.ack_hop_delay,
-            queue: params.queue,
-            initial_cwnd: params.initial_cwnd,
-            rto: params.rto,
-        };
         let t_sim = dctopo_obs::clock();
         let result = simulate(net, &flows, &cfg)?;
         if dctopo_obs::enabled() {

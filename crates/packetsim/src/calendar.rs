@@ -7,15 +7,6 @@
 //! sequence number the scheduler assigns internally. Two schedulers fed
 //! the same interleaved push/pop trace therefore pop in exactly the
 //! same order — the determinism contract the simulator is built on.
-//!
-//! The simulator does not hand every event to the calendar: events
-//! whose delay is a constant of their kind are born sorted and wait in
-//! FIFO lanes beside it (`sim.rs`'s `Agenda`). The two methods that
-//! make that merge exact live here: [`CalendarQueue::reserve_seq`]
-//! draws a lane event's tiebreaker from the calendar's own counter,
-//! and [`CalendarQueue::peek_key`] exposes the `(time, seq)` the next
-//! [`pop`](EventScheduler::pop) would return, so the merged order is
-//! the order one calendar fed every push would realise.
 
 use std::collections::BinaryHeap;
 
@@ -179,28 +170,6 @@ impl<T> CalendarQueue<T> {
         }
         true
     }
-
-    /// Take the next insertion sequence number without inserting
-    /// anything. An event held outside the queue under a reserved
-    /// number, and merged back by [`CalendarQueue::peek_key`], pops
-    /// exactly where it would have had it been pushed instead.
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// `(time, seq)` of the event the next [`pop`](EventScheduler::pop)
-    /// returns, `None` when the queue is empty. Takes `&mut self`
-    /// because finding it may advance the bucket cursor, which changes
-    /// no pop order: later pushes below the cursor join the current
-    /// bucket in sorted position, as they do after a pop.
-    pub fn peek_key(&mut self) -> Option<(u64, u64)> {
-        if !self.advance() {
-            return None;
-        }
-        self.buckets[self.cur].last().map(|e| (e.0, e.1))
-    }
 }
 
 impl<T> EventScheduler<T> for CalendarQueue<T> {
@@ -269,8 +238,7 @@ impl<T> Ord for HeapEntry<T> {
 /// Reference scheduler: a plain [`BinaryHeap`] over `(time, seq)`.
 ///
 /// Semantically identical to [`CalendarQueue`]; exists as the oracle
-/// the differential tests compare it, and the simulator's merged
-/// agenda, against.
+/// the differential tests compare it against.
 #[derive(Default)]
 pub struct HeapScheduler<T> {
     heap: BinaryHeap<HeapEntry<T>>,

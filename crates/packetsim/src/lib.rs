@@ -20,42 +20,46 @@
 //! * Events are totally ordered by `(time, seq)` where `seq` is the
 //!   scheduler-assigned insertion sequence; ties in time pop in
 //!   insertion order.
-//! * [`simulate`] keeps its agenda in four places: events whose delay
-//!   is a constant of their kind — a link's serialization, a link's
-//!   propagation, an ACK's return — are born sorted and wait in one
-//!   FIFO lane per kind; timeouts, paced injections, and any event a
-//!   lane would have to take out of order, go to the [`CalendarQueue`].
-//!   Lane events draw `seq` from the calendar's own counter and each
-//!   pop takes the least of the four heads, so the order realised is
-//!   the one a single [`CalendarQueue`], or the reference
-//!   [`HeapScheduler`], realises for the same pushes: [`simulate`] and
-//!   [`simulate_with_heap`] return byte-for-byte identical
-//!   [`SimResult`]s, on mixed line rates and hop counts too, verified
-//!   by differential tests.
+//! * A packet costs one event per link it arrives at. A link is FIFO
+//!   with a fixed service time, so it keeps one number — the tick its
+//!   last accepted packet finishes — and an arriving packet's departure
+//!   (`max(arrival, busy_until) + service`) and the packets the
+//!   drop-tail test finds ahead of it (`(busy_until − arrival) / service`,
+//!   rounded up: a busy period's packets leave exactly one service time
+//!   apart) follow from it at once. A packet that departs at the tick
+//!   another arrives counts as gone. The next event is the arrival at
+//!   the next link; on the last hop the delivery is counted without an
+//!   event, at the tick it happens.
+//! * [`simulate`] runs on the [`CalendarQueue`], and
+//!   [`simulate_with_heap`] on the reference [`HeapScheduler`]; both
+//!   realise the one `(time, seq)` order and return byte-for-byte
+//!   identical [`SimResult`]s, on mixed line rates and hop counts too,
+//!   verified by differential tests.
 //! * No wall clock, no RNG, no address-dependent iteration: reruns
 //!   are bit-identical, pinned by [`SimResult::trace_hash`].
 //! * Tick arithmetic saturates. A delay too long for a `u64` is an
 //!   event that never happens, not one that wraps into the past;
-//!   non-finite delays are a [`SimError::BadConfig`].
+//!   non-finite delays are a [`SimError::BadConfig`], and so is a paced
+//!   rate or a link capacity too fine for the tick (a packet in under
+//!   one tick), rather than a clamp to one tick.
 //!
 //! ## Performance contract
 //!
-//! Single-threaded, about 40 ns per packet-event on the benchmark's
-//! fabric (uniform line rate, 3.2 M events; `docs/PERF_NOTES.md`, *The
-//! merged agenda*), against 57–60 ns with every event in the calendar.
-//! The figure is read, not assumed: dcbench reports it as
-//! `packetsim.ns_per_event` on the `design-witness` workload
-//! (`benchmark/README.md`). The hot loop allocates nothing per packet,
-//! and what the simulator holds follows what is in flight, not the
-//! configured bounds: a link's queue is a `VecDeque` that grows to the
-//! most packets the link has held (never to [`SimConfig::queue`]), a
-//! paced run keeps 16 bytes a path (window state exists in window mode
-//! only, as fixed bitmaps), events are `Copy`, each lane grows to the
-//! most events of its kind in flight, and the calendar passes drained
-//! buckets' buffers on, retaining storage for the buckets that hold
-//! events at once rather than for all 512. On the benchmark's witness
-//! `simulate` stays below the solve's own memory peak (`docs/PERF_NOTES.md`,
-//! *The witness's footprint*).
+//! Single-threaded, one event per packet per link: 1.33 M events where
+//! the two-event engine spent 3.25 M on the benchmark's fabric, about
+//! 0.6× its time (`docs/PERF_NOTES.md`, *One event per link arrival*).
+//! The figure is read, not assumed: dcbench reports
+//! `packetsim.ns_per_event` and `packetsim.events` on the
+//! `design-witness` workload (`benchmark/README.md`). The hot loop
+//! allocates nothing per packet, and what the simulator holds follows
+//! what is in flight, not the configured bounds: a link is one `u64`
+//! whatever [`SimConfig::queue`] says, a paced run keeps 16 bytes a path
+//! (window state exists in window mode only, as fixed bitmaps), events
+//! are `Copy`, and the calendar passes drained buckets' buffers on,
+//! retaining storage for the buckets that hold events at once rather
+//! than for all 512. On the benchmark's witness `simulate` stays below
+//! the solve's own memory peak (`docs/PERF_NOTES.md`, *The witness's
+//! footprint*).
 
 #![warn(missing_docs)]
 

@@ -8,9 +8,11 @@
 //!   ([`CsrNet::with_disabled_arcs`] / capacity overrides), and solved
 //!   arc flows address the sim without translation.
 //! * **Service time** of arc `a` is `TICKS_PER_UNIT / capacity(a)`
-//!   ticks per packet, rounded, minimum one tick — one capacity unit
-//!   moves one packet per time unit. Dead arcs (capacity 0) get
-//!   service 0 and reject any path routed over them.
+//!   ticks per packet, rounded — one capacity unit moves one packet per
+//!   time unit. Dead arcs (capacity 0) get service 0 and reject any
+//!   path routed over them; so does an arc too fast for the tick (its
+//!   service rounds to 0), with a [`SimError::BadConfig`] naming its
+//!   capacity rather than a clamp to one tick.
 //! * **Propagation delay** and **queue capacity** are uniform across
 //!   links, from [`SimConfig`](crate::SimConfig); the queue counts the
 //!   in-service packet, so a link holds at most `queue_cap` packets.
@@ -19,7 +21,7 @@ use std::fmt;
 
 use dctopo_graph::CsrNet;
 
-use crate::sim::TICKS_PER_UNIT;
+use crate::sim::ticks_per_packet;
 
 /// Errors from lowering or validating simulator input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,51 +69,39 @@ impl std::error::Error for SimError {}
 
 /// Per-link timing tables lowered from a [`CsrNet`].
 pub(crate) struct SimNet {
-    /// Ticks to serialize one packet on arc `a`; 0 marks a dead arc.
+    /// Ticks to serialize one packet on arc `a`; 0 marks an arc no path
+    /// may use (dead, or too fast for the tick).
     pub service_ticks: Vec<u64>,
     /// Propagation delay in ticks, uniform across links.
     pub delay_ticks: u64,
     /// Drop-tail queue capacity per link, counting the packet in
     /// service.
     pub queue_cap: usize,
-    /// Head node of each arc (copied so the sim owns its tables).
-    pub arc_head: Vec<u32>,
-    /// Tail node of each arc.
-    pub arc_tail: Vec<u32>,
 }
 
 impl SimNet {
     /// Lower `net` with the given uniform delay (ticks) and queue
     /// capacity.
     pub fn lower(net: &CsrNet, delay_ticks: u64, queue_cap: usize) -> SimNet {
-        let m = net.arc_count();
-        let mut service_ticks = Vec::with_capacity(m);
-        let mut arc_head = Vec::with_capacity(m);
-        let mut arc_tail = Vec::with_capacity(m);
-        for a in 0..m {
-            let cap = net.capacity(a);
-            let svc = if cap > 0.0 {
-                ((TICKS_PER_UNIT as f64 / cap).round() as u64).max(1)
-            } else {
-                0
-            };
-            service_ticks.push(svc);
-            arc_head.push(net.arc_head(a) as u32);
-            arc_tail.push(net.arc_tail(a) as u32);
-        }
+        let service_ticks = (0..net.arc_count())
+            .map(|a| match net.capacity(a) {
+                cap if cap > 0.0 => ticks_per_packet(cap).unwrap_or(0),
+                _ => 0,
+            })
+            .collect();
         SimNet {
             service_ticks,
             delay_ticks,
             queue_cap,
-            arc_head,
-            arc_tail,
         }
     }
 
-    /// Validate one flow path: non-empty, in range, live, contiguous,
+    /// Validate one flow path on the `net` this was lowered from:
+    /// non-empty, in range, live, resolvable by the tick, contiguous,
     /// and anchored at the flow's endpoints.
     pub fn validate_path(
         &self,
+        net: &CsrNet,
         flow: usize,
         src: usize,
         dst: usize,
@@ -129,26 +119,37 @@ impl SimNet {
                 )));
             }
             if self.service_ticks[a] == 0 {
-                return Err(SimError::ZeroCapacityLink { arc: a });
+                let cap = net.capacity(a);
+                return Err(if cap > 0.0 {
+                    SimError::BadConfig(format!(
+                        "arc {a}: capacity {cap:?} serializes a packet in under one tick"
+                    ))
+                } else {
+                    SimError::ZeroCapacityLink { arc: a }
+                });
             }
         }
-        if self.arc_tail[arcs[0]] as usize != src {
+        if net.arc_tail(arcs[0]) != src {
             return Err(broken(format!(
                 "first arc starts at {} not source {src}",
-                self.arc_tail[arcs[0]]
+                net.arc_tail(arcs[0])
             )));
         }
-        if self.arc_head[*arcs.last().unwrap()] as usize != dst {
+        let last = *arcs.last().unwrap();
+        if net.arc_head(last) != dst {
             return Err(broken(format!(
                 "last arc ends at {} not destination {dst}",
-                self.arc_head[*arcs.last().unwrap()]
+                net.arc_head(last)
             )));
         }
         for w in arcs.windows(2) {
-            if self.arc_head[w[0]] != self.arc_tail[w[1]] {
+            if net.arc_head(w[0]) != net.arc_tail(w[1]) {
                 return Err(broken(format!(
                     "arc {} ends at {} but arc {} starts at {}",
-                    w[0], self.arc_head[w[0]], w[1], self.arc_tail[w[1]]
+                    w[0],
+                    net.arc_head(w[0]),
+                    w[1],
+                    net.arc_tail(w[1])
                 )));
             }
         }

@@ -4,22 +4,25 @@
 //! every event carries the scheduler-assigned insertion sequence as a
 //! tiebreaker, so execution order — and therefore every counter and
 //! the running trace hash — is a pure function of the inputs.
-//! Reruns are bit-identical; the merged agenda [`simulate`] runs on
-//! (FIFO lanes in front of the calendar queue) and the reference binary
-//! heap produce byte-for-byte the same [`SimResult`].
+//! Reruns are bit-identical; the calendar queue [`simulate`] runs on
+//! and the reference binary heap produce byte-for-byte the same
+//! [`SimResult`].
 //!
-//! Storage follows what is in flight, not the configured bounds: each
-//! link's drop-tail queue is a `VecDeque` that grows to the most packets
-//! the link has held (never to [`SimConfig::queue`]), a paced run keeps
-//! an injection interval and a sequence counter per path and nothing
-//! else, and the calendar hands a drained bucket's buffer to the next
-//! bucket that needs one. Window mode's per-subflow state is fixed-size
-//! (bitmaps and a pre-sized retransmission stack), and events are
-//! `Copy` structs inside the scheduler. The hot loop allocates only
-//! when a link queue, a lane or a bucket buffer reaches a new
-//! high-water mark.
-
-use std::collections::VecDeque;
+//! A packet costs one event per link it arrives at. A link is FIFO with
+//! a fixed service time, so all it keeps is the tick its last accepted
+//! packet finishes: an arriving packet's departure, and how many packets
+//! the drop-tail test finds ahead of it, both follow from that tick.
+//! The next event is the arrival at the next link; the last hop's
+//! delivery is counted at once, at the tick it happens.
+//!
+//! Storage follows what is in flight, not the configured bounds: a link
+//! is one `u64`, a paced run keeps an injection interval and a sequence
+//! counter per path and nothing else, and the calendar hands a drained
+//! bucket's buffer to the next bucket that needs one. Window mode's
+//! per-subflow state is fixed-size (bitmaps and a pre-sized
+//! retransmission stack), and events are `Copy` structs inside the
+//! scheduler. The hot loop allocates only when a lane or a bucket
+//! buffer reaches a new high-water mark.
 
 use dctopo_graph::mix::Fnv1a;
 use dctopo_graph::CsrNet;
@@ -126,7 +129,10 @@ pub struct SimResult {
     pub drops: u64,
     /// Retransmissions sent (whole run; window mode only).
     pub retransmits: u64,
-    /// Events processed (whole run).
+    /// Events processed (whole run): one per link arrival — a paced
+    /// injection is its packet's arrival at the first link, and the
+    /// last hop's delivery is no event — plus window mode's ACKs and
+    /// timeouts.
     pub events: u64,
     /// The most packets any one link held at once, counting the one in
     /// service (whole run); at most [`SimConfig::queue`].
@@ -146,8 +152,9 @@ impl SimResult {
     }
 }
 
-/// A packet in flight: which global path it follows, the hop it last
-/// completed, and its sequence within the path's (sub)flow.
+/// A packet in flight: which global path it follows, the hop whose
+/// link it is at or headed for, and its sequence within the path's
+/// (sub)flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pkt {
     path: u32,
@@ -159,10 +166,8 @@ struct Pkt {
 /// scheduler arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
-    /// The head packet of `link` finishes serialization.
-    TxDone { link: u32 },
-    /// A packet reaches the head end of `link`.
-    Arrive { link: u32, pkt: Pkt },
+    /// A packet reaches the link of its hop `pkt.hop`.
+    Arrive { pkt: Pkt },
     /// An ACK for `(path, seq)` reaches the sender.
     Ack { path: u32, seq: u64 },
     /// The retransmission timer for `(path, seq)` fires; valid only
@@ -175,6 +180,58 @@ enum Ev {
 /// Convert a nonnegative time-unit quantity to ticks, minimum 1.
 fn ticks(t: f64) -> u64 {
     ((t * TICKS_PER_UNIT as f64).round() as u64).max(1)
+}
+
+/// Ticks between two packets at `rate` packets per time unit, or `None`
+/// when that rounds below one tick: a rate the tick cannot resolve is
+/// refused, not clamped to one packet a tick.
+pub(crate) fn ticks_per_packet(rate: f64) -> Option<u64> {
+    let t = (TICKS_PER_UNIT as f64 / rate).round();
+    (t >= 1.0).then_some(t as u64)
+}
+
+impl SimConfig {
+    /// Check every parameter that does not depend on the flows — what
+    /// [`simulate`] checks first — so a caller can refuse a
+    /// configuration before building any flow.
+    ///
+    /// # Errors
+    /// [`SimError::BadConfig`] naming the first parameter out of range.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let warmup_ok =
+            self.warmup.is_finite() && self.warmup >= 0.0 && self.warmup < self.duration;
+        if !positive(self.duration) || !warmup_ok {
+            return Err(SimError::BadConfig(format!(
+                "need 0 <= warmup < duration, got warmup {} duration {}",
+                self.warmup, self.duration
+            )));
+        }
+        if self.queue == 0 {
+            return Err(SimError::BadConfig("queue capacity must be >= 1".into()));
+        }
+        let delay_ok = |d: f64| d.is_finite() && d >= 0.0;
+        if !delay_ok(self.link_delay) || !delay_ok(self.ack_hop_delay) || !positive(self.rto) {
+            return Err(SimError::BadConfig(
+                "delays must be finite and >= 0, rto finite and > 0".into(),
+            ));
+        }
+        if self.initial_cwnd == 0 {
+            return Err(SimError::BadConfig("initial_cwnd must be >= 1".into()));
+        }
+        if self.duration * TICKS_PER_UNIT as f64 >= MAX_END_TICKS {
+            return Err(SimError::BadConfig(format!(
+                "duration {:?} ends beyond tick 2^63",
+                self.duration
+            )));
+        }
+        if (self.warmup * TICKS_PER_UNIT as f64).round() as u64 >= ticks(self.duration) {
+            return Err(SimError::BadConfig(format!(
+                "no tick left between warmup {} and duration {}",
+                self.warmup, self.duration
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Per-path source state. The variant is the [`TransportMode`], so a
@@ -204,8 +261,8 @@ struct Engine {
     // flow f owns paths flow_paths[f].0 .. flow_paths[f].1
     flow_paths: Vec<(u32, u32)>,
     transport: Transport,
-    // per-link drop-tail FIFO, head in service
-    queues: Vec<VecDeque<Pkt>>,
+    // per link, the tick its last accepted packet finishes serialization
+    busy_until: Vec<u64>,
     // timing
     end: u64,
     warm: u64,
@@ -229,25 +286,7 @@ fn positive(x: f64) -> bool {
 
 impl Engine {
     fn build(net: &CsrNet, flows: &[FlowSpec], cfg: &SimConfig) -> Result<Engine, SimError> {
-        let warmup_ok = cfg.warmup.is_finite() && cfg.warmup >= 0.0 && cfg.warmup < cfg.duration;
-        if !positive(cfg.duration) || !warmup_ok {
-            return Err(SimError::BadConfig(format!(
-                "need 0 <= warmup < duration, got warmup {} duration {}",
-                cfg.warmup, cfg.duration
-            )));
-        }
-        if cfg.queue == 0 {
-            return Err(SimError::BadConfig("queue capacity must be >= 1".into()));
-        }
-        let delay_ok = |d: f64| d.is_finite() && d >= 0.0;
-        if !delay_ok(cfg.link_delay) || !delay_ok(cfg.ack_hop_delay) || !positive(cfg.rto) {
-            return Err(SimError::BadConfig(
-                "delays must be finite and >= 0, rto finite and > 0".into(),
-            ));
-        }
-        if cfg.initial_cwnd == 0 {
-            return Err(SimError::BadConfig("initial_cwnd must be >= 1".into()));
-        }
+        cfg.validate()?;
         let delay_ticks = (cfg.link_delay * TICKS_PER_UNIT as f64).round() as u64;
         let sim_net = SimNet::lower(net, delay_ticks, cfg.queue);
 
@@ -280,7 +319,7 @@ impl Engine {
             }
             let first = path_off.len() as u32 - 1;
             for path in &flow.paths {
-                sim_net.validate_path(f, flow.src, flow.dst, &path.arcs)?;
+                sim_net.validate_path(net, f, flow.src, flow.dst, &path.arcs)?;
                 if path.arcs.len() > u16::MAX as usize {
                     return Err(SimError::BrokenPath {
                         flow: f,
@@ -292,25 +331,17 @@ impl Engine {
                 path_flow.push(f as u32);
                 if !window {
                     let rate = flow.rate * path.weight / weight_sum;
-                    interval.push(((TICKS_PER_UNIT as f64 / rate).round() as u64).max(1));
+                    interval.push(ticks_per_packet(rate).ok_or_else(|| {
+                        SimError::BadConfig(format!(
+                            "flow {f}: paced rate {rate:?} on a path is more than one packet a tick"
+                        ))
+                    })?);
                 }
             }
             flow_paths.push((first, path_off.len() as u32 - 1));
         }
-        if cfg.duration * TICKS_PER_UNIT as f64 >= MAX_END_TICKS {
-            return Err(SimError::BadConfig(format!(
-                "duration {:?} ends beyond tick 2^63",
-                cfg.duration
-            )));
-        }
         let end = ticks(cfg.duration);
         let warm = (cfg.warmup * TICKS_PER_UNIT as f64).round() as u64;
-        if warm >= end {
-            return Err(SimError::BadConfig(format!(
-                "no tick left between warmup {} and duration {}",
-                cfg.warmup, cfg.duration
-            )));
-        }
         let paths = path_flow.len();
         let transport = if window {
             Transport::Window {
@@ -324,7 +355,7 @@ impl Engine {
             }
         };
         Ok(Engine {
-            queues: vec![VecDeque::new(); sim_net.service_ticks.len()],
+            busy_until: vec![0; sim_net.service_ticks.len()],
             net: sim_net,
             path_arcs,
             path_off,
@@ -367,25 +398,64 @@ impl Engine {
         }
     }
 
-    /// Enqueue `pkt` on `link` at time `now`, drop-tail on overflow.
-    fn enqueue<Q: EventScheduler<Ev>>(&mut self, q: &mut Q, now: u64, link: u32, pkt: Pkt) {
-        let l = link as usize;
-        let queue = &mut self.queues[l];
-        if queue.len() == self.net.queue_cap {
+    /// `pkt` reaches the link of its hop at tick `now`: dropped if the
+    /// link holds `queue_cap` packets, otherwise its departure is fixed
+    /// now and what follows it is scheduled — the arrival at the next
+    /// link, or on the last hop the delivery.
+    fn arrive<Q: EventScheduler<Ev>>(&mut self, q: &mut Q, now: u64, pkt: Pkt) {
+        let link = self.path_arc(pkt.path, pkt.hop) as usize;
+        let svc = self.net.service_ticks[link];
+        let busy_until = self.busy_until[link];
+        // a busy period's packets leave exactly `svc` apart, so those
+        // still held are the departures after `now`; one leaving at
+        // `now` is gone
+        let held = busy_until.saturating_sub(now).div_ceil(svc);
+        if held >= self.net.queue_cap as u64 {
             self.drops += 1;
             return;
         }
-        queue.push_back(pkt);
-        let held = queue.len();
-        self.peak_queue = self.peak_queue.max(held);
-        if held == 1 {
-            self.at(q, now, self.net.service_ticks[l], Ev::TxDone { link });
+        let departs = busy_until.max(now).saturating_add(svc);
+        self.busy_until[link] = departs;
+        self.peak_queue = self.peak_queue.max(held as usize + 1);
+        let hop = pkt.hop + 1;
+        if hop < self.path_len(pkt.path) {
+            let next = Pkt { hop, ..pkt };
+            self.at(q, departs, self.net.delay_ticks, Ev::Arrive { pkt: next });
+        } else {
+            let t = departs.saturating_add(self.net.delay_ticks);
+            if t < self.end {
+                self.reach_destination(q, t, pkt);
+            }
+        }
+    }
+
+    /// `pkt` reaches its destination at tick `t`, inside the run.
+    fn reach_destination<Q: EventScheduler<Ev>>(&mut self, q: &mut Q, t: u64, pkt: Pkt) {
+        let p = pkt.path;
+        let flow = self.path_flow[p as usize];
+        match &mut self.transport {
+            Transport::Paced { .. } => self.deliver(t, flow),
+            Transport::Window { receivers, .. } => {
+                // one receiver per subflow: each path carries its own
+                // sequence space
+                if receivers[p as usize].on_packet(pkt.seq) {
+                    self.deliver(t, flow);
+                }
+                // ACK even duplicates: the sender's own dedup handles
+                // them, and a lost original must not strand the
+                // retransmission unacked
+                let hops = u64::from(self.path_len(p));
+                let ack = Ev::Ack {
+                    path: p,
+                    seq: pkt.seq,
+                };
+                self.at(q, t, hops.saturating_mul(self.ack_hop_ticks), ack);
+            }
         }
     }
 
     /// Send as many packets as `path`'s windows admit (window mode).
     fn try_send<Q: EventScheduler<Ev>>(&mut self, q: &mut Q, now: u64, path: u32) {
-        let first_arc = self.path_arc(path, 0);
         loop {
             let Transport::Window { subflows, .. } = &mut self.transport else {
                 unreachable!("paced sources have no window");
@@ -399,7 +469,7 @@ impl Engine {
             if is_rtx {
                 self.retransmits += 1;
             }
-            self.enqueue(q, now, first_arc, Pkt { path, hop: 0, seq });
+            self.arrive(q, now, Pkt { path, hop: 0, seq });
             // exponential backoff plus a deterministic per-send phase
             // jitter: retries sample different positions in the
             // contention cycle, breaking drop-tail lockout without RNG
@@ -417,9 +487,9 @@ impl Engine {
         }
     }
 
-    /// Count a final-hop delivery at time `t`.
+    /// Count a final-hop delivery at tick `t`, inside the run.
     fn deliver(&mut self, t: u64, flow: u32) {
-        if t >= self.warm && t < self.end {
+        if t >= self.warm {
             self.flow_delivered[flow as usize] += 1;
             self.delivered += 1;
         }
@@ -427,58 +497,7 @@ impl Engine {
 
     fn dispatch<Q: EventScheduler<Ev>>(&mut self, q: &mut Q, t: u64, ev: Ev) {
         match (ev, &mut self.transport) {
-            (Ev::TxDone { link }, _) => {
-                let l = link as usize;
-                let queue = &mut self.queues[l];
-                let pkt = queue.pop_front().expect("TxDone on an idle link");
-                let busy = !queue.is_empty();
-                self.at(q, t, self.net.delay_ticks, Ev::Arrive { link, pkt });
-                if busy {
-                    self.at(q, t, self.net.service_ticks[l], Ev::TxDone { link });
-                }
-            }
-            (Ev::Arrive { link: _, pkt }, _) => {
-                let hop = pkt.hop + 1;
-                let p = pkt.path;
-                if hop == self.path_len(p) {
-                    let flow = self.path_flow[p as usize];
-                    match &mut self.transport {
-                        Transport::Paced { .. } => self.deliver(t, flow),
-                        Transport::Window { receivers, .. } => {
-                            // one receiver per subflow: each path carries
-                            // its own sequence space
-                            if receivers[p as usize].on_packet(pkt.seq) {
-                                self.deliver(t, flow);
-                            }
-                            // ACK even duplicates: the sender's own dedup
-                            // handles them, and a lost original must not
-                            // strand the retransmission unacked
-                            let hops = u64::from(self.path_len(p));
-                            self.at(
-                                q,
-                                t,
-                                hops.saturating_mul(self.ack_hop_ticks),
-                                Ev::Ack {
-                                    path: p,
-                                    seq: pkt.seq,
-                                },
-                            );
-                        }
-                    }
-                } else {
-                    let next = self.path_arc(p, hop);
-                    self.enqueue(
-                        q,
-                        t,
-                        next,
-                        Pkt {
-                            path: p,
-                            hop,
-                            seq: pkt.seq,
-                        },
-                    );
-                }
-            }
+            (Ev::Arrive { pkt }, _) => self.arrive(q, t, pkt),
             (Ev::Ack { path, seq }, Transport::Window { subflows, .. }) => {
                 if subflows[path as usize].on_ack(seq) {
                     // MPTCP-LIA coupled increase: +1/total over the
@@ -499,8 +518,7 @@ impl Engine {
                 let every = interval[path as usize];
                 let seq = next_seq[path as usize];
                 next_seq[path as usize] += 1;
-                let first_arc = self.path_arc(path, 0);
-                self.enqueue(q, t, first_arc, Pkt { path, hop: 0, seq });
+                self.arrive(q, t, Pkt { path, hop: 0, seq });
                 self.at(q, t, every, Ev::Inject { path });
             }
             (Ev::Ack { .. } | Ev::Timeout { .. } | Ev::Inject { .. }, _) => {
@@ -535,10 +553,8 @@ impl Engine {
             events += 1;
             hash.write_u64(t);
             match ev {
-                Ev::TxDone { link } => hash.write_u64(0).write_u64(u64::from(link)),
-                Ev::Arrive { link, pkt } => hash
+                Ev::Arrive { pkt } => hash
                     .write_u64(1)
-                    .write_u64(u64::from(link))
                     .write_u64((u64::from(pkt.path) << 16) | u64::from(pkt.hop))
                     .write_u64(pkt.seq),
                 Ev::Ack { path, seq } => {
@@ -570,107 +586,8 @@ impl Engine {
     }
 }
 
-/// One scheduler entry: `(time, seq, event)`.
-type Entry = (u64, u64, Ev);
-
-/// `(time, seq)` as one comparable word. An empty lane, or an empty
-/// calendar, reads [`NO_KEY`], which no entry reaches: `seq` counts
-/// pushes.
-#[inline]
-fn key(time: u64, seq: u64) -> u128 {
-    (u128::from(time) << 64) | u128::from(seq)
-}
-
-const NO_KEY: u128 = u128::MAX;
-
-/// The agenda [`simulate`] runs on: three FIFO lanes in front of the
-/// [`CalendarQueue`].
-///
-/// Simulated time never runs backwards, so events pushed at
-/// `now + d` with a `d` that is a constant of their kind are born
-/// sorted: serialization ends (`TxDone`), propagation ends (`Arrive`)
-/// and ACK returns (`Ack`) each get a lane that is only ever appended
-/// to. Uniform delays are not assumed — mixed line rates and mixed hop
-/// counts do produce an event earlier than its lane's tail — so `push`
-/// checks: such an event goes to the calendar, as `Timeout` and
-/// `Inject` always do. That keeps all four structures in `(time, seq)`
-/// order whatever the delays are, and `pop` is the minimum of four
-/// heads. Lane events take their `seq` from the calendar's counter, so
-/// the order is exactly the one a single [`CalendarQueue`], or the
-/// [`HeapScheduler`], realises for the same pushes.
-struct Agenda {
-    /// One lane per born-sorted kind, indexed by [`lane_of`].
-    lanes: [VecDeque<Entry>; 3],
-    calendar: CalendarQueue<Ev>,
-    /// Per lane: pushes appended, pushes the guard sent to the
-    /// calendar.
-    #[cfg(test)]
-    lane_pushes: [[u64; 2]; 3],
-}
-
-/// The lane an event kind waits in, `None` for the calendar's kinds.
-#[inline]
-fn lane_of(ev: &Ev) -> Option<usize> {
-    match ev {
-        Ev::TxDone { .. } => Some(0),
-        Ev::Arrive { .. } => Some(1),
-        Ev::Ack { .. } => Some(2),
-        Ev::Timeout { .. } | Ev::Inject { .. } => None,
-    }
-}
-
-impl Agenda {
-    fn new(width_hint: u64) -> Agenda {
-        Agenda {
-            lanes: Default::default(),
-            calendar: CalendarQueue::with_width_hint(width_hint),
-            #[cfg(test)]
-            lane_pushes: [[0; 2]; 3],
-        }
-    }
-}
-
-impl EventScheduler<Ev> for Agenda {
-    fn push(&mut self, time: u64, ev: Ev) {
-        let Some(kind) = lane_of(&ev) else {
-            return self.calendar.push(time, ev);
-        };
-        let lane = &mut self.lanes[kind];
-        let in_order = lane.back().is_none_or(|tail| tail.0 <= time);
-        #[cfg(test)]
-        {
-            self.lane_pushes[kind][usize::from(!in_order)] += 1;
-        }
-        if in_order {
-            lane.push_back((time, self.calendar.reserve_seq(), ev));
-        } else {
-            self.calendar.push(time, ev);
-        }
-    }
-
-    fn pop(&mut self) -> Option<(u64, Ev)> {
-        // start from the calendar, index one past the lanes
-        let mut least = self.calendar.peek_key().map_or(NO_KEY, |(t, s)| key(t, s));
-        let mut from = self.lanes.len();
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let head = lane.front().map_or(NO_KEY, |e| key(e.0, e.1));
-            if head < least {
-                (least, from) = (head, i);
-            }
-        }
-        match self.lanes.get_mut(from) {
-            Some(lane) => lane.pop_front().map(|(t, _, ev)| (t, ev)),
-            None => self.calendar.pop(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.lanes.iter().map(VecDeque::len).sum::<usize>() + self.calendar.len()
-    }
-}
-
 /// Pick a calendar bucket width suited to the instance: a fraction of
-/// the smallest live service time, so consecutive TxDones on the
+/// the smallest live service time, so consecutive departures from the
 /// fastest link land in distinct buckets.
 fn width_hint(e: &Engine) -> u64 {
     let min_svc = e
@@ -684,11 +601,10 @@ fn width_hint(e: &Engine) -> u64 {
     (min_svc / 4).max(1)
 }
 
-/// Simulate `flows` over `net` on the production agenda: FIFO lanes
-/// for the born-sorted event kinds, merged with the calendar queue.
+/// Simulate `flows` over `net` on the [`CalendarQueue`].
 pub fn simulate(net: &CsrNet, flows: &[FlowSpec], cfg: &SimConfig) -> Result<SimResult, SimError> {
     let engine = Engine::build(net, flows, cfg)?;
-    let mut q = Agenda::new(width_hint(&engine));
+    let mut q = CalendarQueue::with_width_hint(width_hint(&engine));
     Ok(engine.run(&mut q))
 }
 
@@ -927,59 +843,35 @@ mod tests {
         ));
     }
 
+    /// The tie rule: a packet that departs at the tick the next one
+    /// arrives is gone. At exactly the line rate, one tick apart from
+    /// the service time, a queue of one never sheds; one tick faster,
+    /// every other packet finds the link full.
     #[test]
-    fn agenda_breaks_time_ties_in_push_order() {
-        let pkt = Pkt {
-            path: 0,
-            hop: 0,
-            seq: 0,
+    fn a_packet_leaving_at_the_arrival_tick_is_gone() {
+        let (net, arcs) = line(2, 1.0);
+        let cfg = SimConfig {
+            mode: TransportMode::Paced,
+            duration: 40.0,
+            warmup: 10.0,
+            queue: 1,
+            ..SimConfig::default()
         };
-        // every kind at one time, lanes and calendar interleaved
-        let pushed = [
-            Ev::Inject { path: 1 },
-            Ev::TxDone { link: 2 },
-            Ev::Ack { path: 3, seq: 0 },
-            Ev::Arrive { link: 4, pkt },
-            Ev::Timeout {
-                path: 5,
-                seq: 0,
-                gen: 0,
-            },
-            Ev::TxDone { link: 6 },
-            Ev::Inject { path: 7 },
-            Ev::Arrive { link: 8, pkt },
-        ];
-        let mut q = Agenda::new(4);
-        for ev in pushed {
-            q.push(9, ev);
-        }
-        assert_eq!(q.len(), pushed.len());
-        assert_eq!(q.calendar.len(), 3, "only Inject and Timeout");
-        for ev in pushed {
-            assert_eq!(q.pop(), Some((9, ev)));
-        }
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn agenda_out_of_order_tx_done_falls_back_and_pops_first() {
-        let mut q = Agenda::new(4);
-        q.push(100, Ev::TxDone { link: 0 }); // a slow link
-        q.push(40, Ev::TxDone { link: 1 }); // a fast one: later push, earlier due
-        q.push(100, Ev::TxDone { link: 2 }); // level with the tail: in order
-        assert_eq!(q.lane_pushes[0], [2, 1]);
-        assert_eq!((q.lanes[0].len(), q.calendar.len()), (2, 1));
-        assert_eq!(q.pop(), Some((40, Ev::TxDone { link: 1 })));
-        assert_eq!(q.pop(), Some((100, Ev::TxDone { link: 0 })));
-        assert_eq!(q.pop(), Some((100, Ev::TxDone { link: 2 })));
-        assert!(q.is_empty());
+        let at_rate = |rate: f64| simulate(&net, &[one_path_flow(0, 1, rate, arcs.clone())], &cfg);
+        let exact = at_rate(1.0).unwrap();
+        assert_eq!((exact.drops, exact.peak_queue), (0, 1));
+        assert_eq!(exact.delivered, 30, "one packet a unit over 30 units");
+        let faster = TICKS_PER_UNIT as f64 / (TICKS_PER_UNIT - 1) as f64;
+        let over = at_rate(faster).unwrap();
+        assert!(over.drops > 0 && over.delivered <= 30, "{over:?}");
+        // one event a packet: the injection, which is its only arrival
+        assert_eq!(exact.events, 40);
     }
 
     /// Three routes of one, two and three hops from node 0 to node 1,
     /// every edge at one of `palette`'s capacities, and three flows
-    /// over 1–3 of the routes that reach their destination. Mixed
-    /// service times and mixed ACK distances are what makes the lane
-    /// guard refuse an event.
+    /// over 1–3 of the routes that reach their destination: mixed
+    /// service times and mixed hop counts.
     fn braid(rng: &mut StdRng, palette: &[f64]) -> (CsrNet, Vec<FlowSpec>) {
         let mut g = Graph::new(5);
         for (u, v) in [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)] {
@@ -1021,8 +913,7 @@ mod tests {
     }
 
     #[test]
-    fn agenda_matches_heap_on_mixed_capacities_through_both_lane_outcomes() {
-        let mut pushes = [[0u64; 2]; 3];
+    fn calendar_matches_heap_on_mixed_capacities_in_both_modes() {
         for seed in 0..48u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let palette: &[f64] = if seed % 2 == 0 {
@@ -1043,24 +934,12 @@ mod tests {
                 rto: 3.0,
                 ..SimConfig::default()
             };
-            let engine = Engine::build(&net, &flows, &cfg).unwrap();
-            let mut q = Agenda::new(width_hint(&engine));
-            let merged = engine.run(&mut q);
             assert_eq!(
-                merged,
+                simulate(&net, &flows, &cfg).unwrap(),
                 simulate_with_heap(&net, &flows, &cfg).unwrap(),
                 "seed {seed}"
             );
-            for (sum, lane) in pushes.iter_mut().zip(q.lane_pushes) {
-                sum[0] += lane[0];
-                sum[1] += lane[1];
-            }
         }
-        let [tx_done, arrive, ack] = pushes;
-        assert!(tx_done[0] > 0 && tx_done[1] > 0, "TxDone {tx_done:?}");
-        assert!(ack[0] > 0 && ack[1] > 0, "Ack {ack:?}");
-        // one propagation delay for every link: Arrive is never refused
-        assert!(arrive[0] > 0 && arrive[1] == 0, "Arrive {arrive:?}");
     }
 
     /// Paced sources over mixed line rates, with queues small enough to

@@ -7,8 +7,6 @@
 //! order on time ties, or trace hashes diverge between the production
 //! and reference runs.
 
-use std::collections::BTreeMap;
-
 use dctopo_graph::Graph;
 use dctopo_packetsim::{
     simulate, CalendarQueue, EventScheduler, FlowSpec, HeapScheduler, PathSpec, SimConfig,
@@ -19,40 +17,12 @@ use rand::{RngExt, SeedableRng};
 
 /// 10⁵ random events — clustered times, heavy ties, interleaved
 /// push/pop — pop identically from the calendar queue and the heap.
-///
-/// One event in eight is not pushed at all: it waits outside the
-/// calendar under a number from `reserve_seq()` and is merged back by
-/// `peek_key()`, the way the simulator's FIFO lanes are, and the merged
-/// sequence is still the heap's. Where nothing waits outside, two pops
-/// in three go straight to `pop()`, so a `peek_key()` in front of some
-/// pops and not others must change nothing.
 #[test]
 fn calendar_matches_heap_on_random_workload() {
     for seed in [1u64, 7, 42] {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cal: CalendarQueue<u32> = CalendarQueue::with_width_hint(64);
         let mut heap: HeapScheduler<u32> = HeapScheduler::new();
-        // (time, seq) → item, for the events held outside
-        let mut outside: BTreeMap<(u64, u64), u32> = BTreeMap::new();
-        let (mut peeks, mut merged) = (0u32, 0u32);
-        // one sequence number is drawn per round, by `push` or by
-        // `reserve_seq`, so an item's key is `(time, item)`
-        let mut pop_merged =
-            |cal: &mut CalendarQueue<u32>, outside: &mut BTreeMap<(u64, u64), u32>, peek: bool| {
-                let held = outside.first_key_value().map(|(&k, _)| k);
-                if held.is_none() && !peek {
-                    return cal.pop();
-                }
-                peeks += 1;
-                let inside = cal.peek_key();
-                if held.is_some_and(|h| inside.is_none_or(|i| h < i)) {
-                    merged += 1;
-                    return outside.pop_first().map(|((t, _), item)| (t, item));
-                }
-                let popped = cal.pop();
-                assert_eq!(inside, popped.map(|(t, item)| (t, u64::from(item))));
-                popped
-            };
         let mut now = 0u64;
         for round in 0..100_000u32 {
             // drift the clock forward so inserts span many buckets and
@@ -64,33 +34,21 @@ fn calendar_matches_heap_on_random_workload() {
                 2 => now + rng.random_range(0..5_000),
                 _ => now + rng.random_range(0..200_000),
             };
-            if round % 8 == 5 {
-                assert_eq!(cal.reserve_seq(), u64::from(round));
-                outside.insert((t, u64::from(round)), round);
-            } else {
-                cal.push(t, round);
-            }
+            cal.push(t, round);
             heap.push(t, round);
             if rng.random_range(0..3) == 0 {
-                let peek = rng.random_range(0..3) == 0;
-                let a = pop_merged(&mut cal, &mut outside, peek);
-                let b = heap.pop();
-                assert_eq!(a, b, "divergence at round {round} (seed {seed})");
+                let a = cal.pop();
+                assert_eq!(a, heap.pop(), "divergence at round {round} (seed {seed})");
                 if let Some((t, _)) = a {
                     now = now.max(t);
                 }
             }
         }
-        while let Some(a) = pop_merged(&mut cal, &mut outside, false) {
+        while let Some(a) = cal.pop() {
             assert_eq!(Some(a), heap.pop(), "drain divergence (seed {seed})");
         }
         assert!(heap.pop().is_none());
-        assert!(cal.is_empty() && heap.is_empty() && outside.is_empty());
-        assert_eq!(cal.peek_key(), None);
-        // every held event came back through the merge, and some
-        // peeks ran with nothing held
-        assert_eq!(merged, 100_000 / 8);
-        assert!(peeks > 2 * merged, "seed {seed}: {peeks} peeks");
+        assert!(cal.is_empty() && heap.is_empty());
     }
 }
 

@@ -188,3 +188,33 @@ fn duration_past_the_tick_range_is_a_typed_error() {
     let res = guarded(&[1.0], 1e-14, cfg).unwrap();
     assert_eq!((res.events, res.delivered, res.drops), (3, 0, 0));
 }
+
+/// A paced rate the tick cannot resolve: at `1e308` packets a unit the
+/// injection interval rounds to 0 ticks, and was clamped to one — a
+/// packet every tick, 2^20 a unit, a run that did not return. Every
+/// rate past 2^21 a unit rounds to 0 and is the typed error, naming it.
+#[test]
+fn paced_rate_beyond_the_tick_is_a_typed_error() {
+    for (rate, name) in [(1e308, "1e308"), (3e6, "3000000.0")] {
+        let err = guarded(&[1.0], rate, paced()).unwrap_err();
+        assert!(
+            matches!(&err, SimError::BadConfig(msg) if msg.contains(name)),
+            "{rate}: {err}"
+        );
+    }
+}
+
+/// A link too fast for the tick: capacity `1e10` serializes a packet in
+/// 10^-4 ticks, which was clamped to one, so the link silently ran at
+/// 2^20 packets a unit. A path over it is the typed error naming the
+/// capacity; the fastest capacity the tick resolves still runs.
+#[test]
+fn capacity_beyond_the_tick_is_a_typed_error() {
+    let err = guarded(&[1.0, 1e10], 0.5, paced()).unwrap_err();
+    assert!(
+        matches!(&err, SimError::BadConfig(msg) if msg.contains("capacity 10000000000.0")),
+        "{err}"
+    );
+    let res = guarded(&[1.0, 2e6], 0.5, paced()).unwrap();
+    assert_eq!((res.delivered, res.drops), (9, 0));
+}

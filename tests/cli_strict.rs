@@ -330,3 +330,64 @@ fn plan_with_an_exhausted_budget_prints_its_safe_fallback() {
         );
     }
 }
+
+/// Packet parameters no simulation can run are refused before the fluid
+/// solve, naming the parameter: a utilization of `0` or `-1` used to
+/// certify a solve and then report "no network traffic", `nan` a "paced
+/// mode needs a positive rate", and `--queue 0` ran the whole certified
+/// solve before the simulator refused it. Traced, the refused runs emit
+/// no solve event; the accepted control run does.
+#[test]
+fn packetsim_refuses_bad_packet_parameters_before_solving() {
+    const SIM: [&str; 12] = [
+        "packetsim",
+        "rrg",
+        "--switches",
+        "12",
+        "--ports",
+        "8",
+        "--degree",
+        "4",
+        "--duration",
+        "5",
+        "--warmup",
+        "1",
+    ];
+    let traced = |tag: &str, extra: [&str; 2]| {
+        let path = format!("{}/packetsim_{tag}.jsonl", env!("CARGO_TARGET_TMPDIR"));
+        let _ = std::fs::remove_file(&path);
+        let out = topobench()
+            .args(SIM)
+            .args(extra)
+            .args(["--trace", &path])
+            .output()
+            .expect("failed to run topobench");
+        let trace = std::fs::read_to_string(&path).unwrap_or_default();
+        (out, trace)
+    };
+    let solved = |trace: &str| trace.lines().any(|l| l.contains("_solve\""));
+    for (tag, flag, value) in [
+        ("zero", "--utilization", "0"),
+        ("negative", "--utilization", "-1"),
+        ("nan", "--utilization", "nan"),
+        ("queue", "--queue", "0"),
+    ] {
+        let (out, trace) = traced(tag, [flag, value]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let ctx = format!("{flag} {value}");
+        assert_eq!(out.status.code(), Some(1), "{ctx}:\n{stderr}");
+        assert!(stderr.contains(&flag[2..]), "{ctx}:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{ctx} printed a result");
+        assert!(!solved(&trace), "{ctx} solved first:\n{trace}");
+    }
+    let (out, trace) = traced("control", ["--utilization", "0.9"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        solved(&trace),
+        "the control run emitted no solve event:\n{trace}"
+    );
+}

@@ -243,10 +243,9 @@ proptest! {
         }
     }
 
-    /// The packet simulator's merged agenda — FIFO lanes for TxDone,
-    /// Arrive and Ack in front of the calendar queue — realises the
-    /// reference heap's event order on nets that make the lanes refuse
-    /// events: two or three distinct line rates (a fast link's TxDone
+    /// The packet simulator's calendar queue realises the reference
+    /// heap's event order on nets where events fall due out of push
+    /// order: two or three distinct line rates (a fast link's arrival
     /// falls due before a slow link's pushed earlier) and paths of
     /// different hop counts (so do ACKs of a short path). Field for
     /// field, trace hash included, in both transport modes.
