@@ -64,24 +64,25 @@ fn paced() -> SimConfig {
 /// `rate: 1e-14` is finite and positive; its injection interval
 /// saturates to `u64::MAX` ticks, so `t + interval` wrapped to `t − 1`
 /// and the source re-armed itself in the past forever. One packet is
-/// all such a flow sends in any run: Inject, TxDone, Arrive.
+/// all such a flow sends in any run: one Inject, its arrival at the
+/// only link.
 #[test]
 fn vanishing_paced_rate_sends_one_packet() {
     let res = guarded(&[1.0], 1e-14, paced()).unwrap();
-    assert_eq!((res.events, res.delivered, res.drops), (3, 0, 0));
+    assert_eq!((res.events, res.delivered, res.drops), (1, 0, 0));
 }
 
 /// A live arc of capacity `1e-300` serializes a packet in `u64::MAX`
 /// ticks: the width hint asked the calendar for a bucket so wide its
-/// epoch span was 0, and the `TxDone` wrapped into the past. The
-/// packets queue behind a head that never leaves within the run.
+/// epoch span was 0, and the serialization end wrapped into the past.
+/// The packets queue behind a head that never leaves within the run.
 #[test]
 fn near_dead_link_never_finishes_a_packet() {
     let res = guarded(&[1.0, 1e-300], 0.5, paced()).unwrap();
     assert_eq!(res.delivered, 0);
-    // 10 injections, each crossing the first hop (Inject, TxDone,
-    // Arrive) into the slow link's queue of 64
-    assert_eq!((res.events, res.drops), (30, 0));
+    // 10 injections, each an arrival at the first link and then one at
+    // the slow link, whose queue of 64 takes them all
+    assert_eq!((res.events, res.drops), (20, 0));
 }
 
 /// `rto: 1e300` passes `positive()`; as ticks it is `u64::MAX`, and
@@ -135,8 +136,8 @@ fn astronomical_link_delay_delivers_nothing() {
         ..paced()
     };
     let res = guarded(&[1.0], 0.5, cfg).unwrap();
-    // 10 injections, each serialized once: Inject + TxDone
-    assert_eq!((res.events, res.delivered, res.drops), (20, 0, 0));
+    // 10 injections, each an arrival at the only link
+    assert_eq!((res.events, res.delivered, res.drops), (10, 0, 0));
 }
 
 /// Queue bounds no link comes near. The queues were one slab of
@@ -186,7 +187,7 @@ fn duration_past_the_tick_range_is_a_typed_error() {
         ..paced()
     };
     let res = guarded(&[1.0], 1e-14, cfg).unwrap();
-    assert_eq!((res.events, res.delivered, res.drops), (3, 0, 0));
+    assert_eq!((res.events, res.delivered, res.drops), (1, 0, 0));
 }
 
 /// A paced rate the tick cannot resolve: at `1e308` packets a unit the

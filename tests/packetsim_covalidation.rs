@@ -54,21 +54,21 @@ fn corpus_is_pinned_and_law_abiding() {
             routing: RoutingMode::Decomposed,
             min_ratio: 0.8,
             delivered: 3119,
-            trace_hash: 0xebe52854fd23def3,
+            trace_hash: 0x99a9ee7dfcb7dc6f,
         },
         Cell {
             name: "ksp4",
             routing: RoutingMode::Ksp { k: 4 },
             min_ratio: 0.8,
             delivered: 2797,
-            trace_hash: 0x76b067e1eb3ba7f9,
+            trace_hash: 0x1ac424492a9b6802,
         },
         Cell {
             name: "ecmp4",
             routing: RoutingMode::Ecmp { limit: 4 },
             min_ratio: 0.3,
             delivered: 2421,
-            trace_hash: 0x8e9fa76912ef217d,
+            trace_hash: 0x39a1449f80e438cf,
         },
     ];
     let (topo, tm) = rrg_instance(11);

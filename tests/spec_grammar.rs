@@ -214,7 +214,7 @@ fn packetsim_queue_bounds_past_the_peak_print_one_run() {
     };
     let reference = run("1000000");
     assert!(
-        reference.contains("sim: 395 events, 72 delivered, 0 drops"),
+        reference.contains("sim: 189 events, 72 delivered, 0 drops"),
         "{reference}"
     );
     for queue in ["4294967297", "1152921504606846976"] {
