@@ -586,9 +586,12 @@ impl Engine {
     }
 }
 
-/// Pick a calendar bucket width suited to the instance: a fraction of
-/// the smallest live service time, so consecutive departures from the
-/// fastest link land in distinct buckets.
+/// Pick a calendar bucket width suited to the instance: a thirty-second
+/// of the smallest live service time. Consecutive departures from the
+/// fastest link land in distinct buckets, and a bucket holds a few
+/// events, so the buffers drained buckets hand on stay small: a drained
+/// buffer keeps its capacity, and wider buckets grew every recycled
+/// buffer to the largest bucket's size.
 fn width_hint(e: &Engine) -> u64 {
     let min_svc = e
         .net
@@ -598,7 +601,7 @@ fn width_hint(e: &Engine) -> u64 {
         .filter(|&s| s > 0)
         .min()
         .unwrap_or(TICKS_PER_UNIT);
-    (min_svc / 4).max(1)
+    (min_svc / 32).max(1)
 }
 
 /// Simulate `flows` over `net` on the [`CalendarQueue`].
