@@ -288,7 +288,14 @@ impl Engine {
     fn build(net: &CsrNet, flows: &[FlowSpec], cfg: &SimConfig) -> Result<Engine, SimError> {
         cfg.validate()?;
         let delay_ticks = (cfg.link_delay * TICKS_PER_UNIT as f64).round() as u64;
-        let sim_net = SimNet::lower(net, delay_ticks, cfg.queue);
+        let mut sim_net = SimNet::lower(net, delay_ticks, cfg.queue);
+        // a service time past the run is the run's length: no packet
+        // finishes inside it either way, and departures stay below
+        // `u64::MAX`, so a link's backlog still counts its packets
+        let end = ticks(cfg.duration);
+        for svc in &mut sim_net.service_ticks {
+            *svc = (*svc).min(end);
+        }
 
         let mut path_arcs = Vec::new();
         let mut path_off = vec![0u32];
@@ -340,7 +347,6 @@ impl Engine {
             }
             flow_paths.push((first, path_off.len() as u32 - 1));
         }
-        let end = ticks(cfg.duration);
         let warm = (cfg.warmup * TICKS_PER_UNIT as f64).round() as u64;
         let paths = path_flow.len();
         let transport = if window {

@@ -75,14 +75,26 @@ fn vanishing_paced_rate_sends_one_packet() {
 /// A live arc of capacity `1e-300` serializes a packet in `u64::MAX`
 /// ticks: the width hint asked the calendar for a bucket so wide its
 /// epoch span was 0, and the serialization end wrapped into the past.
-/// The packets queue behind a head that never leaves within the run.
+/// The packets queue behind a head that never leaves within the run,
+/// and a queue of four holds four of them: the link's backlog is
+/// counted, not lost to a departure tick that saturated.
 #[test]
 fn near_dead_link_never_finishes_a_packet() {
     let res = guarded(&[1.0, 1e-300], 0.5, paced()).unwrap();
     assert_eq!(res.delivered, 0);
     // 10 injections, each an arrival at the first link and then one at
     // the slow link, whose queue of 64 takes them all
-    assert_eq!((res.events, res.drops), (20, 0));
+    assert_eq!((res.events, res.drops, res.peak_queue), (20, 0, 10));
+    let short = guarded(
+        &[1.0, 1e-300],
+        0.5,
+        SimConfig {
+            queue: 4,
+            ..paced()
+        },
+    )
+    .unwrap();
+    assert_eq!((short.events, short.drops, short.peak_queue), (20, 6, 4));
 }
 
 /// `rto: 1e300` passes `positive()`; as ticks it is `u64::MAX`, and
