@@ -21,8 +21,8 @@
 //! bucket's buffer to the next bucket that needs one. Window mode's
 //! per-subflow state is fixed-size (bitmaps and a pre-sized
 //! retransmission stack), and events are `Copy` structs inside the
-//! scheduler. The hot loop allocates only when a lane or a bucket
-//! buffer reaches a new high-water mark.
+//! scheduler. The hot loop allocates only when a bucket buffer reaches
+//! a new high-water mark.
 
 use dctopo_graph::mix::Fnv1a;
 use dctopo_graph::CsrNet;
