@@ -22,7 +22,7 @@ pub enum Backend {
     /// The parallel multiplicative-weights FPTAS — the default. Runs
     /// the incremental fast path (tree reuse + increase-only Dijkstra
     /// repair + annealed ε) unless [`FlowOptions::strict_reference`]
-    /// pins the legacy trajectory, bit-identical to [`crate::reference`].
+    /// selects the strict trajectory.
     #[default]
     Fptas,
     /// The exact edge-flow LP.

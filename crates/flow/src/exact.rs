@@ -102,7 +102,7 @@ pub fn exact_solved_flow(
                     .map(|j| (0..m).map(|a| s.x[var(j, a)]).collect())
                     .collect()
             });
-            Ok(SolvedFlow {
+            let sol = SolvedFlow {
                 throughput,
                 upper_bound: throughput,
                 arc_flow,
@@ -110,7 +110,11 @@ pub fn exact_solved_flow(
                 phases: 1,
                 settles: 0,
                 commodity_arc_flow,
-            })
+                // the simplex exposes no duals: the bound goes unchecked
+                dual_lengths: Vec::new(),
+            };
+            crate::debug_certify(|| sol.certify(net, commodities, None));
+            Ok(sol)
         }
         LpOutcome::Infeasible => Err(FlowError::BadOptions(
             "exact LP infeasible (disconnected commodity?)".into(),
@@ -167,15 +171,8 @@ mod tests {
         let cs = [Commodity::unit(0, 3), Commodity::unit(1, 4)];
         let s = exact_solved_flow(&net, &cs, &FlowOptions::default()).unwrap();
         assert_eq!(s.upper_bound, s.throughput);
-        for a in 0..net.arc_count() {
-            assert!(
-                s.arc_flow[a] <= net.capacity(a) * (1.0 + 1e-6),
-                "arc {a} over capacity"
-            );
-        }
-        for (j, c) in cs.iter().enumerate() {
-            assert!((s.commodity_rate[j] - s.throughput * c.demand).abs() < 1e-9);
-        }
+        // the primal checks; the simplex returns no duals to check
+        assert_eq!(s.certify(&net, &cs, None), Ok(None));
     }
 
     #[test]

@@ -26,19 +26,21 @@
 //!   phases fade from the average); for every other loop it stays 1.0
 //!   and `1.0·x` is exact;
 //! * the **dual**: `D(l)/α(l)` bounds λ* for *any* positive lengths, so
-//!   every loop hands its `α` — however it harvested it — to
-//!   [`Core::note_dual`], which admits the bound only when it is finite
-//!   and positive;
+//!   every loop hands its `α` — however it harvested it — and the
+//!   lengths it was read at to [`Core::note_dual`], which admits the
+//!   bound only when it is finite, positive and below the best so far,
+//!   and then keeps a copy of those lengths: the witness a solve returns
+//!   as [`crate::SolvedFlow::dual_lengths`];
 //! * the **stop rule** ([`Core::verdict`]): certified gap closed, or the
 //!   primal has not improved by 0.05 % for `stall_phases` phases.
 //!
 //! Routing stays with the callers on purpose. They differ at a dozen
 //! points and every float order in them is pinned bit for bit
 //! (`tests/trajectory_pins.rs`), so one loop over routing *policies*
-//! would have to branch on its caller. [`crate::reference`] shares
-//! nothing with this module: it is the oracle the strict trajectory is
-//! compared against, and an oracle that ran on the code under test would
-//! check nothing.
+//! would have to branch on its caller. What a loop returns is checked
+//! by code that shares nothing with this module:
+//! [`dctopo_graph::certify`] re-derives every certificate in debug
+//! builds.
 
 use dctopo_graph::CsrNet;
 use dctopo_obs as obs;
@@ -59,9 +61,8 @@ pub(crate) const RESCALE_ABOVE: f64 = 1e100;
 /// value and inlines to a perfectly predicted branch, not a call.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Cong {
-    /// `x / c(a)`. The strict pairwise trajectory, because
-    /// [`crate::reference`] divides and the two are compared ulp for ulp;
-    /// the grouped solver, which was written from the strict one.
+    /// `x / c(a)`. The strict pairwise trajectory, whose pinned form
+    /// divides; the grouped solver, which was written from it.
     Divide,
     /// `x * (1/c(a))` with the reciprocal [`CsrNet`] precomputes: the
     /// fast pairwise path and the frozen-path solver.
@@ -104,6 +105,8 @@ pub(crate) struct Core<'n> {
     tree_load: Vec<f64>,
     touched: Vec<usize>,
     best_dual: f64,
+    /// The lengths `best_dual` was read at (empty before the first).
+    dual_lengths: Vec<f64>,
     last_primal: f64,
     stagnant: usize,
 }
@@ -124,6 +127,7 @@ impl<'n> Core<'n> {
             tree_load: vec![0.0; arcs],
             touched: Vec::new(),
             best_dual: f64::INFINITY,
+            dual_lengths: Vec::new(),
             last_primal: 0.0,
             stagnant: 0,
         }
@@ -218,15 +222,26 @@ impl<'n> Core<'n> {
         self.length.iter().zip(caps).map(|(&l, &c)| l * c).sum()
     }
 
-    /// Admit `d_l / alpha` as a dual bound if it is one (degenerate
-    /// ratios — `α = 0` before any growth, an overflowed sum — are
-    /// not); returns the ratio either way, for telemetry.
-    pub(crate) fn note_dual(&mut self, d_l: f64, alpha: f64) -> f64 {
+    /// Admit `d_l / alpha`, read at the lengths `at` (`None`: the
+    /// core's own), as the dual bound if it is one (degenerate ratios —
+    /// `α = 0` before any growth, an overflowed sum — are not) and is
+    /// below the best so far, and then keep a copy of those lengths;
+    /// returns the ratio either way, for telemetry.
+    pub(crate) fn note_dual(&mut self, d_l: f64, alpha: f64, at: Option<&[f64]>) -> f64 {
         let bound = d_l / alpha;
-        if bound.is_finite() && bound > 0.0 {
-            self.best_dual = self.best_dual.min(bound);
+        if bound.is_finite() && bound > 0.0 && bound < self.best_dual {
+            self.best_dual = bound;
+            self.dual_lengths.clear();
+            self.dual_lengths
+                .extend_from_slice(at.unwrap_or(&self.length));
         }
         bound
+    }
+
+    /// The lengths the best dual bound was read at, leaving the core
+    /// without them.
+    pub(crate) fn take_dual_lengths(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.dual_lengths)
     }
 
     /// Rescale all lengths by `1/max` once one exceeds
@@ -359,6 +374,7 @@ impl<'c> Pairwise<'c> {
                 settles: 0,
                 commodity_arc_flow: (self.arc_record.as_ref())
                     .map(|record| record.iter().map(scaled).collect()),
+                dual_lengths: Vec::new(),
             });
             self.best_phase = phase;
         }
@@ -370,11 +386,12 @@ impl<'c> Pairwise<'c> {
         self.best_phase
     }
 
-    /// The best solution, stamped with the solve's final dual bound and
-    /// work counters.
-    pub(crate) fn finish(self, core: &Core, phases: usize, settles: u64) -> SolvedFlow {
+    /// The best solution, stamped with the solve's final dual bound, its
+    /// lengths and the work counters.
+    pub(crate) fn finish(self, core: &mut Core, phases: usize, settles: u64) -> SolvedFlow {
         let mut sol = self.best.expect("at least one phase ran");
         sol.upper_bound = core.best_dual();
+        sol.dual_lengths = core.take_dual_lengths();
         sol.phases = phases;
         sol.settles = settles;
         sol

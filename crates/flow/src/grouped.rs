@@ -76,11 +76,12 @@
 
 use std::sync::Arc;
 
+use dctopo_graph::certify::{self, Certificate, Violation};
 use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 
 use crate::gk::{Cong, Core, Verdict};
-use crate::{node_in_range, validate_opts, validate_pair, FlowError, FlowOptions};
+use crate::{node_in_range, validate_opts, validate_pair, Backend, FlowError, FlowOptions};
 
 /// The sinks of one [`DemandGroup`].
 #[derive(Debug, Clone)]
@@ -166,8 +167,8 @@ pub struct GroupedFlow {
     /// Feasible concurrent throughput λ: every sink of every group
     /// simultaneously receives ≥ `λ · demand`.
     pub throughput: f64,
-    /// Certified upper bound on the optimum (`D(l)/α(l)` harvested
-    /// from the phase trees).
+    /// Certified upper bound on the optimum: `D(l)/α(l)`, harvested
+    /// from the phase trees or from the final exact pass.
     pub upper_bound: f64,
     /// Feasible per-arc flow (scaled to respect every capacity).
     pub arc_flow: Vec<f64>,
@@ -180,6 +181,9 @@ pub struct GroupedFlow {
     /// Total shortest-path tree settles — heap pops, one per node per
     /// tree — the work metric, identical at every thread count.
     pub settles: u64,
+    /// The arc lengths `upper_bound` was read at: the witness
+    /// [`dctopo_graph::certify`] re-derives the bound from.
+    pub dual_lengths: Vec<f64>,
 }
 
 impl GroupedFlow {
@@ -190,6 +194,32 @@ impl GroupedFlow {
         }
         (self.upper_bound - self.throughput) / self.upper_bound
     }
+
+    /// Re-derive this certificate, solved on `net` for `groups`, with
+    /// [`certify::check`]: every sink of group `g` is one commodity at
+    /// rate `group_rate_factor[g] · demand`.
+    ///
+    /// # Errors
+    /// The first [`Violation`] the checker finds.
+    pub fn certify(&self, net: &CsrNet, groups: &[DemandGroup]) -> Result<Option<f64>, Violation> {
+        let (mut demands, mut rates) = (Vec::new(), Vec::new());
+        for (g, &factor) in groups.iter().zip(&self.group_rate_factor) {
+            g.for_each_sink(|dst, d| {
+                demands.push((g.src, dst, d));
+                rates.push(factor * d);
+            });
+        }
+        let cert = Certificate {
+            lambda: self.throughput,
+            upper_bound: self.upper_bound,
+            arc_flow: &self.arc_flow,
+            rates: &rates,
+            record: None,
+            dual_lengths: &self.dual_lengths,
+            paths: None,
+        };
+        certify::check(net, &demands, &cert)
+    }
 }
 
 fn validate_grouped(
@@ -199,6 +229,19 @@ fn validate_grouped(
 ) -> Result<(), FlowError> {
     if groups.is_empty() {
         return Err(FlowError::NoCommodities);
+    }
+    // the one loop here is the fast FPTAS's: a backend or trajectory it
+    // cannot follow is refused, not silently ignored
+    let refused = match (opts.backend, opts.strict_reference) {
+        (Backend::Fptas, false) => None,
+        (Backend::Fptas, true) => Some("fptas-strict".to_string()),
+        (Backend::KspRestricted { k }, _) => Some(format!("ksp:{k}")),
+        (Backend::ExactLp, _) => Some(Backend::ExactLp.name().to_string()),
+    };
+    if let Some(name) = refused {
+        return Err(FlowError::BadOptions(format!(
+            "aggregated demand is solved by the default FPTAS only, not by backend {name}"
+        )));
     }
     validate_opts(opts)?;
     for (gi, g) in groups.iter().enumerate() {
@@ -250,6 +293,8 @@ fn validate_grouped(
 ///
 /// * [`FlowError::Unreachable`] if any group has a positive-demand
 ///   sink outside its source's component.
+/// * [`FlowError::BadOptions`] naming the backend when `opts` selects
+///   anything but the default [`Backend::Fptas`] fast path.
 /// * Validation errors for empty/invalid inputs (see [`FlowError`]).
 pub fn solve_grouped(
     net: &CsrNet,
@@ -394,7 +439,7 @@ fn solve_grouped_observed(
         // which only grew since — D(l_end)/α_harvest ≥ D(l_end)/α(l_end)
         // ≥ λ*, a valid certificate (module docs)
         let d_l = core.d_l();
-        core.note_dual(d_l, alpha_phase);
+        core.note_dual(d_l, alpha_phase, None);
         core.rescale();
         phase_lengths(core.length());
 
@@ -427,6 +472,7 @@ fn solve_grouped_observed(
                 group_rate_factor: routed_frac.iter().map(|&r| r / mu).collect(),
                 phases,
                 settles: 0,
+                dual_lengths: Vec::new(),
             });
         }
         if core.verdict(primal, opts, phases) == Verdict::Stop {
@@ -453,7 +499,7 @@ fn solve_grouped_observed(
         });
     }
     let d_final = core.d_l();
-    let final_bound = core.note_dual(d_final, alpha_final);
+    let final_bound = core.note_dual(d_final, alpha_final, None);
     if obs::enabled() {
         obs::Event::new("grouped_harvest")
             .field("alpha", alpha_final)
@@ -465,6 +511,7 @@ fn solve_grouped_observed(
 
     let mut sol = best.expect("at least one phase ran");
     sol.upper_bound = core.best_dual();
+    sol.dual_lengths = core.take_dual_lengths();
     sol.phases = phases;
     sol.settles = ws.settles();
     if obs::enabled() {
@@ -476,6 +523,7 @@ fn solve_grouped_observed(
             .field("upper_bound", sol.upper_bound)
             .emit();
     }
+    crate::debug_certify(|| sol.certify(net, groups));
     Ok(sol)
 }
 
@@ -689,6 +737,32 @@ mod tests {
             solve_grouped(&net, &shortw, &o),
             Err(FlowError::BadOptions(_))
         ));
+    }
+
+    /// The loop here is the fast FPTAS's only: every other backend,
+    /// and the strict trajectory, is refused by name.
+    #[test]
+    fn other_backends_are_refused_by_name() {
+        let net = ring(4, 1.0);
+        let groups = [DemandGroup {
+            src: 0,
+            sinks: SinkSpec::List(vec![(2, 1.0)]),
+        }];
+        assert!(solve_grouped(&net, &groups, &opts()).is_ok());
+        let refused = [
+            ("fptas-strict", opts().with_strict_reference(true)),
+            ("exact-lp", opts().with_backend(Backend::ExactLp)),
+            (
+                "ksp:2",
+                opts().with_backend(Backend::KspRestricted { k: 2 }),
+            ),
+        ];
+        for (name, o) in refused {
+            match solve_grouped(&net, &groups, &o) {
+                Err(FlowError::BadOptions(m)) => assert!(m.contains(name), "{m}"),
+                other => panic!("{name}: {other:?}"),
+            }
+        }
     }
 
     #[test]

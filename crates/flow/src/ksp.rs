@@ -28,7 +28,7 @@ use dctopo_graph::kshortest::{yen_k_shortest_with, YenWorkspace};
 use dctopo_graph::{CsrNet, Graph, NodeId};
 use dctopo_obs as obs;
 
-use crate::cache::PathSetCache;
+use crate::cache::{FrozenPathSet, PathSetCache};
 use crate::gk::{Cong, Core, Pairwise, Verdict};
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
@@ -120,18 +120,23 @@ pub fn max_concurrent_flow_ksp_cached(
         let primal = pairs.snapshot(&core, phases);
         // the restricted dual: α over each commodity's cheapest frozen path
         if phases.is_multiple_of(4) {
-            let alpha: f64 = commodities
-                .iter()
-                .enumerate()
-                .map(|(j, c)| c.demand * cheapest(&paths[j][..], core.length()).1)
-                .sum();
-            core.note_dual(core.d_l(), alpha);
+            let alpha = restricted_alpha(commodities, &paths, &core);
+            core.note_dual(core.d_l(), alpha, None);
         }
         if core.verdict(primal, opts, phases) == Verdict::Stop {
             break;
         }
     }
-    let sol = pairs.finish(&core, phases, 0);
+    // a solve that stopped before its first dual pass reads one at the
+    // final lengths, so every solve returns a finite bound
+    if core.best_dual() == f64::INFINITY {
+        core.note_dual(
+            core.d_l(),
+            restricted_alpha(commodities, &paths, &core),
+            None,
+        );
+    }
+    let sol = pairs.finish(&mut core, phases, 0);
     if obs::enabled() {
         // hit / miss counts are `cache_key`'s: they race between solves
         obs::Event::new("ksp_solve")
@@ -145,7 +150,16 @@ pub fn max_concurrent_flow_ksp_cached(
             .nd("wall_us", obs::us_since(t_solve))
             .emit();
     }
+    crate::debug_certify(|| sol.certify(net, commodities, Some(&paths)));
     Ok(sol)
+}
+
+/// `α` of the path-restricted problem: each commodity's demand times
+/// its cheapest frozen path under the current lengths.
+fn restricted_alpha(commodities: &[Commodity], paths: &[FrozenPathSet], core: &Core) -> f64 {
+    (commodities.iter().zip(paths))
+        .map(|(c, set)| c.demand * cheapest(&set[..], core.length()).1)
+        .sum()
 }
 
 /// Freeze one `(src, dst)` pair's k-shortest path set as arc sequences
@@ -301,9 +315,43 @@ mod tests {
             Commodity::unit(2, 5),
         ];
         let s = max_concurrent_flow_ksp(&g, &cs, 4, &opts()).unwrap();
-        assert!(s.throughput <= s.upper_bound * (1.0 + 1e-9));
-        for a in 0..g.arc_count() {
-            assert!(s.arc_flow[a] <= g.arc_capacity(a) * (1.0 + 1e-9));
+        let net = CsrNet::from_graph(&g);
+        let paths = PathSetCache::new().freeze(&net, &cs, 4).unwrap();
+        assert!(s.certify(&net, &cs, Some(&paths)).unwrap().is_some());
+    }
+
+    /// A solve that stops before the every-fourth-phase dual pass — on
+    /// its phase budget or on the stall rule — still returns a finite
+    /// bound, read at the final lengths, that the checker accepts.
+    #[test]
+    fn short_solves_return_a_finite_checked_bound() {
+        let mut g = Graph::new(8);
+        for v in 0..8 {
+            g.add_unit_edge(v, (v + 1) % 8).unwrap();
+        }
+        g.add_unit_edge(0, 4).unwrap();
+        let net = CsrNet::from_graph(&g);
+        let cs = [
+            Commodity::unit(0, 4),
+            Commodity::unit(1, 5),
+            Commodity::unit(6, 2),
+        ];
+        let paths = PathSetCache::new().freeze(&net, &cs, 2).unwrap();
+        let budgets = (1..=3).map(|p| FlowOptions {
+            max_phases: p,
+            ..opts()
+        });
+        let stall = FlowOptions {
+            stall_phases: 1,
+            ..opts()
+        };
+        for o in budgets.chain([stall]) {
+            let s = max_concurrent_flow_ksp_csr(&net, &cs, 2, &o).unwrap();
+            assert!(s.phases < 4, "{} phases", s.phases);
+            assert!(s.upper_bound.is_finite(), "{} phases: no bound", s.phases);
+            assert!(s.upper_bound >= s.throughput);
+            assert_eq!(s.dual_lengths.len(), net.arc_count());
+            assert!(s.certify(&net, &cs, Some(&paths)).unwrap().is_some());
         }
     }
 

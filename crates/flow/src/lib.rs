@@ -42,9 +42,18 @@
 //! the `1e100` rescale, the step size, the worst congestion `μ`, the
 //! `D(l)/α(l)` admission, the plateau stop. That arithmetic is written
 //! once, in the private `gk` module (`gk::Core`), and every loop calls
-//! it. [`mod@reference`] deliberately does not: it is the oracle the
-//! strict trajectory is compared against bit for bit, and it shares no
-//! code with what it checks.
+//! it.
+//!
+//! ## Every certificate carries its witness
+//!
+//! A solve returns its interval `[throughput, upper_bound]`, the flow
+//! behind the first number and the arc lengths the second was read at
+//! ([`SolvedFlow::dual_lengths`], [`GroupedFlow::dual_lengths`]).
+//! [`dctopo_graph::certify`] re-derives both ends from that data with
+//! code that shares nothing with the solvers — its own Dijkstra, its own
+//! sums — and every producer here runs it on what it returns in debug
+//! builds ([`SolvedFlow::certify`], [`GroupedFlow::certify`]). Release
+//! builds skip the check.
 //!
 //! ## Backends
 //!
@@ -65,26 +74,23 @@
 //!   `(topology, k)` — go through [`solve_with_cache`] to amortise it.
 //!
 //! Callers go through [`solve`] (or the [`max_concurrent_flow`]
-//! convenience wrapper that still accepts a [`Graph`]). The pre-CSR,
-//! single-threaded FPTAS is kept verbatim in [`mod@reference`] as the
-//! benchmark baseline and as an independent cross-check.
+//! convenience wrapper that still accepts a [`Graph`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
 pub mod cache;
-pub mod cut;
 pub mod decompose;
 pub mod exact;
 mod fptas;
 mod gk;
 pub mod grouped;
 pub mod ksp;
-pub mod reference;
 
 use std::fmt;
 
+use dctopo_graph::certify::{self, Certificate, Violation};
 use dctopo_graph::{CsrNet, Graph, GraphError};
 
 /// Re-export: node index type used by [`Commodity`].
@@ -159,23 +165,26 @@ pub struct FlowOptions {
     /// the FPTAS and k-shortest-path backends; [`Backend::ExactLp`]
     /// ignores them.
     pub backend: Backend,
-    /// Route [`Backend::Fptas`] through the legacy strict trajectory
-    /// (recompute every group's shortest-path tree per augmentation)
-    /// instead of the default incremental fast path (tree reuse +
-    /// increase-only Dijkstra repair).
+    /// Route [`Backend::Fptas`] through the strict trajectory
+    /// (recompute every group's shortest-path tree per augmentation,
+    /// fixed ε, the exact dual every eighth phase) instead of the
+    /// default incremental fast path (tree reuse + increase-only
+    /// Dijkstra repair).
     ///
-    /// The strict trajectory is **bit-identical** to
-    /// [`mod@reference`]'s; the fast path is certified by the same
-    /// primal-feasibility and `D(l)/α(l)` dual bounds and remains
-    /// bit-identical across thread counts, but follows its own
-    /// (cheaper) trajectory. See `docs/ARCHITECTURE.md` for the full
-    /// determinism contract. Ignored by the other backends.
+    /// The strict trajectory is pinned bit for bit against the textbook
+    /// Garg–Könemann model kept with the tests (`tests/gk_model.rs`);
+    /// the fast path is certified the same way — a feasible flow and a
+    /// `D(l)/α(l)` bound — and is bit-identical across thread counts,
+    /// but follows its own (cheaper) trajectory. See
+    /// `docs/ARCHITECTURE.md` for the full determinism contract.
+    /// Ignored by the other backends; [`solve_grouped`] refuses it.
     pub strict_reference: bool,
     /// Also record each commodity's own arc flows
     /// ([`SolvedFlow::commodity_arc_flow`]), enabling
     /// [`decompose::decompose_paths`]. Costs `O(commodities × arcs)`
     /// memory plus a second tree walk per augmentation, so it is off by
-    /// default. Honoured by every backend except [`mod@reference`].
+    /// default. Honoured by every pairwise backend; [`solve_grouped`]
+    /// keeps no per-commodity state and ignores it.
     pub record_commodity_flows: bool,
 }
 
@@ -241,7 +250,10 @@ pub struct SolvedFlow {
     /// Certified feasible concurrent throughput λ: every commodity `j`
     /// is simultaneously routed at rate ≥ `throughput · demand_j`.
     pub throughput: f64,
-    /// Certified dual upper bound on the optimal λ.
+    /// Certified dual upper bound on the optimal λ: `D(l)/α(l)` at
+    /// [`SolvedFlow::dual_lengths`] (for [`Backend::KspRestricted`],
+    /// with `α` over the frozen paths, so it bounds the path-restricted
+    /// problem), or the LP optimum for [`Backend::ExactLp`].
     pub upper_bound: f64,
     /// Feasible flow per directed arc (indexed by [`dctopo_graph::ArcId`]).
     pub arc_flow: Vec<f64>,
@@ -253,8 +265,7 @@ pub struct SolvedFlow {
     /// early-terminated runs and repairs alike, at every node count) —
     /// the work metric the fast-path FPTAS optimises.
     /// `0` for solvers that are not instrumented
-    /// ([`Backend::ExactLp`], [`Backend::KspRestricted`], and the
-    /// [`mod@reference`] baseline).
+    /// ([`Backend::ExactLp`], [`Backend::KspRestricted`]).
     pub settles: u64,
     /// Per-commodity arc flows (outer index = commodity in input
     /// order, inner = [`dctopo_graph::ArcId`]), scaled like
@@ -263,6 +274,11 @@ pub struct SolvedFlow {
     /// [`FlowOptions::record_commodity_flows`]; the input for
     /// [`decompose::decompose_paths`].
     pub commodity_arc_flow: Option<Vec<Vec<f64>>>,
+    /// The arc lengths `upper_bound` was read at — the last iterate or
+    /// the fast path's running mean of the iterates, whichever gave the
+    /// smallest bound — one per arc. Empty for [`Backend::ExactLp`],
+    /// whose simplex exposes no duals.
+    pub dual_lengths: Vec<f64>,
 }
 
 impl SolvedFlow {
@@ -290,6 +306,46 @@ impl SolvedFlow {
             (self.upper_bound - self.throughput) / self.upper_bound
         } else {
             0.0
+        }
+    }
+
+    /// Re-derive this certificate, solved on `net` for `commodities`,
+    /// with [`certify::check`]; `paths` are the frozen path sets of a
+    /// [`Backend::KspRestricted`] solve ([`PathSetCache::freeze`]),
+    /// whose bound covers only the restricted problem. Returns the
+    /// re-derived bound, `None` when the dual side went unchecked.
+    ///
+    /// # Errors
+    /// The first [`Violation`] the checker finds.
+    pub fn certify(
+        &self,
+        net: &CsrNet,
+        commodities: &[Commodity],
+        paths: Option<&[cache::FrozenPathSet]>,
+    ) -> Result<Option<f64>, Violation> {
+        let demands: Vec<_> = commodities
+            .iter()
+            .map(|c| (c.src, c.dst, c.demand))
+            .collect();
+        let cert = Certificate {
+            lambda: self.throughput,
+            upper_bound: self.upper_bound,
+            arc_flow: &self.arc_flow,
+            rates: &self.commodity_rate,
+            record: self.commodity_arc_flow.as_deref(),
+            dual_lengths: &self.dual_lengths,
+            paths,
+        };
+        certify::check(net, &demands, &cert)
+    }
+}
+
+/// Debug builds re-derive what a producer returns with the checker and
+/// panic on a violation; release builds do not run `checked`.
+pub(crate) fn debug_certify(checked: impl FnOnce() -> Result<Option<f64>, Violation>) {
+    if cfg!(debug_assertions) {
+        if let Err(v) = checked() {
+            panic!("certificate rejected: {v}");
         }
     }
 }

@@ -17,6 +17,9 @@
 //!   shortest-path enumeration ([`kshortest`]).
 //! * average shortest path length (ASPL) and diameter ([`paths::PathStats`]).
 //! * connectivity queries ([`components`]).
+//! * an independent check of a max-concurrent-flow certificate
+//!   ([`certify`]): the flow, the rates and the dual lengths a solve
+//!   returned, re-derived with a Dijkstra of its own.
 //! * seed derivation and FNV-1a content hashing ([`mix`]) — the one copy
 //!   behind every layer's coordinate-derived RNG seeds, fingerprints and
 //!   trace hashes.
@@ -29,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod certify;
 pub mod components;
 pub mod csr;
 pub mod delta;

@@ -267,6 +267,13 @@ impl From<GraphError> for PlanError {
     }
 }
 
+/// The one order candidates are tried in: `(move, bound)` by descending
+/// bound, ties by ascending move. Bounds are ≥ +0.0, where `total_cmp`
+/// orders as `<` does, and it needs no NaN case.
+fn by_bound((a, bound_a): (usize, f64), (b, bound_b): (usize, f64)) -> std::cmp::Ordering {
+    bound_b.total_cmp(&bound_a).then(a.cmp(&b))
+}
+
 /// Screening result for one candidate step.
 struct Screen {
     bound: f64,
@@ -466,7 +473,7 @@ impl<'a> Planner<'a> {
             })
             .collect();
         let mut scored = scored?;
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        scored.sort_by(|&a, &b| by_bound(a, b));
         for (certs, (u, bound)) in scored.into_iter().enumerate() {
             if bound < self.floor || certs >= RESCUE_CAP {
                 // sorted descending: nothing below the floor can rescue
@@ -547,11 +554,7 @@ impl<'a> Planner<'a> {
                 .collect::<Result<_, GraphError>>()?;
             let mut slots: Vec<usize> = (0..cands.len()).collect();
             slots.sort_by(|&x, &y| {
-                screens[y]
-                    .bound
-                    .partial_cmp(&screens[x].bound)
-                    .expect("bounds are never NaN")
-                    .then(cands[x].cmp(&cands[y]))
+                by_bound((cands[x], screens[x].bound), (cands[y], screens[y].bound))
             });
 
             let mut chosen: Option<(usize, f64)> = None;
@@ -703,7 +706,7 @@ impl<'a> Planner<'a> {
                 })
                 .collect();
             let mut scored = scored?;
-            scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            scored.sort_by(|&a, &b| by_bound(a, b));
             let mut best: Option<(f64, usize)> = None;
             for (i, bound) in scored {
                 if let Some((best_lam, _)) = best {

@@ -391,3 +391,49 @@ fn packetsim_refuses_bad_packet_parameters_before_solving() {
         "the control run emitted no solve event:\n{trace}"
     );
 }
+
+/// Aggregated traffic is solved by the default FPTAS only. Any other
+/// `--backend` is refused, naming it, where it used to be ignored: the
+/// four backends printed the same bytes.
+#[test]
+fn aggregated_traffic_refuses_the_backends_it_cannot_run() {
+    let solve = |backend: &str| {
+        topobench()
+            .args([
+                "solve",
+                "rrg",
+                "--switches",
+                "8",
+                "--ports",
+                "6",
+                "--degree",
+                "3",
+            ])
+            .args([
+                "--traffic",
+                "all-to-all-agg",
+                "--runs",
+                "1",
+                "--backend",
+                backend,
+            ])
+            .output()
+            .expect("failed to run topobench")
+    };
+    let out = solve("fptas");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for backend in ["fptas-strict", "exact", "ksp:2"] {
+        let out = solve(backend);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{backend}:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("backend {backend}")),
+            "{backend}:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{backend} printed a result");
+    }
+}

@@ -1,25 +1,20 @@
-//! The original direct-[`Graph`] FPTAS, kept as a reference baseline.
+//! The textbook Garg–Könemann / Fleischer loop over the adjacency-list
+//! [`Graph`], kept as the model the strict trajectory
+//! (`FlowOptions::strict_reference`) is pinned against bit for bit.
 //!
-//! This is the pre-CSR implementation: single-threaded, nested-adjacency
-//! Dijkstra (via [`dctopo_graph::paths::dijkstra`]), one shortest-path
-//! recomputation per inner augmentation step. The production path is
-//! [`crate::Backend::Fptas`] over [`dctopo_graph::CsrNet`]; this module exists so
-//! that
-//!
-//! 1. the strict trajectory has an unchanged baseline to stay
-//!    bit-identical to
-//!    (`strict_reference_bitwise_matches_reference_on_50_seeded_graphs`),
-//!    and
-//! 2. cross-validation tests have a third, independently-implemented
-//!    solver to agree with.
-//!
-//! Algorithm notes are in [`crate::max_concurrent_flow_csr`]; the two implementations share
-//! the same certificates (feasible scaled primal, `D(l)/α(l)` dual).
+//! This is the pre-CSR solver: single-threaded, nested-adjacency
+//! Dijkstra ([`dctopo::graph::paths::dijkstra`]), one shortest-path
+//! recomputation per inner augmentation step, the exact dual every
+//! eighth phase. The production loop shares no code with it, so a
+//! change there that moves one float of the strict trajectory fails
+//! `strict_reference_bitwise_matches_reference_on_50_seeded_graphs`
+//! below.
 
-use dctopo_graph::paths::dijkstra;
-use dctopo_graph::{Graph, NodeId};
-
-use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
+use dctopo::flow::{max_concurrent_flow, Commodity, FlowError, FlowOptions, SolvedFlow};
+use dctopo::graph::paths::dijkstra;
+use dctopo::graph::{Graph, NodeId};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Commodities grouped by source for shared Dijkstra runs.
 struct SourceGroup {
@@ -43,20 +38,17 @@ fn group_by_source(commodities: &[Commodity]) -> Vec<SourceGroup> {
     groups
 }
 
-/// Solve max concurrent flow on `g` with the legacy Graph-based FPTAS.
+/// Solve max concurrent flow on `g` with the model FPTAS, on inputs the
+/// production entry points accept.
 ///
-/// Semantics and certificates match [`crate::max_concurrent_flow`]; only
-/// the execution strategy differs (no CSR, no parallelism, shortest
-/// paths recomputed inside the augmentation loop).
-///
-/// # Errors
-/// As [`crate::max_concurrent_flow`].
-pub fn max_concurrent_flow_graph(
+/// Semantics and certificates match [`max_concurrent_flow`]; only the
+/// execution strategy differs (no CSR, no parallelism, shortest paths
+/// recomputed inside the augmentation loop).
+fn max_concurrent_flow_graph(
     g: &Graph,
     commodities: &[Commodity],
     opts: &FlowOptions,
 ) -> Result<SolvedFlow, FlowError> {
-    validate(g.node_count(), commodities, opts)?;
     let num_arcs = g.arc_count();
     if num_arcs == 0 {
         // commodities exist but there are no edges at all
@@ -204,8 +196,9 @@ pub fn max_concurrent_flow_graph(
             commodity_rate: routed.iter().map(|&r| r / mu).collect(),
             phases,
             settles: 0,
-            // the baseline stays un-instrumented by design
+            // the model stays un-instrumented by design
             commodity_arc_flow: None,
+            dual_lengths: Vec::new(),
         };
 
         let better = best.as_ref().is_none_or(|b| primal > b.throughput);
@@ -262,66 +255,149 @@ fn alpha_of(g: &Graph, groups: &[SourceGroup], length: &[f64]) -> Result<f64, Fl
     Ok(alpha)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::max_concurrent_flow;
+fn opts() -> FlowOptions {
+    FlowOptions {
+        epsilon: 0.05,
+        target_gap: 0.02,
+        max_phases: 20000,
+        stall_phases: 2000,
+        ..FlowOptions::default()
+    }
+}
 
-    fn opts() -> FlowOptions {
-        FlowOptions {
-            epsilon: 0.05,
-            target_gap: 0.02,
-            max_phases: 20000,
-            stall_phases: 2000,
-            ..FlowOptions::default()
+/// The model still solves the canonical instances.
+#[test]
+fn reference_solves_cycle() {
+    let mut g = Graph::new(4);
+    for v in 0..4 {
+        g.add_unit_edge(v, (v + 1) % 4).unwrap();
+    }
+    let s = max_concurrent_flow_graph(&g, &[Commodity::unit(0, 2)], &opts()).unwrap();
+    assert!((s.throughput - 2.0).abs() < 0.06, "λ = {}", s.throughput);
+    assert!(s.upper_bound >= s.throughput);
+}
+
+/// The model and the production engine certify overlapping intervals.
+#[test]
+fn reference_and_csr_agree() {
+    let mut g = Graph::new(7);
+    for v in 0..7 {
+        g.add_unit_edge(v, (v + 1) % 7).unwrap();
+    }
+    g.add_unit_edge(0, 3).unwrap();
+    g.add_unit_edge(2, 5).unwrap();
+    let cs = [
+        Commodity::unit(0, 4),
+        Commodity::unit(1, 5),
+        Commodity {
+            src: 6,
+            dst: 2,
+            demand: 2.0,
+        },
+    ];
+    let a = max_concurrent_flow_graph(&g, &cs, &opts()).unwrap();
+    let b = max_concurrent_flow(&g, &cs, &opts()).unwrap();
+    // both primal values lie under both dual bounds
+    assert!(a.throughput <= b.upper_bound * (1.0 + 1e-9));
+    assert!(b.throughput <= a.upper_bound * (1.0 + 1e-9));
+    // and the certified intervals pin the same optimum to within gaps
+    assert!((a.throughput - b.throughput).abs() <= 0.05 * a.throughput.max(b.throughput));
+}
+
+#[test]
+fn reference_unreachable_errors() {
+    let mut g = Graph::new(4);
+    g.add_unit_edge(0, 1).unwrap();
+    g.add_unit_edge(2, 3).unwrap();
+    let r = max_concurrent_flow_graph(&g, &[Commodity::unit(0, 3)], &opts());
+    assert!(matches!(r, Err(FlowError::Unreachable { src: 0, dst: 3 })));
+}
+
+/// The shared 50-seeded-graph family of `tests/properties.rs` (ring plus
+/// random chords with random capacities).
+fn seeded_graph(seed: u64) -> Graph {
+    use rand::RngExt;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.random_range(6..20);
+    let mut g = Graph::new(n);
+    for v in 0..n {
+        g.add_edge(v, (v + 1) % n, rng.random_range(0.5..4.0))
+            .unwrap();
+    }
+    for _ in 0..rng.random_range(0..n) {
+        let u = rng.random_range(0..n);
+        let v = rng.random_range(0..n);
+        if u != v {
+            g.add_edge(u, v, rng.random_range(0.5..4.0)).unwrap();
         }
     }
+    g
+}
 
-    /// The baseline still solves the canonical instances.
-    #[test]
-    fn reference_solves_cycle() {
-        let mut g = Graph::new(4);
-        for v in 0..4 {
-            g.add_unit_edge(v, (v + 1) % 4).unwrap();
-        }
-        let s = max_concurrent_flow_graph(&g, &[Commodity::unit(0, 2)], &opts()).unwrap();
-        assert!((s.throughput - 2.0).abs() < 0.06, "λ = {}", s.throughput);
-        assert!(s.upper_bound >= s.throughput);
+/// A ring of nine with a thick and a thin chord, four commodities from
+/// three sources (two share one), one of them at demand 1.5.
+fn nine_node_instance() -> (Graph, Vec<Commodity>) {
+    let mut g = Graph::new(9);
+    for v in 0..9 {
+        g.add_unit_edge(v, (v + 1) % 9).unwrap();
     }
+    g.add_edge(0, 4, 2.0).unwrap();
+    g.add_edge(2, 7, 0.5).unwrap();
+    let cs = vec![
+        Commodity::unit(0, 5),
+        Commodity::unit(1, 6),
+        Commodity::unit(0, 3),
+        Commodity {
+            src: 7,
+            dst: 2,
+            demand: 1.5,
+        },
+    ];
+    (g, cs)
+}
 
-    /// Baseline and CSR engine certify overlapping optimality intervals.
-    #[test]
-    fn reference_and_csr_agree() {
-        let mut g = Graph::new(7);
-        for v in 0..7 {
-            g.add_unit_edge(v, (v + 1) % 7).unwrap();
+/// The `strict_reference` trajectory reproduces the model bit for bit
+/// on 50 seeded graphs and the nine-node instance — λ, the bound, the
+/// phase count, every arc flow and every rate.
+#[test]
+fn strict_reference_bitwise_matches_reference_on_50_seeded_graphs() {
+    let short = FlowOptions {
+        epsilon: 0.15,
+        target_gap: 0.05,
+        max_phases: 400,
+        stall_phases: 40,
+        ..FlowOptions::default()
+    };
+    let mut instances: Vec<(String, Graph, Vec<Commodity>, FlowOptions)> = (0..50u64)
+        .map(|seed| {
+            let g = seeded_graph(seed);
+            let n = g.node_count();
+            let cs = (0..3).map(|i| Commodity::unit(i, n / 2 + i)).collect();
+            (format!("seed {seed}"), g, cs, short)
+        })
+        .collect();
+    let (g, cs) = nine_node_instance();
+    instances.push(("nine nodes".into(), g, cs, opts()));
+    for (name, g, cs, o) in &instances {
+        let o = o.with_strict_reference(true);
+        let model = max_concurrent_flow_graph(g, cs, &o).unwrap();
+        let strict = max_concurrent_flow(g, cs, &o).unwrap();
+        assert_eq!(
+            model.throughput.to_bits(),
+            strict.throughput.to_bits(),
+            "{name}: strict trajectory diverged from the model"
+        );
+        assert_eq!(
+            model.upper_bound.to_bits(),
+            strict.upper_bound.to_bits(),
+            "{name}"
+        );
+        assert_eq!(model.phases, strict.phases, "{name}");
+        for (x, y) in model.arc_flow.iter().zip(&strict.arc_flow) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{name}");
         }
-        g.add_unit_edge(0, 3).unwrap();
-        g.add_unit_edge(2, 5).unwrap();
-        let cs = [
-            Commodity::unit(0, 4),
-            Commodity::unit(1, 5),
-            Commodity {
-                src: 6,
-                dst: 2,
-                demand: 2.0,
-            },
-        ];
-        let a = max_concurrent_flow_graph(&g, &cs, &opts()).unwrap();
-        let b = max_concurrent_flow(&g, &cs, &opts()).unwrap();
-        // both primal values lie under both dual bounds
-        assert!(a.throughput <= b.upper_bound * (1.0 + 1e-9));
-        assert!(b.throughput <= a.upper_bound * (1.0 + 1e-9));
-        // and the certified intervals pin the same optimum to within gaps
-        assert!((a.throughput - b.throughput).abs() <= 0.05 * a.throughput.max(b.throughput));
-    }
-
-    #[test]
-    fn reference_unreachable_errors() {
-        let mut g = Graph::new(4);
-        g.add_unit_edge(0, 1).unwrap();
-        g.add_unit_edge(2, 3).unwrap();
-        let r = max_concurrent_flow_graph(&g, &[Commodity::unit(0, 3)], &opts());
-        assert!(matches!(r, Err(FlowError::Unreachable { src: 0, dst: 3 })));
+        for (x, y) in model.commodity_rate.iter().zip(&strict.commodity_rate) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{name}");
+        }
     }
 }

@@ -113,8 +113,9 @@ proptest! {
         prop_assert!(idle <= 1, "{} idle servers", idle);
     }
 
-    /// Flow solver certificates: feasibility, primal ≤ dual, per-arc
-    /// capacity respected.
+    /// Flow solver certificates pass the independent checker: per-arc
+    /// capacity, conservation, every rate at λ·d or more, primal ≤ dual,
+    /// and the bound re-derived from the returned lengths.
     #[test]
     fn flow_certificates(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -124,13 +125,9 @@ proptest! {
         let cs: Vec<Commodity> =
             (0..6).map(|i| Commodity::unit(i, (i + 6) % 12)).collect();
         let s = max_concurrent_flow(g, &cs, &solver_opts()).unwrap();
-        prop_assert!(s.throughput <= s.upper_bound * (1.0 + 1e-9));
-        for a in 0..g.arc_count() {
-            prop_assert!(s.arc_flow[a] <= g.arc_capacity(a) * (1.0 + 1e-9));
-        }
-        for (j, c) in cs.iter().enumerate() {
-            prop_assert!(s.commodity_rate[j] >= s.throughput * c.demand - 1e-9);
-        }
+        let net = dctopo::graph::CsrNet::from_graph(g);
+        let checked = s.certify(&net, &cs, None);
+        prop_assert!(matches!(checked, Ok(Some(_))), "{:?}", checked);
     }
 
     /// FPTAS brackets the exact LP optimum on tiny instances.
@@ -534,15 +531,10 @@ fn fptas_fast_path_certified_on_50_seeded_graphs() {
             fast.throughput,
             exact.throughput
         );
-        // (b) feasibility: no arc over capacity, every commodity served
-        for a in 0..g.arc_count() {
-            assert!(
-                fast.arc_flow[a] <= g.arc_capacity(a) * (1.0 + 1e-9),
-                "seed {seed}: arc {a} over capacity"
-            );
-        }
-        for (j, c) in cs.iter().enumerate() {
-            assert!(fast.commodity_rate[j] >= fast.throughput * c.demand - 1e-9);
+        // (b) the checker: no arc over capacity, every commodity served,
+        // the bound re-derived from its lengths
+        if let Err(v) = fast.certify(&net, &cs, None) {
+            panic!("seed {seed}: {v}");
         }
         // (c) bit-identical across thread counts
         let solve_at = |threads: usize| {
@@ -565,43 +557,6 @@ fn fptas_fast_path_certified_on_50_seeded_graphs() {
             for (x, y) in fast.arc_flow.iter().zip(&s.arc_flow) {
                 assert_eq!(x.to_bits(), y.to_bits(), "seed {seed}: {threads} threads");
             }
-        }
-    }
-}
-
-/// The `strict_reference` escape hatch reproduces the retained
-/// direct-`Graph` baseline bit-for-bit across 50 seeded graphs — the
-/// pin that keeps the legacy trajectory available unchanged.
-#[test]
-fn strict_reference_bitwise_matches_reference_on_50_seeded_graphs() {
-    use dctopo::flow::reference::max_concurrent_flow_graph;
-
-    let opts = FlowOptions {
-        epsilon: 0.15,
-        target_gap: 0.05,
-        max_phases: 400,
-        stall_phases: 40,
-        ..FlowOptions::default()
-    }
-    .with_strict_reference(true);
-    for seed in 0..50u64 {
-        let g = seeded_graph(seed);
-        let n = g.node_count();
-        let cs: Vec<Commodity> = (0..3).map(|i| Commodity::unit(i, n / 2 + i)).collect();
-        let legacy = max_concurrent_flow_graph(&g, &cs, &opts).unwrap();
-        let strict = max_concurrent_flow(&g, &cs, &opts).unwrap();
-        assert_eq!(
-            legacy.throughput.to_bits(),
-            strict.throughput.to_bits(),
-            "seed {seed}: strict trajectory diverged from reference"
-        );
-        assert_eq!(legacy.upper_bound.to_bits(), strict.upper_bound.to_bits());
-        assert_eq!(legacy.phases, strict.phases, "seed {seed}");
-        for (x, y) in legacy.arc_flow.iter().zip(&strict.arc_flow) {
-            assert_eq!(x.to_bits(), y.to_bits(), "seed {seed}");
-        }
-        for (x, y) in legacy.commodity_rate.iter().zip(&strict.commodity_rate) {
-            assert_eq!(x.to_bits(), y.to_bits(), "seed {seed}");
         }
     }
 }
@@ -635,12 +590,7 @@ fn fptas_fast_path_settles_less_on_rrg_sweep_matrix() {
         "strict {}",
         strict.gap()
     );
-    for a in 0..net.arc_count() {
-        assert!(
-            fast.arc_flow[a] <= net.capacity(a) * (1.0 + 1e-9),
-            "arc {a}"
-        );
-    }
+    fast.certify(&net, &cs, None).unwrap();
     // certified intervals bracket the same optimum
     assert!(fast.throughput <= strict.upper_bound * (1.0 + 1e-9));
     assert!(strict.throughput <= fast.upper_bound * (1.0 + 1e-9));
@@ -685,10 +635,8 @@ fn fast_profile_closes_its_gap_on_chunky_traffic() {
     let s = engine.solve(&matrices[2], &opts).unwrap().solved.unwrap();
     assert!(s.gap() <= opts.target_gap, "gap {}", s.gap());
     assert!(s.phases <= 120, "{} phases", s.phases);
-    let net = engine.net();
-    for a in 0..net.arc_count() {
-        assert!(s.arc_flow[a] <= net.capacity(a) * (1.0 + 1e-9), "arc {a}");
-    }
+    let commodities = dctopo::core::solve::aggregate_commodities(&topo, &matrices[2]);
+    s.certify(engine.net(), &commodities, None).unwrap();
 }
 
 /// Lengths grow by what was sent, not by what the accumulators were
@@ -732,9 +680,10 @@ fn primal_weights_leave_routing_alone() {
 /// The weighted accumulators are still one multicommodity flow: the
 /// arc totals, the per-commodity amounts and the per-commodity arc
 /// record are credited with the same `weight·sent`, so after scaling
-/// the record sums to `arc_flow` arc by arc, every commodity's record
-/// conserves at every node with net outflow `commodity_rate[j]` at its
-/// source, that rate covers `λ·d_j`, and no arc is over capacity.
+/// the checker finds the record summing to `arc_flow` arc by arc, every
+/// commodity's record conserving at every node with net outflow
+/// `commodity_rate[j]` at its source, that rate covering `λ·d_j`, and
+/// no arc over capacity.
 #[test]
 fn weighted_primal_is_one_conserved_flow() {
     let mut rng = StdRng::seed_from_u64(0x2005);
@@ -758,45 +707,102 @@ fn weighted_primal_is_one_conserved_flow() {
             s.phases > 8,
             "{family}: too short to have re-weighted anything"
         );
-        let record = s.commodity_arc_flow.as_ref().unwrap();
-        let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * (1.0 + y.abs());
-        for a in 0..net.arc_count() {
-            let total: f64 = record.iter().map(|v| v[a]).sum();
-            assert!(
-                close(total, s.arc_flow[a]),
-                "{family}: arc {a}: {total} != {}",
-                s.arc_flow[a]
-            );
-            assert!(
-                s.arc_flow[a] <= net.capacity(a) * (1.0 + 1e-9),
-                "{family}: arc {a} over capacity"
-            );
-        }
-        for (j, c) in commodities.iter().enumerate() {
-            let mut net_out = vec![0.0f64; net.node_count()];
-            for (a, &f) in record[j].iter().enumerate() {
-                net_out[net.arc_tail(a)] += f;
-                net_out[net.arc_head(a)] -= f;
-            }
-            for (v, &out) in net_out.iter().enumerate() {
-                let want = match v {
-                    v if v == c.src => s.commodity_rate[j],
-                    v if v == c.dst => -s.commodity_rate[j],
-                    _ => 0.0,
-                };
-                assert!(
-                    close(out, want),
-                    "{family}: commodity {j} node {v}: {out} != {want}"
-                );
-            }
-            assert!(
-                s.commodity_rate[j] >= s.throughput * c.demand * (1.0 - 1e-12),
-                "{family}: commodity {j} rate {} below λ·d = {}",
-                s.commodity_rate[j],
-                s.throughput * c.demand
-            );
+        assert!(s.commodity_arc_flow.is_some(), "{family}: no record");
+        if let Err(v) = s.certify(&net, &commodities, None) {
+            panic!("{family}: {v}");
         }
     }
+}
+
+/// The checker can fail. A strict solve with its per-commodity record
+/// passes it, and each of four perturbations by 1e-6 relative is named:
+/// a saturated arc's flow up, the upper bound down, the rate of the
+/// commodity that sets λ down, and one commodity's record on one arc —
+/// the mutant whose weights reached `arc_flow` but not the record.
+#[test]
+fn the_checker_names_each_perturbed_certificate() {
+    use dctopo::graph::certify::Violation;
+    let mut rng = StdRng::seed_from_u64(0x2006);
+    let topo = Topology::random_regular(16, 7, 4, &mut rng).unwrap();
+    let net = dctopo::graph::CsrNet::from_graph(&topo.graph);
+    let tm = Tm::random_permutation(topo.server_count(), &mut rng);
+    let cs = dctopo::core::solve::aggregate_commodities(&topo, &tm);
+    let opts = (FlowOptions::default())
+        .with_strict_reference(true)
+        .with_commodity_flows(true);
+    let s = max_concurrent_flow_csr(&net, &cs, &opts).unwrap();
+    assert!(s.certify(&net, &cs, None).unwrap().is_some());
+    let bump = 1.0 + 1e-6;
+    let worst = |n: usize, key: &dyn Fn(usize) -> f64| {
+        (0..n).max_by(|&x, &y| key(x).total_cmp(&key(y))).unwrap()
+    };
+
+    let saturated = worst(net.arc_count(), &|a| s.arc_flow[a] / net.capacity(a));
+    let mut m = s.clone();
+    m.arc_flow[saturated] *= bump;
+    let v = m.certify(&net, &cs, None);
+    assert!(
+        matches!(v, Err(Violation::OverCapacity { arc, .. }) if arc == saturated),
+        "{v:?}"
+    );
+
+    let mut m = s.clone();
+    m.upper_bound /= bump;
+    let v = m.certify(&net, &cs, None);
+    assert!(matches!(v, Err(Violation::BoundBelowDual { .. })), "{v:?}");
+
+    let setter = worst(cs.len(), &|j| -s.commodity_rate[j] / cs[j].demand);
+    let mut m = s.clone();
+    m.commodity_rate[setter] /= bump;
+    let v = m.certify(&net, &cs, None);
+    assert!(
+        matches!(v, Err(Violation::RateBelowLambda { commodity, .. }) if commodity == setter),
+        "{v:?}"
+    );
+
+    let record = s.commodity_arc_flow.as_ref().unwrap();
+    let busiest = worst(net.arc_count(), &|a| record[0][a]);
+    let mut m = s.clone();
+    m.commodity_arc_flow.as_mut().unwrap()[0][busiest] *= bump;
+    let v = m.certify(&net, &cs, None);
+    assert!(
+        matches!(v, Err(Violation::RecordSum { arc, .. }) if arc == busiest),
+        "{v:?}"
+    );
+}
+
+/// Every producer but the exact LP returns the lengths its bound was
+/// read at, one per arc; the LP returns none.
+#[test]
+fn every_backend_but_the_lp_returns_its_witness() {
+    use dctopo::flow::{solve, solve_grouped, Backend, DemandGroup, SinkSpec};
+    let g = seeded_graph(7);
+    let net = dctopo::graph::CsrNet::from_graph(&g);
+    let n = g.node_count();
+    let cs: Vec<Commodity> = (0..3).map(|i| Commodity::unit(i, n / 2 + i)).collect();
+    let o = solver_opts();
+    let backends = [
+        ("fptas", o),
+        ("fptas-strict", o.with_strict_reference(true)),
+        ("ksp:3", o.with_backend(Backend::KspRestricted { k: 3 })),
+        ("exact", o.with_backend(Backend::ExactLp)),
+    ];
+    for (name, o) in backends {
+        let s = solve(&net, &cs, &o).unwrap();
+        let want = if name == "exact" { 0 } else { net.arc_count() };
+        assert_eq!(s.dual_lengths.len(), want, "{name}");
+    }
+    let (_, state) = max_concurrent_flow_warm(&net, &cs, &o, None).unwrap();
+    let (warm, _) = max_concurrent_flow_warm(&net, &cs, &o, Some(&state)).unwrap();
+    assert_eq!(warm.dual_lengths.len(), net.arc_count(), "fptas-warm");
+    let groups: Vec<DemandGroup> = (cs.iter())
+        .map(|c| DemandGroup {
+            src: c.src,
+            sinks: SinkSpec::List(vec![(c.dst, c.demand)]),
+        })
+        .collect();
+    let g = solve_grouped(&net, &groups, &o).unwrap();
+    assert_eq!(g.dual_lengths.len(), net.arc_count(), "grouped");
 }
 
 /// Incremental Dijkstra repair equals a cold recompute on randomised
