@@ -45,7 +45,6 @@ pub mod solve;
 pub mod sweep;
 pub mod vl2;
 
-pub use dctopo_flow::WarmState;
 pub use packet::{CoValidation, PacketError, PacketParams, RoutingMode};
 pub use scenario::{AppliedScenario, Degradation, Scenario};
 pub use solve::{

@@ -358,7 +358,7 @@ impl<'t> ThroughputEngine<'t> {
             }
             RoutingMode::Ecmp { .. } => {}
         }
-        let (res, _) = self.solve_commodities_warm(net, commodities, nic, flows, &opts, None)?;
+        let res = self.solve_commodities_warm(net, commodities, nic, flows, &opts, &[])?;
         let solved = res.solved.as_ref().ok_or(PacketError::NoNetworkTraffic)?;
 
         // each commodity becomes one simulated flow offered η × its

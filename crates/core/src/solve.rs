@@ -22,7 +22,6 @@ use std::sync::Arc;
 
 use dctopo_flow::{
     Backend, Commodity, DemandGroup, FlowError, FlowOptions, GroupedFlow, PathSetCache, SolvedFlow,
-    WarmState,
 };
 use dctopo_graph::CsrNet;
 use dctopo_topology::Topology;
@@ -363,8 +362,7 @@ impl<'t> ThroughputEngine<'t> {
         opts: &FlowOptions,
     ) -> Result<ThroughputResult, FlowError> {
         let (commodities, nic, flows) = self.demand(tm);
-        self.solve_commodities_warm(net, commodities, nic, flows, opts, None)
-            .map(|(result, _)| result)
+        self.solve_commodities_warm(net, commodities, nic, flows, opts, &[])
     }
 
     /// Solve the topology's throughput under a degradation scenario:
@@ -384,8 +382,7 @@ impl<'t> ThroughputEngine<'t> {
         opts: &FlowOptions,
     ) -> Result<ThroughputResult, FlowError> {
         let (commodities, nic, flows) = self.scenario_demand(applied, tm);
-        self.solve_commodities_warm(&applied.net, commodities, nic, flows, opts, None)
-            .map(|(result, _)| result)
+        self.solve_commodities_warm(&applied.net, commodities, nic, flows, opts, &[])
     }
 
     /// Lower a traffic matrix to switch-level demand: the commodities
@@ -430,11 +427,11 @@ impl<'t> ThroughputEngine<'t> {
     /// the NIC-limited result. Every pairwise solve of the engine ends
     /// here.
     ///
-    /// Warm-starting applies only to the default FPTAS fast path
-    /// ([`Backend::Fptas`] without
-    /// [`FlowOptions::strict_reference`]); every other backend solves
-    /// through the engine's shared [`PathSetCache`] and returns a cold
-    /// [`WarmState`]. With `warm: None` the FPTAS path is
+    /// `warm` is the [`SolvedFlow::dual_lengths`] of an earlier answer's
+    /// certificate; only the default FPTAS fast path ([`Backend::Fptas`]
+    /// without [`FlowOptions::strict_reference`]) opens on it, and every
+    /// other backend solves through the engine's shared
+    /// [`PathSetCache`]. With an empty `warm` the FPTAS path is
     /// **bit-identical** to [`ThroughputEngine::solve_on`] on the same
     /// inputs.
     ///
@@ -447,60 +444,48 @@ impl<'t> ThroughputEngine<'t> {
         nic: f64,
         flows: usize,
         opts: &FlowOptions,
-        warm: Option<&WarmState>,
-    ) -> Result<(ThroughputResult, WarmState), FlowError> {
+        warm: &[f64],
+    ) -> Result<ThroughputResult, FlowError> {
         if flows == 0 {
             // nothing demands service (e.g. a scenario killed every
             // flow-bearing switch): the min-over-flows throughput is
             // vacuous, and it must read as 0, not as a healthy 1.0, so
             // sweep aggregates never show a dead fabric beating a
             // degraded one
-            return Ok((
-                ThroughputResult {
-                    throughput: 0.0,
-                    network_lambda: 0.0,
-                    network_upper_bound: 0.0,
-                    nic_limit: f64::INFINITY,
-                    commodities: Vec::new(),
-                    solved: None,
-                },
-                WarmState::cold(),
-            ));
+            return Ok(ThroughputResult {
+                throughput: 0.0,
+                network_lambda: 0.0,
+                network_upper_bound: 0.0,
+                nic_limit: f64::INFINITY,
+                commodities: Vec::new(),
+                solved: None,
+            });
         }
         if commodities.is_empty() {
             // all traffic is intra-switch: NIC-limited only
-            return Ok((
-                ThroughputResult {
-                    throughput: nic.min(1.0),
-                    network_lambda: f64::INFINITY,
-                    network_upper_bound: f64::INFINITY,
-                    nic_limit: nic,
-                    commodities,
-                    solved: None,
-                },
-                WarmState::cold(),
-            ));
-        }
-        // the strict trajectory ignores `warm` and hands back a cold state
-        let (solved, state) = if matches!(opts.backend, Backend::Fptas) {
-            dctopo_flow::max_concurrent_flow_warm(net, &commodities, opts, warm)?
-        } else {
-            (
-                dctopo_flow::solve_with_cache(net, &commodities, opts, &self.cache)?,
-                WarmState::cold(),
-            )
-        };
-        Ok((
-            ThroughputResult {
-                throughput: solved.throughput.min(nic),
-                network_lambda: solved.throughput,
-                network_upper_bound: solved.upper_bound,
+            return Ok(ThroughputResult {
+                throughput: nic.min(1.0),
+                network_lambda: f64::INFINITY,
+                network_upper_bound: f64::INFINITY,
                 nic_limit: nic,
                 commodities,
-                solved: Some(solved),
-            },
-            state,
-        ))
+                solved: None,
+            });
+        }
+        // the strict trajectory ignores `warm`
+        let solved = if matches!(opts.backend, Backend::Fptas) {
+            dctopo_flow::max_concurrent_flow_from(net, &commodities, opts, warm)?
+        } else {
+            dctopo_flow::solve_with_cache(net, &commodities, opts, &self.cache)?
+        };
+        Ok(ThroughputResult {
+            throughput: solved.throughput.min(nic),
+            network_lambda: solved.throughput,
+            network_upper_bound: solved.upper_bound,
+            nic_limit: nic,
+            commodities,
+            solved: Some(solved),
+        })
     }
 
     /// Solve an [`AggregateTraffic`] pattern through the grouped-demand
@@ -727,7 +712,7 @@ mod tests {
         assert!(strict.network_lambda <= fast.network_upper_bound * (1.0 + 1e-9));
     }
 
-    /// The commodity-level warm entry point with `warm: None` is
+    /// The commodity-level warm entry point with an empty `warm` is
     /// bitwise the `solve_scenario` path on the same scenario — the
     /// plumbing the serve layer's cold/warm equivalence law stands on.
     #[test]
@@ -748,8 +733,8 @@ mod tests {
             let direct = engine.solve_scenario(&applied, &tm, &o).unwrap();
             let (cs, nic, flows) = engine.scenario_demand(&applied, &tm);
             assert_eq!(cs, direct.commodities);
-            let (via, state) = engine
-                .solve_commodities_warm(&applied.net, cs, nic, flows, &o, None)
+            let via = engine
+                .solve_commodities_warm(&applied.net, cs, nic, flows, &o, &[])
                 .unwrap();
             assert_eq!(direct.throughput.to_bits(), via.throughput.to_bits());
             assert_eq!(
@@ -761,12 +746,13 @@ mod tests {
                 via.network_upper_bound.to_bits()
             );
             assert_eq!(direct.nic_limit.to_bits(), via.nic_limit.to_bits());
-            assert!(state.is_seeded());
-            // and the state round-trips: a warm re-solve of the same
-            // demand still certifies an overlapping interval
+            // and the certificate round-trips: a re-solve of the same
+            // demand warm-started from its dual still certifies an
+            // overlapping interval
+            let lengths = &via.solved.as_ref().unwrap().dual_lengths;
             let (cs2, nic2, flows2) = engine.scenario_demand(&applied, &tm);
-            let (warm, _) = engine
-                .solve_commodities_warm(&applied.net, cs2, nic2, flows2, &o, Some(&state))
+            let warm = engine
+                .solve_commodities_warm(&applied.net, cs2, nic2, flows2, &o, lengths)
                 .unwrap();
             assert!(warm.network_lambda <= direct.network_upper_bound * (1.0 + 1e-9));
             assert!(direct.network_lambda <= warm.network_upper_bound * (1.0 + 1e-9));

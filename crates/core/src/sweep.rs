@@ -926,8 +926,8 @@ impl SweepRunner {
                 };
                 cell.flows = *flows;
                 cell.result = engine
-                    .solve_commodities_warm(&ap.net, commodities.clone(), *nic, *flows, &opts, None)
-                    .map(|(r, _)| {
+                    .solve_commodities_warm(&ap.net, commodities.clone(), *nic, *flows, &opts, &[])
+                    .map(|r| {
                         let (gap, settles) = r
                             .solved
                             .as_ref()

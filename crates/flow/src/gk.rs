@@ -160,11 +160,6 @@ impl<'n> Core<'n> {
         &self.length
     }
 
-    /// The lengths the solve ended on (a warm start for the next one).
-    pub(crate) fn into_length(self) -> Vec<f64> {
-        self.length
-    }
-
     /// Smallest admitted dual bound so far (`∞` before the first).
     pub(crate) fn best_dual(&self) -> f64 {
         self.best_dual

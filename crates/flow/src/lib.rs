@@ -99,7 +99,7 @@ pub use dctopo_graph::NodeId;
 pub use backend::{solve, solve_with_cache, Backend};
 pub use cache::{CacheStats, KeyStats, PathSetCache};
 pub use decompose::{decompose_paths, PathFlow};
-pub use fptas::{max_concurrent_flow_csr, max_concurrent_flow_warm, WarmState};
+pub use fptas::{max_concurrent_flow_csr, max_concurrent_flow_from, max_concurrent_flow_warm};
 pub use grouped::{solve_grouped, DemandGroup, GroupedFlow, SinkSpec};
 
 /// Solve max concurrent flow on `g` with the backend selected in
@@ -277,7 +277,8 @@ pub struct SolvedFlow {
     /// The arc lengths `upper_bound` was read at — the last iterate or
     /// the fast path's running mean of the iterates, whichever gave the
     /// smallest bound — one per arc. Empty for [`Backend::ExactLp`],
-    /// whose simplex exposes no duals.
+    /// whose simplex exposes no duals. A later fast-path solve can open
+    /// on them ([`max_concurrent_flow_from`]).
     pub dual_lengths: Vec<f64>,
 }
 

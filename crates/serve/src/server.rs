@@ -1,7 +1,7 @@
 //! The serve engine: a long-running [`Server`] owning sharded engine
 //! state — the base `CsrNet` (inside a [`ThroughputEngine`]), the
-//! shared path-set cache, and a per-structure store of persistent FPTAS
-//! length state — answering batched what-if queries.
+//! shared path-set cache, and a per-structure store of the certified
+//! dual lengths of earlier answers — answering batched what-if queries.
 //!
 //! ## Batch evaluation model
 //!
@@ -32,10 +32,12 @@
 //!
 //! ## Warm-start validity
 //!
-//! Warm slots hold [`WarmState`] terminal lengths keyed by structure.
-//! Reusing them is certified-sound no matter what produced them (the
-//! FPTAS dual bound holds for *any* positive lengths — see
-//! [`WarmState`]); only the default FPTAS fast path consumes them.
+//! Warm slots hold, keyed by structure, the
+//! [`dctopo_flow::SolvedFlow::dual_lengths`] of the last fast-path
+//! answer given for it: the lengths its certified upper bound was read
+//! at. Reusing them is certified-sound (the FPTAS dual bound holds for
+//! *any* positive lengths — see [`dctopo_flow::max_concurrent_flow_from`]);
+//! only the default FPTAS fast path consumes or commits them.
 //! `fptas-strict`, `exact`, and `ksp:K` queries always run their
 //! pinned cold paths and answer **bitwise identically** to a one-shot
 //! [`ThroughputEngine::solve_scenario`], as does any query with
@@ -44,9 +46,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 
-use dctopo_core::{
-    BackendChoice, Degradation, Scenario, ThroughputEngine, ThroughputResult, WarmState,
-};
+use dctopo_core::{BackendChoice, Degradation, Scenario, ThroughputEngine, ThroughputResult};
 use dctopo_flow::FlowError;
 use dctopo_flow::FlowOptions;
 use dctopo_graph::GraphError;
@@ -105,18 +105,18 @@ pub struct Server<'t> {
     tm: TrafficMatrix,
     cfg: ServeConfig,
     /// Per-structure warm slots, committed only at batch boundaries.
-    warm: HashMap<u64, WarmState>,
+    warm: HashMap<u64, Vec<f64>>,
     stats: ServeStats,
 }
 
 /// Everything one evaluated query produces: the response payload
-/// (without the echoed id) plus the warm state to commit.
+/// (without the echoed id) plus the certificate's dual lengths to commit.
 struct QueryOut {
     payload: Json,
     is_error: bool,
     warm_used: bool,
     warm_eligible: bool,
-    warm_out: Option<WarmState>,
+    warm_out: Option<Vec<f64>>,
     /// Solve wall clock (µs, 0 when tracing is off) — trace-only.
     wall_us: u64,
 }
@@ -234,7 +234,7 @@ impl<'t> Server<'t> {
                     skey,
                     s.applied.as_ref(),
                     s.demand.as_ref(),
-                    warm_store.get(&skey),
+                    warm_store.get(&skey).map_or(&[], Vec::as_slice),
                 )
             })
             .collect();
@@ -279,8 +279,8 @@ impl<'t> Server<'t> {
                     .nd("wall_us", out.wall_us)
                     .emit();
             }
-            if let Some(state) = out.warm_out {
-                self.warm.insert(queries[qi].structure_key(), state);
+            if let Some(lengths) = out.warm_out {
+                self.warm.insert(queries[qi].structure_key(), lengths);
             }
             by_query[qi] = Some(out.payload);
         }
@@ -471,7 +471,7 @@ fn eval_query(
     skey: u64,
     applied: Result<&dctopo_core::AppliedScenario, &GraphError>,
     demand: Option<&(Vec<dctopo_flow::Commodity>, f64, usize)>,
-    warm_in: Option<&WarmState>,
+    warm_in: &[f64],
 ) -> QueryOut {
     let t_query = obs::clock();
     let applied = match applied {
@@ -501,28 +501,29 @@ fn eval_query(
     });
     choice.apply(&mut opts);
     let eligible = choice == BackendChoice::fptas();
-    let warm_requested = spec.warm.unwrap_or(cfg.warm_default);
-    let warm = if eligible && warm_requested {
-        warm_in.filter(|w| w.is_seeded())
-    } else {
-        None
-    };
-    let warm_used = warm.is_some();
+    let warm_eligible = eligible && spec.warm.unwrap_or(cfg.warm_default);
+    let warm = if warm_eligible { warm_in } else { &[] };
+    let warm_used = !warm.is_empty();
     let backend = choice.name();
     match engine.solve_commodities_warm(&applied.net, commodities, *nic, *flows, &opts, warm) {
-        Ok((result, state)) => QueryOut {
+        Ok(result) => QueryOut {
             payload: result_payload(&result, warm_used, skey, &backend, *flows),
             is_error: false,
             warm_used,
-            warm_eligible: eligible && warm_requested,
-            warm_out: state.is_seeded().then_some(state),
+            warm_eligible,
+            // the witness of the answer just given seeds the slot
+            warm_out: result
+                .solved
+                .filter(|_| eligible)
+                .map(|s| s.dual_lengths)
+                .filter(|l| !l.is_empty()),
             wall_us: obs::us_since(t_query),
         },
         Err(e) => QueryOut {
             payload: error_payload(flow_error_kind(&e), &e.to_string()),
             is_error: true,
             warm_used,
-            warm_eligible: eligible && warm_requested,
+            warm_eligible,
             warm_out: None,
             wall_us: obs::us_since(t_query),
         },

@@ -5,7 +5,7 @@
 use dctopo::bounds::aspl_lower_bound;
 use dctopo::flow::{
     exact::exact_max_concurrent_flow, max_concurrent_flow, max_concurrent_flow_csr,
-    max_concurrent_flow_warm, Commodity, FlowError, FlowOptions,
+    max_concurrent_flow_from, Commodity, FlowError, FlowOptions,
 };
 use dctopo::graph::components::{cut_size, is_connected};
 use dctopo::graph::paths::path_stats;
@@ -224,12 +224,12 @@ proptest! {
             }
             let exact = dctopo::flow::solve(&net, &cs, &opts.with_backend(Backend::ExactLp)).unwrap();
             // both cold profiles and a warm-started solve, which opens
-            // on the cold one's terminal lengths and skips the coarse
+            // on the cold one's certified dual lengths and skips the coarse
             // ramp: the primal weights then meet a trajectory whose
             // early phases are its best
             let fast = FlowOptions::fast();
-            let (cold, state) = max_concurrent_flow_warm(&net, &cs, &fast, None).unwrap();
-            let (warm, _) = max_concurrent_flow_warm(&net, &cs, &fast, Some(&state)).unwrap();
+            let cold = max_concurrent_flow_csr(&net, &cs, &fast).unwrap();
+            let warm = max_concurrent_flow_from(&net, &cs, &fast, &cold.dual_lengths).unwrap();
             let long = dctopo::flow::solve(&net, &cs, &long).unwrap();
             for (kind, s) in [("fast", &cold), ("long", &long), ("warm", &warm)] {
                 prop_assert!(s.throughput <= exact.throughput * (1.0 + 1e-6),
@@ -792,8 +792,8 @@ fn every_backend_but_the_lp_returns_its_witness() {
         let want = if name == "exact" { 0 } else { net.arc_count() };
         assert_eq!(s.dual_lengths.len(), want, "{name}");
     }
-    let (_, state) = max_concurrent_flow_warm(&net, &cs, &o, None).unwrap();
-    let (warm, _) = max_concurrent_flow_warm(&net, &cs, &o, Some(&state)).unwrap();
+    let cold = max_concurrent_flow_csr(&net, &cs, &o).unwrap();
+    let warm = max_concurrent_flow_from(&net, &cs, &o, &cold.dual_lengths).unwrap();
     assert_eq!(warm.dual_lengths.len(), net.arc_count(), "fptas-warm");
     let groups: Vec<DemandGroup> = (cs.iter())
         .map(|c| DemandGroup {

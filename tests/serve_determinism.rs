@@ -146,8 +146,8 @@ fn fifty_seeded_instances_match_cold_solves() {
         for c in &mut commodities {
             c.demand *= QuerySpec::drift_factor(drift, c.src, c.dst);
         }
-        let (cold, _) = engine
-            .solve_commodities_warm(&applied.net, commodities, nic, flows, &opts, None)
+        let cold = engine
+            .solve_commodities_warm(&applied.net, commodities, nic, flows, &opts, &[])
             .unwrap();
         assert_intervals_overlap(
             (lam_w, up_w),

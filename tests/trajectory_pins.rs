@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 use dctopo::core::solve::{aggregate_commodities, aggregate_groups};
 use dctopo::flow::ksp::max_concurrent_flow_ksp_csr;
 use dctopo::flow::{
-    max_concurrent_flow_csr, max_concurrent_flow_warm, solve_grouped, Commodity, DemandGroup,
+    max_concurrent_flow_csr, max_concurrent_flow_from, solve_grouped, Commodity, DemandGroup,
     FlowOptions, GroupedFlow, SinkSpec, SolvedFlow,
 };
 use dctopo::graph::mix::Fnv1a;
@@ -195,7 +195,7 @@ fn every_loop_keeps_its_recorded_trajectory() {
     let Instance {
         net, commodities, ..
     } = &instances[2];
-    let (_, state) = max_concurrent_flow_warm(net, commodities, &opts, None).unwrap();
+    let cold = max_concurrent_flow_csr(net, commodities, &opts).unwrap();
     let drifted: Vec<Commodity> = commodities
         .iter()
         .enumerate()
@@ -204,7 +204,7 @@ fn every_loop_keeps_its_recorded_trajectory() {
             ..*c
         })
         .collect();
-    let (warm, _) = max_concurrent_flow_warm(net, &drifted, &opts, Some(&state)).unwrap();
+    let warm = max_concurrent_flow_from(net, &drifted, &opts, &cold.dual_lengths).unwrap();
     pairwise_row(&mut out, "rrg20x8x4@1.5 fptas-warm", &warm);
 
     // per-commodity recording rides the same trajectories
