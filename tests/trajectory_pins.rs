@@ -17,8 +17,11 @@
 //! weighted average of its phase flows: five stop earlier on a larger
 //! λ, and `long`, which nothing can stop, kept bound, phases and
 //! settles and moved λ and fold only (lengths never read the flow
-//! accumulators). No strict, KSP or grouped row has moved since the
-//! first capture.
+//! accumulators). The `fptas-warm` row was captured once more when warm
+//! starts began opening on the cold solve's certified dual lengths (the
+//! lengths its bound was read at) instead of its terminal iterate:
+//! phases 255 → 262, settles 251,287 → 258,497, and no other row moved.
+//! No strict, KSP or grouped row has moved since the first capture.
 //!
 //! The third instance runs on a `with_scaled_capacity(1.5)` view:
 //! `x / 1.5` and `x * (1 / 1.5)` differ in the last place, so a solver
@@ -61,7 +64,7 @@ rrg20x8x4@1.5 fptas-strict lambda=0x3fe383183b95d663 upper=0x3fe41cfcdc18be06 ph
 rrg20x8x4@1.5 ksp:4 lambda=0x3fe2d2d2d2d2d2d3 upper=0x3fe366d857bc1a1e phases=370 settles=0 fold=0x20617a7384095a04\n\
 rrg20x8x4@1.5 grouped-weighted lambda=0x3f7c48717ad80b78 upper=0x3f8c246b68322577 phases=318 settles=8141200 fold=0x4f96aa5fb95364ef\n\
 rrg20x8x4@1.5 grouped-list lambda=0x3fe3a78f82abc0aa upper=0x3fe42747d16782d6 phases=1108 settles=823960 fold=0x11b549e4ee513fda\n\
-rrg20x8x4@1.5 fptas-warm lambda=0x3fe37df9278f5258 upper=0x3fe4174510022978 phases=255 settles=251287 fold=0x74de5bfb4e2a5075\n\
+rrg20x8x4@1.5 fptas-warm lambda=0x3fe37aa7c3e6cba9 upper=0x3fe4108ed46ecbb9 phases=262 settles=258497 fold=0xa3eded68ce3fc089\n\
 rrg24x8x5 fptas+record lambda=0x3fe5a42a2d87f16d upper=0x3fe64e0ce73fae0c phases=326 settles=385284 fold=0xc991bbc559eac1f4\n\
 rrg24x8x5 fptas-strict+record lambda=0x3fe5a6c511e4ccb9 upper=0x3fe6620e327c047f phases=532 settles=482940 fold=0x4b9ae7ace6c7b43e\n\
 rrg24x8x5 ksp:4+record lambda=0x3fe53ef368eb0432 upper=0x3fe5e6fb919503b6 phases=729 settles=0 fold=0x943c066e9104618b\n\
