@@ -734,8 +734,8 @@ impl Ladder {
         }
     }
 
-    /// The lengths and step size to open with. A usable warm state
-    /// replaces the flat `1/c(a)` opener and skips the coarse-ε ramp:
+    /// The lengths and step size to open with. Usable warm lengths
+    /// replace the flat `1/c(a)` opener and skips the coarse-ε ramp:
     /// the inherited lengths already encode the congestion landscape
     /// the coarse phases exist to discover, and re-coarsening would
     /// churn them.

@@ -2,8 +2,9 @@
 //!
 //! Throughput-as-a-service: a long-running server process owning
 //! sharded engine state — the base [`dctopo_graph::CsrNet`] (inside a
-//! [`dctopo_core::ThroughputEngine`]), the shared path-set cache, and
-//! persistent FPTAS warm state — answering **batched** what-if queries
+//! [`dctopo_core::ThroughputEngine`]), the shared path-set cache, and a
+//! bounded store of earlier answers' certified dual lengths to
+//! warm-start from — answering **batched** what-if queries
 //! (link/switch failures, capacity re-rates, traffic-drift deltas)
 //! over a line-delimited JSON protocol on stdin/stdout. Entirely
 //! offline-hermetic: no sockets, no new dependencies, JSON hand-rolled

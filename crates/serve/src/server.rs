@@ -20,7 +20,10 @@
 //!    snapshot of its structure slot; warm state is never chained
 //!    *within* a batch.
 //! 4. The warm store commits at the batch boundary, walking results in
-//!    canonical order (last writer per structure wins).
+//!    canonical order (last writer per structure wins). It holds at
+//!    most [`WARM_SLOTS`] structures: a new structure committed to a
+//!    full store evicts the slot committed longest ago, so eviction too
+//!    is a pure function of the batch sequence.
 //! 5. Responses are emitted in **arrival order**, ids echoed.
 //!
 //! Steps 2–4 are what make the responses **bit-identical under
@@ -45,6 +48,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
+use std::str;
 
 use dctopo_core::{BackendChoice, Degradation, Scenario, ThroughputEngine, ThroughputResult};
 use dctopo_flow::FlowError;
@@ -57,6 +61,11 @@ use rayon::prelude::*;
 
 use crate::json::Json;
 use crate::proto::{Op, ProtoError, QuerySpec, Request};
+
+/// Most structures the warm store holds. A slot is one `f64` per arc:
+/// at RRG(1024, 32, 16), the largest instance in the README (16,384
+/// arcs), the full store is 8 B × 16,384 arcs × 64 slots = 8 MiB.
+pub const WARM_SLOTS: usize = 64;
 
 /// Server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -104,8 +113,9 @@ pub struct Server<'t> {
     engine: ThroughputEngine<'t>,
     tm: TrafficMatrix,
     cfg: ServeConfig,
-    /// Per-structure warm slots, committed only at batch boundaries.
-    warm: HashMap<u64, Vec<f64>>,
+    /// Per-structure warm slots, oldest commit first, at most
+    /// [`WARM_SLOTS`]; committed only at batch boundaries.
+    warm: Vec<(u64, Vec<f64>)>,
     stats: ServeStats,
 }
 
@@ -137,7 +147,7 @@ impl<'t> Server<'t> {
             engine: ThroughputEngine::new(topo),
             tm,
             cfg,
-            warm: HashMap::new(),
+            warm: Vec::new(),
             stats: ServeStats::default(),
         }
     }
@@ -147,7 +157,8 @@ impl<'t> Server<'t> {
         self.stats
     }
 
-    /// Number of structure slots currently holding warm state.
+    /// Number of structures currently holding a warm slot (at most
+    /// [`WARM_SLOTS`]).
     pub fn warm_slots(&self) -> usize {
         self.warm.len()
     }
@@ -158,8 +169,9 @@ impl<'t> Server<'t> {
     }
 
     /// Evaluate one batch of request lines, returning one response
-    /// line per request **in arrival order**.
-    pub fn serve_batch(&mut self, lines: &[String]) -> Vec<String> {
+    /// line per request **in arrival order**. A line that is not UTF-8
+    /// gets a `malformed` error record like any other unparsable line.
+    pub fn serve_batch<L: AsRef<[u8]>>(&mut self, lines: &[L]) -> Vec<String> {
         let t_batch = obs::clock();
         // stats are snapshotted *before* the batch so a `stats`
         // request's answer cannot depend on its position in the batch
@@ -175,6 +187,14 @@ impl<'t> Server<'t> {
         let mut slots: Vec<Slot> = Vec::with_capacity(lines.len());
         let mut queries: Vec<QuerySpec> = Vec::new();
         for line in lines {
+            let line = match str::from_utf8(line.as_ref()) {
+                Ok(line) => line,
+                Err(e) => {
+                    let e = ProtoError::Malformed(format!("line is not UTF-8: {e}"));
+                    slots.push(Slot::Bad(None, e));
+                    continue;
+                }
+            };
             match Request::parse(line) {
                 Err(e) => slots.push(Slot::Bad(Request::echo_id(line), e)),
                 Ok(Request { id, op }) => match op {
@@ -234,7 +254,9 @@ impl<'t> Server<'t> {
                     skey,
                     s.applied.as_ref(),
                     s.demand.as_ref(),
-                    warm_store.get(&skey).map_or(&[], Vec::as_slice),
+                    (warm_store.iter())
+                        .find(|(k, _)| *k == skey)
+                        .map_or(&[], |(_, lengths)| lengths),
                 )
             })
             .collect();
@@ -280,7 +302,7 @@ impl<'t> Server<'t> {
                     .emit();
             }
             if let Some(lengths) = out.warm_out {
-                self.warm.insert(queries[qi].structure_key(), lengths);
+                self.commit_warm(queries[qi].structure_key(), lengths);
             }
             by_query[qi] = Some(out.payload);
         }
@@ -328,6 +350,17 @@ impl<'t> Server<'t> {
             .collect()
     }
 
+    /// Commit `lengths` to `skey`'s warm slot, which becomes the newest;
+    /// a new structure in a full store evicts the oldest slot.
+    fn commit_warm(&mut self, skey: u64, lengths: Vec<f64>) {
+        if let Some(i) = self.warm.iter().position(|(k, _)| *k == skey) {
+            self.warm.remove(i);
+        } else if self.warm.len() == WARM_SLOTS {
+            self.warm.remove(0);
+        }
+        self.warm.push((skey, lengths));
+    }
+
     /// Drive the server over a line-delimited stream: requests
     /// accumulate per batch, a blank line flushes, EOF drains the
     /// in-flight batch, responses go to `out` one line each (flushed
@@ -337,8 +370,8 @@ impl<'t> Server<'t> {
     /// Propagates I/O errors from the reader or writer.
     pub fn run<R: BufRead, W: Write>(&mut self, reader: R, mut out: W) -> io::Result<ServeStats> {
         obs::auto_init();
-        let mut batch: Vec<String> = Vec::new();
-        let flush = |server: &mut Self, batch: &mut Vec<String>, out: &mut W| -> io::Result<()> {
+        let mut batch: Vec<Vec<u8>> = Vec::new();
+        let flush = |server: &mut Self, batch: &mut Vec<Vec<u8>>, out: &mut W| -> io::Result<()> {
             if batch.is_empty() {
                 return Ok(());
             }
@@ -349,9 +382,14 @@ impl<'t> Server<'t> {
             batch.clear();
             Ok(())
         };
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
+        // raw bytes, not `lines()`: one non-UTF-8 line must get its
+        // error record, not end the stream
+        for line in reader.split(b'\n') {
+            let mut line = line?;
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            if String::from_utf8_lossy(&line).trim().is_empty() {
                 flush(self, &mut batch, &mut out)?;
             } else {
                 batch.push(line);
@@ -512,11 +550,7 @@ fn eval_query(
             warm_used,
             warm_eligible,
             // the witness of the answer just given seeds the slot
-            warm_out: result
-                .solved
-                .filter(|_| eligible)
-                .map(|s| s.dual_lengths)
-                .filter(|l| !l.is_empty()),
+            warm_out: result.solved.filter(|_| eligible).map(|s| s.dual_lengths),
             wall_us: obs::us_since(t_query),
         },
         Err(e) => QueryOut {
@@ -592,12 +626,52 @@ mod tests {
         s.serve_batch(&lines(&[q]));
         assert_eq!(s.stats().warm_misses, 1);
         assert_eq!(s.warm_slots(), 1);
+        // the slot is the certificate of the answer just given, bit for
+        // bit: the same query solved in process
+        let degrade = [Degradation::FailLinks { count: 2, seed: 3 }];
+        let applied = (scenario_of(&degrade))
+            .apply(s.engine.topology(), s.engine.net())
+            .unwrap();
+        let (cs, nic, flows) = s.engine.scenario_demand(&applied, &s.tm);
+        let opts = ServeConfig::default().opts;
+        let direct = (s.engine)
+            .solve_commodities_warm(&applied.net, cs, nic, flows, &opts, &[])
+            .unwrap();
+        let witness = &direct.solved.unwrap().dual_lengths;
+        let slot = &s.warm[0].1;
+        assert_eq!(slot.len(), witness.len());
+        assert!(slot
+            .iter()
+            .zip(witness)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
         let drifted = r#"{"degrade":[{"kind":"fail-links","count":2,"seed":3}],"drift":{"spread":0.1,"seed":9}}"#;
         let out = s.serve_batch(&lines(&[drifted]));
         assert_eq!(s.stats().warm_hits, 1);
         let v = Json::parse(&out[0]).unwrap();
         assert_eq!(v.get("warm").unwrap().as_bool(), Some(true));
         assert!(v.get("throughput").unwrap().as_f64().unwrap() > 0.0);
+    }
+
+    /// One structure more than the store holds: the slot committed
+    /// longest ago goes, and that structure starts cold again.
+    #[test]
+    fn full_warm_store_evicts_the_oldest_commit() {
+        let t = topo();
+        let mut s = server(&t);
+        let query = |i: usize| {
+            let factor = 0.5 + i as f64 / 256.0;
+            format!(r#"{{"degrade":[{{"kind":"scale-capacity","factor":{factor}}}]}}"#)
+        };
+        for i in 0..=WARM_SLOTS {
+            s.serve_batch(&[query(i)]);
+        }
+        assert_eq!(s.warm_slots(), WARM_SLOTS);
+        assert_eq!(s.stats().warm_misses, WARM_SLOTS as u64 + 1);
+        let warm = |out: &[String]| Json::parse(&out[0]).unwrap().get("warm").unwrap().as_bool();
+        // the second structure survived; the first was evicted
+        assert_eq!(warm(&s.serve_batch(&[query(1)])), Some(true));
+        assert_eq!(warm(&s.serve_batch(&[query(0)])), Some(false));
+        assert_eq!(s.warm_slots(), WARM_SLOTS);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use rand::SeedableRng;
 
 /// Spawn `topobench serve` on a fixed fabric, feed it `input`, and
 /// collect (stdout lines, stderr, success).
-fn serve_transcript(input: &str, extra: &[&str]) -> (Vec<String>, String, bool) {
+fn serve_transcript(input: &[u8], extra: &[&str]) -> (Vec<String>, String, bool) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_topobench"));
     cmd.args([
         "serve",
@@ -40,7 +40,7 @@ fn serve_transcript(input: &str, extra: &[&str]) -> (Vec<String>, String, bool) 
         .stdin
         .take()
         .unwrap()
-        .write_all(input.as_bytes())
+        .write_all(input)
         .expect("failed to write requests");
     // dropping stdin closes the pipe: EOF is the shutdown signal
     let out = child.wait_with_output().expect("serve did not exit");
@@ -79,7 +79,7 @@ fn golden_transcript_matches_in_process_engine_bitwise() {
 {\"id\":3,\"op\":\"ping\"}\n\
 \n\
 {\"id\":4,\"op\":\"stats\"}\n";
-    let (lines, stderr, ok) = serve_transcript(input, &[]);
+    let (lines, stderr, ok) = serve_transcript(input.as_bytes(), &[]);
     assert!(ok, "serve exited non-zero:\n{stderr}");
     assert_eq!(lines.len(), 4, "one response per request:\n{lines:?}");
 
@@ -126,14 +126,14 @@ fn golden_transcript_matches_in_process_engine_bitwise() {
     }
 
     // CLI-level determinism: identical stdin → identical stdout
-    let (again, _, ok2) = serve_transcript(input, &[]);
+    let (again, _, ok2) = serve_transcript(input.as_bytes(), &[]);
     assert!(ok2);
     assert_eq!(lines, again, "serve transcript drifted across runs");
 }
 
 #[test]
 fn malformed_requests_get_typed_error_records_and_the_server_survives() {
-    let input = "\
+    let input = b"\
 } not json at all {\n\
 {\"id\":1,\"degrade\":[{\"kind\":\"no-such-kind\"}]}\n\
 {\"id\":2,\"degrade\":[{\"kind\":\"fail-links\",\"count\":2,\"seed\":1,\"bogus\":3}]}\n\
@@ -141,19 +141,24 @@ fn malformed_requests_get_typed_error_records_and_the_server_survives() {
 {\"id\":4,\"drift\":{\"spread\":1.5,\"seed\":1}}\n\
 {\"id\":5,\"degrade\":[{\"kind\":\"scale-capacity\",\"factor\":1e308},\
 {\"kind\":\"scale-capacity\",\"factor\":1e308}],\"backend\":\"ksp:2\"}\n\
-{\"id\":6,\"op\":\"ping\"}\n";
+{\"id\":6,\"op\":\"ping\"}\n\
+\n\
+\xff\xfe{\"id\":7,\"op\":\"ping\"}\n\
+\n\
+{\"id\":8,\"op\":\"ping\"}\n";
     let (lines, stderr, ok) = serve_transcript(input, &[]);
     assert!(
         ok,
         "bad input must never crash or exit the server:\n{stderr}"
     );
-    assert_eq!(lines.len(), 7, "every line gets a response:\n{lines:?}");
-    // line i answers with id i, except the line that is not JSON
+    assert_eq!(lines.len(), 9, "every line gets a response:\n{lines:?}");
+    // line i answers with id i, except the lines that are not JSON
+    // and not UTF-8
     let expect_err = |i: usize, kind: &str| {
         let line = &lines[i];
         let v = Json::parse(line).unwrap();
         let id = v.get("id").and_then(Json::as_u64);
-        assert_eq!(id, (i > 0).then_some(i as u64), "{line}");
+        assert_eq!(id, (i != 0 && i != 7).then_some(i as u64), "{line}");
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{line}");
         let err = v.get("error").unwrap_or_else(|| panic!("no error: {line}"));
         assert_eq!(
@@ -178,8 +183,11 @@ fn malformed_requests_get_typed_error_records_and_the_server_survives() {
     expect_err(5, "bad-capacity");
     // the good request in the same batch still answers
     assert_eq!(lines[6], "{\"id\":6,\"ok\":true,\"pong\":true}");
+    // a line that is not UTF-8 is malformed, and the next batch answers
+    expect_err(7, "malformed");
+    assert_eq!(lines[8], "{\"id\":8,\"ok\":true,\"pong\":true}");
     assert!(
-        stderr.contains("6 errors"),
+        stderr.contains("7 errors"),
         "final stats must count the typed errors:\n{stderr}"
     );
 }
@@ -190,7 +198,7 @@ fn eof_shutdown_drains_the_in_flight_batch() {
     // stdin closes, and must be answered before exit
     let input =
         "{\"id\":1,\"op\":\"ping\"}\n\n{\"id\":2,\"op\":\"ping\"}\n{\"id\":3,\"op\":\"stats\"}";
-    let (lines, stderr, ok) = serve_transcript(input, &[]);
+    let (lines, stderr, ok) = serve_transcript(input.as_bytes(), &[]);
     assert!(ok, "{stderr}");
     assert_eq!(
         lines.len(),
@@ -219,7 +227,7 @@ fn no_warm_flag_disables_warm_starts_by_default() {
 \n\
 {\"id\":2,\"degrade\":[{\"kind\":\"fail-links\",\"count\":2,\"seed\":9}],\"drift\":{\"spread\":0.1,\"seed\":3}}\n\
 {\"id\":3,\"degrade\":[{\"kind\":\"fail-links\",\"count\":2,\"seed\":9}],\"drift\":{\"spread\":0.1,\"seed\":3},\"warm\":true}\n";
-    let (lines, stderr, ok) = serve_transcript(input, &["--no-warm"]);
+    let (lines, stderr, ok) = serve_transcript(input.as_bytes(), &["--no-warm"]);
     assert!(ok, "{stderr}");
     assert_eq!(lines.len(), 3);
     assert!(
