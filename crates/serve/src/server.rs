@@ -48,7 +48,6 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
-use std::str;
 
 use dctopo_core::{BackendChoice, Degradation, Scenario, ThroughputEngine, ThroughputResult};
 use dctopo_flow::FlowError;
@@ -187,7 +186,7 @@ impl<'t> Server<'t> {
         let mut slots: Vec<Slot> = Vec::with_capacity(lines.len());
         let mut queries: Vec<QuerySpec> = Vec::new();
         for line in lines {
-            let line = match str::from_utf8(line.as_ref()) {
+            let line = match std::str::from_utf8(line.as_ref()) {
                 Ok(line) => line,
                 Err(e) => {
                     let e = ProtoError::Malformed(format!("line is not UTF-8: {e}"));
