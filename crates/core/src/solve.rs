@@ -365,6 +365,28 @@ impl<'t> ThroughputEngine<'t> {
         self.solve_commodities_warm(net, commodities, nic, flows, opts, &[])
     }
 
+    /// [`ThroughputEngine::solve_on`] for a caller that reads the answer
+    /// only through `network_lambda ≥ floor` — the migration planner
+    /// once its endpoints have fixed its floor. The solve stops as soon
+    /// as that comparison is certified ([`dctopo_flow::certify_floor`]):
+    /// the answer to it is `solve_on`'s, `network_lambda` is at most
+    /// `solve_on`'s, and `solved` is an ordinary certificate.
+    ///
+    /// # Errors
+    /// As [`ThroughputEngine::solve_on`].
+    pub fn certify_floor(
+        &self,
+        net: &CsrNet,
+        tm: &TrafficMatrix,
+        opts: &FlowOptions,
+        floor: f64,
+    ) -> Result<ThroughputResult, FlowError> {
+        let (commodities, nic, flows) = self.demand(tm);
+        lowered(commodities, nic, flows, |cs| {
+            dctopo_flow::certify_floor(net, cs, opts, &self.cache, floor)
+        })
+    }
+
     /// Solve the topology's throughput under a degradation scenario:
     /// flows of servers on failed switches are dropped from the demand
     /// (see [`surviving_traffic`]), then the surviving traffic is solved
@@ -424,8 +446,8 @@ impl<'t> ThroughputEngine<'t> {
     /// commodities were lowered with (see
     /// [`ThroughputEngine::scenario_demand`]); `flows == 0` yields the
     /// zero result and an empty commodity list with `flows > 0` yields
-    /// the NIC-limited result. Every pairwise solve of the engine ends
-    /// here.
+    /// the NIC-limited result. Every pairwise solve of the engine but
+    /// [`ThroughputEngine::certify_floor`] ends here.
     ///
     /// `warm` is the [`SolvedFlow::dual_lengths`] of an earlier answer's
     /// certificate; only the default FPTAS fast path ([`Backend::Fptas`]
@@ -446,45 +468,13 @@ impl<'t> ThroughputEngine<'t> {
         opts: &FlowOptions,
         warm: &[f64],
     ) -> Result<ThroughputResult, FlowError> {
-        if flows == 0 {
-            // nothing demands service (e.g. a scenario killed every
-            // flow-bearing switch): the min-over-flows throughput is
-            // vacuous, and it must read as 0, not as a healthy 1.0, so
-            // sweep aggregates never show a dead fabric beating a
-            // degraded one
-            return Ok(ThroughputResult {
-                throughput: 0.0,
-                network_lambda: 0.0,
-                network_upper_bound: 0.0,
-                nic_limit: f64::INFINITY,
-                commodities: Vec::new(),
-                solved: None,
-            });
-        }
-        if commodities.is_empty() {
-            // all traffic is intra-switch: NIC-limited only
-            return Ok(ThroughputResult {
-                throughput: nic.min(1.0),
-                network_lambda: f64::INFINITY,
-                network_upper_bound: f64::INFINITY,
-                nic_limit: nic,
-                commodities,
-                solved: None,
-            });
-        }
-        // the strict trajectory ignores `warm`
-        let solved = if matches!(opts.backend, Backend::Fptas) {
-            dctopo_flow::max_concurrent_flow_from(net, &commodities, opts, warm)?
-        } else {
-            dctopo_flow::solve_with_cache(net, &commodities, opts, &self.cache)?
-        };
-        Ok(ThroughputResult {
-            throughput: solved.throughput.min(nic),
-            network_lambda: solved.throughput,
-            network_upper_bound: solved.upper_bound,
-            nic_limit: nic,
-            commodities,
-            solved: Some(solved),
+        lowered(commodities, nic, flows, |cs| {
+            // the strict trajectory ignores `warm`
+            if matches!(opts.backend, Backend::Fptas) {
+                dctopo_flow::max_concurrent_flow_from(net, cs, opts, warm)
+            } else {
+                dctopo_flow::solve_with_cache(net, cs, opts, &self.cache)
+            }
         })
     }
 
@@ -534,6 +524,52 @@ impl<'t> ThroughputEngine<'t> {
             solved: Some(solved),
         })
     }
+}
+
+/// The result of solving `commodities` — lowered with NIC cap `nic`
+/// from `flows` server flows — with `solve`, which runs only when the
+/// network has something to carry.
+fn lowered(
+    commodities: Vec<Commodity>,
+    nic: f64,
+    flows: usize,
+    solve: impl FnOnce(&[Commodity]) -> Result<SolvedFlow, FlowError>,
+) -> Result<ThroughputResult, FlowError> {
+    if flows == 0 {
+        // nothing demands service (e.g. a scenario killed every
+        // flow-bearing switch): the min-over-flows throughput is
+        // vacuous, and it must read as 0, not as a healthy 1.0, so
+        // sweep aggregates never show a dead fabric beating a
+        // degraded one
+        return Ok(ThroughputResult {
+            throughput: 0.0,
+            network_lambda: 0.0,
+            network_upper_bound: 0.0,
+            nic_limit: f64::INFINITY,
+            commodities: Vec::new(),
+            solved: None,
+        });
+    }
+    if commodities.is_empty() {
+        // all traffic is intra-switch: NIC-limited only
+        return Ok(ThroughputResult {
+            throughput: nic.min(1.0),
+            network_lambda: f64::INFINITY,
+            network_upper_bound: f64::INFINITY,
+            nic_limit: nic,
+            commodities,
+            solved: None,
+        });
+    }
+    let solved = solve(&commodities)?;
+    Ok(ThroughputResult {
+        throughput: solved.throughput.min(nic),
+        network_lambda: solved.throughput,
+        network_upper_bound: solved.upper_bound,
+        nic_limit: nic,
+        commodities,
+        solved: Some(solved),
+    })
 }
 
 /// Solve the throughput of `topo` under `tm`: one-shot form of

@@ -108,6 +108,36 @@ pub fn solve_with_cache(
     opts.backend.solve_cached(net, commodities, opts, cache)
 }
 
+/// [`solve_with_cache`] for a caller that reads the answer only through
+/// `λ ≥ floor`: the iterative loops stop as soon as that comparison is
+/// certified — a phase's primal at or above `floor`, or the best dual
+/// below it — instead of at the target gap. [`Backend::ExactLp`]
+/// answers from its full solve.
+///
+/// Up to the floor stop each loop's trajectory is [`solve_with_cache`]'s,
+/// and the returned λ is the best primal so far, so
+/// `(λ ≥ floor)` is the full solve's answer, λ is at most the full
+/// solve's λ, and the result is an ordinary certificate (debug builds
+/// check it like any other).
+///
+/// # Errors
+/// As [`solve_with_cache`].
+pub fn certify_floor(
+    net: &CsrNet,
+    commodities: &[Commodity],
+    opts: &FlowOptions,
+    cache: &PathSetCache,
+    floor: f64,
+) -> Result<SolvedFlow, FlowError> {
+    match opts.backend {
+        Backend::Fptas => crate::fptas::certify_floor(net, commodities, opts, floor),
+        Backend::ExactLp => crate::exact::exact_solved_flow(net, commodities, opts),
+        Backend::KspRestricted { k } => {
+            crate::ksp::certify_floor(net, commodities, k, opts, cache, floor)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

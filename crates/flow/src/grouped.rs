@@ -80,7 +80,7 @@ use dctopo_graph::certify::{self, Certificate, Violation};
 use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 
-use crate::gk::{Cong, Core, Verdict};
+use crate::gk::{Cong, Core};
 use crate::{node_in_range, validate_opts, validate_pair, Backend, FlowError, FlowOptions};
 
 /// The sinks of one [`DemandGroup`].
@@ -475,7 +475,7 @@ fn solve_grouped_observed(
                 dual_lengths: Vec::new(),
             });
         }
-        if core.verdict(primal, opts, phases) == Verdict::Stop {
+        if core.verdict(primal, opts, phases, None).is_some() {
             break;
         }
     }

@@ -29,7 +29,7 @@ use dctopo_graph::{CsrNet, Graph, NodeId};
 use dctopo_obs as obs;
 
 use crate::cache::{FrozenPathSet, PathSetCache};
-use crate::gk::{Cong, Core, Pairwise, Verdict};
+use crate::gk::{Cong, Core, Pairwise, Stop};
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// Solve max concurrent flow where commodity `j` may only use its `k`
@@ -78,6 +78,31 @@ pub fn max_concurrent_flow_ksp_cached(
     opts: &FlowOptions,
     cache: &PathSetCache,
 ) -> Result<SolvedFlow, FlowError> {
+    solve_ksp(net, commodities, k, opts, cache, None)
+}
+
+/// [`max_concurrent_flow_ksp_cached`] asked only whether `λ ≥ floor`:
+/// the same loop, stopped as soon as that comparison is certified (see
+/// `crate::fptas::certify_floor`).
+pub(crate) fn certify_floor(
+    net: &CsrNet,
+    commodities: &[Commodity],
+    k: usize,
+    opts: &FlowOptions,
+    cache: &PathSetCache,
+    floor: f64,
+) -> Result<SolvedFlow, FlowError> {
+    solve_ksp(net, commodities, k, opts, cache, Some(floor))
+}
+
+fn solve_ksp(
+    net: &CsrNet,
+    commodities: &[Commodity],
+    k: usize,
+    opts: &FlowOptions,
+    cache: &PathSetCache,
+    floor: Option<f64>,
+) -> Result<SolvedFlow, FlowError> {
     validate(net.node_count(), commodities, opts)?;
     if k == 0 {
         return Err(FlowError::BadOptions("k must be at least 1".into()));
@@ -88,6 +113,7 @@ pub fn max_concurrent_flow_ksp_cached(
     let mut core = Core::new(net, Cong::Reciprocal, None, opts.epsilon);
     let mut pairs = Pairwise::new(commodities, net.arc_count(), opts);
     let mut phases = 0usize;
+    let mut stop = Stop::Phases;
 
     while phases < opts.max_phases {
         phases += 1;
@@ -123,7 +149,8 @@ pub fn max_concurrent_flow_ksp_cached(
             let alpha = restricted_alpha(commodities, &paths, &core);
             core.note_dual(core.d_l(), alpha, None);
         }
-        if core.verdict(primal, opts, phases) == Verdict::Stop {
+        if let Some(why) = core.verdict(primal, opts, phases, floor) {
+            stop = why;
             break;
         }
     }
@@ -144,6 +171,7 @@ pub fn max_concurrent_flow_ksp_cached(
             .field("commodities", commodities.len())
             .field("paths", paths.iter().map(|p| p.len()).sum::<usize>())
             .field("phases", phases as u64)
+            .field("stop", stop.name())
             .field("lambda", sol.throughput)
             .field("upper_bound", sol.upper_bound)
             .nd("freeze_us", freeze_us)

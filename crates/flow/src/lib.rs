@@ -74,7 +74,10 @@
 //!   `(topology, k)` — go through [`solve_with_cache`] to amortise it.
 //!
 //! Callers go through [`solve`] (or the [`max_concurrent_flow`]
-//! convenience wrapper that still accepts a [`Graph`]).
+//! convenience wrapper that still accepts a [`Graph`]). A caller that
+//! reads the answer only through `λ ≥ floor` goes through
+//! [`certify_floor`], which stops each loop as soon as that comparison
+//! is certified.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -96,8 +99,8 @@ use dctopo_graph::{CsrNet, Graph, GraphError};
 /// Re-export: node index type used by [`Commodity`].
 pub use dctopo_graph::NodeId;
 
-pub use backend::{solve, solve_with_cache, Backend};
-pub use cache::{CacheStats, KeyStats, PathSetCache};
+pub use backend::{certify_floor, solve, solve_with_cache, Backend};
+pub use cache::{CacheStats, KeyStats, PathSetCache, PATH_CACHE_KEYS};
 pub use decompose::{decompose_paths, PathFlow};
 pub use fptas::{max_concurrent_flow_csr, max_concurrent_flow_from, max_concurrent_flow_warm};
 pub use grouped::{solve_grouped, DemandGroup, GroupedFlow, SinkSpec};

@@ -13,7 +13,7 @@
 use std::collections::{HashMap, HashSet};
 
 use dctopo_graph::mix::derive_seed;
-use dctopo_graph::{CsrNet, Graph, GraphError};
+use dctopo_graph::{CsrNet, Graph};
 use dctopo_search::{CapacityPlan, ResolvedMove};
 use dctopo_topology::Topology;
 use rand::rngs::StdRng;
@@ -245,11 +245,22 @@ impl Migration {
     /// marked applied.
     ///
     /// # Errors
-    /// Propagates [`GraphError`] from view construction (cannot occur
-    /// for in-range states of a validated migration).
-    pub fn state_view(&self, applied: &[bool], inflight: &[usize]) -> Result<CsrNet, GraphError> {
-        debug_assert_eq!(applied.len(), self.moves.len());
-        debug_assert!(inflight.iter().all(|&i| !applied[i]));
+    /// [`PlanError::AppliedLength`] when `applied` is not one entry per
+    /// move; [`PlanError::InflightMove`] for the first in-flight index
+    /// that is out of range or also applied; [`PlanError::Graph`] from
+    /// view construction (cannot occur for in-range states of a
+    /// validated migration).
+    pub fn state_view(&self, applied: &[bool], inflight: &[usize]) -> Result<CsrNet, PlanError> {
+        let moves = self.moves.len();
+        if applied.len() != moves {
+            return Err(PlanError::AppliedLength {
+                len: applied.len(),
+                moves,
+            });
+        }
+        if let Some(&index) = inflight.iter().find(|&&i| i >= moves || applied[i]) {
+            return Err(PlanError::InflightMove { index, moves });
+        }
         let infl = |i: usize| inflight.contains(&i);
 
         // Group multipliers: product of applied shift factors in move
@@ -287,18 +298,19 @@ impl Migration {
                 disabled.push(e << 1);
             }
         }
-        self.base
+        Ok(self
+            .base
             .with_capacity_overrides(&overrides)?
-            .with_disabled_arcs(&disabled)
+            .with_disabled_arcs(&disabled)?)
     }
 
     /// The source state `A` (no move applied).
-    pub fn initial_view(&self) -> Result<CsrNet, GraphError> {
+    pub fn initial_view(&self) -> Result<CsrNet, PlanError> {
         self.state_view(&vec![false; self.moves.len()], &[])
     }
 
     /// The target state `B` (every move applied).
-    pub fn final_view(&self) -> Result<CsrNet, GraphError> {
+    pub fn final_view(&self) -> Result<CsrNet, PlanError> {
         self.state_view(&vec![true; self.moves.len()], &[])
     }
 }
@@ -527,6 +539,41 @@ mod tests {
         }
         // the transient removes two links and has not yet added two
         assert_eq!(transient.live_arc_count() + 4, post.live_arc_count());
+    }
+
+    /// A state no ordering can reach is a typed error naming the bad
+    /// length or index, in release builds too — not an out-of-bounds
+    /// panic, and not a view that silently ignores the bad index.
+    #[test]
+    fn state_view_refuses_states_of_another_migration() {
+        let topo = rrg(7);
+        let moves = cross_churn(&topo, 2, 5).unwrap();
+        let mig = Migration::new(&topo, &moves).unwrap();
+        let m = mig.move_count();
+        for len in [0, m - 1, m + 1] {
+            let err = mig.state_view(&vec![false; len], &[]).unwrap_err();
+            assert!(
+                matches!(err, PlanError::AppliedLength { len: l, moves } if l == len && moves == m),
+                "{err}"
+            );
+            assert!(err.to_string().contains(&format!("{len} entries")), "{err}");
+        }
+        let mut applied = vec![false; m];
+        let err = mig.state_view(&applied, &[0, m]).unwrap_err();
+        assert!(
+            matches!(err, PlanError::InflightMove { index, moves } if index == m && moves == m),
+            "{err}"
+        );
+        assert!(err.to_string().contains("out of range"), "{err}");
+        applied[1] = true;
+        let err = mig.state_view(&applied, &[0, 1]).unwrap_err();
+        assert!(
+            matches!(err, PlanError::InflightMove { index: 1, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("also marked applied"), "{err}");
+        // the well-formed neighbours still compose
+        mig.state_view(&applied, &[0]).unwrap();
     }
 
     #[test]

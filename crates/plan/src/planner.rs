@@ -71,6 +71,8 @@ pub struct Conflict {
     /// The applied prefix (execution order) at the violation.
     pub witness_prefix: Vec<usize>,
     /// Certified λ (or the rejecting upper bound) of the violating step.
+    /// A certified one is the certificate that decided the floor: below
+    /// it, and ≤ the λ a solve to the target gap would report.
     pub lambda: f64,
 }
 
@@ -82,12 +84,20 @@ pub struct Conflict {
 pub struct PlanStage {
     /// Move indices executing concurrently, in order-of-plan.
     pub moves: Vec<usize>,
-    /// Certified λ of the stage's combined in-flight view.
+    /// Certified λ of the stage's combined in-flight view: the
+    /// certificate that decided the floor, so ≥ the floor and ≤ the λ a
+    /// solve to the target gap would report on that view.
     pub lambda: f64,
 }
 
 /// Work counters for a planning run (deterministic across reruns and
 /// thread counts, like the plan itself).
+///
+/// Once the endpoints have fixed the floor, every ordering attempt,
+/// rescue and stage-packing solve asks the solver only whether
+/// `λ ≥ floor` ([`ThroughputEngine::certify_floor`]) and stops as soon
+/// as that is certified; the endpoints and the degraded fallback solve
+/// to the target gap. The counters below count both kinds alike.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Certified flow solves, including endpoint λ's, rescuer
@@ -114,6 +124,10 @@ pub struct PlanStats {
     pub memo_hits: usize,
     /// Certified solves spent growing multi-move stages.
     pub stage_solves: usize,
+    /// Shortest-path settles of every real solve
+    /// ([`dctopo_flow::SolvedFlow::settles`]; 0 for the backends that
+    /// do not count them) — the plan layer's work counter.
+    pub settles: u64,
 }
 
 /// A certified-safe migration plan: the execution order, its parallel
@@ -126,14 +140,19 @@ pub struct MigrationPlan {
     pub stages: Vec<PlanStage>,
     /// The safety floor every step was certified against.
     pub floor: f64,
-    /// `min` certified λ over the stage views (≥ `floor`).
+    /// `min` certified λ over the stage views. Each stage λ is the
+    /// certificate that decided the floor, so this is ≥ `floor` and ≤
+    /// the minimum a target-gap solve of every stage view would report.
     pub achieved_floor: f64,
     /// Certified λ of the source state `A`.
     pub lambda_a: f64,
     /// Certified λ of the target state `B`.
     pub lambda_b: f64,
     /// Certified λ of each sequential step's in-flight view, aligned
-    /// with `order`.
+    /// with `order`: the certificate that decided the floor, so ≥
+    /// `floor` and ≤ the λ a target-gap solve would report (equal to it
+    /// when the plan is the budget fallback, whose steps are solved in
+    /// full).
     pub step_lambda: Vec<f64>,
     /// Conflicts learned along the way.
     pub learned: Vec<Conflict>,
@@ -221,6 +240,22 @@ pub enum PlanError {
     /// The declared migration is malformed (unmatched removal, bad
     /// group, bad capacity, too few moves to generate, ...).
     InvalidMigration(String),
+    /// [`Migration::state_view`] was handed an `applied` mask whose
+    /// length is not the move count.
+    AppliedLength {
+        /// Length of the mask.
+        len: usize,
+        /// Moves in the migration.
+        moves: usize,
+    },
+    /// [`Migration::state_view`] was handed an in-flight move that is
+    /// out of range or also marked applied.
+    InflightMove {
+        /// The offending move index.
+        index: usize,
+        /// Moves in the migration.
+        moves: usize,
+    },
     /// A flow solve failed outright (e.g. no commodities).
     Flow(FlowError),
     /// A view or union-graph construction failed.
@@ -247,6 +282,17 @@ impl std::fmt::Display for PlanError {
                 degraded.order.len()
             ),
             PlanError::InvalidMigration(msg) => write!(f, "invalid migration: {msg}"),
+            PlanError::AppliedLength { len, moves } => write!(
+                f,
+                "applied mask has {len} entries for a migration of {moves} moves"
+            ),
+            PlanError::InflightMove { index, moves } if index >= moves => write!(
+                f,
+                "in-flight move {index} is out of range for a migration of {moves} moves"
+            ),
+            PlanError::InflightMove { index, .. } => {
+                write!(f, "in-flight move {index} is also marked applied")
+            }
             PlanError::Flow(e) => write!(f, "flow solve failed: {e}"),
             PlanError::Graph(e) => write!(f, "graph error: {e}"),
         }
@@ -293,9 +339,9 @@ struct Planner<'a> {
     learned_preds: Vec<Vec<usize>>,
     conflicts: Vec<Conflict>,
     memo: HashMap<(Vec<u64>, usize), ()>,
-    /// λ of every view certified so far, by capacity bits (see
-    /// [`Planner::certify`]).
-    certified: HashMap<Vec<u64>, f64>,
+    /// λ of every view certified so far, by capacity bits, and whether
+    /// it came from a full solve (see [`Planner::certify`]).
+    certified: HashMap<Vec<u64>, (f64, bool)>,
     best_prefix: Vec<usize>,
 }
 
@@ -341,38 +387,46 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// Certified λ of `view`, or `None` when the search budget is
-    /// spent. Solver errors certify nothing, so they read as λ = 0.
+    /// Certified λ of `view` as far as it decides `λ ≥ floor`, or
+    /// `None` when the search budget is spent. Solver errors certify
+    /// nothing, so they read as λ = 0.
     fn certify_step(&mut self, view: &CsrNet) -> Option<f64> {
         if self.solves_used >= self.spec.max_solves {
             return None;
         }
         self.solves_used += 1;
-        Some(self.certify_unbudgeted(view))
+        Some(self.certify(view, Some(self.floor)).unwrap_or(0.0))
     }
 
-    fn certify_unbudgeted(&mut self, view: &CsrNet) -> f64 {
-        self.certify(view).unwrap_or(0.0)
-    }
-
-    /// Certified λ of `view`, solved once per view *content*. Distinct
-    /// states share a view more often than it looks: an in-flight
-    /// removal is its landed state, an in-flight addition is the state
-    /// before it, so a removal followed by an addition certifies the
-    /// same links twice. Every view here is a delta view of the one
-    /// union base, so its capacity vector (0 = link down) is its whole
-    /// content; the key is that vector, compared in full on a hit. The
-    /// solver is deterministic, so a hit returns the bits a re-solve
-    /// would, and only real solves are counted.
-    fn certify(&mut self, view: &CsrNet) -> Result<f64, FlowError> {
+    /// Certified λ of `view`, solved once per view *content*: to the
+    /// target gap, or — given the `floor` — only until `λ ≥ floor` is
+    /// decided. Distinct states share a view more often than it looks:
+    /// an in-flight removal is its landed state, an in-flight addition
+    /// is the state before it, so a removal followed by an addition
+    /// certifies the same links twice. Every view here is a delta view
+    /// of the one union base, so its capacity vector (0 = link down) is
+    /// its whole content; the key is that vector, compared in full on a
+    /// hit. The solver is deterministic and the floor never changes
+    /// once set, so a hit returns the bits a re-solve would, and only
+    /// real solves are counted. A floor-decided λ answers only floor
+    /// questions: a full one is asked for again.
+    fn certify(&mut self, view: &CsrNet, floor: Option<f64>) -> Result<f64, FlowError> {
         let key: Vec<u64> = view.capacities().iter().map(|c| c.to_bits()).collect();
-        if let Some(&lambda) = self.certified.get(&key) {
-            self.stats.views_reused += 1;
-            return Ok(lambda);
+        if let Some(&(lambda, full)) = self.certified.get(&key) {
+            if full || floor.is_some() {
+                self.stats.views_reused += 1;
+                return Ok(lambda);
+            }
         }
         self.stats.certified_solves += 1;
-        let solved = self.engine.solve_on(view, self.tm, &self.spec.opts)?;
-        self.certified.insert(key, solved.network_lambda);
+        let (tm, opts) = (self.tm, &self.spec.opts);
+        let solved = match floor {
+            Some(floor) => self.engine.certify_floor(view, tm, opts, floor)?,
+            None => self.engine.solve_on(view, tm, opts)?,
+        };
+        self.stats.settles += solved.solved.as_ref().map_or(0, |s| s.settles);
+        self.certified
+            .insert(key, (solved.network_lambda, floor.is_none()));
         Ok(solved.network_lambda)
     }
 
@@ -446,7 +500,7 @@ impl<'a> Planner<'a> {
         applied: &[bool],
         order: &[usize],
         fail_lambda: f64,
-    ) -> Result<(), GraphError> {
+    ) -> Result<(), PlanError> {
         let m = self.mig.move_count();
         let rescuers: Vec<usize> = (0..m)
             .filter(|&u| {
@@ -463,7 +517,7 @@ impl<'a> Planner<'a> {
         }
         let depth = order.len();
         let this: &Planner<'a> = self;
-        let scored: Result<Vec<(usize, f64)>, GraphError> = rescuers
+        let scored: Result<Vec<(usize, f64)>, PlanError> = rescuers
             .par_iter()
             .map(|&u| {
                 let mut ap = applied.to_vec();
@@ -551,7 +605,7 @@ impl<'a> Planner<'a> {
                     let view = this.mig.state_view(&applied, &[i])?;
                     Ok(this.bound_on(&view, depth, i))
                 })
-                .collect::<Result<_, GraphError>>()?;
+                .collect::<Result<_, PlanError>>()?;
             let mut slots: Vec<usize> = (0..cands.len()).collect();
             slots.sort_by(|&x, &y| {
                 by_bound((cands[x], screens[x].bound), (cands[y], screens[y].bound))
@@ -698,7 +752,7 @@ impl<'a> Planner<'a> {
                 .filter(|&i| !applied[i] && self.mig.preds(i).iter().all(|&p| applied[p]))
                 .collect();
             let this: &Planner<'a> = self;
-            let scored: Result<Vec<(usize, f64)>, GraphError> = cands
+            let scored: Result<Vec<(usize, f64)>, PlanError> = cands
                 .par_iter()
                 .map(|&i| {
                     let view = this.mig.state_view(&applied, &[i])?;
@@ -715,7 +769,7 @@ impl<'a> Planner<'a> {
                     }
                 }
                 let view = self.mig.state_view(&applied, &[i])?;
-                let lam = self.certify_unbudgeted(&view);
+                let lam = self.certify(&view, None).unwrap_or(0.0);
                 if best.is_none_or(|(best_lam, _)| lam > best_lam) {
                     best = Some((lam, i));
                 }
@@ -782,8 +836,8 @@ pub fn plan_migration(
         ));
     }
     let mut planner = Planner::new(topo, tm, migration, spec)?;
-    let lambda_a = planner.certify(&migration.initial_view()?)?;
-    let lambda_b = planner.certify(&migration.final_view()?)?;
+    let lambda_a = planner.certify(&migration.initial_view()?, None)?;
+    let lambda_b = planner.certify(&migration.final_view()?, None)?;
     planner.floor = spec
         .floor
         .unwrap_or(spec.floor_frac * lambda_a.min(lambda_b));
@@ -987,7 +1041,7 @@ mod tests {
                     }
                     let view = mig.state_view(&applied, &[i]).unwrap();
                     let bound = planner.bound_on(&view, depth, i).bound;
-                    let lambda = planner.certify(&view).unwrap();
+                    let lambda = planner.certify(&view, None).unwrap();
                     assert!(
                         lambda <= bound * (1.0 + 1e-9),
                         "prefix {:?}, move {i}: λ {lambda} above its bound {bound}",

@@ -116,13 +116,14 @@ pub fn run(args: &Args) -> CliResult {
     let s = &plan.stats;
     println!(
         "work: {} certified solves ({} ordering attempts + {} stage-packing, \
-         {} on an already certified view), \
+         {} on an already certified view) and {} settles, \
          {} hop-pruned + {} cut-pruned + {} memo hits, {} backtracks, \
          {} conflicts learned",
         s.certified_solves,
         s.attempts,
         s.stage_solves,
         s.views_reused,
+        s.settles,
         s.hop_rejected,
         s.cut_rejected,
         s.memo_hits,

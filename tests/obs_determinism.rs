@@ -56,23 +56,35 @@ fn instances() -> Vec<(Topology, TrafficMatrix)> {
         .collect()
 }
 
+fn pin(r: &ThroughputResult) -> Pin {
+    let s = r.solved.as_ref().expect("iterative backend");
+    Pin {
+        lambda: r.network_lambda.to_bits(),
+        upper: r.network_upper_bound.to_bits(),
+        settles: s.settles,
+        phases: s.phases,
+    }
+}
+
 /// Solve every instance sequentially (each solve may parallelize
-/// internally — that is exactly what the thread-count pin exercises).
+/// internally — that is exactly what the thread-count pin exercises),
+/// then ask it the planner's question at a floor the solve decides
+/// early: 5 % under its λ (a primal-side stop) on even instances, 5 %
+/// over its bound (a dual-side stop) on odd ones.
 fn solve_all(insts: &[(Topology, TrafficMatrix)], opts: &FlowOptions) -> Vec<Pin> {
-    insts
-        .iter()
-        .map(|(topo, tm)| {
-            let engine = ThroughputEngine::new(topo);
-            let r = engine.solve(tm, opts).expect("solve");
-            let s = r.solved.as_ref().expect("iterative backend");
-            Pin {
-                lambda: r.network_lambda.to_bits(),
-                upper: r.network_upper_bound.to_bits(),
-                settles: s.settles,
-                phases: s.phases,
-            }
-        })
-        .collect()
+    let mut pins = Vec::new();
+    for (i, (topo, tm)) in insts.iter().enumerate() {
+        let engine = ThroughputEngine::new(topo);
+        let r = engine.solve(tm, opts).expect("solve");
+        let floor = if i % 2 == 0 {
+            0.95 * r.network_lambda
+        } else {
+            1.05 * r.network_upper_bound
+        };
+        let floored = (engine.certify_floor(engine.net(), tm, opts, floor)).expect("floor solve");
+        pins.extend([pin(&r), pin(&floored)]);
+    }
+    pins
 }
 
 fn strip_all(lines: &[String]) -> Vec<String> {
@@ -124,7 +136,10 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
     // `mean_dual`, a bound said to come from the mean is the smallest
     // one those phases recorded, every phase carries the weight √phase
     // its flow entered the primal at, and `best_phase` is the first
-    // phase that reached the λ the solve returned ----
+    // phase that reached the λ the solve returned. Every solve names
+    // the rule that stopped it: each full solve stops on its gap or
+    // its stall, and each floor solve on its floor ----
+    let mut stops: Vec<String> = Vec::new();
     let (mut passes, mut smallest, mut from_mean) = (0u64, f64::INFINITY, 0usize);
     let (mut best, mut before_last) = ((0.0f64, 0.0f64), 0usize);
     for line in &residues[0] {
@@ -158,6 +173,8 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
                     (Some(best.0), Some(best.1))
                 );
                 before_last += usize::from(num("best_phase") < num("phases"));
+                let stop = ev.get("stop").and_then(obs::Json::as_str);
+                stops.push(stop.unwrap_or_else(|| panic!("no stop: {line}")).to_owned());
                 (passes, smallest, best) = (0, f64::INFINITY, (0.0, 0.0));
             }
             _ => {}
@@ -171,6 +188,13 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
         before_last > 0,
         "every solve returned its last phase: best_phase is untested"
     );
+    assert_eq!(stops.len(), 2 * insts.len());
+    for (i, pair) in stops.chunks(2).enumerate() {
+        assert!(
+            matches!(pair[0].as_str(), "gap" | "stall") && pair[1] == "floor",
+            "instance {i}: {pair:?}"
+        );
+    }
 
     // ---- replay: a second traced run reproduces the residue byte for
     // byte (and really did strip something: phase events carry wall

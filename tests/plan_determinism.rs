@@ -20,7 +20,7 @@ use dctopo::plan::{cross_churn, plan_migration, Migration, MigrationPlan, PlanEr
 use dctopo::prelude::*;
 use dctopo::topology::hetero::{two_cluster, CrossSpec};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use rayon::ThreadPoolBuilder;
 
 /// The determinism workload: RRG(16, 6, 4) under permutation traffic,
@@ -50,8 +50,11 @@ fn plan_instance() -> MigrationPlan {
 
 /// Every DAG stage honors the floor on an *independently recomposed*
 /// view: applied = all earlier stages, in flight = the whole stage at
-/// once. A fresh engine re-certifies each stage's λ, so the plan's
-/// numbers are backed by the solver, not trusted from the planner.
+/// once. A fresh engine re-certifies each stage's λ with the question
+/// the planner asked — is λ ≥ floor? — and must reproduce the plan's
+/// certificate bit for bit; a full solve of the same view certifies at
+/// least that much. So the plan's numbers are backed by the solver, not
+/// trusted from the planner.
 #[test]
 fn every_stage_certifies_above_the_floor_on_fresh_views() {
     let (topo, tm, mig) = instance();
@@ -66,18 +69,23 @@ fn every_stage_certifies_above_the_floor_on_fresh_views() {
     for stage in &plan.stages {
         // the transient view with the whole stage mid-execution
         let view = mig.state_view(&applied, &stage.moves).unwrap();
-        let fresh = engine.solve_on(&view, &tm, &opts).unwrap().network_lambda;
-        assert!(
-            fresh >= plan.floor * (1.0 - 1e-9),
-            "stage {:?} recertified at λ {fresh} below floor {}",
-            stage.moves,
-            plan.floor
-        );
-        assert!(
-            (fresh - stage.lambda).abs() <= 1e-9 * stage.lambda.max(1.0),
+        let fresh = (engine.certify_floor(&view, &tm, &opts, plan.floor))
+            .unwrap()
+            .network_lambda;
+        assert_eq!(
+            fresh.to_bits(),
+            stage.lambda.to_bits(),
             "stage {:?}: fresh λ {fresh} != planned λ {}",
             stage.moves,
             stage.lambda
+        );
+        let full = engine.solve_on(&view, &tm, &opts).unwrap().network_lambda;
+        assert!(
+            full >= stage.lambda && stage.lambda >= plan.floor,
+            "stage {:?}: full λ {full} ≥ planned λ {} ≥ floor {} fails",
+            stage.moves,
+            stage.lambda,
+            plan.floor
         );
         min_fresh = min_fresh.min(fresh);
         for &m in &stage.moves {
@@ -97,6 +105,97 @@ fn every_stage_certifies_above_the_floor_on_fresh_views() {
     let mut sorted = plan.order.clone();
     sorted.sort_unstable();
     assert_eq!(sorted, (0..mig.move_count()).collect::<Vec<_>>());
+}
+
+/// The floor stop decides what the full solve decides. On seeded views
+/// of the determinism instances — the prefix of a seeded order that
+/// respects the structural constraints, with the next move in flight;
+/// views that disconnect a commodity certify nothing and are skipped —
+/// for every backend the planner can run
+/// and floors at, one ulp above and one ulp below each view's full-solve
+/// λ and upper bound: the floor-certified λ clears the floor exactly
+/// when the full solve's does, never exceeds it, and takes no more
+/// phases. The floors at the bound exercise the dual-side stop.
+#[test]
+fn the_floor_stop_decides_what_the_full_solve_decides() {
+    let two_cluster_instance = {
+        let mut rng = StdRng::seed_from_u64(20140402);
+        let topo = two_cluster(
+            ClusterSpec {
+                count: 8,
+                ports: 12,
+                servers_per_switch: 4,
+            },
+            ClusterSpec {
+                count: 8,
+                ports: 8,
+                servers_per_switch: 2,
+            },
+            CrossSpec::Exact(4),
+            &mut rng,
+        )
+        .unwrap();
+        let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
+        let mig = Migration::new(&topo, &cross_churn(&topo, 2, 17).unwrap()).unwrap();
+        (topo, tm, mig)
+    };
+    let backends = [
+        FlowOptions::fast(),
+        FlowOptions::fast().with_strict_reference(true),
+        FlowOptions::fast().with_backend(Backend::KspRestricted { k: 4 }),
+    ];
+    let (mut checked, mut cut_short, mut dual_stops) = (0, 0, 0);
+    for (topo, tm, mig) in [instance(), two_cluster_instance] {
+        let engine = ThroughputEngine::new(&topo);
+        let mut rng = StdRng::seed_from_u64(34);
+        for _ in 0..6 {
+            let ready = |applied: &[bool]| -> Vec<usize> {
+                (0..mig.move_count())
+                    .filter(|&i| !applied[i] && mig.preds(i).iter().all(|&p| applied[p]))
+                    .collect()
+            };
+            let mut applied = vec![false; mig.move_count()];
+            for _ in 0..rng.random_range(0..mig.move_count()) {
+                let next = ready(&applied);
+                applied[next[rng.random_range(0..next.len())]] = true;
+            }
+            let inflight = vec![ready(&applied)[0]];
+            let view = mig.state_view(&applied, &inflight).unwrap();
+            for opts in &backends {
+                let Ok(full) = engine.solve_on(&view, &tm, opts) else {
+                    continue;
+                };
+                let phases = |r: &ThroughputResult| r.solved.as_ref().unwrap().phases;
+                let (lambda, upper) = (full.network_lambda, full.network_upper_bound);
+                for floor in [lambda, upper]
+                    .into_iter()
+                    .flat_map(|x| [x, x.next_up(), x.next_down()])
+                {
+                    let at = engine.certify_floor(&view, &tm, opts, floor).unwrap();
+                    let what = format!(
+                        "{:?} on {applied:?} + {inflight:?}, floor {floor} (full λ {lambda}, bound {upper})",
+                        opts.backend
+                    );
+                    assert_eq!(at.network_lambda >= floor, lambda >= floor, "{what}");
+                    assert!(
+                        at.network_lambda <= lambda,
+                        "{what}: λ {}",
+                        at.network_lambda
+                    );
+                    assert!(phases(&at) <= phases(&full), "{what}");
+                    checked += 1;
+                    cut_short += usize::from(phases(&at) < phases(&full));
+                    dual_stops +=
+                        usize::from(at.network_lambda < floor && phases(&at) < phases(&full));
+                }
+            }
+        }
+    }
+    eprintln!("{cut_short} cut short, {dual_stops} on the dual, of {checked}");
+    assert!(
+        cut_short > 0 && dual_stops > 0,
+        "{cut_short} cut short, {dual_stops} on the dual, of {checked}"
+    );
 }
 
 /// The pruned planner honors the spec floor with a complete ordering,
