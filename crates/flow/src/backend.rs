@@ -130,10 +130,10 @@ pub fn certify_floor(
     floor: f64,
 ) -> Result<SolvedFlow, FlowError> {
     match opts.backend {
-        Backend::Fptas => crate::fptas::certify_floor(net, commodities, opts, floor),
+        Backend::Fptas => crate::fptas::pairwise(net, commodities, opts, &[], Some(floor)),
         Backend::ExactLp => crate::exact::exact_solved_flow(net, commodities, opts),
         Backend::KspRestricted { k } => {
-            crate::ksp::certify_floor(net, commodities, k, opts, cache, floor)
+            crate::ksp::solve_ksp(net, commodities, k, opts, cache, Some(floor))
         }
     }
 }

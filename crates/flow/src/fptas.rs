@@ -371,25 +371,22 @@ pub fn max_concurrent_flow_from(
     opts: &FlowOptions,
     warm: &[f64],
 ) -> Result<SolvedFlow, FlowError> {
-    validate(net.node_count(), commodities, opts)?;
-    let ladder = (!opts.strict_reference).then(|| Ladder::new(net, warm));
-    solve_pairwise(net, commodities, opts, ladder, None)
+    pairwise(net, commodities, opts, warm, None)
 }
 
-/// The cold [`max_concurrent_flow_csr`] asked only whether `λ ≥ floor`:
-/// the same loop, fast or strict, stopped as soon as a phase's primal
-/// reaches `floor` or the best dual falls below it (`gk::Core::verdict`).
-/// Up to that stop the trajectory is the floorless one, so the returned
-/// λ is ≥ `floor` exactly when the full solve's is, and never above it.
-pub(crate) fn certify_floor(
+/// [`max_concurrent_flow_from`], stopped as soon as `λ ≥ floor` is
+/// certified either way when a `floor` is given (`gk::Core::verdict`;
+/// [`crate::certify_floor`] is the public entry).
+pub(crate) fn pairwise(
     net: &CsrNet,
     commodities: &[Commodity],
     opts: &FlowOptions,
-    floor: f64,
+    warm: &[f64],
+    floor: Option<f64>,
 ) -> Result<SolvedFlow, FlowError> {
     validate(net.node_count(), commodities, opts)?;
-    let ladder = (!opts.strict_reference).then(|| Ladder::new(net, &[]));
-    solve_pairwise(net, commodities, opts, ladder, Some(floor))
+    let ladder = (!opts.strict_reference).then(|| Ladder::new(net, warm));
+    solve_pairwise(net, commodities, opts, ladder, floor)
 }
 
 /// [`max_concurrent_flow_from`] in the shape the benchmark's warm probe

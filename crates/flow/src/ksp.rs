@@ -81,21 +81,10 @@ pub fn max_concurrent_flow_ksp_cached(
     solve_ksp(net, commodities, k, opts, cache, None)
 }
 
-/// [`max_concurrent_flow_ksp_cached`] asked only whether `λ ≥ floor`:
-/// the same loop, stopped as soon as that comparison is certified (see
-/// `crate::fptas::certify_floor`).
-pub(crate) fn certify_floor(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    k: usize,
-    opts: &FlowOptions,
-    cache: &PathSetCache,
-    floor: f64,
-) -> Result<SolvedFlow, FlowError> {
-    solve_ksp(net, commodities, k, opts, cache, Some(floor))
-}
-
-fn solve_ksp(
+/// [`max_concurrent_flow_ksp_cached`], stopped as soon as `λ ≥ floor`
+/// is certified either way when a `floor` is given
+/// ([`crate::certify_floor`] is the public entry).
+pub(crate) fn solve_ksp(
     net: &CsrNet,
     commodities: &[Commodity],
     k: usize,
