@@ -11,7 +11,7 @@
 //! sweep without being copied.
 //!
 //! Switch failures also mark servers dead: the traffic layer
-//! ([`crate::solve::ThroughputEngine::solve_scenario`]) drops every flow
+//! ([`crate::solve::ThroughputEngine::scenario_demand`]) drops every flow
 //! whose endpoint server sits on a failed switch, mirroring the paper's
 //! model where a failed ToR takes its hosts down with it.
 //!

@@ -9,7 +9,7 @@
 //! between servers on the same switch never enter the network and are
 //! satisfied at the NIC cap.
 //!
-//! Step (3) dispatches through [`dctopo_flow::solve_with_cache`], so the
+//! Step (3) dispatches through [`dctopo_flow::solve_from`], so the
 //! backend is whatever [`FlowOptions::backend`] selects.
 //! [`ThroughputEngine`] preprocesses a topology into its shared
 //! [`CsrNet`] **once**, carries a [`PathSetCache`] so the
@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dctopo_flow::{
-    Backend, Commodity, DemandGroup, FlowError, FlowOptions, GroupedFlow, PathSetCache, SolvedFlow,
+    Commodity, DemandGroup, FlowError, FlowOptions, GroupedFlow, PathSetCache, SolvedFlow,
 };
 use dctopo_graph::CsrNet;
 use dctopo_topology::Topology;
@@ -387,26 +387,6 @@ impl<'t> ThroughputEngine<'t> {
         })
     }
 
-    /// Solve the topology's throughput under a degradation scenario:
-    /// flows of servers on failed switches are dropped from the demand
-    /// (see [`surviving_traffic`]), then the surviving traffic is solved
-    /// against the scenario's delta view — [`Self::scenario_demand`]
-    /// followed by a cold [`Self::solve_commodities_warm`].
-    ///
-    /// # Errors
-    /// As [`ThroughputEngine::solve`] — notably
-    /// [`FlowError::Unreachable`] when a surviving flow's switches were
-    /// disconnected by the degradation.
-    pub fn solve_scenario(
-        &self,
-        applied: &AppliedScenario,
-        tm: &TrafficMatrix,
-        opts: &FlowOptions,
-    ) -> Result<ThroughputResult, FlowError> {
-        let (commodities, nic, flows) = self.scenario_demand(applied, tm);
-        self.solve_commodities_warm(&applied.net, commodities, nic, flows, opts, &[])
-    }
-
     /// Lower a traffic matrix to switch-level demand: the commodities
     /// (deterministic `(src, dst)` order), the NIC cap, and the
     /// server-flow count.
@@ -418,13 +398,15 @@ impl<'t> ThroughputEngine<'t> {
         )
     }
 
-    /// Lower a scenario + traffic matrix to exactly the demand
-    /// [`ThroughputEngine::solve_scenario`] solves: the surviving
-    /// switch-level commodities (deterministic `(src, dst)` order), the
-    /// NIC cap of the surviving traffic, and the surviving server-flow
-    /// count (`0` distinguishes a dead demand set from an all-local
-    /// one). The serve layer uses this split form so it can apply
-    /// demand drift to the commodities before solving.
+    /// Lower a scenario + traffic matrix to the demand that survives
+    /// it: flows of servers on failed switches are dropped (see
+    /// [`surviving_traffic`]), leaving the switch-level commodities
+    /// (deterministic `(src, dst)` order), the NIC cap of the surviving
+    /// traffic, and the surviving server-flow count (`0` distinguishes a
+    /// dead demand set from an all-local one). Solving a scenario is this
+    /// followed by [`ThroughputEngine::solve_commodities_warm`] on the
+    /// scenario's view; the split lets the serve layer apply demand drift
+    /// to the commodities before solving.
     pub fn scenario_demand(
         &self,
         applied: &AppliedScenario,
@@ -449,13 +431,13 @@ impl<'t> ThroughputEngine<'t> {
     /// the NIC-limited result. Every pairwise solve of the engine but
     /// [`ThroughputEngine::certify_floor`] ends here.
     ///
-    /// `warm` is the [`SolvedFlow::dual_lengths`] of an earlier answer's
-    /// certificate; only the default FPTAS fast path ([`Backend::Fptas`]
-    /// without [`FlowOptions::strict_reference`]) opens on it, and every
-    /// other backend solves through the engine's shared
-    /// [`PathSetCache`]. With an empty `warm` the FPTAS path is
-    /// **bit-identical** to [`ThroughputEngine::solve_on`] on the same
-    /// inputs.
+    /// Every backend solves through [`dctopo_flow::solve_from`] and the
+    /// engine's shared [`PathSetCache`]. `warm` is the
+    /// [`SolvedFlow::dual_lengths`] of an earlier answer's certificate;
+    /// only the default FPTAS fast path ([`dctopo_flow::Backend::Fptas`]
+    /// without [`FlowOptions::strict_reference`]) opens on it. With an
+    /// empty `warm` the solve is **bit-identical** to
+    /// [`ThroughputEngine::solve_on`] on the same inputs.
     ///
     /// # Errors
     /// As [`ThroughputEngine::solve_on`].
@@ -469,12 +451,7 @@ impl<'t> ThroughputEngine<'t> {
         warm: &[f64],
     ) -> Result<ThroughputResult, FlowError> {
         lowered(commodities, nic, flows, |cs| {
-            // the strict trajectory ignores `warm`
-            if matches!(opts.backend, Backend::Fptas) {
-                dctopo_flow::max_concurrent_flow_from(net, cs, opts, warm)
-            } else {
-                dctopo_flow::solve_with_cache(net, cs, opts, &self.cache)
-            }
+            dctopo_flow::solve_from(net, cs, opts, &self.cache, warm)
         })
     }
 
@@ -491,18 +468,6 @@ impl<'t> ThroughputEngine<'t> {
         traffic: &AggregateTraffic,
         opts: &FlowOptions,
     ) -> Result<AggregateThroughputResult, FlowError> {
-        self.solve_aggregate_on(&self.net, traffic, opts)
-    }
-
-    /// [`ThroughputEngine::solve_aggregate`] against an alternative
-    /// network view (typically a degradation delta view of this
-    /// engine's base net).
-    pub fn solve_aggregate_on(
-        &self,
-        net: &CsrNet,
-        traffic: &AggregateTraffic,
-        opts: &FlowOptions,
-    ) -> Result<AggregateThroughputResult, FlowError> {
         let groups = aggregate_groups(self.topo, traffic);
         let nic = traffic.nic_limit();
         if groups.is_empty() {
@@ -515,7 +480,7 @@ impl<'t> ThroughputEngine<'t> {
                 solved: None,
             });
         }
-        let solved = dctopo_flow::solve_grouped(net, &groups, opts)?;
+        let solved = dctopo_flow::solve_grouped(&self.net, &groups, opts)?;
         Ok(AggregateThroughputResult {
             throughput: solved.throughput.min(nic),
             network_lambda: solved.throughput,
@@ -748,11 +713,12 @@ mod tests {
         assert!(strict.network_lambda <= fast.network_upper_bound * (1.0 + 1e-9));
     }
 
-    /// The commodity-level warm entry point with an empty `warm` is
-    /// bitwise the `solve_scenario` path on the same scenario — the
-    /// plumbing the serve layer's cold/warm equivalence law stands on.
+    /// The commodity-level warm entry point with an empty `warm`, on a
+    /// scenario's demand, is bitwise `solve_on` of the scenario's view
+    /// under the surviving traffic — the plumbing the serve layer's
+    /// cold/warm equivalence law stands on.
     #[test]
-    fn commodity_warm_entry_matches_solve_scenario_bitwise() {
+    fn commodity_warm_entry_matches_solve_on_bitwise() {
         use crate::scenario::{Degradation, Scenario};
         let mut rng = StdRng::seed_from_u64(21);
         let topo = Topology::random_regular(12, 8, 4, &mut rng).unwrap();
@@ -766,7 +732,8 @@ mod tests {
             Scenario::new("rerate", vec![Degradation::ScaleCapacity { factor: 0.5 }]),
         ] {
             let applied = sc.apply(&topo, engine.net()).unwrap();
-            let direct = engine.solve_scenario(&applied, &tm, &o).unwrap();
+            let surviving = surviving_traffic(&topo, &tm, &applied.failed_switch);
+            let direct = engine.solve_on(&applied.net, &surviving, &o).unwrap();
             let (cs, nic, flows) = engine.scenario_demand(&applied, &tm);
             assert_eq!(cs, direct.commodities);
             let via = engine
@@ -809,7 +776,8 @@ mod tests {
             ..FlowOptions::default()
         };
         let net = CsrNet::from_graph(g);
-        let s = dctopo_flow::solve(&net, &commodities, &opts).unwrap();
+        let s =
+            dctopo_flow::solve_with_cache(&net, &commodities, &opts, &PathSetCache::new()).unwrap();
         let result = ThroughputResult {
             throughput: s.throughput,
             network_lambda: s.throughput,

@@ -7,9 +7,14 @@
 //!
 //! | backend | algorithm | role |
 //! |---|---|---|
-//! | [`Backend::Fptas`] | parallel Garg–Könemann / Fleischer ([`max_concurrent_flow_csr`](crate::max_concurrent_flow_csr)) | production path |
-//! | [`Backend::ExactLp`] | edge-flow LP via `dctopo-linprog` ([`crate::exact`]) | ground truth on small instances |
-//! | [`Backend::KspRestricted`] | multiplicative weights on frozen k-shortest path sets ([`crate::ksp`]) | practical-routing model (§8) |
+//! | [`Backend::Fptas`] | parallel Garg–Könemann / Fleischer (the pairwise loop in `fptas`) | production path |
+//! | [`Backend::ExactLp`] | edge-flow LP via `dctopo-linprog` (`exact`) | ground truth on small instances |
+//! | [`Backend::KspRestricted`] | multiplicative weights on frozen k-shortest path sets (`ksp`) | practical-routing model (§8) |
+//!
+//! Every pairwise solve goes through one private dispatch, the only
+//! place a backend is chosen; [`solve_with_cache`], [`solve_from`] and
+//! [`certify_floor`] are that dispatch with a cold start, a warm start
+//! and a floor stop.
 
 use dctopo_graph::CsrNet;
 
@@ -44,68 +49,77 @@ impl Backend {
             Backend::KspRestricted { .. } => "ksp",
         }
     }
-
-    /// Solve for the given commodities under `opts` with this backend.
-    pub fn solve(
-        self,
-        net: &CsrNet,
-        commodities: &[Commodity],
-        opts: &FlowOptions,
-    ) -> Result<SolvedFlow, FlowError> {
-        match self {
-            Backend::Fptas => crate::max_concurrent_flow_csr(net, commodities, opts),
-            Backend::ExactLp => crate::exact::exact_solved_flow(net, commodities, opts),
-            Backend::KspRestricted { k } => {
-                crate::ksp::max_concurrent_flow_ksp_csr(net, commodities, k, opts)
-            }
-        }
-    }
-
-    /// [`Backend::solve`] with per-topology preprocessing served from
-    /// `cache`. Only [`Backend::KspRestricted`] has cacheable
-    /// preprocessing today; the other backends ignore the cache and
-    /// behave exactly like [`Backend::solve`]. Results are bit-identical
-    /// to the uncached dispatch either way.
-    pub fn solve_cached(
-        self,
-        net: &CsrNet,
-        commodities: &[Commodity],
-        opts: &FlowOptions,
-        cache: &PathSetCache,
-    ) -> Result<SolvedFlow, FlowError> {
-        match self {
-            Backend::KspRestricted { k } => {
-                crate::ksp::max_concurrent_flow_ksp_cached(net, commodities, k, opts, cache)
-            }
-            other => other.solve(net, commodities, opts),
-        }
-    }
 }
 
-/// Solve on a prebuilt net with the backend selected in `opts.backend`.
-///
-/// This is the single entry point the experiment layer uses; building
-/// the [`CsrNet`] once and calling this repeatedly amortises graph
-/// flattening across traffic matrices.
-pub fn solve(
+/// The one backend dispatch. `cache` serves [`Backend::KspRestricted`]'s
+/// frozen path sets; `warm` is the opener of the FPTAS fast path (the
+/// strict trajectory ignores it); `floor` adds the floor stop to the
+/// iterative loops. [`Backend::ExactLp`] uses none of the three.
+fn dispatch(
     net: &CsrNet,
     commodities: &[Commodity],
     opts: &FlowOptions,
+    cache: &PathSetCache,
+    warm: &[f64],
+    floor: Option<f64>,
 ) -> Result<SolvedFlow, FlowError> {
-    opts.backend.solve(net, commodities, opts)
+    match opts.backend {
+        Backend::Fptas => crate::fptas::pairwise(net, commodities, opts, warm, floor),
+        Backend::KspRestricted { k } => {
+            crate::ksp::solve_ksp(net, commodities, k, opts, cache, floor)
+        }
+        Backend::ExactLp => crate::exact::exact_solved_flow(net, commodities, opts),
+    }
 }
 
-/// [`solve`] with per-topology preprocessing amortised through `cache`
-/// (see [`PathSetCache`]). This is what `ThroughputEngine` in
-/// `dctopo-core` calls so that a multi-matrix sweep freezes each
-/// k-shortest path set once.
+/// Solve on a prebuilt net with the backend selected in `opts.backend`,
+/// per-topology preprocessing served from (and recorded into) `cache`
+/// (see [`PathSetCache`]). Building the [`CsrNet`] once and calling
+/// this repeatedly amortises graph flattening across traffic matrices,
+/// and a multi-matrix sweep freezes each k-shortest path set once. A
+/// fresh cache is the cold solve; a hit returns bit for bit what the
+/// miss computed.
+///
+/// # Errors
+/// See [`FlowError`]; notably [`FlowError::Unreachable`] when a
+/// commodity's endpoints are disconnected.
 pub fn solve_with_cache(
     net: &CsrNet,
     commodities: &[Commodity],
     opts: &FlowOptions,
     cache: &PathSetCache,
 ) -> Result<SolvedFlow, FlowError> {
-    opts.backend.solve_cached(net, commodities, opts, cache)
+    dispatch(net, commodities, opts, cache, &[], None)
+}
+
+/// [`solve_with_cache`] warm-started from `warm`, the
+/// [`SolvedFlow::dual_lengths`] of a previous solve's certificate: the
+/// FPTAS fast path opens on those lengths instead of the flat `1/c(a)`.
+/// The strict trajectory ([`FlowOptions::strict_reference`]) and the
+/// other backends ignore `warm`.
+///
+/// An empty or wrong-length `warm` is **bit-identical** to
+/// [`solve_with_cache`]. A warm-started solve follows a different —
+/// typically much shorter — trajectory, but its certificates are as
+/// strong as a cold solve's: the primal is feasible by construction and
+/// the dual `D(l)/α(l)` upper-bounds λ* for **any** positive lengths.
+/// Warm solves also skip the coarse-ε annealing ramp.
+///
+/// The lengths transfer across [`CsrNet`] **views** of one structure:
+/// arc ids are stable across `with_capacity_overrides` /
+/// `with_scaled_capacity` views, and the lengths are re-anchored (and
+/// invalid entries healed per-arc) before the solve opens on them.
+///
+/// # Errors
+/// As [`solve_with_cache`].
+pub fn solve_from(
+    net: &CsrNet,
+    commodities: &[Commodity],
+    opts: &FlowOptions,
+    cache: &PathSetCache,
+    warm: &[f64],
+) -> Result<SolvedFlow, FlowError> {
+    dispatch(net, commodities, opts, cache, warm, None)
 }
 
 /// [`solve_with_cache`] for a caller that reads the answer only through
@@ -129,13 +143,7 @@ pub fn certify_floor(
     cache: &PathSetCache,
     floor: f64,
 ) -> Result<SolvedFlow, FlowError> {
-    match opts.backend {
-        Backend::Fptas => crate::fptas::pairwise(net, commodities, opts, &[], Some(floor)),
-        Backend::ExactLp => crate::exact::exact_solved_flow(net, commodities, opts),
-        Backend::KspRestricted { k } => {
-            crate::ksp::solve_ksp(net, commodities, k, opts, cache, Some(floor))
-        }
-    }
+    dispatch(net, commodities, opts, cache, &[], Some(floor))
 }
 
 #[cfg(test)]
@@ -149,6 +157,10 @@ mod tests {
             g.add_unit_edge(v, (v + 1) % 4).unwrap();
         }
         CsrNet::from_graph(&g)
+    }
+
+    fn cold(net: &CsrNet, cs: &[Commodity], opts: &FlowOptions) -> SolvedFlow {
+        solve_with_cache(net, cs, opts, &PathSetCache::new()).unwrap()
     }
 
     #[test]
@@ -171,17 +183,19 @@ mod tests {
             ..FlowOptions::default()
         };
         // λ* = 2 via the two edge-disjoint 2-hop routes
-        let exact = Backend::ExactLp.solve(&net, &cs, &opts).unwrap();
+        let exact = cold(&net, &cs, &opts.with_backend(Backend::ExactLp));
         assert!((exact.throughput - 2.0).abs() < 1e-6);
-        let fptas = Backend::Fptas.solve(&net, &cs, &opts).unwrap();
+        let fptas = cold(&net, &cs, &opts);
         assert!(
             (fptas.throughput - 2.0).abs() < 0.06,
             "λ = {}",
             fptas.throughput
         );
-        let ksp = Backend::KspRestricted { k: 2 }
-            .solve(&net, &cs, &opts)
-            .unwrap();
+        let ksp = cold(
+            &net,
+            &cs,
+            &opts.with_backend(Backend::KspRestricted { k: 2 }),
+        );
         assert!(
             (ksp.throughput - 2.0).abs() < 0.08,
             "λ = {}",
@@ -189,22 +203,31 @@ mod tests {
         );
     }
 
+    /// Every selector value dispatches to a working solver through
+    /// every entry: the warm form with nothing to open on is the cold
+    /// solve bit for bit, and the floor form gives the cold solve's
+    /// answer to `λ ≥ floor`.
     #[test]
     fn options_select_backend() {
         let net = square_net();
         let cs = [Commodity::unit(0, 2)];
-        let opts = FlowOptions::default().with_backend(Backend::ExactLp);
-        let s = solve(&net, &cs, &opts).unwrap();
-        assert!((s.throughput - 2.0).abs() < 1e-6);
-        // and every selector value dispatches to a working solver
         let backends = [
             Backend::Fptas,
             Backend::ExactLp,
             Backend::KspRestricted { k: 2 },
         ];
         for b in backends {
-            let s = b.solve(&net, &cs, &FlowOptions::default()).unwrap();
+            let opts = FlowOptions::default().with_backend(b);
+            let s = cold(&net, &cs, &opts);
             assert!(s.throughput > 1.5, "{}: λ = {}", b.name(), s.throughput);
+            let warm = solve_from(&net, &cs, &opts, &PathSetCache::new(), &[]).unwrap();
+            assert_eq!(warm.throughput.to_bits(), s.throughput.to_bits());
+            assert_eq!(warm.phases, s.phases, "{}", b.name());
+            for floor in [1.0, 3.0] {
+                let f = certify_floor(&net, &cs, &opts, &PathSetCache::new(), floor).unwrap();
+                assert_eq!(f.throughput >= floor, s.throughput >= floor, "{}", b.name());
+                assert!(f.throughput <= s.throughput, "{}", b.name());
+            }
         }
     }
 }

@@ -382,14 +382,13 @@ mod tests {
     /// bitwise the cold one.
     #[test]
     fn the_key_inserted_longest_ago_is_evicted_at_the_cap() {
-        use crate::ksp::{max_concurrent_flow_ksp_cached, max_concurrent_flow_ksp_csr};
-        use crate::FlowOptions;
+        use crate::{solve_with_cache, Backend, FlowOptions};
 
         let cache = PathSetCache::new();
         let nets: Vec<CsrNet> = (0..=PATH_CACHE_KEYS).map(|_| net()).collect();
         let cs = [Commodity::unit(0, 4), Commodity::unit(1, 4)];
-        let opts = FlowOptions::default();
-        let first = max_concurrent_flow_ksp_cached(&nets[0], &cs, 2, &opts, &cache).unwrap();
+        let opts = FlowOptions::default().with_backend(Backend::KspRestricted { k: 2 });
+        let first = solve_with_cache(&nets[0], &cs, &opts, &cache).unwrap();
         for n in &nets[1..] {
             cache.freeze(n, &cs, 2).unwrap();
         }
@@ -407,14 +406,14 @@ mod tests {
             }
         );
 
-        let again = max_concurrent_flow_ksp_cached(&nets[0], &cs, 2, &opts, &cache).unwrap();
+        let again = solve_with_cache(&nets[0], &cs, &opts, &cache).unwrap();
         assert_eq!(
             cache.stats().misses,
             lookups + 2,
             "the first structure re-froze"
         );
         assert_eq!(cache.key_stats().len(), PATH_CACHE_KEYS);
-        let cold = max_concurrent_flow_ksp_csr(&nets[0], &cs, 2, &opts).unwrap();
+        let cold = solve_with_cache(&nets[0], &cs, &opts, &PathSetCache::new()).unwrap();
         for s in [&first, &again] {
             assert_eq!(s.throughput.to_bits(), cold.throughput.to_bits());
             assert_eq!(s.upper_bound.to_bits(), cold.upper_bound.to_bits());

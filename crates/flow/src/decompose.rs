@@ -166,7 +166,7 @@ pub fn decompose_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve, FlowOptions};
+    use crate::{solve_with_cache, FlowOptions, PathSetCache};
     use dctopo_graph::Graph;
 
     fn diamond() -> (CsrNet, Vec<Commodity>) {
@@ -189,7 +189,7 @@ mod tests {
     fn needs_recording() {
         let (net, commodities) = diamond();
         let opts = FlowOptions::default();
-        let solved = solve(&net, &commodities, &opts).unwrap();
+        let solved = solve_with_cache(&net, &commodities, &opts, &PathSetCache::new()).unwrap();
         assert!(solved.commodity_arc_flow.is_none());
         assert!(matches!(
             decompose_paths(&net, &commodities, &solved),
@@ -201,7 +201,7 @@ mod tests {
     fn diamond_decomposes_into_both_paths() {
         let (net, commodities) = diamond();
         let opts = FlowOptions::default().with_commodity_flows(true);
-        let solved = solve(&net, &commodities, &opts).unwrap();
+        let solved = solve_with_cache(&net, &commodities, &opts, &PathSetCache::new()).unwrap();
         let paths = decompose_paths(&net, &commodities, &solved).unwrap();
         assert!(!paths.is_empty());
         let total: f64 = paths.iter().map(|p| p.flow).sum();

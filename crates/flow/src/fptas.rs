@@ -317,66 +317,13 @@ fn group_by_source(commodities: &[Commodity], n: usize) -> Vec<GroupState> {
     groups
 }
 
-/// Solve max concurrent flow on `net` for `commodities` with the
-/// phase-parallel FPTAS.
-///
-/// Returns a [`SolvedFlow`] whose `throughput` is a *feasible* concurrent
-/// rate and whose `upper_bound` certifies how far from optimal it can be.
-/// [`FlowOptions::strict_reference`] selects between the incremental
-/// fast path (default) and the legacy trajectory (see module docs).
-///
-/// # Errors
-///
-/// * [`FlowError::Unreachable`] if any commodity's endpoints are in
-///   different components.
-/// * validation errors for empty/invalid inputs (see [`FlowError`]).
-pub fn max_concurrent_flow_csr(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    opts: &FlowOptions,
-) -> Result<SolvedFlow, FlowError> {
-    max_concurrent_flow_from(net, commodities, opts, &[])
-}
-
-/// [`max_concurrent_flow_csr`] warm-started from `warm`, the
-/// [`SolvedFlow::dual_lengths`] of a previous solve's certificate: the
-/// fast path opens on those lengths instead of the flat `1/c(a)`.
-///
-/// An empty or wrong-length `warm` is **bit-identical** to the cold
-/// [`max_concurrent_flow_csr`] — the warm hook changes nothing until a
-/// usable certificate is supplied. The strict path
-/// ([`FlowOptions::strict_reference`]) never warm-starts (its whole
-/// point is the pinned legacy trajectory).
-///
-/// A warm-started solve follows a different — typically much shorter —
-/// trajectory, but its certificates are as strong as a cold solve's:
-/// the primal is feasible by construction and the dual `D(l)/α(l)`
-/// upper-bounds λ* for **any** positive lengths, so the opener changes
-/// the trajectory, never the certificates. Warm solves also skip the
-/// coarse-ε annealing ramp: the inherited lengths already encode the
-/// congestion landscape the ramp exists to discover.
-///
-/// The lengths transfer across [`CsrNet`] **views** of one structure:
-/// arc ids are stable across `with_capacity_overrides` /
-/// `with_scaled_capacity` views, and the lengths are re-anchored (and
-/// invalid entries healed per-arc) before the solve opens on them, so
-/// a certificate from one capacity profile is a usable start for a
-/// re-rated or drifted-demand solve of the same structure.
-///
-/// # Errors
-/// As [`max_concurrent_flow_csr`].
-pub fn max_concurrent_flow_from(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    opts: &FlowOptions,
-    warm: &[f64],
-) -> Result<SolvedFlow, FlowError> {
-    pairwise(net, commodities, opts, warm, None)
-}
-
-/// [`max_concurrent_flow_from`], stopped as soon as `λ ≥ floor` is
-/// certified either way when a `floor` is given (`gk::Core::verdict`;
-/// [`crate::certify_floor`] is the public entry).
+/// The [`crate::Backend::Fptas`] arm of the backend dispatch: solve on
+/// `net` for `commodities` with the phase-parallel FPTAS — the
+/// incremental fast path, opened on `warm` when it is a usable
+/// certificate's lengths ([`crate::solve_from`]), or the strict
+/// trajectory when [`FlowOptions::strict_reference`] is set (which never
+/// warm-starts) — stopped as soon as `λ ≥ floor` is certified either way
+/// when a `floor` is given (`gk::Core::verdict`).
 pub(crate) fn pairwise(
     net: &CsrNet,
     commodities: &[Commodity],
@@ -389,20 +336,27 @@ pub(crate) fn pairwise(
     solve_pairwise(net, commodities, opts, ladder, floor)
 }
 
-/// [`max_concurrent_flow_from`] in the shape the benchmark's warm probe
-/// calls: `None` is cold, and the certificate's `dual_lengths` come
-/// back beside the solve for the next call. It exists only for that
-/// probe; everything else calls [`max_concurrent_flow_from`].
+/// [`crate::solve_from`] in the shape the benchmark's warm probe calls,
+/// for the default FPTAS: `None` is cold, and the certificate's
+/// `dual_lengths` come back beside the solve for the next call. It
+/// exists only for that probe; everything else calls
+/// [`crate::solve_from`].
 ///
 /// # Errors
-/// As [`max_concurrent_flow_csr`].
+/// As [`crate::solve_with_cache`].
 pub fn max_concurrent_flow_warm(
     net: &CsrNet,
     commodities: &[Commodity],
     opts: &FlowOptions,
     warm: Option<&Vec<f64>>,
 ) -> Result<(SolvedFlow, Vec<f64>), FlowError> {
-    let sol = max_concurrent_flow_from(net, commodities, opts, warm.map_or(&[], Vec::as_slice))?;
+    let sol = pairwise(
+        net,
+        commodities,
+        opts,
+        warm.map_or(&[], Vec::as_slice),
+        None,
+    )?;
     let lengths = sol.dual_lengths.clone();
     Ok((sol, lengths))
 }
@@ -911,9 +865,13 @@ impl Ladder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::max_concurrent_flow;
     use dctopo_graph::Graph;
     use rayon::ThreadPoolBuilder;
+
+    /// A cold solve of `g` on a fresh net.
+    fn solve(g: &Graph, cs: &[Commodity], o: &FlowOptions) -> Result<SolvedFlow, FlowError> {
+        pairwise(&CsrNet::from_graph(g), cs, o, &[], None)
+    }
 
     fn opts() -> FlowOptions {
         FlowOptions {
@@ -930,7 +888,7 @@ mod tests {
     fn single_edge() {
         let mut g = Graph::new(2);
         g.add_unit_edge(0, 1).unwrap();
-        let s = max_concurrent_flow(&g, &[Commodity::unit(0, 1)], &opts()).unwrap();
+        let s = solve(&g, &[Commodity::unit(0, 1)], &opts()).unwrap();
         assert!(
             s.throughput > 0.97 && s.throughput <= 1.0 + 1e-9,
             "λ = {}",
@@ -952,7 +910,7 @@ mod tests {
         g.add_unit_edge(0, 1).unwrap();
         g.add_unit_edge(1, 2).unwrap();
         let cs = [Commodity::unit(0, 2), Commodity::unit(1, 2)];
-        let s = max_concurrent_flow(&g, &cs, &opts()).unwrap();
+        let s = solve(&g, &cs, &opts()).unwrap();
         assert!((s.throughput - 0.5).abs() < 0.02, "λ = {}", s.throughput);
     }
 
@@ -964,7 +922,7 @@ mod tests {
         for v in 0..4 {
             g.add_unit_edge(v, (v + 1) % 4).unwrap();
         }
-        let s = max_concurrent_flow(&g, &[Commodity::unit(0, 2)], &opts()).unwrap();
+        let s = solve(&g, &[Commodity::unit(0, 2)], &opts()).unwrap();
         assert!((s.throughput - 2.0).abs() < 0.06, "λ = {}", s.throughput);
     }
 
@@ -978,8 +936,8 @@ mod tests {
         g2.add_edge(0, 1, 2.0).unwrap();
         g2.add_edge(1, 2, 2.0).unwrap();
         let cs = [Commodity::unit(0, 2)];
-        let s1 = max_concurrent_flow(&g1, &cs, &opts()).unwrap();
-        let s2 = max_concurrent_flow(&g2, &cs, &opts()).unwrap();
+        let s1 = solve(&g1, &cs, &opts()).unwrap();
+        let s2 = solve(&g2, &cs, &opts()).unwrap();
         assert!((s2.throughput / s1.throughput - 2.0).abs() < 0.08);
     }
 
@@ -988,7 +946,7 @@ mod tests {
     fn demand_scaling() {
         let mut g = Graph::new(2);
         g.add_unit_edge(0, 1).unwrap();
-        let s1 = max_concurrent_flow(
+        let s1 = solve(
             &g,
             &[Commodity {
                 src: 0,
@@ -998,7 +956,7 @@ mod tests {
             &opts(),
         )
         .unwrap();
-        let s2 = max_concurrent_flow(
+        let s2 = solve(
             &g,
             &[Commodity {
                 src: 0,
@@ -1024,7 +982,7 @@ mod tests {
             Commodity::unit(2, 0),
             Commodity::unit(4, 2),
         ];
-        let s = max_concurrent_flow(&g, &cs, &opts()).unwrap();
+        let s = solve(&g, &cs, &opts()).unwrap();
         // no arc over capacity, each commodity at λ·d or more, the
         // bound re-derived from its lengths
         let net = dctopo_graph::CsrNet::from_graph(&g);
@@ -1038,10 +996,10 @@ mod tests {
         let mut g = Graph::new(4);
         g.add_unit_edge(0, 1).unwrap();
         g.add_unit_edge(2, 3).unwrap();
-        let r = max_concurrent_flow(&g, &[Commodity::unit(0, 3)], &opts());
+        let r = solve(&g, &[Commodity::unit(0, 3)], &opts());
         assert!(matches!(r, Err(FlowError::Unreachable { src: 0, dst: 3 })));
         let strict = opts().with_strict_reference(true);
-        let r = max_concurrent_flow(&g, &[Commodity::unit(0, 3)], &strict);
+        let r = solve(&g, &[Commodity::unit(0, 3)], &strict);
         assert!(matches!(r, Err(FlowError::Unreachable { src: 0, dst: 3 })));
     }
 
@@ -1054,7 +1012,7 @@ mod tests {
             g.add_unit_edge(v, 0).unwrap();
         }
         let cs: Vec<_> = (1..=k).map(|v| Commodity::unit(v, 0)).collect();
-        let s = max_concurrent_flow(&g, &cs, &opts()).unwrap();
+        let s = solve(&g, &cs, &opts()).unwrap();
         // each leaf has its own edge → λ = 1
         assert!((s.throughput - 1.0).abs() < 0.03, "λ = {}", s.throughput);
     }
@@ -1066,7 +1024,7 @@ mod tests {
         for v in 0..3 {
             g.add_unit_edge(v, v + 1).unwrap();
         }
-        let s = max_concurrent_flow(&g, &[Commodity::unit(0, 3)], &opts()).unwrap();
+        let s = solve(&g, &[Commodity::unit(0, 3)], &opts()).unwrap();
         assert!((s.mean_flow_path_len() - 3.0).abs() < 1e-6);
     }
 
@@ -1076,7 +1034,7 @@ mod tests {
         let mut g = Graph::new(2);
         g.add_edge(0, 1, 10.0).unwrap();
         g.add_edge(0, 1, 1.0).unwrap();
-        let s = max_concurrent_flow(
+        let s = solve(
             &g,
             &[Commodity {
                 src: 0,
@@ -1100,8 +1058,8 @@ mod tests {
             g.add_edge(v, v + 8, 1.5).unwrap();
         }
         let cs: Vec<Commodity> = (0..8).map(|v| Commodity::unit(v, (v + 7) % 16)).collect();
-        let fast = max_concurrent_flow(&g, &cs, &opts()).unwrap();
-        let strict = max_concurrent_flow(&g, &cs, &opts().with_strict_reference(true)).unwrap();
+        let fast = solve(&g, &cs, &opts()).unwrap();
+        let strict = solve(&g, &cs, &opts().with_strict_reference(true)).unwrap();
         // both certify their own interval around the same optimum
         assert!(fast.throughput <= strict.upper_bound * (1.0 + 1e-9));
         assert!(strict.throughput <= fast.upper_bound * (1.0 + 1e-9));
@@ -1119,7 +1077,7 @@ mod tests {
         }
         let cs = [Commodity::unit(0, 3), Commodity::unit(1, 4)];
         for strict in [false, true] {
-            let s = max_concurrent_flow(&g, &cs, &opts().with_strict_reference(strict)).unwrap();
+            let s = solve(&g, &cs, &opts().with_strict_reference(strict)).unwrap();
             assert!(s.settles > 0, "strict {strict}: no settles recorded");
         }
     }
@@ -1136,11 +1094,12 @@ mod tests {
         let net = dctopo_graph::CsrNet::from_graph(&g);
         let cs: Vec<Commodity> = (0..6).map(|v| Commodity::unit(v, (v + 5) % 12)).collect();
         let o = opts();
-        let cold = max_concurrent_flow_csr(&net, &cs, &o).unwrap();
+        let cold = pairwise(&net, &cs, &o, &[], None).unwrap();
         let (none, lengths) = max_concurrent_flow_warm(&net, &cs, &o, None).unwrap();
-        let empty = max_concurrent_flow_from(&net, &cs, &o, &[]).unwrap();
+        let cache = crate::PathSetCache::new();
+        let empty = crate::solve_from(&net, &cs, &o, &cache, &[]).unwrap();
         // wrong arc space → degrade to cold
-        let ill = max_concurrent_flow_from(&net, &cs, &o, &[1.0; 3]).unwrap();
+        let ill = crate::solve_from(&net, &cs, &o, &cache, &[1.0; 3]).unwrap();
         for s in [&none, &empty, &ill] {
             assert_eq!(cold.throughput.to_bits(), s.throughput.to_bits());
             assert_eq!(cold.upper_bound.to_bits(), s.upper_bound.to_bits());
@@ -1167,7 +1126,7 @@ mod tests {
         let net = dctopo_graph::CsrNet::from_graph(&g);
         let cs: Vec<Commodity> = (0..8).map(|v| Commodity::unit(v, (v + 7) % 16)).collect();
         let o = opts();
-        let seed = max_concurrent_flow_csr(&net, &cs, &o).unwrap();
+        let seed = pairwise(&net, &cs, &o, &[], None).unwrap();
         // drift demands ±10% deterministically
         let drifted: Vec<Commodity> = cs
             .iter()
@@ -1177,8 +1136,8 @@ mod tests {
                 ..*c
             })
             .collect();
-        let cold = max_concurrent_flow_csr(&net, &drifted, &o).unwrap();
-        let warm = max_concurrent_flow_from(&net, &drifted, &o, &seed.dual_lengths).unwrap();
+        let cold = pairwise(&net, &drifted, &o, &[], None).unwrap();
+        let warm = pairwise(&net, &drifted, &o, &seed.dual_lengths, None).unwrap();
         // a warm solve may plateau-stop slightly past the target (its
         // inherited lengths make the *dual* tighter from phase one);
         // the certified gap stays O(ε) regardless
@@ -1204,10 +1163,10 @@ mod tests {
         let net = dctopo_graph::CsrNet::from_graph(&g);
         let cs = [Commodity::unit(0, 4), Commodity::unit(1, 5)];
         let o = opts();
-        let seeded = max_concurrent_flow_csr(&net, &cs, &o).unwrap();
+        let seeded = pairwise(&net, &cs, &o, &[], None).unwrap();
         let strict = o.with_strict_reference(true);
-        let cold = max_concurrent_flow_csr(&net, &cs, &strict).unwrap();
-        let warm = max_concurrent_flow_from(&net, &cs, &strict, &seeded.dual_lengths).unwrap();
+        let cold = pairwise(&net, &cs, &strict, &[], None).unwrap();
+        let warm = pairwise(&net, &cs, &strict, &seeded.dual_lengths, None).unwrap();
         assert_eq!(cold.throughput.to_bits(), warm.throughput.to_bits());
         assert_eq!(cold.upper_bound.to_bits(), warm.upper_bound.to_bits());
     }
@@ -1234,7 +1193,7 @@ mod tests {
                     .num_threads(threads)
                     .build()
                     .unwrap()
-                    .install(|| max_concurrent_flow(&g, &cs, &o).unwrap())
+                    .install(|| solve(&g, &cs, &o).unwrap())
             };
             let base = solve_at(1);
             for threads in [2, 8] {

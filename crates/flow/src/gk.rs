@@ -2,8 +2,8 @@
 //! runs on.
 //!
 //! The four production loops — the pairwise FPTAS with and without its
-//! reuse ladder ([`crate::max_concurrent_flow_csr`]), the grouped solver
-//! ([`crate::solve_grouped`]) and the frozen-path solver ([`crate::ksp`])
+//! reuse ladder (`crate::fptas`), the grouped solver
+//! ([`crate::solve_grouped`]) and the frozen-path solver (`crate::ksp`)
 //! — differ in how they *route*: which tree or path carries a step, in
 //! what order loads are charged, what a residual looks like. What turns
 //! a routing trajectory into a certificate is the same arithmetic in all

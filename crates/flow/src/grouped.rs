@@ -1,7 +1,7 @@
 //! Aggregated-demand max concurrent flow: `O(arcs + active pairs)`
 //! memory instead of the pairwise formulation's `O(n²)` commodities.
 //!
-//! The pairwise solver ([`crate::max_concurrent_flow_csr`]) keeps one
+//! The pairwise solver ([`crate::Backend::Fptas`]) keeps one
 //! [`DijkstraWorkspace`] **per source group** plus a `(src, dst,
 //! demand)` triple per commodity. For an all-to-all matrix on an
 //! `n`-switch fabric that is `Θ(n²)` state before the first phase runs
@@ -284,7 +284,7 @@ fn validate_grouped(
 
 /// Solve max concurrent flow for aggregated demand groups.
 ///
-/// Same guarantees as [`crate::max_concurrent_flow_csr`] — feasible
+/// Same guarantees as the pairwise [`crate::Backend::Fptas`] — feasible
 /// `throughput`, certified `upper_bound`, bit-identical across thread
 /// counts — with working memory `O(arcs + nodes + active pairs)`
 /// instead of `O(n²)`. See the module docs for the algorithm.
@@ -530,7 +530,7 @@ fn solve_grouped_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{max_concurrent_flow_csr, Commodity};
+    use crate::{solve_with_cache, Commodity, PathSetCache};
     // the retired bucketed kernel, kept as the differential's other side
     use dctopo_graph::delta as bucketed;
     use dctopo_graph::{Graph, GraphError};
@@ -577,7 +577,8 @@ mod tests {
     fn assert_intervals_overlap(net: &CsrNet, groups: &[DemandGroup]) {
         let o = opts();
         let grouped = solve_grouped(net, groups, &o).unwrap();
-        let pairwise = max_concurrent_flow_csr(net, &pairwise_of(groups), &o).unwrap();
+        let pairwise =
+            solve_with_cache(net, &pairwise_of(groups), &o, &PathSetCache::new()).unwrap();
         assert!(
             grouped.throughput <= pairwise.upper_bound * (1.0 + 1e-9),
             "grouped λ {} exceeds pairwise bound {}",

@@ -20,9 +20,10 @@
 //! every pair of a freeze on one [`YenWorkspace`];
 //! the hot multiplicative-weights loop runs on the flat CSR arrays.
 //! Because freezing depends only on the topology and `k`, it is
-//! memoisable: [`max_concurrent_flow_ksp_cached`] reuses frozen path
-//! sets from a [`PathSetCache`] and is bit-identical to the cold
-//! [`max_concurrent_flow_ksp_csr`].
+//! memoisable: [`solve_ksp`] — the [`crate::Backend::KspRestricted`] arm
+//! of the backend dispatch — reuses frozen path sets from the
+//! [`PathSetCache`] it is handed, and on a fresh cache (the cold solve)
+//! it is bit-identical to a hit.
 
 use dctopo_graph::kshortest::{yen_k_shortest_with, YenWorkspace};
 use dctopo_graph::{CsrNet, Graph, NodeId};
@@ -33,57 +34,14 @@ use crate::gk::{Cong, Core, Pairwise, Stop};
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// Solve max concurrent flow where commodity `j` may only use its `k`
-/// shortest (by hop count) simple paths. Graph-level convenience
-/// wrapper over [`max_concurrent_flow_ksp_csr`].
-pub fn max_concurrent_flow_ksp(
-    g: &Graph,
-    commodities: &[Commodity],
-    k: usize,
-    opts: &FlowOptions,
-) -> Result<SolvedFlow, FlowError> {
-    max_concurrent_flow_ksp_csr(&CsrNet::from_graph(g), commodities, k, opts)
-}
-
-/// k-shortest-paths-restricted solve on a prebuilt net (the
-/// [`crate::Backend::KspRestricted`] backend entry point), freezing path
-/// sets from scratch through a fresh [`PathSetCache`] — the *cold* path.
+/// shortest (by hop count) simple paths, frozen through `cache`;
+/// `throughput` ≤ the unrestricted optimum by construction. Stopped as
+/// soon as `λ ≥ floor` is certified either way when a `floor` is given.
 ///
-/// Returns the same certified [`SolvedFlow`] as the unrestricted solver;
-/// `throughput` ≤ the unrestricted optimum by construction.
-///
-/// Repeated solves on one topology should go through
-/// [`max_concurrent_flow_ksp_cached`] instead, which amortises the
-/// adjacency-list rebuild and the Yen runs across traffic matrices.
-pub fn max_concurrent_flow_ksp_csr(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    k: usize,
-    opts: &FlowOptions,
-) -> Result<SolvedFlow, FlowError> {
-    max_concurrent_flow_ksp_cached(net, commodities, k, opts, &PathSetCache::new())
-}
-
-/// [`max_concurrent_flow_ksp_csr`] with path-set preprocessing served
-/// from (and recorded into) `cache` — the *amortised* path.
-///
-/// Bit-identical to the cold entry point for the same inputs: the cold
-/// path is this one on an empty cache, and a hit returns exactly what
-/// the miss computed (Yen is deterministic). With tracing on, one
+/// Bit-identical whether `cache` hits or misses: a hit returns exactly
+/// what the miss computed (Yen is deterministic). With tracing on, one
 /// `ksp_solve` event closes the solve; its deterministic fields are the
 /// same cold or cached.
-pub fn max_concurrent_flow_ksp_cached(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    k: usize,
-    opts: &FlowOptions,
-    cache: &PathSetCache,
-) -> Result<SolvedFlow, FlowError> {
-    solve_ksp(net, commodities, k, opts, cache, None)
-}
-
-/// [`max_concurrent_flow_ksp_cached`], stopped as soon as `λ ≥ floor`
-/// is certified either way when a `floor` is given
-/// ([`crate::certify_floor`] is the public entry).
 pub(crate) fn solve_ksp(
     net: &CsrNet,
     commodities: &[Commodity],
@@ -244,7 +202,31 @@ fn nodes_to_arcs(net: &CsrNet, nodes: &[NodeId]) -> Result<Vec<usize>, FlowError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::max_concurrent_flow;
+
+    /// A cold restricted solve of `g` on a fresh net and cache.
+    fn ksp(
+        g: &Graph,
+        cs: &[Commodity],
+        k: usize,
+        o: &FlowOptions,
+    ) -> Result<SolvedFlow, FlowError> {
+        cold(&CsrNet::from_graph(g), cs, k, o)
+    }
+
+    /// A cold restricted solve on `net`.
+    fn cold(
+        net: &CsrNet,
+        cs: &[Commodity],
+        k: usize,
+        o: &FlowOptions,
+    ) -> Result<SolvedFlow, FlowError> {
+        solve_ksp(net, cs, k, o, &PathSetCache::new(), None)
+    }
+
+    /// The unrestricted optimum's FPTAS solve of `g`.
+    fn free(g: &Graph, cs: &[Commodity], o: &FlowOptions) -> SolvedFlow {
+        crate::fptas::pairwise(&CsrNet::from_graph(g), cs, o, &[], None).unwrap()
+    }
 
     fn opts() -> FlowOptions {
         FlowOptions {
@@ -266,8 +248,8 @@ mod tests {
             g.add_unit_edge(v, (v + 1) % 4).unwrap();
         }
         let cs = [Commodity::unit(0, 2)];
-        let restricted = max_concurrent_flow_ksp(&g, &cs, 1, &opts()).unwrap();
-        let free = max_concurrent_flow(&g, &cs, &opts()).unwrap();
+        let restricted = ksp(&g, &cs, 1, &opts()).unwrap();
+        let free = free(&g, &cs, &opts());
         assert!(
             (restricted.throughput - 1.0).abs() < 0.05,
             "k=1: {}",
@@ -288,7 +270,7 @@ mod tests {
             g.add_unit_edge(v, (v + 1) % 4).unwrap();
         }
         let cs = [Commodity::unit(0, 2)];
-        let s = max_concurrent_flow_ksp(&g, &cs, 2, &opts()).unwrap();
+        let s = ksp(&g, &cs, 2, &opts()).unwrap();
         assert!((s.throughput - 2.0).abs() < 0.08, "k=2: {}", s.throughput);
     }
 
@@ -302,12 +284,10 @@ mod tests {
             g.add_unit_edge(u, v).unwrap();
         }
         let cs = [Commodity::unit(0, 4)];
-        let free = max_concurrent_flow(&g, &cs, &opts()).unwrap().throughput;
+        let free = free(&g, &cs, &opts()).throughput;
         let mut prev = 0.0;
         for k in 1..=3 {
-            let t = max_concurrent_flow_ksp(&g, &cs, k, &opts())
-                .unwrap()
-                .throughput;
+            let t = ksp(&g, &cs, k, &opts()).unwrap().throughput;
             assert!(t >= prev - 0.02, "k={k} dropped: {t} < {prev}");
             assert!(t <= free * 1.02, "k={k} beat unrestricted: {t} > {free}");
             prev = t;
@@ -331,7 +311,7 @@ mod tests {
             Commodity::unit(1, 4),
             Commodity::unit(2, 5),
         ];
-        let s = max_concurrent_flow_ksp(&g, &cs, 4, &opts()).unwrap();
+        let s = ksp(&g, &cs, 4, &opts()).unwrap();
         let net = CsrNet::from_graph(&g);
         let paths = PathSetCache::new().freeze(&net, &cs, 4).unwrap();
         assert!(s.certify(&net, &cs, Some(&paths)).unwrap().is_some());
@@ -363,7 +343,7 @@ mod tests {
             ..opts()
         };
         for o in budgets.chain([stall]) {
-            let s = max_concurrent_flow_ksp_csr(&net, &cs, 2, &o).unwrap();
+            let s = cold(&net, &cs, 2, &o).unwrap();
             assert!(s.phases < 4, "{} phases", s.phases);
             assert!(s.upper_bound.is_finite(), "{} phases: no bound", s.phases);
             assert!(s.upper_bound >= s.throughput);
@@ -372,23 +352,9 @@ mod tests {
         }
     }
 
-    /// The CSR entry point (used by the backend) matches the Graph one.
-    #[test]
-    fn csr_and_graph_entry_points_agree() {
-        let mut g = Graph::new(5);
-        for &(u, v) in &[(0, 1), (1, 4), (0, 2), (2, 4), (0, 3), (3, 4)] {
-            g.add_unit_edge(u, v).unwrap();
-        }
-        let net = CsrNet::from_graph(&g);
-        let cs = [Commodity::unit(0, 4)];
-        let a = max_concurrent_flow_ksp(&g, &cs, 2, &opts()).unwrap();
-        let b = max_concurrent_flow_ksp_csr(&net, &cs, 2, &opts()).unwrap();
-        assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
-        assert_eq!(a.phases, b.phases);
-    }
-
-    /// The cached entry point returns bit-identical results to the cold
-    /// one, whether the cache is empty (miss path) or warm (hit path).
+    /// A solve through a shared cache returns bit-identical results to
+    /// a cold one, whether the cache is empty (miss path) or warm (hit
+    /// path).
     #[test]
     fn cached_matches_cold_bitwise() {
         let mut g = Graph::new(6);
@@ -399,15 +365,15 @@ mod tests {
         let net = CsrNet::from_graph(&g);
         let cs = [Commodity::unit(0, 3), Commodity::unit(1, 4)];
         let cache = PathSetCache::new();
-        let cold = max_concurrent_flow_ksp_csr(&net, &cs, 3, &opts()).unwrap();
-        let miss = max_concurrent_flow_ksp_cached(&net, &cs, 3, &opts(), &cache).unwrap();
-        let hit = max_concurrent_flow_ksp_cached(&net, &cs, 3, &opts(), &cache).unwrap();
+        let fresh = cold(&net, &cs, 3, &opts()).unwrap();
+        let miss = solve_ksp(&net, &cs, 3, &opts(), &cache, None).unwrap();
+        let hit = solve_ksp(&net, &cs, 3, &opts(), &cache, None).unwrap();
         assert_eq!(cache.stats().hits, 2);
         for s in [&miss, &hit] {
-            assert_eq!(cold.throughput.to_bits(), s.throughput.to_bits());
-            assert_eq!(cold.upper_bound.to_bits(), s.upper_bound.to_bits());
-            assert_eq!(cold.phases, s.phases);
-            for (x, y) in cold.arc_flow.iter().zip(&s.arc_flow) {
+            assert_eq!(fresh.throughput.to_bits(), s.throughput.to_bits());
+            assert_eq!(fresh.upper_bound.to_bits(), s.upper_bound.to_bits());
+            assert_eq!(fresh.phases, s.phases);
+            for (x, y) in fresh.arc_flow.iter().zip(&s.arc_flow) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
@@ -428,8 +394,8 @@ mod tests {
         let view = net.with_disabled_arcs(&[2 << 1, 3 << 1]).unwrap();
         let rebuilt = CsrNet::from_graph(&view.to_graph());
         let cs = [Commodity::unit(0, 4)];
-        let a = max_concurrent_flow_ksp_csr(&view, &cs, 3, &opts()).unwrap();
-        let b = max_concurrent_flow_ksp_csr(&rebuilt, &cs, 3, &opts()).unwrap();
+        let a = cold(&view, &cs, 3, &opts()).unwrap();
+        let b = cold(&rebuilt, &cs, 3, &opts()).unwrap();
         assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
         assert_eq!(a.upper_bound.to_bits(), b.upper_bound.to_bits());
         assert_eq!(a.phases, b.phases);
@@ -442,30 +408,18 @@ mod tests {
     }
 
     #[test]
-    fn cached_rejects_k_zero() {
-        let mut g = Graph::new(2);
-        g.add_unit_edge(0, 1).unwrap();
-        let net = CsrNet::from_graph(&g);
-        let cache = PathSetCache::new();
-        assert!(matches!(
-            max_concurrent_flow_ksp_cached(&net, &[Commodity::unit(0, 1)], 0, &opts(), &cache),
-            Err(FlowError::BadOptions(_))
-        ));
-    }
-
-    #[test]
     fn rejects_k_zero_and_unreachable() {
         let mut g = Graph::new(4);
         g.add_unit_edge(0, 1).unwrap();
         g.add_unit_edge(2, 3).unwrap();
         let cs = [Commodity::unit(0, 1)];
         assert!(matches!(
-            max_concurrent_flow_ksp(&g, &cs, 0, &opts()),
+            ksp(&g, &cs, 0, &opts()),
             Err(FlowError::BadOptions(_))
         ));
         let cs_bad = [Commodity::unit(0, 3)];
         assert!(matches!(
-            max_concurrent_flow_ksp(&g, &cs_bad, 2, &opts()),
+            ksp(&g, &cs_bad, 2, &opts()),
             Err(FlowError::Unreachable { .. })
         ));
     }

@@ -15,7 +15,7 @@
 //!
 //! ## Solver
 //!
-//! [`max_concurrent_flow`] implements the Garg–Könemann / Fleischer
+//! The default backend implements the Garg–Könemann / Fleischer
 //! multiplicative-weights FPTAS with two production twists:
 //!
 //! 1. **Certified bounds instead of theory constants.** After every phase
@@ -36,7 +36,8 @@
 //! loop over an `Option<Ladder>` tree policy — the ladder is the default
 //! fast path, `None` is the strict trajectory
 //! [`FlowOptions::strict_reference`] pins), the aggregated-demand solver
-//! ([`solve_grouped`]) and the frozen-path solver ([`ksp`]). They differ
+//! ([`solve_grouped`]) and the frozen-path solver (the private `ksp`
+//! module). They differ
 //! in *routing* — which tree or path carries a step — and share the
 //! arithmetic that makes a trajectory a certificate: length growth and
 //! the `1e100` rescale, the step size, the worst congestion `μ`, the
@@ -71,13 +72,15 @@
 //!   shortest paths (the practical-routing model of §8). Its
 //!   per-topology path freezing is memoised by [`PathSetCache`], so
 //!   multi-matrix sweeps pay for Yen's algorithm once per
-//!   `(topology, k)` — go through [`solve_with_cache`] to amortise it.
+//!   `(topology, k)`.
 //!
-//! Callers go through [`solve`] (or the [`max_concurrent_flow`]
-//! convenience wrapper that still accepts a [`Graph`]). A caller that
-//! reads the answer only through `λ ≥ floor` goes through
-//! [`certify_floor`], which stops each loop as soon as that comparison
-//! is certified.
+//! One private dispatch in [`backend`] picks the solver, and three
+//! entries call it: [`solve_with_cache`] (a fresh [`PathSetCache`] is
+//! the cold solve), [`solve_from`] (the same, warm-started from an
+//! earlier certificate's [`SolvedFlow::dual_lengths`]) and
+//! [`certify_floor`] (for a caller that reads the answer only through
+//! `λ ≥ floor`: each loop stops as soon as that comparison is
+//! certified). Aggregated demand goes through [`solve_grouped`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -85,43 +88,25 @@
 pub mod backend;
 pub mod cache;
 pub mod decompose;
-pub mod exact;
+mod exact;
 mod fptas;
 mod gk;
 pub mod grouped;
-pub mod ksp;
+mod ksp;
 
 use std::fmt;
 
 use dctopo_graph::certify::{self, Certificate, Violation};
-use dctopo_graph::{CsrNet, Graph, GraphError};
+use dctopo_graph::{CsrNet, GraphError};
 
 /// Re-export: node index type used by [`Commodity`].
 pub use dctopo_graph::NodeId;
 
-pub use backend::{certify_floor, solve, solve_with_cache, Backend};
+pub use backend::{certify_floor, solve_from, solve_with_cache, Backend};
 pub use cache::{CacheStats, KeyStats, PathSetCache, PATH_CACHE_KEYS};
 pub use decompose::{decompose_paths, PathFlow};
-pub use fptas::{max_concurrent_flow_csr, max_concurrent_flow_from, max_concurrent_flow_warm};
+pub use fptas::max_concurrent_flow_warm;
 pub use grouped::{solve_grouped, DemandGroup, GroupedFlow, SinkSpec};
-
-/// Solve max concurrent flow on `g` with the backend selected in
-/// `opts.backend` ([`Backend::Fptas`] by default).
-///
-/// Builds the [`CsrNet`] internally; hot paths that solve many traffic
-/// matrices on one topology should build the net once and call
-/// [`solve`] directly.
-///
-/// # Errors
-/// See [`FlowError`]; notably [`FlowError::Unreachable`] when a
-/// commodity's endpoints are disconnected.
-pub fn max_concurrent_flow(
-    g: &Graph,
-    commodities: &[Commodity],
-    opts: &FlowOptions,
-) -> Result<SolvedFlow, FlowError> {
-    solve(&CsrNet::from_graph(g), commodities, opts)
-}
 
 /// One commodity: `demand` units want to travel from `src` to `dst`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,10 +148,11 @@ pub struct FlowOptions {
     /// times; stalling means the remaining reported gap is dual-side
     /// looseness). Set to `max_phases` to disable.
     pub stall_phases: usize,
-    /// Which [`Backend`] services [`solve`] /
-    /// [`max_concurrent_flow`] calls. The iterative knobs above apply to
-    /// the FPTAS and k-shortest-path backends; [`Backend::ExactLp`]
-    /// ignores them.
+    /// Which [`Backend`] the pairwise entries ([`solve_with_cache`],
+    /// [`solve_from`], [`certify_floor`]) dispatch to. The iterative
+    /// knobs above apply to the FPTAS and k-shortest-path backends;
+    /// [`Backend::ExactLp`] ignores them. [`solve_grouped`] runs only
+    /// the default.
     pub backend: Backend,
     /// Route [`Backend::Fptas`] through the strict trajectory
     /// (recompute every group's shortest-path tree per augmentation,
@@ -281,7 +267,7 @@ pub struct SolvedFlow {
     /// the fast path's running mean of the iterates, whichever gave the
     /// smallest bound — one per arc. Empty for [`Backend::ExactLp`],
     /// whose simplex exposes no duals. A later fast-path solve can open
-    /// on them ([`max_concurrent_flow_from`]).
+    /// on them ([`solve_from`]).
     pub dual_lengths: Vec<f64>,
 }
 

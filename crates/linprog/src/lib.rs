@@ -18,10 +18,13 @@
 //!
 //! ## Scope and limitations
 //!
-//! * Dense tableau: memory is `O(m·(n+m))`. Fine for the ≲2,000-variable
-//!   instances we cross-check; deliberately not a large-scale LP code.
-//! * Bland's anti-cycling rule is enabled once stalling is detected, so
-//!   termination is guaranteed at some cost in iteration count.
+//! * Dense tableau: memory and the work of every pivot are `O(m·(n+m))`
+//!   for `m` constraints and `n` variables. Fine for the tableaus of at
+//!   most 1.5M cells (about a second's work) `dctopo-flow`'s exact
+//!   backend admits; deliberately not a large-scale LP code.
+//! * Bland's anti-cycling rule is enabled after a run of pivots that do
+//!   not improve the objective, and Dantzig's rule returns with the
+//!   next improving one.
 
 mod simplex;
 

@@ -102,7 +102,9 @@ impl Tableau {
     fn optimize(&mut self, active_cols: usize) -> Result<bool, LpError> {
         let max_iters = 200 * (self.rows.len() + self.cols + 16);
         let mut stall = 0usize;
-        let mut last_obj = f64::INFINITY;
+        // the cost row's right-hand side holds −objective, so an
+        // improving pivot *raises* it
+        let mut last_obj = f64::NEG_INFINITY;
         for _ in 0..max_iters {
             let bland = stall >= STALL_LIMIT;
             // entering column: negative reduced cost
@@ -149,7 +151,7 @@ impl Tableau {
             };
             self.pivot(row, col);
             let obj = self.cost[self.cols];
-            if obj < last_obj - EPS {
+            if obj > last_obj + EPS {
                 stall = 0;
                 last_obj = obj;
             } else {

@@ -673,16 +673,15 @@ impl SearchRunner {
         }
     }
 
-    /// Certified solve: structural candidates solve cold (their nets
-    /// are fresh structures), capacity candidates go through the shared
-    /// path-set cache (same `structure_id` as the base, so `ksp`
-    /// backends refreeze nothing).
+    /// Certified solve: structural candidates solve cold through a
+    /// fresh cache (their nets are fresh structures, so the shared
+    /// cache keeps only the incumbent structure's keys), capacity
+    /// candidates go through the shared path-set cache (same
+    /// `structure_id` as the base, so `ksp` backends refreeze nothing).
     fn certify(&self, net: &CsrNet, structural: bool) -> Result<SolvedFlow, FlowError> {
-        if structural {
-            dctopo_flow::solve(net, &self.commodities, &self.spec.opts)
-        } else {
-            dctopo_flow::solve_with_cache(net, &self.commodities, &self.spec.opts, &self.cache)
-        }
+        let fresh = PathSetCache::new();
+        let cache = if structural { &fresh } else { &self.cache };
+        dctopo_flow::solve_with_cache(net, &self.commodities, &self.spec.opts, cache)
     }
 
     /// Pick the accepted candidate of a round, if any: the highest

@@ -39,12 +39,13 @@
 //! [`dctopo_flow::SolvedFlow::dual_lengths`] of the last fast-path
 //! answer given for it: the lengths its certified upper bound was read
 //! at. Reusing them is certified-sound (the FPTAS dual bound holds for
-//! *any* positive lengths — see [`dctopo_flow::max_concurrent_flow_from`]);
+//! *any* positive lengths — see [`dctopo_flow::solve_from`]);
 //! only the default FPTAS fast path consumes or commits them.
 //! `fptas-strict`, `exact`, and `ksp:K` queries always run their
-//! pinned cold paths and answer **bitwise identically** to a one-shot
-//! [`ThroughputEngine::solve_scenario`], as does any query with
-//! `"warm":false`.
+//! pinned cold paths and answer **bitwise identically** to a cold
+//! [`ThroughputEngine::solve_commodities_warm`] of the scenario's
+//! surviving demand ([`ThroughputEngine::scenario_demand`]), as does any
+//! query with `"warm":false`.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};

@@ -7,18 +7,29 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
-use dctopo::core::{Degradation, Scenario, ThroughputEngine};
+use dctopo::core::{AppliedScenario, Degradation, Scenario, ThroughputEngine};
+use dctopo::flow::FlowError;
 use dctopo::prelude::*;
 use dctopo::serve::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// `tm` solved cold under the scenario `applied`: its surviving demand
+/// on its view.
+fn scenario_solve(
+    engine: &ThroughputEngine,
+    applied: &AppliedScenario,
+    tm: &TrafficMatrix,
+    opts: &FlowOptions,
+) -> Result<ThroughputResult, FlowError> {
+    let (cs, nic, flows) = engine.scenario_demand(applied, tm);
+    engine.solve_commodities_warm(&applied.net, cs, nic, flows, opts, &[])
+}
+
 /// Spawn `topobench serve` on a fixed fabric, feed it `input`, and
 /// collect (stdout lines, stderr, success).
 fn serve_transcript(input: &[u8], extra: &[&str]) -> (Vec<String>, String, bool) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_topobench"));
-    cmd.args([
-        "serve",
+    let fabric = [
         "rrg",
         "--switches",
         "12",
@@ -30,11 +41,19 @@ fn serve_transcript(input: &[u8], extra: &[&str]) -> (Vec<String>, String, bool)
         "5",
         "--threads",
         "2",
-    ])
-    .args(extra)
-    .stdin(Stdio::piped())
-    .stdout(Stdio::piped())
-    .stderr(Stdio::piped());
+    ];
+    serve_on(&[&fabric[..], extra].concat(), input)
+}
+
+/// Spawn `topobench serve` with `args`, feed it `input`, and collect
+/// (stdout lines, stderr, success).
+fn serve_on(args: &[&str], input: &[u8]) -> (Vec<String>, String, bool) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_topobench"));
+    cmd.arg("serve")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
     let mut child = cmd.spawn().expect("failed to spawn topobench serve");
     child
         .stdin
@@ -109,7 +128,7 @@ fn golden_transcript_matches_in_process_engine_bitwise() {
     ];
     for (i, sc) in cases {
         let applied = sc.apply(&topo, engine.net()).unwrap();
-        let cold = engine.solve_scenario(&applied, &tm, &opts).unwrap();
+        let cold = scenario_solve(&engine, &applied, &tm, &opts).unwrap();
         assert_eq!(
             field_f64(&lines[i], "throughput").to_bits(),
             cold.throughput.to_bits(),
@@ -129,6 +148,47 @@ fn golden_transcript_matches_in_process_engine_bitwise() {
     let (again, _, ok2) = serve_transcript(input.as_bytes(), &[]);
     assert!(ok2);
     assert_eq!(lines, again, "serve transcript drifted across runs");
+}
+
+/// An exact-LP query whose dense tableau (960 × 4,545 on this fabric,
+/// only 3,585 variables) is past the simplex's budget gets a typed
+/// `solver` error record at once instead of stalling the server, which
+/// goes on to answer the next line.
+#[test]
+fn an_oversized_exact_query_is_refused_promptly() {
+    let fabric = [
+        "rrg",
+        "--switches",
+        "16",
+        "--ports",
+        "8",
+        "--degree",
+        "4",
+        "--threads",
+        "1",
+    ];
+    let input = b"{\"id\":8,\"backend\":\"exact\"}\n{\"id\":9,\"op\":\"ping\"}\n";
+    let start = std::time::Instant::now();
+    let (lines, stderr, ok) = serve_on(&fabric, input);
+    let elapsed = start.elapsed();
+    assert!(ok, "{stderr}");
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    let v = Json::parse(&lines[0]).unwrap();
+    assert_eq!(v.get("id").and_then(Json::as_u64), Some(8));
+    assert_eq!(
+        v.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{}",
+        lines[0]
+    );
+    let err = v.get("error").unwrap();
+    assert_eq!(err.get("kind").and_then(Json::as_str), Some("solver"));
+    let message = err.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("960 × 4545"), "{message}");
+    assert!(
+        elapsed < std::time::Duration::from_secs(10),
+        "refusal took {elapsed:?}"
+    );
 }
 
 #[test]

@@ -3,8 +3,8 @@
 
 use dctopo::core::packet::PacketParams;
 use dctopo::core::solve::surviving_traffic;
-use dctopo::core::{solve_throughput, Degradation, Scenario};
-use dctopo::flow::{max_concurrent_flow, Commodity, FlowError, FlowOptions};
+use dctopo::core::{solve_throughput, AppliedScenario, Degradation, Scenario, ThroughputResult};
+use dctopo::flow::{solve_with_cache, Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow};
 use dctopo::graph::{CsrNet, Graph, GraphError};
 use dctopo::packetsim::{simulate, FlowSpec, PathSpec, SimConfig, SimError};
 use dctopo::prelude::*;
@@ -13,6 +13,27 @@ use dctopo::topology::vl2::{vl2, Vl2Params};
 use dctopo::topology::SwitchClass;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A cold solve on `net` with the backend `opts` selects.
+fn solve_cold(net: &CsrNet, cs: &[Commodity], opts: &FlowOptions) -> Result<SolvedFlow, FlowError> {
+    solve_with_cache(net, cs, opts, &PathSetCache::new())
+}
+
+/// A cold solve of `g`.
+fn solve_graph(g: &Graph, cs: &[Commodity], opts: &FlowOptions) -> Result<SolvedFlow, FlowError> {
+    solve_cold(&CsrNet::from_graph(g), cs, opts)
+}
+
+/// `tm` solved under the scenario `ap`: its surviving demand on its view.
+fn scenario_solve(
+    engine: &ThroughputEngine,
+    ap: &AppliedScenario,
+    tm: &TrafficMatrix,
+    opts: &FlowOptions,
+) -> Result<ThroughputResult, FlowError> {
+    let (cs, nic, flows) = engine.scenario_demand(ap, tm);
+    engine.solve_commodities_warm(&ap.net, cs, nic, flows, opts, &[])
+}
 
 #[test]
 fn disconnected_topology_fails_cleanly() {
@@ -78,7 +99,7 @@ fn switch_failure_disconnects_with_precise_endpoints() {
     let tm = TrafficMatrix::from_pairs(3, vec![(0, 2), (2, 0), (1, 0)]);
     let survivors = surviving_traffic(&topo, &tm, &ap.failed_switch);
     assert_eq!(survivors.flow_count(), 2, "dead-switch flow must drop");
-    let res = engine.solve_scenario(&ap, &tm, &FlowOptions::default());
+    let res = scenario_solve(&engine, &ap, &tm, &FlowOptions::default());
     assert!(
         matches!(res, Err(FlowError::Unreachable { src: 0, dst: 2 })),
         "expected Unreachable {{0, 2}}, got {res:?}"
@@ -86,9 +107,7 @@ fn switch_failure_disconnects_with_precise_endpoints() {
     // with only the dead switch's traffic, everything filters away and
     // the solve degenerates cleanly instead of erroring
     let tm_dead = TrafficMatrix::from_pairs(3, vec![(1, 0), (2, 1)]);
-    let r = engine
-        .solve_scenario(&ap, &tm_dead, &FlowOptions::default())
-        .unwrap();
+    let r = scenario_solve(&engine, &ap, &tm_dead, &FlowOptions::default()).unwrap();
     assert!(r.solved.is_none(), "no surviving network traffic expected");
     assert_eq!(
         r.throughput, 0.0,
@@ -191,7 +210,7 @@ fn link_failure_deltas_fail_loudly_or_route_around() {
         Backend::ExactLp,
         Backend::KspRestricted { k: 2 },
     ] {
-        let s = dctopo::flow::solve(&half, &cs, &opts.with_backend(backend)).unwrap();
+        let s = solve_cold(&half, &cs, &opts.with_backend(backend)).unwrap();
         assert!(
             (s.throughput - 1.0).abs() < 0.05,
             "{}: detour should carry λ ≈ 1, got {}",
@@ -203,12 +222,12 @@ fn link_failure_deltas_fail_loudly_or_route_around() {
     }
     // fail both sides: loud, precise failure on the iterative backends
     let none = half.with_disabled_arcs(&[2 << 1]).unwrap();
-    let res = dctopo::flow::solve(&none, &cs, &opts);
+    let res = solve_cold(&none, &cs, &opts);
     assert!(matches!(
         res,
         Err(FlowError::Unreachable { src: 0, dst: 2 })
     ));
-    let res = dctopo::flow::solve(
+    let res = solve_cold(
         &none,
         &cs,
         &opts.with_backend(Backend::KspRestricted { k: 2 }),
@@ -275,11 +294,11 @@ fn solver_rejects_degenerate_commodities() {
     g.add_unit_edge(1, 2).unwrap();
     let opts = FlowOptions::default();
     assert!(matches!(
-        max_concurrent_flow(&g, &[], &opts),
+        solve_graph(&g, &[], &opts),
         Err(FlowError::NoCommodities)
     ));
     assert!(matches!(
-        max_concurrent_flow(
+        solve_graph(
             &g,
             &[Commodity {
                 src: 0,
@@ -291,7 +310,7 @@ fn solver_rejects_degenerate_commodities() {
         Err(FlowError::BadDemand { .. })
     ));
     assert!(matches!(
-        max_concurrent_flow(&g, &[Commodity::unit(2, 2)], &opts),
+        solve_graph(&g, &[Commodity::unit(2, 2)], &opts),
         Err(FlowError::SelfCommodity { .. })
     ));
     let bad_opts = FlowOptions {
@@ -299,7 +318,7 @@ fn solver_rejects_degenerate_commodities() {
         ..opts
     };
     assert!(matches!(
-        max_concurrent_flow(&g, &[Commodity::unit(0, 2)], &bad_opts),
+        solve_graph(&g, &[Commodity::unit(0, 2)], &bad_opts),
         Err(FlowError::BadOptions(_))
     ));
 }
@@ -307,7 +326,7 @@ fn solver_rejects_degenerate_commodities() {
 #[test]
 fn solver_on_edgeless_graph() {
     let g = Graph::new(4);
-    let res = max_concurrent_flow(&g, &[Commodity::unit(0, 1)], &FlowOptions::default());
+    let res = solve_graph(&g, &[Commodity::unit(0, 1)], &FlowOptions::default());
     assert!(matches!(res, Err(FlowError::Unreachable { .. })));
 }
 

@@ -11,7 +11,9 @@
 //! guarantee).
 
 use dctopo::core::solve::aggregate_commodities;
-use dctopo::flow::{decompose_paths, solve, FlowOptions};
+use dctopo::flow::{
+    decompose_paths, solve_with_cache, Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow,
+};
 use dctopo::graph::CsrNet;
 use dctopo::prelude::*;
 use dctopo::topology::vl2::{rewired_vl2, vl2, Vl2Params};
@@ -48,6 +50,11 @@ fn instances() -> Vec<(String, Topology, TrafficMatrix)> {
     out
 }
 
+/// A cold solve on `net` with the backend `opts` selects.
+fn cold_solve(net: &CsrNet, cs: &[Commodity], opts: &FlowOptions) -> Result<SolvedFlow, FlowError> {
+    solve_with_cache(net, cs, opts, &PathSetCache::new())
+}
+
 #[test]
 fn decomposition_conserves_flow_and_respects_capacity() {
     let opts = FlowOptions::default().with_commodity_flows(true);
@@ -59,7 +66,7 @@ fn decomposition_conserves_flow_and_respects_capacity() {
         if commodities.is_empty() {
             continue;
         }
-        let solved = solve(&net, &commodities, &opts).expect(&name);
+        let solved = cold_solve(&net, &commodities, &opts).expect(&name);
         let cf = solved
             .commodity_arc_flow
             .as_ref()
@@ -158,8 +165,8 @@ fn recording_is_observationally_free() {
     let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
     let net = CsrNet::from_graph(&topo.graph);
     let commodities = aggregate_commodities(&topo, &tm);
-    let plain = solve(&net, &commodities, &FlowOptions::default()).unwrap();
-    let recorded = solve(
+    let plain = cold_solve(&net, &commodities, &FlowOptions::default()).unwrap();
+    let recorded = cold_solve(
         &net,
         &commodities,
         &FlowOptions::default().with_commodity_flows(true),

@@ -10,9 +10,9 @@
 //! `strict_reference_bitwise_matches_reference_on_50_seeded_graphs`
 //! below.
 
-use dctopo::flow::{max_concurrent_flow, Commodity, FlowError, FlowOptions, SolvedFlow};
+use dctopo::flow::{solve_with_cache, Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow};
 use dctopo::graph::paths::dijkstra;
-use dctopo::graph::{Graph, NodeId};
+use dctopo::graph::{CsrNet, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,7 +41,7 @@ fn group_by_source(commodities: &[Commodity]) -> Vec<SourceGroup> {
 /// Solve max concurrent flow on `g` with the model FPTAS, on inputs the
 /// production entry points accept.
 ///
-/// Semantics and certificates match [`max_concurrent_flow`]; only the
+/// Semantics and certificates match [`production`]'s; only the
 /// execution strategy differs (no CSR, no parallelism, shortest paths
 /// recomputed inside the augmentation loop).
 fn max_concurrent_flow_graph(
@@ -265,6 +265,21 @@ fn opts() -> FlowOptions {
     }
 }
 
+/// The production solve of `g`: the default backend on a fresh net and
+/// cache.
+fn production(
+    g: &Graph,
+    commodities: &[Commodity],
+    opts: &FlowOptions,
+) -> Result<SolvedFlow, FlowError> {
+    solve_with_cache(
+        &CsrNet::from_graph(g),
+        commodities,
+        opts,
+        &PathSetCache::new(),
+    )
+}
+
 /// The model still solves the canonical instances.
 #[test]
 fn reference_solves_cycle() {
@@ -296,7 +311,7 @@ fn reference_and_csr_agree() {
         },
     ];
     let a = max_concurrent_flow_graph(&g, &cs, &opts()).unwrap();
-    let b = max_concurrent_flow(&g, &cs, &opts()).unwrap();
+    let b = production(&g, &cs, &opts()).unwrap();
     // both primal values lie under both dual bounds
     assert!(a.throughput <= b.upper_bound * (1.0 + 1e-9));
     assert!(b.throughput <= a.upper_bound * (1.0 + 1e-9));
@@ -381,7 +396,7 @@ fn strict_reference_bitwise_matches_reference_on_50_seeded_graphs() {
     for (name, g, cs, o) in &instances {
         let o = o.with_strict_reference(true);
         let model = max_concurrent_flow_graph(g, cs, &o).unwrap();
-        let strict = max_concurrent_flow(g, cs, &o).unwrap();
+        let strict = production(g, cs, &o).unwrap();
         assert_eq!(
             model.throughput.to_bits(),
             strict.throughput.to_bits(),

@@ -14,7 +14,8 @@
 //! certified upper bound is at or above the floor — so λ* is, in every
 //! state. A state whose certified λ falls below the floor while its
 //! bound stays above it is the solver's gap, not a broken theorem: it is
-//! reported, not failed.
+//! reported, not failed. One plan of the corpus learns an ordering
+//! conflict, and its order must keep every learned `before ≺ after`.
 
 use dctopo::plan::{cross_churn, plan_migration, Migration, MigrationPlan, PlanSpec};
 use dctopo::prelude::*;
@@ -49,6 +50,23 @@ fn golden_instance() -> (Topology, TrafficMatrix, Migration, PlanSpec) {
     let mig = Migration::new(&topo, &cross_churn(&topo, 2, 3).unwrap()).unwrap();
     let spec = PlanSpec {
         seed: 3,
+        ..PlanSpec::default()
+    };
+    (topo, tm, mig, spec)
+}
+
+/// `topobench plan --family rrg:20x7x4 --pairs 3 --floor-frac 0.92
+/// --seed 3`: the corpus plan that learns a conflict — its first
+/// ordering attempt puts a move below the floor, and a rescuer certified
+/// to fix it becomes a hard `before ≺ after` constraint.
+fn conflict_instance() -> (Topology, TrafficMatrix, Migration, PlanSpec) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let topo = Topology::random_regular(20, 7, 4, &mut rng).unwrap();
+    let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
+    let mig = Migration::new(&topo, &cross_churn(&topo, 3, 3).unwrap()).unwrap();
+    let spec = PlanSpec {
+        seed: 3,
+        floor_frac: 0.92,
         ..PlanSpec::default()
     };
     (topo, tm, mig, spec)
@@ -121,11 +139,29 @@ fn every_interleaving_of_every_stage_keeps_the_floor_certifiable() {
         ("determinism", determinism_instance()),
         ("golden", golden_instance()),
         ("two-cluster", two_cluster_instance()),
+        ("conflict", conflict_instance()),
     ] {
         let plan = plan_migration(&topo, &tm, &mig, &spec).unwrap();
         if name == "golden" {
             let pinned = format!("fingerprint: {:#018x}", plan.fingerprint());
             assert!(golden.contains(&pinned), "not the golden plan: {pinned}");
+        }
+        if name == "conflict" {
+            assert_eq!(
+                plan.fingerprint(),
+                0xb7d4_1698_ccff_4142,
+                "not the CLI's plan"
+            );
+            assert!(plan.stats.conflicts_learned >= 1, "no conflict learned");
+            assert_eq!(plan.learned.len(), plan.stats.conflicts_learned);
+            let at = |m: usize| plan.order.iter().position(|&o| o == m).unwrap();
+            for c in &plan.learned {
+                assert!(
+                    at(c.before) < at(c.after),
+                    "{c:?} broken by {:?}",
+                    plan.order
+                );
+            }
         }
         let engine = ThroughputEngine::new(&topo);
         for (applied, inflight) in interleavings(&plan, mig.move_count()) {

@@ -3,9 +3,9 @@
 //! and traffic generators.
 
 use dctopo::bounds::aspl_lower_bound;
+use dctopo::core::AppliedScenario;
 use dctopo::flow::{
-    exact::exact_max_concurrent_flow, max_concurrent_flow, max_concurrent_flow_csr,
-    max_concurrent_flow_from, Commodity, FlowError, FlowOptions,
+    solve_from, solve_with_cache, Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow,
 };
 use dctopo::graph::components::{cut_size, is_connected};
 use dctopo::graph::paths::path_stats;
@@ -16,6 +16,36 @@ use dctopo::traffic::TrafficMatrix as Tm;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A cold solve on `net`: `opts`'s backend on a fresh path-set cache.
+fn solve_cold(
+    net: &CsrNet,
+    commodities: &[Commodity],
+    opts: &FlowOptions,
+) -> Result<SolvedFlow, FlowError> {
+    solve_with_cache(net, commodities, opts, &PathSetCache::new())
+}
+
+/// A cold solve of `g`.
+fn solve_graph(
+    g: &Graph,
+    commodities: &[Commodity],
+    opts: &FlowOptions,
+) -> Result<SolvedFlow, FlowError> {
+    solve_cold(&CsrNet::from_graph(g), commodities, opts)
+}
+
+/// `tm` solved cold under the scenario `ap`: its surviving demand on
+/// its view.
+fn scenario_solve(
+    engine: &ThroughputEngine,
+    ap: &AppliedScenario,
+    tm: &Tm,
+    opts: &FlowOptions,
+) -> Result<ThroughputResult, FlowError> {
+    let (cs, nic, flows) = engine.scenario_demand(ap, tm);
+    engine.solve_commodities_warm(&ap.net, cs, nic, flows, opts, &[])
+}
 
 fn solver_opts() -> FlowOptions {
     FlowOptions {
@@ -124,7 +154,7 @@ proptest! {
         let g = &topo.graph;
         let cs: Vec<Commodity> =
             (0..6).map(|i| Commodity::unit(i, (i + 6) % 12)).collect();
-        let s = max_concurrent_flow(g, &cs, &solver_opts()).unwrap();
+        let s = solve_graph(g, &cs, &solver_opts()).unwrap();
         let net = dctopo::graph::CsrNet::from_graph(g);
         let checked = s.certify(&net, &cs, None);
         prop_assert!(matches!(checked, Ok(Some(_))), "{:?}", checked);
@@ -143,7 +173,8 @@ proptest! {
         let tm = Tm::random_permutation(6, &mut rng);
         let cs: Vec<Commodity> =
             tm.pairs().iter().map(|&(s, t)| Commodity::unit(s, t)).collect();
-        let exact = exact_max_concurrent_flow(&g, &cs).unwrap();
+        let lp = FlowOptions::default().with_backend(Backend::ExactLp);
+        let exact = solve_graph(&g, &cs, &lp).unwrap().throughput;
         let opts = FlowOptions {
             epsilon: 0.05,
             target_gap: 0.02,
@@ -151,7 +182,7 @@ proptest! {
             stall_phases: 2000,
             ..FlowOptions::default()
         };
-        let approx = max_concurrent_flow(&g, &cs, &opts).unwrap();
+        let approx = solve_graph(&g, &cs, &opts).unwrap();
         prop_assert!(approx.throughput <= exact * (1.0 + 1e-6),
             "primal {} above exact {}", approx.throughput, exact);
         prop_assert!(approx.upper_bound >= exact * (1.0 - 1e-6),
@@ -194,8 +225,8 @@ proptest! {
             stall_phases: 3000,
             ..FlowOptions::default()
         };
-        let exact = dctopo::flow::solve(&net, &cs, &opts.with_backend(Backend::ExactLp)).unwrap();
-        let fptas = dctopo::flow::solve(&net, &cs, &opts).unwrap();
+        let exact = solve_cold(&net, &cs, &opts.with_backend(Backend::ExactLp)).unwrap();
+        let fptas = solve_cold(&net, &cs, &opts).unwrap();
         prop_assert!(fptas.throughput <= exact.throughput * (1.0 + 1e-6),
             "fptas primal {} above exact {}", fptas.throughput, exact.throughput);
         prop_assert!(fptas.upper_bound >= exact.throughput * (1.0 - 1e-6),
@@ -222,15 +253,15 @@ proptest! {
             if cs.is_empty() {
                 continue;
             }
-            let exact = dctopo::flow::solve(&net, &cs, &opts.with_backend(Backend::ExactLp)).unwrap();
+            let exact = solve_cold(&net, &cs, &opts.with_backend(Backend::ExactLp)).unwrap();
             // both cold profiles and a warm-started solve, which opens
             // on the cold one's certified dual lengths and skips the coarse
             // ramp: the primal weights then meet a trajectory whose
             // early phases are its best
             let fast = FlowOptions::fast();
-            let cold = max_concurrent_flow_csr(&net, &cs, &fast).unwrap();
-            let warm = max_concurrent_flow_from(&net, &cs, &fast, &cold.dual_lengths).unwrap();
-            let long = dctopo::flow::solve(&net, &cs, &long).unwrap();
+            let cold = solve_cold(&net, &cs, &fast).unwrap();
+            let warm = solve_from(&net, &cs, &fast, &PathSetCache::new(), &cold.dual_lengths).unwrap();
+            let long = solve_cold(&net, &cs, &long).unwrap();
             for (kind, s) in [("fast", &cold), ("long", &long), ("warm", &warm)] {
                 prop_assert!(s.throughput <= exact.throughput * (1.0 + 1e-6),
                     "{family}/{kind}: primal {} above exact {}", s.throughput, exact.throughput);
@@ -402,13 +433,61 @@ fn mixed_capacity_instance(
 }
 
 /// The KSP path-set cache is invisible to results: cached and cold
+/// Three instances whose LP the dense simplex once ran to its iteration
+/// limit (its stall detector read every improving pivot as a stall and
+/// left Bland's rule on): `topobench solve rrg --switches 9 --ports 6
+/// --degree 4 --seed 2`, `solve complete --switches 8 --servers 2` and
+/// `solve rrg --switches 10 --ports 6 --degree 4`, each `--backend exact
+/// --runs 1`, built the way the CLI builds them. Each solves, to the
+/// optimum the CLI prints, inside the default FPTAS's certified interval.
+#[test]
+fn exact_lp_solves_the_instances_its_stall_rule_once_stalled() {
+    use dctopo::topology::classic::complete;
+
+    type Build = fn(&mut StdRng) -> Topology;
+    let cases: [(&str, u64, Build, f64); 3] = [
+        (
+            "rrg:9x6x4 seed 2",
+            2,
+            |rng| Topology::random_regular(9, 6, 4, rng).unwrap(),
+            1.0,
+        ),
+        ("complete:8x2", 1, |_| complete(8, 2).unwrap(), 2.25),
+        (
+            "rrg:10x6x4",
+            1,
+            |rng| Topology::random_regular(10, 6, 4, rng).unwrap(),
+            1.0,
+        ),
+    ];
+    for (name, seed, build, lambda) in cases {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = build(&mut rng);
+        let tm = Tm::random_permutation(topo.server_count(), &mut rng);
+        let engine = ThroughputEngine::new(&topo);
+        let lp = FlowOptions::default().with_backend(Backend::ExactLp);
+        let exact = engine
+            .solve(&tm, &lp)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .network_lambda;
+        assert!((exact - lambda).abs() < 1e-6, "{name}: λ* = {exact}");
+        let fast = engine.solve(&tm, &FlowOptions::default()).unwrap();
+        assert!(
+            fast.network_lambda <= exact * (1.0 + 1e-9)
+                && exact <= fast.network_upper_bound * (1.0 + 1e-9),
+            "{name}: λ* = {exact} outside [{}, {}]",
+            fast.network_lambda,
+            fast.network_upper_bound
+        );
+    }
+}
+
 /// `KspRestricted` solves are bit-identical across 50 seeded random
 /// graphs and 3 values of k, on both the miss path (first solve) and
 /// the hit path (second solve), sharing ONE cache across all nets —
 /// exercising the `(CsrNet identity, k)` keying.
 #[test]
 fn ksp_cache_bitwise_identical_on_50_seeded_graphs() {
-    use dctopo::flow::ksp::{max_concurrent_flow_ksp_cached, max_concurrent_flow_ksp_csr};
     use dctopo::flow::PathSetCache;
     use dctopo::graph::CsrNet;
     use rand::RngExt;
@@ -440,9 +519,10 @@ fn ksp_cache_bitwise_identical_on_50_seeded_graphs() {
         let net = CsrNet::from_graph(&g);
         let cs: Vec<Commodity> = (0..3).map(|i| Commodity::unit(i, n / 2 + i)).collect();
         for k in [1usize, 2, 4] {
-            let cold = max_concurrent_flow_ksp_csr(&net, &cs, k, &opts).unwrap();
-            let miss = max_concurrent_flow_ksp_cached(&net, &cs, k, &opts, &cache).unwrap();
-            let hit = max_concurrent_flow_ksp_cached(&net, &cs, k, &opts, &cache).unwrap();
+            let opts = opts.with_backend(Backend::KspRestricted { k });
+            let cold = solve_cold(&net, &cs, &opts).unwrap();
+            let miss = solve_with_cache(&net, &cs, &opts, &cache).unwrap();
+            let hit = solve_with_cache(&net, &cs, &opts, &cache).unwrap();
             for (label, s) in [("miss", &miss), ("hit", &hit)] {
                 assert_eq!(
                     cold.throughput.to_bits(),
@@ -510,8 +590,8 @@ fn fptas_fast_path_certified_on_50_seeded_graphs() {
         let n = g.node_count();
         let net = CsrNet::from_graph(&g);
         let cs: Vec<Commodity> = (0..3).map(|i| Commodity::unit(i, n / 2 + i)).collect();
-        let exact = dctopo::flow::solve(&net, &cs, &opts.with_backend(Backend::ExactLp)).unwrap();
-        let fast = dctopo::flow::solve(&net, &cs, &opts).unwrap();
+        let exact = solve_cold(&net, &cs, &opts.with_backend(Backend::ExactLp)).unwrap();
+        let fast = solve_cold(&net, &cs, &opts).unwrap();
         // (a) within the certified gap of the exact optimum
         assert!(
             fast.throughput <= exact.throughput * (1.0 + 1e-6),
@@ -542,7 +622,7 @@ fn fptas_fast_path_certified_on_50_seeded_graphs() {
                 .num_threads(threads)
                 .build()
                 .unwrap()
-                .install(|| dctopo::flow::solve(&net, &cs, &opts).unwrap())
+                .install(|| solve_cold(&net, &cs, &opts).unwrap())
         };
         for threads in [1usize, 2, 8] {
             let s = solve_at(threads);
@@ -582,8 +662,8 @@ fn fptas_fast_path_settles_less_on_rrg_sweep_matrix() {
         stall_phases: 400,
         ..FlowOptions::fast()
     };
-    let fast = dctopo::flow::solve(&net, &cs, &o).unwrap();
-    let strict = dctopo::flow::solve(&net, &cs, &o.with_strict_reference(true)).unwrap();
+    let fast = solve_cold(&net, &cs, &o).unwrap();
+    let strict = solve_cold(&net, &cs, &o.with_strict_reference(true)).unwrap();
     assert!(fast.gap() <= o.target_gap + 1e-9, "fast gap {}", fast.gap());
     assert!(
         strict.gap() <= o.target_gap + 1e-9,
@@ -671,7 +751,7 @@ fn primal_weights_leave_routing_alone() {
         stall_phases: 700,
         ..FlowOptions::default()
     };
-    let s = max_concurrent_flow_csr(&net, &commodities, &long).unwrap();
+    let s = solve_cold(&net, &commodities, &long).unwrap();
     assert_eq!(s.upper_bound.to_bits(), 0x3fe5002b548b6a45);
     assert_eq!((s.phases, s.settles), (700, 689313));
     assert!(s.throughput <= s.upper_bound);
@@ -702,7 +782,7 @@ fn weighted_primal_is_one_conserved_flow() {
     let opts = FlowOptions::fast().with_commodity_flows(true);
     for (family, tm) in &matrices {
         let commodities = dctopo::core::solve::aggregate_commodities(&topo, tm);
-        let s = max_concurrent_flow_csr(&net, &commodities, &opts).unwrap();
+        let s = solve_cold(&net, &commodities, &opts).unwrap();
         assert!(
             s.phases > 8,
             "{family}: too short to have re-weighted anything"
@@ -730,7 +810,7 @@ fn the_checker_names_each_perturbed_certificate() {
     let opts = (FlowOptions::default())
         .with_strict_reference(true)
         .with_commodity_flows(true);
-    let s = max_concurrent_flow_csr(&net, &cs, &opts).unwrap();
+    let s = solve_cold(&net, &cs, &opts).unwrap();
     assert!(s.certify(&net, &cs, None).unwrap().is_some());
     let bump = 1.0 + 1e-6;
     let worst = |n: usize, key: &dyn Fn(usize) -> f64| {
@@ -775,7 +855,7 @@ fn the_checker_names_each_perturbed_certificate() {
 /// read at, one per arc; the LP returns none.
 #[test]
 fn every_backend_but_the_lp_returns_its_witness() {
-    use dctopo::flow::{solve, solve_grouped, Backend, DemandGroup, SinkSpec};
+    use dctopo::flow::{solve_grouped, Backend, DemandGroup, SinkSpec};
     let g = seeded_graph(7);
     let net = dctopo::graph::CsrNet::from_graph(&g);
     let n = g.node_count();
@@ -788,12 +868,12 @@ fn every_backend_but_the_lp_returns_its_witness() {
         ("exact", o.with_backend(Backend::ExactLp)),
     ];
     for (name, o) in backends {
-        let s = solve(&net, &cs, &o).unwrap();
+        let s = solve_cold(&net, &cs, &o).unwrap();
         let want = if name == "exact" { 0 } else { net.arc_count() };
         assert_eq!(s.dual_lengths.len(), want, "{name}");
     }
-    let cold = max_concurrent_flow_csr(&net, &cs, &o).unwrap();
-    let warm = max_concurrent_flow_from(&net, &cs, &o, &cold.dual_lengths).unwrap();
+    let cold = solve_cold(&net, &cs, &o).unwrap();
+    let warm = solve_from(&net, &cs, &o, &PathSetCache::new(), &cold.dual_lengths).unwrap();
     assert_eq!(warm.dual_lengths.len(), net.arc_count(), "fptas-warm");
     let groups: Vec<DemandGroup> = (cs.iter())
         .map(|c| DemandGroup {
@@ -1002,7 +1082,7 @@ fn metamorphic_failure_and_capacity_laws_on_50_seeded_instances() {
                 vec![Degradation::FailLinks { count, seed: 99 }],
             );
             let ap = sc.apply(&topo, engine.net()).unwrap();
-            match engine.solve_scenario(&ap, &tm, &opts) {
+            match scenario_solve(&engine, &ap, &tm, &opts) {
                 Ok(r) => {
                     assert!(
                         !dead,
@@ -1078,7 +1158,7 @@ fn metamorphic_failure_and_capacity_laws_on_50_seeded_instances() {
                 vec![Degradation::ScaleCapacity { factor }],
             );
             let ap = sc.apply(&topo, engine.net()).unwrap();
-            let r = engine.solve_scenario(&ap, &tm, &opts).unwrap();
+            let r = scenario_solve(&engine, &ap, &tm, &opts).unwrap();
             let (lam, ub) = (r.network_lambda, r.network_upper_bound);
             if factor == 1.0 {
                 base_primal = lam;
@@ -1167,7 +1247,7 @@ fn ladder_bounds_match_the_graph_oracle_and_dominate_certified_lambda() {
             for backend in ["fptas", "ksp:4"] {
                 let mut opts = solver_opts();
                 backend.parse::<BackendChoice>().unwrap().apply(&mut opts);
-                match engine.solve_scenario(&view, &tm, &opts) {
+                match scenario_solve(&engine, &view, &tm, &opts) {
                     Ok(r) => {
                         solved += 1;
                         assert!(
@@ -1377,7 +1457,6 @@ fn path_stats_pins_against_the_moore_bound() {
 ///   reports `Unreachable` rather than hanging or fabricating numbers.
 #[test]
 fn backends_agree_on_degraded_views_across_50_seeded_graphs() {
-    use dctopo::flow::ksp::{max_concurrent_flow_ksp_cached, max_concurrent_flow_ksp_csr};
     use dctopo::flow::{Backend, PathSetCache};
     use dctopo::graph::csr::DijkstraWorkspace;
     use dctopo::graph::CsrNet;
@@ -1391,6 +1470,7 @@ fn backends_agree_on_degraded_views_across_50_seeded_graphs() {
         stall_phases: 3000,
         ..FlowOptions::default()
     };
+    let ksp8 = Backend::KspRestricted { k: 8 };
     let cache = PathSetCache::new();
     let mut solved = 0usize;
     let mut disconnected = 0usize;
@@ -1417,23 +1497,23 @@ fn backends_agree_on_degraded_views_across_50_seeded_graphs() {
         if !connected {
             disconnected += 1;
             for strict in [false, true] {
-                let r = dctopo::flow::solve(&view, &cs, &opts.with_strict_reference(strict));
+                let r = solve_cold(&view, &cs, &opts.with_strict_reference(strict));
                 assert!(
                     matches!(r, Err(FlowError::Unreachable { .. })),
                     "seed {seed}: expected Unreachable, got {r:?}"
                 );
             }
             assert!(matches!(
-                max_concurrent_flow_ksp_csr(&view, &cs, 8, &opts),
+                solve_cold(&view, &cs, &opts.with_backend(ksp8)),
                 Err(FlowError::Unreachable { .. })
             ));
             continue;
         }
         solved += 1;
 
-        let exact = dctopo::flow::solve(&view, &cs, &opts.with_backend(Backend::ExactLp)).unwrap();
-        let fast = dctopo::flow::solve(&view, &cs, &opts).unwrap();
-        let strict = dctopo::flow::solve(&view, &cs, &opts.with_strict_reference(true)).unwrap();
+        let exact = solve_cold(&view, &cs, &opts.with_backend(Backend::ExactLp)).unwrap();
+        let fast = solve_cold(&view, &cs, &opts).unwrap();
+        let strict = solve_cold(&view, &cs, &opts.with_strict_reference(true)).unwrap();
         for (label, s) in [("fast", &fast), ("strict", &strict)] {
             assert!(
                 s.throughput <= exact.throughput * (1.0 + 1e-6),
@@ -1468,8 +1548,8 @@ fn backends_agree_on_degraded_views_across_50_seeded_graphs() {
         let rebuilt = CsrNet::from_graph(&view.to_graph());
         for strict in [false, true] {
             let o = opts.with_strict_reference(strict);
-            let v = dctopo::flow::solve(&view, &cs, &o).unwrap();
-            let r = dctopo::flow::solve(&rebuilt, &cs, &o).unwrap();
+            let v = solve_cold(&view, &cs, &o).unwrap();
+            let r = solve_cold(&rebuilt, &cs, &o).unwrap();
             assert_eq!(
                 v.throughput.to_bits(),
                 r.throughput.to_bits(),
@@ -1486,7 +1566,7 @@ fn backends_agree_on_degraded_views_across_50_seeded_graphs() {
                 .num_threads(threads)
                 .build()
                 .unwrap()
-                .install(|| dctopo::flow::solve(&view, &cs, &opts).unwrap())
+                .install(|| solve_cold(&view, &cs, &opts).unwrap())
         };
         for threads in [2usize, 8] {
             let s = solve_at(threads);
@@ -1500,9 +1580,10 @@ fn backends_agree_on_degraded_views_across_50_seeded_graphs() {
 
         // KSP: certificates hold, optimum bounded by exact, cached
         // solves bitwise-equal to cold (one cache, 50 view structures)
-        let cold = max_concurrent_flow_ksp_csr(&view, &cs, 8, &opts).unwrap();
-        let miss = max_concurrent_flow_ksp_cached(&view, &cs, 8, &opts, &cache).unwrap();
-        let hit = max_concurrent_flow_ksp_cached(&view, &cs, 8, &opts, &cache).unwrap();
+        let ksp_opts = opts.with_backend(ksp8);
+        let cold = solve_cold(&view, &cs, &ksp_opts).unwrap();
+        let miss = solve_with_cache(&view, &cs, &ksp_opts, &cache).unwrap();
+        let hit = solve_with_cache(&view, &cs, &ksp_opts, &cache).unwrap();
         for (label, s) in [("miss", &miss), ("hit", &hit)] {
             assert_eq!(
                 cold.throughput.to_bits(),
@@ -1547,7 +1628,7 @@ fn pool_runs_match_single_thread_results() {
             .num_threads(threads)
             .build()
             .unwrap()
-            .install(|| dctopo::flow::solve(&net, &cs, &opts).unwrap())
+            .install(|| solve_cold(&net, &cs, &opts).unwrap())
     };
     let base = solve_at(1);
     for threads in [2, 4, 8] {

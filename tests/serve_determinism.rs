@@ -1,7 +1,7 @@
 //! The serve engine's acceptance pins (the warm==cold equivalence law):
 //!
 //! * **50-seeded differential suite** — every serve response equals a
-//!   cold [`ThroughputEngine::solve_scenario`] on the same scenario:
+//!   cold solve of the same scenario's surviving demand on its view:
 //!   bitwise for λ wherever the cold path is pinned bitwise today
 //!   (first-touch FPTAS, `fptas-strict`, `ksp:K`, `"warm":false`), and
 //!   certified-interval-compatible for warm FPTAS resumes (both
@@ -17,13 +17,26 @@
 
 use std::collections::HashMap;
 
-use dctopo::core::{Degradation, Scenario, ThroughputEngine};
+use dctopo::core::{AppliedScenario, Degradation, Scenario, ThroughputEngine};
+use dctopo::flow::FlowError;
 use dctopo::prelude::*;
 use dctopo::serve::{Drift, Json, QuerySpec, ServeConfig, Server};
 use dctopo::topology::classic::complete;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::ThreadPoolBuilder;
+
+/// `tm` solved cold under the scenario `applied`: its surviving demand
+/// on its view.
+fn scenario_solve(
+    engine: &ThroughputEngine,
+    applied: &AppliedScenario,
+    tm: &TrafficMatrix,
+    opts: &FlowOptions,
+) -> Result<ThroughputResult, FlowError> {
+    let (cs, nic, flows) = engine.scenario_demand(applied, tm);
+    engine.solve_commodities_warm(&applied.net, cs, nic, flows, opts, &[])
+}
 
 fn instance(seed: u64) -> (Topology, TrafficMatrix) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -109,7 +122,7 @@ fn fifty_seeded_instances_match_cold_solves() {
         assert_eq!(responses.len(), batch.len());
         for (i, (sc, o)) in scenarios.iter().zip(&backends).enumerate() {
             let applied = sc.apply(&topo, engine.net()).unwrap();
-            let cold = engine.solve_scenario(&applied, &tm, o).unwrap();
+            let cold = scenario_solve(&engine, &applied, &tm, o).unwrap();
             let (thr, lam, upper, warm) = parse_ok(&responses[i]);
             assert!(!warm, "seed {seed} id {i}: first touch must run cold");
             assert_eq!(
@@ -176,7 +189,7 @@ fn warm_false_is_bitwise_cold_even_with_hot_slots() {
     assert!(!warm);
     let sc = Scenario::new("sw", vec![Degradation::FailSwitches { count: 1, seed: 4 }]);
     let applied = sc.apply(&topo, engine.net()).unwrap();
-    let cold = engine.solve_scenario(&applied, &tm, &opts).unwrap();
+    let cold = scenario_solve(&engine, &applied, &tm, &opts).unwrap();
     assert_eq!(thr.to_bits(), cold.throughput.to_bits());
     assert_eq!(lam.to_bits(), cold.network_lambda.to_bits());
     assert_eq!(upper.to_bits(), cold.network_upper_bound.to_bits());
@@ -194,13 +207,8 @@ fn warm_false_is_bitwise_cold_even_with_hot_slots() {
         backend: Backend::ExactLp,
         ..FlowOptions::fast()
     };
-    let cold = engine5
-        .solve_scenario(
-            &Scenario::baseline().apply(&topo5, engine5.net()).unwrap(),
-            &tm5,
-            &exact_opts,
-        )
-        .unwrap();
+    let baseline = Scenario::baseline().apply(&topo5, engine5.net()).unwrap();
+    let cold = scenario_solve(&engine5, &baseline, &tm5, &exact_opts).unwrap();
     assert_eq!(thr.to_bits(), cold.throughput.to_bits());
     assert_eq!(lam.to_bits(), cold.network_lambda.to_bits());
 }

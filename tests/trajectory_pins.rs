@@ -36,10 +36,9 @@
 use std::fmt::Write as _;
 
 use dctopo::core::solve::{aggregate_commodities, aggregate_groups};
-use dctopo::flow::ksp::max_concurrent_flow_ksp_csr;
 use dctopo::flow::{
-    max_concurrent_flow_csr, max_concurrent_flow_from, solve_grouped, Commodity, DemandGroup,
-    FlowOptions, GroupedFlow, SinkSpec, SolvedFlow,
+    solve_from, solve_grouped, solve_with_cache, Backend, Commodity, DemandGroup, FlowOptions,
+    GroupedFlow, PathSetCache, SinkSpec, SolvedFlow,
 };
 use dctopo::graph::mix::Fnv1a;
 use dctopo::graph::CsrNet;
@@ -121,6 +120,14 @@ fn grouped_row(out: &mut String, name: &str, s: &GroupedFlow) {
     );
 }
 
+/// The KSP rows' backend.
+const KSP4: Backend = Backend::KspRestricted { k: 4 };
+
+/// A cold pairwise solve: `opts`'s backend on a fresh path-set cache.
+fn solve_cold(net: &CsrNet, commodities: &[Commodity], opts: &FlowOptions) -> SolvedFlow {
+    solve_with_cache(net, commodities, opts, &PathSetCache::new()).unwrap()
+}
+
 /// The commodity list as one [`SinkSpec::List`] group per source
 /// (commodities arrive sorted by `(src, dst)`).
 fn list_groups(commodities: &[Commodity]) -> Vec<DemandGroup> {
@@ -180,12 +187,11 @@ fn every_loop_keeps_its_recorded_trajectory() {
         commodities,
     } in &instances
     {
-        let fast = max_concurrent_flow_csr(net, commodities, &opts).unwrap();
+        let fast = solve_cold(net, commodities, &opts);
         pairwise_row(&mut out, &format!("{name} fptas"), &fast);
-        let strict =
-            max_concurrent_flow_csr(net, commodities, &opts.with_strict_reference(true)).unwrap();
+        let strict = solve_cold(net, commodities, &opts.with_strict_reference(true));
         pairwise_row(&mut out, &format!("{name} fptas-strict"), &strict);
-        let ksp = max_concurrent_flow_ksp_csr(net, commodities, 4, &opts).unwrap();
+        let ksp = solve_cold(net, commodities, &opts.with_backend(KSP4));
         pairwise_row(&mut out, &format!("{name} ksp:4"), &ksp);
         let weighted = aggregate_groups(topo, &AggregateTraffic::all_to_all(topo.server_count()));
         let g = solve_grouped(net, &weighted, &opts).unwrap();
@@ -198,7 +204,7 @@ fn every_loop_keeps_its_recorded_trajectory() {
     let Instance {
         net, commodities, ..
     } = &instances[2];
-    let cold = max_concurrent_flow_csr(net, commodities, &opts).unwrap();
+    let cold = solve_cold(net, commodities, &opts);
     let drifted: Vec<Commodity> = commodities
         .iter()
         .enumerate()
@@ -207,7 +213,14 @@ fn every_loop_keeps_its_recorded_trajectory() {
             ..*c
         })
         .collect();
-    let warm = max_concurrent_flow_from(net, &drifted, &opts, &cold.dual_lengths).unwrap();
+    let warm = solve_from(
+        net,
+        &drifted,
+        &opts,
+        &PathSetCache::new(),
+        &cold.dual_lengths,
+    )
+    .unwrap();
     pairwise_row(&mut out, "rrg20x8x4@1.5 fptas-warm", &warm);
 
     // per-commodity recording rides the same trajectories
@@ -215,11 +228,11 @@ fn every_loop_keeps_its_recorded_trajectory() {
     let Instance {
         net, commodities, ..
     } = &instances[0];
-    let s = max_concurrent_flow_csr(net, commodities, &record).unwrap();
+    let s = solve_cold(net, commodities, &record);
     pairwise_row(&mut out, "rrg24x8x5 fptas+record", &s);
-    let s = max_concurrent_flow_csr(net, commodities, &record.with_strict_reference(true)).unwrap();
+    let s = solve_cold(net, commodities, &record.with_strict_reference(true));
     pairwise_row(&mut out, "rrg24x8x5 fptas-strict+record", &s);
-    let s = max_concurrent_flow_ksp_csr(net, commodities, 4, &record).unwrap();
+    let s = solve_cold(net, commodities, &record.with_backend(KSP4));
     pairwise_row(&mut out, "rrg24x8x5 ksp:4+record", &s);
 
     // coarse steps and an unreachable gap: hundreds of phases, lengths
@@ -235,11 +248,11 @@ fn every_loop_keeps_its_recorded_trajectory() {
     let Instance {
         net, commodities, ..
     } = &instances[2];
-    let s = max_concurrent_flow_csr(net, commodities, &long).unwrap();
+    let s = solve_cold(net, commodities, &long);
     pairwise_row(&mut out, "rrg20x8x4@1.5 long fptas", &s);
-    let s = max_concurrent_flow_csr(net, commodities, &long.with_strict_reference(true)).unwrap();
+    let s = solve_cold(net, commodities, &long.with_strict_reference(true));
     pairwise_row(&mut out, "rrg20x8x4@1.5 long fptas-strict", &s);
-    let s = max_concurrent_flow_ksp_csr(net, commodities, 4, &long).unwrap();
+    let s = solve_cold(net, commodities, &long.with_backend(KSP4));
     pairwise_row(&mut out, "rrg20x8x4@1.5 long ksp:4", &s);
     let g = solve_grouped(net, &list_groups(commodities), &long).unwrap();
     grouped_row(&mut out, "rrg20x8x4@1.5 long grouped-list", &g);
