@@ -25,10 +25,11 @@
 //! the whole group advances **proportionally**: each step routes the
 //! same fraction `τ` of every sink's remaining demand, so the only
 //! per-group routing state is a single scalar (`frac_remaining`).
-//! Subtree loads come from one leaf-up Kahn pass over the parent
-//! forest — each node pushes its accumulated demand onto its parent
-//! arc once all its tree children have pushed onto it — which costs
-//! `O(n + arcs)` per step independent of how many sinks the group has:
+//! Subtree loads come from one leaf-up pass over the tree in reverse
+//! settle order ([`DijkstraWorkspace::settled`]), where every child
+//! comes before its parent: each loaded node pushes its accumulated
+//! demand onto its parent arc, which costs `O(n)` per step however
+//! many sinks the group has:
 //!
 //! 1. build the tree under current lengths ([`CsrNet::dijkstra`], at
 //!    every node count and pool width);
@@ -62,10 +63,11 @@
 //!
 //! ## Determinism
 //!
-//! Groups route sequentially in input order; the leaf-up Kahn pass
-//! seeds its ready stack in node-index order, so its visit sequence —
-//! and therefore every float accumulation order — is a pure function
-//! of the parent forest; sink iteration is input order
+//! Groups route sequentially in input order; the leaf-up pass visits
+//! nodes in reverse settle order, which is a pure function of the arc
+//! lengths (heap keys are `(distance, node)` pairs, so no two are
+//! equal and the pop sequence has no ties to break), and so is every
+//! float accumulation order; sink iteration is input order
 //! (`List`) or index order (`Weighted`); every tree is one sequential
 //! heap Dijkstra. The solve touches the worker pool nowhere, so it is
 //! **bit-identical across thread counts and reruns** — `settles`
@@ -326,10 +328,8 @@ fn solve_grouped_observed(
     // ONE shared workspace — the memory story. Groups route
     // sequentially, so warm per-group trees are traded for O(n) state.
     let mut ws = DijkstraWorkspace::default();
-    // leaf-up sweep scratch
+    // leaf-up scratch: per-node demand still to push toward the root
     let mut node_demand = vec![0.0f64; n];
-    let mut child_count = vec![0u32; n];
-    let mut ready: Vec<u32> = Vec::with_capacity(n);
 
     let mut best: Option<GroupedFlow> = None;
     let mut phases = 0usize;
@@ -338,11 +338,11 @@ fn solve_grouped_observed(
         phases += 1;
         let t_phase = obs::clock();
         // per-phase telemetry: routing steps (= trees built) plus
-        // tree-build and Kahn-pass wall time (nd; zero when disabled —
+        // tree-build and leaf-up wall time (nd; zero when disabled —
         // `obs::clock()` never touches the clock then)
         let mut ph_steps = 0u64;
         let mut tree_us = 0u64;
-        let mut kahn_us = 0u64;
+        let mut leafup_us = 0u64;
         // α(l) harvested from each group's first tree of the phase
         let mut alpha_phase = 0.0f64;
 
@@ -384,47 +384,25 @@ fn solve_grouped_observed(
                     alpha_phase += alpha_g;
                 }
 
-                // Leaf-up subtree loads via a Kahn pass over the parent
-                // forest: each node pushes its accumulated demand onto
-                // its parent arc once all its tree children have pushed
-                // onto it, so L(a) = demand below a in O(n + arcs).
-                // Deliberately NOT a decreasing-distance sort: at large
-                // length magnitudes float absorption can make a child's
-                // distance *equal* its parent's, and any dist-ordered
-                // sweep may then visit the parent first and strand the
-                // child's load — silently under-recording arc flow that
-                // `routed_frac` still takes credit for. The parent
-                // pointers themselves are always a well-founded forest.
-                let t_kahn = obs::clock();
-                for c in child_count.iter_mut() {
-                    *c = 0;
-                }
-                for v in 0..n {
-                    if let Some(a) = ws.parent(v) {
-                        child_count[net.arc_tail(a)] += 1;
-                    }
-                }
-                ready.clear();
-                ready.extend((0..n as u32).filter(|&v| {
-                    child_count[v as usize] == 0 && ws.distance(v as usize).is_finite()
-                }));
-                while let Some(vu) = ready.pop() {
-                    let v = vu as usize;
+                // Leaf-up subtree loads: walking the settle order
+                // backwards visits every child before its parent (see
+                // `DijkstraWorkspace::settled`), so each loaded node
+                // pushes its whole subtree's demand onto its parent arc
+                // in one visit: L(a) = demand below a. The root has no
+                // parent and absorbs what reaches it.
+                let t_leafup = obs::clock();
+                for &v in ws.settled().iter().rev() {
+                    let v = v as usize;
                     let load = node_demand[v];
-                    node_demand[v] = 0.0;
-                    // the root absorbs everything pushed up to it
-                    let Some(a) = ws.parent(v) else { continue };
                     if load > 0.0 {
-                        core.load(a, load);
-                        node_demand[net.arc_tail(a)] += load;
-                    }
-                    let t = net.arc_tail(a);
-                    child_count[t] -= 1;
-                    if child_count[t] == 0 {
-                        ready.push(t as u32);
+                        node_demand[v] = 0.0;
+                        if let Some(a) = ws.parent(v) {
+                            core.load(a, load);
+                            node_demand[net.arc_tail(a)] += load;
+                        }
                     }
                 }
-                kahn_us += obs::us_since(t_kahn);
+                leafup_us += obs::us_since(t_leafup);
 
                 let tau = core.step(|_, _, _| {});
                 routed_frac[gi] += tau * frac_remaining;
@@ -459,7 +437,7 @@ fn solve_grouped_observed(
                 .field("dual", core.best_dual())
                 .field("settles", ws.settles())
                 .nd("tree_us", tree_us)
-                .nd("kahn_us", kahn_us)
+                .nd("leafup_us", leafup_us)
                 .nd("wall_us", obs::us_since(t_phase))
                 .emit();
         }

@@ -563,6 +563,7 @@ impl CsrNet {
         let parent_arc = &mut ws.parent_arc[..n];
         let pos = &mut ws.pos[..n];
         let heap = &mut ws.heap;
+        let order = &mut ws.order;
         dist[src] = 0.0;
         heap_insert(heap, pos, pack(0.0, src as u32));
         let mut outstanding = targets.len();
@@ -570,6 +571,7 @@ impl CsrNet {
         while let Some(item) = heap_pop(heap, pos) {
             settles += 1;
             let (d, v) = unpack(item);
+            order.push(v);
             if outstanding > 0 && targets.binary_search(&v).is_ok() {
                 outstanding -= 1;
                 if outstanding == 0 {
@@ -681,6 +683,7 @@ impl CsrNet {
             }
             if ws.affected.len() >= bail_at {
                 self.dijkstra(src, arc_len, ws);
+                ws.order.clear();
                 return;
             }
         }
@@ -903,6 +906,9 @@ pub struct DijkstraWorkspace {
     n: usize,
     /// Cumulative settle (heap pop) counter across runs and repairs.
     settles: u64,
+    /// Nodes in the order the last cold run settled them (see
+    /// [`DijkstraWorkspace::settled`]).
+    order: Vec<u32>,
     /// Generation-stamped affected marker for [`CsrNet::dijkstra_repair`]
     /// (`mark[v] == mark_gen` ⇔ `v` affected by the current repair).
     mark: Vec<u32>,
@@ -939,6 +945,7 @@ impl DijkstraWorkspace {
         self.parent_arc[..n].fill(NO_ARC);
         self.pos[..n].fill(NOT_QUEUED);
         self.heap.clear();
+        self.order.clear();
     }
 
     /// Start a repair pass: bump the affected-marker generation and
@@ -956,6 +963,7 @@ impl DijkstraWorkspace {
             self.mark_gen = 1;
         }
         self.affected.clear();
+        self.order.clear();
     }
 
     /// Cumulative number of settle operations (heap pops) performed by
@@ -996,6 +1004,27 @@ impl DijkstraWorkspace {
     #[inline]
     pub fn distance(&self, v: NodeId) -> f64 {
         self.dist[v]
+    }
+
+    /// The nodes the last [`CsrNet::dijkstra`] (or
+    /// [`CsrNet::dijkstra_targets`]) run settled, in the order it popped
+    /// them: the whole component after a full run, exactly the settled
+    /// ball after an early-terminated one.
+    ///
+    /// Every node's parent-arc tail comes before the node, so walking
+    /// the list backwards visits every child before its parent. This
+    /// holds inside floating-point absorption plateaus too, where a
+    /// child's distance can equal its parent's and a distance-sorted
+    /// sweep would not have the property: a parent arc is written only
+    /// by a relaxation from a tail that has already popped, and a
+    /// popped node is never relaxed again.
+    ///
+    /// Empty after [`CsrNet::dijkstra_repair`] (which re-settles only a
+    /// subtree, and clears the list even when it falls back to a cold
+    /// run) and after [`crate::delta::sssp`].
+    #[inline]
+    pub fn settled(&self) -> &[u32] {
+        &self.order
     }
 
     /// Parent arc of `v` in the shortest-path tree, if any.
