@@ -384,12 +384,9 @@ fn solve_grouped_observed(
                     alpha_phase += alpha_g;
                 }
 
-                // Leaf-up subtree loads: walking the settle order
-                // backwards visits every child before its parent (see
-                // `DijkstraWorkspace::settled`), so each loaded node
-                // pushes its whole subtree's demand onto its parent arc
-                // in one visit: L(a) = demand below a. The root has no
-                // parent and absorbs what reaches it.
+                // leaf-up: reverse settle order visits every child
+                // before its parent, so each loaded node pushes its whole
+                // subtree's demand onto its parent arc, L(a), in one visit
                 let t_leafup = obs::clock();
                 for &v in ws.settled().iter().rev() {
                     let v = v as usize;
@@ -596,6 +593,39 @@ mod tests {
         assert_eq!(s.group_rate_factor.len(), 1);
         assert!((s.group_rate_factor[0] - s.throughput).abs() < 1e-12);
         assert!(s.settles > 0);
+    }
+
+    /// Absorption plateaus: every second hop is 2^60 times wider than
+    /// the first, so its length `1/c` vanishes beside the first hop's
+    /// and each child sits at its parent's distance bits (one plateau
+    /// per tie order: child id below and above the parent's). With
+    /// sinks at both ends the leaf-up pass must still carry the child's
+    /// load through the parent; a distance-sorted sweep strands it and
+    /// the certificate fails on conservation.
+    #[test]
+    fn plateau_children_push_their_load_through_the_parent() {
+        let mut g = Graph::new(5);
+        g.add_edge(0, 2, 1.0).unwrap();
+        g.add_edge(2, 1, 2f64.powi(60)).unwrap();
+        g.add_edge(0, 3, 1.0).unwrap();
+        g.add_edge(3, 4, 2f64.powi(60)).unwrap();
+        let net = CsrNet::from_graph(&g);
+        let groups = [DemandGroup {
+            src: 0,
+            sinks: SinkSpec::List(vec![(1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)]),
+        }];
+        let mut ws = DijkstraWorkspace::default();
+        net.dijkstra(0, net.inv_capacities(), &mut ws);
+        assert_eq!(ws.distance(1), ws.distance(2));
+        assert_eq!(ws.distance(4), ws.distance(3));
+        let s = solve_grouped(&net, &groups, &opts()).unwrap();
+        s.certify(&net, &groups).unwrap();
+        // each first hop carries two sinks' demand: λ* = 1/2
+        assert!(
+            s.throughput > 0.49 && s.throughput <= 0.5,
+            "λ = {}",
+            s.throughput
+        );
     }
 
     #[test]

@@ -906,8 +906,7 @@ pub struct DijkstraWorkspace {
     n: usize,
     /// Cumulative settle (heap pop) counter across runs and repairs.
     settles: u64,
-    /// Nodes in the order the last cold run settled them (see
-    /// [`DijkstraWorkspace::settled`]).
+    /// Nodes in the order the last cold run settled them.
     order: Vec<u32>,
     /// Generation-stamped affected marker for [`CsrNet::dijkstra_repair`]
     /// (`mark[v] == mark_gen` ⇔ `v` affected by the current repair).
@@ -1006,22 +1005,15 @@ impl DijkstraWorkspace {
         self.dist[v]
     }
 
-    /// The nodes the last [`CsrNet::dijkstra`] (or
-    /// [`CsrNet::dijkstra_targets`]) run settled, in the order it popped
-    /// them: the whole component after a full run, exactly the settled
-    /// ball after an early-terminated one.
-    ///
-    /// Every node's parent-arc tail comes before the node, so walking
-    /// the list backwards visits every child before its parent. This
-    /// holds inside floating-point absorption plateaus too, where a
-    /// child's distance can equal its parent's and a distance-sorted
-    /// sweep would not have the property: a parent arc is written only
-    /// by a relaxation from a tail that has already popped, and a
-    /// popped node is never relaxed again.
-    ///
-    /// Empty after [`CsrNet::dijkstra_repair`] (which re-settles only a
-    /// subtree, and clears the list even when it falls back to a cold
-    /// run) and after [`crate::delta::sssp`].
+    /// The nodes the last cold run ([`CsrNet::dijkstra_targets`])
+    /// settled, in pop order: the whole component, or exactly the
+    /// settled ball after an early exit. A node's parent tail always
+    /// comes first — inside float-absorption plateaus too, where a
+    /// child's distance can equal its parent's and a distance sort
+    /// loses the property — because a parent arc is written only by a
+    /// relaxation from a popped tail and a popped node is never relaxed
+    /// again. Empty after [`CsrNet::dijkstra_repair`] (even when it
+    /// falls back to a cold run) and after [`crate::delta::sssp`].
     #[inline]
     pub fn settled(&self) -> &[u32] {
         &self.order
@@ -1414,6 +1406,107 @@ mod tests {
         assert_eq!(ws.distance(3), 3.0);
         assert_eq!(ws.distance(197), 3.0);
         assert!(ws.walk_path(&net, 197, |a| assert!(net.arc_head(a) >= 197)));
+    }
+
+    /// `settled()` after a full run is a permutation of the reachable
+    /// nodes in which every node's parent tail comes first.
+    fn assert_settle_order(net: &CsrNet, src: usize, ws: &DijkstraWorkspace) {
+        let mut rank = vec![usize::MAX; net.node_count()];
+        for (i, &v) in ws.settled().iter().enumerate() {
+            assert_eq!(rank[v as usize], usize::MAX, "node {v} settled twice");
+            rank[v as usize] = i;
+        }
+        for v in 0..net.node_count() {
+            let reachable = ws.distance(v).is_finite();
+            assert_eq!(rank[v] != usize::MAX, reachable, "node {v} from {src}");
+            if let Some(a) = ws.parent(v) {
+                let tail = net.arc_tail(a);
+                assert!(rank[tail] < rank[v], "parent {tail} after child {v}");
+            }
+        }
+        assert_eq!(ws.settled().first(), Some(&(src as u32)));
+    }
+
+    /// Two absorption plateaus, one per tie order: `0 -> 2 -> 1` and
+    /// `0 -> 3 -> 4`, each second hop 2^60 times shorter than the first,
+    /// so both children sit at their parent's distance bits; node 5 is
+    /// unreachable.
+    fn plateau_net() -> (CsrNet, Vec<f64>) {
+        let mut g = Graph::new(6);
+        let tiny = 2f64.powi(-60);
+        for (u, v) in [(0, 2), (2, 1), (0, 3), (3, 4)] {
+            g.add_unit_edge(u, v).unwrap();
+        }
+        let net = CsrNet::from_graph(&g);
+        let lens = (0..net.arc_count())
+            .map(|a| match (net.arc_tail(a), net.arc_head(a)) {
+                (2, 1) | (1, 2) | (3, 4) | (4, 3) => tiny,
+                _ => 1.0,
+            })
+            .collect();
+        (net, lens)
+    }
+
+    #[test]
+    fn settle_order_puts_every_parent_first() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut ws = DijkstraWorkspace::default();
+        for seed in 0..30u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(5..24);
+            let mut g = Graph::new(n);
+            // a path plus random chords, with an unreachable tail node
+            for v in 0..n - 2 {
+                g.add_unit_edge(v, v + 1).unwrap();
+            }
+            for _ in 0..rng.random_range(0..2 * n) {
+                let (u, v) = (rng.random_range(0..n - 1), rng.random_range(0..n - 1));
+                if u != v {
+                    g.add_unit_edge(u, v).unwrap();
+                }
+            }
+            let net = CsrNet::from_graph(&g);
+            let lens: Vec<f64> = (0..net.arc_count())
+                .map(|_| rng.random_range(0.01..5.0))
+                .collect();
+            let src = rng.random_range(0..n - 1);
+            net.dijkstra(src, &lens, &mut ws);
+            assert_settle_order(&net, src, &ws);
+        }
+
+        let (net, lens) = plateau_net();
+        net.dijkstra(0, &lens, &mut ws);
+        assert_eq!(ws.distance(1), ws.distance(2), "a plateau");
+        assert_eq!(ws.distance(4), ws.distance(3), "a plateau");
+        assert_settle_order(&net, 0, &ws);
+        assert_eq!(ws.settled(), [0, 2, 1, 3, 4]);
+    }
+
+    #[test]
+    fn settle_order_lists_an_early_exit_ball_and_clears_on_repair() {
+        let g = ring_with_chords(200, &[]);
+        let net = CsrNet::from_graph(&g);
+        let mut lens = vec![1.0; net.arc_count()];
+        let mut ws = DijkstraWorkspace::new(200);
+        net.dijkstra_targets(0, &lens, &[3, 197], &mut ws);
+        assert_eq!(ws.settled(), [0, 1, 199, 2, 198, 3, 197]);
+        assert_eq!(ws.settled().len() as u64, ws.settles());
+
+        // a repair that re-settles a subtree, and one that falls back to
+        // a cold run, both leave the list empty
+        net.dijkstra(0, &lens, &mut ws);
+        assert_eq!(ws.settled().len(), 200);
+        let a = net.arc_between(0, 1).unwrap();
+        lens[a] = 2.0;
+        net.dijkstra_repair(0, &lens, &[a as u32], &mut ws);
+        assert!(ws.settled().is_empty());
+        net.dijkstra(0, &lens, &mut ws);
+        let all: Vec<u32> = (0..net.arc_count() as u32).collect();
+        lens.iter_mut().for_each(|l| *l *= 3.0);
+        net.dijkstra_repair(0, &lens, &all, &mut ws);
+        assert!(ws.settled().is_empty());
+        assert_matches_cold(&net, 0, &lens, &ws);
     }
 
     /// The indexed heap against a `BTreeSet` model: inserts, in-place
