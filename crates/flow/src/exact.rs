@@ -60,6 +60,12 @@ pub fn exact_solved_flow(
              limit {MAX_TABLEAU_CELLS} cells); use the FPTAS"
         )));
     }
+    // demands in units of the largest, rounded down to a power of two
+    // (exact, and 1 for unit demands), so the simplex's absolute
+    // tolerance sees λ at the capacities' scale: a demand of 1e9 on unit
+    // capacities lost λ = 2e-9 to it and returned an over-capacity flow
+    let max_demand = commodities.iter().map(|c| c.demand).fold(0.0, f64::max);
+    let unit = 2f64.powi(max_demand.log2().floor() as i32);
     let lambda = k * m; // index of λ
     let mut lp = LinearProgram::new(num_vars);
     lp.set_objective(lambda, 1.0);
@@ -79,9 +85,9 @@ pub fn exact_solved_flow(
                 coeffs.push((var(j, a ^ 1), -1.0));
             }
             if v == c.src {
-                coeffs.push((lambda, -c.demand));
+                coeffs.push((lambda, -c.demand / unit));
             } else if v == c.dst {
-                coeffs.push((lambda, c.demand));
+                coeffs.push((lambda, c.demand / unit));
             }
             lp.add_eq(coeffs, 0.0);
         }
@@ -97,7 +103,7 @@ pub fn exact_solved_flow(
         .map_err(|e| FlowError::BadOptions(format!("LP solver failed: {e}")))?
     {
         LpOutcome::Optimal(s) => {
-            let throughput = s.objective;
+            let throughput = s.objective / unit;
             let mut arc_flow = vec![0.0f64; m];
             for j in 0..k {
                 for (a, f) in arc_flow.iter_mut().enumerate() {

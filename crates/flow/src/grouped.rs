@@ -83,7 +83,9 @@ use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 
 use crate::gk::{Cong, Core};
-use crate::{node_in_range, validate_opts, validate_pair, Backend, FlowError, FlowOptions};
+use crate::{
+    demand_in_range, node_in_range, validate_opts, validate_pair, Backend, FlowError, FlowOptions,
+};
 
 /// The sinks of one [`DemandGroup`].
 #[derive(Debug, Clone)]
@@ -254,18 +256,12 @@ fn validate_grouped(
                     validate_pair(node_count, gi, g.src, dst, d)?;
                 }
             }
-            SinkSpec::Weighted { weights, scale } => {
+            SinkSpec::Weighted { weights, .. } => {
                 if weights.len() != node_count {
                     return Err(FlowError::BadOptions(format!(
                         "group {gi}: weight vector has {} entries, net has {node_count} nodes",
                         weights.len()
                     )));
-                }
-                if !(scale.is_finite() && *scale > 0.0) {
-                    return Err(FlowError::BadDemand {
-                        index: gi,
-                        demand: *scale,
-                    });
                 }
                 if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
                     return Err(FlowError::BadOptions(format!(
@@ -274,11 +270,18 @@ fn validate_grouped(
                 }
             }
         }
-        if g.sink_count() == 0 {
-            return Err(FlowError::BadDemand {
-                index: gi,
-                demand: 0.0,
-            });
+        // every sink's demand (a weighted one's `scale · w`, which also
+        // refuses a bad `scale`) and the group's total lie in
+        // [MIN_DEMAND, MAX_DEMAND]; no sinks is a total of zero
+        let (mut total, mut out_of_range) = (0.0f64, None);
+        g.for_each_sink(|_, d| {
+            total += d;
+            if !demand_in_range(d) {
+                out_of_range = out_of_range.or(Some(d));
+            }
+        });
+        if let Some(demand) = out_of_range.or((!demand_in_range(total)).then_some(total)) {
+            return Err(FlowError::BadDemand { index: gi, demand });
         }
     }
     Ok(())

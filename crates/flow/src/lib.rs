@@ -345,9 +345,11 @@ pub(crate) fn debug_certify(checked: impl FnOnce() -> Result<Option<f64>, Violat
 pub enum FlowError {
     /// No commodities were supplied.
     NoCommodities,
-    /// A commodity has a non-positive or non-finite demand.
+    /// A demand outside `[MIN_DEMAND, MAX_DEMAND]`: a commodity's, a
+    /// sink's, or a demand group's total.
     BadDemand {
-        /// Index of the offending commodity in the input slice.
+        /// Index of the offending commodity (or demand group) in the
+        /// input slice.
         index: usize,
         /// The invalid demand value.
         demand: f64,
@@ -375,7 +377,10 @@ impl fmt::Display for FlowError {
         match self {
             FlowError::NoCommodities => write!(f, "no commodities supplied"),
             FlowError::BadDemand { index, demand } => {
-                write!(f, "commodity {index} has invalid demand {demand}")
+                write!(
+                    f,
+                    "commodity {index} has demand {demand} outside [{MIN_DEMAND:e}, {MAX_DEMAND:e}]"
+                )
             }
             FlowError::SelfCommodity { index } => {
                 write!(f, "commodity {index} has src == dst")
@@ -414,8 +419,29 @@ pub(crate) fn validate(
     Ok(())
 }
 
+/// The smallest demand a solve accepts. The routing loops stop charging
+/// a remainder at an absolute `1e-12`, so a demand of at least `1e-6`
+/// loses at most a millionth of itself to that residue. (Smaller ones
+/// went unrouted, λ = 0, or, subnormal, overflowed `1/demand` to λ = ∞.)
+pub const MIN_DEMAND: f64 = 1e-6;
+
+/// The largest demand a solve accepts, per commodity or sink and per
+/// [`DemandGroup`] total. A sum of under 2^32 of them stays below 1e25,
+/// so no step load, group total or routed sum overflows (two `1e308`
+/// demands summed to ∞ and read as an unreachable sink or a bound of
+/// 0), and α weights them by path lengths the `1e100` rescale keeps far
+/// from `f64::MAX`. λ, about capacity over demand, then stays a finite
+/// normal float for every capacity within `1e±280`.
+pub const MAX_DEMAND: f64 = 1e15;
+
+/// `demand` lies in `[MIN_DEMAND, MAX_DEMAND]` (`NaN` does not).
+pub(crate) fn demand_in_range(demand: f64) -> bool {
+    (MIN_DEMAND..=MAX_DEMAND).contains(&demand)
+}
+
 /// Validate one `(src, dst, demand)` triple — commodity `index` of a
-/// pairwise solve, or a listed sink of demand group `index`.
+/// pairwise solve, or a listed sink of demand group `index`. The demand
+/// must lie in `[MIN_DEMAND, MAX_DEMAND]`.
 pub(crate) fn validate_pair(
     node_count: usize,
     index: usize,
@@ -423,7 +449,7 @@ pub(crate) fn validate_pair(
     dst: NodeId,
     demand: f64,
 ) -> Result<(), FlowError> {
-    if !(demand.is_finite() && demand > 0.0) {
+    if !demand_in_range(demand) {
         return Err(FlowError::BadDemand { index, demand });
     }
     if src == dst {

@@ -4,7 +4,10 @@
 use dctopo::core::packet::PacketParams;
 use dctopo::core::solve::surviving_traffic;
 use dctopo::core::{solve_throughput, AppliedScenario, Degradation, Scenario, ThroughputResult};
-use dctopo::flow::{solve_with_cache, Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow};
+use dctopo::flow::{
+    solve_grouped, solve_with_cache, Backend, Commodity, DemandGroup, FlowError, FlowOptions,
+    PathSetCache, SinkSpec, SolvedFlow, MAX_DEMAND, MIN_DEMAND,
+};
 use dctopo::graph::{CsrNet, Graph, GraphError};
 use dctopo::packetsim::{simulate, FlowSpec, PathSpec, SimConfig, SimError};
 use dctopo::prelude::*;
@@ -285,6 +288,125 @@ fn vl2_parameter_validation() {
         tors: Some(10_000)
     })
     .is_err());
+}
+
+/// The four pairwise solves: fast and strict FPTAS, `ksp:2`, the LP.
+fn every_backend() -> [FlowOptions; 4] {
+    let o = FlowOptions::default();
+    [
+        o,
+        o.with_strict_reference(true),
+        o.with_backend(Backend::KspRestricted { k: 2 }),
+        o.with_backend(Backend::ExactLp),
+    ]
+}
+
+/// Demands at the edges of the `f64` range are refused as `BadDemand`
+/// on every backend and by `solve_grouped`, before any arithmetic: two
+/// `1e308` demands summed to ∞ (an unreachable sink on a connected
+/// ring, a bound of ∞ on `ksp:2`, a false `λ* ≤ 0` from the LP), a
+/// weighted `scale · w` of `1e400` did the same after passing
+/// validation, and a subnormal demand certified λ = ∞. A demand at
+/// each limit solves and its certificate checks out.
+#[test]
+fn demands_outside_the_range_are_refused_and_the_limits_solve() {
+    let mut g = Graph::new(4);
+    for v in 0..4 {
+        g.add_unit_edge(v, (v + 1) % 4).unwrap();
+    }
+    let net = CsrNet::from_graph(&g);
+    let pair = |dst, demand| Commodity {
+        src: 0,
+        dst,
+        demand,
+    };
+    let list = |sinks: Vec<(usize, f64)>| {
+        [DemandGroup {
+            src: 0,
+            sinks: SinkSpec::List(sinks),
+        }]
+    };
+    let weighted = |scale| {
+        [DemandGroup::weighted(
+            0,
+            std::sync::Arc::new(vec![0.0, 0.0, 1e200, 0.0]),
+            scale,
+        )]
+    };
+    let refused = |r: Result<_, FlowError>, what: &str| {
+        assert!(
+            matches!(r, Err(FlowError::BadDemand { index: 0, .. })),
+            "{what}: {r:?}"
+        );
+    };
+    let o = FlowOptions::default();
+
+    for (what, cs) in [
+        ("two 1e308 demands", vec![pair(1, 1e308), pair(2, 1e308)]),
+        ("a subnormal demand", vec![pair(2, 1e-310)]),
+        ("just above the cap", vec![pair(2, MAX_DEMAND.next_up())]),
+        (
+            "just below the floor",
+            vec![pair(2, MIN_DEMAND.next_down())],
+        ),
+    ] {
+        for opts in every_backend() {
+            let r = solve_cold(&net, &cs, &opts).map(|s| s.throughput);
+            refused(r, &format!("{what} on {:?}", opts.backend));
+        }
+        let sinks = cs.iter().map(|c| (c.dst, c.demand)).collect();
+        refused(
+            solve_grouped(&net, &list(sinks), &o).map(|s| s.throughput),
+            what,
+        );
+    }
+    refused(
+        solve_grouped(&net, &weighted(1e200), &o).map(|s| s.throughput),
+        "scale 1e200 × weight 1e200",
+    );
+    // every sink in range, the group's total one above the cap
+    let over = list(vec![(1, MAX_DEMAND / 2.0), (2, MAX_DEMAND / 2.0), (3, 1.0)]);
+    refused(
+        solve_grouped(&net, &over, &o).map(|s| s.throughput),
+        "total",
+    );
+
+    // at each limit: a certified solve, λ ≈ 2 / demand (two disjoint
+    // unit paths from 0 to 2)
+    for demand in [MIN_DEMAND, MAX_DEMAND] {
+        let cs = [pair(2, demand)];
+        for opts in every_backend() {
+            let cache = PathSetCache::new();
+            let s = solve_with_cache(&net, &cs, &opts, &cache).unwrap();
+            let paths = match opts.backend {
+                Backend::KspRestricted { k } => Some(cache.freeze(&net, &cs, k).unwrap()),
+                _ => None,
+            };
+            let what = format!("{demand} on {:?}", opts.backend);
+            s.certify(&net, &cs, paths.as_deref())
+                .unwrap_or_else(|v| panic!("{what}: {v}"));
+            let ratio = s.throughput * demand / 2.0;
+            assert!(
+                ratio > 0.9 && ratio <= 1.0 + 1e-9,
+                "{what}: λ = {}",
+                s.throughput
+            );
+        }
+        for groups in [list(vec![(2, demand)]), weighted(demand / 1e200)] {
+            let s = solve_grouped(&net, &groups, &o).unwrap();
+            s.certify(&net, &groups)
+                .unwrap_or_else(|v| panic!("grouped {demand}: {v}"));
+            let ratio = s.throughput * demand / 2.0;
+            assert!(
+                ratio > 0.9 && ratio <= 1.0 + 1e-9,
+                "grouped {demand}: λ = {}",
+                s.throughput
+            );
+        }
+    }
+    let full = list(vec![(1, MAX_DEMAND / 2.0), (2, MAX_DEMAND / 2.0)]);
+    let s = solve_grouped(&net, &full, &o).unwrap();
+    s.certify(&net, &full).unwrap();
 }
 
 #[test]
