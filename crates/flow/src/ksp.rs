@@ -33,6 +33,13 @@ use crate::cache::{FrozenPathSet, PathSetCache};
 use crate::gk::{Cong, Core, Pairwise, Stop};
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
+/// The largest `k` a solve accepts. Freezing cost grows about fourfold
+/// per doubling of `k`: `{"backend":"ksp:K"}` to `topobench serve rrg
+/// --switches 32 --ports 10 --degree 6 --threads 1` (release, one core
+/// of a 2-core Intel Xeon) took 0.09 / 0.28 / 0.93 / 3.8 / 13.6 s for
+/// K = 128 … 2,048, and K = 4,096 stalled the server past 30 s.
+pub(crate) const MAX_KSP_K: usize = 256;
+
 /// Solve max concurrent flow where commodity `j` may only use its `k`
 /// shortest (by hop count) simple paths, frozen through `cache`;
 /// `throughput` ≤ the unrestricted optimum by construction. Stopped as
@@ -51,8 +58,10 @@ pub(crate) fn solve_ksp(
     floor: Option<f64>,
 ) -> Result<SolvedFlow, FlowError> {
     validate(net.node_count(), commodities, opts)?;
-    if k == 0 {
-        return Err(FlowError::BadOptions("k must be at least 1".into()));
+    if !(1..=MAX_KSP_K).contains(&k) {
+        return Err(FlowError::BadOptions(format!(
+            "ksp:{k} is outside k = 1..={MAX_KSP_K} paths per pair"
+        )));
     }
     let t_solve = obs::clock();
     let paths = cache.freeze(net, commodities, k)?;
@@ -405,6 +414,23 @@ mod tests {
         }
         // only the two surviving disjoint routes remain: λ ≈ 2
         assert!((a.throughput - 2.0).abs() < 0.08, "λ = {}", a.throughput);
+    }
+
+    #[test]
+    fn k_is_capped_and_the_refusal_names_both() {
+        let mut g = Graph::new(4);
+        for v in 0..4 {
+            g.add_unit_edge(v, (v + 1) % 4).unwrap();
+        }
+        let cs = [Commodity::unit(0, 2)];
+        // a 4-ring has two simple paths per pair: the cap is on k, not
+        // on what Yen finds
+        let s = ksp(&g, &cs, MAX_KSP_K, &opts()).unwrap();
+        assert!((s.throughput - 2.0).abs() < 0.08, "λ = {}", s.throughput);
+        let Err(FlowError::BadOptions(m)) = ksp(&g, &cs, MAX_KSP_K + 1, &opts()) else {
+            panic!("k above the cap was accepted");
+        };
+        assert!(m.contains("ksp:257") && m.contains("256"), "{m}");
     }
 
     #[test]

@@ -191,6 +191,49 @@ fn an_oversized_exact_query_is_refused_promptly() {
     );
 }
 
+/// A `ksp:K` request past the solver's cap on K gets a `solver` error
+/// record at once (K = 4,096 used to stall the server for minutes
+/// freezing path sets), and the next line is answered normally.
+#[test]
+fn an_oversized_ksp_query_is_refused_promptly() {
+    let fabric = [
+        "rrg",
+        "--switches",
+        "32",
+        "--ports",
+        "10",
+        "--degree",
+        "6",
+        "--threads",
+        "1",
+    ];
+    let input = b"{\"id\":1,\"backend\":\"ksp:100000\"}\n{\"id\":2,\"backend\":\"ksp:2\"}\n";
+    let start = std::time::Instant::now();
+    let (lines, stderr, ok) = serve_on(&fabric, input);
+    let elapsed = start.elapsed();
+    assert!(ok, "{stderr}");
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    let refused = Json::parse(&lines[0]).unwrap();
+    assert_eq!(refused.get("id").and_then(Json::as_u64), Some(1));
+    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+    let err = refused.get("error").unwrap();
+    assert_eq!(err.get("kind").and_then(Json::as_str), Some("solver"));
+    let message = err.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("ksp:100000"), "{message}");
+    let answered = Json::parse(&lines[1]).unwrap();
+    assert_eq!(answered.get("id").and_then(Json::as_u64), Some(2));
+    assert_eq!(
+        answered.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{}",
+        lines[1]
+    );
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "both answers took {elapsed:?}"
+    );
+}
+
 #[test]
 fn malformed_requests_get_typed_error_records_and_the_server_survives() {
     let input = b"\
