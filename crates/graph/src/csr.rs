@@ -944,7 +944,9 @@ impl DijkstraWorkspace {
         self.parent_arc[..n].fill(NO_ARC);
         self.pos[..n].fill(NOT_QUEUED);
         self.heap.clear();
+        // sized once, so no pop of a run pays for the list's growth
         self.order.clear();
+        self.order.reserve(n);
     }
 
     /// Start a repair pass: bump the affected-marker generation and
