@@ -421,8 +421,8 @@ pub(crate) fn validate(
 
 /// The smallest demand a solve accepts. The routing loops stop charging
 /// a remainder at an absolute `1e-12`, so a demand of at least `1e-6`
-/// loses at most a millionth of itself to that residue. (Smaller ones
-/// went unrouted, λ = 0, or, subnormal, overflowed `1/demand` to λ = ∞.)
+/// loses at most a millionth of itself to that residue. (A subnormal
+/// demand certified λ = ∞.)
 pub const MIN_DEMAND: f64 = 1e-6;
 
 /// The largest demand a solve accepts, per commodity or sink and per
