@@ -458,29 +458,22 @@ fn solve_grouped_observed(
         }
     }
 
-    // Final exact certificate: one SSSP per group at the terminal
+    // Final exact certificate: one tree per root at the terminal
     // lengths evaluates α(l) and D(l) at the SAME l, which bounds λ*
     // for any positive length function by LP duality. The in-loop
     // mixed-age bound loosens as lengths grow within a phase; the
     // terminal lengths are the most congestion-aware of the run and
     // this single extra harvest usually tightens the interval by an
-    // order of magnitude for O(groups) SSSPs total.
+    // order of magnitude for O(min(groups, sinks)) trees total.
     let t_harvest = obs::clock();
-    let mut alpha_final = 0.0f64;
-    for g in groups {
-        net.dijkstra(g.src, core.length(), &mut ws);
-        g.for_each_sink(|dst, d| {
-            let dist = ws.distance(dst);
-            if dist.is_finite() {
-                alpha_final += d * dist;
-            }
-        });
-    }
+    let harvest = harvest_alpha(net, groups, core.length(), &mut ws);
     let d_final = core.d_l();
-    let final_bound = core.note_dual(d_final, alpha_final, None);
+    let final_bound = core.note_dual(d_final, harvest.alpha, None);
     if obs::enabled() {
         obs::Event::new("grouped_harvest")
-            .field("alpha", alpha_final)
+            .field("side", harvest.side.name())
+            .field("trees", harvest.trees)
+            .field("alpha", harvest.alpha)
             .field("d_l", d_final)
             .field("bound", final_bound)
             .nd("wall_us", obs::us_since(t_harvest))
@@ -503,6 +496,116 @@ fn solve_grouped_observed(
     }
     crate::debug_certify(|| sol.certify(net, groups));
     Ok(sol)
+}
+
+/// The roots the final harvest grew its trees from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    /// One forward tree per group, from its source.
+    Sources,
+    /// One tree per distinct sink, over reversed lengths.
+    Sinks,
+}
+
+impl Side {
+    fn name(self) -> &'static str {
+        match self {
+            Side::Sources => "sources",
+            Side::Sinks => "sinks",
+        }
+    }
+}
+
+/// What the final harvest read: `α(l)` and the trees it cost.
+#[derive(Debug, Clone, Copy)]
+struct Harvest {
+    alpha: f64,
+    side: Side,
+    trees: usize,
+}
+
+/// `α(l) = Σ d · dist_l(src, dst)` over every sink of every group, from
+/// one tree per root on whichever side has fewer: the groups' sources,
+/// or the distinct sinks (a tie keeps the sources). A sink's tree runs
+/// over reversed lengths `len[a ^ 1]`, so its distance to `src` is
+/// `dist_l(src, sink)`; the sink side sums sink-major, reading a
+/// [`SinkSpec::Weighted`] group's demand as `scale · weights[sink]` and
+/// the [`SinkSpec::List`] pairs through one index sorted by sink.
+fn harvest_alpha(
+    net: &CsrNet,
+    groups: &[DemandGroup],
+    len: &[f64],
+    ws: &mut DijkstraWorkspace,
+) -> Harvest {
+    // the distinct sinks, counted only until they tie the groups
+    let mut is_sink = vec![false; net.node_count()];
+    let mut sinks = 0usize;
+    for g in groups {
+        if sinks >= groups.len() {
+            break;
+        }
+        g.for_each_sink(|dst, _| {
+            sinks += usize::from(!is_sink[dst]);
+            is_sink[dst] = true;
+        });
+    }
+    let mut alpha = 0.0f64;
+    let mut add = |dist: f64, d: f64| {
+        if dist.is_finite() {
+            alpha += d * dist;
+        }
+    };
+    if sinks >= groups.len() {
+        for g in groups {
+            net.dijkstra(g.src, len, ws);
+            g.for_each_sink(|dst, d| add(ws.distance(dst), d));
+        }
+        return Harvest {
+            alpha,
+            side: Side::Sources,
+            trees: groups.len(),
+        };
+    }
+
+    // the model is undirected: an arc is live exactly when its reverse
+    // is, so the reversed lengths walk the same adjacency
+    let rev: Vec<f64> = (0..len.len())
+        .map(|a| {
+            debug_assert!(
+                net.is_live(a) == net.is_live(a ^ 1) && net.capacity(a) == net.capacity(a ^ 1),
+                "arc {a} and its reverse differ"
+            );
+            len[a ^ 1]
+        })
+        .collect();
+    // every List pair as (sink, source, demand); the stable sort keeps
+    // input order among one sink's pairs
+    let mut listed: Vec<(NodeId, NodeId, f64)> = Vec::new();
+    for g in groups {
+        if let SinkSpec::List(pairs) = &g.sinks {
+            listed.extend(pairs.iter().map(|&(dst, d)| (dst, g.src, d)));
+        }
+    }
+    listed.sort_by_key(|&(dst, _, _)| dst);
+    let mut listed = listed.into_iter().peekable();
+    for t in (0..is_sink.len()).filter(|&t| is_sink[t]) {
+        net.dijkstra(t, &rev, ws);
+        for g in groups {
+            if let SinkSpec::Weighted { weights, scale } = &g.sinks {
+                if g.src != t && weights[t] > 0.0 {
+                    add(ws.distance(g.src), scale * weights[t]);
+                }
+            }
+        }
+        while let Some((_, src, d)) = listed.next_if(|&(dst, _, _)| dst == t) {
+            add(ws.distance(src), d);
+        }
+    }
+    Harvest {
+        alpha,
+        side: Side::Sinks,
+        trees: sinks,
+    }
 }
 
 #[cfg(test)]
