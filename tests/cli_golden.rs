@@ -129,6 +129,10 @@ fn figures_match_the_goldens_at_every_width() {
 /// compared as bits. Only `settles` was re-pinned by that swap
 /// (7,505,184 bucket expansions became 3,446,272 heap pops, 512 per
 /// tree), so this is the proof the kernel swap moved no certificate.
+/// The final harvest then moved to the sinks' side (8 reverse trees in
+/// place of 504 forward ones): the twelve `phase` lines and λ stayed,
+/// settles fell to 3,192,320, and only the last bits of the harvest's
+/// α, its bound and `upper_bound` were re-pinned.
 #[test]
 fn aggregate_profile_trace_matches_the_pre_swap_trajectory() {
     let path = format!("{}/profile_agg_trace.jsonl", env!("CARGO_TARGET_TMPDIR"));
