@@ -55,11 +55,16 @@
 //! phase-end lengths, hence `D(l_end)/α_harvest ≥ D(l_end)/α(l_end) ≥
 //! λ*`: still a valid (slightly looser) certificate. Rescaling runs
 //! *after* the bound is taken so the growth argument is never violated.
-//! After the phase loop a **final exact harvest** — one SSSP per group
-//! at the terminal lengths — evaluates `D(l)` and `α(l)` at the *same*
-//! `l` (a valid bound for any positive length function by LP duality)
-//! and usually tightens the interval by an order of magnitude for
-//! `O(groups)` extra SSSPs total.
+//! After the phase loop a **final exact harvest** at the terminal
+//! lengths evaluates `D(l)` and `α(l)` at the *same* `l` (a valid bound
+//! for any positive length function by LP duality) and usually tightens
+//! the interval by an order of magnitude. It grows its trees from
+//! whichever side has fewer roots: one per group from its source, or
+//! one per distinct sink over the reversed lengths `len[a ^ 1]` — the
+//! model is undirected, so an arc is live exactly when its reverse is,
+//! and a sink's tree holds `dist_l(src, sink)` for every source. A tie
+//! keeps the sources, so all-to-all demand builds `groups` trees and
+//! hot-spot demand one per hot switch.
 //!
 //! ## Determinism
 //!
@@ -306,16 +311,17 @@ pub fn solve_grouped(
     groups: &[DemandGroup],
     opts: &FlowOptions,
 ) -> Result<GroupedFlow, FlowError> {
-    solve_grouped_observed(net, groups, opts, |_| {})
+    solve_grouped_observed(net, groups, opts, |_, _| {})
 }
 
-/// [`solve_grouped`], showing `phase_lengths` the arc lengths each
-/// phase ends on (tests compare shortest-path kernels on them).
+/// [`solve_grouped`], showing `phase_end` the arc lengths each phase
+/// ends on and the settles so far (tests compare shortest-path kernels
+/// on the lengths and split the harvest's settles from the phases').
 fn solve_grouped_observed(
     net: &CsrNet,
     groups: &[DemandGroup],
     opts: &FlowOptions,
-    mut phase_lengths: impl FnMut(&[f64]),
+    mut phase_end: impl FnMut(&[f64], u64),
 ) -> Result<GroupedFlow, FlowError> {
     validate_grouped(net.node_count(), groups, opts)?;
 
@@ -419,7 +425,7 @@ fn solve_grouped_observed(
         let d_l = core.d_l();
         core.note_dual(d_l, alpha_phase, None);
         core.rescale();
-        phase_lengths(core.length());
+        phase_end(core.length(), ws.settles());
 
         // certified primal: scale by worst congestion
         let mu = core.congestion();
@@ -480,6 +486,7 @@ fn solve_grouped_observed(
             .emit();
     }
 
+    // `validate_opts` refused `max_phases == 0`, so a phase set `best`
     let mut sol = best.expect("at least one phase ran");
     sol.upper_bound = core.best_dual();
     sol.dual_lengths = core.take_dual_lengths();
@@ -964,7 +971,7 @@ mod tests {
                 let mut heap = DijkstraWorkspace::new(n);
                 let mut buckets = DijkstraWorkspace::new(n);
                 let mut phase = 0;
-                solve_grouped_observed(&net, groups, &o, |length| {
+                solve_grouped_observed(&net, groups, &o, |length, _| {
                     phase += 1;
                     for g in groups {
                         net.dijkstra(g.src, length, &mut heap);
@@ -988,6 +995,146 @@ mod tests {
                 assert_eq!(phase, 3, "seed {seed} {shape}: every phase was compared");
             }
         }
+    }
+
+    /// α from one forward tree per group, the harvest's source side
+    /// written out as the model.
+    fn forward_alpha(net: &CsrNet, groups: &[DemandGroup], len: &[f64]) -> f64 {
+        let mut ws = DijkstraWorkspace::default();
+        let mut alpha = 0.0;
+        for g in groups {
+            net.dijkstra(g.src, len, &mut ws);
+            g.for_each_sink(|dst, d| alpha += d * ws.distance(dst));
+        }
+        alpha
+    }
+
+    /// The four demand shapes the harvest sides are compared on:
+    /// hot-spot (`hot` hot switches, every other switch a source),
+    /// all-to-all, `List` groups drawing from three shared sinks, and a
+    /// `List` group that names one sink twice.
+    fn harvest_shapes(n: usize, hot: usize, rng: &mut StdRng) -> Vec<(String, Vec<DemandGroup>)> {
+        let mut weights = vec![0.0; n];
+        for v in (0..n).step_by(n / hot).take(hot) {
+            weights[v] = rng.random_range(1.0..3.0f64);
+        }
+        let weights = Arc::new(weights);
+        let hotspot = (0..n)
+            .map(|u| DemandGroup::weighted(u, Arc::clone(&weights), 1.0 + (u % 3) as f64))
+            .filter(|g| g.sink_count() > 0)
+            .collect();
+        let ones = Arc::new(vec![1.0; n]);
+        let all_to_all = (0..n)
+            .map(|u| DemandGroup::weighted(u, Arc::clone(&ones), 1.0))
+            .collect();
+        let pool = [1, n / 2, n - 1];
+        let shared = (0..n)
+            .step_by(5)
+            .map(|src| {
+                let sinks = pool
+                    .iter()
+                    .filter_map(|&t| {
+                        let d = rng.random_range(0.5..2.0f64);
+                        (t != src && rng.random_range(0..3) > 0).then_some((t, d))
+                    })
+                    .chain([(if src == 2 { 3 } else { 2 }, 1.0)])
+                    .collect();
+                DemandGroup {
+                    src,
+                    sinks: SinkSpec::List(sinks),
+                }
+            })
+            .collect();
+        let list = |src, sinks| DemandGroup {
+            src,
+            sinks: SinkSpec::List(sinks),
+        };
+        let repeated = vec![
+            list(0, vec![(n - 1, 1.0), (n / 2, 0.5), (n - 1, 2.0)]),
+            list(1, vec![(n - 1, 1.5)]),
+            list(n / 2 + 1, vec![(n / 2, 1.0), (n - 1, 0.25)]),
+        ];
+        vec![
+            (format!("hotspot-agg:{hot}"), hotspot),
+            ("all-to-all".into(), all_to_all),
+            ("shared sinks".into(), shared),
+            ("repeated sink".into(), repeated),
+        ]
+    }
+
+    /// The sink-side harvest reads the α the forward trees read — the
+    /// same distances from the other end — and takes the side with fewer
+    /// roots, which the solve's `settles` shows: the harvest adds one
+    /// tree of `n` pops per root. Checked on evolved lengths over seeded
+    /// RRGs, on the base net and on a view with two links failed, where
+    /// an arc and its reverse must still be dead together.
+    #[test]
+    fn both_harvest_sides_read_the_same_alpha() {
+        let o = FlowOptions {
+            epsilon: 0.3,
+            max_phases: 4,
+            ..FlowOptions::default()
+        };
+        let mut sides = [0usize; 2];
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(0xA1FA_0000 + seed);
+            let n = 16 + 8 * (seed as usize % 7);
+            let r = 4 + seed as usize % 3;
+            let base = rrg(n, r, &mut rng);
+            let connected = |net: &CsrNet| {
+                let mut ws = DijkstraWorkspace::default();
+                net.dijkstra(0, net.inv_capacities(), &mut ws);
+                ws.settled().len() == n
+            };
+            let failed = loop {
+                let arcs = [0, 1].map(|_| rng.random_range(0..base.arc_count()));
+                let view = base.with_disabled_arcs(&arcs).unwrap();
+                if connected(&view) {
+                    break view;
+                }
+            };
+            let hot = 1 + seed as usize % 4;
+            for (shape, groups) in harvest_shapes(n, hot, &mut rng) {
+                for (view, net) in [("base", &base), ("failed", &failed)] {
+                    let what = format!("seed {seed} RRG({n}, {r}) {view} {shape}");
+                    let mut last = (Vec::new(), 0u64);
+                    let s = solve_grouped_observed(net, &groups, &o, |len, settles| {
+                        last = (len.to_vec(), settles);
+                    })
+                    .unwrap();
+                    s.certify(net, &groups)
+                        .unwrap_or_else(|v| panic!("{what}: {v}"));
+
+                    let mut sinks: Vec<NodeId> = Vec::new();
+                    for g in &groups {
+                        g.for_each_sink(|dst, _| sinks.push(dst));
+                    }
+                    sinks.sort_unstable();
+                    sinks.dedup();
+                    let mut ws = DijkstraWorkspace::default();
+                    let h = harvest_alpha(net, &groups, &last.0, &mut ws);
+                    let side = if sinks.len() < groups.len() {
+                        Side::Sinks
+                    } else {
+                        Side::Sources
+                    };
+                    assert_eq!(h.side, side, "{what}");
+                    assert_eq!(h.trees, sinks.len().min(groups.len()), "{what}");
+                    let pops = (h.trees * n) as u64;
+                    assert_eq!(ws.settles(), pops, "{what}");
+                    assert_eq!(s.settles - last.1, pops, "{what}: the solve's harvest");
+                    let fwd = forward_alpha(net, &groups, &last.0);
+                    assert!(
+                        (h.alpha - fwd).abs() <= 1e-12 * fwd,
+                        "{what}: {} side α {} vs forward α {fwd}",
+                        h.side.name(),
+                        h.alpha
+                    );
+                    sides[usize::from(h.side == Side::Sinks)] += 1;
+                }
+            }
+        }
+        assert!(sides[0] > 0 && sides[1] > 0, "both sides ran: {sides:?}");
     }
 
     /// No pool call is left in the solve, so every output — the work

@@ -1609,6 +1609,62 @@ mod tests {
         ));
     }
 
+    /// What a tree over reversed lengths rests on (the grouped solver's
+    /// sink-side harvest runs one): every view keeps an arc and its
+    /// reverse alive together and at one capacity, through random
+    /// stacks of failures, re-ratings and uniform scalings.
+    #[test]
+    fn every_view_keeps_an_arc_and_its_reverse_alike() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let alike = |net: &CsrNet, what: &str| {
+            for a in 0..net.arc_count() {
+                assert_eq!(net.is_live(a), net.is_live(a ^ 1), "{what}: arc {a}");
+                assert_eq!(
+                    net.capacity(a).to_bits(),
+                    net.capacity(a ^ 1).to_bits(),
+                    "{what}: arc {a}"
+                );
+            }
+        };
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(0x5EE_0000 + seed);
+            let chords: Vec<(usize, usize)> = (0..6)
+                .map(|k| (k, (k + rng.random_range(2..10)) % 12))
+                .collect();
+            let mut net = CsrNet::from_graph(&ring_with_chords(12, &chords));
+            let mut what = format!("seed {seed} base");
+            alike(&net, &what);
+            for _ in 0..6 {
+                let m = net.arc_count();
+                let live: Vec<ArcId> = (0..m).filter(|&a| net.is_live(a)).collect();
+                net = match rng.random_range(0..3) {
+                    0 => {
+                        let arcs = [0, 1].map(|_| rng.random_range(0..m));
+                        what += &format!(" -> disabled {arcs:?}");
+                        net.with_disabled_arcs(&arcs).unwrap()
+                    }
+                    1 => {
+                        let over: Vec<(ArcId, f64)> = (0..3)
+                            .map(|_| {
+                                let a = live[rng.random_range(0..live.len())];
+                                (a, rng.random_range(0.5..4.0f64))
+                            })
+                            .collect();
+                        what += &format!(" -> overrides {over:?}");
+                        net.with_capacity_overrides(&over).unwrap()
+                    }
+                    _ => {
+                        let factor = [0.5, 1.0, 3.0][rng.random_range(0..3)];
+                        what += &format!(" -> scaled {factor}");
+                        net.with_scaled_capacity(factor).unwrap()
+                    }
+                };
+                alike(&net, &what);
+            }
+        }
+    }
+
     #[test]
     fn capacity_views_preserve_structure_id() {
         let g = ring_with_chords(6, &[(1, 4)]);

@@ -409,6 +409,34 @@ fn demands_outside_the_range_are_refused_and_the_limits_solve() {
     s.certify(&net, &full).unwrap();
 }
 
+/// `solve_grouped` returns the best of the phases it ran, so a solve
+/// allowed none has nothing to return: `max_phases: 0` is a typed
+/// `BadOptions` before any tree is built, never a panic, whatever the
+/// demand's shape.
+#[test]
+fn grouped_solve_with_no_phases_is_refused() {
+    let mut g = Graph::new(4);
+    for v in 0..4 {
+        g.add_unit_edge(v, (v + 1) % 4).unwrap();
+    }
+    let net = CsrNet::from_graph(&g);
+    let o = FlowOptions {
+        max_phases: 0,
+        ..FlowOptions::default()
+    };
+    let weighted = DemandGroup::weighted(0, std::sync::Arc::new(vec![1.0; 4]), 1.0);
+    let listed = DemandGroup {
+        src: 1,
+        sinks: SinkSpec::List(vec![(3, 1.0)]),
+    };
+    for groups in [vec![weighted], vec![listed]] {
+        match solve_grouped(&net, &groups, &o).map(|s| s.throughput) {
+            Err(FlowError::BadOptions(m)) => assert!(m.contains("max_phases"), "{m}"),
+            other => panic!("{groups:?}: {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn solver_rejects_degenerate_commodities() {
     let mut g = Graph::new(3);

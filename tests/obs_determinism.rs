@@ -20,6 +20,9 @@
 //! * **A KSP solve is in the trace.** A `ksp:4` solve emits one
 //!   `ksp_solve` event whether its path sets were frozen for it (cold)
 //!   or served from the engine's cache; the two differ only under `nd`.
+//! * **An aggregated solve's harvest is in the trace.** Its
+//!   `grouped_harvest` event names the side the final trees grew from
+//!   (`sinks` or `sources`) and how many it grew.
 //! * **Serve transcripts are tracing-invariant**, and the traced batch
 //!   emits the serve event taxonomy.
 //!
@@ -29,6 +32,7 @@
 
 use dctopo::obs;
 use dctopo::prelude::*;
+use dctopo::traffic::AggregateTraffic;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::ThreadPoolBuilder;
@@ -312,6 +316,81 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
     let (paths, cold) = fields(&first[0]);
     assert_eq!(cold, [4, pairs, phases as u64, lambda, upper]);
     assert_eq!(fields(&first[1]), (paths, cold), "the cache shows");
+
+    // ---- the aggregated solve: its final harvest names the side its
+    // trees grew from and how many it grew — one per hot switch for
+    // hot-spot demand, one per group for all-to-all, where sinks and
+    // sources tie and the sources are kept. Tracing changes no result,
+    // and the fields sit in the residue, equal at 1, 2 and 8 threads ----
+    let (topo, _) = &insts[3];
+    let hot = topo.servers_at[0] + 2;
+    let mut hot_switches = topo.server_to_switch()[..hot].to_vec();
+    hot_switches.dedup();
+    let aggregates = [
+        AggregateTraffic::hotspot(topo.server_count(), hot),
+        AggregateTraffic::all_to_all(topo.server_count()),
+    ];
+    let aggregate = |threads: usize, traced: bool| {
+        if traced {
+            obs::enable_memory();
+        }
+        let engine = ThroughputEngine::new(topo);
+        let pins: Vec<(u64, u64, u64, usize)> = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| {
+                aggregates
+                    .iter()
+                    .map(|traffic| {
+                        let r = engine
+                            .solve_aggregate(traffic, &opts)
+                            .expect("aggregate solve");
+                        let s = r.solved.expect("network demand");
+                        (
+                            s.throughput.to_bits(),
+                            s.upper_bound.to_bits(),
+                            s.settles,
+                            s.phases,
+                        )
+                    })
+                    .collect()
+            });
+        let lines = obs::drain_memory();
+        obs::disable();
+        (pins, strip_all(&lines))
+    };
+    let (plain, none) = aggregate(1, false);
+    assert!(none.is_empty(), "{none:?}");
+    let threads = [1usize, 2, 8];
+    let runs = threads.map(|t| aggregate(t, true));
+    let residue = &runs[0].1;
+    for (t, (pins, r)) in threads.iter().zip(&runs) {
+        assert_eq!(pins, &plain, "traced aggregate solve at {t} threads");
+        assert_eq!(r, residue, "aggregate residue at {t} threads");
+    }
+    let (mut harvests, mut groups) = (Vec::new(), Vec::new());
+    for line in residue {
+        let ev = obs::Json::parse(line).expect("residue lines are JSON");
+        let count = |key: &str| ev.get(key).and_then(obs::Json::as_u64).unwrap();
+        match ev.get("ev").and_then(obs::Json::as_str) {
+            Some("grouped_harvest") => {
+                let side = ev.get("side").and_then(obs::Json::as_str).unwrap();
+                harvests.push((side.to_owned(), count("trees")));
+            }
+            Some("grouped_solve") => groups.push(count("groups")),
+            _ => {}
+        }
+    }
+    assert_eq!(groups.len(), 2, "{groups:?}");
+    assert!(hot_switches.len() > 1 && (hot_switches.len() as u64) < groups[0]);
+    assert_eq!(
+        harvests,
+        [
+            ("sinks".to_owned(), hot_switches.len() as u64),
+            ("sources".to_owned(), groups[1]),
+        ]
+    );
 
     // ---- serve: transcripts are tracing-invariant ----
     let mut rng = StdRng::seed_from_u64(7);
