@@ -477,7 +477,7 @@ fn solve_grouped_observed(
     let final_bound = core.note_dual(d_final, harvest.alpha, None);
     if obs::enabled() {
         obs::Event::new("grouped_harvest")
-            .field("side", harvest.side.name())
+            .field("side", harvest.side)
             .field("trees", harvest.trees)
             .field("alpha", harvest.alpha)
             .field("d_l", d_final)
@@ -505,29 +505,11 @@ fn solve_grouped_observed(
     Ok(sol)
 }
 
-/// The roots the final harvest grew its trees from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    /// One forward tree per group, from its source.
-    Sources,
-    /// One tree per distinct sink, over reversed lengths.
-    Sinks,
-}
-
-impl Side {
-    fn name(self) -> &'static str {
-        match self {
-            Side::Sources => "sources",
-            Side::Sinks => "sinks",
-        }
-    }
-}
-
-/// What the final harvest read: `α(l)` and the trees it cost.
-#[derive(Debug, Clone, Copy)]
+/// What the final harvest read: `α(l)`, the side its trees grew from
+/// (`"sources"` or `"sinks"`) and how many it grew.
 struct Harvest {
     alpha: f64,
-    side: Side,
+    side: &'static str,
     trees: usize,
 }
 
@@ -569,7 +551,7 @@ fn harvest_alpha(
         }
         return Harvest {
             alpha,
-            side: Side::Sources,
+            side: "sources",
             trees: groups.len(),
         };
     }
@@ -610,7 +592,7 @@ fn harvest_alpha(
     }
     Harvest {
         alpha,
-        side: Side::Sinks,
+        side: "sinks",
         trees: sinks,
     }
 }
@@ -1114,9 +1096,9 @@ mod tests {
                     let mut ws = DijkstraWorkspace::default();
                     let h = harvest_alpha(net, &groups, &last.0, &mut ws);
                     let side = if sinks.len() < groups.len() {
-                        Side::Sinks
+                        "sinks"
                     } else {
-                        Side::Sources
+                        "sources"
                     };
                     assert_eq!(h.side, side, "{what}");
                     assert_eq!(h.trees, sinks.len().min(groups.len()), "{what}");
@@ -1127,10 +1109,10 @@ mod tests {
                     assert!(
                         (h.alpha - fwd).abs() <= 1e-12 * fwd,
                         "{what}: {} side α {} vs forward α {fwd}",
-                        h.side.name(),
+                        h.side,
                         h.alpha
                     );
-                    sides[usize::from(h.side == Side::Sinks)] += 1;
+                    sides[usize::from(h.side == "sinks")] += 1;
                 }
             }
         }
