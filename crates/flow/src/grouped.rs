@@ -993,7 +993,7 @@ mod tests {
 
     /// The four demand shapes the harvest sides are compared on:
     /// hot-spot (`hot` hot switches, every other switch a source),
-    /// all-to-all, `List` groups drawing from three shared sinks, and a
+    /// all-to-all, `List` groups drawing from four shared sinks, and a
     /// `List` group that names one sink twice.
     fn harvest_shapes(n: usize, hot: usize, rng: &mut StdRng) -> Vec<(String, Vec<DemandGroup>)> {
         let mut weights = vec![0.0; n];
@@ -1019,7 +1019,8 @@ mod tests {
                         let d = rng.random_range(0.5..2.0f64);
                         (t != src && rng.random_range(0..3) > 0).then_some((t, d))
                     })
-                    .chain([(if src == 2 { 3 } else { 2 }, 1.0)])
+                    // node 2 is no source, so no group is empty
+                    .chain([(2, 1.0)])
                     .collect();
                 DemandGroup {
                     src,
