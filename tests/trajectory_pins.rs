@@ -35,6 +35,11 @@
 //! past the `1e100` rescale, so the post-rescale rebuild path is inside
 //! a pin too.
 //!
+//! The two `rrg80x10x6` rows were added later, captured before the
+//! tree kernel began keeping the frontier of a net of at most 64 nodes
+//! in one word: every other instance is that small, so these two are
+//! the rows whose cold trees, repairs and bail-outs run on the heap.
+//!
 //! To re-capture after a deliberate trajectory change, run the test and
 //! copy the table it prints on failure.
 
@@ -76,6 +81,8 @@ rrg20x8x4@1.5 long fptas lambda=0x3fe2ec7a1d1a6987 upper=0x3fe5002b548b6a45 phas
 rrg20x8x4@1.5 long fptas-strict lambda=0x3fe2e186da7642d1 upper=0x3fe52e9096d8a9a6 phases=700 settles=513938 fold=0xce8bafed50b6f41e\n\
 rrg20x8x4@1.5 long ksp:4 lambda=0x3fe2750ff68a58b0 upper=0x3fe47c460a6ad9c4 phases=700 settles=0 fold=0xd00c3caa4b168e15\n\
 rrg20x8x4@1.5 long grouped-list lambda=0x3fe2e186da7642d1 upper=0x3fe63963e9a2cd29 phases=700 settles=518540 fold=0xaab8cb20b9a76a5e\n\
+rrg80x10x6 fptas lambda=0x3fe12e1543a612ca upper=0x3fe1b5588c5597cc phases=127 settles=1846489 fold=0xf129a07c7b99d948\n\
+rrg80x10x6 fptas-warm lambda=0x3fe0fa74db8636b7 upper=0x3fe17f52ad27588e phases=531 settles=9031796 fold=0xe1049b22464aed17\n\
 ";
 
 fn fold(vectors: &[&[f64]]) -> u64 {
@@ -152,6 +159,28 @@ fn list_groups(commodities: &[Commodity]) -> Vec<DemandGroup> {
     groups
 }
 
+/// A warm-started re-solve of drifted demand, opened on `cold`'s
+/// certified dual lengths.
+fn warm(net: &CsrNet, commodities: &[Commodity], cold: &SolvedFlow) -> SolvedFlow {
+    let drifted: Vec<Commodity> = commodities
+        .iter()
+        .enumerate()
+        .map(|(i, c)| Commodity {
+            demand: c.demand * (0.85 + 0.05 * (i % 7) as f64),
+            ..*c
+        })
+        .collect();
+    let opts = FlowOptions::default();
+    solve_from(
+        net,
+        &drifted,
+        &opts,
+        &PathSetCache::new(),
+        &cold.dual_lengths,
+    )
+    .unwrap()
+}
+
 struct Instance {
     name: &'static str,
     topo: Topology,
@@ -210,23 +239,11 @@ fn every_loop_keeps_its_recorded_trajectory() {
         net, commodities, ..
     } = &instances[2];
     let cold = solve_cold(net, commodities, &opts);
-    let drifted: Vec<Commodity> = commodities
-        .iter()
-        .enumerate()
-        .map(|(i, c)| Commodity {
-            demand: c.demand * (0.85 + 0.05 * (i % 7) as f64),
-            ..*c
-        })
-        .collect();
-    let warm = solve_from(
-        net,
-        &drifted,
-        &opts,
-        &PathSetCache::new(),
-        &cold.dual_lengths,
-    )
-    .unwrap();
-    pairwise_row(&mut out, "rrg20x8x4@1.5 fptas-warm", &warm);
+    pairwise_row(
+        &mut out,
+        "rrg20x8x4@1.5 fptas-warm",
+        &warm(net, commodities, &cold),
+    );
 
     // per-commodity recording rides the same trajectories
     let record = opts.with_commodity_flows(true);
@@ -261,6 +278,19 @@ fn every_loop_keeps_its_recorded_trajectory() {
     pairwise_row(&mut out, "rrg20x8x4@1.5 long ksp:4", &s);
     let g = solve_grouped(net, &list_groups(commodities), &long).unwrap();
     grouped_row(&mut out, "rrg20x8x4@1.5 long grouped-list", &g);
+
+    // every instance above runs on at most 64 switches; this one is
+    // bigger, so its cold trees, repairs and bail-outs take the heap
+    let Instance {
+        name,
+        net,
+        commodities,
+        ..
+    } = instance("rrg80x10x6", (80, 10, 6), 0x0715_0004);
+    let cold = solve_cold(&net, &commodities, &opts);
+    pairwise_row(&mut out, &format!("{name} fptas"), &cold);
+    let warm = warm(&net, &commodities, &cold);
+    pairwise_row(&mut out, &format!("{name} fptas-warm"), &warm);
 
     assert!(
         out == PINS,
