@@ -36,7 +36,7 @@
 //!   caller that reads the answer only through `λ ≥ floor` passes its
 //!   floor, and the loop also stops as soon as that comparison is
 //!   certified: the phase's primal is ≥ floor (safe), or the best dual
-//!   is < floor (unsafe, since `λ ≤ λ* ≤ dual`). Up to that stop the
+//!   is < floor (not safe, since `λ ≤ λ* ≤ dual`). Up to that stop the
 //!   trajectory is the floorless one, so the returned λ — the best
 //!   primal so far — decides the comparison exactly as a full solve
 //!   would, and is ≤ the full solve's λ. Without a floor the rule is

@@ -19,12 +19,14 @@
 //! `u → v`, arc `2e + 1` the reverse, so flow vectors produced against a
 //! `CsrNet` index interchangeably with the original [`Graph`].
 //!
-//! [`DijkstraWorkspace`] owns the distance and parent arrays plus an
-//! indexed (decrease-key, duplicate-free) flat 4-ary heap of
-//! integer-packed keys, so repeated [`CsrNet::dijkstra`] calls allocate
-//! nothing after warm-up and every heap pop settles a node.
+//! [`DijkstraWorkspace`] owns the distance and parent arrays plus the
+//! two duplicate-free queues the tree kernels choose between by node
+//! count — one `u64` frontier for a net of at most 64 nodes, an indexed
+//! flat 4-ary heap of integer-packed keys above that — so repeated
+//! [`CsrNet::dijkstra`] calls allocate nothing after warm-up and every
+//! pop settles a node.
 //!
-//! The traversal order (adjacency order, heap tie-broken by node id)
+//! The traversal order (adjacency order, pops tie-broken by node id)
 //! matches [`crate::paths::dijkstra`] operation-for-operation, so
 //! distances agree **bitwise** with the legacy implementation — seeded
 //! experiments produce identical numbers whichever path computes them.
@@ -535,14 +537,33 @@ impl CsrNet {
     /// routing to 4 sinks in a 1000-switch fabric explores only the ball
     /// that covers those sinks.
     ///
-    /// The priority queue is a flat 4-ary heap over integer-packed
-    /// `(distance bits, node)` keys — for non-negative finite `f64`
-    /// distances the IEEE-754 bit pattern is order-preserving, so
-    /// integer comparison sorts exactly like the float, ties broken by
-    /// node id. The settle order therefore matches
+    /// Nodes settle in ascending `(distance bits, node id)` order — for
+    /// non-negative finite `f64` distances the IEEE-754 bit pattern is
+    /// order-preserving, so integer comparison sorts exactly like the
+    /// float, ties broken by node id. The settle order therefore matches
     /// [`crate::paths::dijkstra`]'s `BinaryHeap` implementation and the
-    /// results are bitwise interchangeable.
+    /// results are bitwise interchangeable. The queue that realises the
+    /// order depends on the net's size: a net of at most 64 nodes keeps
+    /// its frontier in one `u64` and pops by scanning the set bits, a
+    /// larger one in an indexed 4-ary heap. Both pop the same node at
+    /// every step, so the choice moves no distance, parent, settle order
+    /// or settle count.
     pub fn dijkstra_targets(
+        &self,
+        src: NodeId,
+        arc_len: &[f64],
+        targets: &[u32],
+        ws: &mut DijkstraWorkspace,
+    ) {
+        if self.n <= WORD_NODES {
+            self.targets_with::<WordQueue>(src, arc_len, targets, ws);
+        } else {
+            self.targets_with::<HeapQueue>(src, arc_len, targets, ws);
+        }
+    }
+
+    /// The body of [`CsrNet::dijkstra_targets`] over the queue `Q`.
+    fn targets_with<Q: Queue>(
         &self,
         src: NodeId,
         arc_len: &[f64],
@@ -556,21 +577,19 @@ impl CsrNet {
         );
         ws.begin(self.n);
         // split the workspace once: the relax loop keeps `dist`,
-        // `parent_arc`, `pos` and the heap as disjoint locals instead of
+        // `parent_arc` and the queue as disjoint locals instead of
         // reloading them through `ws` on every arc
+        let mut queue = std::mem::take(Q::slot(ws));
         let n = self.n;
         let dist = &mut ws.dist[..n];
         let parent_arc = &mut ws.parent_arc[..n];
-        let pos = &mut ws.pos[..n];
-        let heap = &mut ws.heap;
         let order = &mut ws.order;
         dist[src] = 0.0;
-        heap_insert(heap, pos, pack(0.0, src as u32));
+        queue.push(0.0, src as u32);
         let mut outstanding = targets.len();
         let mut settles = 0u64;
-        while let Some(item) = heap_pop(heap, pos) {
+        while let Some((d, v)) = queue.pop(dist) {
             settles += 1;
-            let (d, v) = unpack(item);
             order.push(v);
             if outstanding > 0 && targets.binary_search(&v).is_ok() {
                 outstanding -= 1;
@@ -589,11 +608,12 @@ impl CsrNet {
                 if nd < dist[w] {
                     dist[w] = nd;
                     parent_arc[w] = a;
-                    heap_upsert(heap, pos, pack(nd, w as u32));
+                    queue.push(nd, w as u32);
                 }
             }
         }
         ws.settles += settles;
+        *Q::slot(ws) = queue;
     }
 
     /// Incrementally repair a **full** shortest-path tree after
@@ -635,8 +655,25 @@ impl CsrNet {
     /// when that subtree grows past ~40% of the nodes (where per-node
     /// re-settling stops being cheaper), the repair bails out to an
     /// internal cold [`CsrNet::dijkstra`], which satisfies the same
-    /// postconditions trivially.
+    /// postconditions trivially. The queue is chosen by node count as
+    /// in [`CsrNet::dijkstra_targets`].
     pub fn dijkstra_repair(
+        &self,
+        src: NodeId,
+        arc_len: &[f64],
+        increased: &[u32],
+        ws: &mut DijkstraWorkspace,
+    ) {
+        if self.n <= WORD_NODES {
+            self.repair_with::<WordQueue>(src, arc_len, increased, ws);
+        } else {
+            self.repair_with::<HeapQueue>(src, arc_len, increased, ws);
+        }
+    }
+
+    /// The body of [`CsrNet::dijkstra_repair`] over the queue `Q`; a
+    /// bail-out rebuilds through the same queue.
+    fn repair_with<Q: Queue>(
         &self,
         src: NodeId,
         arc_len: &[f64],
@@ -646,7 +683,7 @@ impl CsrNet {
         debug_assert_eq!(arc_len.len(), self.arc_count());
         debug_assert_eq!(ws.n, self.n, "workspace sized for a different net");
         debug_assert!(
-            ws.heap.is_empty(),
+            ws.heap.keys.is_empty() && ws.word.0 == 0,
             "repair requires a completed (non-early-terminated) prior run"
         );
         debug_assert_eq!(ws.dist[src], 0.0, "workspace holds a tree from {src}");
@@ -682,31 +719,40 @@ impl CsrNet {
                 }
             }
             if ws.affected.len() >= bail_at {
-                self.dijkstra(src, arc_len, ws);
+                self.targets_with::<Q>(src, arc_len, &[], ws);
                 ws.order.clear();
                 return;
             }
         }
         // the closure stands; split the workspace for the settle loops
-        // exactly as `dijkstra_targets` does
+        // exactly as `targets_with` does
+        let mut queue = std::mem::take(Q::slot(ws));
         let n = self.n;
         let generation = ws.mark_gen;
         let dist = &mut ws.dist[..n];
         let parent_arc = &mut ws.parent_arc[..n];
-        let pos = &mut ws.pos[..n];
         let mark = &mut ws.mark[..n];
-        let heap = &mut ws.heap;
         // 3. invalidate the affected set
         for &w in &ws.affected {
             dist[w as usize] = f64::INFINITY;
             parent_arc[w as usize] = NO_ARC;
         }
-        // 4. seed each affected node from its best *unaffected* in-arc
+        // Each affected node's parent is chosen as its distance is: a
+        // strictly shorter offer replaces distance and parent, an equal
+        // one replaces the parent when its `(tail key, arc id)` is
+        // smaller. Offers come only from *eligible* tails — unaffected
+        // ones, whose distances never move, or affected ones that popped
+        // earlier in this repair — so every key compared is final, and
+        // a node stops taking ties once it pops. That keeps the choice
+        // deterministic and the tree cycle-free even inside absorption
+        // plateaus, where an equal-distance not-yet-popped neighbor
+        // could otherwise be chosen mutually.
+        // 4. seed each affected node from its *unaffected* in-arcs
         //    (in-arc of `w` = reverse of out-arc, i.e. `a ^ 1`); paths
         //    entering through affected tails are found by relaxation
         for &w in &ws.affected {
-            let (arcs, heads) = self.out_slots(w as usize);
-            let mut best = f64::INFINITY;
+            let wu = w as usize;
+            let (arcs, heads) = self.out_slots(wu);
             for (&a_out, &v) in arcs.iter().zip(heads) {
                 if mark[v as usize] == generation {
                     continue;
@@ -715,53 +761,34 @@ impl CsrNet {
                 if !dv.is_finite() {
                     continue;
                 }
-                let nd = dv + arc_len[(a_out ^ 1) as usize];
-                if nd < best {
-                    best = nd;
+                let a_in = a_out ^ 1;
+                let nd = dv + arc_len[a_in as usize];
+                if nd < dist[wu]
+                    || nd == dist[wu]
+                        && self.parent_key(dist, a_in) < self.parent_key(dist, parent_arc[wu])
+                {
+                    dist[wu] = nd;
+                    parent_arc[wu] = a_in;
                 }
             }
-            if best.is_finite() {
-                dist[w as usize] = best;
-                heap_insert(heap, pos, pack(best, w));
+            if dist[wu].is_finite() {
+                queue.push(dist[wu], w);
             }
         }
-        // 5. re-settle. A popped node's distance is final; its parent is
-        //    the (tail key, arc id)-minimal in-arc achieving exactly that
-        //    distance among *eligible* tails — unaffected ones, whose
-        //    distances never move, or affected ones that popped earlier
-        //    in this repair. Eligibility keeps the scan deterministic
-        //    (every value read is final) and the tree cycle-free even
-        //    inside absorption plateaus, where an equal-distance
-        //    not-yet-popped neighbor could otherwise be chosen mutually.
+        // 5. re-settle: a popped node's distance and parent are final
         let mut settles = 0u64;
-        while let Some(item) = heap_pop(heap, pos) {
+        while let Some((d, w)) = queue.pop(dist) {
             settles += 1;
-            let (d, w) = unpack(item);
             let wu = w as usize;
             mark[wu] = generation | POPPED_BIT;
+            debug_assert!(
+                parent_arc[wu] != NO_ARC && {
+                    let p = parent_arc[wu] as usize;
+                    dist[self.arc_tail[p] as usize] + arc_len[p] == d
+                },
+                "re-settled node {wu} has no parent"
+            );
             let (arcs, heads) = self.out_slots(wu);
-            let mut best: Option<(u128, u32)> = None;
-            for (&a_out, &v) in arcs.iter().zip(heads) {
-                let m = mark[v as usize];
-                if m & MARK_MASK == generation && m & POPPED_BIT == 0 {
-                    continue; // affected and still pending: not final
-                }
-                let dv = dist[v as usize];
-                if !dv.is_finite() {
-                    continue;
-                }
-                let a_in = a_out ^ 1;
-                if dv + arc_len[a_in as usize] == d {
-                    let cand = (pack(dv, v), a_in);
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            debug_assert!(best.is_some(), "re-settled node {wu} has no parent");
-            if let Some((_, a)) = best {
-                parent_arc[wu] = a;
-            }
             for (&a, &u) in arcs.iter().zip(heads) {
                 let u = u as usize;
                 let nd = d + arc_len[a as usize];
@@ -770,11 +797,27 @@ impl CsrNet {
                     // node: its stored distance is already optimal
                     debug_assert_eq!(mark[u] & MARK_MASK, generation);
                     dist[u] = nd;
-                    heap_upsert(heap, pos, pack(nd, u as u32));
+                    parent_arc[u] = a;
+                    queue.push(nd, u as u32);
+                } else if nd == dist[u]
+                    && mark[u] == generation
+                    && self.parent_key(dist, a) < self.parent_key(dist, parent_arc[u])
+                {
+                    parent_arc[u] = a;
                 }
             }
         }
         ws.settles += settles;
+        *Q::slot(ws) = queue;
+    }
+
+    /// The key a repair breaks a distance tie between two parent arcs
+    /// of one node by: the tail's `(distance bits, node id)`, then the
+    /// arc id. Read only where the tail's distance is final.
+    #[inline]
+    fn parent_key(&self, dist: &[f64], a: u32) -> (u128, u32) {
+        let t = self.arc_tail[a as usize];
+        (pack(dist[t as usize], t), a)
     }
 }
 
@@ -794,84 +837,179 @@ fn unpack(item: u128) -> (f64, u32) {
     (f64::from_bits((item >> 32) as u64), item as u32)
 }
 
-/// Move `item` towards the root from slot `i`, maintaining `pos`.
-#[inline]
-fn sift_up(heap: &mut [u128], pos: &mut [u32], mut i: usize, item: u128) {
-    while i > 0 {
-        let p = (i - 1) >> 2;
-        let parent = heap[p];
-        if parent <= item {
-            break;
+/// Nets of at most this many nodes keep their frontier in a
+/// [`WordQueue`], larger ones in a [`HeapQueue`].
+const WORD_NODES: usize = u64::BITS as usize;
+
+/// The frontier of a tree kernel ([`CsrNet::dijkstra_targets`],
+/// [`CsrNet::dijkstra_repair`]): the nodes reached and not yet settled,
+/// popped least `(distance bits, node id)` first. A queued node's key
+/// is always its current `dist` entry, so each implementation realises
+/// the same pop order and the kernel's results do not depend on which
+/// one runs.
+trait Queue: Default {
+    /// Where the queue's state lives between runs; a run takes it out
+    /// and puts it back, so the settle loop holds it as a local.
+    fn slot(ws: &mut DijkstraWorkspace) -> &mut Self;
+    /// Queue `v` at distance `d`, or lower its key if it is queued.
+    fn push(&mut self, d: f64, v: u32);
+    /// Remove the least queued node; `dist` holds every queued node's
+    /// key.
+    fn pop(&mut self, dist: &[f64]) -> Option<(f64, u32)>;
+}
+
+/// Indexed (decrease-key, duplicate-free) flat 4-ary min-heap of
+/// [`pack`]ed keys: the queue of nets above [`WORD_NODES`] nodes.
+#[derive(Debug, Clone, Default)]
+struct HeapQueue {
+    /// The heap of `pack`ed (distance, node) keys.
+    keys: Vec<u128>,
+    /// Heap slot per node ([`NOT_QUEUED`] when absent).
+    pos: Vec<u32>,
+}
+
+impl HeapQueue {
+    /// Move `item` towards the root from slot `i`, maintaining `pos`.
+    #[inline]
+    fn sift_up(&mut self, mut i: usize, item: u128) {
+        let Self { keys, pos } = self;
+        while i > 0 {
+            let p = (i - 1) >> 2;
+            let parent = keys[p];
+            if parent <= item {
+                break;
+            }
+            keys[i] = parent;
+            pos[parent as u32 as usize] = i as u32;
+            i = p;
         }
-        heap[i] = parent;
-        pos[parent as u32 as usize] = i as u32;
-        i = p;
+        keys[i] = item;
+        pos[item as u32 as usize] = i as u32;
     }
-    heap[i] = item;
-    pos[item as u32 as usize] = i as u32;
-}
 
-/// Insert a node known to be absent from the heap.
-#[inline]
-fn heap_insert(heap: &mut Vec<u128>, pos: &mut [u32], item: u128) {
-    let i = heap.len();
-    heap.push(item);
-    sift_up(heap, pos, i, item);
-}
-
-/// Insert `item`'s node, or decrease its key in place if queued.
-#[inline]
-fn heap_upsert(heap: &mut Vec<u128>, pos: &mut [u32], item: u128) {
-    match pos[item as u32 as usize] {
-        NOT_QUEUED => heap_insert(heap, pos, item),
-        slot => sift_up(heap, pos, slot as usize, item),
+    /// Insert a node known to be absent from the heap.
+    #[inline]
+    fn insert(&mut self, item: u128) {
+        let i = self.keys.len();
+        self.keys.push(item);
+        self.sift_up(i, item);
     }
-}
 
-/// Pop the minimum key from the indexed 4-ary min-heap.
-///
-/// The former tail sifts down from the root. A full fan of four
-/// children picks its minimum with selects — keys are unique (node id
-/// in the low half), so the comparisons are data-dependent coin flips
-/// a branch predictor cannot learn; only the one partial fan at the
-/// bottom of the heap runs the scalar loop.
-#[inline]
-fn heap_pop(heap: &mut Vec<u128>, pos: &mut [u32]) -> Option<u128> {
-    let last = heap.pop()?;
-    let Some(&top) = heap.first() else {
-        pos[last as u32 as usize] = NOT_QUEUED;
-        return Some(last);
-    };
-    pos[top as u32 as usize] = NOT_QUEUED;
-    let heap = heap.as_mut_slice();
-    let mut i = 0;
-    loop {
-        let first_child = (i << 2) + 1;
-        let (child, c) = if let Some(&[c0, c1, c2, c3]) = heap.get(first_child..first_child + 4) {
-            let lt01 = c1 < c0;
-            let lt23 = c3 < c2;
-            let (m01, m23) = (if lt01 { c1 } else { c0 }, if lt23 { c3 } else { c2 });
-            let lt = m23 < m01;
-            let off = if lt { 2 + lt23 as usize } else { lt01 as usize };
-            (if lt { m23 } else { m01 }, first_child + off)
-        } else if let Some(fan) = heap.get(first_child..) {
-            let Some((off, &m)) = fan.iter().enumerate().min_by_key(|&(_, &k)| k) else {
+    /// Insert `item`'s node, or decrease its key in place if queued.
+    #[inline]
+    fn upsert(&mut self, item: u128) {
+        match self.pos[item as u32 as usize] {
+            NOT_QUEUED => self.insert(item),
+            slot => self.sift_up(slot as usize, item),
+        }
+    }
+
+    /// Pop the minimum key.
+    ///
+    /// The former tail sifts down from the root. A full fan of four
+    /// children picks its minimum with selects — keys are unique (node
+    /// id in the low half), so the comparisons are data-dependent coin
+    /// flips a branch predictor cannot learn; only the one partial fan
+    /// at the bottom of the heap runs the scalar loop.
+    #[inline]
+    fn pop_key(&mut self) -> Option<u128> {
+        let Self { keys, pos } = self;
+        let last = keys.pop()?;
+        let Some(&top) = keys.first() else {
+            pos[last as u32 as usize] = NOT_QUEUED;
+            return Some(last);
+        };
+        pos[top as u32 as usize] = NOT_QUEUED;
+        let heap = keys.as_mut_slice();
+        let mut i = 0;
+        loop {
+            let first_child = (i << 2) + 1;
+            let (child, c) = if let Some(&[c0, c1, c2, c3]) = heap.get(first_child..first_child + 4)
+            {
+                let lt01 = c1 < c0;
+                let lt23 = c3 < c2;
+                let (m01, m23) = (if lt01 { c1 } else { c0 }, if lt23 { c3 } else { c2 });
+                let lt = m23 < m01;
+                let off = if lt { 2 + lt23 as usize } else { lt01 as usize };
+                (if lt { m23 } else { m01 }, first_child + off)
+            } else if let Some(fan) = heap.get(first_child..) {
+                let Some((off, &m)) = fan.iter().enumerate().min_by_key(|&(_, &k)| k) else {
+                    break;
+                };
+                (m, first_child + off)
+            } else {
                 break;
             };
-            (m, first_child + off)
-        } else {
-            break;
-        };
-        if child >= last {
-            break;
+            if child >= last {
+                break;
+            }
+            heap[i] = child;
+            pos[child as u32 as usize] = i as u32;
+            i = c;
         }
-        heap[i] = child;
-        pos[child as u32 as usize] = i as u32;
-        i = c;
+        heap[i] = last;
+        pos[last as u32 as usize] = i as u32;
+        Some(top)
     }
-    heap[i] = last;
-    pos[last as u32 as usize] = i as u32;
-    Some(top)
+}
+
+impl Queue for HeapQueue {
+    #[inline]
+    fn slot(ws: &mut DijkstraWorkspace) -> &mut Self {
+        &mut ws.heap
+    }
+
+    #[inline]
+    fn push(&mut self, d: f64, v: u32) {
+        self.upsert(pack(d, v));
+    }
+
+    #[inline]
+    fn pop(&mut self, _dist: &[f64]) -> Option<(f64, u32)> {
+        self.pop_key().map(unpack)
+    }
+}
+
+/// The frontier of a net of at most [`WORD_NODES`] nodes as one word:
+/// bit `v` is set while `v` is queued. A push is one `or`, a decrease
+/// needs nothing (the key is read from `dist`), and a pop scans the set
+/// bits in ascending node order for the least distance bits, so a tie
+/// keeps the lower node id — the heap's key order exactly.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordQueue(u64);
+
+impl Queue for WordQueue {
+    #[inline]
+    fn slot(ws: &mut DijkstraWorkspace) -> &mut Self {
+        &mut ws.word
+    }
+
+    #[inline]
+    fn push(&mut self, _d: f64, v: u32) {
+        self.0 |= 1 << v;
+    }
+
+    #[inline]
+    fn pop(&mut self, dist: &[f64]) -> Option<(f64, u32)> {
+        let mut rest = self.0;
+        if rest == 0 {
+            return None;
+        }
+        let mut node = rest.trailing_zeros();
+        let mut best = dist[node as usize].to_bits();
+        rest &= rest - 1;
+        while rest != 0 {
+            let v = rest.trailing_zeros();
+            rest &= rest - 1;
+            let bits = dist[v as usize].to_bits();
+            if bits < best {
+                best = bits;
+                node = v;
+            }
+        }
+        self.0 ^= 1 << node;
+        Some((f64::from_bits(best), node))
+    }
 }
 
 /// Sentinel in the heap position index: node not currently queued.
@@ -886,25 +1024,28 @@ const MARK_MASK: u32 = POPPED_BIT - 1;
 
 /// Reusable scratch state for [`CsrNet::dijkstra`].
 ///
-/// Holds the distance, parent-arc, and settled arrays plus an *indexed*
-/// flat 4-ary min-heap of integer-packed keys — decrease-key updates a
-/// node's queued entry in place, so the heap never holds duplicates and
-/// every pop is a settle. Reuse one workspace per thread (or per source
-/// group) across thousands of Dijkstra runs: after warm-up no run
-/// allocates. Per-run reset cost is three `memset`-speed fills.
+/// Holds the distance, parent-arc, and settled arrays plus the two
+/// frontiers a tree kernel chooses between by node count: one `u64`
+/// for a net of at most 64 nodes, an *indexed* flat 4-ary min-heap of
+/// integer-packed keys above that. Neither ever holds a node twice —
+/// the word has one bit a node, and the heap's decrease-key updates a
+/// node's queued entry in place — so every pop is a settle. Reuse one
+/// workspace per thread (or per source group) across thousands of
+/// Dijkstra runs: after warm-up no run allocates. Per-run reset cost
+/// is three `memset`-speed fills (distances, parents, heap slots).
 #[derive(Debug, Clone, Default)]
 pub struct DijkstraWorkspace {
     /// Tentative/final distance per node (`INFINITY` = unreached).
     pub dist: Vec<f64>,
     /// Tree parent arc per node ([`NO_ARC`] = none).
     pub parent_arc: Vec<u32>,
-    /// Indexed 4-ary min-heap of `pack`ed (distance, node) keys.
-    heap: Vec<u128>,
-    /// Heap slot per node ([`NOT_QUEUED`] when absent).
-    pos: Vec<u32>,
+    /// The frontier of nets above [`WORD_NODES`] nodes.
+    heap: HeapQueue,
+    /// The frontier of nets of at most [`WORD_NODES`] nodes.
+    word: WordQueue,
     /// Active prefix length (the network's node count).
     n: usize,
-    /// Cumulative settle (heap pop) counter across runs and repairs.
+    /// Cumulative settle (queue pop) counter across runs and repairs.
     settles: u64,
     /// Nodes in the order the last cold run settled them.
     order: Vec<u32>,
@@ -916,7 +1057,7 @@ pub struct DijkstraWorkspace {
     /// Scratch list of affected nodes for the current repair.
     affected: Vec<u32>,
     /// Cumulative bucketed-SSSP statistics across [`crate::delta::sssp`]
-    /// runs through this workspace (zero when only the heap path ran).
+    /// runs through this workspace (zero when only the tree kernels ran).
     delta_stats: crate::delta::DeltaStats,
 }
 
@@ -928,22 +1069,23 @@ impl DijkstraWorkspace {
         ws
     }
 
-    /// Start a new run: reset the active prefix and clear the heap.
+    /// Start a new run: reset the active prefix and empty both queues.
     /// `pub(crate)` so the bucketed SSSP ([`crate::delta`]) can leave the
     /// workspace in exactly the state a completed [`CsrNet::dijkstra`]
-    /// would (empty heap, full dist/parent arrays), which is what
+    /// would (empty queues, full dist/parent arrays), which is what
     /// [`CsrNet::dijkstra_repair`] requires of its input.
     pub(crate) fn begin(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.parent_arc.resize(n, NO_ARC);
-            self.pos.resize(n, NOT_QUEUED);
+            self.heap.pos.resize(n, NOT_QUEUED);
         }
         self.n = n;
         self.dist[..n].fill(f64::INFINITY);
         self.parent_arc[..n].fill(NO_ARC);
-        self.pos[..n].fill(NOT_QUEUED);
-        self.heap.clear();
+        self.heap.pos[..n].fill(NOT_QUEUED);
+        self.heap.keys.clear();
+        self.word = WordQueue::default();
         // sized once, so no pop of a run pays for the list's growth
         self.order.clear();
         self.order.reserve(n);
@@ -951,7 +1093,7 @@ impl DijkstraWorkspace {
 
     /// Start a repair pass: bump the affected-marker generation and
     /// clear the affected scratch list. Distances, parents, and the
-    /// (empty) heap are carried over from the prior run.
+    /// (empty) queues are carried over from the prior run.
     fn begin_repair(&mut self, n: usize) {
         if self.mark.len() < n {
             self.mark.resize(n, 0);
@@ -967,7 +1109,7 @@ impl DijkstraWorkspace {
         self.order.clear();
     }
 
-    /// Cumulative number of settle operations (heap pops) performed by
+    /// Cumulative number of settle operations (queue pops) performed by
     /// Dijkstra runs and repairs since the workspace was created — the
     /// "Dijkstra-equivalent settles" unit solver benchmarks report.
     #[inline]
@@ -975,9 +1117,9 @@ impl DijkstraWorkspace {
         self.settles
     }
 
-    /// Credit `k` settle operations performed outside the heap loop
+    /// Credit `k` settle operations performed outside the queue loop
     /// (the bucketed SSSP in [`crate::delta`] settles nodes without
-    /// popping this workspace's heap but reports in the same unit).
+    /// popping this workspace's queues but reports in the same unit).
     #[inline]
     pub(crate) fn note_settles(&mut self, k: u64) {
         self.settles += k;
@@ -985,7 +1127,7 @@ impl DijkstraWorkspace {
 
     /// Cumulative bucketed-SSSP statistics this workspace accumulated
     /// (see [`crate::delta::DeltaStats`]); all zeros when only the
-    /// scalar heap path ran. Snapshot-and-[`diff`](
+    /// scalar tree kernels ran. Snapshot-and-[`diff`](
     /// crate::delta::DeltaStats::since) to attribute activity to one
     /// solver phase.
     #[inline]
@@ -1299,13 +1441,24 @@ mod tests {
         assert_matches_cold(&net, 0, &lens, &ws);
     }
 
+    /// A node count for a randomized differential: 5..24 for even seeds,
+    /// 60..90 — across the word frontier's 64-node limit — for odd ones.
+    fn either_side_of_64(rng: &mut rand::rngs::StdRng, seed: u64) -> usize {
+        use rand::RngExt;
+        if seed.is_multiple_of(2) {
+            rng.random_range(5..24)
+        } else {
+            rng.random_range(60..90)
+        }
+    }
+
     #[test]
     fn repair_random_sequences_match_cold() {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         for seed in 0..30u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let n = rng.random_range(5..24);
+            let n = either_side_of_64(&mut rng, seed);
             let mut g = Graph::new(n);
             for v in 0..n {
                 g.add_edge(v, (v + 1) % n, rng.random_range(0.5..4.0))
@@ -1456,7 +1609,7 @@ mod tests {
         let mut ws = DijkstraWorkspace::default();
         for seed in 0..30u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let n = rng.random_range(5..24);
+            let n = either_side_of_64(&mut rng, seed);
             let mut g = Graph::new(n);
             // a path plus random chords, with an unreachable tail node
             for v in 0..n - 2 {
@@ -1483,6 +1636,110 @@ mod tests {
         assert_eq!(ws.distance(4), ws.distance(3), "a plateau");
         assert_settle_order(&net, 0, &ws);
         assert_eq!(ws.settled(), [0, 2, 1, 3, 4]);
+    }
+
+    /// The word frontier against the heap, each driven through the
+    /// generic kernels, on the same nets of at most 64 nodes: random
+    /// multigraphs whose lengths come from a palette with a 2^-60 entry
+    /// (exact ties and absorption plateaus), and `plateau_net`. Cold
+    /// runs, early-exit target runs, and repairs that re-settle a
+    /// subtree or bail out to a cold rebuild must leave the same bits in
+    /// `dist` and `parent_arc`, the same `settled()` and the same
+    /// `settles`.
+    #[test]
+    fn word_and_heap_queues_build_the_same_trees() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let same = |word: &DijkstraWorkspace, heap: &DijkstraWorkspace, what: &str| {
+            let n = word.n;
+            let bits = |ws: &DijkstraWorkspace| -> Vec<u64> {
+                ws.dist[..n].iter().map(|d| d.to_bits()).collect()
+            };
+            assert_eq!(bits(word), bits(heap), "{what}: dist");
+            assert_eq!(
+                word.parent_arc[..n],
+                heap.parent_arc[..n],
+                "{what}: parents"
+            );
+            assert_eq!(word.settled(), heap.settled(), "{what}: settle order");
+            assert_eq!(word.settles(), heap.settles(), "{what}: settles");
+        };
+        let palette = [0.25, 0.5, 1.0, 2f64.powi(-60)];
+        let mut nets = vec![plateau_net()];
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(0x64_0000 + seed);
+            let n = if seed == 0 {
+                64
+            } else {
+                rng.random_range(5..=64)
+            };
+            let mut g = Graph::new(n);
+            for v in 0..n {
+                g.add_unit_edge(v, (v + 1) % n).unwrap();
+            }
+            for _ in 0..rng.random_range(0..3 * n) {
+                let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                if u != v {
+                    // a chord and, now and then, a parallel twin
+                    for _ in 0..1 + rng.random_bool(0.2) as usize {
+                        g.add_unit_edge(u, v).unwrap();
+                    }
+                }
+            }
+            let net = CsrNet::from_graph(&g);
+            let lens = (0..net.arc_count())
+                .map(|_| palette[rng.random_range(0..palette.len())])
+                .collect();
+            nets.push((net, lens));
+        }
+        let (mut repairs, mut bail_outs) = (0, 0);
+        for (k, (net, base)) in nets.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(k as u64);
+            let n = net.node_count();
+            let (mut word, mut heap) = (DijkstraWorkspace::default(), DijkstraWorkspace::default());
+            for src in 0..n {
+                let what = format!("net {k} src {src}");
+                net.targets_with::<WordQueue>(src, base, &[], &mut word);
+                net.targets_with::<HeapQueue>(src, base, &[], &mut heap);
+                same(&word, &heap, &format!("{what} cold"));
+                let mut targets: Vec<u32> = (0..3).map(|_| rng.random_range(0..n) as u32).collect();
+                targets.sort_unstable();
+                targets.dedup();
+                net.targets_with::<WordQueue>(src, base, &targets, &mut word);
+                net.targets_with::<HeapQueue>(src, base, &targets, &mut heap);
+                same(&word, &heap, &format!("{what} to {targets:?}"));
+
+                net.targets_with::<WordQueue>(src, base, &[], &mut word);
+                net.targets_with::<HeapQueue>(src, base, &[], &mut heap);
+                let mut lens = base.clone();
+                for round in 0..6 {
+                    // a few arcs, or (every third round) nearly all of them
+                    let share = if round % 3 == 2 { 0.9 } else { 0.1 };
+                    let mut increased = Vec::new();
+                    for (a, len) in lens.iter_mut().enumerate() {
+                        if rng.random_bool(share) {
+                            *len *= [1.5, 2.0][rng.random_range(0..2)];
+                            increased.push(a as u32);
+                        }
+                    }
+                    let before = word.settles();
+                    net.repair_with::<WordQueue>(src, &lens, &increased, &mut word);
+                    net.repair_with::<HeapQueue>(src, &lens, &increased, &mut heap);
+                    same(&word, &heap, &format!("{what} repair {round}"));
+                    // a repair re-settles fewer nodes than its bail-out
+                    // threshold; a bail-out settles at least that many
+                    match word.settles() - before {
+                        0 => {}
+                        s if s < (n * 2 / 5 + 1) as u64 => repairs += 1,
+                        _ => bail_outs += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            repairs > 100 && bail_outs > 100,
+            "{repairs} repairs, {bail_outs} bail-outs"
+        );
     }
 
     #[test]
@@ -1522,18 +1779,18 @@ mod tests {
         use rand::{RngExt, SeedableRng};
         use std::collections::BTreeSet;
         const NODES: usize = 48;
-        let check = |ws: &DijkstraWorkspace, queued: &[Option<u128>], what: &str| {
+        let check = |heap: &HeapQueue, queued: &[Option<u128>], what: &str| {
             for (v, key) in queued.iter().enumerate() {
                 match key {
-                    Some(k) => assert_eq!(ws.heap[ws.pos[v] as usize], *k, "{what}: node {v}"),
-                    None => assert_eq!(ws.pos[v], NOT_QUEUED, "{what}: node {v}"),
+                    Some(k) => assert_eq!(heap.keys[heap.pos[v] as usize], *k, "{what}: node {v}"),
+                    None => assert_eq!(heap.pos[v], NOT_QUEUED, "{what}: node {v}"),
                 }
             }
         };
         for seed in 0..120u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let cap = 1 + (seed as usize % 40);
-            let mut ws = DijkstraWorkspace::new(NODES);
+            let mut heap = DijkstraWorkspace::new(NODES).heap;
             let mut model: BTreeSet<u128> = BTreeSet::new();
             let mut queued: Vec<Option<u128>> = vec![None; NODES];
             // grow to `cap` with pops mixed in, then drain through every
@@ -1542,7 +1799,7 @@ mod tests {
             while !(draining && model.is_empty()) {
                 draining |= model.len() == cap;
                 if draining || rng.random_range(0..4) == 0 {
-                    let popped = heap_pop(&mut ws.heap, &mut ws.pos);
+                    let popped = heap.pop_key();
                     assert_eq!(popped, model.pop_first(), "seed {seed}: pop order");
                     if let Some(k) = popped {
                         queued[k as u32 as usize] = None;
@@ -1552,18 +1809,18 @@ mod tests {
                     let key = pack(rng.random_range(0..6) as f64 * 0.25, v as u32);
                     match queued[v] {
                         Some(old) if key < old => {
-                            heap_upsert(&mut ws.heap, &mut ws.pos, key);
+                            heap.upsert(key);
                             model.remove(&old);
                         }
                         Some(_) => continue, // not a decrease
-                        None if rng.random_bool(0.5) => heap_insert(&mut ws.heap, &mut ws.pos, key),
-                        None => heap_upsert(&mut ws.heap, &mut ws.pos, key),
+                        None if rng.random_bool(0.5) => heap.insert(key),
+                        None => heap.upsert(key),
                     }
                     model.insert(key);
                     queued[v] = Some(key);
                 }
-                assert_eq!(ws.heap.len(), model.len(), "seed {seed}");
-                check(&ws, &queued, &format!("seed {seed}"));
+                assert_eq!(heap.keys.len(), model.len(), "seed {seed}");
+                check(&heap, &queued, &format!("seed {seed}"));
             }
         }
     }
