@@ -540,7 +540,7 @@ fn solve_pairwise(
     Ok(sol)
 }
 
-/// Heap pops of every Dijkstra run so far: all groups' trees plus the
+/// Queue pops of every Dijkstra run so far: all groups' trees plus the
 /// ladder's trees under the mean lengths.
 fn settles(groups: &[GroupState], ladder: Option<&Ladder>) -> u64 {
     let stored: u64 = groups.iter().map(|g| g.ws.settles()).sum();

@@ -74,7 +74,7 @@
 //! equal and the pop sequence has no ties to break), and so is every
 //! float accumulation order; sink iteration is input order
 //! (`List`) or index order (`Weighted`); every tree is one sequential
-//! heap Dijkstra. The solve touches the worker pool nowhere, so it is
+//! `CsrNet::dijkstra`. The solve touches the worker pool nowhere, so it is
 //! **bit-identical across thread counts and reruns** — `settles`
 //! included — by construction rather than by argument. (A window of
 //! groups routed against one stale length snapshot was measured and
@@ -187,7 +187,7 @@ pub struct GroupedFlow {
     pub group_rate_factor: Vec<f64>,
     /// Phases executed.
     pub phases: usize,
-    /// Total shortest-path tree settles — heap pops, one per node per
+    /// Total shortest-path tree settles — queue pops, one per node per
     /// tree — the work metric, identical at every thread count.
     pub settles: u64,
     /// The arc lengths `upper_bound` was read at: the witness

@@ -250,7 +250,7 @@ pub struct SolvedFlow {
     pub commodity_rate: Vec<f64>,
     /// Number of phases executed.
     pub phases: usize,
-    /// Heap pops of every Dijkstra run the solver made (full trees,
+    /// Queue pops of every Dijkstra run the solver made (full trees,
     /// early-terminated runs and repairs alike, at every node count) —
     /// the work metric the fast-path FPTAS optimises.
     /// `0` for solvers that are not instrumented

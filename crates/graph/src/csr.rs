@@ -786,7 +786,7 @@ impl CsrNet {
                     let p = parent_arc[wu] as usize;
                     dist[self.arc_tail[p] as usize] + arc_len[p] == d
                 },
-                "re-settled node {wu} has no parent"
+                "re-settled node {wu} has no parent achieving its distance"
             );
             let (arcs, heads) = self.out_slots(wu);
             for (&a, &u) in arcs.iter().zip(heads) {
