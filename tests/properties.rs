@@ -482,6 +482,94 @@ fn exact_lp_solves_the_instances_its_stall_rule_once_stalled() {
     }
 }
 
+/// The optima of the edge-flow LP the exact backend used to solve,
+/// captured from it: RRG(n, 6, 4) under one random permutation for
+/// n = 9…16 and seeds 1–5, built the way `topobench solve rrg
+/// --switches n --ports 6 --degree 4 --seed s --backend exact --runs 1`
+/// builds them. `None` marks the two instances that solver ran to its
+/// iteration limit.
+const EDGE_LP_OPTIMA: [[Option<f64>; 5]; 8] = [
+    [
+        Some(1.250000000000016),
+        Some(1.000000000000014),
+        Some(1.0000000000000195),
+        Some(0.9999999999999944),
+        Some(1.2000000000004265),
+    ],
+    [
+        Some(0.999999999999998),
+        Some(0.999999999999999),
+        Some(0.6666666666666665),
+        Some(1.1666666666666834),
+        Some(0.8571428571428578),
+    ],
+    [
+        Some(1.000000000000002),
+        Some(1.0000000000000022),
+        None,
+        Some(0.8571428571428575),
+        Some(1.1724137931034482),
+    ],
+    [
+        Some(1.000000000000021),
+        Some(0.7500000000002048),
+        Some(0.7500000000000002),
+        Some(0.7499999999999992),
+        Some(0.8181818181818189),
+    ],
+    [
+        Some(0.8571428571428641),
+        Some(0.8571428571428558),
+        Some(0.8571428571428583),
+        Some(0.7999999999999982),
+        Some(0.8571428571428551),
+    ],
+    [
+        Some(0.6666666666666676),
+        Some(0.8571428571428609),
+        Some(1.0000000000000049),
+        Some(0.7894736842105365),
+        Some(0.7500000000000042),
+    ],
+    [
+        Some(0.8571428571428497),
+        Some(0.9200000000000016),
+        None,
+        Some(0.909090909090917),
+        Some(0.9090909090909057),
+    ],
+    [
+        Some(0.852941176470592),
+        Some(0.6666666666666637),
+        Some(0.8000000000000005),
+        Some(0.7272727272727221),
+        Some(0.5714285714285711),
+    ],
+];
+
+/// The exact backend reproduces every optimum in [`EDGE_LP_OPTIMA`] to
+/// 1e-7 relative.
+#[test]
+fn exact_lp_reproduces_the_edge_lp_optima() {
+    for (row, n) in EDGE_LP_OPTIMA.iter().zip(9usize..) {
+        for (&want, seed) in row.iter().zip(1u64..) {
+            let Some(want) = want else { continue };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let topo = Topology::random_regular(n, 6, 4, &mut rng).unwrap();
+            let tm = Tm::random_permutation(topo.server_count(), &mut rng);
+            let lp = FlowOptions::default().with_backend(Backend::ExactLp);
+            let got = ThroughputEngine::new(&topo)
+                .solve(&tm, &lp)
+                .unwrap_or_else(|e| panic!("rrg:{n}x6x4 seed {seed}: {e}"))
+                .network_lambda;
+            assert!(
+                (got - want).abs() <= 1e-7 * want,
+                "rrg:{n}x6x4 seed {seed}: λ* = {got}, the edge LP's {want}"
+            );
+        }
+    }
+}
+
 /// `KspRestricted` solves are bit-identical across 50 seeded random
 /// graphs and 3 values of k, on both the miss path (first solve) and
 /// the hit path (second solve), sharing ONE cache across all nets —
