@@ -413,7 +413,7 @@ impl BackendChoice {
         }
     }
 
-    /// The exact edge-flow LP.
+    /// The exact LP.
     pub fn exact() -> Self {
         BackendChoice {
             backend: Backend::ExactLp,

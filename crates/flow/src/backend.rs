@@ -8,7 +8,7 @@
 //! | backend | algorithm | role |
 //! |---|---|---|
 //! | [`Backend::Fptas`] | parallel Garg–Könemann / Fleischer (the pairwise loop in `fptas`) | production path |
-//! | [`Backend::ExactLp`] | edge-flow LP via `dctopo-linprog` (`exact`) | ground truth on small instances |
+//! | [`Backend::ExactLp`] | path LP by column generation via `dctopo-linprog` (`exact`) | ground truth on small instances |
 //! | [`Backend::KspRestricted`] | multiplicative weights on frozen k-shortest path sets (`ksp`) | practical-routing model (§8) |
 //!
 //! Every pairwise solve goes through one private dispatch, the only
@@ -30,7 +30,7 @@ pub enum Backend {
     /// selects the strict trajectory.
     #[default]
     Fptas,
-    /// The exact edge-flow LP.
+    /// The exact LP: the path form, solved by column generation.
     ExactLp,
     /// Flow restricted to each commodity's `k` shortest paths.
     KspRestricted {

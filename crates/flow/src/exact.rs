@@ -1,43 +1,60 @@
-//! Exact max concurrent flow via the edge-flow LP, solved with
-//! `dctopo-linprog`'s simplex.
+//! Exact max concurrent flow: the path form of the LP the paper hands
+//! to CPLEX, solved by column generation on `dctopo-linprog`'s simplex.
 //!
-//! Variables: `x[j][a]` (flow of commodity `j` on arc `a`) and `λ`.
-//! Maximise `λ` subject to per-commodity flow conservation with source
-//! surplus `λ·d_j` and joint arc capacities. This is the formulation the
-//! paper hands to CPLEX; we use it as ground truth for the FPTAS on
-//! instances small enough for a dense simplex: a tableau of at most
-//! [`MAX_TABLEAU_CELLS`] rows × columns, about a second's work.
+//! The master maximises `λ` over a pool of paths. It has one row per
+//! arc, `Σ_{p ∋ a} f_p ≤ c(a)`, and one row per commodity,
+//! `λ·d_j − Σ_{p ∈ P_j} f_p ≤ 0`; its columns are `λ` and the pooled
+//! paths, seeded with each commodity's shortest path under `1/c`. Each
+//! round re-solves the master from its last basis and reads the duals
+//! `y` of the arc rows and `z` of the commodity rows. Pricing runs one
+//! [`CsrNet::dijkstra`] per source under `y` and adds every path shorter
+//! than its commodity's `z_j`. When no path is, `y` is an optimal dual of
+//! the whole LP, so `λ* = D(y)/α(y)`: the answer returns `y` as its
+//! [`SolvedFlow::dual_lengths`] and that bound as its `upper_bound`, and
+//! is checked like every other backend's.
 //!
-//! The LP is assembled from the shared [`CsrNet`] arc arrays.
 //! [`exact_solved_flow`] is the [`crate::Backend::ExactLp`] arm of the
-//! backend dispatch; it also recovers the optimal per-arc flow and
-//! per-commodity rates from the simplex solution so exact results are
-//! drop-in replacements for FPTAS results everywhere downstream
-//! (metrics, decomposition, figures).
+//! backend dispatch. Its flow, rates and per-commodity record are summed
+//! from the pooled paths, so exact results are drop-in replacements for
+//! FPTAS results everywhere downstream (metrics, decomposition, figures).
 
-use dctopo_graph::CsrNet;
-use dctopo_linprog::{LinearProgram, LpOutcome};
+use dctopo_graph::csr::DijkstraWorkspace;
+use dctopo_graph::{ArcId, CsrNet};
+use dctopo_linprog::{LinearProgram, LpError};
 
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
-/// Upper bound on the rows × columns of the dense tableau we hand the
-/// simplex — what it pays for, per pivot and in pivots. Release build,
-/// one core of a 2-core Intel Xeon, permutation traffic:
-/// RRG(16, 6, 4) at seeds 1–5 (512–560 rows, 1.18M–1.43M cells) solves
-/// in 0.43–1.10 s and is admitted; RRG(14, 8, 4) (2.29M cells) takes
-/// 0.90 s, RRG(18, 6, 4) (2.26M) 2.0 s, RRG(16, 7, 4) (2.52M) 3.7 s,
-/// RRG(20, 6, 4) (3.42M) 5.6 s and RRG(16, 8, 4) (960 × 4,545, 4.36M)
-/// more than 40 s, and all are refused.
+/// Upper bound on the master's rows × tableau columns (a slack per row,
+/// `λ` and the pooled paths) — what the simplex pays for, per pivot and
+/// in pivots. Checked on the seeded master before anything is built and
+/// again as the pool grows. Release build, one core of a 2-core Intel
+/// Xeon, permutation traffic, final masters: RRG(64, 6, 4) at seeds 1–5
+/// (381–384 rows, 0.56–0.75M cells) solves in 0.29–1.03 s, RRG(56, 8, 4)
+/// (0.91–1.04M) in 0.72–1.27 s, RRG(80, 6, 4) (1.11–1.30M) in 1.4–3.0 s
+/// and RRG(64, 8, 4) (1.26–1.39M) in 0.97–2.1 s, all admitted; RRG(88,
+/// 6, 4) outgrows the limit and is refused.
 const MAX_TABLEAU_CELLS: usize = 1_500_000;
 
+/// A path joins the pool when it is shorter than its commodity's dual by
+/// more than this: ten times the simplex's reduced-cost tolerance, so a
+/// pooled path is never priced in twice.
+const PRICE_TOL: f64 = 1e-8;
+
+/// The largest relative gap an exact answer may carry: rounding in the
+/// simplex costs far less, so a wider gap means the tableau lost
+/// precision and the answer is refused.
+const MAX_GAP: f64 = 1e-6;
+
 /// Solve the exact LP on a prebuilt net, returning the full certified
-/// flow (`upper_bound == throughput` up to simplex tolerance; `phases`
-/// reports 1).
+/// flow (`upper_bound` equals `throughput` up to the simplex's
+/// tolerance; `phases` counts the master's solves).
 ///
 /// # Errors
-/// [`FlowError::BadOptions`] when the instance's tableau exceeds
-/// [`MAX_TABLEAU_CELLS`] (the message names its rows and columns), is
-/// infeasible, or unbounded; validation errors as usual.
+/// [`FlowError::BadOptions`] when the master's tableau exceeds
+/// [`MAX_TABLEAU_CELLS`] (the message names its rows and columns), the
+/// simplex fails or the answer's gap exceeds [`MAX_GAP`];
+/// [`FlowError::Unreachable`] for a disconnected commodity; validation
+/// errors as usual.
 pub fn exact_solved_flow(
     net: &CsrNet,
     commodities: &[Commodity],
@@ -46,96 +63,162 @@ pub fn exact_solved_flow(
     // validation shared with the FPTAS (iterative knobs are ignored here
     // but still range-checked for interface uniformity)
     validate(net.node_count(), commodities, opts)?;
-    let k = commodities.len();
-    let m = net.arc_count();
-    let n = net.node_count();
-    let num_vars = k * m + 1;
-    // one row per conservation and capacity constraint; each row adds
-    // one slack or artificial column beside the LP's own variables
-    let rows = k * n + m;
-    let cols = num_vars + rows;
-    if rows.saturating_mul(cols) > MAX_TABLEAU_CELLS {
-        return Err(FlowError::BadOptions(format!(
-            "exact LP would need a {rows} × {cols} simplex tableau ({num_vars} variables; \
-             limit {MAX_TABLEAU_CELLS} cells); use the FPTAS"
-        )));
-    }
+    let (k, m) = (commodities.len(), net.arc_count());
+    let guard = |paths: usize| {
+        let (rows, cols) = (m + k, m + k + 1 + paths);
+        if rows.saturating_mul(cols) > MAX_TABLEAU_CELLS {
+            return Err(FlowError::BadOptions(format!(
+                "exact LP would need a {rows} × {cols} simplex tableau \
+                 (limit {MAX_TABLEAU_CELLS} cells); use the FPTAS"
+            )));
+        }
+        Ok(())
+    };
+    guard(k)?;
     // demands in units of the largest, rounded down to a power of two
     // (exact, and 1 for unit demands), so the simplex's absolute
     // tolerance sees λ at the capacities' scale: a demand of 1e9 on unit
     // capacities lost λ = 2e-9 to it and returned an over-capacity flow
     let max_demand = commodities.iter().map(|c| c.demand).fold(0.0, f64::max);
     let unit = 2f64.powi(max_demand.log2().floor() as i32);
-    let lambda = k * m; // index of λ
-    let mut lp = LinearProgram::new(num_vars);
-    lp.set_objective(lambda, 1.0);
-
-    let var = |j: usize, a: usize| j * m + a;
-
-    // conservation: for each commodity j and node v:
-    //   Σ_out x - Σ_in x = (v == src)·λd - (v == dst)·λd
-    for (j, c) in commodities.iter().enumerate() {
-        for v in 0..n {
-            let mut coeffs: Vec<(usize, f64)> = Vec::new();
-            let (arcs, _) = net.out_slots(v);
-            for &a in arcs {
-                let a = a as usize;
-                coeffs.push((var(j, a), 1.0));
-                // the reverse arc of `a` is an in-arc of v
-                coeffs.push((var(j, a ^ 1), -1.0));
+    let demand: Vec<f64> = commodities.iter().map(|c| c.demand / unit).collect();
+    let rhs = (net.capacities().iter().copied())
+        .chain(std::iter::repeat_n(0.0, k))
+        .collect();
+    let mut master = Master {
+        lp: LinearProgram::new(rhs).map_err(lp_failed)?,
+        pool: Vec::new(),
+        ws: DijkstraWorkspace::new(net.node_count()),
+        order: (0..k).collect(),
+    };
+    master.order.sort_by_key(|&j| commodities[j].src);
+    // λ's objective is the total demand, so the commodity duals average
+    // 1 and the simplex's absolute tolerance reads as a relative one
+    let lambda: Vec<_> = (demand.iter().enumerate())
+        .map(|(j, &d)| (m + j, d))
+        .collect();
+    (master.lp)
+        .add_column(demand.iter().sum(), &lambda)
+        .map_err(lp_failed)?;
+    // the seed round: every commodity's shortest path under 1/c
+    master.price(
+        net,
+        commodities,
+        net.inv_capacities(),
+        &vec![f64::INFINITY; k],
+    )?;
+    let mut phases = 0;
+    let (s, y, alpha) = loop {
+        guard(master.pool.len())?;
+        let s = master.lp.solve().map_err(lp_failed)?;
+        phases += 1;
+        let y: Vec<f64> = s.duals[..m].iter().map(|&y| y.max(0.0)).collect();
+        let before = master.pool.len();
+        let alpha = master.price(net, commodities, &y, &s.duals[m..])?;
+        if master.pool.len() == before {
+            break (s, y, alpha);
+        }
+    };
+    // the primal is the pooled flow scaled by what its worst-served
+    // commodity and its most congested arc allow, so it is feasible by
+    // construction whatever rounding the tableau carried
+    let flow: Vec<f64> = s.x[1..].iter().map(|&f| f.max(0.0)).collect();
+    let (mut delivered, mut load) = (vec![0.0f64; k], vec![0.0f64; m]);
+    for ((j, path), &f) in master.pool.iter().zip(&flow) {
+        delivered[*j] += f;
+        path.iter().for_each(|&a| load[a] += f);
+    }
+    let congestion = (load.iter().zip(net.capacities()))
+        .filter(|&(_, &c)| c > 0.0)
+        .fold(1.0, |worst, (l, c)| f64::max(worst, l / c));
+    let throughput = (delivered.iter().zip(commodities))
+        .fold(f64::INFINITY, |lo, (x, c)| lo.min(x / c.demand))
+        / congestion;
+    let mut arc_flow = vec![0.0f64; m];
+    let mut record = opts
+        .record_commodity_flows
+        .then(|| vec![vec![0.0f64; m]; k]);
+    for ((j, path), &f) in master.pool.iter().zip(&flow) {
+        let f = f * throughput * commodities[*j].demand / delivered[*j];
+        for &a in path {
+            arc_flow[a] += f;
+            if let Some(r) = record.as_mut() {
+                r[*j][a] += f;
             }
-            if v == c.src {
-                coeffs.push((lambda, -c.demand / unit));
-            } else if v == c.dst {
-                coeffs.push((lambda, c.demand / unit));
-            }
-            lp.add_eq(coeffs, 0.0);
         }
     }
-    // capacity: Σ_j x[j][a] <= c(a)
-    for a in 0..m {
-        let coeffs: Vec<(usize, f64)> = (0..k).map(|j| (var(j, a), 1.0)).collect();
-        lp.add_le(coeffs, net.capacity(a));
+    let d_y: f64 = y.iter().zip(net.capacities()).map(|(y, c)| y * c).sum();
+    let upper_bound = d_y / alpha;
+    let tight = upper_bound <= throughput * (1.0 + MAX_GAP); // false on a NaN
+    if !tight {
+        return Err(FlowError::BadOptions(format!(
+            "exact LP lost precision: λ = {throughput} but the bound is {upper_bound}"
+        )));
     }
+    let sol = SolvedFlow {
+        throughput,
+        upper_bound,
+        arc_flow,
+        commodity_rate: commodities.iter().map(|c| throughput * c.demand).collect(),
+        phases,
+        settles: 0,
+        commodity_arc_flow: record,
+        dual_lengths: y,
+    };
+    crate::debug_certify(|| sol.certify(net, commodities, None));
+    Ok(sol)
+}
 
-    match lp
-        .solve()
-        .map_err(|e| FlowError::BadOptions(format!("LP solver failed: {e}")))?
-    {
-        LpOutcome::Optimal(s) => {
-            let throughput = s.objective / unit;
-            let mut arc_flow = vec![0.0f64; m];
-            for j in 0..k {
-                for (a, f) in arc_flow.iter_mut().enumerate() {
-                    *f += s.x[var(j, a)];
-                }
+fn lp_failed(e: LpError) -> FlowError {
+    FlowError::BadOptions(format!("LP solver failed: {e}"))
+}
+
+/// The master LP, its path pool (column `1 + i` is path `i`, with its
+/// commodity) and the pricing state.
+struct Master {
+    lp: LinearProgram,
+    pool: Vec<(usize, Vec<ArcId>)>,
+    ws: DijkstraWorkspace,
+    /// Commodities by source, so each source's tree is grown once.
+    order: Vec<usize>,
+}
+
+impl Master {
+    /// Price under `length`: pool every commodity's shortest path that
+    /// is shorter than its `bar` by more than [`PRICE_TOL`], and return
+    /// `α = Σ d_j · dist(s_j, t_j)`.
+    fn price(
+        &mut self,
+        net: &CsrNet,
+        commodities: &[Commodity],
+        length: &[f64],
+        bar: &[f64],
+    ) -> Result<f64, FlowError> {
+        let (m, mut alpha, mut src) = (net.arc_count(), 0.0, None);
+        for &j in &self.order {
+            let c = &commodities[j];
+            if src != Some(c.src) {
+                net.dijkstra(c.src, length, &mut self.ws);
+                src = Some(c.src);
             }
-            let commodity_rate = commodities.iter().map(|c| throughput * c.demand).collect();
-            let commodity_arc_flow = opts.record_commodity_flows.then(|| {
-                (0..k)
-                    .map(|j| (0..m).map(|a| s.x[var(j, a)]).collect())
-                    .collect()
-            });
-            let sol = SolvedFlow {
-                throughput,
-                upper_bound: throughput,
-                arc_flow,
-                commodity_rate,
-                phases: 1,
-                settles: 0,
-                commodity_arc_flow,
-                // the simplex exposes no duals: the bound goes unchecked
-                dual_lengths: Vec::new(),
-            };
-            crate::debug_certify(|| sol.certify(net, commodities, None));
-            Ok(sol)
+            let dist = self.ws.distance(c.dst);
+            if !dist.is_finite() {
+                return Err(FlowError::Unreachable {
+                    src: c.src,
+                    dst: c.dst,
+                });
+            }
+            alpha += c.demand * dist;
+            if dist < bar[j] - PRICE_TOL {
+                let mut path = Vec::new();
+                self.ws.walk_path(net, c.dst, |a| path.push(a));
+                let mut column: Vec<_> = path.iter().map(|&a| (a, 1.0)).collect();
+                column.push((m + j, -1.0));
+                self.lp.add_column(0.0, &column).map_err(lp_failed)?;
+                self.pool.push((j, path));
+            }
         }
-        LpOutcome::Infeasible => Err(FlowError::BadOptions(
-            "exact LP infeasible (disconnected commodity?)".into(),
-        )),
-        LpOutcome::Unbounded => Err(FlowError::BadOptions(
-            "exact LP unbounded (zero-demand commodity?)".into(),
-        )),
+        Ok(alpha)
     }
 }
 
@@ -179,7 +262,8 @@ mod tests {
         assert!((v - 0.5).abs() < 1e-6, "λ* = {v}");
     }
 
-    /// The recovered flow vector is feasible and ships λ·d per commodity.
+    /// The recovered flow vector is feasible and ships λ·d per commodity,
+    /// and the bound re-derived from the returned lengths is λ*.
     #[test]
     fn exact_flow_vector_feasible() {
         let mut g = Graph::new(5);
@@ -188,29 +272,37 @@ mod tests {
         }
         let net = CsrNet::from_graph(&g);
         let cs = [Commodity::unit(0, 3), Commodity::unit(1, 4)];
-        let s = exact_solved_flow(&net, &cs, &FlowOptions::default()).unwrap();
-        assert_eq!(s.upper_bound, s.throughput);
-        // the primal checks; the simplex returns no duals to check
-        assert_eq!(s.certify(&net, &cs, None), Ok(None));
+        let opts = FlowOptions::default().with_commodity_flows(true);
+        let s = exact_solved_flow(&net, &cs, &opts).unwrap();
+        assert_eq!(s.dual_lengths.len(), net.arc_count());
+        let bound = s.certify(&net, &cs, None).unwrap().unwrap();
+        assert!(s.throughput <= bound * (1.0 + 1e-9), "{bound}");
+        assert!(bound <= s.throughput * (1.0 + 1e-6), "{bound}");
     }
 
-    /// The guard counts the tableau, not the variables: 56 commodities
-    /// on a 64-arc circulant are 3,585 variables, but a 960 × 4,545
-    /// tableau the dense simplex cannot finish in minutes. The refusal
-    /// names both sizes.
+    /// 16 nodes in a circulant of offsets 1 and 2 and the 56 commodities
+    /// at offsets 1–4: an edge-flow LP of 960 × 4,545, refused by the
+    /// dense simplex before, is a 120-row master. The same pattern on 200
+    /// nodes is refused before anything is built, naming both sizes.
     #[test]
-    fn too_large_rejected() {
-        let mut g = Graph::new(16);
-        for v in 0..16 {
-            g.add_unit_edge(v, (v + 1) % 16).unwrap();
-            g.add_unit_edge(v, (v + 2) % 16).unwrap();
-        }
-        let cs: Vec<_> = (1..=4)
-            .flat_map(|d| (0..16).map(move |i| Commodity::unit(i, (i + d) % 16)))
-            .take(56)
-            .collect();
+    fn the_guard_counts_the_master() {
+        let circulant = |n: usize, k: usize| {
+            let mut g = Graph::new(n);
+            for v in 0..n {
+                g.add_unit_edge(v, (v + 1) % n).unwrap();
+                g.add_unit_edge(v, (v + 2) % n).unwrap();
+            }
+            let cs: Vec<_> = (1..=4)
+                .flat_map(|d| (0..n).map(move |i| Commodity::unit(i, (i + d) % n)))
+                .take(k)
+                .collect();
+            (g, cs)
+        };
+        let (g, cs) = circulant(16, 56);
+        assert!(lp_lambda(&g, &cs).unwrap() > 0.0);
+        let (g, cs) = circulant(200, 800);
         match lp_lambda(&g, &cs) {
-            Err(FlowError::BadOptions(m)) => assert!(m.contains("960 × 4545"), "{m}"),
+            Err(FlowError::BadOptions(m)) => assert!(m.contains("1600 × 2401"), "{m}"),
             other => panic!("expected a refusal, got {other:?}"),
         }
     }

@@ -210,7 +210,7 @@ impl GroupedFlow {
     ///
     /// # Errors
     /// The first [`Violation`] the checker finds.
-    pub fn certify(&self, net: &CsrNet, groups: &[DemandGroup]) -> Result<Option<f64>, Violation> {
+    pub fn certify(&self, net: &CsrNet, groups: &[DemandGroup]) -> Result<f64, Violation> {
         let (mut demands, mut rates) = (Vec::new(), Vec::new());
         for (g, &factor) in groups.iter().zip(&self.group_rate_factor) {
             g.for_each_sink(|dst, d| {

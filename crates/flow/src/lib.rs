@@ -66,8 +66,10 @@
 //!   multi-tree Dijkstra passes run in parallel on rayon against a
 //!   length snapshot, with a fixed sequential reduction order, so seeded
 //!   runs are bit-identical at every thread count.
-//! * [`Backend::ExactLp`] — the edge-flow LP (via `dctopo-linprog`) the
-//!   paper hands to CPLEX; ground truth on small instances.
+//! * [`Backend::ExactLp`] — the path form of the LP the paper hands to
+//!   CPLEX, solved by column generation on `dctopo-linprog`; ground
+//!   truth on instances of up to a few hundred commodities, certified
+//!   at its optimal duals like every other answer.
 //! * [`Backend::KspRestricted`] — flow restricted to each commodity's k
 //!   shortest paths (the practical-routing model of §8). Its
 //!   per-topology path freezing is memoised by [`PathSetCache`], so
@@ -242,7 +244,8 @@ pub struct SolvedFlow {
     /// Certified dual upper bound on the optimal λ: `D(l)/α(l)` at
     /// [`SolvedFlow::dual_lengths`] (for [`Backend::KspRestricted`],
     /// with `α` over the frozen paths, so it bounds the path-restricted
-    /// problem), or the LP optimum for [`Backend::ExactLp`].
+    /// problem; for [`Backend::ExactLp`], the lengths are the LP's optimal
+    /// duals and the bound is λ*).
     pub upper_bound: f64,
     /// Feasible flow per directed arc (indexed by [`dctopo_graph::ArcId`]).
     pub arc_flow: Vec<f64>,
@@ -265,9 +268,8 @@ pub struct SolvedFlow {
     pub commodity_arc_flow: Option<Vec<Vec<f64>>>,
     /// The arc lengths `upper_bound` was read at — the last iterate or
     /// the fast path's running mean of the iterates, whichever gave the
-    /// smallest bound — one per arc. Empty for [`Backend::ExactLp`],
-    /// whose simplex exposes no duals. A later fast-path solve can open
-    /// on them ([`solve_from`]).
+    /// smallest bound, or the exact LP's optimal duals — one per arc. A
+    /// later fast-path solve can open on them ([`solve_from`]).
     pub dual_lengths: Vec<f64>,
 }
 
@@ -303,7 +305,8 @@ impl SolvedFlow {
     /// with [`certify::check`]; `paths` are the frozen path sets of a
     /// [`Backend::KspRestricted`] solve ([`PathSetCache::freeze`]),
     /// whose bound covers only the restricted problem. Returns the
-    /// re-derived bound, `None` when the dual side went unchecked.
+    /// re-derived bound, always `Some` since every backend returns its
+    /// lengths (the `Option` goes when `ksp`'s tests stop reading it).
     ///
     /// # Errors
     /// The first [`Violation`] the checker finds.
@@ -326,13 +329,13 @@ impl SolvedFlow {
             dual_lengths: &self.dual_lengths,
             paths,
         };
-        certify::check(net, &demands, &cert)
+        certify::check(net, &demands, &cert).map(Some)
     }
 }
 
 /// Debug builds re-derive what a producer returns with the checker and
 /// panic on a violation; release builds do not run `checked`.
-pub(crate) fn debug_certify(checked: impl FnOnce() -> Result<Option<f64>, Violation>) {
+pub(crate) fn debug_certify<T>(checked: impl FnOnce() -> Result<T, Violation>) {
     if cfg!(debug_assertions) {
         if let Err(v) = checked() {
             panic!("certificate rejected: {v}");

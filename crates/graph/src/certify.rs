@@ -49,8 +49,7 @@ pub struct Certificate<'a> {
     pub rates: &'a [f64],
     /// Per-commodity arc flows (outer: commodity, inner: arc), if kept.
     pub record: Option<&'a [Vec<f64>]>,
-    /// The lengths `upper_bound` was read at; empty when the solver
-    /// returned none, and the dual side is then unchecked.
+    /// The lengths `upper_bound` was read at, one per arc.
     pub dual_lengths: &'a [f64],
     /// The frozen path set of each commodity, for a bound over the
     /// path-restricted problem (each path a sequence of arcs).
@@ -152,13 +151,12 @@ impl std::error::Error for Violation {}
 
 /// Check `cert`, solved on `net` for the `(src, dst, demand)` triples
 /// `demands`. Returns the dual bound re-derived from
-/// [`Certificate::dual_lengths`], `None` when there are none (the dual
-/// side is then unchecked), or the first [`Violation`] found.
+/// [`Certificate::dual_lengths`], or the first [`Violation`] found.
 pub fn check(
     net: &CsrNet,
     demands: &[(NodeId, NodeId, f64)],
     cert: &Certificate<'_>,
-) -> Result<Option<f64>, Violation> {
+) -> Result<f64, Violation> {
     let (n, m, k) = (net.node_count(), net.arc_count(), demands.len());
     shape("arc_flow", cert.arc_flow.len(), m)?;
     shape("rates", cert.rates.len(), k)?;
@@ -207,9 +205,6 @@ pub fn check(
             });
         }
     }
-    if cert.dual_lengths.is_empty() {
-        return Ok(None);
-    }
     let dual = dual_bound(net, demands, cert)?;
     if !at_most(dual * (1.0 - TOLERANCE), cert.upper_bound) {
         return Err(Violation::BoundBelowDual {
@@ -217,7 +212,7 @@ pub fn check(
             dual,
         });
     }
-    Ok(Some(dual))
+    Ok(dual)
 }
 
 fn shape(what: &'static str, len: usize, want: usize) -> Result<(), Violation> {
@@ -426,12 +421,16 @@ mod tests {
         let mut cut = vec![0.0; net.arc_count()];
         cut[net.arc_between(0, 1).unwrap()] = 1.0;
         cut[net.arc_between(0, 3).unwrap()] = 1.0;
-        assert_eq!(
-            check(&net, &demands, &cert(&flow, &[2.0], &cut)),
-            Ok(Some(2.0))
-        );
-        // no lengths: the dual side is unchecked
-        assert_eq!(check(&net, &demands, &cert(&flow, &[2.0], &[])), Ok(None));
+        assert_eq!(check(&net, &demands, &cert(&flow, &[2.0], &cut)), Ok(2.0));
+        // no lengths: there is no dual side to check
+        assert!(matches!(
+            check(&net, &demands, &cert(&flow, &[2.0], &[])),
+            Err(Violation::Shape {
+                what: "dual_lengths",
+                len: 0,
+                ..
+            })
+        ));
         // unit lengths over one frozen 2-hop path: D = 8, α = 2
         let ones = vec![1.0; net.arc_count()];
         let path = vec![
@@ -444,7 +443,7 @@ mod tests {
             paths: Some(&paths),
             ..cert(&flow, &[2.0], &ones)
         };
-        assert_eq!(check(&net, &demands, &c), Ok(Some(4.0)));
+        assert_eq!(check(&net, &demands, &c), Ok(4.0));
     }
 
     #[test]
@@ -575,6 +574,6 @@ mod tests {
             ..cert(&half, &[1.0], &ones)
         };
         // D counts the six live arcs, α the 2-hop route around the hole
-        assert_eq!(check(&view, &demands, &c), Ok(Some(3.0)));
+        assert_eq!(check(&view, &demands, &c), Ok(3.0));
     }
 }

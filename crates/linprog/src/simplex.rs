@@ -1,25 +1,36 @@
-//! Two-phase dense primal simplex.
+//! Revised primal simplex from the slack basis, with a dense explicit
+//! basis inverse.
 //!
-//! Phase 1 minimises the sum of artificial variables to find a basic
-//! feasible solution; phase 2 optimises the user objective. Pivoting uses
-//! Dantzig's rule (most negative reduced cost) and switches to Bland's
-//! rule after a stall is detected, which guarantees termination on
+//! Every row is `aᵀx ≤ b` with `b ≥ 0`, so the origin is a basic
+//! feasible solution and no phase 1 is needed. The solver keeps `B⁻¹`,
+//! the basic values and every column's reduced cost, whose slack block
+//! is the row duals `y`; the columns stay sparse as they were added. A
+//! pivot expands only the entering column to `B⁻¹a`, updates the
+//! reduced costs from the pivot row and costs `O(m²)` for `m` rows plus
+//! the columns' nonzeros. A column added after a solve is priced once
+//! against `y`, and the next solve resumes from the basis the last one
+//! ended in. The entering column is Devex's choice (an approximate
+//! steepest edge), the leaving row Harris's two-pass ratio test's; a
+//! stall switches to Bland's rule, which guarantees termination on
 //! degenerate problems.
 
-use crate::{LinearProgram, Relation};
-
 const EPS: f64 = 1e-9;
+/// The Devex weight at which the reference framework restarts.
+const MAX_WEIGHT: f64 = 1e6;
 /// Iterations of non-improving pivots tolerated before Bland's rule kicks in.
 const STALL_LIMIT: usize = 64;
 
-/// Hard failure of the solver (as opposed to a legitimate LP status).
+/// Failure of the solver.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LpError {
     /// The pivot loop exceeded the iteration budget, which indicates a
     /// numerical breakdown (should not happen with Bland's rule).
     IterationLimit { iterations: usize },
-    /// A coefficient or RHS was NaN/infinite.
+    /// A coefficient was not finite, or a right-hand side was negative or
+    /// not finite.
     BadInput(String),
+    /// The objective is unbounded above on the feasible region.
+    Unbounded,
 }
 
 impl std::fmt::Display for LpError {
@@ -29,131 +40,153 @@ impl std::fmt::Display for LpError {
                 write!(f, "simplex exceeded {iterations} iterations")
             }
             LpError::BadInput(m) => write!(f, "bad LP input: {m}"),
+            LpError::Unbounded => write!(f, "LP unbounded"),
         }
     }
 }
 
 impl std::error::Error for LpError {}
 
-/// Status of a solved LP.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LpOutcome {
-    /// An optimal basic solution was found.
-    Optimal(LpSolution),
-    /// The constraints admit no solution.
-    Infeasible,
-    /// The objective is unbounded above on the feasible region.
-    Unbounded,
-}
-
-/// An optimal solution.
+/// An optimal basic solution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
     /// Optimal objective value.
     pub objective: f64,
-    /// Optimal variable values (length = original variable count).
+    /// Optimal value of each column, in the order they were added.
     pub x: Vec<f64>,
+    /// Optimal dual of each row: `y ≥ 0` up to the solver's tolerance,
+    /// `yᵀa ≥ c` for every column, and `bᵀy` equals the objective.
+    pub duals: Vec<f64>,
 }
 
-struct Tableau {
-    /// m rows, each of length `cols + 1` (last entry is RHS).
-    rows: Vec<Vec<f64>>,
-    /// objective row (reduced costs), length `cols + 1`; we *minimise* it.
+/// A linear program `maximize cᵀx subject to Ax ≤ b, x ≥ 0` with
+/// `b ≥ 0`, built column by column and held with its current basis.
+#[derive(Debug, Clone)]
+pub struct LinearProgram {
+    /// `B⁻¹`, one row per constraint.
+    inverse: Vec<Vec<f64>>,
+    /// The basic variables' values.
+    rhs: Vec<f64>,
+    /// The reduced cost `yᵀa − c` of every tableau column; the slack
+    /// block holds the row duals `y`.
     cost: Vec<f64>,
-    /// basis[r] = column basic in row r.
+    /// The current objective value `cᵀx`.
+    value: f64,
+    /// Each added column's objective coefficient and its `(row, a)`.
+    columns: Vec<(f64, Vec<(usize, f64)>)>,
+    /// Basic column of each row: slack `i` is column `i`, added column
+    /// `j` is column `m + j`.
     basis: Vec<usize>,
-    cols: usize,
+    /// Devex reference weights, one per tableau column.
+    weights: Vec<f64>,
 }
 
-impl Tableau {
-    fn pivot(&mut self, row: usize, col: usize) {
-        let piv = self.rows[row][col];
-        debug_assert!(piv.abs() > EPS);
-        let inv = 1.0 / piv;
-        for v in self.rows[row].iter_mut() {
-            *v *= inv;
+impl LinearProgram {
+    /// An LP with one row `… ≤ b_i` per entry of `rhs` and no columns.
+    ///
+    /// # Errors
+    /// [`LpError::BadInput`] when an entry is negative or not finite.
+    pub fn new(rhs: Vec<f64>) -> Result<Self, LpError> {
+        if let Some(i) = rhs.iter().position(|&b| !(b.is_finite() && b >= 0.0)) {
+            return Err(LpError::BadInput(format!("row {i} has rhs {}", rhs[i])));
         }
-        let pivot_row = self.rows[row].clone();
-        for (r, other) in self.rows.iter_mut().enumerate() {
-            if r == row {
-                continue;
-            }
-            let factor = other[col];
-            if factor.abs() > EPS {
-                for (o, p) in other.iter_mut().zip(&pivot_row) {
-                    *o -= factor * p;
-                }
-                other[col] = 0.0; // kill residual error exactly
-            }
-        }
-        let factor = self.cost[col];
-        if factor.abs() > EPS {
-            for (c, p) in self.cost.iter_mut().zip(&pivot_row) {
-                *c -= factor * p;
-            }
-            self.cost[col] = 0.0;
-        }
-        self.basis[row] = col;
+        let m = rhs.len();
+        let inverse = (0..m)
+            .map(|r| {
+                let mut row = vec![0.0; m];
+                row[r] = 1.0;
+                row
+            })
+            .collect();
+        Ok(LinearProgram {
+            inverse,
+            rhs,
+            cost: vec![0.0; m],
+            value: 0.0,
+            columns: Vec::new(),
+            basis: (0..m).collect(),
+            weights: vec![1.0; m],
+        })
     }
 
-    /// Run the simplex loop minimising the cost row over columns
-    /// `0..active_cols`. Returns `Ok(true)` on optimal, `Ok(false)` on
-    /// unbounded.
-    fn optimize(&mut self, active_cols: usize) -> Result<bool, LpError> {
-        let max_iters = 200 * (self.rows.len() + self.cols + 16);
+    /// Add a variable `x_j ≥ 0` with objective coefficient `objective`
+    /// and constraint coefficients `(row, a)` (rows may repeat: summed),
+    /// and return `j`.
+    ///
+    /// # Errors
+    /// [`LpError::BadInput`] when a coefficient is not finite or a row
+    /// is out of range.
+    pub fn add_column(
+        &mut self,
+        objective: f64,
+        coeffs: &[(usize, f64)],
+    ) -> Result<usize, LpError> {
+        let j = self.columns.len();
+        let finite = objective.is_finite() && coeffs.iter().all(|&(_, a)| a.is_finite());
+        if !finite || coeffs.iter().any(|&(i, _)| i >= self.rhs.len()) {
+            return Err(LpError::BadInput(format!(
+                "column {j} has a non-finite coefficient or an out-of-range row"
+            )));
+        }
+        let reduced: f64 = coeffs.iter().map(|&(i, a)| a * self.cost[i]).sum();
+        self.cost.push(reduced - objective);
+        self.columns.push((objective, coeffs.to_vec()));
+        self.weights.push(1.0);
+        Ok(j)
+    }
+
+    /// Optimise from the current basis.
+    ///
+    /// # Errors
+    /// [`LpError::Unbounded`], or [`LpError::IterationLimit`] on a
+    /// numerical breakdown.
+    pub fn solve(&mut self) -> Result<LpSolution, LpError> {
+        let cols = self.rhs.len() + self.columns.len();
+        let max_iters = 200 * (self.rhs.len() + cols + 16);
         let mut stall = 0usize;
-        // the cost row's right-hand side holds −objective, so an
-        // improving pivot *raises* it
-        let mut last_obj = f64::NEG_INFINITY;
+        let mut last = f64::NEG_INFINITY;
         for _ in 0..max_iters {
             let bland = stall >= STALL_LIMIT;
-            // entering column: negative reduced cost
+            // entering column: the first with a negative reduced cost
+            // under Bland's rule, else the largest Devex score r²/w
             let mut enter = None;
-            if bland {
-                for c in 0..active_cols {
-                    if self.cost[c] < -EPS {
-                        enter = Some(c);
+            let mut best = 0.0;
+            for c in 0..cols {
+                let r = self.cost[c];
+                if r < -EPS && r * r > best * self.weights[c] {
+                    (enter, best) = (Some(c), r * r / self.weights[c]);
+                    if bland {
                         break;
-                    }
-                }
-            } else {
-                let mut best = -EPS;
-                for c in 0..active_cols {
-                    if self.cost[c] < best {
-                        best = self.cost[c];
-                        enter = Some(c);
                     }
                 }
             }
             let Some(col) = enter else {
-                return Ok(true); // optimal
+                return Ok(self.solution());
             };
-            // leaving row: min ratio test (Bland tie-break on basis index)
+            let alpha = self.expand(col);
+            // leaving row, Harris's two passes: the least ratio with every
+            // basic value relaxed by EPS bounds the step, and among the
+            // rows inside it the largest pivot wins (the lowest basic
+            // index under Bland's rule)
+            let rows = || (alpha.iter().zip(&self.rhs).enumerate()).filter(|r| *r.1 .0 > EPS);
+            let bound = (rows().map(|(_, (a, b))| (b + EPS) / a)).fold(f64::INFINITY, f64::min);
             let mut leave: Option<(usize, f64)> = None;
-            for r in 0..self.rows.len() {
-                let a = self.rows[r][col];
-                if a > EPS {
-                    let ratio = self.rows[r][self.cols] / a;
-                    match leave {
-                        None => leave = Some((r, ratio)),
-                        Some((br, bratio)) => {
-                            if ratio < bratio - EPS
-                                || (ratio < bratio + EPS && self.basis[r] < self.basis[br])
-                            {
-                                leave = Some((r, ratio));
-                            }
-                        }
-                    }
+            for (r, (&a, _)) in rows().filter(|(_, (a, b))| *b / *a <= bound) {
+                let better = leave.is_none_or(|(br, ba)| match bland {
+                    true => self.basis[r] < self.basis[br],
+                    false => a > ba,
+                });
+                if better {
+                    leave = Some((r, a));
                 }
             }
             let Some((row, _)) = leave else {
-                return Ok(false); // unbounded
+                return Err(LpError::Unbounded);
             };
-            self.pivot(row, col);
-            let obj = self.cost[self.cols];
-            if obj > last_obj + EPS {
+            self.pivot(row, col, &alpha);
+            if self.value > last + EPS {
                 stall = 0;
-                last_obj = obj;
+                last = self.value;
             } else {
                 stall += 1;
             }
@@ -162,218 +195,123 @@ impl Tableau {
             iterations: max_iters,
         })
     }
-}
 
-/// Solve the LP by two-phase simplex.
-pub fn solve(lp: &LinearProgram) -> Result<LpOutcome, LpError> {
-    let n = lp.num_vars();
-    let m = lp.num_constraints();
-    for (i, c) in lp.constraints().iter().enumerate() {
-        if !c.rhs.is_finite() {
-            return Err(LpError::BadInput(format!(
-                "constraint {i} has non-finite rhs"
-            )));
-        }
-        if c.coeffs.iter().any(|&(_, a)| !a.is_finite()) {
-            return Err(LpError::BadInput(format!(
-                "constraint {i} has non-finite coefficient"
-            )));
+    /// Row `r` of `B⁻¹` times tableau column `col`'s coefficients.
+    fn dot(&self, r: &[f64], col: usize) -> f64 {
+        match col.checked_sub(self.rhs.len()) {
+            None => r[col],
+            Some(j) => self.columns[j].1.iter().map(|&(i, v)| v * r[i]).sum(),
         }
     }
-    if lp.objective().iter().any(|a| !a.is_finite()) {
-        return Err(LpError::BadInput(
-            "objective has non-finite coefficient".into(),
-        ));
+
+    /// Tableau column `col`: `B⁻¹a`.
+    fn expand(&self, col: usize) -> Vec<f64> {
+        self.inverse.iter().map(|r| self.dot(r, col)).collect()
     }
 
-    // Column layout: [original vars | slack/surplus | artificials] + RHS.
-    // First pass: normalise rows to rhs >= 0 and count extra columns.
-    let mut slack_count = 0usize;
-    let mut artificial_count = 0usize;
-    // (relation after normalisation)
-    let mut norm: Vec<(Vec<f64>, Relation, f64)> = Vec::with_capacity(m);
-    for c in lp.constraints() {
-        let mut dense = vec![0.0; n];
-        for &(v, a) in &c.coeffs {
-            dense[v] += a;
+    /// Bring `col`, whose tableau column is `alpha`, into the basis at
+    /// `row`.
+    fn pivot(&mut self, row: usize, col: usize, alpha: &[f64]) {
+        let reduced = self.cost[col];
+        let mut pivot_row = std::mem::take(&mut self.inverse[row]);
+        let inv = 1.0 / alpha[row];
+        for v in pivot_row.iter_mut() {
+            *v *= inv;
         }
-        let (mut rel, mut rhs) = (c.relation, c.rhs);
-        if rhs < 0.0 {
-            for a in dense.iter_mut() {
-                *a = -*a;
-            }
-            rhs = -rhs;
-            rel = match rel {
-                Relation::Le => Relation::Ge,
-                Relation::Ge => Relation::Le,
-                Relation::Eq => Relation::Eq,
-            };
+        let pivot_rhs = self.rhs[row] * inv;
+        // each column's reduced cost falls by its pivot-row entry times
+        // the entering one's; under Devex its reference weight grows with
+        // that entry, the leaving column takes the entering one's, and
+        // the framework restarts before a weight can overflow
+        let wq = self.weights[col];
+        for c in 0..self.cost.len() {
+            let rho = self.dot(&pivot_row, c);
+            self.cost[c] -= reduced * rho;
+            self.weights[c] = self.weights[c].max(rho * rho * wq);
         }
-        match rel {
-            Relation::Le => slack_count += 1,
-            Relation::Ge => {
-                slack_count += 1;
-                artificial_count += 1;
-            }
-            Relation::Eq => artificial_count += 1,
+        self.cost[col] = 0.0;
+        self.weights[self.basis[row]] = (wq * inv * inv).max(1.0);
+        if self.weights.iter().any(|&w| w > MAX_WEIGHT) {
+            self.weights.fill(1.0);
         }
-        norm.push((dense, rel, rhs));
-    }
-
-    let cols = n + slack_count + artificial_count;
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let mut basis = vec![0usize; m];
-    let mut next_slack = n;
-    let mut next_art = n + slack_count;
-    let art_start = n + slack_count;
-    for (r, (dense, rel, rhs)) in norm.iter().enumerate() {
-        let mut row = vec![0.0; cols + 1];
-        row[..n].copy_from_slice(dense);
-        row[cols] = *rhs;
-        match rel {
-            Relation::Le => {
-                row[next_slack] = 1.0;
-                basis[r] = next_slack;
-                next_slack += 1;
-            }
-            Relation::Ge => {
-                row[next_slack] = -1.0;
-                next_slack += 1;
-                row[next_art] = 1.0;
-                basis[r] = next_art;
-                next_art += 1;
-            }
-            Relation::Eq => {
-                row[next_art] = 1.0;
-                basis[r] = next_art;
-                next_art += 1;
-            }
-        }
-        rows.push(row);
-    }
-
-    let mut t = Tableau {
-        rows,
-        cost: vec![0.0; cols + 1],
-        basis,
-        cols,
-    };
-
-    if artificial_count > 0 {
-        // Phase 1: minimise sum of artificials. cost = sum of rows whose
-        // basic variable is artificial, negated into reduced-cost form.
-        for a in art_start..cols {
-            t.cost[a] = 1.0;
-        }
-        // price out the basic artificials
-        for r in 0..m {
-            if t.basis[r] >= art_start {
-                let row = t.rows[r].clone();
-                for (c, v) in t.cost.iter_mut().zip(&row) {
-                    *c -= v;
+        let rows = self.inverse.iter_mut().zip(&mut self.rhs).zip(alpha);
+        for ((other, rhs), &factor) in rows {
+            if factor != 0.0 && !other.is_empty() {
+                for (o, p) in other.iter_mut().zip(&pivot_row) {
+                    *o -= factor * p;
                 }
+                // rounding must not make a basic value negative: a
+                // negative ratio would step the objective backwards
+                *rhs = (*rhs - factor * pivot_rhs).max(0.0);
             }
         }
-        match t.optimize(cols)? {
-            true => {}
-            false => {
-                // Phase-1 objective is bounded below by 0; "unbounded" here
-                // means numerical trouble.
-                return Err(LpError::BadInput("phase 1 reported unbounded".into()));
-            }
-        }
-        let phase1 = -t.cost[cols]; // cost row holds -(objective)
-        if phase1 > 1e-7 {
-            return Ok(LpOutcome::Infeasible);
-        }
-        // Drive any remaining artificial out of the basis if possible.
-        for r in 0..m {
-            if t.basis[r] >= art_start {
-                let col = (0..art_start).find(|&c| t.rows[r][c].abs() > EPS);
-                if let Some(c) = col {
-                    t.pivot(r, c);
-                }
-                // If no pivot column exists the row is all-zero
-                // (redundant constraint) and can stay.
-            }
-        }
+        self.value -= reduced * pivot_rhs;
+        self.inverse[row] = pivot_row;
+        self.rhs[row] = pivot_rhs;
+        self.basis[row] = col;
     }
 
-    // Phase 2: minimise -objective over columns excluding artificials.
-    let mut cost = vec![0.0; cols + 1];
-    for (v, &c) in lp.objective().iter().enumerate() {
-        cost[v] = -c;
-    }
-    // forbid artificials from re-entering by leaving their cost at 0 and
-    // restricting the active column range
-    t.cost = cost;
-    // price out basic variables
-    for r in 0..m {
-        let b = t.basis[r];
-        let factor = t.cost[b];
-        if factor.abs() > EPS {
-            let row = t.rows[r].clone();
-            for (c, v) in t.cost.iter_mut().zip(&row) {
-                *c -= factor * v;
+    fn solution(&self) -> LpSolution {
+        let m = self.rhs.len();
+        let mut x = vec![0.0; self.columns.len()];
+        for (&b, &v) in self.basis.iter().zip(&self.rhs) {
+            if b >= m {
+                x[b - m] = v;
             }
-            t.cost[b] = 0.0;
+        }
+        let objective = self.columns.iter().zip(&x).map(|(c, v)| c.0 * v).sum();
+        LpSolution {
+            objective,
+            x,
+            duals: self.cost[..m].to_vec(),
         }
     }
-    match t.optimize(art_start)? {
-        true => {}
-        false => return Ok(LpOutcome::Unbounded),
-    }
-
-    let mut x = vec![0.0; n];
-    for r in 0..m {
-        if t.basis[r] < n {
-            x[t.basis[r]] = t.rows[r][cols];
-        }
-    }
-    let objective: f64 = lp.objective().iter().zip(&x).map(|(c, v)| c * v).sum();
-    Ok(LpOutcome::Optimal(LpSolution { objective, x }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinearProgram;
 
     #[test]
-    fn rejects_nan_inputs() {
-        let mut lp = LinearProgram::new(1);
-        lp.add_le(vec![(0, f64::NAN)], 1.0);
-        assert!(matches!(lp.solve(), Err(LpError::BadInput(_))));
-        let mut lp2 = LinearProgram::new(1);
-        lp2.add_le(vec![(0, 1.0)], f64::INFINITY);
-        assert!(matches!(lp2.solve(), Err(LpError::BadInput(_))));
+    fn rejects_non_finite_inputs() {
+        assert!(matches!(
+            LinearProgram::new(vec![f64::INFINITY]),
+            Err(LpError::BadInput(_))
+        ));
+        assert!(matches!(
+            LinearProgram::new(vec![-1.0]),
+            Err(LpError::BadInput(_))
+        ));
+        let mut lp = LinearProgram::new(vec![1.0]).unwrap();
+        assert!(matches!(
+            lp.add_column(1.0, &[(0, f64::NAN)]),
+            Err(LpError::BadInput(_))
+        ));
+        assert!(matches!(
+            lp.add_column(f64::NAN, &[(0, 1.0)]),
+            Err(LpError::BadInput(_))
+        ));
     }
 
     #[test]
-    fn redundant_equality_rows_ok() {
-        // x + y = 2 stated twice; max x → x=2
-        let mut lp = LinearProgram::new(2);
-        lp.set_objective(0, 1.0);
-        lp.add_eq(vec![(0, 1.0), (1, 1.0)], 2.0);
-        lp.add_eq(vec![(0, 1.0), (1, 1.0)], 2.0);
-        match lp.solve().unwrap() {
-            LpOutcome::Optimal(s) => assert!((s.objective - 2.0).abs() < 1e-7),
-            o => panic!("expected optimal, got {o:?}"),
-        }
+    fn redundant_rows_ok() {
+        // x + y ≤ 2 stated twice; max x → x = 2
+        let mut lp = LinearProgram::new(vec![2.0, 2.0]).unwrap();
+        lp.add_column(1.0, &[(0, 1.0), (1, 1.0)]).unwrap();
+        lp.add_column(0.0, &[(0, 1.0), (1, 1.0)]).unwrap();
+        let s = lp.solve().unwrap();
+        assert!((s.objective - 2.0).abs() < 1e-7);
     }
 
     #[test]
-    fn larger_random_feasible_lp() {
-        // A diagonally dominant system that is trivially feasible:
-        // x_i <= i+1 for 12 vars, maximize sum → sum_{1..=12} = 78
-        let mut lp = LinearProgram::new(12);
+    fn larger_feasible_lp() {
+        // x_i ≤ i + 1 for 12 variables, maximise the sum → 78
+        let mut lp = LinearProgram::new((1..=12).map(f64::from).collect()).unwrap();
         for i in 0..12 {
-            lp.set_objective(i, 1.0);
-            lp.add_le(vec![(i, 1.0)], (i + 1) as f64);
+            lp.add_column(1.0, &[(i, 1.0)]).unwrap();
         }
-        match lp.solve().unwrap() {
-            LpOutcome::Optimal(s) => assert!((s.objective - 78.0).abs() < 1e-6),
-            o => panic!("expected optimal, got {o:?}"),
-        }
+        let s = lp.solve().unwrap();
+        assert!((s.objective - 78.0).abs() < 1e-6);
+        assert!(s.duals.iter().all(|&y| (y - 1.0).abs() < 1e-9));
     }
 }

@@ -7,7 +7,7 @@
 //! single dependency:
 //!
 //! * [`graph`] — capacitated multigraph + shortest paths / k-shortest / seed mixing
-//! * [`linprog`] — dense two-phase simplex LP solver
+//! * [`linprog`] — revised simplex for packing LPs, built column by column
 //! * [`flow`] — max concurrent multi-commodity flow (FPTAS + exact bridge)
 //! * [`topology`] — RRG, heterogeneous, two-cluster, fat-tree, VL2, ... generators
 //! * [`traffic`] — permutation / all-to-all / chunky / hotspot traffic matrices

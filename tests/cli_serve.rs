@@ -150,16 +150,17 @@ fn golden_transcript_matches_in_process_engine_bitwise() {
     assert_eq!(lines, again, "serve transcript drifted across runs");
 }
 
-/// An exact-LP query whose dense tableau (960 × 4,545 on this fabric,
-/// only 3,585 variables) is past the simplex's budget gets a typed
-/// `solver` error record at once instead of stalling the server, which
-/// goes on to answer the next line.
+/// An exact-LP query whose seeded master (1,272 × 1,905 on this fabric:
+/// 640 arc rows, 632 commodity rows and a slack each, λ and one path per
+/// commodity) is past the simplex's budget gets a typed `solver` error
+/// record at once instead of stalling the server, which goes on to
+/// answer the next line.
 #[test]
 fn an_oversized_exact_query_is_refused_promptly() {
     let fabric = [
         "rrg",
         "--switches",
-        "16",
+        "160",
         "--ports",
         "8",
         "--degree",
@@ -184,7 +185,7 @@ fn an_oversized_exact_query_is_refused_promptly() {
     let err = v.get("error").unwrap();
     assert_eq!(err.get("kind").and_then(Json::as_str), Some("solver"));
     let message = err.get("message").and_then(Json::as_str).unwrap();
-    assert!(message.contains("960 × 4545"), "{message}");
+    assert!(message.contains("1272 × 1905"), "{message}");
     assert!(
         elapsed < std::time::Duration::from_secs(10),
         "refusal took {elapsed:?}"

@@ -548,23 +548,45 @@ const EDGE_LP_OPTIMA: [[Option<f64>; 5]; 8] = [
 ];
 
 /// The exact backend reproduces every optimum in [`EDGE_LP_OPTIMA`] to
-/// 1e-7 relative.
+/// 1e-7 relative and solves the two the edge LP did not. Every answer
+/// passes the checker with its dual side — one length per arc, the bound
+/// within 1e-6 of λ — and lies inside the default FPTAS's certified
+/// interval.
 #[test]
 fn exact_lp_reproduces_the_edge_lp_optima() {
+    use dctopo::core::solve::aggregate_commodities;
     for (row, n) in EDGE_LP_OPTIMA.iter().zip(9usize..) {
         for (&want, seed) in row.iter().zip(1u64..) {
-            let Some(want) = want else { continue };
+            let name = format!("rrg:{n}x6x4 seed {seed}");
             let mut rng = StdRng::seed_from_u64(seed);
             let topo = Topology::random_regular(n, 6, 4, &mut rng).unwrap();
             let tm = Tm::random_permutation(topo.server_count(), &mut rng);
+            let engine = ThroughputEngine::new(&topo);
             let lp = FlowOptions::default().with_backend(Backend::ExactLp);
-            let got = ThroughputEngine::new(&topo)
-                .solve(&tm, &lp)
-                .unwrap_or_else(|e| panic!("rrg:{n}x6x4 seed {seed}: {e}"))
-                .network_lambda;
+            let exact = (engine.solve(&tm, &lp))
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .solved
+                .unwrap();
+            let got = exact.throughput;
+            if let Some(want) = want {
+                assert!(
+                    (got - want).abs() <= 1e-7 * want,
+                    "{name}: λ* = {got}, the edge LP's {want}"
+                );
+            }
+            let cs = aggregate_commodities(&topo, &tm);
+            assert_eq!(exact.dual_lengths.len(), engine.net().arc_count());
+            let bound = exact.certify(engine.net(), &cs, None).unwrap().unwrap();
+            assert!(got <= exact.upper_bound * (1.0 + 1e-9), "{name}");
+            assert!(exact.upper_bound <= got * (1.0 + 1e-6), "{name}");
+            assert!(bound <= exact.upper_bound * (1.0 + 1e-9), "{name}");
+            let fast = engine.solve(&tm, &FlowOptions::default()).unwrap();
             assert!(
-                (got - want).abs() <= 1e-7 * want,
-                "rrg:{n}x6x4 seed {seed}: λ* = {got}, the edge LP's {want}"
+                fast.network_lambda <= got * (1.0 + 1e-9)
+                    && got <= fast.network_upper_bound * (1.0 + 1e-9),
+                "{name}: λ* = {got} outside [{}, {}]",
+                fast.network_lambda,
+                fast.network_upper_bound
             );
         }
     }
@@ -939,10 +961,10 @@ fn the_checker_names_each_perturbed_certificate() {
     );
 }
 
-/// Every producer but the exact LP returns the lengths its bound was
-/// read at, one per arc; the LP returns none.
+/// Every producer returns the lengths its bound was read at, one per
+/// arc, the exact LP's optimal duals among them.
 #[test]
-fn every_backend_but_the_lp_returns_its_witness() {
+fn every_backend_returns_its_witness() {
     use dctopo::flow::{solve_grouped, Backend, DemandGroup, SinkSpec};
     let g = seeded_graph(7);
     let net = dctopo::graph::CsrNet::from_graph(&g);
@@ -957,8 +979,7 @@ fn every_backend_but_the_lp_returns_its_witness() {
     ];
     for (name, o) in backends {
         let s = solve_cold(&net, &cs, &o).unwrap();
-        let want = if name == "exact" { 0 } else { net.arc_count() };
-        assert_eq!(s.dual_lengths.len(), want, "{name}");
+        assert_eq!(s.dual_lengths.len(), net.arc_count(), "{name}");
     }
     let cold = solve_cold(&net, &cs, &o).unwrap();
     let warm = solve_from(&net, &cs, &o, &PathSetCache::new(), &cold.dual_lengths).unwrap();
