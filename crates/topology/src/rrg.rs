@@ -9,6 +9,11 @@ use rand::Rng;
 use crate::stubs::{pair_stubs, stubs_from_counts};
 use crate::{SwitchClass, Topology};
 
+/// The most switches an RRG may have: 2^20, a thousand times the
+/// largest fabric any figure or benchmark builds, and small enough that
+/// `n · r` cannot overflow for any realisable degree `r < n`.
+pub const MAX_SWITCHES: usize = 1 << 20;
+
 impl Topology {
     /// Sample an `RRG(N, k, r)`: a random `r`-regular graph over `n`
     /// switches of `k` ports, with `k − r` servers per switch.
@@ -17,6 +22,8 @@ impl Topology {
     /// giving up, so the failure probability is negligible for `r ≥ 2`.
     ///
     /// # Errors
+    /// * more than [`MAX_SWITCHES`] switches is refused before anything
+    ///   is allocated.
     /// * `r ≥ n` or `r > k` are unrealizable.
     /// * `n·r` odd is unrealizable (degree sum must be even).
     pub fn random_regular<R: Rng + ?Sized>(
@@ -25,6 +32,11 @@ impl Topology {
         r: usize,
         rng: &mut R,
     ) -> Result<Topology, GraphError> {
+        if n > MAX_SWITCHES {
+            return Err(GraphError::Unrealizable(format!(
+                "{n} switches exceed the limit of {MAX_SWITCHES}"
+            )));
+        }
         if r > k {
             return Err(GraphError::Unrealizable(format!(
                 "network degree {r} exceeds port count {k}"
@@ -95,6 +107,19 @@ mod tests {
         assert!(Topology::random_regular(10, 4, 5, &mut rng).is_err()); // r > k
         assert!(Topology::random_regular(4, 10, 5, &mut rng).is_err()); // r >= n
         assert!(Topology::random_regular(5, 10, 3, &mut rng).is_err()); // odd sum
+    }
+
+    /// A switch count past the limit is a typed error, not an overflow
+    /// of `n · r` or a capacity panic.
+    #[test]
+    fn rrg_refuses_switch_counts_past_the_limit() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for n in [usize::MAX, MAX_SWITCHES + 1] {
+            assert!(matches!(
+                Topology::random_regular(n, 4, 2, &mut rng),
+                Err(GraphError::Unrealizable(_))
+            ));
+        }
     }
 
     #[test]

@@ -17,11 +17,12 @@ use dctopo::traffic::TrafficMatrix;
 use super::fig06_07::ratio_grid;
 use super::{columns, header, row, FigConfig};
 use super::{curve, samples};
+use crate::args::{CliResult, OrFail};
 
 /// Hypercube vs RRG with identical equipment: compare the *network*
 /// concurrent-flow value λ (the NIC cap would saturate both at 1 on
 /// these lightly loaded configurations and hide the difference).
-pub fn run_hypercube(cfg: &FigConfig) {
+pub fn run_hypercube(cfg: &FigConfig) -> CliResult {
     header("Extra: hypercube vs RRG with the same equipment (permutation traffic)");
     header("paper §1: RRG ~30% higher throughput at 512 nodes, growing with scale");
     columns(&[
@@ -47,17 +48,18 @@ pub fn run_hypercube(cfg: &FigConfig) {
             ]
         })
         .collect();
-    let lambda = curve(cfg, points, TrafficModel::Permutation, |m| m.network_lambda);
+    let lambda = curve(cfg, points, TrafficModel::Permutation, |m| m.network_lambda)?;
     for (&dim, pair) in dims.iter().zip(lambda.chunks(2)) {
         let (cube, rrg) = (pair[0].mean, pair[1].mean);
         row(&[dim as f64, (1usize << dim) as f64, cube, rrg, rrg / cube]);
     }
+    Ok(())
 }
 
 /// Fat-tree vs random graph: same switches (count and ports), same
 /// number of servers (placed proportionally on the random graph), same
 /// permutation workload — compare the network λ each fabric sustains.
-pub fn run_fattree(cfg: &FigConfig) {
+pub fn run_fattree(cfg: &FigConfig) -> CliResult {
     header("Extra: fat-tree vs random graph, same switch equipment and servers");
     header("paper §2 (Jellyfish): ~25% higher throughput for the random graph");
     columns(&[
@@ -100,7 +102,7 @@ pub fn run_fattree(cfg: &FigConfig) {
             [ft.parse::<TopologyPoint>().expect("family spec"), random]
         })
         .collect();
-    let lambda = curve(cfg, points, TrafficModel::Permutation, |m| m.network_lambda);
+    let lambda = curve(cfg, points, TrafficModel::Permutation, |m| m.network_lambda)?;
     for (&(k, n_switches, servers), pair) in fleets.iter().zip(lambda.chunks(2)) {
         let (ft, rrg) = (pair[0].mean, pair[1].mean);
         row(&[
@@ -112,10 +114,11 @@ pub fn run_fattree(cfg: &FigConfig) {
             rrg / ft,
         ]);
     }
+    Ok(())
 }
 
 /// Bisection bandwidth vs throughput across the cross-cluster sweep.
-pub fn run_bisection(cfg: &FigConfig) {
+pub fn run_bisection(cfg: &FigConfig) -> CliResult {
     header("Extra: cut capacity falls long before throughput does (§6)");
     columns(&["x_ratio", "throughput_norm", "cut_norm"]);
     let large = ClusterSpec {
@@ -138,7 +141,7 @@ pub fn run_bisection(cfg: &FigConfig) {
             let tm = TrafficMatrix::random_permutation(topo.server_count(), rng);
             Ok([solve_throughput(&topo, &tm, &cfg.opts)?.throughput, cut])
         })
-        .expect("bisection sample");
+        .or_fail("bisection sample")?;
         series.push((ratio, t.mean, cut.mean));
     }
     let t_max = series.iter().map(|&(_, t, _)| t).fold(0.0f64, f64::max);
@@ -146,4 +149,5 @@ pub fn run_bisection(cfg: &FigConfig) {
     for (ratio, t, c) in series {
         row(&[ratio, t / t_max, c / c_max]);
     }
+    Ok(())
 }

@@ -16,6 +16,7 @@ use dctopo::topology::Topology;
 
 use super::{columns, header, row, FigConfig};
 use super::{curve, samples};
+use crate::args::{CliResult, OrFail};
 
 /// Mean network λ over the Theorem-1 bound for `RRG(n, r + spw, r)`
 /// under `traffic`, one value per `(n, r)` in `sizes`. Theorem 1 bounds
@@ -26,41 +27,41 @@ fn ratio_curve(
     sizes: &[(usize, usize)],
     spw: usize,
     traffic: TrafficModel,
-) -> Vec<f64> {
+) -> CliResult<Vec<f64>> {
     let points = sizes
         .iter()
         .map(|&(n, r)| TopologyPoint::rrg(n, r + spw, r))
         .collect();
     let flows = |n: usize| traffic.pair_count(n * spw) as usize;
-    curve(cfg, points, traffic.clone(), |m| m.network_lambda)
-        .iter()
-        .zip(sizes)
+    let lambda = curve(cfg, points, traffic.clone(), |m| m.network_lambda)?;
+    Ok((lambda.iter().zip(sizes))
         .map(|(lambda, &(n, r))| lambda.mean / throughput_upper_bound(n, r, flows(n)))
-        .collect()
+        .collect())
 }
 
 /// The rows both figures print, one per `(n, r)` in `sizes` (ascending
 /// in `n`), keyed by `x`. All-to-all runs with one server per switch and
 /// only at `n ≤ 40`: its flow count grows as `n²`.
-fn rows(cfg: &FigConfig, sizes: &[(usize, usize)], x: fn((usize, usize)) -> usize) {
+fn rows(cfg: &FigConfig, sizes: &[(usize, usize)], x: fn((usize, usize)) -> usize) -> CliResult {
     let small = sizes.iter().take_while(|&&(n, _)| n <= 40).count();
-    let a2a = ratio_curve(cfg, &sizes[..small], 1, TrafficModel::AllToAll);
-    let p10 = ratio_curve(cfg, sizes, 10, TrafficModel::Permutation);
-    let p5 = ratio_curve(cfg, sizes, 5, TrafficModel::Permutation);
+    let a2a = ratio_curve(cfg, &sizes[..small], 1, TrafficModel::AllToAll)?;
+    let p10 = ratio_curve(cfg, sizes, 10, TrafficModel::Permutation)?;
+    let p5 = ratio_curve(cfg, sizes, 5, TrafficModel::Permutation)?;
     for (i, &(n, r)) in sizes.iter().enumerate() {
         let [aspl] = samples(cfg, |rng| {
             let topo = Topology::random_regular(n, r + 1, r, rng)?;
             Ok([path_stats(&topo.graph)?.aspl])
         })
-        .expect("aspl");
+        .or_fail("aspl")?;
         let bound = aspl_lower_bound(n, r).expect("bound");
         let a2a = a2a.get(i).copied().unwrap_or(f64::NAN);
         row(&[x((n, r)) as f64, a2a, p10[i], p5[i], aspl.mean, bound]);
     }
+    Ok(())
 }
 
 /// Fig. 1: N = 40, degree sweep.
-pub fn run_fig1(cfg: &FigConfig) {
+pub fn run_fig1(cfg: &FigConfig) -> CliResult {
     let degrees: Vec<usize> = if cfg.full {
         (3..=33).step_by(2).collect()
     } else {
@@ -77,11 +78,11 @@ pub fn run_fig1(cfg: &FigConfig) {
         "aspl_bound",
     ]);
     let sizes: Vec<(usize, usize)> = degrees.iter().map(|&r| (40, r)).collect();
-    rows(cfg, &sizes, |(_, r)| r);
+    rows(cfg, &sizes, |(_, r)| r)
 }
 
 /// Fig. 2: degree 10, size sweep.
-pub fn run_fig2(cfg: &FigConfig) {
+pub fn run_fig2(cfg: &FigConfig) -> CliResult {
     let sizes: &[usize] = if cfg.full {
         &[15, 20, 30, 40, 60, 80, 100, 120, 140, 160, 180, 200]
     } else {
@@ -99,5 +100,5 @@ pub fn run_fig2(cfg: &FigConfig) {
         "aspl_bound",
     ]);
     let sizes: Vec<(usize, usize)> = sizes.iter().map(|&n| (n, 10)).collect();
-    rows(cfg, &sizes, |(n, _)| n);
+    rows(cfg, &sizes, |(n, _)| n)
 }

@@ -10,9 +10,10 @@ use dctopo::topology::Topology;
 
 use super::samples;
 use super::{columns, header, row, FigConfig};
+use crate::args::{CliResult, OrFail};
 
 /// Fig. 3: degree-4 ASPL versus the bound across sizes.
-pub fn run(cfg: &FigConfig) {
+pub fn run(cfg: &FigConfig) -> CliResult {
     let r = 4;
     let max_n = if cfg.full { 1457 } else { 485 };
     // the level boundaries themselves plus intermediate points
@@ -36,8 +37,9 @@ pub fn run(cfg: &FigConfig) {
             let topo = Topology::random_regular(n, r + 1, r, rng)?;
             Ok([path_stats(&topo.graph)?.aspl])
         })
-        .expect("aspl run");
+        .or_fail("aspl run")?;
         let bound = aspl_lower_bound(n, r).expect("bound");
         row(&[n as f64, aspl.mean, bound, aspl.mean / bound]);
     }
+    Ok(())
 }

@@ -17,6 +17,7 @@ use rand::SeedableRng;
 
 use super::curve;
 use super::{columns, header, proportional_servers_large, row_keyed, server_splits, FigConfig};
+use crate::args::CliResult;
 
 /// One Fig. 4 curve: sweep server splits for the given fleet.
 fn sweep_split_curve(
@@ -27,7 +28,7 @@ fn sweep_split_curve(
     n_s: usize,
     ports_s: usize,
     total_servers: usize,
-) {
+) -> CliResult {
     let prop = proportional_servers_large(total_servers, n_l, n_s, ports_l, ports_s);
     let splits = server_splits(total_servers, n_l, n_s, ports_l, ports_s);
     let points = splits
@@ -43,7 +44,7 @@ fn sweep_split_curve(
             })
         })
         .collect();
-    let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput);
+    let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput)?;
     for (&(s_l, s_s), stats) in splits.iter().zip(throughput) {
         row_keyed(
             label,
@@ -56,10 +57,11 @@ fn sweep_split_curve(
             ],
         );
     }
+    Ok(())
 }
 
 /// Fig. 4(a)–(c).
-pub fn run_fig4(cfg: &FigConfig) {
+pub fn run_fig4(cfg: &FigConfig) -> CliResult {
     header("Fig 4: server distribution sweeps; x = servers-at-large / proportional");
     columns(&[
         "curve",
@@ -70,21 +72,22 @@ pub fn run_fig4(cfg: &FigConfig) {
         "servers_small",
     ]);
     // (a) port ratios 3:1, 2:1, 3:2 — 20 large, 40 small
-    sweep_split_curve(cfg, "a:3to1", 20, 30, 40, 10, 500);
-    sweep_split_curve(cfg, "a:2to1", 20, 30, 40, 15, 480);
-    sweep_split_curve(cfg, "a:3to2", 20, 30, 40, 20, 420);
+    sweep_split_curve(cfg, "a:3to1", 20, 30, 40, 10, 500)?;
+    sweep_split_curve(cfg, "a:2to1", 20, 30, 40, 15, 480)?;
+    sweep_split_curve(cfg, "a:3to2", 20, 30, 40, 20, 420)?;
     // (b) small-switch count 20/30/40 (20 large of 30p, smalls of 20p)
-    sweep_split_curve(cfg, "b:20small", 20, 30, 20, 20, 300);
-    sweep_split_curve(cfg, "b:30small", 20, 30, 30, 20, 360);
-    sweep_split_curve(cfg, "b:40small", 20, 30, 40, 20, 420);
+    sweep_split_curve(cfg, "b:20small", 20, 30, 20, 20, 300)?;
+    sweep_split_curve(cfg, "b:30small", 20, 30, 30, 20, 360)?;
+    sweep_split_curve(cfg, "b:40small", 20, 30, 40, 20, 420)?;
     // (c) oversubscription: same equipment (20×30p + 30×20p), more servers
-    sweep_split_curve(cfg, "c:480srv", 20, 30, 30, 20, 480);
-    sweep_split_curve(cfg, "c:510srv", 20, 30, 30, 20, 510);
-    sweep_split_curve(cfg, "c:540srv", 20, 30, 30, 20, 540);
+    sweep_split_curve(cfg, "c:480srv", 20, 30, 30, 20, 480)?;
+    sweep_split_curve(cfg, "c:510srv", 20, 30, 30, 20, 510)?;
+    sweep_split_curve(cfg, "c:540srv", 20, 30, 30, 20, 540)?;
+    Ok(())
 }
 
 /// Fig. 5: power-law port counts, servers ∝ `k^β`.
-pub fn run_fig5(cfg: &FigConfig) {
+pub fn run_fig5(cfg: &FigConfig) -> CliResult {
     header("Fig 5: power-law fleet, servers attached proportional to port^beta");
     header("normalized to the beta = 1.0 (proportional) configuration");
     columns(&["curve", "beta", "normalized_throughput", "std"]);
@@ -114,7 +117,7 @@ pub fn run_fig5(cfg: &FigConfig) {
                 })
             })
             .collect();
-        let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput);
+        let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput)?;
         let results: Vec<_> = betas.iter().copied().zip(throughput).collect();
         let norm = results
             .iter()
@@ -125,4 +128,5 @@ pub fn run_fig5(cfg: &FigConfig) {
             row_keyed(label, &[beta, stats.mean / norm, stats.std / norm]);
         }
     }
+    Ok(())
 }

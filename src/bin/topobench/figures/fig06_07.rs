@@ -14,6 +14,7 @@ use dctopo::topology::{expected_cross_links, ClusterSpec};
 
 use super::curve;
 use super::{columns, header, row_keyed, FigConfig};
+use crate::args::CliResult;
 
 /// The standard cross-ratio grid, clamped to what the port budgets allow.
 pub(crate) fn ratio_grid(large: ClusterSpec, small: ClusterSpec, dense: bool) -> Vec<f64> {
@@ -30,7 +31,12 @@ pub(crate) fn ratio_grid(large: ClusterSpec, small: ClusterSpec, dense: bool) ->
 }
 
 /// One Fig. 6 curve: cross-connectivity sweep at a fixed server split.
-fn sweep_cross_curve(cfg: &FigConfig, label: &str, large: ClusterSpec, small: ClusterSpec) {
+fn sweep_cross_curve(
+    cfg: &FigConfig,
+    label: &str,
+    large: ClusterSpec,
+    small: ClusterSpec,
+) -> CliResult {
     let ratios = ratio_grid(large, small, cfg.full);
     let points = ratios
         .iter()
@@ -40,14 +46,15 @@ fn sweep_cross_curve(cfg: &FigConfig, label: &str, large: ClusterSpec, small: Cl
             })
         })
         .collect();
-    let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput);
+    let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput)?;
     for (ratio, stats) in ratios.into_iter().zip(throughput) {
         row_keyed(label, &[ratio, stats.mean, stats.std]);
     }
+    Ok(())
 }
 
 /// Fig. 6(a)–(c).
-pub fn run_fig6(cfg: &FigConfig) {
+pub fn run_fig6(cfg: &FigConfig) -> CliResult {
     header("Fig 6: cross-cluster connectivity sweeps, proportional servers");
     header("x = cross links / expected under vanilla random wiring");
     columns(&["curve", "x_ratio", "throughput", "std"]);
@@ -57,21 +64,22 @@ pub fn run_fig6(cfg: &FigConfig) {
         servers_per_switch: servers,
     };
     // (a) port ratios (servers proportional to ports)
-    sweep_cross_curve(cfg, "a:3to1", spec(20, 30, 15), spec(40, 10, 5));
-    sweep_cross_curve(cfg, "a:2to1", spec(20, 30, 12), spec(40, 15, 6));
-    sweep_cross_curve(cfg, "a:3to2", spec(20, 30, 9), spec(40, 20, 6));
+    sweep_cross_curve(cfg, "a:3to1", spec(20, 30, 15), spec(40, 10, 5))?;
+    sweep_cross_curve(cfg, "a:2to1", spec(20, 30, 12), spec(40, 15, 6))?;
+    sweep_cross_curve(cfg, "a:3to2", spec(20, 30, 9), spec(40, 20, 6))?;
     // (b) small-switch counts
-    sweep_cross_curve(cfg, "b:20small", spec(20, 30, 9), spec(20, 20, 6));
-    sweep_cross_curve(cfg, "b:30small", spec(20, 30, 9), spec(30, 20, 6));
-    sweep_cross_curve(cfg, "b:40small", spec(20, 30, 9), spec(40, 20, 6));
+    sweep_cross_curve(cfg, "b:20small", spec(20, 30, 9), spec(20, 20, 6))?;
+    sweep_cross_curve(cfg, "b:30small", spec(20, 30, 9), spec(30, 20, 6))?;
+    sweep_cross_curve(cfg, "b:40small", spec(20, 30, 9), spec(40, 20, 6))?;
     // (c) oversubscription (same switches, more servers)
-    sweep_cross_curve(cfg, "c:360srv", spec(20, 30, 9), spec(30, 20, 6));
-    sweep_cross_curve(cfg, "c:480srv", spec(20, 30, 12), spec(30, 20, 8));
-    sweep_cross_curve(cfg, "c:600srv", spec(20, 30, 15), spec(30, 20, 10));
+    sweep_cross_curve(cfg, "c:360srv", spec(20, 30, 9), spec(30, 20, 6))?;
+    sweep_cross_curve(cfg, "c:480srv", spec(20, 30, 12), spec(30, 20, 8))?;
+    sweep_cross_curve(cfg, "c:600srv", spec(20, 30, 15), spec(30, 20, 10))?;
+    Ok(())
 }
 
 /// Fig. 7(a), (b): joint server-split × cross-connectivity sweeps.
-pub fn run_fig7(cfg: &FigConfig) {
+pub fn run_fig7(cfg: &FigConfig) -> CliResult {
     header("Fig 7: joint sweep of server split and cross-cluster links");
     header("curve labels: <servers per large switch>H,<servers per small switch>L");
     columns(&["curve", "x_ratio", "throughput", "std"]);
@@ -87,7 +95,7 @@ pub fn run_fig7(cfg: &FigConfig) {
             ports: 10,
             servers_per_switch: l,
         };
-        sweep_cross_curve(cfg, &format!("a:{h}H,{l}L"), large, small);
+        sweep_cross_curve(cfg, &format!("a:{h}H,{l}L"), large, small)?;
     }
     // (b) 20 large (30p), 40 small (20p), 560 servers total
     for &(h, l) in &[(22usize, 3usize), (18, 5), (14, 7), (10, 9), (6, 11)] {
@@ -101,6 +109,7 @@ pub fn run_fig7(cfg: &FigConfig) {
             ports: 20,
             servers_per_switch: l,
         };
-        sweep_cross_curve(cfg, &format!("b:{h}H,{l}L"), large, small);
+        sweep_cross_curve(cfg, &format!("b:{h}H,{l}L"), large, small)?;
     }
+    Ok(())
 }

@@ -13,6 +13,7 @@ use dctopo::topology::ClusterSpec;
 use super::curve;
 use super::fig06_07::ratio_grid;
 use super::{columns, header, row_keyed, FigConfig};
+use crate::args::CliResult;
 
 fn sweep(
     cfg: &FigConfig,
@@ -21,7 +22,7 @@ fn sweep(
     small: ClusterSpec,
     high_links: usize,
     high_speed: f64,
-) {
+) -> CliResult {
     let ratios = ratio_grid(large, small, cfg.full);
     let points = ratios
         .iter()
@@ -32,14 +33,15 @@ fn sweep(
             })
         })
         .collect();
-    let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput);
+    let throughput = curve(cfg, points, TrafficModel::Permutation, |m| m.throughput)?;
     for (ratio, stats) in ratios.into_iter().zip(throughput) {
         row_keyed(label, &[ratio, stats.mean, stats.std]);
     }
+    Ok(())
 }
 
 /// Fig. 8(a)–(c).
-pub fn run(cfg: &FigConfig) {
+pub fn run(cfg: &FigConfig) -> CliResult {
     header("Fig 8: heterogeneous line-speeds — 20 large (40 low ports), 20 small (15 low ports)");
     header("large switches carry extra high-speed trunks (paired among large switches only)");
     columns(&["curve", "x_ratio", "throughput", "std"]);
@@ -55,7 +57,7 @@ pub fn run(cfg: &FigConfig) {
     };
     // (a) server splits, 3 trunks at 10x (total servers fixed at 860)
     for &(h, l) in &[(36usize, 7usize), (35, 8), (34, 9), (33, 10), (32, 11)] {
-        sweep(cfg, &format!("a:{h}H,{l}L"), large(h), small(l), 3, 10.0);
+        sweep(cfg, &format!("a:{h}H,{l}L"), large(h), small(l), 3, 10.0)?;
     }
     // (b) trunk speed sweep at 6 trunks, servers fixed (34, 9)
     for &speed in &[2.0, 4.0, 8.0] {
@@ -66,7 +68,7 @@ pub fn run(cfg: &FigConfig) {
             small(9),
             6,
             speed,
-        );
+        )?;
     }
     // (c) trunk count sweep at speed 4, servers fixed (34, 9)
     for &links in &[3usize, 6, 9] {
@@ -77,6 +79,7 @@ pub fn run(cfg: &FigConfig) {
             small(9),
             links,
             4.0,
-        );
+        )?;
     }
+    Ok(())
 }

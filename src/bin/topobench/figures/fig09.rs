@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use super::fig06_07::ratio_grid;
 use super::samples;
 use super::{columns, header, row_keyed, server_splits, FigConfig};
+use crate::args::{CliResult, OrFail};
 
 /// Per-point means of (throughput, utilization, 1/⟨D⟩, 1/AS).
 struct Point {
@@ -68,7 +69,7 @@ fn print_normalized(label: &str, points: &[Point]) {
 }
 
 /// Fig. 9(a)–(c).
-pub fn run(cfg: &FigConfig) {
+pub fn run(cfg: &FigConfig) -> CliResult {
     header("Fig 9: throughput decomposition, all metrics normalized at the peak-T point");
     columns(&[
         "panel",
@@ -91,7 +92,7 @@ pub fn run(cfg: &FigConfig) {
                 rng,
             )
         })
-        .expect("fig9a");
+        .or_fail("fig9a")?;
         pts.push(p);
     }
     print_normalized("a:servers", &pts);
@@ -112,7 +113,7 @@ pub fn run(cfg: &FigConfig) {
         let p = measure(cfg, ratio, |rng| {
             two_cluster(large, small, CrossSpec::Ratio(ratio), rng)
         })
-        .expect("fig9b");
+        .or_fail("fig9b")?;
         pts.push(p);
     }
     print_normalized("b:cross", &pts);
@@ -133,8 +134,9 @@ pub fn run(cfg: &FigConfig) {
         let p = measure(cfg, ratio, |rng| {
             two_cluster_linespeed(large, small, CrossSpec::Ratio(ratio), 3, 4.0, rng)
         })
-        .expect("fig9c");
+        .or_fail("fig9c")?;
         pts.push(p);
     }
     print_normalized("c:linespeed", &pts);
+    Ok(())
 }

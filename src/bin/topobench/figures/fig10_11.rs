@@ -22,6 +22,7 @@ use rand::rngs::StdRng;
 use super::fig06_07::ratio_grid;
 use super::samples;
 use super::{columns, header, row_keyed, FigConfig};
+use crate::args::{CliResult, OrFail};
 
 /// Mean (observed throughput, Eqn-1 bound) at one sweep point.
 fn observe<B>(cfg: &FigConfig, large_count: usize, build: B) -> Result<(f64, f64), FlowError>
@@ -76,7 +77,7 @@ where
 }
 
 /// Fig. 10(a), (b).
-pub fn run_fig10(cfg: &FigConfig) {
+pub fn run_fig10(cfg: &FigConfig) -> CliResult {
     header("Fig 10: Eqn-1 bound vs observed throughput");
     columns(&["curve", "x_ratio", "observed", "bound"]);
     // (a) two uniform line-speed cases
@@ -113,7 +114,7 @@ pub fn run_fig10(cfg: &FigConfig) {
             let (obs, bound) = observe(cfg, large.count, |rng| {
                 two_cluster(large, small, CrossSpec::Ratio(ratio), rng)
             })
-            .expect("fig10a");
+            .or_fail("fig10a")?;
             row_keyed(label, &[ratio, obs, bound]);
         }
     }
@@ -137,14 +138,15 @@ pub fn run_fig10(cfg: &FigConfig) {
             let (obs, bound) = observe(cfg, large.count, |rng| {
                 two_cluster_linespeed(large, small, CrossSpec::Ratio(ratio), links, speed, rng)
             })
-            .expect("fig10b");
+            .or_fail("fig10b")?;
             row_keyed(label, &[ratio, obs, bound]);
         }
     }
+    Ok(())
 }
 
 /// Fig. 11: 18 configurations with the C̄* drop threshold.
-pub fn run_fig11(cfg: &FigConfig) {
+pub fn run_fig11(cfg: &FigConfig) -> CliResult {
     header("Fig 11: C̄* threshold — below it throughput must be under its peak");
     header("threshold_x = cross-ratio at which C̄ = C̄*(T_peak); verified = all points");
     header("below threshold_x have throughput < peak");
@@ -179,6 +181,7 @@ pub fn run_fig11(cfg: &FigConfig) {
             }
         }
     }
+    Ok(())
 }
 
 fn threshold_check(

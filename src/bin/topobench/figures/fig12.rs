@@ -17,6 +17,7 @@ use rand::SeedableRng;
 
 use super::grid;
 use super::{columns, header, row_keyed, FigConfig};
+use crate::args::{CliResult, OrFail};
 
 fn grids(cfg: &FigConfig) -> (Vec<usize>, Vec<usize>) {
     if cfg.full {
@@ -47,7 +48,7 @@ fn support_pair(
     d_a: usize,
     d_i: usize,
     tm: &dyn Fn(&Topology, &mut StdRng) -> TrafficMatrix,
-) -> (usize, usize) {
+) -> CliResult<(usize, usize)> {
     let search = search_for(cfg);
     let full = d_a * d_i / 4;
     let stock_build = |tors: usize, _seed: u64| {
@@ -70,23 +71,23 @@ fn support_pair(
     };
     let stock = search
         .max_tors(full.div_ceil(4), full, &stock_build, tm)
-        .expect("stock search")
+        .or_fail("stock search")?
         .unwrap_or(0);
     let rewired = search
         .max_tors(full.div_ceil(4), full * 2, &rewired_build, tm)
-        .expect("rewired search")
+        .or_fail("rewired search")?
         .unwrap_or(0);
-    (stock, rewired)
+    Ok((stock, rewired))
 }
 
 /// Fig. 12(a): permutation-traffic support ratio.
-pub fn run_fig12a(cfg: &FigConfig) {
+pub fn run_fig12a(cfg: &FigConfig) -> CliResult {
     header("Fig 12(a): ToRs (= servers) at full throughput, rewired / stock VL2");
     columns(&["curve", "d_a", "ratio", "stock_tors", "rewired_tors"]);
     let (das, dis) = grids(cfg);
     for &d_i in &dis {
         for &d_a in &das {
-            let (stock, rewired) = support_pair(cfg, d_a, d_i, &permutation_tm);
+            let (stock, rewired) = support_pair(cfg, d_a, d_i, &permutation_tm)?;
             let ratio = if stock > 0 {
                 rewired as f64 / stock as f64
             } else {
@@ -98,12 +99,13 @@ pub fn run_fig12a(cfg: &FigConfig) {
             );
         }
     }
+    Ok(())
 }
 
 /// Fig. 12(b): chunky traffic on the rewired topology sized at its
 /// permutation-supported ToR count. The traffic axis carries the chunky
 /// percentages, so each seeded topology is flattened once for all three.
-pub fn run_fig12b(cfg: &FigConfig) {
+pub fn run_fig12b(cfg: &FigConfig) -> CliResult {
     header("Fig 12(b): throughput under x% chunky traffic (rewired VL2 at its");
     header("permutation-supported size)");
     columns(&["curve", "d_a", "throughput", "std"]);
@@ -111,11 +113,13 @@ pub fn run_fig12b(cfg: &FigConfig) {
     let d_i = *dis.last().expect("non-empty");
     const PCTS: [f64; 3] = [20.0, 60.0, 100.0];
     let traffic = PCTS.map(|percent| TrafficModel::Chunky { percent });
-    let sized: Vec<(usize, usize)> = das
-        .iter()
-        .map(|&d_a| (d_a, support_pair(cfg, d_a, d_i, &permutation_tm).1))
-        .filter(|&(_, rewired_tors)| rewired_tors > 0)
-        .collect();
+    let mut sized = Vec::new();
+    for &d_a in &das {
+        let rewired_tors = support_pair(cfg, d_a, d_i, &permutation_tm)?.1;
+        if rewired_tors > 0 {
+            sized.push((d_a, rewired_tors));
+        }
+    }
     let points = sized
         .iter()
         .map(|&(d_a, tors)| {
@@ -123,16 +127,17 @@ pub fn run_fig12b(cfg: &FigConfig) {
             spec.parse::<TopologyPoint>().expect("family spec")
         })
         .collect();
-    let stats = grid(cfg, points, &traffic, |m| m.throughput);
+    let stats = grid(cfg, points, &traffic, |m| m.throughput)?;
     for (&(d_a, _), per_traffic) in sized.iter().zip(&stats) {
         for (pct, s) in PCTS.iter().zip(per_traffic) {
             row_keyed(&format!("{pct:.0}%chunky"), &[d_a as f64, s.mean, s.std]);
         }
     }
+    Ok(())
 }
 
 /// Fig. 12(c): support ratio under all-to-all / permutation / 100% chunky.
-pub fn run_fig12c(cfg: &FigConfig) {
+pub fn run_fig12c(cfg: &FigConfig) -> CliResult {
     header("Fig 12(c): support ratio when full throughput is required under");
     header("each traffic pattern (full = every flow at its NIC-fair rate)");
     columns(&["curve", "d_a", "ratio", "stock_tors", "rewired_tors"]);
@@ -162,7 +167,7 @@ pub fn run_fig12c(cfg: &FigConfig) {
             usize::MAX
         };
         for &d_a in das.iter().filter(|&&d| d <= degree_cap) {
-            let (stock, rewired) = support_pair(cfg, d_a, d_i, tm);
+            let (stock, rewired) = support_pair(cfg, d_a, d_i, tm)?;
             let ratio = if stock > 0 {
                 rewired as f64 / stock as f64
             } else {
@@ -171,4 +176,5 @@ pub fn run_fig12c(cfg: &FigConfig) {
             row_keyed(name, &[d_a as f64, ratio, stock as f64, rewired as f64]);
         }
     }
+    Ok(())
 }

@@ -15,9 +15,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use super::{columns, header, row, FigConfig};
+use crate::args::{CliResult, OrFail};
 
 /// Fig. 13.
-pub fn run(cfg: &FigConfig) {
+pub fn run(cfg: &FigConfig) -> CliResult {
     header("Fig 13: flow-level vs packet-level (co-validated, decomposed paths)");
     header("topologies oversubscribed ~25% so the flow value is < 1");
     columns(&["d_a", "flow_level", "ratio_mean", "ratio_min", "drops"]);
@@ -37,7 +38,7 @@ pub fn run(cfg: &FigConfig) {
             },
             &mut rng,
         )
-        .expect("rewired build");
+        .or_fail("rewired build")?;
         let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
         let engine = ThroughputEngine::new(&topo);
         let params = PacketParams {
@@ -47,7 +48,7 @@ pub fn run(cfg: &FigConfig) {
         };
         let cv = engine
             .covalidate(&tm, &cfg.opts, &params)
-            .expect("co-validation");
+            .or_fail("co-validation")?;
         let flow_t = cv.lambda.min(1.0);
         row(&[
             d_a as f64,
@@ -57,4 +58,5 @@ pub fn run(cfg: &FigConfig) {
             cv.result.drops as f64,
         ]);
     }
+    Ok(())
 }

@@ -40,7 +40,7 @@ use rayon::prelude::*;
 use crate::args::{Args, CliError, CliResult};
 use crate::instance::solver_options;
 
-type Print = fn(&FigConfig);
+type Print = fn(&FigConfig) -> CliResult;
 
 /// The figure index, in `all`'s order: every other target, what it
 /// prints, and whether `all` does (it prints a panel through its figure).
@@ -66,10 +66,10 @@ const FIGURES: &[(&str, Print, bool)] = &[
     ("extra-bisection", extras::run_bisection, true),
 ];
 
-fn run_fig12(cfg: &FigConfig) {
-    fig12::run_fig12a(cfg);
-    fig12::run_fig12b(cfg);
-    fig12::run_fig12c(cfg);
+fn run_fig12(cfg: &FigConfig) -> CliResult {
+    fig12::run_fig12a(cfg)?;
+    fig12::run_fig12b(cfg)?;
+    fig12::run_fig12c(cfg)
 }
 
 pub fn run(args: &Args) -> CliResult {
@@ -78,7 +78,7 @@ pub fn run(args: &Args) -> CliResult {
     if target == "all" {
         for &(name, print, _) in FIGURES.iter().filter(|f| f.2) {
             println!("##### {name} #####");
-            print(&cfg);
+            print(&cfg)?;
             println!();
         }
         return Ok(());
@@ -87,8 +87,7 @@ pub fn run(args: &Args) -> CliResult {
         .iter()
         .find(|f| f.0 == target)
         .ok_or_else(|| CliError::Usage(format!("unknown figure '{target}'")))?;
-    print(&cfg);
-    Ok(())
+    print(&cfg)
 }
 
 /// Configuration shared by every figure module.
@@ -222,14 +221,14 @@ impl Stats {
 ///
 /// A disconnected fabric delivers zero throughput to the flows it cannot
 /// carry — the honest y-value at the extreme ends of placement sweeps —
-/// so an `Unreachable` cell counts as 0; any other failure is a bug in
-/// the figure's table and aborts naming the cell.
+/// so an `Unreachable` cell counts as 0; any other failure fails the
+/// figure, naming the cell.
 fn grid(
     cfg: &FigConfig,
     points: Vec<TopologyPoint>,
     traffic: &[TrafficModel],
     metric: fn(&CellMetrics) -> f64,
-) -> Vec<Vec<Stats>> {
+) -> CliResult<Vec<Vec<Stats>>> {
     let runs = cfg.effective_runs();
     let report = SweepRunner::new(SweepSpec {
         topologies: points,
@@ -245,17 +244,20 @@ fn grid(
     })
     .run();
     let stats = |t: usize, m: usize| {
-        let xs: Vec<f64> = (0..runs)
+        let xs = (0..runs)
             .map(|run| {
                 let cell = report.cell(t, run, 0, m, 0);
                 match &cell.result {
-                    Ok(metrics) => metric(metrics),
-                    Err(FlowError::Unreachable { .. }) => 0.0,
-                    Err(e) => panic!("{} run {run} {}: {e}", cell.topology, cell.traffic),
+                    Ok(metrics) => Ok(metric(metrics)),
+                    Err(FlowError::Unreachable { .. }) => Ok(0.0),
+                    Err(e) => Err(CliError::Fail(format!(
+                        "{} run {run} {}: {e}",
+                        cell.topology, cell.traffic
+                    ))),
                 }
             })
-            .collect();
-        Stats::of(&xs)
+            .collect::<CliResult<Vec<f64>>>()?;
+        Ok(Stats::of(&xs))
     };
     (0..report.dims()[0])
         .map(|t| (0..traffic.len()).map(|m| stats(t, m)).collect())
@@ -268,9 +270,9 @@ fn curve(
     points: Vec<TopologyPoint>,
     traffic: TrafficModel,
     metric: fn(&CellMetrics) -> f64,
-) -> Vec<Stats> {
-    let per_point = grid(cfg, points, &[traffic], metric);
-    per_point.iter().map(|per_traffic| per_traffic[0]).collect()
+) -> CliResult<Vec<Stats>> {
+    let per_point = grid(cfg, points, &[traffic], metric)?;
+    Ok(per_point.iter().map(|per_traffic| per_traffic[0]).collect())
 }
 
 /// [`derive_seed`] domain of [`samples`] (`"figs"`); sweep cells use 1 and 2.

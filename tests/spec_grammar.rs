@@ -135,6 +135,8 @@ fn hostile_specs_are_typed_errors_not_panics() {
         "plan --family hypercube:99999999999x1".to_string(),
         "solve rrg --switches 12 --ports 7".to_string(),
         "build two-cluster".to_string(),
+        // dimensions whose product overflowed
+        "build rrg --switches 18446744073709551615 --ports 4 --degree 2".to_string(),
     ];
     for case in &cases {
         let args: Vec<&str> = case.split_whitespace().collect();
@@ -318,6 +320,18 @@ fn figures_rejects_what_it_cannot_print() {
     rejects("figures fig3 --runs", 2, "missing value for --runs");
     rejects("figures fig3 --bogus", 2, "unknown flag --bogus");
     rejects("figures fig3 --backend ksp:0", 2, "--backend ksp:0");
+}
+
+/// A figure whose solves the exact backend refuses fails like every
+/// other command — its message on stderr, exit 1 — instead of panicking
+/// (it exited 101 from the figure's `expect`).
+#[test]
+fn a_figure_the_exact_guard_refuses_exits_with_its_message() {
+    let out = topobench(&["figures", "fig9", "--backend", "exact", "--runs", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("exact LP would need a"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// Zero-sized loops are usage errors: `sweep --runs 0` ran one run, and
