@@ -4,7 +4,7 @@
 //! The master maximises `λ` over a pool of paths. It has one row per
 //! arc, `Σ_{p ∋ a} f_p ≤ c(a)`, and one row per commodity,
 //! `λ·d_j − Σ_{p ∈ P_j} f_p ≤ 0`; its columns are `λ` and the pooled
-//! paths, seeded with each commodity's shortest path under `1/c`. Each
+//! paths, seeded with each commodity's fewest-hop paths. Each
 //! round re-solves the master from its last basis and reads the duals
 //! `y` of the arc rows and `z` of the commodity rows. Pricing runs one
 //! [`CsrNet::dijkstra`] per source under `y` and adds every path shorter
@@ -22,18 +22,23 @@ use dctopo_graph::csr::DijkstraWorkspace;
 use dctopo_graph::{ArcId, CsrNet};
 use dctopo_linprog::{LinearProgram, LpError};
 
-use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
+use crate::{validate, Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow};
 
 /// Upper bound on the master's rows × tableau columns (a slack per row,
 /// `λ` and the pooled paths) — what the simplex pays for, per pivot and
-/// in pivots. Checked on the seeded master before anything is built and
-/// again as the pool grows. Release build, one core of a 2-core Intel
-/// Xeon, permutation traffic, final masters: RRG(64, 6, 4) at seeds 1–5
-/// (381–384 rows, 0.56–0.75M cells) solves in 0.29–1.03 s, RRG(56, 8, 4)
-/// (0.91–1.04M) in 0.72–1.27 s, RRG(80, 6, 4) (1.11–1.30M) in 1.4–3.0 s
-/// and RRG(64, 8, 4) (1.26–1.39M) in 0.97–2.1 s, all admitted; RRG(88,
-/// 6, 4) outgrows the limit and is refused.
+/// in pivots. Checked before anything is built and before every solve.
+/// Release build, one core of a 2-core Intel Xeon, permutation traffic,
+/// seeds 1–5, final masters: RRG(64, 6, 4) (0.56–0.64M cells) solves in
+/// 0.10–0.57 s, RRG(80, 6, 4) (0.89–0.97M) in 0.58–1.19 s, RRG(64, 8, 4)
+/// (1.28–1.32M) in 0.31–1.10 s and RRG(96, 6, 4) (1.35–1.45M) in
+/// 1.9–3.0 s, all admitted; RRG(72, 8, 4) is refused on its seeded
+/// master (571 × 2,836).
 const MAX_TABLEAU_CELLS: usize = 1_500_000;
+
+/// Paths per commodity the pool opens with: its fewest-hop paths, as a
+/// [`PathSetCache`] freezes them. Eight halve the solve against one on
+/// RRG(64, 6 and 8, 4) and RRG(80, 6, 4); four and sixteen are slower.
+const SEED_PATHS: usize = 8;
 
 /// A path joins the pool when it is shorter than its commodity's dual by
 /// more than this: ten times the simplex's reduced-cost tolerance, so a
@@ -41,7 +46,7 @@ const MAX_TABLEAU_CELLS: usize = 1_500_000;
 const PRICE_TOL: f64 = 1e-8;
 
 /// The largest relative gap an exact answer may carry: rounding in the
-/// simplex costs far less, so a wider gap means the tableau lost
+/// simplex costs far less, so a wider gap means the simplex lost
 /// precision and the answer is refused.
 const MAX_GAP: f64 = 1e-6;
 
@@ -53,8 +58,8 @@ const MAX_GAP: f64 = 1e-6;
 /// [`FlowError::BadOptions`] when the master's tableau exceeds
 /// [`MAX_TABLEAU_CELLS`] (the message names its rows and columns), the
 /// simplex fails or the answer's gap exceeds [`MAX_GAP`];
-/// [`FlowError::Unreachable`] for a disconnected commodity; validation
-/// errors as usual.
+/// [`FlowError::Unreachable`] for a disconnected commodity (from the
+/// seed freeze); validation errors as usual.
 pub fn exact_solved_flow(
     net: &CsrNet,
     commodities: &[Commodity],
@@ -89,9 +94,11 @@ pub fn exact_solved_flow(
         lp: LinearProgram::new(rhs).map_err(lp_failed)?,
         pool: Vec::new(),
         ws: DijkstraWorkspace::new(net.node_count()),
-        order: (0..k).collect(),
+        arcs: m,
     };
-    master.order.sort_by_key(|&j| commodities[j].src);
+    // commodities by source, so pricing grows each source's tree once
+    let mut order: Vec<usize> = (0..k).collect();
+    order.sort_by_key(|&j| commodities[j].src);
     // λ's objective is the total demand, so the commodity duals average
     // 1 and the simplex's absolute tolerance reads as a relative one
     let lambda: Vec<_> = (demand.iter().enumerate())
@@ -100,13 +107,12 @@ pub fn exact_solved_flow(
     (master.lp)
         .add_column(demand.iter().sum(), &lambda)
         .map_err(lp_failed)?;
-    // the seed round: every commodity's shortest path under 1/c
-    master.price(
-        net,
-        commodities,
-        net.inv_capacities(),
-        &vec![f64::INFINITY; k],
-    )?;
+    let seeds = PathSetCache::new().freeze(net, commodities, SEED_PATHS)?;
+    for (j, set) in seeds.iter().enumerate() {
+        for path in set.iter() {
+            master.pool_path(j, path.clone())?;
+        }
+    }
     let mut phases = 0;
     let (s, y, alpha) = loop {
         guard(master.pool.len())?;
@@ -114,14 +120,14 @@ pub fn exact_solved_flow(
         phases += 1;
         let y: Vec<f64> = s.duals[..m].iter().map(|&y| y.max(0.0)).collect();
         let before = master.pool.len();
-        let alpha = master.price(net, commodities, &y, &s.duals[m..])?;
+        let alpha = master.price(net, commodities, &order, &y, &s.duals[m..])?;
         if master.pool.len() == before {
             break (s, y, alpha);
         }
     };
     // the primal is the pooled flow scaled by what its worst-served
     // commodity and its most congested arc allow, so it is feasible by
-    // construction whatever rounding the tableau carried
+    // construction whatever rounding the simplex carried
     let flow: Vec<f64> = s.x[1..].iter().map(|&f| f.max(0.0)).collect();
     let (mut delivered, mut load) = (vec![0.0f64; k], vec![0.0f64; m]);
     for ((j, path), &f) in master.pool.iter().zip(&flow) {
@@ -179,46 +185,48 @@ struct Master {
     lp: LinearProgram,
     pool: Vec<(usize, Vec<ArcId>)>,
     ws: DijkstraWorkspace,
-    /// Commodities by source, so each source's tree is grown once.
-    order: Vec<usize>,
+    /// Arc rows come first; commodity `j`'s row is `arcs + j`.
+    arcs: usize,
 }
 
 impl Master {
     /// Price under `length`: pool every commodity's shortest path that
     /// is shorter than its `bar` by more than [`PRICE_TOL`], and return
-    /// `α = Σ d_j · dist(s_j, t_j)`.
+    /// `α = Σ d_j · dist(s_j, t_j)` (every endpoint is reachable: the
+    /// seed freeze refused the instance otherwise).
     fn price(
         &mut self,
         net: &CsrNet,
         commodities: &[Commodity],
+        order: &[usize],
         length: &[f64],
         bar: &[f64],
     ) -> Result<f64, FlowError> {
-        let (m, mut alpha, mut src) = (net.arc_count(), 0.0, None);
-        for &j in &self.order {
+        let (mut alpha, mut src) = (0.0, None);
+        for &j in order {
             let c = &commodities[j];
             if src != Some(c.src) {
                 net.dijkstra(c.src, length, &mut self.ws);
                 src = Some(c.src);
             }
             let dist = self.ws.distance(c.dst);
-            if !dist.is_finite() {
-                return Err(FlowError::Unreachable {
-                    src: c.src,
-                    dst: c.dst,
-                });
-            }
             alpha += c.demand * dist;
             if dist < bar[j] - PRICE_TOL {
                 let mut path = Vec::new();
                 self.ws.walk_path(net, c.dst, |a| path.push(a));
-                let mut column: Vec<_> = path.iter().map(|&a| (a, 1.0)).collect();
-                column.push((m + j, -1.0));
-                self.lp.add_column(0.0, &column).map_err(lp_failed)?;
-                self.pool.push((j, path));
+                self.pool_path(j, path)?;
             }
         }
         Ok(alpha)
+    }
+
+    /// Add `path` of commodity `j` as a column.
+    fn pool_path(&mut self, j: usize, path: Vec<ArcId>) -> Result<(), FlowError> {
+        let mut column: Vec<_> = path.iter().map(|&a| (a, 1.0)).collect();
+        column.push((self.arcs + j, -1.0));
+        self.lp.add_column(0.0, &column).map_err(lp_failed)?;
+        self.pool.push((j, path));
+        Ok(())
     }
 }
 

@@ -223,7 +223,7 @@ fn link_failure_deltas_fail_loudly_or_route_around() {
         assert_eq!(s.arc_flow[0], 0.0);
         assert_eq!(s.arc_flow[1], 0.0);
     }
-    // fail both sides: loud, precise failure on the iterative backends
+    // fail both sides: loud, precise failure on every backend
     let none = half.with_disabled_arcs(&[2 << 1]).unwrap();
     let res = solve_cold(&none, &cs, &opts);
     assert!(matches!(
@@ -236,6 +236,11 @@ fn link_failure_deltas_fail_loudly_or_route_around() {
         &opts.with_backend(Backend::KspRestricted { k: 2 }),
     );
     assert!(matches!(res, Err(FlowError::Unreachable { .. })));
+    let res = solve_cold(&none, &cs, &opts.with_backend(Backend::ExactLp));
+    assert!(matches!(
+        res,
+        Err(FlowError::Unreachable { src: 0, dst: 2 })
+    ));
 }
 
 #[test]
