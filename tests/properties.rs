@@ -592,6 +592,35 @@ fn exact_lp_reproduces_the_edge_lp_optima() {
     }
 }
 
+/// Past the edge LP's reach — RRG(32, 6, 4) and RRG(24, 8, 4), hundreds
+/// of pivots a solve — every exact answer still closes its gap to 1e-6
+/// (the backend refuses a wider one as lost precision), passes the
+/// checker in debug builds and lies inside the default FPTAS's
+/// certified interval.
+#[test]
+fn exact_lp_certifies_past_the_edge_lps_reach() {
+    for (n, k) in [(32, 6), (24, 8)] {
+        for seed in 1..=2u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let topo = Topology::random_regular(n, k, 4, &mut rng).unwrap();
+            let tm = Tm::random_permutation(topo.server_count(), &mut rng);
+            let engine = ThroughputEngine::new(&topo);
+            let lp = FlowOptions::default().with_backend(Backend::ExactLp);
+            let exact = (engine.solve(&tm, &lp))
+                .unwrap_or_else(|e| panic!("rrg:{n}x{k}x4 seed {seed}: {e}"))
+                .network_lambda;
+            let fast = engine.solve(&tm, &FlowOptions::default()).unwrap();
+            assert!(
+                fast.network_lambda <= exact * (1.0 + 1e-9)
+                    && exact <= fast.network_upper_bound * (1.0 + 1e-9),
+                "rrg:{n}x{k}x4 seed {seed}: λ* = {exact} outside [{}, {}]",
+                fast.network_lambda,
+                fast.network_upper_bound
+            );
+        }
+    }
+}
+
 /// `KspRestricted` solves are bit-identical across 50 seeded random
 /// graphs and 3 values of k, on both the miss path (first solve) and
 /// the hit path (second solve), sharing ONE cache across all nets —
