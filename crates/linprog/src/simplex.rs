@@ -240,8 +240,9 @@ impl LinearProgram {
                 for (o, p) in other.iter_mut().zip(&pivot_row) {
                     *o -= factor * p;
                 }
-                // rounding must not make a basic value negative: a
-                // negative ratio would step the objective backwards
+                // Harris's relaxed step and rounding may leave a basic
+                // value just below 0; a negative ratio would then step
+                // the objective backwards
                 *rhs = (*rhs - factor * pivot_rhs).max(0.0);
             }
         }
