@@ -12,9 +12,10 @@
 //! later flow avoids them. The accumulated (infeasible) flow divided by
 //! its maximum congestion is feasible — and "accumulated" may be any
 //! non-negative weighted sum of the per-step flows, which is still a
-//! flow: the fast path credits phase `t` at weight `√t`, so the coarse
-//! single-path flows it opens with fade from the average instead of
-//! holding λ down for the whole solve. LP duality gives the upper bound
+//! flow: the fast path keeps two such sums, crediting phase `t` at
+//! weight `√t` in one and `t²` in the other, so the coarse single-path
+//! flows it opens with fade from the average instead of holding λ down
+//! for the whole solve, and certifies the better. LP duality gives the upper bound
 //! `λ* ≤ D(l)/α(l)` for *any* positive lengths `l`, where
 //! `D(l) = Σ_a c(a)·l(a)` and `α(l) = Σ_j d_j · dist_l(s_j, t_j)`.
 //! We track the best (smallest) dual bound seen and stop as soon as the
@@ -56,10 +57,11 @@
 //!   bound plateaus a few percent above λ* while the primal creeps up
 //!   to it; the mean-length bound does not, and the solve stops on its
 //!   gap in a third of the phases instead of on the stall rule. The
-//!   primal is averaged the same way, polynomially instead of by decay
-//!   (`primal_weight`): lengths grow by what was sent and never read
-//!   the accumulators, so routing is the same until the stop rule or
-//!   the ε-anneal acts on the larger λ. None of this bends
+//!   primal is averaged too, polynomially instead of by decay, and
+//!   twice (`primal_weight`): each phase certifies the larger λ of the
+//!   √phase and the phase² average. Lengths grow by what was sent and
+//!   never read the accumulators, so routing is the same until the
+//!   stop rule or the ε-anneal acts on the larger λ. None of this bends
 //!   correctness: the primal stays feasible by construction (a
 //!   non-negative combination of capacity-scaled steps, divided by its
 //!   own worst congestion) and `D(l)/α(l)` upper-bounds λ* for *any*
@@ -157,13 +159,15 @@ fn warm_lengths(net: &CsrNet, warm: &[f64]) -> Option<Vec<f64>> {
 /// `fptas_fast_path_settles_less_on_rrg_sweep_matrix` (`tests/properties.rs`).
 const COARSE_EPS: f64 = 0.55;
 
-/// Fast path: the weight `t^p`, `p = ½`, at which phase `t`'s flow
-/// enters the primal average (`Core::set_weight`). A uniform average
-/// keeps the single-path flows of the [`COARSE_EPS`] opening phases at
-/// full weight for the whole solve, diluted only as `1/T`; a growing
-/// weight lets them fade the way [`MEAN_DUAL_DECAY`] forgets the flat
-/// opening lengths on the dual side. Sized on dcbench's deterministic
-/// counters (the same on every host) against the uniform `p = 0`:
+/// Fast path: the weights `t^p`, `p = ½` and `p = 2`, at which phase
+/// `t`'s flow enters the two primal averages (`gk::Average`); each phase
+/// certifies the larger λ of the two. A uniform average keeps the
+/// single-path flows of the [`COARSE_EPS`] opening phases at full weight
+/// for the whole solve, diluted only as `1/T`; a growing weight lets
+/// them fade the way [`MEAN_DUAL_DECAY`] forgets the flat opening
+/// lengths on the dual side. Sized on dcbench's deterministic counters
+/// (the same on every host) against the uniform `p = 0`, one average
+/// per row but the last:
 ///
 /// | `p`  | `pairwise-solve` settles | `sweep-grid` settles | `serve-whatif` phases |
 /// |------|-----------:|-----------:|------:|
@@ -178,16 +182,23 @@ const COARSE_EPS: f64 = 0.55;
 /// | 1    | 1,898,248 |   999,227 | 2,393 |
 /// | 1.5  | 1,996,234 |   933,966 | 2,615 |
 /// | 2    | 2,650,995 |   988,983 | 2,979 |
+/// | **½ and 2, the better** | **1,594,095** | **940,586** | **1,794** |
 ///
-/// Steeper weights keep helping cold solves with a long coarse ramp
+/// The single-average rows were read before warm starts opened on the
+/// certified dual lengths; `½` alone reads 1,791 `serve-whatif` phases
+/// since. Steeper weights help cold solves with a long coarse ramp
 /// (`sweep-grid`) and hurt warm-started ones, which open on good
-/// lengths and want their early phases (`serve-whatif`, the gate:
-/// anything above 2,233 is a regression). `½` is the flat middle, and
-/// `f64::sqrt` is correctly rounded on every host where a libm `powf`
-/// is not — the solver's pinned trajectories call no libm function.
-fn primal_weight(phase: usize) -> f64 {
-    (phase as f64).sqrt()
+/// lengths and want their early phases (`serve-whatif`). Two averages
+/// serve both: `½` still decides every `pairwise-solve` stop, `2`
+/// lifts λ past it on the long cold solves. `f64::sqrt` is correctly
+/// rounded on every host where a libm `powf` is not, and `t²` is exact
+/// — the solver's pinned trajectories call no libm function.
+fn primal_weight(phase: usize) -> [f64; 2] {
+    [(phase as f64).sqrt(), (phase * phase) as f64]
 }
+
+/// The trace names of [`primal_weight`]'s two averages, in its order.
+const PRIMAL_FROM: [&str; 2] = ["sqrt", "square"];
 
 /// Fast path: rebuild every tree (making that phase's dual bound the
 /// exact `D(l)/α(l)`) every this many phases. Between exact passes
@@ -381,8 +392,11 @@ fn solve_pairwise(
     let eps = opts.epsilon;
     let (length, eps) = (ladder.as_mut()).map_or((None, eps), |l| l.opener(eps));
     let warm_started = length.is_some();
-    let mut core = Core::new(net, cong, length, eps);
-    let mut pairs = Pairwise::new(commodities, net.arc_count(), opts);
+    // the fast path keeps both of `primal_weight`'s averages, the
+    // strict path one at weight 1.0
+    let averages = ladder.as_ref().map_or(1, |_| PRIMAL_FROM.len());
+    let mut core = Core::new(net, cong, length, eps, averages);
+    let mut pairs = Pairwise::new(commodities, &mut core, opts);
 
     // reachability check up front (an edgeless net fails it at the
     // first commodity); it seeds the first dual bound and, under the
@@ -408,7 +422,9 @@ fn solve_pairwise(
         // at the top of every other), the strict path closes it with it.
         let exact_pass = phases.is_multiple_of(dual_every) || phases == opts.max_phases;
         if let Some(l) = ladder.as_mut() {
-            core.set_weight(primal_weight(phases));
+            for (avg, weight) in core.averages_mut().iter_mut().zip(primal_weight(phases)) {
+                avg.weight = weight;
+            }
             l.begin_phase(&mut core, &mut groups, phases, exact_pass);
         }
 
@@ -445,16 +461,18 @@ fn solve_pairwise(
                 for (k, &(j, dst, _)) in g.sinks.iter().enumerate() {
                     let r = g.remaining[k];
                     let sent = tau * r;
-                    // the accumulators take what `Core::grow` put on the
-                    // arcs, so the three stay one conserved flow
-                    let credit = core.weight() * sent;
-                    // mirror the tree walk that charged this sink into
-                    // the per-commodity record; the workspace still
-                    // holds the tree the load went along
-                    if let (Some(record), true) = (pairs.arc_record.as_mut(), r > 1e-12) {
-                        g.ws.walk_path(net, dst, |a| record[j][a] += credit);
+                    for avg in core.averages_mut() {
+                        // each average takes what `Core::grow` put on
+                        // the arcs, so its three stay one conserved flow
+                        let credit = avg.weight * sent;
+                        // mirror the tree walk that charged this sink
+                        // into the per-commodity record; the workspace
+                        // still holds the tree the load went along
+                        if let (Some(record), true) = (avg.record.as_mut(), r > 1e-12) {
+                            g.ws.walk_path(net, dst, |a| record[j][a] += credit);
+                        }
+                        avg.routed[j] += credit;
                     }
-                    pairs.routed[j] += credit;
                     g.remaining[k] -= sent;
                 }
                 if tau >= 1.0 {
@@ -485,7 +503,7 @@ fn solve_pairwise(
                 .field("eps", eps);
             if ladder.is_some() {
                 ev = ev
-                    .field("weight", core.weight())
+                    .field("weight", primal_weight(phases)[0])
                     .field("exact_pass", exact_pass);
             }
             ev = ev.field("primal", primal).field("dual", core.best_dual());
@@ -505,7 +523,7 @@ fn solve_pairwise(
         }
     }
 
-    let best_phase = pairs.best_phase();
+    let (best_phase, best_from) = pairs.best_of();
     let sol = pairs.finish(&mut core, phases, settles(&groups, ladder.as_ref()));
     if obs::enabled() {
         let mut ev = obs::Event::new("fptas_solve").field("mode", mode);
@@ -520,7 +538,7 @@ fn solve_pairwise(
             .field("settles", sol.settles);
         if let Some(l) = &ladder {
             // which candidate the final bound came from, and which
-            // phase's primal is the one returned
+            // average and phase the returned primal
             let from = if l.mean_best == sol.upper_bound {
                 "mean"
             } else {
@@ -529,6 +547,7 @@ fn solve_pairwise(
             ev = tier_fields(ev, l.total, [0; 4])
                 .field("mean_dual_passes", l.mean_passes)
                 .field("dual_from", from)
+                .field("primal_from", PRIMAL_FROM[best_from])
                 .field("best_phase", best_phase as u64);
         }
         ev.field("lambda", sol.throughput)

@@ -18,13 +18,14 @@
 //!   path opens coarse; for every other loop the schedule is inert);
 //! * the **primal**: accumulated raw flow divided by its worst
 //!   congestion `μ` ([`Core::congestion`]) is feasible by construction.
-//!   "Accumulated" is a weighted sum: every step enters the
-//!   accumulators at the core's current weight ([`Core::set_weight`]),
-//!   and any non-negative combination of flows is a flow, so the
-//!   argument does not care what the weights are. Only the fast
-//!   pairwise path sets one (phase `t` at `√t`, so its coarse opening
-//!   phases fade from the average); for every other loop it stays 1.0
-//!   and `1.0·x` is exact;
+//!   "Accumulated" is a weighted sum, an [`Average`]: every step enters
+//!   it at its current weight, and any non-negative combination of
+//!   flows is a flow, so the argument does not care what the weights
+//!   are. A core keeps one or more averages and every step enters all
+//!   of them. The fast pairwise path keeps two, phase `t` at `√t` and
+//!   at `t²`, so its coarse opening phases fade from both, and
+//!   [`Pairwise::snapshot`] certifies whichever reads the larger λ.
+//!   Every other loop keeps one at 1.0, where `1.0·x` is exact;
 //! * the **dual**: `D(l)/α(l)` bounds λ* for *any* positive lengths, so
 //!   every loop hands its `α` — however it harvested it — and the
 //!   lengths it was read at to [`Core::note_dual`], which admits the
@@ -113,18 +114,33 @@ impl Stop {
     }
 }
 
-/// Lengths, step size, raw flow, the pending step's load, the best dual
-/// bound and the plateau counters of one solve. See the module docs.
+/// One weighted sum of a solve's steps — a primal candidate (see the
+/// module docs). A step enters at `weight·sent` per arc, per commodity
+/// and, when recorded, per commodity and arc, so the three stay one
+/// conserved flow.
+pub(crate) struct Average {
+    /// What a unit of sent flow adds to the accumulators (not to the
+    /// lengths, which grow by what was sent).
+    pub(crate) weight: f64,
+    /// Raw (pre-scaling) accumulated flow per arc.
+    arc_flow: Vec<f64>,
+    /// Raw amount routed per commodity (empty outside [`Pairwise`]).
+    pub(crate) routed: Vec<f64>,
+    /// Raw per-commodity arc flows, when the caller asked for them.
+    pub(crate) record: Option<Vec<Vec<f64>>>,
+}
+
+/// Lengths, step size, the primal averages, the pending step's load,
+/// the best dual bound and the plateau counters of one solve. See the
+/// module docs.
 pub(crate) struct Core<'n> {
     net: &'n CsrNet,
     cong: Cong,
     length: Vec<f64>,
     eps: f64,
-    /// Raw (pre-scaling) accumulated flow per arc.
-    arc_flow: Vec<f64>,
-    /// What a unit of sent flow adds to the accumulators (not to the
-    /// lengths, which grow by what was sent).
-    weight: f64,
+    /// Every average takes every step; the first is the one loops that
+    /// keep a single average read.
+    averages: Vec<Average>,
     /// Load the pending step would put on each arc if it were sent in
     /// full, and the arcs where that is non-zero, in first-touch order.
     tree_load: Vec<f64>,
@@ -139,16 +155,28 @@ pub(crate) struct Core<'n> {
 impl<'n> Core<'n> {
     /// A core over `net` starting from `length` (`None`: the cold
     /// `1/c(a)`) and step size `eps` (the configured ε, or a coarser
-    /// one for [`Core::verdict`] to anneal down to it).
-    pub(crate) fn new(net: &'n CsrNet, cong: Cong, length: Option<Vec<f64>>, eps: f64) -> Self {
+    /// one for [`Core::verdict`] to anneal down to it), keeping
+    /// `averages` primal averages, each at weight 1.0 until set.
+    pub(crate) fn new(
+        net: &'n CsrNet,
+        cong: Cong,
+        length: Option<Vec<f64>>,
+        eps: f64,
+        averages: usize,
+    ) -> Self {
         let arcs = net.arc_count();
+        let average = || Average {
+            weight: 1.0,
+            arc_flow: vec![0.0; arcs],
+            routed: Vec::new(),
+            record: None,
+        };
         Core {
             net,
             cong,
             length: length.unwrap_or_else(|| net.inv_capacities().to_vec()),
             eps,
-            arc_flow: vec![0.0; arcs],
-            weight: 1.0,
+            averages: (0..averages).map(|_| average()).collect(),
             tree_load: vec![0.0; arcs],
             touched: Vec::new(),
             best_dual: f64::INFINITY,
@@ -168,16 +196,11 @@ impl<'n> Core<'n> {
         self.eps
     }
 
-    /// Weight of the flow sent from now on in the primal average.
-    pub(crate) fn weight(&self) -> f64 {
-        self.weight
-    }
-
-    /// Set that weight. The caller credits its per-commodity
-    /// accumulators with the same `weight·sent`, so the three stay one
-    /// conserved flow.
-    pub(crate) fn set_weight(&mut self, weight: f64) {
-        self.weight = weight;
+    /// The primal averages. The caller credits their per-commodity
+    /// accumulators with the `weight·sent` [`Core::grow`] put on the
+    /// arcs.
+    pub(crate) fn averages_mut(&mut self) -> &mut [Average] {
+        &mut self.averages
     }
 
     /// Current arc lengths.
@@ -225,14 +248,16 @@ impl<'n> Core<'n> {
         tau
     }
 
-    /// Put `sent` more raw flow on arc `a`, at the current weight, and
-    /// lengthen it by `1 + ε·sent/c(a)` — the only place a length
+    /// Put `sent` more raw flow on arc `a`, at each average's weight,
+    /// and lengthen it by `1 + ε·sent/c(a)` — the only place a length
     /// grows, and by the unweighted `sent`: lengths never read the
-    /// accumulators, so the weight reaches routing only through the
+    /// accumulators, so the weights reach routing only through the
     /// primal [`Core::verdict`] is handed.
     #[inline]
     pub(crate) fn grow(&mut self, a: usize, sent: f64) {
-        self.arc_flow[a] += self.weight * sent;
+        for avg in &mut self.averages {
+            avg.arc_flow[a] += avg.weight * sent;
+        }
         self.length[a] *= 1.0 + self.eps * self.cong.of(self.net, a, sent);
     }
 
@@ -279,10 +304,10 @@ impl<'n> Core<'n> {
         true
     }
 
-    /// Worst congestion `μ = max_a flow(a)/c(a)` of the raw flow,
-    /// floored away from zero so the first phases can divide by it.
-    pub(crate) fn congestion(&self) -> f64 {
-        let worst = self
+    /// Worst congestion `μ = max_a flow(a)/c(a)` of average `i`'s raw
+    /// flow, floored away from zero so the first phases can divide by it.
+    pub(crate) fn congestion(&self, i: usize) -> f64 {
+        let worst = self.averages[i]
             .arc_flow
             .iter()
             .enumerate()
@@ -291,9 +316,9 @@ impl<'n> Core<'n> {
         worst.max(1e-300)
     }
 
-    /// The raw flow scaled down to feasibility by `mu`.
-    pub(crate) fn feasible_flow(&self, mu: f64) -> Vec<f64> {
-        self.arc_flow.iter().map(|&f| f / mu).collect()
+    /// Average `i`'s raw flow scaled down to feasibility by `mu`.
+    pub(crate) fn feasible_flow(&self, i: usize, mu: f64) -> Vec<f64> {
+        self.averages[i].arc_flow.iter().map(|&f| f / mu).collect()
     }
 
     /// Stop when `primal` is within `target_gap` of the best dual, or
@@ -356,62 +381,74 @@ impl<'n> Core<'n> {
     }
 }
 
-/// The per-commodity side of a pairwise solve: what each commodity has
-/// been sent, the optional per-commodity arc record, and the best
-/// feasible solution seen so far.
+/// The per-commodity side of a pairwise solve: the best feasible
+/// solution seen so far, and which average and phase it came from.
 pub(crate) struct Pairwise<'c> {
     commodities: &'c [Commodity],
-    /// Raw amount routed per commodity, same units as the core's flow.
-    pub(crate) routed: Vec<f64>,
-    /// Raw per-commodity arc flows, when the caller asked for them.
-    pub(crate) arc_record: Option<Vec<Vec<f64>>>,
     best: Option<SolvedFlow>,
-    /// The phase `best` was snapshotted after (0 before the first).
+    /// The phase `best` was snapshotted after (0 before the first), and
+    /// the index of the average it was read from.
     best_phase: usize,
+    best_from: usize,
 }
 
 impl<'c> Pairwise<'c> {
-    pub(crate) fn new(commodities: &'c [Commodity], arcs: usize, opts: &FlowOptions) -> Self {
+    /// Give each of `core`'s averages its per-commodity accumulators:
+    /// the amount routed and, when the caller asked for it, the arc
+    /// record.
+    pub(crate) fn new(commodities: &'c [Commodity], core: &mut Core, opts: &FlowOptions) -> Self {
+        let arcs = core.net.arc_count();
+        for avg in core.averages_mut() {
+            avg.routed = vec![0.0; commodities.len()];
+            avg.record =
+                (opts.record_commodity_flows).then(|| vec![vec![0.0; arcs]; commodities.len()]);
+        }
         Pairwise {
             commodities,
-            routed: vec![0.0; commodities.len()],
-            arc_record: opts
-                .record_commodity_flows
-                .then(|| vec![vec![0.0; arcs]; commodities.len()]),
             best: None,
             best_phase: 0,
+            best_from: 0,
         }
     }
 
-    /// The certified primal after phase `phase` —
-    /// `min_j routed_j / (μ·d_j)` — keeping the scaled solution whenever
-    /// it beats the best so far.
+    /// The certified primal after phase `phase` — the larger over the
+    /// averages of `min_j routed_j / (μ·d_j)`, the first winning a tie —
+    /// keeping that average's scaled solution whenever it beats the
+    /// best so far.
     pub(crate) fn snapshot(&mut self, core: &Core, phase: usize) -> f64 {
-        let mu = core.congestion();
-        let primal = (self.commodities.iter().zip(&self.routed))
-            .map(|(c, &r)| r / (mu * c.demand))
-            .fold(f64::INFINITY, f64::min);
+        let (mut from, mut mu, mut primal) = (0, 0.0, 0.0);
+        for (i, avg) in core.averages.iter().enumerate() {
+            let m = core.congestion(i);
+            let p = (self.commodities.iter().zip(&avg.routed))
+                .map(|(c, &r)| r / (m * c.demand))
+                .fold(f64::INFINITY, f64::min);
+            if i == 0 || p > primal {
+                (from, mu, primal) = (i, m, p);
+            }
+        }
         if self.best.as_ref().is_none_or(|b| primal > b.throughput) {
+            let avg = &core.averages[from];
             let scaled = |v: &Vec<f64>| v.iter().map(|&f| f / mu).collect();
             self.best = Some(SolvedFlow {
                 throughput: primal,
                 upper_bound: f64::INFINITY,
-                arc_flow: core.feasible_flow(mu),
-                commodity_rate: scaled(&self.routed),
+                arc_flow: core.feasible_flow(from, mu),
+                commodity_rate: scaled(&avg.routed),
                 phases: 0,
                 settles: 0,
-                commodity_arc_flow: (self.arc_record.as_ref())
+                commodity_arc_flow: (avg.record.as_ref())
                     .map(|record| record.iter().map(scaled).collect()),
                 dual_lengths: Vec::new(),
             });
-            self.best_phase = phase;
+            (self.best_phase, self.best_from) = (phase, from);
         }
         primal
     }
 
-    /// The phase whose snapshot [`Pairwise::finish`] returns.
-    pub(crate) fn best_phase(&self) -> usize {
-        self.best_phase
+    /// The phase whose snapshot [`Pairwise::finish`] returns, and the
+    /// index of the average it was read from.
+    pub(crate) fn best_of(&self) -> (usize, usize) {
+        (self.best_phase, self.best_from)
     }
 
     /// The best solution, stamped with the solve's final dual bound, its

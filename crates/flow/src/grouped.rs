@@ -329,7 +329,7 @@ fn solve_grouped_observed(
     // lengths l(a) = 1/c(a) initially, as in the pairwise solver, and
     // the strict pairwise loop's `x / c(a)` (this loop was written from
     // it and is pinned in that form)
-    let mut core = Core::new(net, Cong::Divide, None, opts.epsilon);
+    let mut core = Core::new(net, Cong::Divide, None, opts.epsilon, 1);
     // cumulative fraction of each group's demand that has been routed
     // (unscaled): sink dst of group g has received routed_frac[g]·d(dst)
     let mut routed_frac = vec![0.0f64; groups.len()];
@@ -428,7 +428,7 @@ fn solve_grouped_observed(
         phase_end(core.length(), ws.settles());
 
         // certified primal: scale by worst congestion
-        let mu = core.congestion();
+        let mu = core.congestion(0);
         let primal = routed_frac.iter().copied().fold(f64::INFINITY, f64::min) / mu;
 
         // groups route sequentially, so this sits outside any parallel
@@ -452,7 +452,7 @@ fn solve_grouped_observed(
             best = Some(GroupedFlow {
                 throughput: primal,
                 upper_bound: core.best_dual(),
-                arc_flow: core.feasible_flow(mu),
+                arc_flow: core.feasible_flow(0, mu),
                 group_rate_factor: routed_frac.iter().map(|&r| r / mu).collect(),
                 phases,
                 settles: 0,

@@ -66,8 +66,8 @@ pub(crate) fn solve_ksp(
     let t_solve = obs::clock();
     let paths = cache.freeze(net, commodities, k)?;
     let freeze_us = obs::us_since(t_solve);
-    let mut core = Core::new(net, Cong::Reciprocal, None, opts.epsilon);
-    let mut pairs = Pairwise::new(commodities, net.arc_count(), opts);
+    let mut core = Core::new(net, Cong::Reciprocal, None, opts.epsilon, 1);
+    let mut pairs = Pairwise::new(commodities, &mut core, opts);
     let mut phases = 0usize;
     let mut stop = Stop::Phases;
 
@@ -89,12 +89,14 @@ pub(crate) fn solve_ksp(
                 for &a in best_path {
                     core.grow(a, send);
                 }
-                if let Some(record) = pairs.arc_record.as_mut() {
+                // the one average keeps weight 1.0
+                let avg = &mut core.averages_mut()[0];
+                if let Some(record) = avg.record.as_mut() {
                     for &a in best_path {
                         record[j][a] += send;
                     }
                 }
-                pairs.routed[j] += send;
+                avg.routed[j] += send;
                 remaining -= send;
             }
         }

@@ -113,12 +113,14 @@ pub fn run(args: &Args) -> CliResult {
                 s.get("dual_from").and_then(Json::as_str).unwrap_or("?"),
                 ev_f64(s, "mean_dual_passes")
             );
-            // the weight the last phase's flow entered the average at
+            // the weight the last phase's flow entered the √phase
+            // average at; the phase² average took it at phases²
             let weight = (events.iter().rev())
                 .find(|e| e.get("ev").and_then(Json::as_str) == Some("fptas_phase"))
                 .map_or(0.0, |e| ev_f64(e, "weight"));
             println!(
-                "primal: returned from phase {} of {}, last phase at weight {:.3}",
+                "primal: the {} average of phase {} of {}, last phase at weight {:.3}",
+                s.get("primal_from").and_then(Json::as_str).unwrap_or("?"),
                 ev_f64(s, "best_phase"),
                 ev_f64(s, "phases"),
                 weight

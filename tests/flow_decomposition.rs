@@ -15,6 +15,7 @@ use dctopo::flow::{
     decompose_paths, solve_with_cache, Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow,
 };
 use dctopo::graph::CsrNet;
+use dctopo::obs;
 use dctopo::prelude::*;
 use dctopo::topology::vl2::{rewired_vl2, vl2, Vl2Params};
 use rand::rngs::StdRng;
@@ -157,7 +158,13 @@ fn decomposition_conserves_flow_and_respects_capacity() {
 }
 
 /// Recording must not change the solution itself: same λ, same arc
-/// flows, bit-for-bit, as the un-instrumented solve.
+/// flows, bit-for-bit, as the un-instrumented solve. The fast path keeps
+/// two primal averages (weights √phase and phase²) and returns the
+/// better; the second instance — the benchmark's sweep fabric,
+/// RRG(40, 10, 6) under hot-spot traffic with 8 failed links — is one
+/// where the phase² average supplies λ, so the record returned is that
+/// average's: its paths must still reproduce the rates, and the release
+/// certificate must pass the checker.
 #[test]
 fn recording_is_observationally_free() {
     let mut rng = StdRng::seed_from_u64(9);
@@ -165,16 +172,66 @@ fn recording_is_observationally_free() {
     let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
     let net = CsrNet::from_graph(&topo.graph);
     let commodities = aggregate_commodities(&topo, &tm);
-    let plain = cold_solve(&net, &commodities, &FlowOptions::default()).unwrap();
-    let recorded = cold_solve(
-        &net,
-        &commodities,
-        &FlowOptions::default().with_commodity_flows(true),
-    )
-    .unwrap();
+    plain_and_recorded(&net, &commodities, &FlowOptions::default());
+
+    let mut rng = StdRng::seed_from_u64(11);
+    let topo = Topology::random_regular(40, 10, 6, &mut rng).expect("rrg");
+    let tm = TrafficMatrix::hotspot(topo.server_count(), 8, &mut rng);
+    let engine = ThroughputEngine::new(&topo);
+    let failed = Scenario::new(
+        "fail-links:8",
+        vec![Degradation::FailLinks { count: 8, seed: 5 }],
+    );
+    let applied = failed.apply(&topo, engine.net()).expect("scenario");
+    let (commodities, _, _) = engine.scenario_demand(&applied, &tm);
+    let opts = FlowOptions::fast();
+    // the recorder is process-global and other tests may solve while it
+    // is on, so the event is picked out by the λ it reports
+    obs::enable_memory();
+    let (plain, recorded) = plain_and_recorded(&applied.net, &commodities, &opts);
+    let trace = obs::drain_memory();
+    obs::disable();
+    let from = (trace.iter())
+        .filter_map(|line| obs::Json::parse(line).ok())
+        .find(|ev| {
+            ev.get("ev").and_then(obs::Json::as_str) == Some("fptas_solve")
+                && ev.get("lambda").and_then(obs::Json::as_f64) == Some(plain.throughput)
+        })
+        .and_then(|ev| ev.get("primal_from")?.as_str().map(str::to_owned));
+    assert_eq!(from.as_deref(), Some("square"));
+
+    let paths = decompose_paths(&applied.net, &commodities, &recorded).expect("decompose");
+    for (j, &rate) in recorded.commodity_rate.iter().enumerate() {
+        let routed: f64 = (paths.iter())
+            .filter(|p| p.commodity == j)
+            .map(|p| p.flow)
+            .sum();
+        assert!(
+            (routed - rate).abs() <= 1e-6 * (1.0 + rate),
+            "commodity {j}: paths carry {routed}, rate {rate}"
+        );
+    }
+    for s in [&plain, &recorded] {
+        if let Err(v) = s.certify(&applied.net, &commodities, None) {
+            panic!("{v}");
+        }
+    }
+}
+
+/// Solve cold with and without the per-commodity record and check the
+/// two agree bit for bit.
+fn plain_and_recorded(
+    net: &CsrNet,
+    commodities: &[Commodity],
+    opts: &FlowOptions,
+) -> (SolvedFlow, SolvedFlow) {
+    let plain = cold_solve(net, commodities, opts).unwrap();
+    let recorded = cold_solve(net, commodities, &opts.with_commodity_flows(true)).unwrap();
     assert_eq!(plain.throughput, recorded.throughput);
+    assert_eq!(plain.upper_bound, recorded.upper_bound);
     assert_eq!(plain.arc_flow, recorded.arc_flow);
     assert_eq!(plain.commodity_rate, recorded.commodity_rate);
     assert!(plain.commodity_arc_flow.is_none());
     assert!(recorded.commodity_arc_flow.is_some());
+    (plain, recorded)
 }

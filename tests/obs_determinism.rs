@@ -139,13 +139,16 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
     // `mean_dual_passes` is the number of its phases that carry a
     // `mean_dual`, a bound said to come from the mean is the smallest
     // one those phases recorded, every phase carries the weight √phase
-    // its flow entered the primal at, and `best_phase` is the first
-    // phase that reached the λ the solve returned. Every solve names
+    // its flow entered the first primal average at, `best_phase` is the
+    // first phase that reached the λ the solve returned, and
+    // `primal_from` names the average it was read from — both averages
+    // supply some solve's λ. Every solve names
     // the rule that stopped it: each full solve stops on its gap or
     // its stall, and each floor solve on its floor ----
     let mut stops: Vec<String> = Vec::new();
     let (mut passes, mut smallest, mut from_mean) = (0u64, f64::INFINITY, 0usize);
     let (mut best, mut before_last) = ((0.0f64, 0.0f64), 0usize);
+    let mut primal_from = [0usize; 2];
     for line in &residues[0] {
         let ev = obs::Json::parse(line).expect("residue lines are JSON");
         let num = |key: &str| ev.get(key).and_then(obs::Json::as_f64);
@@ -177,6 +180,11 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
                     (Some(best.0), Some(best.1))
                 );
                 before_last += usize::from(num("best_phase") < num("phases"));
+                match ev.get("primal_from").and_then(obs::Json::as_str) {
+                    Some("sqrt") => primal_from[0] += 1,
+                    Some("square") => primal_from[1] += 1,
+                    other => panic!("primal_from {other:?} in {line}"),
+                }
                 let stop = ev.get("stop").and_then(obs::Json::as_str);
                 stops.push(stop.unwrap_or_else(|| panic!("no stop: {line}")).to_owned());
                 (passes, smallest, best) = (0, f64::INFINITY, (0.0, 0.0));
@@ -191,6 +199,10 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
     assert!(
         before_last > 0,
         "every solve returned its last phase: best_phase is untested"
+    );
+    assert!(
+        primal_from.iter().all(|&n| n > 0),
+        "one average supplied every λ: primal_from is untested ({primal_from:?})"
     );
     assert_eq!(stops.len(), 2 * insts.len());
     for (i, pair) in stops.chunks(2).enumerate() {
