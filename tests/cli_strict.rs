@@ -325,7 +325,7 @@ fn plan_with_an_exhausted_budget_prints_its_safe_fallback() {
             String::from_utf8_lossy(&out.stderr)
         );
         assert!(
-            stdout.contains("plan: 4 moves in 4 stages") && stdout.contains("≥ 0.7492"),
+            stdout.contains("plan: 4 moves in 4 stages") && stdout.contains("≥ 0.7481"),
             "--max-solves {budget}:\n{stdout}"
         );
     }

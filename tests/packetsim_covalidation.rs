@@ -53,8 +53,8 @@ fn corpus_is_pinned_and_law_abiding() {
             name: "decomposed",
             routing: RoutingMode::Decomposed,
             min_ratio: 0.8,
-            delivered: 3119,
-            trace_hash: 0x99a9ee7dfcb7dc6f,
+            delivered: 3123,
+            trace_hash: 0x215415974980f39d,
         },
         Cell {
             name: "ksp4",
@@ -67,8 +67,8 @@ fn corpus_is_pinned_and_law_abiding() {
             name: "ecmp4",
             routing: RoutingMode::Ecmp { limit: 4 },
             min_ratio: 0.3,
-            delivered: 2421,
-            trace_hash: 0x39a1449f80e438cf,
+            delivered: 2420,
+            trace_hash: 0x1f8781d6a5e80206,
         },
     ];
     let (topo, tm) = rrg_instance(11);

@@ -149,7 +149,7 @@ fn every_interleaving_of_every_stage_keeps_the_floor_certifiable() {
         if name == "conflict" {
             assert_eq!(
                 plan.fingerprint(),
-                0xb7d4_1698_ccff_4142,
+                0xbdba_69b9_abeb_19d3,
                 "not the CLI's plan"
             );
             assert!(plan.stats.conflicts_learned >= 1, "no conflict learned");

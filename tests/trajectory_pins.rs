@@ -21,6 +21,11 @@
 //! starts began opening on the cold solve's certified dual lengths (the
 //! lengths its bound was read at) instead of its terminal iterate:
 //! phases 255 → 262, settles 251,287 → 258,497, and no other row moved.
+//! All eight fast rows (these six and the two `rrg80x10x6` rows below)
+//! were captured again when that path began certifying the better of
+//! two primal averages, weighted √phase and phase²: seven stop earlier
+//! (`rrg32x10x6 fptas` at phase 124 instead of 272), and `long` kept
+//! bound, phases and settles and moved λ and fold only.
 //! The three `grouped-weighted` rows were captured again when the
 //! grouped step began pushing subtree loads up the tree in reverse
 //! settle order instead of a Kahn pass: the per-node load sums
@@ -58,31 +63,31 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const PINS: &str = "\
-rrg24x8x5 fptas lambda=0x3fe5a42a2d87f16d upper=0x3fe64e0ce73fae0c phases=326 settles=385284 fold=0x10c00675a428fd74\n\
+rrg24x8x5 fptas lambda=0x3fe5a5dcb277cd64 upper=0x3fe65103def0190d phases=314 settles=369978 fold=0x2b84e728c013f664\n\
 rrg24x8x5 fptas-strict lambda=0x3fe5a6c511e4ccb9 upper=0x3fe6620e327c047f phases=532 settles=482940 fold=0x49f41eca8f99ac49\n\
 rrg24x8x5 ksp:4 lambda=0x3fe53ef368eb0432 upper=0x3fe5e6fb919503b6 phases=729 settles=0 fold=0x7367c7d622c1c1b0\n\
 rrg24x8x5 grouped-weighted lambda=0x3f8136d2b96da702 upper=0x3f8c7f0a8db6fd24 phases=152 settles=5603904 fold=0x9c96e461fa93aaf2\n\
 rrg24x8x5 grouped-list lambda=0x3fe5a6c511e4ccb9 upper=0x3fe680e0fdb84a48 phases=532 settles=500304 fold=0xc197042197c5b552\n\
-rrg32x10x6 fptas lambda=0x3fe44caa1a9fe2da upper=0x3fe4ed20b6841f89 phases=272 settles=651149 fold=0x51cf822f5709bad1\n\
+rrg32x10x6 fptas lambda=0x3fe457aa2aeae2fb upper=0x3fe4ed86a39cb1f0 phases=124 settles=297495 fold=0xc50f0b6459439907\n\
 rrg32x10x6 fptas-strict lambda=0x3fe45eb92e9378e1 upper=0x3fe5059f7ffafeaf phases=758 settles=1507270 fold=0x912789ff4cc2b67a\n\
 rrg32x10x6 ksp:4 lambda=0x3fe301080b8d4e2f upper=0x3fe3971d73f144b6 phases=737 settles=0 fold=0x533842d4709eb8fe\n\
 rrg32x10x6 grouped-weighted lambda=0x3f72aaa03c149135 upper=0x3f81b291b56cf7f3 phases=164 settles=10748928 fold=0x2bf53e0bd2201fe0\n\
 rrg32x10x6 grouped-list lambda=0x3fe45eb92e9378e1 upper=0x3fe50c09ce07be82 phases=758 settles=1473056 fold=0xa5c0bb5f3d18d94a\n\
-rrg20x8x4@1.5 fptas lambda=0x3fe3883bbedf7395 upper=0x3fe4223189f4022f phases=133 settles=127561 fold=0xdf50a5f3cc592ea4\n\
+rrg20x8x4@1.5 fptas lambda=0x3fe38fe5fab46334 upper=0x3fe4267afc2949f7 phases=99 settles=94826 fold=0x44e9c7ef8b1b947e\n\
 rrg20x8x4@1.5 fptas-strict lambda=0x3fe383183b95d663 upper=0x3fe41cfcdc18be06 phases=372 settles=279068 fold=0x80cfa14859682212\n\
 rrg20x8x4@1.5 ksp:4 lambda=0x3fe2d2d2d2d2d2d3 upper=0x3fe366d857bc1a1e phases=370 settles=0 fold=0x20617a7384095a04\n\
 rrg20x8x4@1.5 grouped-weighted lambda=0x3f7c48717ad80b78 upper=0x3f8c246b683225b7 phases=318 settles=8141200 fold=0x4a9dcaf22051446a\n\
 rrg20x8x4@1.5 grouped-list lambda=0x3fe3a78f82abc0aa upper=0x3fe42747d16782d6 phases=1108 settles=823960 fold=0x11b549e4ee513fda\n\
-rrg20x8x4@1.5 fptas-warm lambda=0x3fe37aa7c3e6cba9 upper=0x3fe4108ed46ecbb9 phases=262 settles=258497 fold=0xa3eded68ce3fc089\n\
-rrg24x8x5 fptas+record lambda=0x3fe5a42a2d87f16d upper=0x3fe64e0ce73fae0c phases=326 settles=385284 fold=0xc991bbc559eac1f4\n\
+rrg20x8x4@1.5 fptas-warm lambda=0x3fe37fefc7fc37c2 upper=0x3fe4197bd741689e phases=214 settles=209660 fold=0x6c5665fe96f97d89\n\
+rrg24x8x5 fptas+record lambda=0x3fe5a5dcb277cd64 upper=0x3fe65103def0190d phases=314 settles=369978 fold=0x8a8ebb9ebb12b314\n\
 rrg24x8x5 fptas-strict+record lambda=0x3fe5a6c511e4ccb9 upper=0x3fe6620e327c047f phases=532 settles=482940 fold=0x4b9ae7ace6c7b43e\n\
 rrg24x8x5 ksp:4+record lambda=0x3fe53ef368eb0432 upper=0x3fe5e6fb919503b6 phases=729 settles=0 fold=0x943c066e9104618b\n\
-rrg20x8x4@1.5 long fptas lambda=0x3fe2ec7a1d1a6987 upper=0x3fe5002b548b6a45 phases=700 settles=689313 fold=0xd80c699a125784db\n\
+rrg20x8x4@1.5 long fptas lambda=0x3fe2f12f52cd9e36 upper=0x3fe5002b548b6a45 phases=700 settles=689313 fold=0x618d6acb733b33b4\n\
 rrg20x8x4@1.5 long fptas-strict lambda=0x3fe2e186da7642d1 upper=0x3fe52e9096d8a9a6 phases=700 settles=513938 fold=0xce8bafed50b6f41e\n\
 rrg20x8x4@1.5 long ksp:4 lambda=0x3fe2750ff68a58b0 upper=0x3fe47c460a6ad9c4 phases=700 settles=0 fold=0xd00c3caa4b168e15\n\
 rrg20x8x4@1.5 long grouped-list lambda=0x3fe2e186da7642d1 upper=0x3fe63963e9a2cd29 phases=700 settles=518540 fold=0xaab8cb20b9a76a5e\n\
-rrg80x10x6 fptas lambda=0x3fe12e1543a612ca upper=0x3fe1b5588c5597cc phases=127 settles=1846489 fold=0xf129a07c7b99d948\n\
-rrg80x10x6 fptas-warm lambda=0x3fe0fa74db8636b7 upper=0x3fe17f52ad27588e phases=531 settles=9031796 fold=0xe1049b22464aed17\n\
+rrg80x10x6 fptas lambda=0x3fe1315d6b1e466c upper=0x3fe1b5588c5597cc phases=122 settles=1778095 fold=0xbdc59defe8ed4d4a\n\
+rrg80x10x6 fptas-warm lambda=0x3fe0fdaade3f1362 upper=0x3fe18367c184009c phases=310 settles=5280160 fold=0xdccea61bf7a682b7\n\
 ";
 
 fn fold(vectors: &[&[f64]]) -> u64 {
