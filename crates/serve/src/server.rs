@@ -215,21 +215,14 @@ impl<'t> Server<'t> {
 
         // apply each distinct scenario once and lower its demand once;
         // iteration in canonical order keeps everything deterministic
-        struct Structure {
-            applied: Result<dctopo_core::AppliedScenario, GraphError>,
-            demand: Option<(Vec<dctopo_flow::Commodity>, f64, usize)>,
-        }
-        let mut structures: HashMap<u64, Structure> = HashMap::new();
+        let mut structures: HashMap<u64, Result<Structure, GraphError>> = HashMap::new();
         for &qi in &order {
             let skey = queries[qi].structure_key();
             structures.entry(skey).or_insert_with(|| {
                 let sc = scenario_of(&queries[qi].degradations);
-                let applied = sc.apply(self.engine.topology(), self.engine.net());
-                let demand = applied
-                    .as_ref()
-                    .ok()
-                    .map(|a| self.engine.scenario_demand(a, &self.tm));
-                Structure { applied, demand }
+                let applied = sc.apply(self.engine.topology(), self.engine.net())?;
+                let demand = self.engine.scenario_demand(&applied, &self.tm);
+                Ok((applied, demand))
             });
         }
 
@@ -246,14 +239,12 @@ impl<'t> Server<'t> {
                 let qi = order_ref[ci];
                 let spec = &queries_ref[qi];
                 let skey = spec.structure_key();
-                let s = &structures_ref[&skey];
                 eval_query(
                     engine,
                     cfg,
                     spec,
                     skey,
-                    s.applied.as_ref(),
-                    s.demand.as_ref(),
+                    structures_ref[&skey].as_ref(),
                     (warm_store.iter())
                         .find(|(k, _)| *k == skey)
                         .map_or(&[], |(_, lengths)| lengths),
@@ -501,19 +492,24 @@ fn result_payload(
     ])
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One distinct scenario of a batch, applied, with the demand lowered
+/// onto it as `(commodities, nic, flows)`.
+type Structure = (
+    dctopo_core::AppliedScenario,
+    (Vec<dctopo_flow::Commodity>, f64, usize),
+);
+
 fn eval_query(
     engine: &ThroughputEngine<'_>,
     cfg: ServeConfig,
     spec: &QuerySpec,
     skey: u64,
-    applied: Result<&dctopo_core::AppliedScenario, &GraphError>,
-    demand: Option<&(Vec<dctopo_flow::Commodity>, f64, usize)>,
+    structure: Result<&Structure, &GraphError>,
     warm_in: &[f64],
 ) -> QueryOut {
     let t_query = obs::clock();
-    let applied = match applied {
-        Ok(a) => a,
+    let (applied, (base_commodities, nic, flows)) = match structure {
+        Ok(s) => s,
         Err(e) => {
             return QueryOut {
                 payload: error_payload(graph_error_kind(e), &e.to_string()),
@@ -525,7 +521,6 @@ fn eval_query(
             }
         }
     };
-    let (base_commodities, nic, flows) = demand.expect("demand lowered for applied scenarios");
     let mut commodities = base_commodities.clone();
     if let Some(drift) = spec.drift {
         for c in &mut commodities {
