@@ -15,8 +15,8 @@
 //! flow: the fast path keeps two such sums, crediting phase `t` at
 //! weight `√t` in one and `t²` in the other, so the coarse single-path
 //! flows it opens with fade from the average instead of holding λ down
-//! for the whole solve, and certifies the better. LP duality gives the upper bound
-//! `λ* ≤ D(l)/α(l)` for *any* positive lengths `l`, where
+//! for the whole solve, and certifies the better. LP duality gives the
+//! upper bound `λ* ≤ D(l)/α(l)` for *any* positive lengths `l`, where
 //! `D(l) = Σ_a c(a)·l(a)` and `α(l) = Σ_j d_j · dist_l(s_j, t_j)`.
 //! We track the best (smallest) dual bound seen and stop as soon as the
 //! certified primal/dual gap is below `target_gap`. The fast path
@@ -538,7 +538,7 @@ fn solve_pairwise(
             .field("settles", sol.settles);
         if let Some(l) = &ladder {
             // which candidate the final bound came from, and which
-            // average and phase the returned primal
+            // average and phase the returned primal was read from
             let from = if l.mean_best == sol.upper_bound {
                 "mean"
             } else {
