@@ -385,7 +385,9 @@ impl<'n> Core<'n> {
 /// solution seen so far, and which average and phase it came from.
 pub(crate) struct Pairwise<'c> {
     commodities: &'c [Commodity],
-    best: Option<SolvedFlow>,
+    /// The best solution so far. Its buffers are overwritten in place
+    /// each time a phase beats it, so a solve allocates them once.
+    best: SolvedFlow,
     /// The phase `best` was snapshotted after (0 before the first), and
     /// the index of the average it was read from.
     best_phase: usize,
@@ -398,23 +400,32 @@ impl<'c> Pairwise<'c> {
     /// record.
     pub(crate) fn new(commodities: &'c [Commodity], core: &mut Core, opts: &FlowOptions) -> Self {
         let arcs = core.net.arc_count();
+        let record = opts.record_commodity_flows;
         for avg in core.averages_mut() {
             avg.routed = vec![0.0; commodities.len()];
-            avg.record =
-                (opts.record_commodity_flows).then(|| vec![vec![0.0; arcs]; commodities.len()]);
+            avg.record = record.then(|| vec![vec![0.0; arcs]; commodities.len()]);
         }
         Pairwise {
             commodities,
-            best: None,
+            best: SolvedFlow {
+                throughput: 0.0,
+                upper_bound: f64::INFINITY,
+                arc_flow: Vec::new(),
+                commodity_rate: Vec::new(),
+                phases: 0,
+                settles: 0,
+                commodity_arc_flow: record.then(|| vec![Vec::new(); commodities.len()]),
+                dual_lengths: Vec::new(),
+            },
             best_phase: 0,
             best_from: 0,
         }
     }
 
-    /// The certified primal after phase `phase` — the larger over the
-    /// averages of `min_j routed_j / (μ·d_j)`, the first winning a tie —
-    /// keeping that average's scaled solution whenever it beats the
-    /// best so far.
+    /// The certified primal after phase `phase` — the largest over the
+    /// averages of `min_j routed_j / (μ·d_j)`, the earliest winning a
+    /// tie — copying that average's scaled solution into the best
+    /// whenever it beats it.
     pub(crate) fn snapshot(&mut self, core: &Core, phase: usize) -> f64 {
         let (mut from, mut mu, mut primal) = (0, 0.0, 0.0);
         for (i, avg) in core.averages.iter().enumerate() {
@@ -426,20 +437,16 @@ impl<'c> Pairwise<'c> {
                 (from, mu, primal) = (i, m, p);
             }
         }
-        if self.best.as_ref().is_none_or(|b| primal > b.throughput) {
-            let avg = &core.averages[from];
-            let scaled = |v: &Vec<f64>| v.iter().map(|&f| f / mu).collect();
-            self.best = Some(SolvedFlow {
-                throughput: primal,
-                upper_bound: f64::INFINITY,
-                arc_flow: core.feasible_flow(from, mu),
-                commodity_rate: scaled(&avg.routed),
-                phases: 0,
-                settles: 0,
-                commodity_arc_flow: (avg.record.as_ref())
-                    .map(|record| record.iter().map(scaled).collect()),
-                dual_lengths: Vec::new(),
-            });
+        if self.best_phase == 0 || primal > self.best.throughput {
+            let (avg, best) = (&core.averages[from], &mut self.best);
+            best.throughput = primal;
+            scale_into(&mut best.arc_flow, &avg.arc_flow, mu);
+            scale_into(&mut best.commodity_rate, &avg.routed, mu);
+            if let (Some(out), Some(record)) = (&mut best.commodity_arc_flow, &avg.record) {
+                for (out, raw) in out.iter_mut().zip(record) {
+                    scale_into(out, raw, mu);
+                }
+            }
             (self.best_phase, self.best_from) = (phase, from);
         }
         primal
@@ -454,11 +461,19 @@ impl<'c> Pairwise<'c> {
     /// The best solution, stamped with the solve's final dual bound, its
     /// lengths and the work counters.
     pub(crate) fn finish(self, core: &mut Core, phases: usize, settles: u64) -> SolvedFlow {
-        let mut sol = self.best.expect("at least one phase ran");
+        assert!(self.best_phase > 0, "at least one phase ran");
+        let mut sol = self.best;
         sol.upper_bound = core.best_dual();
         sol.dual_lengths = core.take_dual_lengths();
         sol.phases = phases;
         sol.settles = settles;
         sol
     }
+}
+
+/// Overwrite `out` with `raw / mu`, element by element, in its own
+/// buffer.
+fn scale_into(out: &mut Vec<f64>, raw: &[f64], mu: f64) {
+    out.clear();
+    out.extend(raw.iter().map(|&f| f / mu));
 }
