@@ -15,7 +15,9 @@
 //! flow: the fast path keeps two such sums, crediting phase `t` at
 //! weight `√t` in one and `t²` in the other, so the coarse single-path
 //! flows it opens with fade from the average instead of holding λ down
-//! for the whole solve, and certifies the better. LP duality gives the
+//! for the whole solve, and certifies the better. A warm-started solve
+//! has no coarse opening and keeps a third, uniform sum beside them.
+//! LP duality gives the
 //! upper bound `λ* ≤ D(l)/α(l)` for *any* positive lengths `l`, where
 //! `D(l) = Σ_a c(a)·l(a)` and `α(l) = Σ_j d_j · dist_l(s_j, t_j)`.
 //! We track the best (smallest) dual bound seen and stop as soon as the
@@ -59,7 +61,9 @@
 //!   gap in a third of the phases instead of on the stall rule. The
 //!   primal is averaged too, polynomially instead of by decay, and
 //!   twice (`primal_weight`): each phase certifies the larger λ of the
-//!   √phase and the phase² average. Lengths grow by what was sent and
+//!   √phase and the phase² average, and a warm-started solve, whose
+//!   first phases already route on certified lengths, also that of a
+//!   uniform average. Lengths grow by what was sent and
 //!   never read the accumulators, so routing is the same until the
 //!   stop rule or the ε-anneal acts on the larger λ. None of this bends
 //!   correctness: the primal stays feasible by construction (a
@@ -159,15 +163,16 @@ fn warm_lengths(net: &CsrNet, warm: &[f64]) -> Option<Vec<f64>> {
 /// `fptas_fast_path_settles_less_on_rrg_sweep_matrix` (`tests/properties.rs`).
 const COARSE_EPS: f64 = 0.55;
 
-/// Fast path: the weights `t^p`, `p = ½` and `p = 2`, at which phase
-/// `t`'s flow enters the two primal averages (`gk::Average`); each phase
-/// certifies the larger λ of the two. A uniform average keeps the
-/// single-path flows of the [`COARSE_EPS`] opening phases at full weight
-/// for the whole solve, diluted only as `1/T`; a growing weight lets
-/// them fade the way [`MEAN_DUAL_DECAY`] forgets the flat opening
-/// lengths on the dual side. Sized on dcbench's deterministic counters
-/// (the same on every host) against the uniform `p = 0`, one average
-/// per row but the last:
+/// Fast path: the weights at which phase `t`'s flow enters the primal
+/// averages (`gk::Average`): `t^p` for `p = ½` and `p = 2`, and, in a
+/// warm-started solve only, the uniform `p = 0`. Each phase certifies
+/// the largest λ of them, the earlier average on a tie. A uniform
+/// average keeps the single-path flows of the [`COARSE_EPS`] opening
+/// phases at full weight for the whole solve, diluted only as `1/T`; a
+/// growing weight lets them fade the way [`MEAN_DUAL_DECAY`] forgets
+/// the flat opening lengths on the dual side. Sized on dcbench's
+/// deterministic counters (the same on every host), one average per row
+/// but the last two:
 ///
 /// | `p`  | `pairwise-solve` settles | `sweep-grid` settles | `serve-whatif` phases |
 /// |------|-----------:|-----------:|------:|
@@ -175,30 +180,39 @@ const COARSE_EPS: f64 = 0.55;
 /// | 0.25 | 1,878,921 | 1,358,299 | 2,100 |
 /// | 0.35 | 1,665,099 | 1,312,788 | 1,969 |
 /// | 0.4  | 1,585,544 | 1,268,615 | 1,991 |
-/// | **0.5** | **1,594,095** | **1,177,777** | **1,971** |
+/// | 0.5  | 1,594,095 | 1,177,777 | 1,971 |
 /// | 0.6  | 1,604,622 | 1,145,359 | 2,081 |
 /// | 0.65 | 1,631,328 | 1,063,678 | 2,182 |
 /// | 0.75 | 1,705,401 | 1,050,394 | 2,195 |
 /// | 1    | 1,898,248 |   999,227 | 2,393 |
 /// | 1.5  | 1,996,234 |   933,966 | 2,615 |
 /// | 2    | 2,650,995 |   988,983 | 2,979 |
-/// | **½ and 2, the better** | **1,594,095** | **940,586** | **1,794** |
+/// | ½ and 2, the better | 1,594,095 | 940,586 | 1,794 |
+/// | **½ and 2; warm: ½, 2 and 0, the best** | **1,594,095** | **940,586** | **1,422** |
 ///
 /// The single-average rows were read before warm starts opened on the
 /// certified dual lengths; `½` alone reads 1,791 `serve-whatif` phases
 /// since. Steeper weights help cold solves with a long coarse ramp
 /// (`sweep-grid`) and hurt warm-started ones, which open on good
 /// lengths and want their early phases (`serve-whatif`). Two averages
-/// serve both: `½` still decides every `pairwise-solve` stop, `2`
-/// lifts λ past it on the long cold solves. `f64::sqrt` is correctly
-/// rounded on every host where a libm `powf` is not, and `t²` is exact
-/// — the solver's pinned trajectories call no libm function.
-fn primal_weight(phase: usize) -> [f64; 2] {
-    [(phase as f64).sqrt(), (phase * phase) as f64]
+/// serve the cold solves: `½` still decides every `pairwise-solve`
+/// stop, `2` lifts λ past it on the long cold solves. A warm start
+/// opens at the configured ε on certified lengths ([`Ladder::opener`]),
+/// so its first phases are no ramp, and the uniform average, which
+/// keeps them at full weight, decides every warm stop of a
+/// `serve-whatif` replay; the two `fptas-warm` trajectory pins, longer
+/// solves, are still decided by `2`. The three benchmark workloads left
+/// of it solve cold only, so their columns are the row above's.
+/// `f64::sqrt` is correctly rounded on every host where a libm `powf`
+/// is not, and `t²` is exact — the solver's pinned trajectories call no
+/// libm function.
+fn primal_weight(phase: usize) -> [f64; 3] {
+    [(phase as f64).sqrt(), (phase * phase) as f64, 1.0]
 }
 
-/// The trace names of [`primal_weight`]'s two averages, in its order.
-const PRIMAL_FROM: [&str; 2] = ["sqrt", "square"];
+/// The trace names of [`primal_weight`]'s averages, in its order; a
+/// cold solve keeps the first two.
+const PRIMAL_FROM: [&str; 3] = ["sqrt", "square", "uniform"];
 
 /// Fast path: rebuild every tree (making that phase's dual bound the
 /// exact `D(l)/α(l)`) every this many phases. Between exact passes
@@ -392,9 +406,13 @@ fn solve_pairwise(
     let eps = opts.epsilon;
     let (length, eps) = (ladder.as_mut()).map_or((None, eps), |l| l.opener(eps));
     let warm_started = length.is_some();
-    // the fast path keeps both of `primal_weight`'s averages, the
-    // strict path one at weight 1.0
-    let averages = ladder.as_ref().map_or(1, |_| PRIMAL_FROM.len());
+    // the fast path keeps `primal_weight`'s averages, the uniform one
+    // only when warm-started; the strict path one at weight 1.0
+    let averages = match ladder {
+        Some(_) if warm_started => PRIMAL_FROM.len(),
+        Some(_) => PRIMAL_FROM.len() - 1,
+        None => 1,
+    };
     let mut core = Core::new(net, cong, length, eps, averages);
     let mut pairs = Pairwise::new(commodities, &mut core, opts);
 
@@ -1169,6 +1187,58 @@ mod tests {
         for a in 0..net.arc_count() {
             assert!(warm.arc_flow[a] <= net.capacity(a) * (1.0 + 1e-9));
         }
+    }
+
+    /// A warm-started re-solve opens at the configured ε on certified
+    /// lengths, so it keeps a third, uniform primal average beside the
+    /// √phase and phase² ones; on this drifted instance that average
+    /// certifies the λ returned, and the solve's trace names it. The
+    /// cold solve it opened from keeps the two.
+    #[test]
+    fn a_warm_solve_certifies_its_uniform_average() {
+        // a 12-ring with its six diameters, each node sending 5 hops on
+        let mut g = Graph::new(12);
+        for v in 0..12 {
+            g.add_unit_edge(v, (v + 1) % 12).unwrap();
+        }
+        for v in 0..6 {
+            g.add_unit_edge(v, v + 6).unwrap();
+        }
+        let net = dctopo_graph::CsrNet::from_graph(&g);
+        let cs: Vec<Commodity> = (0..6).map(|v| Commodity::unit(v, (v + 5) % 12)).collect();
+        let drifted: Vec<Commodity> = (cs.iter().enumerate())
+            .map(|(i, c)| Commodity {
+                demand: c.demand * (0.9 + 0.05 * (i % 5) as f64),
+                ..*c
+            })
+            .collect();
+        let o = FlowOptions::fast();
+        // the recorder is process-global and other tests may solve while
+        // it is on, so each event is picked out by the λ it reports
+        obs::enable_memory();
+        let cold = pairwise(&net, &cs, &o, &[], None).unwrap();
+        let warm = pairwise(&net, &drifted, &o, &cold.dual_lengths, None).unwrap();
+        let trace = obs::drain_memory();
+        obs::disable();
+        let solve_event = |s: &SolvedFlow| {
+            (trace.iter())
+                .filter_map(|line| obs::Json::parse(line).ok())
+                .find(|ev| {
+                    ev.get("ev").and_then(obs::Json::as_str) == Some("fptas_solve")
+                        && ev.get("lambda").and_then(obs::Json::as_f64) == Some(s.throughput)
+                })
+                .expect("the solve emitted its event")
+        };
+        let field = |ev: &obs::Json, key| ev.get(key).and_then(obs::Json::as_str).map(str::to_owned);
+        let ev = solve_event(&warm);
+        assert_eq!(ev.get("warm").and_then(obs::Json::as_bool), Some(true));
+        assert_eq!(field(&ev, "primal_from").as_deref(), Some("uniform"));
+        assert_eq!(field(&ev, "stop").as_deref(), Some("gap"));
+        let ev = solve_event(&cold);
+        assert_eq!(ev.get("warm").and_then(obs::Json::as_bool), Some(false));
+        assert_ne!(field(&ev, "primal_from").as_deref(), Some("uniform"));
+        assert!(warm.gap() <= o.target_gap, "warm gap {}", warm.gap());
+        warm.certify(&net, &drifted, None).unwrap();
     }
 
     /// The strict path refuses to warm-start: its output with a fast

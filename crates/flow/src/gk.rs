@@ -23,9 +23,12 @@
 //!   flows is a flow, so the argument does not care what the weights
 //!   are. A core keeps one or more averages and every step enters all
 //!   of them. The fast pairwise path keeps two, phase `t` at `√t` and
-//!   at `t²`, so its coarse opening phases fade from both, and
-//!   [`Pairwise::snapshot`] certifies whichever reads the larger λ.
-//!   Every other loop keeps one at 1.0, where `1.0·x` is exact;
+//!   at `t²`, so its coarse opening phases fade from both. A warm-started
+//!   one opens on certified lengths at the configured ε, so it has no
+//!   coarse ramp to fade, and keeps a third at 1.0 that holds its first
+//!   phases at full weight. [`Pairwise::snapshot`] certifies whichever
+//!   reads the largest λ. Every other loop keeps one at 1.0, where
+//!   `1.0·x` is exact;
 //! * the **dual**: `D(l)/α(l)` bounds λ* for *any* positive lengths, so
 //!   every loop hands its `α` — however it harvested it — and the
 //!   lengths it was read at to [`Core::note_dual`], which admits the
