@@ -49,7 +49,7 @@ pub use json::Json;
 use std::fs::File;
 use std::io::{self, LineWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::{Mutex, MutexGuard, Once};
 use std::time::Instant;
 
 /// Environment variable consulted by [`auto_init`]: a path enables the
@@ -78,6 +78,15 @@ struct State {
     seq: u64,
 }
 
+/// The recorder's state, locked. The lock is held only to swap a sink
+/// or to write one line, so it is poisoned only when a thread panicked
+/// in the middle of that; the panic here names that cause.
+fn recorder() -> MutexGuard<'static, Option<State>> {
+    STATE
+        .lock()
+        .expect("dctopo-obs: the recorder's lock is poisoned: a thread panicked while emitting")
+}
+
 /// Is the global recorder currently enabled? One relaxed atomic load —
 /// this is the hot-path guard every instrumentation site checks before
 /// doing *any* telemetry work.
@@ -92,7 +101,7 @@ pub fn enabled() -> bool {
 /// Propagates the underlying file-creation error.
 pub fn enable_file(path: &str) -> io::Result<()> {
     let file = File::create(path)?;
-    *STATE.lock().unwrap() = Some(State {
+    *recorder() = Some(State {
         sink: Sink::File(LineWriter::new(file)),
         seq: 0,
     });
@@ -104,7 +113,7 @@ pub fn enable_file(path: &str) -> io::Result<()> {
 /// [`drain_memory`]); used by `topobench profile` and the replay
 /// tests.
 pub fn enable_memory() {
-    *STATE.lock().unwrap() = Some(State {
+    *recorder() = Some(State {
         sink: Sink::Mem(Vec::new()),
         seq: 0,
     });
@@ -114,7 +123,7 @@ pub fn enable_memory() {
 /// Disable the recorder and drop the sink (flushing a file sink).
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
-    let mut state = STATE.lock().unwrap();
+    let mut state = recorder();
     if let Some(State {
         sink: Sink::File(w),
         ..
@@ -130,7 +139,7 @@ pub fn flush() {
     if let Some(State {
         sink: Sink::File(w),
         ..
-    }) = STATE.lock().unwrap().as_mut()
+    }) = recorder().as_mut()
     {
         let _ = w.flush();
     }
@@ -139,7 +148,7 @@ pub fn flush() {
 /// Take every line buffered in the memory sink (resets the buffer,
 /// keeps the recorder enabled). Empty for file sinks.
 pub fn drain_memory() -> Vec<String> {
-    match STATE.lock().unwrap().as_mut() {
+    match recorder().as_mut() {
         Some(State {
             sink: Sink::Mem(lines),
             ..
@@ -238,7 +247,7 @@ impl Event {
         if !enabled() {
             return;
         }
-        let mut state = STATE.lock().unwrap();
+        let mut state = recorder();
         let Some(state) = state.as_mut() else { return };
         let mut line = self.render(state.seq);
         state.seq += 1;
