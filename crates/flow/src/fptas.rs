@@ -1229,7 +1229,8 @@ mod tests {
                 })
                 .expect("the solve emitted its event")
         };
-        let field = |ev: &obs::Json, key| ev.get(key).and_then(obs::Json::as_str).map(str::to_owned);
+        let field =
+            |ev: &obs::Json, key| ev.get(key).and_then(obs::Json::as_str).map(str::to_owned);
         let ev = solve_event(&warm);
         assert_eq!(ev.get("warm").and_then(obs::Json::as_bool), Some(true));
         assert_eq!(field(&ev, "primal_from").as_deref(), Some("uniform"));
