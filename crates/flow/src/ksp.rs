@@ -325,7 +325,7 @@ mod tests {
         let s = ksp(&g, &cs, 4, &opts()).unwrap();
         let net = CsrNet::from_graph(&g);
         let paths = PathSetCache::new().freeze(&net, &cs, 4).unwrap();
-        assert!(s.certify(&net, &cs, Some(&paths)).unwrap().is_some());
+        s.certify(&net, &cs, Some(&paths)).unwrap();
     }
 
     /// A solve that stops before the every-fourth-phase dual pass — on
@@ -359,7 +359,7 @@ mod tests {
             assert!(s.upper_bound.is_finite(), "{} phases: no bound", s.phases);
             assert!(s.upper_bound >= s.throughput);
             assert_eq!(s.dual_lengths.len(), net.arc_count());
-            assert!(s.certify(&net, &cs, Some(&paths)).unwrap().is_some());
+            s.certify(&net, &cs, Some(&paths)).unwrap();
         }
     }
 

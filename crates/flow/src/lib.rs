@@ -49,12 +49,14 @@
 //!
 //! A solve returns its interval `[throughput, upper_bound]`, the flow
 //! behind the first number and the arc lengths the second was read at
-//! ([`SolvedFlow::dual_lengths`], [`GroupedFlow::dual_lengths`]).
-//! [`dctopo_graph::certify`] re-derives both ends from that data with
-//! code that shares nothing with the solvers — its own Dijkstra, its own
-//! sums — and every producer here runs it on what it returns in debug
-//! builds ([`SolvedFlow::certify`], [`GroupedFlow::certify`]). Release
-//! builds skip the check.
+//! ([`SolvedFlow::dual_lengths`]); every solver, the aggregated one
+//! included, answers with one [`SolvedFlow`]. [`dctopo_graph::certify`]
+//! re-derives both ends from that data with code that shares nothing
+//! with the solvers — its own Dijkstra, its own sums — and every
+//! producer here runs it on what it returns in debug builds
+//! ([`SolvedFlow::certify`] for a commodity list,
+//! [`SolvedFlow::certify_groups`] for demand groups). Release builds
+//! skip the check.
 //!
 //! ## Backends
 //!
@@ -108,7 +110,7 @@ pub use backend::{certify_floor, solve_from, solve_with_cache, Backend};
 pub use cache::{CacheStats, KeyStats, PathSetCache, PATH_CACHE_KEYS};
 pub use decompose::{decompose_paths, PathFlow};
 pub use fptas::max_concurrent_flow_warm;
-pub use grouped::{solve_grouped, DemandGroup, GroupedFlow, SinkSpec};
+pub use grouped::{solve_grouped, DemandGroup};
 
 /// One commodity: `demand` units want to travel from `src` to `dst`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -249,7 +251,10 @@ pub struct SolvedFlow {
     pub upper_bound: f64,
     /// Feasible flow per directed arc (indexed by [`dctopo_graph::ArcId`]).
     pub arc_flow: Vec<f64>,
-    /// Achieved rate per commodity (same order as the input slice).
+    /// Achieved rate per commodity (same order as the input slice). A
+    /// [`solve_grouped`] answer holds one rate factor per group instead:
+    /// sink `dst` of group `g` receives `commodity_rate[g] ·
+    /// demand(dst)`.
     pub commodity_rate: Vec<f64>,
     /// Number of phases executed.
     pub phases: usize,
@@ -274,14 +279,17 @@ pub struct SolvedFlow {
 }
 
 impl SolvedFlow {
-    /// Total flow delivered, `Σⱼ rateⱼ`.
+    /// Total flow delivered, `Σⱼ rateⱼ`. Meaningful for pairwise
+    /// answers only: a [`solve_grouped`] answer's rates are per-group
+    /// factors.
     pub fn total_rate(&self) -> f64 {
         self.commodity_rate.iter().sum()
     }
 
     /// Average path length weighted by flow: total arc-hops of flow
     /// divided by total delivered rate. This is the `⟨D⟩·AS` term of the
-    /// paper's throughput decomposition.
+    /// paper's throughput decomposition. Meaningful for pairwise
+    /// answers only, as [`SolvedFlow::total_rate`] is.
     pub fn mean_flow_path_len(&self) -> f64 {
         let hops: f64 = self.arc_flow.iter().sum();
         let rate = self.total_rate();
@@ -305,8 +313,7 @@ impl SolvedFlow {
     /// with [`certify::check`]; `paths` are the frozen path sets of a
     /// [`Backend::KspRestricted`] solve ([`PathSetCache::freeze`]),
     /// whose bound covers only the restricted problem. Returns the
-    /// re-derived bound, always `Some` since every backend returns its
-    /// lengths (the `Option` goes when `ksp`'s tests stop reading it).
+    /// re-derived bound.
     ///
     /// # Errors
     /// The first [`Violation`] the checker finds.
@@ -315,7 +322,7 @@ impl SolvedFlow {
         net: &CsrNet,
         commodities: &[Commodity],
         paths: Option<&[cache::FrozenPathSet]>,
-    ) -> Result<Option<f64>, Violation> {
+    ) -> Result<f64, Violation> {
         let demands: Vec<_> = commodities
             .iter()
             .map(|c| (c.src, c.dst, c.demand))
@@ -329,7 +336,7 @@ impl SolvedFlow {
             dual_lengths: &self.dual_lengths,
             paths,
         };
-        certify::check(net, &demands, &cert).map(Some)
+        certify::check(net, &demands, &cert)
     }
 }
 
@@ -416,8 +423,18 @@ pub(crate) fn validate(
         return Err(FlowError::NoCommodities);
     }
     validate_opts(opts)?;
-    for (i, c) in commodities.iter().enumerate() {
-        validate_pair(node_count, i, c.src, c.dst, c.demand)?;
+    for (index, c) in commodities.iter().enumerate() {
+        if !demand_in_range(c.demand) {
+            return Err(FlowError::BadDemand {
+                index,
+                demand: c.demand,
+            });
+        }
+        if c.src == c.dst {
+            return Err(FlowError::SelfCommodity { index });
+        }
+        node_in_range(c.src, node_count)?;
+        node_in_range(c.dst, node_count)?;
     }
     Ok(())
 }
@@ -440,26 +457,6 @@ pub const MAX_DEMAND: f64 = 1e15;
 /// `demand` lies in `[MIN_DEMAND, MAX_DEMAND]` (`NaN` does not).
 pub(crate) fn demand_in_range(demand: f64) -> bool {
     (MIN_DEMAND..=MAX_DEMAND).contains(&demand)
-}
-
-/// Validate one `(src, dst, demand)` triple — commodity `index` of a
-/// pairwise solve, or a listed sink of demand group `index`. The demand
-/// must lie in `[MIN_DEMAND, MAX_DEMAND]`.
-pub(crate) fn validate_pair(
-    node_count: usize,
-    index: usize,
-    src: NodeId,
-    dst: NodeId,
-    demand: f64,
-) -> Result<(), FlowError> {
-    if !demand_in_range(demand) {
-        return Err(FlowError::BadDemand { index, demand });
-    }
-    if src == dst {
-        return Err(FlowError::SelfCommodity { index });
-    }
-    node_in_range(src, node_count)?;
-    node_in_range(dst, node_count)
 }
 
 /// `node` must name one of the net's `n` nodes.

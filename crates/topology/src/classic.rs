@@ -3,7 +3,7 @@
 
 use dctopo_graph::{Graph, GraphError};
 
-use crate::{SwitchClass, Topology};
+use crate::{check_size, SwitchClass, Topology};
 
 /// The canonical k-ary fat-tree (Al-Fares et al., the paper's \[2\]):
 /// `k` pods of `k/2` edge and `k/2` aggregation switches, `(k/2)²` core
@@ -11,7 +11,7 @@ use crate::{SwitchClass, Topology};
 /// ports.
 ///
 /// # Errors
-/// `k` must be even and ≥ 2.
+/// `k` must be even and ≥ 2, within the crate's size limits.
 pub fn fat_tree(k: usize) -> Result<Topology, GraphError> {
     if k < 2 || !k.is_multiple_of(2) {
         return Err(GraphError::Unrealizable(format!(
@@ -19,6 +19,11 @@ pub fn fat_tree(k: usize) -> Result<Topology, GraphError> {
         )));
     }
     let half = k / 2;
+    // k² edge and aggregation switches, half² core switches, and k·half²
+    // links between each pair of adjacent layers
+    let k2 = k.checked_mul(k);
+    let switches = k2.and_then(|k2| k2.checked_add(half * half));
+    check_size("fat-tree", switches, k2.and_then(|k2| k2.checked_mul(half)))?;
     let n_edge = k * half;
     let n_agg = k * half;
     let n_core = half * half;
@@ -88,16 +93,8 @@ pub fn hypercube(dim: u32, servers_per_switch: usize) -> Result<Topology, GraphE
             }
         }
     }
-    Ok(Topology {
-        graph: g,
-        servers_at: vec![servers_per_switch; n],
-        class_of: vec![0; n],
-        classes: vec![SwitchClass {
-            name: "switch".into(),
-            ports: dim as usize + servers_per_switch,
-        }],
-        unused_ports: 0,
-    })
+    let ports = dim as usize + servers_per_switch;
+    Ok(Topology::uniform(g, servers_per_switch, ports))
 }
 
 /// `rows × cols` 2-D torus (degree 4 when both dimensions exceed 2).
@@ -111,6 +108,8 @@ pub fn torus2d(
             "torus needs both dimensions ≥ 3 (wraparound would duplicate edges)".into(),
         ));
     }
+    let n = rows.checked_mul(cols);
+    check_size("torus", n, n.and_then(|n| n.checked_mul(2)))?;
     let n = rows * cols;
     let id = |r: usize, c: usize| r * cols + c;
     let mut g = Graph::new(n);
@@ -120,16 +119,8 @@ pub fn torus2d(
             g.add_unit_edge(id(r, c), id(r, (c + 1) % cols))?;
         }
     }
-    Ok(Topology {
-        graph: g,
-        servers_at: vec![servers_per_switch; n],
-        class_of: vec![0; n],
-        classes: vec![SwitchClass {
-            name: "switch".into(),
-            ports: 4 + servers_per_switch,
-        }],
-        unused_ports: 0,
-    })
+    let ports = 4 + servers_per_switch;
+    Ok(Topology::uniform(g, servers_per_switch, ports))
 }
 
 /// The complete graph `K_n` with `servers_per_switch` servers per switch.
@@ -139,22 +130,16 @@ pub fn complete(n: usize, servers_per_switch: usize) -> Result<Topology, GraphEr
             "complete graph needs n ≥ 2".into(),
         ));
     }
+    let links = n.checked_mul(n - 1).map(|twice| twice / 2);
+    check_size("complete graph", Some(n), links)?;
     let mut g = Graph::new(n);
     for u in 0..n {
         for v in u + 1..n {
             g.add_unit_edge(u, v)?;
         }
     }
-    Ok(Topology {
-        graph: g,
-        servers_at: vec![servers_per_switch; n],
-        class_of: vec![0; n],
-        classes: vec![SwitchClass {
-            name: "switch".into(),
-            ports: n - 1 + servers_per_switch,
-        }],
-        unused_ports: 0,
-    })
+    let ports = n - 1 + servers_per_switch;
+    Ok(Topology::uniform(g, servers_per_switch, ports))
 }
 
 #[cfg(test)]

@@ -14,7 +14,9 @@ use dctopo_graph::{Graph, GraphError};
 use rand::{Rng, RngExt};
 
 use crate::stubs::{pair_bipartite, pair_stubs, pair_stubs_multi, stubs_from_counts};
-use crate::{expected_cross_links, ClusterSpec, ServerPlacement, SwitchClass, Topology};
+use crate::{
+    check_size, expected_cross_links, ClusterSpec, ServerPlacement, SwitchClass, Topology,
+};
 
 /// How many cross-cluster links a [`two_cluster`] build should use.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,6 +131,8 @@ pub fn heterogeneous_fleet<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Topology, GraphError> {
     assert_eq!(ports.len(), class_of.len(), "ports/class length mismatch");
+    let stubs = ports.iter().try_fold(0usize, |sum, &p| sum.checked_add(p));
+    check_size("fleet", Some(ports.len()), stubs.map(|s| s / 2))?;
     let servers_at = place_servers(ports, total_servers, placement, &class_of)?;
     let counts: Vec<_> = (0..ports.len())
         .map(|v| (v, ports[v] - servers_at[v]))
@@ -184,6 +188,10 @@ pub fn heterogeneous<R: Rng + ?Sized>(
     placement: &ServerPlacement,
     rng: &mut R,
 ) -> Result<Topology, GraphError> {
+    let switches = (classes.iter().map(|c| c.0)).try_fold(0usize, usize::checked_add);
+    let stubs =
+        (classes.iter()).try_fold(0, |sum: usize, &(n, p)| sum.checked_add(n.checked_mul(p)?));
+    check_size("fleet", switches, stubs.map(|s| s / 2))?;
     let mut ports = Vec::new();
     let mut class_of = Vec::new();
     let mut names = Vec::new();
@@ -206,6 +214,8 @@ pub fn two_cluster<R: Rng + ?Sized>(
 ) -> Result<Topology, GraphError> {
     let l_total = large.total_network_ports()?;
     let s_total = small.total_network_ports()?;
+    let links = l_total.checked_add(s_total).map(|stubs| stubs / 2);
+    check_size("two-cluster", large.count.checked_add(small.count), links)?;
     let cross_links = match cross {
         CrossSpec::Exact(x) => x,
         CrossSpec::Ratio(r) => {
@@ -303,6 +313,9 @@ pub fn two_cluster_linespeed<R: Rng + ?Sized>(
         ));
     }
     let mut topo = two_cluster(large, small, cross, rng)?;
+    let trunks = large.count.checked_mul(high_per_large);
+    let links = trunks.and_then(|stubs| (stubs / 2).checked_add(topo.graph.edge_count()));
+    check_size("two-cluster", Some(topo.switch_count()), links)?;
     if high_per_large > 0 {
         let high_stubs = stubs_from_counts(
             &(0..large.count)

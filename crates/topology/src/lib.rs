@@ -44,6 +44,35 @@ pub mod vl2;
 
 use dctopo_graph::{Graph, GraphError, NodeId};
 
+/// The most switches any family builds: 2^20, a thousand times the
+/// largest fabric any figure or benchmark builds.
+pub const MAX_SWITCHES: usize = 1 << 20;
+
+/// The most links any family builds: 2^24. A link costs about 56 bytes
+/// in the [`Graph`] (its edge record and two adjacency entries) and 64
+/// in the flattened CSR net (two arcs), so a build stays under about
+/// 2 GB.
+pub const MAX_LINKS: usize = 1 << 24;
+
+/// Refuse a `family` build of `switches` switches and `links` links,
+/// each counted with checked arithmetic (`None` on overflow), before
+/// anything is allocated.
+pub(crate) fn check_size(
+    family: &str,
+    switches: Option<usize>,
+    links: Option<usize>,
+) -> Result<(), GraphError> {
+    if switches.is_some_and(|n| n <= MAX_SWITCHES) && links.is_some_and(|m| m <= MAX_LINKS) {
+        return Ok(());
+    }
+    let count = |x: Option<usize>| x.map_or("overflowing".into(), |x| x.to_string());
+    Err(GraphError::Unrealizable(format!(
+        "{family} of {} switches and {} links exceeds the limits of {MAX_SWITCHES} and {MAX_LINKS}",
+        count(switches),
+        count(links)
+    )))
+}
+
 /// How servers are distributed across a heterogeneous switch fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerPlacement {
@@ -87,6 +116,22 @@ pub struct Topology {
 }
 
 impl Topology {
+    /// One class of identical switches, `ports` ports each, over `graph`,
+    /// with `servers` servers at every switch.
+    pub(crate) fn uniform(graph: Graph, servers: usize, ports: usize) -> Topology {
+        let n = graph.node_count();
+        Topology {
+            graph,
+            servers_at: vec![servers; n],
+            class_of: vec![0; n],
+            classes: vec![SwitchClass {
+                name: "switch".into(),
+                ports,
+            }],
+            unused_ports: 0,
+        }
+    }
+
     /// Total number of servers.
     pub fn server_count(&self) -> usize {
         self.servers_at.iter().sum()
@@ -177,7 +222,8 @@ impl ClusterSpec {
 
     /// Total network stubs contributed by the cluster.
     pub fn total_network_ports(&self) -> Result<usize, GraphError> {
-        Ok(self.network_ports()? * self.count)
+        (self.network_ports()?.checked_mul(self.count))
+            .ok_or_else(|| GraphError::Unrealizable("cluster stub count overflows".into()))
     }
 }
 
@@ -258,6 +304,91 @@ mod tests {
             servers_per_switch: 5,
         };
         assert!(bad.network_ports().is_err());
+    }
+
+    /// Every family refuses dimensions past [`MAX_SWITCHES`] or
+    /// [`MAX_LINKS`], or whose counts overflow, with a typed error before
+    /// it allocates: each build here would need gigabytes or more.
+    #[test]
+    fn every_family_refuses_oversized_dimensions_before_allocating() {
+        use crate::classic::{complete, fat_tree, torus2d};
+        use crate::hetero::{
+            heterogeneous, heterogeneous_fleet, two_cluster, two_cluster_linespeed, CrossSpec,
+        };
+        use crate::vl2::{rewired_vl2, vl2, Vl2Params};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let rng = &mut StdRng::seed_from_u64(9);
+        let cluster = |count, ports| ClusterSpec {
+            count,
+            ports,
+            servers_per_switch: 1,
+        };
+        let vl2_of = |d_a, d_i, tors| Vl2Params { d_a, d_i, tors };
+        let fleet = ServerPlacement::Proportional;
+        let cases = [
+            ("fat-tree k = 100000", fat_tree(100_000)),
+            ("fat-tree k = 2^40", fat_tree(1 << 40)),
+            ("complete 3,000,000", complete(3_000_000, 1)),
+            ("complete 6,000", complete(6_000, 1)),
+            ("torus 2048 × 1024", torus2d(2048, 1024, 1)),
+            ("torus 2^33 × 2^33", torus2d(1 << 33, 1 << 33, 1)),
+            (
+                "VL2 at design capacity",
+                vl2(vl2_of(1 << 12, 1 << 12, None)),
+            ),
+            ("VL2 2^40 × 2^40", vl2(vl2_of(1 << 40, 1 << 40, Some(1)))),
+            (
+                "rewired VL2",
+                rewired_vl2(vl2_of(1 << 12, 1 << 12, Some(4)), rng),
+            ),
+            (
+                "fleet switches",
+                heterogeneous(&[(1 << 21, 8)], 0, &fleet, rng),
+            ),
+            (
+                "fleet links",
+                heterogeneous(&[(1 << 16, 1 << 10)], 0, &fleet, rng),
+            ),
+            (
+                "explicit fleet",
+                heterogeneous_fleet(
+                    &vec![1 << 10; 1 << 16],
+                    vec![0; 1 << 16],
+                    vec!["big".into()],
+                    0,
+                    &fleet,
+                    rng,
+                ),
+            ),
+            (
+                "two-cluster",
+                two_cluster(cluster(1 << 20, 8), cluster(1, 8), CrossSpec::Exact(0), rng),
+            ),
+            (
+                "two-cluster trunks",
+                two_cluster_linespeed(
+                    cluster(2, 2),
+                    cluster(2, 2),
+                    CrossSpec::Exact(0),
+                    1 << 25,
+                    4.0,
+                    rng,
+                ),
+            ),
+            (
+                "RRG of 2^20 switches, degree 40",
+                Topology::random_regular(1 << 20, 64, 40, rng),
+            ),
+        ];
+        for (what, built) in cases {
+            assert!(
+                matches!(&built, Err(GraphError::Unrealizable(m)) if m.contains("exceeds the limits")),
+                "{what}: {:?}",
+                built.map(|t| t.switch_count())
+            );
+        }
     }
 
     #[test]

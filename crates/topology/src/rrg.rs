@@ -7,12 +7,7 @@ use dctopo_graph::{Graph, GraphError};
 use rand::Rng;
 
 use crate::stubs::{pair_stubs, stubs_from_counts};
-use crate::{SwitchClass, Topology};
-
-/// The most switches an RRG may have: 2^20, a thousand times the
-/// largest fabric any figure or benchmark builds, and small enough that
-/// `n · r` cannot overflow for any realisable degree `r < n`.
-pub const MAX_SWITCHES: usize = 1 << 20;
+use crate::{check_size, Topology};
 
 impl Topology {
     /// Sample an `RRG(N, k, r)`: a random `r`-regular graph over `n`
@@ -22,8 +17,9 @@ impl Topology {
     /// giving up, so the failure probability is negligible for `r ≥ 2`.
     ///
     /// # Errors
-    /// * more than [`MAX_SWITCHES`] switches is refused before anything
-    ///   is allocated.
+    /// * more than [`crate::MAX_SWITCHES`] switches or
+    ///   [`crate::MAX_LINKS`] links is refused before anything is
+    ///   allocated.
     /// * `r ≥ n` or `r > k` are unrealizable.
     /// * `n·r` odd is unrealizable (degree sum must be even).
     pub fn random_regular<R: Rng + ?Sized>(
@@ -32,11 +28,7 @@ impl Topology {
         r: usize,
         rng: &mut R,
     ) -> Result<Topology, GraphError> {
-        if n > MAX_SWITCHES {
-            return Err(GraphError::Unrealizable(format!(
-                "{n} switches exceed the limit of {MAX_SWITCHES}"
-            )));
-        }
+        check_size("RRG", Some(n), n.checked_mul(r).map(|stubs| stubs / 2))?;
         if r > k {
             return Err(GraphError::Unrealizable(format!(
                 "network degree {r} exceeds port count {k}"
@@ -61,16 +53,7 @@ impl Topology {
             match pair_stubs(&mut g, stubs_from_counts(&counts), 1.0, rng) {
                 Ok(unused) => {
                     debug_assert_eq!(unused, 0);
-                    return Ok(Topology {
-                        graph: g,
-                        servers_at: vec![k - r; n],
-                        class_of: vec![0; n],
-                        classes: vec![SwitchClass {
-                            name: "switch".into(),
-                            ports: k,
-                        }],
-                        unused_ports: 0,
-                    });
+                    return Ok(Topology::uniform(g, k - r, k));
                 }
                 Err(e) => last_err = Some(e),
             }
@@ -114,7 +97,7 @@ mod tests {
     #[test]
     fn rrg_refuses_switch_counts_past_the_limit() {
         let mut rng = StdRng::seed_from_u64(13);
-        for n in [usize::MAX, MAX_SWITCHES + 1] {
+        for n in [usize::MAX, crate::MAX_SWITCHES + 1] {
             assert!(matches!(
                 Topology::random_regular(n, 4, 2, &mut rng),
                 Err(GraphError::Unrealizable(_))

@@ -18,8 +18,8 @@
 use dctopo_graph::{Graph, GraphError};
 use rand::{Rng, RngExt};
 
-use crate::stubs::{pair_stubs, stubs_from_counts};
-use crate::{SwitchClass, Topology};
+use crate::stubs::pair_stubs;
+use crate::{check_size, SwitchClass, Topology};
 
 /// Switch-to-switch line speed relative to the server line speed.
 pub const UPLINK_SPEED: f64 = 10.0;
@@ -56,10 +56,16 @@ impl Vl2Params {
                 self.d_i
             )));
         }
-        let tors = self.tors.unwrap_or(self.d_a * self.d_i / 4);
+        let ports = self.d_a.checked_mul(self.d_i);
+        // an overflowed design capacity is refused with the links below
+        let tors = self.tors.or(ports.map(|p| p / 4)).unwrap_or(usize::MAX);
         if tors == 0 {
             return Err(GraphError::Unrealizable("need at least one ToR".into()));
         }
+        let switches = (tors.checked_add(self.d_i)).and_then(|n| n.checked_add(self.d_a / 2));
+        // every link of either build ends at an aggregation or a core
+        // port: D_I·D_A of the first kind, D_A/2·D_I of the second
+        check_size("VL2", switches, ports.and_then(|p| p.checked_add(p / 2)))?;
         Ok((tors, self.d_i, self.d_a / 2))
     }
 
@@ -239,12 +245,6 @@ fn finish(g: Graph, n_tors: usize, n_agg: usize, n_core: usize, params: Vl2Param
         ],
         unused_ports: 0,
     }
-}
-
-/// Build stubs helper re-export for tests of sibling modules.
-#[allow(unused)]
-pub(crate) fn _stub_counts(counts: &[(usize, usize)]) -> Vec<usize> {
-    stubs_from_counts(counts)
 }
 
 #[cfg(test)]

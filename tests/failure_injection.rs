@@ -6,7 +6,7 @@ use dctopo::core::solve::surviving_traffic;
 use dctopo::core::{solve_throughput, AppliedScenario, Degradation, Scenario, ThroughputResult};
 use dctopo::flow::{
     solve_grouped, solve_with_cache, Backend, Commodity, DemandGroup, FlowError, FlowOptions,
-    PathSetCache, SinkSpec, SolvedFlow, MAX_DEMAND, MIN_DEMAND,
+    PathSetCache, SolvedFlow, MAX_DEMAND, MIN_DEMAND,
 };
 use dctopo::graph::{CsrNet, Graph, GraphError};
 use dctopo::packetsim::{simulate, FlowSpec, PathSpec, SimConfig, SimError};
@@ -326,10 +326,11 @@ fn demands_outside_the_range_are_refused_and_the_limits_solve() {
         demand,
     };
     let list = |sinks: Vec<(usize, f64)>| {
-        [DemandGroup {
-            src: 0,
-            sinks: SinkSpec::List(sinks),
-        }]
+        let mut weights = vec![0.0; 4];
+        for (dst, demand) in sinks {
+            weights[dst] = demand;
+        }
+        [DemandGroup::weighted(0, std::sync::Arc::new(weights), 1.0)]
     };
     let weighted = |scale| {
         [DemandGroup::weighted(
@@ -399,7 +400,7 @@ fn demands_outside_the_range_are_refused_and_the_limits_solve() {
         }
         for groups in [list(vec![(2, demand)]), weighted(demand / 1e200)] {
             let s = solve_grouped(&net, &groups, &o).unwrap();
-            s.certify(&net, &groups)
+            s.certify_groups(&net, &groups)
                 .unwrap_or_else(|v| panic!("grouped {demand}: {v}"));
             let ratio = s.throughput * demand / 2.0;
             assert!(
@@ -411,13 +412,12 @@ fn demands_outside_the_range_are_refused_and_the_limits_solve() {
     }
     let full = list(vec![(1, MAX_DEMAND / 2.0), (2, MAX_DEMAND / 2.0)]);
     let s = solve_grouped(&net, &full, &o).unwrap();
-    s.certify(&net, &full).unwrap();
+    s.certify_groups(&net, &full).unwrap();
 }
 
 /// `solve_grouped` returns the best of the phases it ran, so a solve
 /// allowed none has nothing to return: `max_phases: 0` is a typed
-/// `BadOptions` before any tree is built, never a panic, whatever the
-/// demand's shape.
+/// `BadOptions` before any tree is built, never a panic.
 #[test]
 fn grouped_solve_with_no_phases_is_refused() {
     let mut g = Graph::new(4);
@@ -429,16 +429,14 @@ fn grouped_solve_with_no_phases_is_refused() {
         max_phases: 0,
         ..FlowOptions::default()
     };
-    let weighted = DemandGroup::weighted(0, std::sync::Arc::new(vec![1.0; 4]), 1.0);
-    let listed = DemandGroup {
-        src: 1,
-        sinks: SinkSpec::List(vec![(3, 1.0)]),
-    };
-    for groups in [vec![weighted], vec![listed]] {
-        match solve_grouped(&net, &groups, &o).map(|s| s.throughput) {
-            Err(FlowError::BadOptions(m)) => assert!(m.contains("max_phases"), "{m}"),
-            other => panic!("{groups:?}: {other:?}"),
-        }
+    let groups = [DemandGroup::weighted(
+        0,
+        std::sync::Arc::new(vec![1.0; 4]),
+        1.0,
+    )];
+    match solve_grouped(&net, &groups, &o).map(|s| s.throughput) {
+        Err(FlowError::BadOptions(m)) => assert!(m.contains("max_phases"), "{m}"),
+        other => panic!("{other:?}"),
     }
 }
 

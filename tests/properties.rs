@@ -157,7 +157,7 @@ proptest! {
         let s = solve_graph(g, &cs, &solver_opts()).unwrap();
         let net = dctopo::graph::CsrNet::from_graph(g);
         let checked = s.certify(&net, &cs, None);
-        prop_assert!(matches!(checked, Ok(Some(_))), "{:?}", checked);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 
     /// FPTAS brackets the exact LP optimum on tiny instances.
@@ -576,7 +576,7 @@ fn exact_lp_reproduces_the_edge_lp_optima() {
             }
             let cs = aggregate_commodities(&topo, &tm);
             assert_eq!(exact.dual_lengths.len(), engine.net().arc_count());
-            let bound = exact.certify(engine.net(), &cs, None).unwrap().unwrap();
+            let bound = exact.certify(engine.net(), &cs, None).unwrap();
             assert!(got <= exact.upper_bound * (1.0 + 1e-9), "{name}");
             assert!(exact.upper_bound <= got * (1.0 + 1e-6), "{name}");
             assert!(bound <= exact.upper_bound * (1.0 + 1e-9), "{name}");
@@ -937,7 +937,10 @@ fn weighted_primal_is_one_conserved_flow() {
 /// passes it, and each of four perturbations by 1e-6 relative is named:
 /// a saturated arc's flow up, the upper bound down, the rate of the
 /// commodity that sets λ down, and one commodity's record on one arc —
-/// the mutant whose weights reached `arc_flow` but not the record.
+/// the mutant whose weights reached `arc_flow` but not the record. A
+/// weighted all-to-all solve through `certify_groups` passes too, and
+/// names its saturated arc's flow up, its bound down and its binding
+/// group's rate factor down (as that group's first sink).
 #[test]
 fn the_checker_names_each_perturbed_certificate() {
     use dctopo::graph::certify::Violation;
@@ -950,7 +953,7 @@ fn the_checker_names_each_perturbed_certificate() {
         .with_strict_reference(true)
         .with_commodity_flows(true);
     let s = solve_cold(&net, &cs, &opts).unwrap();
-    assert!(s.certify(&net, &cs, None).unwrap().is_some());
+    s.certify(&net, &cs, None).unwrap();
     let bump = 1.0 + 1e-6;
     let worst = |n: usize, key: &dyn Fn(usize) -> f64| {
         (0..n).max_by(|&x, &y| key(x).total_cmp(&key(y))).unwrap()
@@ -988,13 +991,42 @@ fn the_checker_names_each_perturbed_certificate() {
         matches!(v, Err(Violation::RecordSum { arc, .. }) if arc == busiest),
         "{v:?}"
     );
+
+    let all_to_all = dctopo::traffic::AggregateTraffic::all_to_all(topo.server_count());
+    let groups = dctopo::core::solve::aggregate_groups(&topo, &all_to_all);
+    let g = dctopo::flow::solve_grouped(&net, &groups, &FlowOptions::default()).unwrap();
+    g.certify_groups(&net, &groups).unwrap();
+
+    let saturated = worst(net.arc_count(), &|a| g.arc_flow[a] / net.capacity(a));
+    let mut m = g.clone();
+    m.arc_flow[saturated] *= bump;
+    let v = m.certify_groups(&net, &groups);
+    assert!(
+        matches!(v, Err(Violation::OverCapacity { arc, .. }) if arc == saturated),
+        "{v:?}"
+    );
+
+    let mut m = g.clone();
+    m.upper_bound /= bump;
+    let v = m.certify_groups(&net, &groups);
+    assert!(matches!(v, Err(Violation::BoundBelowDual { .. })), "{v:?}");
+
+    let binding = worst(groups.len(), &|i| -g.commodity_rate[i]);
+    let first_sink: usize = groups[..binding].iter().map(|g| g.sink_count()).sum();
+    let mut m = g.clone();
+    m.commodity_rate[binding] /= bump;
+    let v = m.certify_groups(&net, &groups);
+    assert!(
+        matches!(v, Err(Violation::RateBelowLambda { commodity, .. }) if commodity == first_sink),
+        "{v:?}"
+    );
 }
 
 /// Every producer returns the lengths its bound was read at, one per
 /// arc, the exact LP's optimal duals among them.
 #[test]
 fn every_backend_returns_its_witness() {
-    use dctopo::flow::{solve_grouped, Backend, DemandGroup, SinkSpec};
+    use dctopo::flow::{solve_grouped, Backend, DemandGroup};
     let g = seeded_graph(7);
     let net = dctopo::graph::CsrNet::from_graph(&g);
     let n = g.node_count();
@@ -1014,9 +1046,10 @@ fn every_backend_returns_its_witness() {
     let warm = solve_from(&net, &cs, &o, &PathSetCache::new(), &cold.dual_lengths).unwrap();
     assert_eq!(warm.dual_lengths.len(), net.arc_count(), "fptas-warm");
     let groups: Vec<DemandGroup> = (cs.iter())
-        .map(|c| DemandGroup {
-            src: c.src,
-            sinks: SinkSpec::List(vec![(c.dst, c.demand)]),
+        .map(|c| {
+            let mut weights = vec![0.0; n];
+            weights[c.dst] = c.demand;
+            DemandGroup::weighted(c.src, std::sync::Arc::new(weights), 1.0)
         })
         .collect();
     let g = solve_grouped(&net, &groups, &o).unwrap();

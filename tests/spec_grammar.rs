@@ -137,6 +137,11 @@ fn hostile_specs_are_typed_errors_not_panics() {
         "build two-cluster".to_string(),
         // dimensions whose product overflowed
         "build rrg --switches 18446744073709551615 --ports 4 --degree 2".to_string(),
+        // dimensions past the size limits, which used to allocate until
+        // the allocator aborted
+        "build fat-tree --k 100000".to_string(),
+        "build complete --switches 3000000 --servers 1".to_string(),
+        "build torus --rows 100000 --cols 100000 --servers 1".to_string(),
     ];
     for case in &cases {
         let args: Vec<&str> = case.split_whitespace().collect();

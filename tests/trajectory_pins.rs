@@ -56,11 +56,12 @@
 //! copy the table it prints on failure.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use dctopo::core::solve::{aggregate_commodities, aggregate_groups};
 use dctopo::flow::{
     solve_from, solve_grouped, solve_with_cache, Backend, Commodity, DemandGroup, FlowOptions,
-    GroupedFlow, PathSetCache, SinkSpec, SolvedFlow,
+    PathSetCache, SolvedFlow,
 };
 use dctopo::graph::mix::Fnv1a;
 use dctopo::graph::CsrNet;
@@ -109,40 +110,24 @@ fn fold(vectors: &[&[f64]]) -> u64 {
     h.finish()
 }
 
-fn row(out: &mut String, name: &str, cert: (f64, f64), work: (usize, u64), fold: u64) {
-    writeln!(
-        out,
-        "{name} lambda={:#018x} upper={:#018x} phases={} settles={} fold={fold:#018x}",
-        cert.0.to_bits(),
-        cert.1.to_bits(),
-        work.0,
-        work.1
-    )
-    .unwrap();
-}
-
-fn pairwise_row(out: &mut String, name: &str, s: &SolvedFlow) {
+/// One pin row: the certificate's bits, the work, and a fold over the
+/// flow, the rates (one factor per group for a grouped solve) and any
+/// per-commodity record.
+fn row(out: &mut String, name: &str, s: &SolvedFlow) {
     let mut vectors: Vec<&[f64]> = vec![&s.arc_flow, &s.commodity_rate];
     for per_commodity in s.commodity_arc_flow.iter().flatten() {
         vectors.push(per_commodity);
     }
-    row(
+    writeln!(
         out,
-        name,
-        (s.throughput, s.upper_bound),
-        (s.phases, s.settles),
-        fold(&vectors),
-    );
-}
-
-fn grouped_row(out: &mut String, name: &str, s: &GroupedFlow) {
-    row(
-        out,
-        name,
-        (s.throughput, s.upper_bound),
-        (s.phases, s.settles),
-        fold(&[&s.arc_flow, &s.group_rate_factor]),
-    );
+        "{name} lambda={:#018x} upper={:#018x} phases={} settles={} fold={:#018x}",
+        s.throughput.to_bits(),
+        s.upper_bound.to_bits(),
+        s.phases,
+        s.settles,
+        fold(&vectors)
+    )
+    .unwrap();
 }
 
 /// The KSP rows' backend.
@@ -153,23 +138,25 @@ fn solve_cold(net: &CsrNet, commodities: &[Commodity], opts: &FlowOptions) -> So
     solve_with_cache(net, commodities, opts, &PathSetCache::new()).unwrap()
 }
 
-/// The commodity list as one [`SinkSpec::List`] group per source
-/// (commodities arrive sorted by `(src, dst)`).
-fn list_groups(commodities: &[Commodity]) -> Vec<DemandGroup> {
-    let mut groups: Vec<DemandGroup> = Vec::new();
+/// The commodity list as one group per source, each with its own
+/// weight vector at scale 1 (commodities arrive sorted by `(src, dst)`,
+/// one per pair, so the sinks are visited in list order and every
+/// demand is exact).
+fn list_groups(net: &CsrNet, commodities: &[Commodity]) -> Vec<DemandGroup> {
+    let mut groups: Vec<(usize, Vec<f64>)> = Vec::new();
     for c in commodities {
         match groups.last_mut() {
-            Some(DemandGroup {
-                src,
-                sinks: SinkSpec::List(pairs),
-            }) if *src == c.src => pairs.push((c.dst, c.demand)),
-            _ => groups.push(DemandGroup {
-                src: c.src,
-                sinks: SinkSpec::List(vec![(c.dst, c.demand)]),
-            }),
+            Some((src, weights)) if *src == c.src => weights[c.dst] = c.demand,
+            _ => {
+                let mut weights = vec![0.0; net.node_count()];
+                weights[c.dst] = c.demand;
+                groups.push((c.src, weights));
+            }
         }
     }
-    groups
+    (groups.into_iter())
+        .map(|(src, weights)| DemandGroup::weighted(src, Arc::new(weights), 1.0))
+        .collect()
 }
 
 /// A warm-started re-solve of drifted demand under `opts`, opened on
@@ -239,16 +226,16 @@ fn every_loop_keeps_its_recorded_trajectory() {
     } in &instances
     {
         let fast = solve_cold(net, commodities, &opts);
-        pairwise_row(&mut out, &format!("{name} fptas"), &fast);
+        row(&mut out, &format!("{name} fptas"), &fast);
         let strict = solve_cold(net, commodities, &opts.with_strict_reference(true));
-        pairwise_row(&mut out, &format!("{name} fptas-strict"), &strict);
+        row(&mut out, &format!("{name} fptas-strict"), &strict);
         let ksp = solve_cold(net, commodities, &opts.with_backend(KSP4));
-        pairwise_row(&mut out, &format!("{name} ksp:4"), &ksp);
+        row(&mut out, &format!("{name} ksp:4"), &ksp);
         let weighted = aggregate_groups(topo, &AggregateTraffic::all_to_all(topo.server_count()));
         let g = solve_grouped(net, &weighted, &opts).unwrap();
-        grouped_row(&mut out, &format!("{name} grouped-weighted"), &g);
-        let g = solve_grouped(net, &list_groups(commodities), &opts).unwrap();
-        grouped_row(&mut out, &format!("{name} grouped-list"), &g);
+        row(&mut out, &format!("{name} grouped-weighted"), &g);
+        let g = solve_grouped(net, &list_groups(net, commodities), &opts).unwrap();
+        row(&mut out, &format!("{name} grouped-list"), &g);
     }
 
     // a warm-started re-solve of drifted demand on the re-rated view
@@ -256,7 +243,7 @@ fn every_loop_keeps_its_recorded_trajectory() {
         net, commodities, ..
     } = &instances[2];
     let cold = solve_cold(net, commodities, &opts);
-    pairwise_row(
+    row(
         &mut out,
         "rrg20x8x4@1.5 fptas-warm",
         &warm(net, commodities, &cold, &opts),
@@ -268,11 +255,11 @@ fn every_loop_keeps_its_recorded_trajectory() {
         net, commodities, ..
     } = &instances[0];
     let s = solve_cold(net, commodities, &record);
-    pairwise_row(&mut out, "rrg24x8x5 fptas+record", &s);
+    row(&mut out, "rrg24x8x5 fptas+record", &s);
     let s = solve_cold(net, commodities, &record.with_strict_reference(true));
-    pairwise_row(&mut out, "rrg24x8x5 fptas-strict+record", &s);
+    row(&mut out, "rrg24x8x5 fptas-strict+record", &s);
     let s = solve_cold(net, commodities, &record.with_backend(KSP4));
-    pairwise_row(&mut out, "rrg24x8x5 ksp:4+record", &s);
+    row(&mut out, "rrg24x8x5 ksp:4+record", &s);
 
     // coarse steps and an unreachable gap: hundreds of phases, lengths
     // cross 1e100 and are rescaled (the fast path then rebuilds every
@@ -288,13 +275,13 @@ fn every_loop_keeps_its_recorded_trajectory() {
         net, commodities, ..
     } = &instances[2];
     let s = solve_cold(net, commodities, &long);
-    pairwise_row(&mut out, "rrg20x8x4@1.5 long fptas", &s);
+    row(&mut out, "rrg20x8x4@1.5 long fptas", &s);
     let s = solve_cold(net, commodities, &long.with_strict_reference(true));
-    pairwise_row(&mut out, "rrg20x8x4@1.5 long fptas-strict", &s);
+    row(&mut out, "rrg20x8x4@1.5 long fptas-strict", &s);
     let s = solve_cold(net, commodities, &long.with_backend(KSP4));
-    pairwise_row(&mut out, "rrg20x8x4@1.5 long ksp:4", &s);
-    let g = solve_grouped(net, &list_groups(commodities), &long).unwrap();
-    grouped_row(&mut out, "rrg20x8x4@1.5 long grouped-list", &g);
+    row(&mut out, "rrg20x8x4@1.5 long ksp:4", &s);
+    let g = solve_grouped(net, &list_groups(net, commodities), &long).unwrap();
+    row(&mut out, "rrg20x8x4@1.5 long grouped-list", &g);
 
     // every instance above runs on at most 64 switches; this one is
     // bigger, so its cold trees, repairs and bail-outs take the heap
@@ -305,9 +292,9 @@ fn every_loop_keeps_its_recorded_trajectory() {
         ..
     } = instance("rrg80x10x6", (80, 10, 6), 0x0715_0004);
     let cold = solve_cold(&net, &commodities, &opts);
-    pairwise_row(&mut out, &format!("{name} fptas"), &cold);
+    row(&mut out, &format!("{name} fptas"), &cold);
     let s = warm(&net, &commodities, &cold, &opts);
-    pairwise_row(&mut out, &format!("{name} fptas-warm"), &s);
+    row(&mut out, &format!("{name} fptas-warm"), &s);
 
     // a short warm re-solve at the 5 % gap of `fast()`: it opens at the
     // configured ε, so it keeps a uniform primal average beside the
@@ -318,7 +305,7 @@ fn every_loop_keeps_its_recorded_trajectory() {
     } = &instances[0];
     let cold = solve_cold(net, commodities, &fast);
     let s = warm(net, commodities, &cold, &fast);
-    pairwise_row(&mut out, "rrg24x8x5 fast fptas-warm", &s);
+    row(&mut out, "rrg24x8x5 fast fptas-warm", &s);
 
     assert!(
         out == PINS,
