@@ -252,14 +252,16 @@ pub fn two_cluster<R: Rng + ?Sized>(
             // have more free ports than a simple graph admits; fall back
             // to trunked (parallel) links then, as real deployments do.
             for stubs in [std::mem::take(&mut l_stubs), std::mem::take(&mut s_stubs)] {
-                let nodes: std::collections::HashSet<_> = stubs.iter().copied().collect();
-                let n = nodes.len();
-                let simple_capacity = n.saturating_sub(1);
-                let densest = nodes
-                    .iter()
-                    .map(|&v| stubs.iter().filter(|&&w| w == v).count())
-                    .max();
-                if densest.unwrap_or(0) > simple_capacity {
+                // one counting pass: stubs per node, then the node count
+                // and the densest node
+                let mut per_node = vec![0usize; n];
+                for &v in &stubs {
+                    per_node[v] += 1;
+                }
+                let nodes = per_node.iter().filter(|&&c| c > 0).count();
+                let simple_capacity = nodes.saturating_sub(1);
+                let densest = per_node.iter().copied().max().unwrap_or(0);
+                if densest > simple_capacity {
                     unused += pair_stubs_multi(&mut g, stubs, 1.0, rng)?;
                 } else {
                     unused += pair_stubs(&mut g, stubs, 1.0, rng)?;
@@ -484,6 +486,26 @@ mod tests {
         let in_large: Vec<bool> = (0..60).map(|v| v < 20).collect();
         let expected = expected_cross_links(l, s).round() as usize;
         assert_eq!(cut_size(&t.graph, &in_large), expected);
+    }
+
+    #[test]
+    fn two_cluster_fills_a_wide_one_port_cluster_in_one_pass() {
+        // 2^16 switches with one network port each: the fill counts
+        // stubs per node once, where a scan of every stub per node
+        // took 4·10^9 comparisons
+        let one_port = |count| ClusterSpec {
+            count,
+            ports: 2,
+            servers_per_switch: 1,
+        };
+        let n = 1 << 16;
+        let mut rng = StdRng::seed_from_u64(26);
+        let t = two_cluster(one_port(n), one_port(2), CrossSpec::Exact(2), &mut rng).unwrap();
+        let in_large: Vec<bool> = (0..n + 2).map(|v| v < n).collect();
+        assert_eq!(cut_size(&t.graph, &in_large), 2);
+        assert_eq!(t.graph.edge_count(), (n + 2) / 2);
+        assert_eq!(t.unused_ports, 0);
+        t.validate_ports().unwrap();
     }
 
     #[test]
