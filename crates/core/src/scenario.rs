@@ -22,6 +22,15 @@
 //! `structure_id`, so the engine's hop-metric path-set cache stays warm
 //! for every such cell. Failure degradations change the structure and
 //! force a re-freeze — exactly when the frozen paths could be invalid.
+//!
+//! The FPTAS warm start crosses every degradation, structural ones
+//! included: arc ids are the base net's in every view, so the
+//! undegraded view's certificate lengths index a failure view's arcs
+//! too. [`crate::sweep::SweepRunner`] opens each degraded default-FPTAS
+//! cell on them; the solver heals what a view changed (dead arcs get
+//! length 0, a non-positive entry the cold `1/c`) and its bound holds
+//! for any positive lengths, so the answer is as certified as a cold
+//! one.
 
 use dctopo_graph::{CsrNet, GraphError};
 use dctopo_topology::{degrade, Topology};

@@ -14,11 +14,23 @@
 //! * Every random choice (topology sample, traffic matrix, degradation
 //!   victims) derives from [`SweepSpec::seed`] and the cell's grid
 //!   coordinates — never from evaluation order.
+//! * Within a `(topology, run)` block the undegraded scenario's row —
+//!   the first scenario whose recipe is empty, found by content, not by
+//!   position — is solved first. Every degraded row's default
+//!   fast-path FPTAS cell ([`BackendChoice::fptas`]) then opens on the
+//!   [`dual_lengths`](dctopo_flow::SolvedFlow::dual_lengths) of the
+//!   same `(traffic, backend)` cell of that row: the same demand on the
+//!   same arc ids, a sound opener for any lengths. Every other cell
+//!   solves cold — other backends, cells whose baseline sibling failed,
+//!   a second undegraded scenario, every cell of a grid without one. So
+//!   a cell is still a function of the spec alone, and permuting the
+//!   scenario axis permutes the cells without changing a bit.
 //! * Cells are evaluated in parallel on the vendored rayon pool with
 //!   index-ordered assembly, and every solver backend is itself
 //!   bit-identical across thread counts, so **a sweep's cell vector is
 //!   bit-identical regardless of thread count or evaluation order**
-//!   (pinned by `tests/sweep_determinism.rs`).
+//!   (pinned by `tests/sweep_determinism.rs`). The `sweep_cell` trace
+//!   event says by its `warm` field which cells opened warm.
 //!
 //! Per-cell failures (a degradation disconnects a surviving flow, a
 //! backend rejects an oversized instance) are recorded in the cell
@@ -707,6 +719,11 @@ impl std::fmt::Display for ErrorSummary {
     }
 }
 
+/// One evaluated cell as the runner carries it to assembly: the cell,
+/// whether its solve opened on its undegraded sibling's certificate,
+/// and the solve's wall clock (µs, 0 when tracing is off).
+type Timed = (SweepCell, bool, u64);
+
 /// Runs a [`SweepSpec`] grid on the persistent worker pool.
 #[derive(Debug)]
 pub struct SweepRunner {
@@ -742,7 +759,7 @@ impl SweepRunner {
         // own topology + base net + scenario views + traffic matrices,
         // then fans the cells out again (the pool's submitter
         // participates, so nesting cannot deadlock)
-        let blocks: Vec<(Vec<(SweepCell, u64)>, CacheStats)> = (0..dims[0] * runs)
+        let blocks: Vec<(Vec<Timed>, CacheStats)> = (0..dims[0] * runs)
             .into_par_iter()
             .map(|tr| self.eval_topology(tr / runs, tr % runs))
             .collect();
@@ -751,14 +768,14 @@ impl SweepRunner {
             cache.hits += cs.hits;
             cache.misses += cs.misses;
         }
-        let timed: Vec<(SweepCell, u64)> = blocks.into_iter().flat_map(|(b, _)| b).collect();
+        let timed: Vec<Timed> = blocks.into_iter().flat_map(|(b, _)| b).collect();
         // trace emission happens here, after index-ordered assembly, so
         // the event sequence is row-major and thread-count-invariant
         // even though the cells themselves were solved in parallel;
         // only the per-cell wall clocks carry scheduling noise, and
         // they live in the nd section
         if obs::enabled() {
-            for (i, (cell, us)) in timed.iter().enumerate() {
+            for (i, (cell, warm, us)) in timed.iter().enumerate() {
                 let mut ev = obs::Event::new("sweep_cell")
                     .field("index", i)
                     .field("topology", cell.topology.as_str())
@@ -767,6 +784,7 @@ impl SweepRunner {
                     .field("traffic", cell.traffic.as_str())
                     .field("backend", cell.backend.as_str())
                     .field("flows", cell.flows)
+                    .field("warm", *warm)
                     .field("ok", cell.result.is_ok());
                 if let Ok(m) = &cell.result {
                     ev = ev
@@ -780,28 +798,31 @@ impl SweepRunner {
             }
             obs::Event::new("sweep_report")
                 .field("cells", timed.len())
-                .field("ok", timed.iter().filter(|(c, _)| c.result.is_ok()).count())
+                .field(
+                    "ok",
+                    timed.iter().filter(|(c, ..)| c.result.is_ok()).count(),
+                )
                 .nd("cache_hits", cache.hits)
                 .nd("cache_misses", cache.misses)
                 .nd("wall_us", obs::us_since(t_run))
                 .emit();
         }
         SweepReport {
-            cells: timed.into_iter().map(|(c, _)| c).collect(),
+            cells: timed.into_iter().map(|(c, ..)| c).collect(),
             dims,
             cache,
         }
     }
 
     /// Evaluate the `scenario × traffic × backend` block of one
-    /// `(topology, run)` pair. Returns the cells with their solve wall
-    /// clocks (µs, 0 when tracing is off) and the block engine's final
-    /// path-cache counters.
-    fn eval_topology(&self, t: usize, run: usize) -> (Vec<(SweepCell, u64)>, CacheStats) {
+    /// `(topology, run)` pair. Returns the cells with their warm flags
+    /// and solve wall clocks (see [`Timed`]) and the block engine's
+    /// final path-cache counters.
+    fn eval_topology(&self, t: usize, run: usize) -> (Vec<Timed>, CacheStats) {
         let spec = &self.spec;
         let point = &spec.topologies[t];
         let block = spec.scenarios.len() * spec.traffic.len() * spec.backends.len();
-        let error_block = |e: FlowError| -> (Vec<(SweepCell, u64)>, CacheStats) {
+        let error_block = |e: FlowError| -> (Vec<Timed>, CacheStats) {
             let cells = (0..block)
                 .map(|i| {
                     let (s, m, b) = self.split(i);
@@ -816,7 +837,7 @@ impl SweepRunner {
                         flows: 0,
                         result: Err(e.clone()),
                     };
-                    (cell, 0)
+                    (cell, false, 0)
                 })
                 .collect();
             (cells, CacheStats::default())
@@ -838,6 +859,21 @@ impl SweepRunner {
             })
             .collect();
 
+        // the undegraded row goes first, found by its content so that
+        // the order of the scenario axis cannot change a cell: its
+        // default-FPTAS certificates open the same `(traffic, backend)`
+        // cells of every degraded row (the same demand on the same arc
+        // ids). Without one, every row solves cold.
+        let row = |s: usize, warm: &[Vec<f64>]| {
+            self.eval_scenario(point, run, s, &engine, &matrices, warm)
+        };
+        let base = spec
+            .scenarios
+            .iter()
+            .position(|sc| sc.degradations.is_empty());
+        let (base_row, lengths): (Vec<Timed>, Vec<Vec<f64>>) =
+            base.map_or_else(Default::default, |s| row(s, &[]).into_iter().unzip());
+
         // scenario fan-out with a bounded memory budget: each task
         // applies its own delta view on demand and drops it when its
         // row completes, so at most `threads` degraded views (plus
@@ -845,30 +881,54 @@ impl SweepRunner {
         // scenario's view upfront made peak memory proportional to the
         // scenario axis, which is what dies first on 1000-cell grids
         // over 1024-switch fabrics. Values are unchanged: views and
-        // matrices are pure functions of seeds and coordinates, and
-        // assembly is index-ordered, so the cell vector stays row-major
-        // and bit-identical at any thread count.
-        let blocks: Vec<Vec<(SweepCell, u64)>> = (0..spec.scenarios.len())
+        // matrices are pure functions of seeds and coordinates, a warm
+        // cell's lengths are a pure function of its baseline sibling,
+        // and assembly is index-ordered, so the cell vector stays
+        // row-major and bit-identical at any thread count.
+        let mut rows: Vec<Vec<Timed>> = (0..spec.scenarios.len())
             .into_par_iter()
-            .map(|s| self.eval_scenario(point, run, s, &topo, &engine, &matrices))
+            .map(|s| {
+                if Some(s) == base {
+                    return Vec::new();
+                }
+                // a second undegraded scenario solves cold, like the first
+                let warm = if spec.scenarios[s].degradations.is_empty() {
+                    &[]
+                } else {
+                    &lengths[..]
+                };
+                row(s, warm).into_iter().map(|(cell, _)| cell).collect()
+            })
             .collect();
+        if let Some(s) = base {
+            rows[s] = base_row;
+        }
         let cache = engine.cache_stats();
-        (blocks.into_iter().flatten().collect(), cache)
+        (rows.into_iter().flatten().collect(), cache)
     }
 
     /// Evaluate the `traffic × backend` row of one scenario within a
     /// `(topology, run)` block, building (and owning) the scenario's
     /// delta view for exactly the lifetime of the row.
+    ///
+    /// `warm` holds the lengths cell `(m, b)` opens on at index
+    /// `m · backends + b` (empty: the cell solves cold; an empty slice:
+    /// the whole row does). Beside each cell comes its certificate's
+    /// [`dual_lengths`](dctopo_flow::SolvedFlow::dual_lengths) when the
+    /// cell ran the default fast-path FPTAS — the only backend that
+    /// opens on lengths, as in the serve layer — and solved; empty
+    /// otherwise.
     fn eval_scenario(
         &self,
         point: &TopologyPoint,
         run: usize,
         s: usize,
-        topo: &Topology,
         engine: &ThroughputEngine,
         matrices: &[Result<TrafficMatrix, FlowError>],
-    ) -> Vec<(SweepCell, u64)> {
+        warm: &[Vec<f64>],
+    ) -> Vec<(Timed, Vec<f64>)> {
         let spec = &self.spec;
+        let topo = engine.topology();
         let n_traffic = spec.traffic.len();
         let n_backends = spec.backends.len();
         let cell_shell = |m: usize, b: usize| SweepCell {
@@ -889,7 +949,7 @@ impl SweepRunner {
                     .map(|i| {
                         let mut cell = cell_shell(i / n_backends, i % n_backends);
                         cell.result = Err(FlowError::Graph(e.clone()));
-                        (cell, 0)
+                        ((cell, false, 0), Vec::new())
                     })
                     .collect();
             }
@@ -921,18 +981,24 @@ impl SweepRunner {
                     Ok(lowered) => lowered,
                     Err(e) => {
                         cell.result = Err((*e).clone());
-                        return (cell, obs::us_since(t_cell));
+                        return ((cell, false, obs::us_since(t_cell)), Vec::new());
                     }
                 };
                 cell.flows = *flows;
+                let warm = warm.get(i).map_or(&[][..], Vec::as_slice);
+                let eligible = spec.backends[b] == BackendChoice::fptas();
+                let mut lengths = Vec::new();
                 cell.result = engine
-                    .solve_commodities_warm(&ap.net, commodities.clone(), *nic, *flows, &opts, &[])
+                    .solve_commodities_warm(&ap.net, commodities.clone(), *nic, *flows, &opts, warm)
                     .map(|r| {
                         let (gap, settles) = r
                             .solved
                             .as_ref()
                             .map(|s| (s.gap(), s.settles))
                             .unwrap_or((0.0, 0));
+                        if let Some(s) = r.solved.filter(|_| eligible) {
+                            lengths = s.dual_lengths;
+                        }
                         CellMetrics {
                             throughput: r.throughput,
                             network_lambda: r.network_lambda,
@@ -943,7 +1009,7 @@ impl SweepRunner {
                             settles,
                         }
                     });
-                (cell, obs::us_since(t_cell))
+                ((cell, !warm.is_empty(), obs::us_since(t_cell)), lengths)
             })
             .collect()
     }
@@ -960,6 +1026,7 @@ impl SweepRunner {
 mod tests {
     use super::*;
     use crate::scenario::Degradation;
+    use crate::solve::ThroughputResult;
 
     fn small_spec() -> SweepSpec {
         SweepSpec {
@@ -1051,6 +1118,134 @@ mod tests {
                 }
                 (a, b) => assert_eq!(a, b),
             }
+        }
+    }
+
+    /// Cell `[t, run, s, m, b]` of `spec` solved on its own — a fresh
+    /// engine, the seeds the runner derives — opened on `warm`.
+    fn solve_alone(
+        spec: &SweepSpec,
+        [t, run, s, m, b]: [usize; 5],
+        warm: &[f64],
+    ) -> ThroughputResult {
+        let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, 1, t, run));
+        let topo = (spec.topologies[t].build)(&mut rng).unwrap();
+        let engine = ThroughputEngine::new(&topo);
+        let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, 2, t, run * 1024 + m));
+        let tm = spec.traffic[m].generate(&topo, &mut rng).unwrap();
+        let applied = spec.scenarios[s].apply(&topo, engine.net()).unwrap();
+        let (commodities, nic, flows) = engine.scenario_demand(&applied, &tm);
+        let mut opts = spec.opts;
+        spec.backends[b].apply(&mut opts);
+        engine
+            .solve_commodities_warm(&applied.net, commodities, nic, flows, &opts, warm)
+            .unwrap()
+    }
+
+    /// The bits a cell reports: λ, its certified bound and the settles.
+    fn bits(m: &CellMetrics) -> [u64; 3] {
+        [
+            m.network_lambda.to_bits(),
+            m.upper_bound.to_bits(),
+            m.settles,
+        ]
+    }
+
+    fn result_bits(r: &ThroughputResult) -> [u64; 3] {
+        let settles = r.solved.as_ref().map_or(0, |s| s.settles);
+        [
+            r.network_lambda.to_bits(),
+            r.network_upper_bound.to_bits(),
+            settles,
+        ]
+    }
+
+    /// Every coordinate of a `[topologies, runs, scenarios, traffic,
+    /// backends]` grid, row-major.
+    fn coordinates([t, r, s, m, b]: [usize; 5]) -> impl Iterator<Item = [usize; 5]> {
+        (0..t * r * s * m * b).map(move |i| {
+            [
+                i / (r * s * m * b),
+                i / (s * m * b) % r,
+                i / (m * b) % s,
+                i / b % m,
+                i % b,
+            ]
+        })
+    }
+
+    #[test]
+    fn degraded_fptas_cells_open_on_their_baseline_siblings_lengths() {
+        let spec = small_spec();
+        let report = shared_report();
+        let mut moved = 0;
+        for [t, run, s, m, b] in coordinates(report.dims()) {
+            if s == 0 || b != 0 {
+                continue;
+            }
+            let base = solve_alone(&spec, [t, run, 0, m, 0], &[]);
+            assert_eq!(
+                bits(report.cell(t, run, 0, m, 0).metrics().unwrap()),
+                result_bits(&base)
+            );
+            let lengths = &base.solved.as_ref().unwrap().dual_lengths;
+            let warm = solve_alone(&spec, [t, run, s, m, 0], lengths);
+            let cell = report.cell(t, run, s, m, 0).metrics().unwrap();
+            assert_eq!(bits(cell), result_bits(&warm), "{t}/{run}/{s}/{m}");
+            let cold = solve_alone(&spec, [t, run, s, m, 0], &[]);
+            moved += usize::from(result_bits(&cold) != result_bits(&warm));
+        }
+        assert!(moved > 0, "no degraded cell solved other than cold");
+    }
+
+    #[test]
+    fn ksp_cells_and_grids_without_a_baseline_solve_cold() {
+        let spec = small_spec();
+        let report = shared_report();
+        for [t, run, s, m, b] in coordinates(report.dims()) {
+            if b == 1 {
+                let cold = solve_alone(&spec, [t, run, s, m, b], &[]);
+                let cell = report.cell(t, run, s, m, b).metrics().unwrap();
+                assert_eq!(bits(cell), result_bits(&cold), "ksp {t}/{run}/{s}/{m}");
+            }
+        }
+        let mut spec = small_spec();
+        spec.scenarios.remove(0);
+        let runner = SweepRunner::new(spec);
+        let degraded_only = runner.run();
+        for [t, run, s, m, b] in coordinates(degraded_only.dims()) {
+            let cold = solve_alone(runner.spec(), [t, run, s, m, b], &[]);
+            let cell = degraded_only.cell(t, run, s, m, b).metrics().unwrap();
+            assert_eq!(bits(cell), result_bits(&cold), "{t}/{run}/{s}/{m}/{b}");
+        }
+    }
+
+    #[test]
+    fn permuting_the_scenario_axis_permutes_the_cells() {
+        // the runner finds the undegraded row by its content: a shuffled
+        // axis, with a second undegraded scenario in it, changes no bit
+        let report = shared_report();
+        let mut spec = small_spec();
+        let [baseline, fail2, scale] = <[Scenario; 3]>::try_from(spec.scenarios).unwrap();
+        let again = Scenario::new("again", Vec::new());
+        spec.scenarios = vec![scale, again, fail2, baseline];
+        let from = [2, 0, 1, 0];
+        let permuted = SweepRunner::new(spec).run();
+        assert_eq!(permuted.dims(), [2, 2, 4, 2, 2]);
+        for [t, run, s, m, b] in coordinates(permuted.dims()) {
+            let (cell, was) = (
+                permuted.cell(t, run, s, m, b),
+                report.cell(t, run, from[s], m, b),
+            );
+            if s != 1 {
+                assert_eq!(cell.scenario, was.scenario);
+            }
+            assert_eq!(
+                bits(cell.metrics().unwrap()),
+                bits(was.metrics().unwrap()),
+                "{}/{t}/{run}/{m}/{b}",
+                cell.scenario
+            );
         }
     }
 

@@ -201,8 +201,11 @@ const COARSE_EPS: f64 = 0.55;
 /// so its first phases are no ramp, and the uniform average, which
 /// keeps them at full weight, decides every warm stop of a
 /// `serve-whatif` replay; the two `fptas-warm` trajectory pins, longer
-/// solves, are still decided by `2`. `pairwise-solve` and `sweep-grid`
-/// solve cold only, so their columns repeat the row above's.
+/// solves, are still decided by `2`. `pairwise-solve` solves cold only,
+/// so its column repeats the row above's; so did `sweep-grid`'s while
+/// every sweep cell solved cold. Since its degraded FPTAS cells open on
+/// their undegraded sibling's certificate (`dctopo_core::sweep`) the
+/// grid reads 712,712.
 /// `f64::sqrt` is correctly rounded on every host where a libm `powf`
 /// is not, and `t²` is exact — the solver's pinned trajectories call no
 /// libm function.

@@ -3,7 +3,11 @@
 //! `SweepRunner` invocation is
 //!
 //! * **bit-identical at 1, 2, and 8 rayon threads** — cell results are
-//!   functions of the spec, never of scheduling;
+//!   functions of the spec, never of scheduling. The grid runs twice:
+//!   with level 0 spelled as the undegraded recipe, whose FPTAS
+//!   certificates open the degraded rows' FPTAS cells, and spelled as a
+//!   zero-link failure, a recipe that is not empty, so every cell
+//!   solves cold;
 //! * **bound-dominated** — every cell's network λ sits below its own
 //!   certified dual and the per-cell Theorem-1 hop bound;
 //! * **monotone** — along the nested failure axis, no deeper failure
@@ -19,20 +23,22 @@ use dctopo::prelude::*;
 use dctopo::topology::classic::{complete, fat_tree};
 use rayon::ThreadPoolBuilder;
 
-fn spec() -> SweepSpec {
-    let failure_level = |count: usize| {
-        Scenario::new(
-            format!("fail:{count}"),
-            vec![Degradation::FailLinks {
-                count,
-                // a selection seed whose failures keep every family
-                // connected at level 3 (level-by-level disconnection is a
-                // *legitimate* outcome — tests/failure_injection.rs covers
-                // it — but this grid pins the fully-solvable regime)
-                seed: 1,
-            }],
-        )
-    };
+fn failure_level(count: usize) -> Scenario {
+    Scenario::new(
+        format!("fail:{count}"),
+        vec![Degradation::FailLinks {
+            count,
+            // a selection seed whose failures keep every family
+            // connected at level 3 (level-by-level disconnection is a
+            // *legitimate* outcome — tests/failure_injection.rs covers
+            // it — but this grid pins the fully-solvable regime)
+            seed: 1,
+        }],
+    )
+}
+
+/// The acceptance grid, its failure level 0 spelled `level_zero`.
+fn spec(level_zero: &Scenario) -> SweepSpec {
     SweepSpec {
         topologies: vec![
             TopologyPoint::rrg(12, 6, 4),
@@ -44,7 +50,7 @@ fn spec() -> SweepSpec {
             TrafficModel::Chunky { percent: 50.0 },
             TrafficModel::Hotspot { hot: 4 },
         ],
-        scenarios: vec![failure_level(0), failure_level(1), failure_level(3)],
+        scenarios: vec![level_zero.clone(), failure_level(1), failure_level(3)],
         backends: vec![BackendChoice::fptas(), BackendChoice::ksp(3)],
         opts: FlowOptions::fast(),
         seed: 20140402,
@@ -52,17 +58,26 @@ fn spec() -> SweepSpec {
     }
 }
 
-fn run_at(threads: usize) -> SweepReport {
+fn run_at(threads: usize, level_zero: &Scenario) -> SweepReport {
     ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .unwrap()
-        .install(|| SweepRunner::new(spec()).run())
+        .install(|| SweepRunner::new(spec(level_zero)).run())
 }
 
 #[test]
 fn sweep_grid_bit_identical_across_threads_with_invariants() {
-    let base = run_at(1);
+    check_grid(&failure_level(0));
+}
+
+#[test]
+fn a_grid_with_an_undegraded_level_is_bit_identical_across_threads() {
+    check_grid(&Scenario::baseline());
+}
+
+fn check_grid(level_zero: &Scenario) {
+    let base = run_at(1, level_zero);
     assert_eq!(base.dims(), [3, 1, 3, 3, 2]);
     assert_eq!(base.cells.len(), 54);
     assert_eq!(
@@ -123,7 +138,7 @@ fn sweep_grid_bit_identical_across_threads_with_invariants() {
 
     // ---- bit-identity across thread counts ----
     for threads in [2usize, 8] {
-        let other = run_at(threads);
+        let other = run_at(threads, level_zero);
         assert_eq!(other.cells.len(), base.cells.len());
         for (a, b) in base.cells.iter().zip(&other.cells) {
             assert_eq!(a.topology, b.topology);
