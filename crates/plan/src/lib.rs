@@ -1,8 +1,8 @@
 //! # dctopo-plan
 //!
 //! The **reconfiguration planner**: certified-safe migration orderings
-//! between two topologies, with counter-example-guided pruning and
-//! parallel execution DAGs.
+//! between two topologies, found by a memoised backtracking search and
+//! compacted into parallel execution DAGs.
 //!
 //! The paper treats topology design as an optimization problem; this
 //! crate treats topology *transitions* the same way. Given a source
@@ -47,16 +47,15 @@
 //! certifies every candidate view along a returned order against the
 //! bound that screens it.
 //!
-//! ## Counter-example-guided pruning
+//! ## One backtracking search
 //!
-//! When a step fails its floor, the planner extracts an *offending
-//! move pair*: it looks for a rescuer move `u` whose prior execution
-//! provably (certified) makes the failing move `m` safe, and learns
-//! `u ≺ m` as a hard ordering constraint. Learned constraints prune
-//! every future ordering that repeats the mistake; a memo table on
-//! (prefix-state, move) avoids re-certifying known-bad steps after
-//! backtracking. If the pruned search exhausts, it retries once without
-//! learned constraints, so pruning never costs completeness.
+//! The ordering search is a single first-fit DFS: at each depth it
+//! takes the first candidate, in best-bound order, that certifies at or
+//! above the floor, and backtracks when none does. A memo table on
+//! (prefix-state, move) keeps a step that failed once from being
+//! certified again when another order reaches the same applied set.
+//! The only ordering constraints are the migration's structural ones,
+//! so the search is complete within its solve budget.
 //!
 //! ## Output: a maximally-parallel execution DAG
 //!
@@ -68,8 +67,8 @@
 //! safe ordering within its budget and the greedy best-floor fallback
 //! violates the floor too, the planner returns the typed
 //! [`planner::PlanError::NoSafeOrdering`] carrying the best floor
-//! reached, the witness prefix, the learned conflicts, and a degraded
-//! best-floor ordering with its violation list.
+//! reached, the witness prefix, and a degraded best-floor ordering with
+//! its violation list.
 //!
 //! ## Determinism
 //!
@@ -88,6 +87,5 @@ pub mod planner;
 
 pub use migration::{cross_churn, maintenance_churn, Migration, UnionEdge};
 pub use planner::{
-    plan_migration, Conflict, DegradedPlan, MigrationPlan, PlanError, PlanSpec, PlanStage,
-    PlanStats,
+    plan_migration, DegradedPlan, MigrationPlan, PlanError, PlanSpec, PlanStage, PlanStats,
 };

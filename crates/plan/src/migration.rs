@@ -396,7 +396,7 @@ fn churn_pairs(
 /// links inside their halves followed by a "restore" move that re-pairs
 /// them across the cut. All retracts are declared before all restores,
 /// so a naive index-ordered search stacks cut-starving retracts until
-/// the floor breaks — the workload the planner's conflict learning is
+/// the floor breaks — the workload the planner's backtracking search is
 /// benchmarked on. The final state `B` has the same cross-cut link
 /// count as `A` (with rewired pairings), so `λ_B ≈ λ_A`.
 ///

@@ -1,4 +1,4 @@
-//! The certified-safe ordering search: counter-example-guided DFS over
+//! The certified-safe ordering search: a memoised backtracking DFS over
 //! move orderings with a best-bound-first candidate scan, multi-fidelity
 //! step certification, and compaction of the safe ordering into a
 //! maximally-parallel execution DAG.
@@ -19,8 +19,6 @@ use crate::migration::Migration;
 
 /// Seed domain for per-`(depth, candidate)` extra cut probes.
 const DOMAIN_PROBE: u64 = 0x706C_616E_7072; // "planpr"
-/// Certified rescuer attempts per learned-conflict extraction.
-const RESCUE_CAP: usize = 4;
 
 /// Planner configuration.
 #[derive(Debug, Clone)]
@@ -58,24 +56,6 @@ impl Default for PlanSpec {
     }
 }
 
-/// A learned ordering conflict: executing [`Conflict::after`] at the
-/// witness prefix violated the floor, and completing
-/// [`Conflict::before`] first was *certified* to make it safe — so
-/// `before ≺ after` became a hard constraint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Conflict {
-    /// The rescuer move that must complete first.
-    pub before: usize,
-    /// The move that violated the floor.
-    pub after: usize,
-    /// The applied prefix (execution order) at the violation.
-    pub witness_prefix: Vec<usize>,
-    /// Certified λ (or the rejecting upper bound) of the violating step.
-    /// A certified one is the certificate that decided the floor: below
-    /// it, and ≤ the λ a solve to the target gap would report.
-    pub lambda: f64,
-}
-
 /// One stage of the execution DAG: moves that may run concurrently.
 /// The stage's λ is certified on the view with *every* stage member in
 /// flight at once, which pointwise dominates every interleaving of the
@@ -93,16 +73,16 @@ pub struct PlanStage {
 /// Work counters for a planning run (deterministic across reruns and
 /// thread counts, like the plan itself).
 ///
-/// Once the endpoints have fixed the floor, every ordering attempt,
-/// rescue and stage-packing solve asks the solver only whether
+/// Once the endpoints have fixed the floor, every ordering attempt and
+/// stage-packing solve asks the solver only whether
 /// `λ ≥ floor` ([`ThroughputEngine::certify_floor`]) and stops as soon
 /// as that is certified; the endpoints and the degraded fallback solve
 /// to the target gap. The counters below count both kinds alike.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Certified flow solves, including endpoint λ's, rescuer
-    /// certifications, and stage packing. Real solves only: a view
-    /// whose content was certified before is answered from that
+    /// Certified flow solves: the two endpoint λ's, ordering attempts,
+    /// stage packing and the degraded fallback. Real solves only: a
+    /// view whose content was certified before is answered from that
     /// certificate and counted in `views_reused`.
     pub certified_solves: usize,
     /// Certifications answered by an earlier solve of the identical
@@ -117,7 +97,10 @@ pub struct PlanStats {
     /// DFS backtracks (a chosen move un-applied after its subtree
     /// exhausted).
     pub backtracks: usize,
-    /// Ordering constraints learned from floor violations.
+    /// Always 0: the planner learns no ordering constraints. Kept only
+    /// because `benchmark/src/workloads/design.rs` reads it for the
+    /// `plan.conflicts_learned` probe, and that file changes only with
+    /// the benchmark.
     pub conflicts_learned: usize,
     /// Candidate steps skipped because an identical (prefix-state,
     /// move) pair already failed.
@@ -154,8 +137,6 @@ pub struct MigrationPlan {
     /// when the plan is the budget fallback, whose steps are solved in
     /// full).
     pub step_lambda: Vec<f64>,
-    /// Conflicts learned along the way.
-    pub learned: Vec<Conflict>,
     /// Work counters.
     pub stats: PlanStats,
 }
@@ -195,11 +176,6 @@ impl MigrationPlan {
         for l in &self.step_lambda {
             h.write_u64(l.to_bits());
         }
-        h.write_u64(self.learned.len() as u64);
-        for c in &self.learned {
-            h.write_u64(c.before as u64);
-            h.write_u64(c.after as u64);
-        }
         h.finish()
     }
 }
@@ -232,8 +208,6 @@ pub enum PlanError {
         best_floor: f64,
         /// The deepest safe prefix the search certified.
         witness_prefix: Vec<usize>,
-        /// Every conflict the search learned before giving up.
-        learned_conflicts: Vec<Conflict>,
         /// Greedy best-floor ordering with its violation list.
         degraded: Box<DegradedPlan>,
     },
@@ -268,16 +242,14 @@ impl std::fmt::Display for PlanError {
             PlanError::NoSafeOrdering {
                 best_floor,
                 witness_prefix,
-                learned_conflicts,
                 degraded,
             } => write!(
                 f,
                 "no safe ordering: floor {:.4} unreachable (best {:.4}, witness depth {}, \
-                 {} learned conflicts, degraded ordering violates {} of {} steps)",
+                 degraded ordering violates {} of {} steps)",
                 degraded.floor,
                 best_floor,
                 witness_prefix.len(),
-                learned_conflicts.len(),
                 degraded.violations.len(),
                 degraded.order.len()
             ),
@@ -336,8 +308,6 @@ struct Planner<'a> {
     floor: f64,
     stats: PlanStats,
     solves_used: usize,
-    learned_preds: Vec<Vec<usize>>,
-    conflicts: Vec<Conflict>,
     memo: HashMap<(Vec<u64>, usize), ()>,
     /// λ of every view certified so far, by capacity bits, and whether
     /// it came from a full solve (see [`Planner::certify`]).
@@ -379,8 +349,6 @@ impl<'a> Planner<'a> {
             floor: 0.0,
             stats: PlanStats::default(),
             solves_used: 0,
-            learned_preds: vec![Vec::new(); mig.move_count()],
-            conflicts: Vec::new(),
             memo: HashMap::new(),
             certified: HashMap::new(),
             best_prefix: Vec::new(),
@@ -467,99 +435,10 @@ impl<'a> Planner<'a> {
         words
     }
 
-    /// Would learning `before ≺ after` close a cycle with the existing
-    /// structural + learned constraints?
-    fn would_cycle(&self, before: usize, after: usize) -> bool {
-        let m = self.mig.move_count();
-        let mut seen = vec![false; m];
-        let mut stack = vec![after];
-        seen[after] = true;
-        while let Some(x) = stack.pop() {
-            if x == before {
-                return true;
-            }
-            for (y, s) in seen.iter_mut().enumerate() {
-                if !*s && (self.mig.preds(y).contains(&x) || self.learned_preds[y].contains(&x)) {
-                    *s = true;
-                    stack.push(y);
-                }
-            }
-        }
-        false
-    }
-
-    /// Counter-example extraction: the step `failing` violated the
-    /// floor at `applied`. Look for a rescuer `u` whose completion
-    /// *certifiably* makes `failing` safe, and learn `u ≺ failing`.
-    /// Rescuers are ranked by the cut/hop bound of the rescued view
-    /// (descending, index ascending), so restoring moves are certified
-    /// first; at most [`RESCUE_CAP`] solves are spent.
-    fn try_learn(
-        &mut self,
-        failing: usize,
-        applied: &[bool],
-        order: &[usize],
-        fail_lambda: f64,
-    ) -> Result<(), PlanError> {
-        let m = self.mig.move_count();
-        let rescuers: Vec<usize> = (0..m)
-            .filter(|&u| {
-                u != failing
-                    && !applied[u]
-                    && self.mig.preds(u).iter().all(|&p| applied[p])
-                    && self.learned_preds[u].iter().all(|&p| applied[p])
-                    && !self.learned_preds[failing].contains(&u)
-                    && !self.would_cycle(u, failing)
-            })
-            .collect();
-        if rescuers.is_empty() {
-            return Ok(());
-        }
-        let depth = order.len();
-        let this: &Planner<'a> = self;
-        let scored: Result<Vec<(usize, f64)>, PlanError> = rescuers
-            .par_iter()
-            .map(|&u| {
-                let mut ap = applied.to_vec();
-                ap[u] = true;
-                let view = this.mig.state_view(&ap, &[failing])?;
-                Ok((u, this.bound_on(&view, depth, u).bound))
-            })
-            .collect();
-        let mut scored = scored?;
-        scored.sort_by(|&a, &b| by_bound(a, b));
-        for (certs, (u, bound)) in scored.into_iter().enumerate() {
-            if bound < self.floor || certs >= RESCUE_CAP {
-                // sorted descending: nothing below the floor can rescue
-                break;
-            }
-            let mut ap = applied.to_vec();
-            ap[u] = true;
-            let view = self.mig.state_view(&ap, &[failing])?;
-            match self.certify_step(&view) {
-                None => return Ok(()), // budget spent
-                Some(lam) if lam >= self.floor => {
-                    self.learned_preds[failing].push(u);
-                    self.conflicts.push(Conflict {
-                        before: u,
-                        after: failing,
-                        witness_prefix: order.to_vec(),
-                        lambda: fail_lambda,
-                    });
-                    self.stats.conflicts_learned += 1;
-                    return Ok(());
-                }
-                Some(_) => {}
-            }
-        }
-        Ok(())
-    }
-
     /// First-fit DFS with backtracking over move orderings. Returns the
     /// safe order and its step λ's, or `None` when the space (or the
-    /// solve budget) is exhausted. `learn` controls both honoring and
-    /// extending the learned-constraint store.
-    fn find_order(&mut self, learn: bool) -> Result<OrderOutcome, PlanError> {
+    /// solve budget) is exhausted.
+    fn find_order(&mut self) -> Result<OrderOutcome, PlanError> {
         let m = self.mig.move_count();
         let mut applied = vec![false; m];
         let mut order: Vec<usize> = Vec::new();
@@ -577,7 +456,6 @@ impl<'a> Planner<'a> {
             for i in 0..m {
                 if applied[i]
                     || !self.mig.preds(i).iter().all(|&p| applied[p])
-                    || (learn && !self.learned_preds[i].iter().all(|&p| applied[p]))
                     || failed.last().is_some_and(|f| f.contains(&i))
                 {
                     continue;
@@ -616,13 +494,12 @@ impl<'a> Planner<'a> {
             for &slot in &slots {
                 let i = cands[slot];
                 let s = &screens[slot];
-                let lam = if s.bound < self.floor {
+                if s.bound < self.floor {
                     if s.hop_reject {
                         self.stats.hop_rejected += 1;
                     } else {
                         self.stats.cut_rejected += 1;
                     }
-                    s.bound
                 } else {
                     let view = self.mig.state_view(&applied, &[i])?;
                     let Some(lam) = self.certify_step(&view) else {
@@ -634,13 +511,9 @@ impl<'a> Planner<'a> {
                         chosen = Some((i, lam));
                         break;
                     }
-                    lam
-                };
+                }
                 failed.last_mut().expect("depth stack").push(i);
                 self.memo.insert((key.clone(), i), ());
-                if learn {
-                    self.try_learn(i, &applied, &order, lam)?;
-                }
             }
             if budget_gone {
                 return Ok(None);
@@ -672,7 +545,7 @@ impl<'a> Planner<'a> {
 
     /// Compact a safe sequential order into contiguous maximally-
     /// parallel stages: a stage grows while the candidate is
-    /// independent of every stage member (structural and learned) and
+    /// independent of every stage member and
     /// the view with the *whole* stage in flight still certifies at or
     /// above the floor.
     fn build_stages(
@@ -692,13 +565,7 @@ impl<'a> Planner<'a> {
             let mut j = k + 1;
             while j < order.len() {
                 let cand = order[j];
-                let depends = self
-                    .mig
-                    .preds(cand)
-                    .iter()
-                    .chain(self.learned_preds[cand].iter())
-                    .any(|p| stage.contains(p));
-                if depends {
+                if self.mig.preds(cand).iter().any(|p| stage.contains(p)) {
                     break;
                 }
                 let mut inflight = stage.clone();
@@ -854,14 +721,7 @@ pub fn plan_migration(
         )));
     }
 
-    let mut found = planner.find_order(true)?;
-    if found.is_none() {
-        // learned constraints can over-constrain: retry once without
-        // honoring (or extending) them, so pruning never costs
-        // completeness
-        found = planner.find_order(false)?;
-    }
-    let (order, step_lambda) = match found {
+    let (order, step_lambda) = match planner.find_order()? {
         Some(found) => found,
         None => {
             let degraded = planner.degraded()?;
@@ -874,7 +734,6 @@ pub fn plan_migration(
                 return Err(PlanError::NoSafeOrdering {
                     best_floor,
                     witness_prefix: planner.best_prefix.clone(),
-                    learned_conflicts: planner.conflicts.clone(),
                     degraded: Box::new(degraded),
                 });
             }
@@ -895,7 +754,6 @@ pub fn plan_migration(
         lambda_a,
         lambda_b,
         step_lambda,
-        learned: planner.conflicts.clone(),
         stats: planner.stats.clone(),
     })
 }

@@ -49,16 +49,14 @@ pub fn run(args: &Args) -> CliResult {
         Err(PlanError::NoSafeOrdering {
             best_floor,
             witness_prefix,
-            learned_conflicts,
             degraded,
         }) => {
             let mut msg = format!(
                 "no safe ordering: floor {:.4} unreachable (best {best_floor:.4}, \
-                 witness depth {}, {} learned conflicts)\n\
+                 witness depth {})\n\
                  degraded best-floor ordering ({} of {} steps violate the floor):",
                 degraded.floor,
                 witness_prefix.len(),
-                learned_conflicts.len(),
                 degraded.violations.len(),
                 degraded.order.len()
             );
@@ -117,8 +115,7 @@ pub fn run(args: &Args) -> CliResult {
     println!(
         "work: {} certified solves ({} ordering attempts + {} stage-packing, \
          {} on an already certified view) and {} settles, \
-         {} hop-pruned + {} cut-pruned + {} memo hits, {} backtracks, \
-         {} conflicts learned",
+         {} hop-pruned + {} cut-pruned + {} memo hits, {} backtracks",
         s.certified_solves,
         s.attempts,
         s.stage_solves,
@@ -127,8 +124,7 @@ pub fn run(args: &Args) -> CliResult {
         s.hop_rejected,
         s.cut_rejected,
         s.memo_hits,
-        s.backtracks,
-        s.conflicts_learned
+        s.backtracks
     );
     println!("fingerprint: {:#018x}", plan.fingerprint());
     Ok(())

@@ -16,7 +16,9 @@
 //! * **search → plan round trip** — a search result's exported resolved
 //!   moves build a valid migration the planner can order.
 
-use dctopo::plan::{cross_churn, plan_migration, Migration, MigrationPlan, PlanError, PlanSpec};
+use dctopo::plan::{
+    cross_churn, maintenance_churn, plan_migration, Migration, MigrationPlan, PlanError, PlanSpec,
+};
 use dctopo::prelude::*;
 use dctopo::topology::hetero::{two_cluster, CrossSpec};
 use rand::rngs::StdRng;
@@ -225,6 +227,59 @@ fn pruned_plan_honors_the_floor_and_accounts_every_solve() {
     assert!(p.views_reused > 0, "{p:?}");
 }
 
+/// Every certification the planner asks for is one of three kinds: an
+/// endpoint, an ordering attempt or a stage-packing view — each a real
+/// solve or a reuse of an already certified view. Checked over seeded
+/// `topobench plan --family rrg:16x6x4 --pairs 4` instances, built as
+/// the CLI builds them, in cross and `--maintenance` form; the first is
+/// `--floor-frac 0.93 --seed 1`, whose search breaks the floor and
+/// backtracks once.
+#[test]
+fn every_certification_is_an_endpoint_an_attempt_or_a_stage_solve() {
+    let mut planned = Vec::new();
+    for seed in 1..=3u64 {
+        for floor_frac in [0.93, 0.9, 0.95] {
+            for maintenance in [false, true] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let topo = Topology::random_regular(16, 6, 4, &mut rng).unwrap();
+                let tm = TrafficMatrix::random_permutation(topo.server_count(), &mut rng);
+                let moves = if maintenance {
+                    maintenance_churn(&topo, 4, 2, seed)
+                } else {
+                    cross_churn(&topo, 4, seed)
+                };
+                let mig = Migration::new(&topo, &moves.unwrap()).unwrap();
+                let spec = PlanSpec {
+                    seed,
+                    floor_frac,
+                    ..PlanSpec::default()
+                };
+                let plan = match plan_migration(&topo, &tm, &mig, &spec) {
+                    Ok(plan) => plan,
+                    Err(PlanError::NoSafeOrdering { .. }) => continue,
+                    Err(e) => panic!("seed {seed}, floor {floor_frac}: {e}"),
+                };
+                let p = &plan.stats;
+                assert_eq!(
+                    p.certified_solves + p.views_reused,
+                    2 + p.attempts + p.stage_solves,
+                    "seed {seed}, floor {floor_frac}, maintenance {maintenance}: {p:?}"
+                );
+                planned.push((seed, floor_frac, maintenance));
+            }
+        }
+    }
+    assert!(
+        planned.contains(&(1, 0.93, false)),
+        "the CLI instance found no plan"
+    );
+    assert!(
+        planned.len() >= 8,
+        "only {} instances planned",
+        planned.len()
+    );
+}
+
 fn fingerprint_at(threads: usize) -> u64 {
     ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -251,8 +306,8 @@ fn plan_bit_identical_across_threads_and_reruns() {
 }
 
 /// An unreachable floor fails *typed*: `NoSafeOrdering` carries the
-/// best floor the search reached, the learned conflicts, and a complete
-/// degraded ordering whose violating steps are called out.
+/// best floor the search reached, the deepest certified prefix, and a
+/// complete degraded ordering whose violating steps are called out.
 #[test]
 fn unreachable_floor_degrades_with_violations() {
     let (topo, tm, mig) = instance();

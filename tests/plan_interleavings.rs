@@ -14,8 +14,8 @@
 //! certified upper bound is at or above the floor — so λ* is, in every
 //! state. A state whose certified λ falls below the floor while its
 //! bound stays above it is the solver's gap, not a broken theorem: it is
-//! reported, not failed. One plan of the corpus learns an ordering
-//! conflict, and its order must keep every learned `before ≺ after`.
+//! reported, not failed. One plan of the corpus is found only after its
+//! first ordering attempt breaks the floor.
 
 use dctopo::plan::{cross_churn, plan_migration, Migration, MigrationPlan, PlanSpec};
 use dctopo::prelude::*;
@@ -56,9 +56,8 @@ fn golden_instance() -> (Topology, TrafficMatrix, Migration, PlanSpec) {
 }
 
 /// `topobench plan --family rrg:20x7x4 --pairs 3 --floor-frac 0.92
-/// --seed 3`: the corpus plan that learns a conflict — its first
-/// ordering attempt puts a move below the floor, and a rescuer certified
-/// to fix it becomes a hard `before ≺ after` constraint.
+/// --seed 3`: the corpus plan whose first ordering attempt puts a move
+/// below the floor, so the search certifies more steps than it keeps.
 fn conflict_instance() -> (Topology, TrafficMatrix, Migration, PlanSpec) {
     let mut rng = StdRng::seed_from_u64(3);
     let topo = Topology::random_regular(20, 7, 4, &mut rng).unwrap();
@@ -149,19 +148,14 @@ fn every_interleaving_of_every_stage_keeps_the_floor_certifiable() {
         if name == "conflict" {
             assert_eq!(
                 plan.fingerprint(),
-                0xbdba_69b9_abeb_19d3,
+                0x09a5_3c33_6091_4930,
                 "not the CLI's plan"
             );
-            assert!(plan.stats.conflicts_learned >= 1, "no conflict learned");
-            assert_eq!(plan.learned.len(), plan.stats.conflicts_learned);
-            let at = |m: usize| plan.order.iter().position(|&o| o == m).unwrap();
-            for c in &plan.learned {
-                assert!(
-                    at(c.before) < at(c.after),
-                    "{c:?} broken by {:?}",
-                    plan.order
-                );
-            }
+            assert!(
+                plan.stats.attempts > plan.order.len(),
+                "no attempt broke the floor: {:?}",
+                plan.stats
+            );
         }
         let engine = ThroughputEngine::new(&topo);
         for (applied, inflight) in interleavings(&plan, mig.move_count()) {
