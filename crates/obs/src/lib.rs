@@ -26,7 +26,14 @@
 //! phase loops, batch assembly after index-ordered merges), so the
 //! event *sequence* is deterministic too — parallel workers aggregate
 //! into per-task locals that their caller merges in worker-index
-//! order before emitting.
+//! order before emitting. One exception: a sweep solves its cells
+//! concurrently, and each cell's solver loop emits its own events
+//! (`fptas_phase`, `fptas_solve`, ...), so at a pool width above one
+//! those events interleave in scheduling order and `seq` numbers them
+//! as they arrive. Each event's deterministic fields are still a
+//! function of the input; only their order is not. The sweep's own
+//! `sweep_*` events are emitted after the index-ordered assembly and
+//! keep a deterministic sequence at every width.
 //!
 //! ## Overhead model
 //!
