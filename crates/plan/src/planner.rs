@@ -545,9 +545,8 @@ impl<'a> Planner<'a> {
 
     /// Compact a safe sequential order into contiguous maximally-
     /// parallel stages: a stage grows while the candidate is
-    /// independent of every stage member and
-    /// the view with the *whole* stage in flight still certifies at or
-    /// above the floor.
+    /// independent of every stage member and the view with the *whole*
+    /// stage in flight still certifies at or above the floor.
     fn build_stages(
         &mut self,
         order: &[usize],
