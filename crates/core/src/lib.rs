@@ -45,6 +45,8 @@ pub mod solve;
 pub mod sweep;
 pub mod vl2;
 
+/// The trace recorder, for the crates built on this one.
+pub use dctopo_obs as obs;
 pub use packet::{CoValidation, PacketError, PacketParams, RoutingMode};
 pub use scenario::{AppliedScenario, Degradation, Scenario};
 pub use solve::{

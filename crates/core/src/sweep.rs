@@ -40,7 +40,7 @@
 use dctopo_flow::{Backend, CacheStats, FlowError, FlowOptions};
 use dctopo_graph::mix::derive_seed;
 use dctopo_graph::GraphError;
-use dctopo_obs::{self as obs, Json};
+use dctopo_obs::{self as obs, Captured, Json};
 use dctopo_topology::classic::{complete, fat_tree, hypercube, torus2d};
 use dctopo_topology::hetero::{two_cluster, CrossSpec};
 use dctopo_topology::vl2::{rewired_vl2, vl2, Vl2Params};
@@ -49,6 +49,7 @@ use dctopo_traffic::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use std::time::Instant;
 
 pub use crate::ladder::hop_throughput_bound;
 use crate::scenario::Scenario;
@@ -549,6 +550,34 @@ impl SweepCell {
         self.result.as_ref().ok()
     }
 
+    /// Emit the cell's `sweep_cell` trace event: `index` is its
+    /// row-major grid position, `warm` whether its solve opened on its
+    /// baseline sibling's certificate, `start` its solve's [`obs::clock`].
+    fn trace(&self, index: usize, warm: bool, start: Option<Instant>) {
+        if !obs::enabled() {
+            return;
+        }
+        let mut ev = obs::Event::new("sweep_cell")
+            .field("index", index)
+            .field("topology", self.topology.as_str())
+            .field("run", self.run)
+            .field("scenario", self.scenario.as_str())
+            .field("traffic", self.traffic.as_str())
+            .field("backend", self.backend.as_str())
+            .field("flows", self.flows)
+            .field("warm", warm)
+            .field("ok", self.result.is_ok());
+        if let Ok(m) = &self.result {
+            ev = ev
+                .field("throughput", m.throughput)
+                .field("lambda", m.network_lambda)
+                .field("upper_bound", m.upper_bound)
+                .field("hop_bound", m.hop_bound)
+                .field("settles", m.settles);
+        }
+        ev.nd("wall_us", obs::us_since(start)).emit();
+    }
+
     /// The cell as a JSON object: its grid coordinates, then `status`
     /// (`"ok"` or the error's display text), then the metrics — `null`
     /// for a failed cell and for a non-finite value (an all-local
@@ -719,11 +748,6 @@ impl std::fmt::Display for ErrorSummary {
     }
 }
 
-/// One evaluated cell as the runner carries it to assembly: the cell,
-/// whether its solve opened on its undegraded sibling's certificate,
-/// and the solve's wall clock (µs, 0 when tracing is off).
-type Timed = (SweepCell, bool, u64);
-
 /// Runs a [`SweepSpec`] grid on the persistent worker pool.
 #[derive(Debug)]
 pub struct SweepRunner {
@@ -758,104 +782,49 @@ impl SweepRunner {
         // outer fan-out: one task per (topology, run) — each builds its
         // own topology + base net + scenario views + traffic matrices,
         // then fans the cells out again (the pool's submitter
-        // participates, so nesting cannot deadlock)
-        let blocks: Vec<(Vec<Timed>, CacheStats)> = (0..dims[0] * runs)
+        // participates, so nesting cannot deadlock). Each task's trace
+        // is replayed in index order, so the event sequence is
+        // row-major at every pool width.
+        let blocks: Vec<_> = (0..dims[0] * runs)
             .into_par_iter()
-            .map(|tr| self.eval_topology(tr / runs, tr % runs))
-            .collect();
+            .map(|tr| obs::capture(|| self.eval_topology(tr / runs, tr % runs)))
+            .collect::<Captured<_>>()
+            .emit();
         let mut cache = CacheStats::default();
-        for (_, cs) in &blocks {
+        let mut cells = Vec::new();
+        for (block, cs) in blocks {
             cache.hits += cs.hits;
             cache.misses += cs.misses;
+            cells.extend(block);
         }
-        let timed: Vec<Timed> = blocks.into_iter().flat_map(|(b, _)| b).collect();
-        // trace emission happens here, after index-ordered assembly, so
-        // the event sequence is row-major and thread-count-invariant
-        // even though the cells themselves were solved in parallel;
-        // only the per-cell wall clocks carry scheduling noise, and
-        // they live in the nd section
         if obs::enabled() {
-            for (i, (cell, warm, us)) in timed.iter().enumerate() {
-                let mut ev = obs::Event::new("sweep_cell")
-                    .field("index", i)
-                    .field("topology", cell.topology.as_str())
-                    .field("run", cell.run)
-                    .field("scenario", cell.scenario.as_str())
-                    .field("traffic", cell.traffic.as_str())
-                    .field("backend", cell.backend.as_str())
-                    .field("flows", cell.flows)
-                    .field("warm", *warm)
-                    .field("ok", cell.result.is_ok());
-                if let Ok(m) = &cell.result {
-                    ev = ev
-                        .field("throughput", m.throughput)
-                        .field("lambda", m.network_lambda)
-                        .field("upper_bound", m.upper_bound)
-                        .field("hop_bound", m.hop_bound)
-                        .field("settles", m.settles);
-                }
-                ev.nd("wall_us", *us).emit();
-            }
             obs::Event::new("sweep_report")
-                .field("cells", timed.len())
-                .field(
-                    "ok",
-                    timed.iter().filter(|(c, ..)| c.result.is_ok()).count(),
-                )
+                .field("cells", cells.len())
+                .field("ok", cells.iter().filter(|c| c.result.is_ok()).count())
                 .nd("cache_hits", cache.hits)
                 .nd("cache_misses", cache.misses)
                 .nd("wall_us", obs::us_since(t_run))
                 .emit();
         }
-        SweepReport {
-            cells: timed.into_iter().map(|(c, ..)| c).collect(),
-            dims,
-            cache,
-        }
+        SweepReport { cells, dims, cache }
     }
 
     /// Evaluate the `scenario × traffic × backend` block of one
-    /// `(topology, run)` pair. Returns the cells with their warm flags
-    /// and solve wall clocks (see [`Timed`]) and the block engine's
+    /// `(topology, run)` pair. Returns the cells and the block engine's
     /// final path-cache counters.
-    fn eval_topology(&self, t: usize, run: usize) -> (Vec<Timed>, CacheStats) {
+    fn eval_topology(&self, t: usize, run: usize) -> (Vec<SweepCell>, CacheStats) {
         let spec = &self.spec;
-        let point = &spec.topologies[t];
-        let block = spec.scenarios.len() * spec.traffic.len() * spec.backends.len();
-        let error_block = |e: FlowError| -> (Vec<Timed>, CacheStats) {
-            let cells = (0..block)
-                .map(|i| {
-                    let (s, m, b) = self.split(i);
-                    let cell = SweepCell {
-                        topology: point.name.clone(),
-                        run,
-                        scenario: spec.scenarios[s].name.clone(),
-                        traffic: spec.traffic[m].name(),
-                        backend: spec.backends[b].name(),
-                        switches: 0,
-                        live_links: 0,
-                        flows: 0,
-                        result: Err(e.clone()),
-                    };
-                    (cell, false, 0)
-                })
-                .collect();
-            (cells, CacheStats::default())
-        };
-
         let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, 1, t, run));
-        let topo = match (point.build)(&mut rng) {
-            Ok(t) => t,
-            Err(e) => return error_block(FlowError::Graph(e)),
-        };
-        let engine = ThroughputEngine::new(&topo);
+        // a topology that does not build fails every cell of the block
+        let topo = (spec.topologies[t].build)(&mut rng).map_err(FlowError::Graph);
+        let engine = topo.as_ref().map(ThroughputEngine::new);
         let matrices: Vec<Result<TrafficMatrix, FlowError>> = spec
             .traffic
             .iter()
             .enumerate()
             .map(|(m, model)| {
                 let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, 2, t, run * 1024 + m));
-                model.generate(&topo, &mut rng)
+                model.generate(topo.as_ref().map_err(FlowError::clone)?, &mut rng)
             })
             .collect();
 
@@ -863,16 +832,23 @@ impl SweepRunner {
         // the order of the scenario axis cannot change a cell: its
         // default-FPTAS certificates open the same `(traffic, backend)`
         // cells of every degraded row (the same demand on the same arc
-        // ids). Without one, every row solves cold.
+        // ids). Without one, every row solves cold. Its trace is held
+        // back and replayed at its own scenario index.
         let row = |s: usize, warm: &[Vec<f64>]| {
-            self.eval_scenario(point, run, s, &engine, &matrices, warm)
+            self.eval_scenario(t, run, s, engine.as_ref().map_err(|e| *e), &matrices, warm)
         };
         let base = spec
             .scenarios
             .iter()
             .position(|sc| sc.degradations.is_empty());
-        let (base_row, lengths): (Vec<Timed>, Vec<Vec<f64>>) =
-            base.map_or_else(Default::default, |s| row(s, &[]).into_iter().unzip());
+        let mut lengths = Vec::new();
+        let base_row = base.map(|s| {
+            obs::capture(|| {
+                let (cells, base_lengths) = row(s, &[]);
+                lengths = base_lengths;
+                cells
+            })
+        });
 
         // scenario fan-out with a bounded memory budget: each task
         // applies its own delta view on demand and drops it when its
@@ -885,140 +861,135 @@ impl SweepRunner {
         // cell's lengths are a pure function of its baseline sibling,
         // and assembly is index-ordered, so the cell vector stays
         // row-major and bit-identical at any thread count.
-        let mut rows: Vec<Vec<Timed>> = (0..spec.scenarios.len())
+        let mut rows: Vec<Captured<Vec<SweepCell>>> = (0..spec.scenarios.len())
             .into_par_iter()
             .map(|s| {
-                if Some(s) == base {
-                    return Vec::new();
-                }
-                // a second undegraded scenario solves cold, like the first
-                let warm = if spec.scenarios[s].degradations.is_empty() {
-                    &[]
-                } else {
-                    &lengths[..]
-                };
-                row(s, warm).into_iter().map(|(cell, _)| cell).collect()
+                obs::capture(|| {
+                    if Some(s) == base {
+                        return Vec::new();
+                    }
+                    // a second undegraded scenario solves cold, like the first
+                    let warm = if spec.scenarios[s].degradations.is_empty() {
+                        &[]
+                    } else {
+                        &lengths[..]
+                    };
+                    row(s, warm).0
+                })
             })
             .collect();
-        if let Some(s) = base {
+        if let Some((s, base_row)) = base.zip(base_row) {
             rows[s] = base_row;
         }
-        let cache = engine.cache_stats();
-        (rows.into_iter().flatten().collect(), cache)
+        let cache = engine.map_or(CacheStats::default(), |e| e.cache_stats());
+        (rows.into_iter().flat_map(Captured::emit).collect(), cache)
     }
 
     /// Evaluate the `traffic × backend` row of one scenario within a
     /// `(topology, run)` block, building (and owning) the scenario's
-    /// delta view for exactly the lifetime of the row.
+    /// delta view for exactly the lifetime of the row. `engine` is the
+    /// block's, or the error its topology failed to build with.
     ///
     /// `warm` holds the lengths cell `(m, b)` opens on at index
     /// `m · backends + b` (empty: the cell solves cold; an empty slice:
-    /// the whole row does). Beside each cell comes its certificate's
-    /// [`dual_lengths`](dctopo_flow::SolvedFlow::dual_lengths) when the
-    /// cell ran the default fast-path FPTAS — the only backend that
-    /// opens on lengths, as in the serve layer — and solved; empty
-    /// otherwise.
+    /// the whole row does). Beside the cells come their certificates'
+    /// [`dual_lengths`](dctopo_flow::SolvedFlow::dual_lengths), at the
+    /// same indices, for the cells that ran the default fast-path
+    /// FPTAS — the only backend that opens on lengths, as in the serve
+    /// layer — and solved; empty otherwise.
     fn eval_scenario(
         &self,
-        point: &TopologyPoint,
+        t: usize,
         run: usize,
         s: usize,
-        engine: &ThroughputEngine,
+        engine: Result<&ThroughputEngine, &FlowError>,
         matrices: &[Result<TrafficMatrix, FlowError>],
         warm: &[Vec<f64>],
-    ) -> Vec<(Timed, Vec<f64>)> {
+    ) -> (Vec<SweepCell>, Vec<Vec<f64>>) {
         let spec = &self.spec;
-        let topo = engine.topology();
+        let point = &spec.topologies[t];
         let n_traffic = spec.traffic.len();
         let n_backends = spec.backends.len();
+        let first =
+            ((t * spec.runs.max(1) + run) * spec.scenarios.len() + s) * n_traffic * n_backends;
         let cell_shell = |m: usize, b: usize| SweepCell {
             topology: point.name.clone(),
             run,
             scenario: spec.scenarios[s].name.clone(),
             traffic: spec.traffic[m].name(),
             backend: spec.backends[b].name(),
-            switches: topo.switch_count(),
+            switches: engine.map_or(0, |e| e.topology().switch_count()),
             live_links: 0,
             flows: 0,
             result: Err(FlowError::NoCommodities),
         };
-        let ap = match spec.scenarios[s].apply(topo, engine.net()) {
-            Ok(ap) => ap,
-            Err(e) => {
-                return (0..n_traffic * n_backends)
-                    .map(|i| {
-                        let mut cell = cell_shell(i / n_backends, i % n_backends);
-                        cell.result = Err(FlowError::Graph(e.clone()));
-                        ((cell, false, 0), Vec::new())
-                    })
-                    .collect();
-            }
-        };
-
         // lowered once per traffic and shared by the backend axis: the
         // surviving demand and its hop bound (bit-identical across
-        // backends)
+        // backends); a scenario that does not apply fails every cell
+        let ap = engine.map_err(FlowError::clone).and_then(|engine| {
+            let ap = spec.scenarios[s].apply(engine.topology(), engine.net());
+            ap.map(|ap| (engine, ap)).map_err(FlowError::Graph)
+        });
         let lowered: Vec<Result<_, &FlowError>> = matrices
             .iter()
             .map(|tm| {
-                let demand = engine.scenario_demand(&ap, tm.as_ref()?);
+                let (engine, ap) = ap.as_ref()?;
+                let demand = engine.scenario_demand(ap, tm.as_ref()?);
                 let hop_bound = hop_throughput_bound(&ap.net, &demand.0);
-                Ok((demand, hop_bound))
+                Ok((*engine, ap, demand, hop_bound))
             })
             .collect();
 
-        // inner fan-out: the actual solves
+        // inner fan-out: the actual solves, each cell's trace ending
+        // with its `sweep_cell` event
+        let solve = |i: usize| {
+            let t_cell = obs::clock();
+            let (m, b) = (i / n_backends, i % n_backends);
+            let mut opts = spec.opts;
+            spec.backends[b].apply(&mut opts);
+            let mut cell = cell_shell(m, b);
+            cell.live_links = ap.as_ref().map_or(0, |(_, ap)| ap.net.live_arc_count() / 2);
+            let (engine, ap, (commodities, nic, flows), hop_bound) = match &lowered[m] {
+                Ok(lowered) => lowered,
+                Err(e) => {
+                    cell.result = Err((*e).clone());
+                    cell.trace(first + i, false, t_cell);
+                    return (cell, Vec::new());
+                }
+            };
+            cell.flows = *flows;
+            let warm = warm.get(i).map_or(&[][..], Vec::as_slice);
+            let eligible = spec.backends[b] == BackendChoice::fptas();
+            let mut lengths = Vec::new();
+            cell.result = engine
+                .solve_commodities_warm(&ap.net, commodities.clone(), *nic, *flows, &opts, warm)
+                .map(|r| {
+                    let (gap, settles) = r
+                        .solved
+                        .as_ref()
+                        .map(|s| (s.gap(), s.settles))
+                        .unwrap_or((0.0, 0));
+                    if let Some(s) = r.solved.filter(|_| eligible) {
+                        lengths = s.dual_lengths;
+                    }
+                    CellMetrics {
+                        throughput: r.throughput,
+                        network_lambda: r.network_lambda,
+                        upper_bound: r.network_upper_bound,
+                        gap,
+                        hop_bound: *hop_bound,
+                        nic_limit: r.nic_limit,
+                        settles,
+                    }
+                });
+            cell.trace(first + i, !warm.is_empty(), t_cell);
+            (cell, lengths)
+        };
         (0..n_traffic * n_backends)
             .into_par_iter()
-            .map(|i| {
-                let t_cell = obs::clock();
-                let (m, b) = (i / n_backends, i % n_backends);
-                let mut opts = spec.opts;
-                spec.backends[b].apply(&mut opts);
-                let mut cell = cell_shell(m, b);
-                cell.live_links = ap.net.live_arc_count() / 2;
-                let ((commodities, nic, flows), hop_bound) = match &lowered[m] {
-                    Ok(lowered) => lowered,
-                    Err(e) => {
-                        cell.result = Err((*e).clone());
-                        return ((cell, false, obs::us_since(t_cell)), Vec::new());
-                    }
-                };
-                cell.flows = *flows;
-                let warm = warm.get(i).map_or(&[][..], Vec::as_slice);
-                let eligible = spec.backends[b] == BackendChoice::fptas();
-                let mut lengths = Vec::new();
-                cell.result = engine
-                    .solve_commodities_warm(&ap.net, commodities.clone(), *nic, *flows, &opts, warm)
-                    .map(|r| {
-                        let (gap, settles) = r
-                            .solved
-                            .as_ref()
-                            .map(|s| (s.gap(), s.settles))
-                            .unwrap_or((0.0, 0));
-                        if let Some(s) = r.solved.filter(|_| eligible) {
-                            lengths = s.dual_lengths;
-                        }
-                        CellMetrics {
-                            throughput: r.throughput,
-                            network_lambda: r.network_lambda,
-                            upper_bound: r.network_upper_bound,
-                            gap,
-                            hop_bound: *hop_bound,
-                            nic_limit: r.nic_limit,
-                            settles,
-                        }
-                    });
-                ((cell, !warm.is_empty(), obs::us_since(t_cell)), lengths)
-            })
-            .collect()
-    }
-
-    /// Decompose a block-local index into `(scenario, traffic, backend)`.
-    fn split(&self, i: usize) -> (usize, usize, usize) {
-        let b = self.spec.backends.len();
-        let m = self.spec.traffic.len();
-        (i / (m * b), (i / b) % m, i % b)
+            .map(|i| obs::capture(|| solve(i)))
+            .collect::<Captured<_>>()
+            .emit()
     }
 }
 

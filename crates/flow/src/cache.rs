@@ -240,11 +240,6 @@ impl PathSetCache {
         Ok(out.into_iter().map(|p| p.expect("filled")).collect())
     }
 
-    /// Total frozen `(src, dst)` entries across all `(net, k)` keys.
-    pub fn entry_count(&self) -> usize {
-        self.lock().map.values().map(|key| key.pairs.len()).sum()
-    }
-
     /// Cumulative hit/miss counters: the sum over every key, evicted
     /// ones included.
     pub fn stats(&self) -> CacheStats {
@@ -295,6 +290,11 @@ mod tests {
         CsrNet::from_graph(&g)
     }
 
+    /// Frozen `(src, dst)` entries across every key.
+    fn entries(cache: &PathSetCache) -> usize {
+        cache.key_stats().iter().map(|key| key.entries).sum()
+    }
+
     #[test]
     fn second_freeze_hits() {
         let cache = PathSetCache::new();
@@ -302,7 +302,7 @@ mod tests {
         let cs = [Commodity::unit(0, 4), Commodity::unit(1, 4)];
         let a = cache.freeze(&net, &cs, 2).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
-        assert_eq!(cache.entry_count(), 2);
+        assert_eq!(entries(&cache), 2);
         let b = cache.freeze(&net, &cs, 2).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 2 });
         for (x, y) in a.iter().zip(&b) {
@@ -328,7 +328,7 @@ mod tests {
             3,
             "distinct (net, k) keys never collide"
         );
-        assert_eq!(cache.entry_count(), 3);
+        assert_eq!(entries(&cache), 3);
         // a clone shares identity, so it hits
         let clone = n1.clone();
         cache.freeze(&clone, &cs, 2).unwrap();
@@ -435,7 +435,7 @@ mod tests {
             cache.freeze(&net, &bad, 2),
             Err(FlowError::Unreachable { .. })
         ));
-        assert_eq!(cache.entry_count(), 0);
+        assert_eq!(entries(&cache), 0);
         cache.clear();
         assert_eq!(cache.stats(), CacheStats::default());
     }

@@ -457,9 +457,9 @@ fn solve_pairwise(
             }
             // Route until the group's phase demand is (essentially)
             // done. Extremely skewed instances can shrink τ repeatedly:
-            // after 64 steps the leftover is carried to the next phase
-            // (correctness is unaffected — `routed` only counts what was
-            // sent).
+            // after 64 steps the leftover is dropped, since the next
+            // phase resets `remaining` (correctness is unaffected —
+            // `routed` only counts what was sent).
             for _ in 0..64 {
                 if !g.remaining.iter().any(|&r| r > 1e-12) {
                     break;

@@ -326,8 +326,9 @@ impl<'n> Core<'n> {
 
     /// Stop when `primal` is within `target_gap` of the best dual, or
     /// has not grown by 0.05 % for `stall_phases` phases (it is
-    /// certified feasible regardless; what is left of the gap is then
-    /// dual-side looseness), or — given a `floor` — once `primal ≥
+    /// certified feasible regardless; what is left of the gap may sit
+    /// on either side — on dense demand the primal stalls far below
+    /// λ*), or — given a `floor` — once `primal ≥
     /// floor` or `best dual < floor` has decided `λ ≥ floor`. A step
     /// size still coarser than the configured one is halved instead —
     /// once the certified gap has shrunk to its own order, which it

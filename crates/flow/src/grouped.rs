@@ -294,8 +294,9 @@ fn solve_grouped_observed(
             while frac_remaining > 1e-12 {
                 inner += 1;
                 if inner > 64 {
-                    // skewed instances can shrink τ repeatedly; carry
-                    // the leftover — `routed_frac` only counts what was
+                    // skewed instances can shrink τ repeatedly; drop
+                    // the leftover (the next phase starts the group at
+                    // 1 again) — `routed_frac` only counts what was
                     // actually sent, so correctness is unaffected
                     break;
                 }

@@ -149,8 +149,9 @@ pub struct FlowOptions {
     pub max_phases: usize,
     /// Stop early once the primal has not improved by 0.05% for this
     /// many consecutive phases (the primal is certified-feasible at all
-    /// times; stalling means the remaining reported gap is dual-side
-    /// looseness). Set to `max_phases` to disable.
+    /// times, but a stall does not place the remaining gap on the dual
+    /// side: on dense demand the primal stalls well below λ*). Set to
+    /// `max_phases` to disable.
     pub stall_phases: usize,
     /// Which [`Backend`] the pairwise entries ([`solve_with_cache`],
     /// [`solve_from`], [`certify_floor`]) dispatch to. The iterative

@@ -199,12 +199,6 @@ impl Graph {
         self.edges[a >> 1].capacity
     }
 
-    /// The undirected edge underlying an arc.
-    #[inline]
-    pub fn arc_edge(&self, a: ArcId) -> EdgeId {
-        a >> 1
-    }
-
     /// The arc between `tail` and `head` realised by edge `e`.
     #[inline]
     pub fn arc_of(&self, e: EdgeId, tail: NodeId) -> ArcId {
@@ -334,7 +328,6 @@ mod tests {
         assert_eq!(g.arc_head(bwd), 1);
         assert_eq!(g.arc_capacity(fwd), 4.0);
         assert_eq!(g.arc_capacity(bwd), 4.0);
-        assert_eq!(g.arc_edge(bwd), e);
         assert_eq!(g.arc_of(e, 1), fwd);
         assert_eq!(g.arc_of(e, 2), bwd);
     }

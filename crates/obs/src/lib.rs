@@ -22,18 +22,16 @@
 //!   decision, which is what keeps the bitwise 1/2/8-thread pins green
 //!   under `--trace`.
 //!
-//! Emission sites are confined to sequential code regions (solver
-//! phase loops, batch assembly after index-ordered merges), so the
-//! event *sequence* is deterministic too — parallel workers aggregate
-//! into per-task locals that their caller merges in worker-index
-//! order before emitting. One exception: a sweep solves its cells
-//! concurrently, and each cell's solver loop emits its own events
-//! (`fptas_phase`, `fptas_solve`, ...), so at a pool width above one
-//! those events interleave in scheduling order and `seq` numbers them
-//! as they arrive. Each event's deterministic fields are still a
-//! function of the input; only their order is not. The sweep's own
-//! `sweep_*` events are emitted after the index-ordered assembly and
-//! keep a deterministic sequence at every width.
+//! The event *sequence* is deterministic too, and one rule keeps it
+//! so: **a parallel task that can emit runs inside [`capture`]**. A
+//! capture scope records its task's events in a buffer instead of the
+//! recorder; the task's caller replays the buffers in index order
+//! after assembly ([`Captured::emit`]), and `seq` numbers each event
+//! only when it reaches the recorder. Scopes nest: a replay inside an
+//! enclosing scope lands in that scope's buffer. Everything else emits
+//! from sequential code (solver phase loops, batch summaries), and
+//! parallel workers that do not emit aggregate into per-task locals
+//! their caller merges in index order.
 //!
 //! ## Overhead model
 //!
@@ -53,8 +51,10 @@ pub mod json;
 
 pub use json::Json;
 
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, LineWriter, Write};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, Once};
 use std::time::Instant;
@@ -69,6 +69,12 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static EVENTS: AtomicU64 = AtomicU64::new(0);
 static STATE: Mutex<Option<State>> = Mutex::new(None);
 static AUTO: Once = Once::new();
+
+thread_local! {
+    /// This thread's open [`capture`] scopes, innermost last: a thread
+    /// that runs a task while waiting on nested work nests its scope.
+    static SCOPES: RefCell<Vec<Vec<Event>>> = const { RefCell::new(Vec::new()) };
+}
 
 enum Sink {
     /// Line-buffered: the recorder lives in a `static`, which is never
@@ -102,17 +108,18 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// Install `sink` and enable the recorder; `seq` restarts at 0.
+fn install(sink: Sink) {
+    *recorder() = Some(State { sink, seq: 0 });
+    ENABLED.store(true, Ordering::Relaxed);
+}
+
 /// Enable the recorder with a JSONL file sink at `path` (truncating).
 ///
 /// # Errors
 /// Propagates the underlying file-creation error.
 pub fn enable_file(path: &str) -> io::Result<()> {
-    let file = File::create(path)?;
-    *recorder() = Some(State {
-        sink: Sink::File(LineWriter::new(file)),
-        seq: 0,
-    });
-    ENABLED.store(true, Ordering::Relaxed);
+    install(Sink::File(LineWriter::new(File::create(path)?)));
     Ok(())
 }
 
@@ -120,25 +127,14 @@ pub fn enable_file(path: &str) -> io::Result<()> {
 /// [`drain_memory`]); used by `topobench profile` and the replay
 /// tests.
 pub fn enable_memory() {
-    *recorder() = Some(State {
-        sink: Sink::Mem(Vec::new()),
-        seq: 0,
-    });
-    ENABLED.store(true, Ordering::Relaxed);
+    install(Sink::Mem(Vec::new()));
 }
 
-/// Disable the recorder and drop the sink (flushing a file sink).
+/// Disable the recorder and drop the sink (a file sink flushes as it
+/// drops).
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
-    let mut state = recorder();
-    if let Some(State {
-        sink: Sink::File(w),
-        ..
-    }) = state.as_mut()
-    {
-        let _ = w.flush();
-    }
-    *state = None;
+    *recorder() = None;
 }
 
 /// Flush a file sink (no-op for the memory sink / disabled recorder).
@@ -166,7 +162,8 @@ pub fn drain_memory() -> Vec<String> {
 
 /// Cumulative events recorded since process start (survives
 /// [`disable`]); deterministic whenever the emission sites are, so the
-/// serve protocol may report it.
+/// serve protocol may report it. Counted at the recorder: an event
+/// still held by a [`capture`] scope is not counted until replayed.
 pub fn event_count() -> u64 {
     EVENTS.load(Ordering::Relaxed)
 }
@@ -247,16 +244,20 @@ impl Event {
         self
     }
 
-    /// Record the event through the global recorder (drops it silently
+    /// Record the event: into the innermost open [`capture`] scope on
+    /// this thread, else through the global recorder (drops it silently
     /// when the recorder is disabled — emission sites usually guard on
     /// [`enabled`] first to skip construction entirely).
     pub fn emit(self) {
         if !enabled() {
             return;
         }
+        let mut ev = Some(self);
+        SCOPES.with_borrow_mut(|scopes| scopes.last_mut().map(|buffer| buffer.extend(ev.take())));
+        let Some(ev) = ev else { return };
         let mut state = recorder();
         let Some(state) = state.as_mut() else { return };
-        let mut line = self.render(state.seq);
+        let mut line = ev.render(state.seq);
         state.seq += 1;
         EVENTS.fetch_add(1, Ordering::Relaxed);
         match &mut state.sink {
@@ -285,6 +286,58 @@ impl Event {
     }
 }
 
+/// A value computed inside [`capture`], holding the events its
+/// computation emitted until [`Captured::emit`] replays them.
+#[must_use = "captured events reach the trace only when replayed by `emit`"]
+pub struct Captured<T> {
+    value: T,
+    events: Vec<Event>,
+}
+
+impl<T> Captured<T> {
+    /// Replay the captured events, in emission order, into the
+    /// enclosing scope (the recorder when there is none), and return
+    /// the value.
+    pub fn emit(self) -> T {
+        self.events.into_iter().for_each(Event::emit);
+        self.value
+    }
+}
+
+/// Captures collect into one that holds their events in iteration
+/// order, so a parallel map's tasks replay in index order.
+impl<T, C: FromIterator<T>> FromIterator<Captured<T>> for Captured<C> {
+    fn from_iter<I: IntoIterator<Item = Captured<T>>>(captures: I) -> Self {
+        let mut events = Vec::new();
+        let value = (captures.into_iter())
+            .map(|c| {
+                events.extend(c.events);
+                c.value
+            })
+            .collect();
+        Captured { value, events }
+    }
+}
+
+/// Run `f`, capturing the events it emits on this thread instead of
+/// recording them. Wrap each task of a parallel map that can emit,
+/// collect the map into one [`Captured`] and [`Captured::emit`] it: the
+/// trace then holds the same sequence at every pool width. With the
+/// recorder disabled this costs one relaxed load and allocates nothing.
+pub fn capture<T>(f: impl FnOnce() -> T) -> Captured<T> {
+    if !enabled() {
+        let events = Vec::new();
+        return Captured { value: f(), events };
+    }
+    // the scope closes even when `f` panics: the pool catches a task's
+    // panic and keeps its thread serving later tasks
+    SCOPES.with_borrow_mut(|scopes| scopes.push(Vec::new()));
+    let value = std::panic::catch_unwind(AssertUnwindSafe(f));
+    let events = SCOPES.with_borrow_mut(Vec::pop).unwrap_or_default();
+    let value = value.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    Captured { value, events }
+}
+
 /// Strip the non-deterministic section from one JSONL trace line: the
 /// deterministic residue two traced runs of the same workload must
 /// agree on byte for byte.
@@ -305,10 +358,16 @@ pub fn strip_nd(line: &str) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    // the recorder is process-global state; exercise it from one test
-    // so parallel test scheduling cannot interleave sinks
+    // the recorder is process-global state: every test that touches it
+    // holds this lock, so parallel test scheduling cannot interleave
+    // sinks
+    static RECORDER: Mutex<()> = Mutex::new(());
+
     #[test]
     fn recorder_lifecycle_and_nd_stripping() {
+        let _serial = RECORDER
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         assert!(!enabled());
         // disabled: emit is a no-op and clocks stay untouched
         Event::new("noop").field("x", 1u64).emit();
@@ -346,6 +405,80 @@ mod tests {
         Event::new("after").emit();
         enable_memory();
         assert_eq!(drain_memory(), Vec::<String>::new());
+        disable();
+    }
+
+    #[test]
+    fn capture_scopes_nest_and_number_events_at_the_top_level_replay() {
+        let _serial = RECORDER
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let ev = |kind: &'static str| Event::new(kind).emit();
+        let kinds = |lines: Vec<String>| -> Vec<(String, u64)> {
+            lines
+                .iter()
+                .map(|l| {
+                    let v = Json::parse(l).unwrap();
+                    let kind = v.get("ev").and_then(Json::as_str).unwrap().to_owned();
+                    (kind, v.get("seq").and_then(Json::as_u64).unwrap())
+                })
+                .collect()
+        };
+
+        // disabled: the capture runs its closure and holds no events,
+        // even when replayed into an enabled recorder
+        let dark = capture(|| {
+            ev("unseen");
+            5
+        });
+        enable_memory();
+        let before = event_count();
+        assert_eq!(dark.emit(), 5);
+        assert_eq!(drain_memory(), Vec::<String>::new());
+
+        ev("first");
+        let outer = capture(|| {
+            ev("outer-a");
+            // a task on another thread captures into its own scope
+            let inner = std::thread::scope(|s| {
+                s.spawn(|| {
+                    capture(|| {
+                        ev("inner");
+                        7
+                    })
+                })
+                .join()
+                .unwrap()
+            });
+            // a nested scope on this thread
+            let nested = capture(|| ev("nested"));
+            ev("outer-b");
+            nested.emit();
+            let value = inner.emit();
+            // the recorder saw only the event emitted outside every
+            // scope; the rest sits in this scope's buffer
+            assert_eq!(event_count(), before + 1);
+            value
+        });
+        assert_eq!(event_count(), before + 1);
+        assert_eq!(outer.emit(), 7);
+        let order = ["first", "outer-a", "outer-b", "nested", "inner"];
+        assert_eq!(
+            kinds(drain_memory()),
+            order
+                .iter()
+                .zip(0..)
+                .map(|(k, i)| (k.to_string(), i))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(event_count(), before + 5);
+
+        // a panicking task closes its scope: later events still reach
+        // the recorder
+        let caught = std::panic::catch_unwind(|| capture(|| panic!("task failed")));
+        assert!(caught.is_err());
+        ev("after");
+        assert_eq!(kinds(drain_memory()), [("after".to_string(), 5)]);
         disable();
     }
 }

@@ -159,11 +159,6 @@ impl CapacityPlan {
         &self.mult
     }
 
-    /// Whether every multiplier is exactly 1 (no overrides needed).
-    pub fn is_uniform(&self) -> bool {
-        self.mult.iter().all(|&m| m == 1.0)
-    }
-
     /// The group index of an edge between switches `u` and `v`, if its
     /// class pair is represented.
     pub fn group_of(&self, topo: &Topology, u: usize, v: usize) -> Option<usize> {
@@ -370,7 +365,7 @@ mod tests {
         let topo = hetero_topo();
         let plan = CapacityPlan::uniform(&topo);
         assert!(plan.group_count() >= 2 && plan.group_count() <= 3);
-        assert!(plan.is_uniform());
+        assert!(plan.multipliers().iter().all(|&m| m == 1.0));
         assert!(plan.overrides(&topo).is_empty());
         let base = CsrNet::from_graph(&topo.graph);
         let view = plan.view(&topo, &base).unwrap();

@@ -17,6 +17,7 @@
 //! seed derived from the round index (deterministic annealing).
 
 use dctopo_core::ladder::{cut_probes, hop_alpha, hop_bound, min_cut_bound, CutProbe};
+use dctopo_core::obs::{self, Captured};
 use dctopo_core::solve::{aggregate_commodities, nic_limit};
 use dctopo_flow::{Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow};
 use dctopo_graph::mix::derive_seed;
@@ -112,13 +113,6 @@ impl SearchSpec {
     /// Same spec with different solver options.
     pub fn with_opts(mut self, opts: FlowOptions) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Same spec with simulated-annealing acceptance.
-    pub fn with_temperature(mut self, temperature: f64, cooling: f64) -> Self {
-        self.temperature = temperature;
-        self.cooling = cooling;
         self
     }
 }
@@ -511,8 +505,9 @@ impl SearchRunner {
                 .collect();
             let candidates: Vec<Candidate> = (0..moves.len())
                 .into_par_iter()
-                .map(|i| self.evaluate(&state, moves[i], i, temperature))
-                .collect();
+                .map(|i| obs::capture(|| self.evaluate(&state, moves[i], i, temperature)))
+                .collect::<Captured<_>>()
+                .emit();
             for c in &candidates {
                 if let Outcome::Certified(cert) = &c.outcome {
                     certified_solves += 1;
@@ -1010,10 +1005,10 @@ mod tests {
     fn annealing_is_deterministic_and_bounded() {
         let topo = ring_topo(12);
         let tm = perm(&topo, 6);
-        let mk = || {
-            SearchSpec::structural(17, 4, 6)
-                .with_opts(opts())
-                .with_temperature(0.05, 0.8)
+        let mk = || SearchSpec {
+            temperature: 0.05,
+            cooling: 0.8,
+            ..SearchSpec::structural(17, 4, 6).with_opts(opts())
         };
         let a = SearchRunner::new(&topo, &tm, mk()).unwrap().run().unwrap();
         let b = SearchRunner::new(&topo, &tm, mk()).unwrap().run().unwrap();
@@ -1098,7 +1093,11 @@ mod tests {
             (0.1, 1.5),
             (0.1, -0.1),
         ] {
-            let spec = SearchSpec::structural(1, 1, 1).with_temperature(t, c);
+            let spec = SearchSpec {
+                temperature: t,
+                cooling: c,
+                ..SearchSpec::structural(1, 1, 1)
+            };
             assert!(
                 matches!(
                     SearchRunner::new(&topo, &tm, spec),

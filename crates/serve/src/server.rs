@@ -54,7 +54,7 @@ use dctopo_core::{BackendChoice, Degradation, Scenario, ThroughputEngine, Throug
 use dctopo_flow::FlowError;
 use dctopo_flow::FlowOptions;
 use dctopo_graph::GraphError;
-use dctopo_obs as obs;
+use dctopo_obs::{self as obs, Captured};
 use dctopo_topology::Topology;
 use dctopo_traffic::TrafficMatrix;
 use rayon::prelude::*;
@@ -127,8 +127,6 @@ struct QueryOut {
     warm_used: bool,
     warm_eligible: bool,
     warm_out: Option<Vec<f64>>,
-    /// Solve wall clock (µs, 0 when tracing is off) — trace-only.
-    wall_us: u64,
 }
 
 /// One parsed line of a batch, mapped back to its arrival slot.
@@ -175,10 +173,8 @@ impl<'t> Server<'t> {
         let t_batch = obs::clock();
         // stats are snapshotted *before* the batch so a `stats`
         // request's answer cannot depend on its position in the batch
-        // (the trace event count likewise: cumulative emission counts
-        // are sums over deterministic per-solve counts, so the
-        // snapshot is transcript-determined even though parallel
-        // queries interleave their emissions)
+        // (the trace event count likewise: the previous batch's events
+        // were all replayed to the recorder before it returned)
         let pre_stats = self.stats;
         let pre_slots = self.warm.len();
         let pre_events = obs::event_count();
@@ -227,30 +223,42 @@ impl<'t> Server<'t> {
         }
 
         // ---- parallel evaluation against the batch-start snapshot ----
-        let engine = &self.engine;
-        let cfg = self.cfg;
-        let warm_store = &self.warm;
-        let queries_ref = &queries;
-        let order_ref = &order;
-        let structures_ref = &structures;
-        let mut evals: Vec<QueryOut> = (0..order.len())
+        // each query's trace ends with its `serve_query` event and is
+        // replayed in canonical order: the event sequence is a pure
+        // function of the batch transcript, never of scheduling
+        let evals: Vec<QueryOut> = (0..order.len())
             .into_par_iter()
             .map(|ci| {
-                let qi = order_ref[ci];
-                let spec = &queries_ref[qi];
-                let skey = spec.structure_key();
-                eval_query(
-                    engine,
-                    cfg,
-                    spec,
-                    skey,
-                    structures_ref[&skey].as_ref(),
-                    (warm_store.iter())
-                        .find(|(k, _)| *k == skey)
-                        .map_or(&[], |(_, lengths)| lengths),
-                )
+                obs::capture(|| {
+                    let t_query = obs::clock();
+                    let qi = order[ci];
+                    let spec = &queries[qi];
+                    let skey = spec.structure_key();
+                    let out = eval_query(
+                        &self.engine,
+                        self.cfg,
+                        spec,
+                        skey,
+                        structures[&skey].as_ref(),
+                        (self.warm.iter())
+                            .find(|(k, _)| *k == skey)
+                            .map_or(&[], |(_, lengths)| lengths),
+                    );
+                    if obs::enabled() {
+                        obs::Event::new("serve_query")
+                            .field("canonical", ci as u64)
+                            .field("arrival", qi as u64)
+                            .field("ok", !out.is_error)
+                            .field("warm", out.warm_used)
+                            .field("structure", format!("{skey:016x}"))
+                            .nd("wall_us", obs::us_since(t_query))
+                            .emit();
+                    }
+                    out
+                })
             })
-            .collect();
+            .collect::<Captured<_>>()
+            .emit();
 
         // ---- commit: counters, then warm slots in canonical order ----
         self.stats.batches += 1;
@@ -276,22 +284,8 @@ impl<'t> Server<'t> {
         // the committed store is arrival-order-invariant too
         let mut by_query: Vec<Option<Json>> = Vec::with_capacity(evals.len());
         by_query.resize_with(queries.len(), || None);
-        for (ci, out) in evals.drain(..).enumerate() {
+        for (ci, out) in evals.into_iter().enumerate() {
             let qi = order[ci];
-            // trace emission in canonical order: the event sequence is
-            // a pure function of the batch transcript, never of
-            // scheduling — only the wall clock in the nd section
-            // carries scheduling noise
-            if obs::enabled() {
-                obs::Event::new("serve_query")
-                    .field("canonical", ci as u64)
-                    .field("arrival", qi as u64)
-                    .field("ok", !out.is_error)
-                    .field("warm", out.warm_used)
-                    .field("structure", format!("{:016x}", queries[qi].structure_key()))
-                    .nd("wall_us", out.wall_us)
-                    .emit();
-            }
             if let Some(lengths) = out.warm_out {
                 self.commit_warm(queries[qi].structure_key(), lengths);
             }
@@ -507,7 +501,6 @@ fn eval_query(
     structure: Result<&Structure, &GraphError>,
     warm_in: &[f64],
 ) -> QueryOut {
-    let t_query = obs::clock();
     let (applied, (base_commodities, nic, flows)) = match structure {
         Ok(s) => s,
         Err(e) => {
@@ -517,7 +510,6 @@ fn eval_query(
                 warm_used: false,
                 warm_eligible: false,
                 warm_out: None,
-                wall_us: obs::us_since(t_query),
             }
         }
     };
@@ -546,7 +538,6 @@ fn eval_query(
             warm_eligible,
             // the witness of the answer just given seeds the slot
             warm_out: result.solved.filter(|_| eligible).map(|s| s.dual_lengths),
-            wall_us: obs::us_since(t_query),
         },
         Err(e) => QueryOut {
             payload: error_payload(flow_error_kind(&e), &e.to_string()),
@@ -554,7 +545,6 @@ fn eval_query(
             warm_used,
             warm_eligible,
             warm_out: None,
-            wall_us: obs::us_since(t_query),
         },
     }
 }

@@ -164,13 +164,6 @@ impl Topology {
         groups
     }
 
-    /// Switches belonging to class `c`.
-    pub fn switches_of_class(&self, c: usize) -> Vec<NodeId> {
-        (0..self.switch_count())
-            .filter(|&v| self.class_of[v] == c)
-            .collect()
-    }
-
     /// Consistency check: every switch's servers + network links fit in
     /// its class's port budget. Returns the first violation.
     pub fn validate_ports(&self) -> Result<(), GraphError> {
@@ -267,7 +260,7 @@ mod tests {
         assert_eq!(t.switch_count(), 3);
         assert_eq!(t.server_to_switch(), vec![0, 0, 2]);
         assert_eq!(t.server_groups(), vec![vec![0, 1], vec![], vec![2]]);
-        assert_eq!(t.switches_of_class(1), vec![1, 2]);
+        assert_eq!(t.class_membership(1), vec![false, true, true]);
         assert_eq!(t.class_membership(0), vec![true, false, false]);
         t.validate_ports().unwrap();
     }

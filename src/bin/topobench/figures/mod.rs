@@ -33,6 +33,7 @@ use dctopo::core::{
 };
 use dctopo::flow::{FlowError, FlowOptions};
 use dctopo::graph::mix::derive_seed;
+use dctopo::obs::{self, Captured};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -290,8 +291,11 @@ fn samples<const N: usize>(
         .into_par_iter()
         .map(|run| {
             let seed = derive_seed(cfg.seed, DOMAIN_SAMPLE, 0, run);
-            f(&mut StdRng::seed_from_u64(seed))
+            obs::capture(|| f(&mut StdRng::seed_from_u64(seed)))
         })
+        .collect::<Captured<Vec<_>>>()
+        .emit()
+        .into_iter()
         .collect::<Result<_, _>>()?;
     Ok(std::array::from_fn(|i| {
         Stats::of(&rows.iter().map(|r| r[i]).collect::<Vec<f64>>())

@@ -9,11 +9,10 @@
 //! * **The deterministic residue replays byte for byte.** After
 //!   [`dctopo::obs::strip_nd`] removes the `"nd"` (wall-clock /
 //!   scheduling) section from every line, two traced runs of the same
-//!   sequentially-driven workload — and traced runs at *different*
-//!   thread counts — produce identical JSONL. (Workloads that
-//!   parallelize *across* solves, like sweep grids, pin output
-//!   determinism instead: their per-solve emissions interleave, which
-//!   is why sweep-level events are emitted post-assembly.)
+//!   workload — and traced runs at *different* thread counts — produce
+//!   identical JSONL. One rule makes that hold: a parallel task that
+//!   can emit runs inside [`dctopo::obs::capture`], and its caller
+//!   replays the captured events in index order.
 //! * **The packet witness is in the trace.** One `covalidate` emits one
 //!   `packet_witness` event whose counters are the returned
 //!   `SimResult`'s, and whose residue replays.
@@ -25,6 +24,11 @@
 //!   (`sinks` or `sources`) and how many it grew.
 //! * **Serve transcripts are tracing-invariant**, and the traced batch
 //!   emits the serve event taxonomy.
+//! * **The parallel frontends replay too.** A sweep with a failure
+//!   scenario, a serve batch and two search rounds solve concurrently on
+//!   the pool; each task captures its events and the caller replays
+//!   them in index order, so their residues match at 1, 2 and 8
+//!   threads.
 //!
 //! The recorder is process-global, so everything lives in ONE `#[test]`
 //! — the harness's default parallel scheduling must never interleave
@@ -413,11 +417,13 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
         r#"{"id":2,"degrade":[{"kind":"fail-links","count":2,"seed":3}]}"#.into(),
         r#"{"id":3,"op":"ping"}"#.into(),
         r#"{"id":4,"degrade":[{"kind":"scale-capacity","factor":0.5}],"warm":false}"#.into(),
+        r#"{"id":5,"backend":"ksp:3"}"#.into(),
+        r#"{"id":6,"degrade":[{"kind":"fail-switches","count":1,"seed":2}]}"#.into(),
     ];
     let mut plain_server = Server::new(&topo, tm.clone(), ServeConfig::default());
     let plain = plain_server.serve_batch(&batch);
     obs::enable_memory();
-    let mut traced_server = Server::new(&topo, tm, ServeConfig::default());
+    let mut traced_server = Server::new(&topo, tm.clone(), ServeConfig::default());
     let traced = traced_server.serve_batch(&batch);
     let trace = obs::drain_memory();
     obs::disable();
@@ -428,5 +434,81 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
             trace.iter().any(|l| l.contains(kind)),
             "traced batch missing {kind} events"
         );
+    }
+
+    // ---- the parallel frontends: a sweep with a failure scenario (its
+    // degraded cells open warm on the baseline's certificates), a serve
+    // batch and two search rounds fan their solves out on the pool.
+    // Every task's events are captured and replayed in index order, so
+    // each frontend's residue is one sequence at 1, 2 and 8 threads ----
+    let sweep = || {
+        let spec = SweepSpec {
+            topologies: vec![TopologyPoint::rrg(10, 6, 4), TopologyPoint::rrg(12, 6, 4)],
+            traffic: vec![TrafficModel::Permutation, TrafficModel::AllToAll],
+            scenarios: vec![
+                Scenario::new("baseline", Vec::new()),
+                Scenario::new("fail:2", vec![Degradation::FailLinks { count: 2, seed: 1 }]),
+            ],
+            backends: vec![BackendChoice::fptas(), BackendChoice::ksp(3)],
+            opts,
+            seed: 11,
+            runs: 1,
+        };
+        SweepRunner::new(spec).run().to_json()
+    };
+    let serve = || {
+        let mut server = Server::new(&topo, tm.clone(), ServeConfig::default());
+        let [first, second] = [&batch, &batch].map(|b| server.serve_batch(b).join("\n"));
+        format!("{first}\n{second}")
+    };
+    let search = || {
+        let (topo, tm) = &insts[2];
+        let spec = SearchSpec::structural(5, 2, 8).with_opts(opts);
+        let r = SearchRunner::new(topo, tm, spec).unwrap().run().unwrap();
+        format!("{:?}", (r.best, r.accepted, r.certified_solves))
+    };
+    let frontends: [(&str, &(dyn Fn() -> String + Sync), &str); 3] = [
+        ("sweep", &sweep, "\"ev\":\"sweep_cell\""),
+        ("serve", &serve, "\"ev\":\"serve_query\""),
+        ("search", &search, "\"ev\":\"fptas_solve\""),
+    ];
+    for (name, run, kind) in frontends {
+        let plain = run();
+        let residues = threads.map(|t| {
+            obs::enable_memory();
+            let out = ThreadPoolBuilder::new()
+                .num_threads(t)
+                .build()
+                .unwrap()
+                .install(run);
+            let lines = obs::drain_memory();
+            obs::disable();
+            assert_eq!(
+                out, plain,
+                "tracing changed the {name} output at {t} threads"
+            );
+            strip_all(&lines)
+        });
+        assert!(
+            residues[0].iter().filter(|l| l.contains(kind)).count() > 1,
+            "{name}: no {kind} events"
+        );
+        for (t, residue) in threads.iter().zip(&residues) {
+            assert!(
+                residue == &residues[0],
+                "{name} residue at {t} threads differs from 1 thread's at line {}",
+                residue
+                    .iter()
+                    .zip(&residues[0])
+                    .take_while(|(a, b)| a == b)
+                    .count()
+            );
+        }
+        if name == "sweep" {
+            let warm = residues[0]
+                .iter()
+                .filter(|l| l.contains(kind) && l.contains("\"warm\":true"));
+            assert!(warm.count() > 0, "no sweep cell opened warm");
+        }
     }
 }
