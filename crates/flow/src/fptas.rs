@@ -20,6 +20,18 @@
 //! LP duality gives the upper bound `λ* ≤ D(l)/α(l)` for *any*
 //! positive lengths `l`, where `D(l) = Σ_a c(a)·l(a)` and
 //! `α(l) = Σ_j d_j · dist_l(s_j, t_j)`.
+//! A phase routes every demand once, so the lengths grow by about
+//! `e^(ε/λ*)` a phase: on dense demand (λ* ≪ 1) a phase is a long run
+//! of saturating steps and the loop stalls far below λ*. The bound the
+//! opening tree pass reads, `u₀ = D(l)/α(l)` at the opening lengths —
+//! flat on a cold start, the certificate's on a warm one, where `u₀ ≈
+//! λ*` — is handed to `gk::Core::normalise`; below 1/16 every phase
+//! routes `s·d` for the power of two `s` nearest `2·u₀`, so λ* is about
+//! ½ in the phases' unit. λ and the bound stay in the caller's units
+//! (`gk.rs`). The loop takes no other estimate: the first phase's primal
+//! also fires on sparse hot-spot demand (0.0545 on `dcbench`'s
+//! `pairwise-solve` `hotspot:8` op), where it cost that workload 5.3 %
+//! of `mean_gap` for 0.8 % fewer settles.
 //! We track the best (smallest) dual bound seen and stop as soon as the
 //! certified primal/dual gap is below `target_gap`. The fast path
 //! evaluates the bound at two length functions — the last iterate every
@@ -287,9 +299,10 @@ impl GroupState {
     /// factor — `Ok(false)`: the tree is stale — leaving the partial
     /// load for the caller to drop.
     fn load_paths(&self, core: &mut Core, gate: Option<Gate>) -> Result<bool, FlowError> {
+        let residue = core.residue();
         for (k, &(_, dst, _)) in self.sinks.iter().enumerate() {
             let r = self.remaining[k];
-            if r <= 1e-12 {
+            if r <= residue {
                 continue;
             }
             let dist = self.ws.distance(dst);
@@ -420,11 +433,13 @@ fn solve_pairwise(
     let mut pairs = Pairwise::new(commodities, &mut core, opts);
 
     // reachability check up front (an edgeless net fails it at the
-    // first commodity); it seeds the first dual bound and, under the
-    // ladder, every group's full tree
+    // first commodity); it seeds the first dual bound, the estimate of
+    // λ* the phase unit is normalised to and, under the ladder, every
+    // group's full tree
     let d_l = core.d_l();
     tree_pass(net, &mut groups, core.length(), ladder.is_some());
-    core.note_dual(d_l, alpha_of(&groups)?, None);
+    let opening = core.note_dual(d_l, alpha_of(&groups)?, None);
+    core.normalise(opening);
     if let Some(l) = ladder.as_mut() {
         // every tree is exact as of clock 0
         (l.d_l, l.cursor) = (d_l, vec![0; groups.len()]);
@@ -451,19 +466,14 @@ fn solve_pairwise(
 
         // sequential routing in fixed group order (see module docs for
         // why routing is not parallelised)
+        let (unit, residue) = (core.unit(), core.residue());
         for (gi, g) in groups.iter_mut().enumerate() {
             for (k, &(_, _, d)) in g.sinks.iter().enumerate() {
-                g.remaining[k] = d;
+                g.remaining[k] = d * unit;
             }
             // Route until the group's phase demand is (essentially)
-            // done. Extremely skewed instances can shrink τ repeatedly:
-            // after 64 steps the leftover is dropped, since the next
-            // phase resets `remaining` (correctness is unaffected —
-            // `routed` only counts what was sent).
-            for _ in 0..64 {
-                if !g.remaining.iter().any(|&r| r > 1e-12) {
-                    break;
-                }
+            // done: every step saturates an arc or finishes the group.
+            while g.remaining.iter().any(|&r| r > residue) {
                 // charge the remaining demand along the group's tree:
                 // a fresh one under the current lengths, or the stored
                 // one walked through the ladder
@@ -489,7 +499,7 @@ fn solve_pairwise(
                         // mirror the tree walk that charged this sink
                         // into the per-commodity record; the workspace
                         // still holds the tree the load went along
-                        if let (Some(record), true) = (avg.record.as_mut(), r > 1e-12) {
+                        if let (Some(record), true) = (avg.record.as_mut(), r > residue) {
                             g.ws.walk_path(net, dst, |a| record[j][a] += credit);
                         }
                         avg.routed[j] += credit;
@@ -556,6 +566,7 @@ fn solve_pairwise(
             .field("commodities", commodities.len())
             .field("phases", phases as u64)
             .field("stop", stop.name())
+            .field("unit", core.unit())
             .field("settles", sol.settles);
         if let Some(l) = &ladder {
             // which candidate the final bound came from, and which

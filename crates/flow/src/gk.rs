@@ -35,6 +35,22 @@
 //!   bound only when it is finite, positive and below the best so far,
 //!   and then keeps a copy of those lengths: the witness a solve returns
 //!   as [`crate::SolvedFlow::dual_lengths`];
+//! * the **unit** a phase routes in ([`Core::normalise`]): max
+//!   concurrent flow is scale-invariant, but a loop that routes every
+//!   demand once a phase is not — each length grows by about `e^(ε/λ*)`
+//!   a phase, so on dense demand (λ* ≪ 1) a phase is a long run of
+//!   saturating steps and the loop stalls far below λ*. A loop hands
+//!   its first estimate of λ* to [`Core::normalise`]; below
+//!   [`NORMALISE_BELOW`] every later phase routes `s·d` for the power of
+//!   two `s` nearest `estimate / UNIT_TARGET` (Garg–Könemann and
+//!   Fleischer scale demand so that λ* = Θ(1) first). Nothing else reads
+//!   `s`: λ is `routed/(μ·d)` and α is `Σ d·dist` over the flow routed
+//!   so far, which is in absolute units whatever unit each phase used,
+//!   and every stop rule compares ratios, so λ, the bound, the stall
+//!   reference and the floor stay in the caller's units. Dividing them
+//!   by `s` on the switch and multiplying by `s` on the way out would
+//!   cancel exactly, `s` being a power of two. Unnormalised solves route
+//!   `1.0·d` and keep every bit;
 //! * the **stop rule** ([`Core::verdict`]): certified gap closed, or the
 //!   primal has not improved by 0.05 % for `stall_phases` phases. A
 //!   caller that reads the answer only through `λ ≥ floor` passes its
@@ -63,6 +79,22 @@ use crate::{Commodity, FlowOptions, SolvedFlow};
 /// uniform scaling of all lengths, so lengths are rescaled whenever one
 /// exceeds this, before overflow can corrupt the bound.
 pub(crate) const RESCALE_ABOVE: f64 = 1e100;
+
+/// A first estimate of λ* below this switches a loop to scaled units
+/// ([`Core::normalise`]). The pairwise solves of every benchmark
+/// workload but `sweep-grid` open at 0.58–1.25, and `aggregate-solve`'s
+/// first phase reads λ = 1/16 exactly, so they keep every bit; dense
+/// all-to-all demand with several servers per switch opens two to three
+/// orders lower.
+const NORMALISE_BELOW: f64 = 1.0 / 16.0;
+
+/// The λ* a normalised phase aims at in its own units: `s` is the power
+/// of two nearest `estimate / UNIT_TARGET`.
+const UNIT_TARGET: f64 = 0.5;
+
+/// What the routing loops leave of a sink's phase demand, per unit
+/// ([`Core::residue`]): a remainder at or below it is not charged.
+const RESIDUE: f64 = 1e-12;
 
 /// How `x / c(a)` is evaluated — the one numeric difference between the
 /// loops, fixed when a [`Core`] is built.
@@ -153,6 +185,9 @@ pub(crate) struct Core<'n> {
     dual_lengths: Vec<f64>,
     last_primal: f64,
     stagnant: usize,
+    /// The multiplier on every demand a phase routes: 1.0 until
+    /// [`Core::normalise`] switches it to a power of two.
+    unit: f64,
 }
 
 impl<'n> Core<'n> {
@@ -186,6 +221,7 @@ impl<'n> Core<'n> {
             dual_lengths: Vec::new(),
             last_primal: 0.0,
             stagnant: 0,
+            unit: 1.0,
         }
     }
 
@@ -209,6 +245,32 @@ impl<'n> Core<'n> {
     /// Current arc lengths.
     pub(crate) fn length(&self) -> &[f64] {
         &self.length
+    }
+
+    /// The multiplier on every demand a phase routes (1.0 unless
+    /// [`Core::normalise`] switched it).
+    pub(crate) fn unit(&self) -> f64 {
+        self.unit
+    }
+
+    /// The remainder of a sink's phase demand, `unit·d`, at or below
+    /// which a loop stops charging it: [`RESIDUE`] of the unit, so a
+    /// demand of at least [`crate::MIN_DEMAND`] loses at most a
+    /// millionth of itself in any unit.
+    pub(crate) fn residue(&self) -> f64 {
+        RESIDUE * self.unit
+    }
+
+    /// Switch to scaled units if `estimate` — the loop's first estimate
+    /// of λ*, a bound or a primal it already has — is below
+    /// [`NORMALISE_BELOW`]: every later phase then routes `s·d`, `s` the
+    /// power of two nearest `estimate / UNIT_TARGET`. What was routed
+    /// before stays as it is (module docs). A core switches at most
+    /// once.
+    pub(crate) fn normalise(&mut self, estimate: f64) {
+        if self.unit == 1.0 && (f64::MIN_POSITIVE..NORMALISE_BELOW).contains(&estimate) {
+            self.unit = nearest_power_of_two(estimate / UNIT_TARGET);
+        }
     }
 
     /// Smallest admitted dual bound so far (`∞` before the first).
@@ -327,10 +389,11 @@ impl<'n> Core<'n> {
     /// Stop when `primal` is within `target_gap` of the best dual, or
     /// has not grown by 0.05 % for `stall_phases` phases (it is
     /// certified feasible regardless; what is left of the gap may sit
-    /// on either side — on dense demand the primal stalls far below
-    /// λ*), or — given a `floor` — once `primal ≥
-    /// floor` or `best dual < floor` has decided `λ ≥ floor`. A step
-    /// size still coarser than the configured one is halved instead —
+    /// on either side — a loop whose phases route far more than `λ*·d`
+    /// stalls on the primal side, which is what [`Core::normalise`]
+    /// keeps dense demand from doing), or — given a `floor` — once
+    /// `primal ≥ floor` or `best dual < floor` has decided `λ ≥ floor`.
+    /// A step size still coarser than the configured one is halved instead —
     /// once the certified gap has shrunk to its own order, which it
     /// cannot certify much past, or after ten stalled phases — and the
     /// count restarts. `None` keeps routing.
@@ -475,9 +538,66 @@ impl<'c> Pairwise<'c> {
     }
 }
 
+/// The power of two nearest `x` on a log scale, `x` positive and
+/// normal: `2^e` for `x = m·2^e`, `m ∈ [1, 2)`, or `2^(e+1)` once
+/// `m ≥ √2` — `2^e` read off the bits, so no libm call enters a
+/// trajectory.
+fn nearest_power_of_two(x: f64) -> f64 {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let power = f64::from_bits(x.to_bits() & !MANTISSA);
+    if x / power >= std::f64::consts::SQRT_2 {
+        2.0 * power
+    } else {
+        power
+    }
+}
+
 /// Overwrite `out` with `raw / mu`, element by element, in its own
 /// buffer.
 fn scale_into(out: &mut Vec<f64>, raw: &[f64], mu: f64) {
     out.clear();
     out.extend(raw.iter().map(|&f| f / mu));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dctopo_graph::Graph;
+
+    /// The bit-read power of two is `2^round(log₂ x)` — the libm model,
+    /// away from the ties at `√2·2^e`, which it breaks upwards.
+    #[test]
+    fn nearest_power_of_two_rounds_the_exponent() {
+        let mut x = 1e-300f64;
+        while x < 1e300 {
+            let model = 2f64.powi(x.log2().round() as i32);
+            assert_eq!(nearest_power_of_two(x), model, "x = {x}");
+            x *= 1.37;
+        }
+        for e in [-40, -1, 0, 3] {
+            let tie = std::f64::consts::SQRT_2 * 2f64.powi(e);
+            assert_eq!(nearest_power_of_two(tie), 2f64.powi(e + 1));
+        }
+    }
+
+    /// Only an estimate in `(0, 1/16)` switches the unit, to the power
+    /// of two nearest twice it, and only the first one does.
+    #[test]
+    fn normalise_switches_once_below_a_sixteenth() {
+        let mut g = Graph::new(2);
+        g.add_unit_edge(0, 1).unwrap();
+        let net = CsrNet::from_graph(&g);
+        let core = || Core::new(&net, Cong::Divide, None, 0.1, 1);
+        for estimate in [1.0 / 16.0, 0.5, 3.0, 0.0, -0.01, f64::NAN, 1e-310] {
+            let mut c = core();
+            c.normalise(estimate);
+            assert_eq!(c.unit(), 1.0, "estimate {estimate}");
+        }
+        let mut c = core();
+        c.normalise(0.0059);
+        assert_eq!(c.unit(), 1.0 / 64.0);
+        assert_eq!(c.residue(), RESIDUE / 64.0);
+        c.normalise(1e-6);
+        assert_eq!(c.unit(), 1.0 / 64.0, "a second estimate is ignored");
+    }
 }

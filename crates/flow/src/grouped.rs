@@ -34,6 +34,15 @@
 //! 4. `flow(a) += τ·L(a)`, `l(a) *= 1 + ε·τ·L(a)/c(a)`,
 //!    `frac_remaining *= 1 − τ`.
 //!
+//! A phase starts every group at `frac_remaining = unit`: 1 in the
+//! first phase, and from the second on the power of two nearest twice
+//! the first phase's λ when that is below 1/16 (`gk::Core::normalise`),
+//! so a phase of dense demand routes about twice the `λ*·d` the network
+//! carries instead of hundreds of times it. The first phase's harvested
+//! bound would be the natural estimate, but it is read at lengths the
+//! first phase has already blown up: on RRG(32, 10, 6) all-to-all-agg
+//! it is 0.10 against λ* = 0.0059, where the primal reads 0.0042.
+//!
 //! Because every sink of a group routes the *same* cumulative fraction
 //! of its demand, the per-sink rates collapse to one factor per group:
 //! a grouped answer's [`SolvedFlow::commodity_rate`] holds `factor_g`,
@@ -84,7 +93,7 @@ use dctopo_graph::certify::{self, Certificate, Violation};
 use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 
-use crate::gk::{Cong, Core};
+use crate::gk::{Cong, Core, Stop};
 use crate::{
     demand_in_range, node_in_range, validate_opts, Backend, FlowError, FlowOptions, SolvedFlow,
 };
@@ -275,6 +284,7 @@ fn solve_grouped_observed(
 
     let mut best: Option<SolvedFlow> = None;
     let mut phases = 0usize;
+    let mut stop = Stop::Phases;
 
     while phases < opts.max_phases {
         phases += 1;
@@ -288,16 +298,25 @@ fn solve_grouped_observed(
         // α(l) harvested from each group's first tree of the phase
         let mut alpha_phase = 0.0f64;
 
+        // a group's phase demand is `unit` times its demand: the
+        // fraction routed starts there
+        let (unit, residue) = (core.unit(), core.residue());
         for (gi, g) in groups.iter().enumerate() {
-            let mut frac_remaining = 1.0f64;
+            let mut frac_remaining = unit;
             let mut inner = 0usize;
-            while frac_remaining > 1e-12 {
+            while frac_remaining > residue {
                 inner += 1;
                 if inner > 64 {
-                    // skewed instances can shrink τ repeatedly; drop
-                    // the leftover (the next phase starts the group at
-                    // 1 again) — `routed_frac` only counts what was
-                    // actually sent, so correctness is unaffected
+                    // A first phase routes whole demands, before its
+                    // primal sets the unit, and on dense demand a group
+                    // would take hundreds of steps: every group of
+                    // RRG(32, 10, 6) all-to-all-agg (`topobench solve
+                    // rrg --switches 32 --ports 10 --degree 6 --traffic
+                    // all-to-all-agg`) and of the three grouped-weighted
+                    // trajectory pins stops here in phase 1, and nothing
+                    // after it. The leftover is dropped — the next phase
+                    // starts the group afresh, and `routed_frac` counts
+                    // only what was sent.
                     break;
                 }
                 ph_steps += 1;
@@ -364,6 +383,11 @@ fn solve_grouped_observed(
         // certified primal: scale by worst congestion
         let mu = core.congestion(0);
         let primal = routed_frac.iter().copied().fold(f64::INFINITY, f64::min) / mu;
+        if phases == 1 {
+            // the first primal estimates λ* for the phase unit from
+            // phase 2 on (module docs)
+            core.normalise(primal);
+        }
 
         // groups route sequentially, so this sits outside any parallel
         // region and the event sequence is deterministic per solve
@@ -394,7 +418,8 @@ fn solve_grouped_observed(
                 dual_lengths: Vec::new(),
             });
         }
-        if core.verdict(primal, opts, phases, None).is_some() {
+        if let Some(why) = core.verdict(primal, opts, phases, None) {
+            stop = why;
             break;
         }
     }
@@ -431,6 +456,8 @@ fn solve_grouped_observed(
         obs::Event::new("grouped_solve")
             .field("groups", groups.len())
             .field("phases", phases as u64)
+            .field("stop", stop.name())
+            .field("unit", core.unit())
             .field("settles", sol.settles)
             .field("lambda", sol.throughput)
             .field("upper_bound", sol.upper_bound)

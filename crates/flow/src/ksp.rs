@@ -15,6 +15,14 @@
 //! The dual bound here is valid *for the restricted problem*: α uses the
 //! cheapest path within each commodity's set.
 //!
+//! Like every loop here it routes its phases in a unit scaled to λ*
+//! when demand is dense (`gk::Core::normalise`). The restricted bound at
+//! the opening lengths is the first estimate; it is loose on hot-spot
+//! demand (0.67–1.08 on the `ksp:8` hot-spot cells of `dcbench`'s
+//! `sweep-grid` against a first-phase λ of 0.037–0.055), so where it
+//! does not switch the unit the first phase's primal may. A phase costs
+//! no tree, so that first phase in the caller's units is cheap.
+//!
 //! Path freezing is a one-time preprocessing step and runs on an
 //! adjacency-list [`Graph`] (rebuilt from the [`CsrNet`] when needed),
 //! every pair of a freeze on one [`YenWorkspace`];
@@ -70,15 +78,18 @@ pub(crate) fn solve_ksp(
     let mut pairs = Pairwise::new(commodities, &mut core, opts);
     let mut phases = 0usize;
     let mut stop = Stop::Phases;
+    // the restricted bound at the opening lengths estimates λ* for the
+    // phase unit; it is not admitted as a dual, so a solve it does not
+    // normalise keeps every bit
+    core.normalise(core.d_l() / restricted_alpha(commodities, &paths, &core));
 
     while phases < opts.max_phases {
         phases += 1;
+        let (unit, residue) = (core.unit(), core.residue());
         for (j, c) in commodities.iter().enumerate() {
             // cheapest path in the frozen set under current lengths
-            let mut remaining = c.demand;
-            let mut inner = 0;
-            while remaining > 1e-12 && inner < 16 {
-                inner += 1;
+            let mut remaining = c.demand * unit;
+            while remaining > residue {
                 let (best_path, _) = cheapest(&paths[j][..], core.length());
                 // capacity-scaled step along that path
                 let bottleneck = best_path
@@ -102,6 +113,11 @@ pub(crate) fn solve_ksp(
         }
         core.rescale();
         let primal = pairs.snapshot(&core, phases);
+        if phases == 1 {
+            // the frozen-path dual is the loose side: where the opening
+            // bound did not normalise, the first phase's primal may
+            core.normalise(primal);
+        }
         // the restricted dual: α over each commodity's cheapest frozen path
         if phases.is_multiple_of(4) {
             let alpha = restricted_alpha(commodities, &paths, &core);
@@ -130,6 +146,7 @@ pub(crate) fn solve_ksp(
             .field("paths", paths.iter().map(|p| p.len()).sum::<usize>())
             .field("phases", phases as u64)
             .field("stop", stop.name())
+            .field("unit", core.unit())
             .field("lambda", sol.throughput)
             .field("upper_bound", sol.upper_bound)
             .nd("freeze_us", freeze_us)

@@ -150,8 +150,10 @@ pub struct FlowOptions {
     /// Stop early once the primal has not improved by 0.05% for this
     /// many consecutive phases (the primal is certified-feasible at all
     /// times, but a stall does not place the remaining gap on the dual
-    /// side: on dense demand the primal stalls well below λ*). Set to
-    /// `max_phases` to disable.
+    /// side: a loop whose phases route far more than λ*·d stalls below
+    /// λ*, which is why every loop whose first estimate of λ* is below
+    /// 1/16 routes its phases in a scaled unit). Set to `max_phases` to
+    /// disable.
     pub stall_phases: usize,
     /// Which [`Backend`] the pairwise entries ([`solve_with_cache`],
     /// [`solve_from`], [`certify_floor`]) dispatch to. The iterative
@@ -441,9 +443,9 @@ pub(crate) fn validate(
 }
 
 /// The smallest demand a solve accepts. The routing loops stop charging
-/// a remainder at an absolute `1e-12`, so a demand of at least `1e-6`
-/// loses at most a millionth of itself to that residue. (A subnormal
-/// demand certified λ = ∞.)
+/// a remainder at `1e-12` of the unit their phases route in, so a demand
+/// of at least `1e-6` loses at most a millionth of itself to that
+/// residue. (A subnormal demand certified λ = ∞.)
 pub const MIN_DEMAND: f64 = 1e-6;
 
 /// The largest demand a solve accepts, per commodity or sink and per

@@ -5,7 +5,9 @@
 //! This is the pre-CSR solver: single-threaded, nested-adjacency
 //! Dijkstra ([`dctopo::graph::paths::dijkstra`]), one shortest-path
 //! recomputation per inner augmentation step, the exact dual every
-//! eighth phase. The production loop shares no code with it, so a
+//! eighth phase, and — where the opening bound puts λ* below 1/16 —
+//! every phase routing its demands times the power of two nearest twice
+//! that bound. The production loop shares no code with it, so a
 //! change there that moves one float of the strict trajectory fails
 //! `strict_reference_bitwise_matches_reference_on_50_seeded_graphs`
 //! below.
@@ -49,6 +51,15 @@ fn max_concurrent_flow_graph(
     commodities: &[Commodity],
     opts: &FlowOptions,
 ) -> Result<SolvedFlow, FlowError> {
+    max_concurrent_flow_graph_in_unit(g, commodities, opts).map(|(sol, _)| sol)
+}
+
+/// [`max_concurrent_flow_graph`] and the unit its phases routed in.
+fn max_concurrent_flow_graph_in_unit(
+    g: &Graph,
+    commodities: &[Commodity],
+    opts: &FlowOptions,
+) -> Result<(SolvedFlow, f64), FlowError> {
     let num_arcs = g.arc_count();
     if num_arcs == 0 {
         // commodities exist but there are no edges at all
@@ -72,14 +83,20 @@ fn max_concurrent_flow_graph(
     // grow large to avoid overflow corrupting the bound.
     const RESCALE_ABOVE: f64 = 1e100;
 
-    // reachability check up front (also seeds the first dual bound)
+    // reachability check up front (also seeds the first dual bound and
+    // the unit: a phase routes `unit·d`, the power of two nearest twice
+    // the opening bound when that is below 1/16, so λ* is about ½ in it)
     let mut best_dual = f64::INFINITY;
+    let mut unit = 1.0f64;
     {
         let d_l = total_weighted_length(g, &length);
         let alpha = alpha_of(g, &groups, &length)?;
         let bound = d_l / alpha;
         if bound.is_finite() {
             best_dual = best_dual.min(bound);
+        }
+        if bound > 0.0 && bound < 1.0 / 16.0 {
+            unit = 2f64.powi((2.0 * bound).log2().round() as i32);
         }
     }
     // evaluate the dual every few phases (it changes slowly and costs a
@@ -99,23 +116,16 @@ fn max_concurrent_flow_graph(
         phases += 1;
         for group in &groups {
             // remaining demand to route for this group's sinks this phase
-            let mut remaining: Vec<f64> = group.sinks.iter().map(|&(_, _, d)| d).collect();
-            let mut inner = 0usize;
-            // route until the group's phase demand is (essentially) done
-            while remaining.iter().any(|&r| r > 1e-12) {
-                inner += 1;
-                if inner > 64 {
-                    // Extremely skewed instances can shrink τ repeatedly;
-                    // carry the leftover to the next phase (correctness is
-                    // unaffected — `routed` only counts what was sent).
-                    break;
-                }
+            let mut remaining: Vec<f64> = group.sinks.iter().map(|&(_, _, d)| d * unit).collect();
+            // route until the group's phase demand is (essentially) done,
+            // leaving at most a 1e-12 of the unit per sink
+            while remaining.iter().any(|&r| r > 1e-12 * unit) {
                 let tree = dijkstra(g, group.src, &length);
                 // accumulate load if all remaining demand were routed
                 touched.clear();
                 for (k, &(_, dst, _)) in group.sinks.iter().enumerate() {
                     let r = remaining[k];
-                    if r <= 1e-12 {
+                    if r <= 1e-12 * unit {
                         continue;
                     }
                     if !tree.dist[dst].is_finite() {
@@ -208,8 +218,8 @@ fn max_concurrent_flow_graph(
         if primal >= (1.0 - opts.target_gap) * best_dual {
             break;
         }
-        // plateau stop: the primal is certified-feasible regardless; when
-        // it stops improving the remaining gap is dual-side looseness
+        // plateau stop: the primal is certified-feasible regardless, and
+        // what is left of the gap may sit on either side
         if primal > last_primal_check * 1.0005 {
             last_primal_check = primal;
             stagnant_phases = 0;
@@ -224,7 +234,7 @@ fn max_concurrent_flow_graph(
     let mut sol = best.expect("at least one phase ran");
     sol.upper_bound = best_dual;
     sol.phases = phases;
-    Ok(sol)
+    Ok((sol, unit))
 }
 
 /// `D(l) = Σ_a c(a) · l(a)`.
@@ -371,9 +381,27 @@ fn nine_node_instance() -> (Graph, Vec<Commodity>) {
     (g, cs)
 }
 
+/// Dense demand on seeded graph `seed`: every ordered pair of its first
+/// eight nodes at demand 64, so the opening bound falls below 1/16 and
+/// the phases route in a scaled unit.
+fn dense_instance(seed: u64) -> (Graph, Vec<Commodity>) {
+    let g = seeded_graph(seed);
+    let nodes = g.node_count().min(8);
+    let cs = (0..nodes)
+        .flat_map(|s| (0..nodes).filter(move |&t| t != s).map(move |t| (s, t)))
+        .map(|(src, dst)| Commodity {
+            src,
+            dst,
+            demand: 64.0,
+        })
+        .collect();
+    (g, cs)
+}
+
 /// The `strict_reference` trajectory reproduces the model bit for bit
-/// on 50 seeded graphs and the nine-node instance — λ, the bound, the
-/// phase count, every arc flow and every rate.
+/// on 50 seeded graphs, the nine-node instance and four dense instances
+/// whose phases route in a scaled unit — λ, the bound, the phase count,
+/// every arc flow and every rate.
 #[test]
 fn strict_reference_bitwise_matches_reference_on_50_seeded_graphs() {
     let short = FlowOptions {
@@ -393,9 +421,18 @@ fn strict_reference_bitwise_matches_reference_on_50_seeded_graphs() {
         .collect();
     let (g, cs) = nine_node_instance();
     instances.push(("nine nodes".into(), g, cs, opts()));
+    for seed in 0..4 {
+        let (g, cs) = dense_instance(seed);
+        instances.push((format!("dense seed {seed}"), g, cs, short));
+    }
     for (name, g, cs, o) in &instances {
         let o = o.with_strict_reference(true);
-        let model = max_concurrent_flow_graph(g, cs, &o).unwrap();
+        let (model, unit) = max_concurrent_flow_graph_in_unit(g, cs, &o).unwrap();
+        assert_eq!(
+            unit < 1.0,
+            name.starts_with("dense"),
+            "{name}: routed in unit {unit}"
+        );
         let strict = production(g, cs, &o).unwrap();
         assert_eq!(
             model.throughput.to_bits(),
