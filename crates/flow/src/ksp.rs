@@ -452,6 +452,40 @@ mod tests {
         assert!(m.contains("ksp:257") && m.contains("256"), "{m}");
     }
 
+    /// Hot-spot demand the opening bound misses: eight nodes of a
+    /// chorded 16-ring send 16 units each to node 0. The restricted
+    /// bound at flat lengths reads 1/4, but the first phase's λ reads
+    /// 0.030, so every later phase routes a sixteenth of the demand and
+    /// the solve closes `fast()`'s gap in a dozen phases; routing all of
+    /// it every phase stalls at a 24 % gap after 138.
+    #[test]
+    fn a_first_phase_under_a_sixteenth_sets_the_unit() {
+        let mut g = Graph::new(16);
+        for v in 0..16 {
+            g.add_unit_edge(v, (v + 1) % 16).unwrap();
+            g.add_unit_edge(v, (v + 5) % 16).unwrap();
+        }
+        let net = CsrNet::from_graph(&g);
+        let cs: Vec<Commodity> = (1..16)
+            .step_by(2)
+            .map(|src| Commodity {
+                src,
+                dst: 0,
+                demand: 16.0,
+            })
+            .collect();
+        let o = FlowOptions::fast();
+        let s = cold(&net, &cs, 4, &o).unwrap();
+        assert!(
+            s.gap() <= o.target_gap,
+            "gap {} after {} phases",
+            s.gap(),
+            s.phases
+        );
+        let paths = PathSetCache::new().freeze(&net, &cs, 4).unwrap();
+        s.certify(&net, &cs, Some(&paths)).unwrap();
+    }
+
     #[test]
     fn rejects_k_zero_and_unreachable() {
         let mut g = Graph::new(4);

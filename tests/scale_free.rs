@@ -176,3 +176,48 @@ fn dense_all_to_all_certifies_within_the_gap_of_the_exact_optimum() {
         assert!(exact.throughput <= s.upper_bound * (1.0 + 1e-9));
     }
 }
+
+/// Capacities of `2^-40` and unit demands: λ* is about `2^-40`, so each
+/// loop routes its phases in a unit near it, and a remainder it leaves
+/// must be small against that unit, not against 1 — a `1e-12` floor in
+/// the caller's units would route nothing. Each loop's interval,
+/// scaled back by `2^40`, overlaps its interval on the unscaled net and
+/// closes `fast()`'s gap as that one does.
+#[test]
+fn tiny_capacities_route_in_a_unit_of_their_own() {
+    let mut rng = StdRng::seed_from_u64(40);
+    let topo = Topology::random_regular(12, 7, 4, &mut rng).unwrap();
+    let base = CsrNet::from_graph(&topo.graph);
+    let tiny = base.with_scaled_capacity(2f64.powi(-40)).unwrap();
+    let cs: Vec<Commodity> = (0..12).map(|i| Commodity::unit(i, (i + 5) % 12)).collect();
+    let ones = Arc::new(vec![1.0; 12]);
+    let groups: Vec<DemandGroup> = (0..12)
+        .map(|u| DemandGroup::weighted(u, Arc::clone(&ones), 1.0))
+        .collect();
+    let opts = FlowOptions::fast();
+    let ksp = opts.with_backend(Backend::KspRestricted { k: 4 });
+    let solve = |net: &CsrNet, name: &str| match name {
+        "fptas" => solve_cold(net, &cs, &opts),
+        "ksp:4" => solve_cold(net, &cs, &ksp),
+        _ => solve_grouped(net, &groups, &opts).unwrap(),
+    };
+    for name in ["fptas", "ksp:4", "grouped"] {
+        let (a, b) = (solve(&base, name), solve(&tiny, name));
+        let back = 2f64.powi(40);
+        assert!(b.throughput > 0.0, "{name}: nothing routed");
+        assert!(
+            b.throughput * back <= a.upper_bound * (1.0 + 1e-9),
+            "{name}"
+        );
+        assert!(
+            a.throughput <= b.upper_bound * back * (1.0 + 1e-9),
+            "{name}"
+        );
+        assert!(
+            b.gap() <= a.gap().max(opts.target_gap),
+            "{name}: gap {} against {}",
+            b.gap(),
+            a.gap()
+        );
+    }
+}
