@@ -41,21 +41,13 @@ fn group_by_source(commodities: &[Commodity]) -> Vec<SourceGroup> {
 }
 
 /// Solve max concurrent flow on `g` with the model FPTAS, on inputs the
-/// production entry points accept.
+/// production entry points accept; the answer and the unit its phases
+/// routed in.
 ///
 /// Semantics and certificates match [`production`]'s; only the
 /// execution strategy differs (no CSR, no parallelism, shortest paths
 /// recomputed inside the augmentation loop).
 fn max_concurrent_flow_graph(
-    g: &Graph,
-    commodities: &[Commodity],
-    opts: &FlowOptions,
-) -> Result<SolvedFlow, FlowError> {
-    max_concurrent_flow_graph_in_unit(g, commodities, opts).map(|(sol, _)| sol)
-}
-
-/// [`max_concurrent_flow_graph`] and the unit its phases routed in.
-fn max_concurrent_flow_graph_in_unit(
     g: &Graph,
     commodities: &[Commodity],
     opts: &FlowOptions,
@@ -297,7 +289,7 @@ fn reference_solves_cycle() {
     for v in 0..4 {
         g.add_unit_edge(v, (v + 1) % 4).unwrap();
     }
-    let s = max_concurrent_flow_graph(&g, &[Commodity::unit(0, 2)], &opts()).unwrap();
+    let (s, _) = max_concurrent_flow_graph(&g, &[Commodity::unit(0, 2)], &opts()).unwrap();
     assert!((s.throughput - 2.0).abs() < 0.06, "λ = {}", s.throughput);
     assert!(s.upper_bound >= s.throughput);
 }
@@ -320,7 +312,7 @@ fn reference_and_csr_agree() {
             demand: 2.0,
         },
     ];
-    let a = max_concurrent_flow_graph(&g, &cs, &opts()).unwrap();
+    let (a, _) = max_concurrent_flow_graph(&g, &cs, &opts()).unwrap();
     let b = production(&g, &cs, &opts()).unwrap();
     // both primal values lie under both dual bounds
     assert!(a.throughput <= b.upper_bound * (1.0 + 1e-9));
@@ -427,7 +419,7 @@ fn strict_reference_bitwise_matches_reference_on_50_seeded_graphs() {
     }
     for (name, g, cs, o) in &instances {
         let o = o.with_strict_reference(true);
-        let (model, unit) = max_concurrent_flow_graph_in_unit(g, cs, &o).unwrap();
+        let (model, unit) = max_concurrent_flow_graph(g, cs, &o).unwrap();
         assert_eq!(
             unit < 1.0,
             name.starts_with("dense"),
