@@ -29,9 +29,9 @@
 //! routes `s·d` for the power of two `s` nearest `2·u₀`, so λ* is about
 //! ½ in the phases' unit. λ and the bound stay in the caller's units
 //! (`gk.rs`). The loop takes no other estimate: the first phase's primal
-//! also fires on sparse hot-spot demand (0.0545 on `dcbench`'s
-//! `pairwise-solve` `hotspot:8` op), where it cost that workload 5.3 %
-//! of `mean_gap` for 0.8 % fewer settles.
+//! also fires on the sparse hot-spot demand of `dcbench`'s
+//! `pairwise-solve`, where it trades 0.5 % of the settles for 1.2 % more
+//! `mean_gap`.
 //! We track the best (smallest) dual bound seen and stop as soon as the
 //! certified primal/dual gap is below `target_gap`. The fast path
 //! evaluates the bound at two length functions — the last iterate every
