@@ -110,7 +110,7 @@ fn max_concurrent_flow_graph(
             // remaining demand to route for this group's sinks this phase
             let mut remaining: Vec<f64> = group.sinks.iter().map(|&(_, _, d)| d * unit).collect();
             // route until the group's phase demand is (essentially) done,
-            // leaving at most a 1e-12 of the unit per sink
+            // leaving at most 1e-12 of the unit per sink
             while remaining.iter().any(|&r| r > 1e-12 * unit) {
                 let tree = dijkstra(g, group.src, &length);
                 // accumulate load if all remaining demand were routed
