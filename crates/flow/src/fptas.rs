@@ -25,9 +25,9 @@
 //! of saturating steps and the loop stalls far below λ*. The bound the
 //! opening tree pass reads, `u₀ = D(l)/α(l)` at the opening lengths —
 //! flat on a cold start, the certificate's on a warm one, where `u₀ ≈
-//! λ*` — is handed to `gk::Core::normalise`; below 1/16 every phase
-//! routes `s·d` for the power of two `s` nearest `2·u₀`, so λ* is about
-//! ½ in the phases' unit. λ and the bound stay in the caller's units
+//! λ*` — is handed to `gk::Core::normalise`; outside `[1/4, 8]` every
+//! phase routes `s·d` for the power of two `s` nearest `2·u₀`, so λ* is
+//! about ½ in the phases' unit. λ and the bound stay in the caller's units
 //! (`gk.rs`). The loop takes no other estimate: the first phase's primal
 //! also fires on the sparse hot-spot demand of `dcbench`'s
 //! `pairwise-solve`, where it trades 0.5 % of the settles for 1.2 % more

@@ -40,10 +40,12 @@
 //!   demand once a phase is not — each length grows by about `e^(ε/λ*)`
 //!   a phase, so on dense demand (λ* ≪ 1) a phase is a long run of
 //!   saturating steps and the loop stalls far below λ*. A loop hands
-//!   its first estimate of λ* to [`Core::normalise`]; below
-//!   [`NORMALISE_BELOW`] every later phase routes `s·d` for the power of
-//!   two `s` nearest `estimate / UNIT_TARGET` (Garg–Könemann and
-//!   Fleischer scale demand so that λ* = Θ(1) first). Nothing else reads
+//!   its first estimate of λ* to [`Core::normalise`]; outside
+//!   [`KEEP_UNIT`] every later phase routes `s·d` for the power of two
+//!   `s` nearest `estimate / UNIT_TARGET` — below 1 for dense demand,
+//!   above 1 for sparse demand on large capacities, whose phases would
+//!   otherwise barely move the lengths (Garg–Könemann and Fleischer
+//!   scale demand so that λ* = Θ(1) first). Nothing else reads
 //!   `s`: λ is `routed/(μ·d)` and α is `Σ d·dist` over the flow routed
 //!   so far, which is in absolute units whatever unit each phase used,
 //!   and every stop rule compares ratios, so λ, the bound, the stall
@@ -80,13 +82,18 @@ use crate::{Commodity, FlowOptions, SolvedFlow};
 /// exceeds this, before overflow can corrupt the bound.
 pub(crate) const RESCALE_ABOVE: f64 = 1e100;
 
-/// A first estimate of λ* below this switches a loop to scaled units
-/// ([`Core::normalise`]). The pairwise solves of every benchmark
-/// workload but `sweep-grid` open at 0.58–1.25, and `aggregate-solve`'s
-/// first phase reads λ = 1/16 exactly, so they keep every bit; dense
-/// all-to-all demand with several servers per switch opens two to three
-/// orders lower.
-const NORMALISE_BELOW: f64 = 1.0 / 16.0;
+/// The first estimates of λ* that keep a loop in the caller's units
+/// ([`Core::normalise`]); one outside switches it to scaled units. The
+/// pairwise solves of every benchmark workload but `sweep-grid` open at
+/// 0.58–1.25, so they keep every bit; dense all-to-all demand with
+/// several servers per switch opens two to three orders lower, and
+/// `aggregate-solve`'s first phase reads λ = 1/16, so from phase 2 on
+/// it routes in a unit of 1/8. Both edges were
+/// chosen by measurement: a lower one anywhere in 0.3–0.5 moves
+/// `sweep-grid`, an upper one of 4 moves Fig. 1(a), and one of 16
+/// leaves some sparse solves stalled (`docs/PERF_NOTES.md`, *Scale-free
+/// demand*).
+const KEEP_UNIT: std::ops::RangeInclusive<f64> = 0.25..=8.0;
 
 /// The λ* a normalised phase aims at in its own units: `s` is the power
 /// of two nearest `estimate / UNIT_TARGET`.
@@ -262,14 +269,17 @@ impl<'n> Core<'n> {
     }
 
     /// Switch to scaled units if `estimate` — the loop's first estimate
-    /// of λ*, a bound or a primal it already has — is below
-    /// [`NORMALISE_BELOW`]: every later phase then routes `s·d`, `s` the
-    /// power of two nearest `estimate / UNIT_TARGET`. What was routed
-    /// before stays as it is (module docs). A core switches at most
-    /// once.
+    /// of λ*, a bound or a primal it already has — is positive, normal,
+    /// finite and outside [`KEEP_UNIT`]: every later phase then routes
+    /// `s·d`, `s` the power of two nearest `estimate / UNIT_TARGET`, at
+    /// most the largest finite one. What was routed before stays as it
+    /// is (module docs). A core switches at most once.
     pub(crate) fn normalise(&mut self, estimate: f64) {
-        if self.unit == 1.0 && (f64::MIN_POSITIVE..NORMALISE_BELOW).contains(&estimate) {
-            self.unit = nearest_power_of_two(estimate / UNIT_TARGET);
+        if self.unit == 1.0
+            && (f64::MIN_POSITIVE..=f64::MAX).contains(&estimate)
+            && !KEEP_UNIT.contains(&estimate)
+        {
+            self.unit = nearest_power_of_two(estimate / UNIT_TARGET).min(MAX_POWER_OF_TWO);
         }
     }
 
@@ -538,10 +548,13 @@ impl<'c> Pairwise<'c> {
     }
 }
 
+/// The largest finite power of two, `2^1023`.
+const MAX_POWER_OF_TWO: f64 = f64::from_bits(0x7fe0_0000_0000_0000);
+
 /// The power of two nearest `x` on a log scale, `x` positive and
 /// normal: `2^e` for `x = m·2^e`, `m ∈ [1, 2)`, or `2^(e+1)` once
 /// `m ≥ √2` — `2^e` read off the bits, so no libm call enters a
-/// trajectory.
+/// trajectory. Past `√2·2^1023`, and for `x = ∞`, that is `∞`.
 fn nearest_power_of_two(x: f64) -> f64 {
     const MANTISSA: u64 = (1 << 52) - 1;
     let power = f64::from_bits(x.to_bits() & !MANTISSA);
@@ -580,24 +593,40 @@ mod tests {
         }
     }
 
-    /// Only an estimate in `(0, 1/16)` switches the unit, to the power
-    /// of two nearest twice it, and only the first one does.
+    /// An estimate in `[1/4, 8]` keeps the caller's unit, and so does
+    /// one that is not a positive, normal, finite number; any other
+    /// switches it, down or up, to the power of two nearest twice the
+    /// estimate — finite even at `f64::MAX` — and only the first one
+    /// does.
     #[test]
-    fn normalise_switches_once_below_a_sixteenth() {
+    fn normalise_switches_once_outside_the_band() {
         let mut g = Graph::new(2);
         g.add_unit_edge(0, 1).unwrap();
         let net = CsrNet::from_graph(&g);
         let core = || Core::new(&net, Cong::Divide, None, 0.1, 1);
-        for estimate in [1.0 / 16.0, 0.5, 3.0, 0.0, -0.01, f64::NAN, 1e-310] {
+        let unit_at = |estimate: f64| {
             let mut c = core();
             c.normalise(estimate);
-            assert_eq!(c.unit(), 1.0, "estimate {estimate}");
+            c.unit()
+        };
+        let hostile = [f64::NAN, f64::INFINITY, -f64::INFINITY, 0.0, -0.01, 1e-310];
+        for estimate in [0.25, 0.5, 3.0, 8.0].into_iter().chain(hostile) {
+            assert_eq!(unit_at(estimate), 1.0, "estimate {estimate}");
         }
+        for (estimate, unit) in [(0.2, 0.5), (9.0, 16.0), (0.0059, 1.0 / 64.0)] {
+            assert_eq!(unit_at(estimate), unit, "estimate {estimate}");
+        }
+        let top = unit_at(f64::MAX);
+        assert!(top.is_finite() && top == nearest_power_of_two(top), "{top}");
+        assert_eq!(top, MAX_POWER_OF_TWO);
         let mut c = core();
         c.normalise(0.0059);
-        assert_eq!(c.unit(), 1.0 / 64.0);
         assert_eq!(c.residue(), RESIDUE / 64.0);
         c.normalise(1e-6);
         assert_eq!(c.unit(), 1.0 / 64.0, "a second estimate is ignored");
+        let mut c = core();
+        c.normalise(9.0);
+        c.normalise(0.0059);
+        assert_eq!(c.unit(), 16.0, "a second estimate is ignored");
     }
 }

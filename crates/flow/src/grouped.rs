@@ -36,9 +36,10 @@
 //!
 //! A phase starts every group at `frac_remaining = unit`: 1 in the
 //! first phase, and from the second on the power of two nearest twice
-//! the first phase's λ when that is below 1/16 (`gk::Core::normalise`),
-//! so a phase of dense demand routes about twice the `λ*·d` the network
-//! carries instead of hundreds of times it. The first phase's harvested
+//! the first phase's λ when that is outside `[1/4, 8]`
+//! (`gk::Core::normalise`), so a phase of dense demand routes about
+//! twice the `λ*·d` the network carries instead of hundreds of times it,
+//! and a phase of sparse demand enough to move the lengths. The first phase's harvested
 //! bound would be the natural estimate, but it is read at lengths the
 //! first phase has already blown up: on RRG(32, 10, 6) all-to-all-agg
 //! it is 0.10 against λ* = 0.0059, where the primal reads 0.0042.

@@ -454,8 +454,9 @@ mod tests {
 
     /// Hot-spot demand the opening bound misses: eight nodes of a
     /// chorded 16-ring send 16 units each to node 0. The restricted
-    /// bound at flat lengths reads 1/4, but the first phase's λ reads
-    /// 0.030, so every later phase routes a sixteenth of the demand and
+    /// bound at flat lengths reads 1/4, the low edge of the band that
+    /// keeps the caller's unit, but the first phase's λ reads 0.030, so
+    /// every later phase routes a sixteenth of the demand and
     /// the solve closes `fast()`'s gap in a dozen phases; routing all of
     /// it every phase stalls at a 24 % gap after 138.
     #[test]

@@ -151,9 +151,10 @@ pub struct FlowOptions {
     /// many consecutive phases (the primal is certified-feasible at all
     /// times, but a stall does not place the remaining gap on the dual
     /// side: a loop whose phases route far more than λ*·d stalls below
-    /// λ*, which is why every loop whose first estimate of λ* is below
-    /// 1/16 routes its phases in a scaled unit). Set to `max_phases` to
-    /// disable.
+    /// λ*, and one whose phases route far less barely moves the lengths,
+    /// which is why every loop whose first estimate of λ* is outside
+    /// `[1/4, 8]` routes its phases in a scaled unit). Set to
+    /// `max_phases` to disable.
     pub stall_phases: usize,
     /// Which [`Backend`] the pairwise entries ([`solve_with_cache`],
     /// [`solve_from`], [`certify_floor`]) dispatch to. The iterative

@@ -5,9 +5,9 @@
 //! This is the pre-CSR solver: single-threaded, nested-adjacency
 //! Dijkstra ([`dctopo::graph::paths::dijkstra`]), one shortest-path
 //! recomputation per inner augmentation step, the exact dual every
-//! eighth phase, and — where the opening bound puts λ* below 1/16 —
-//! every phase routing its demands times the power of two nearest twice
-//! that bound. The production loop shares no code with it, so a
+//! eighth phase, and — where the opening bound puts λ* outside
+//! `[1/4, 8]` — every phase routing its demands times the power of two
+//! nearest twice that bound. The production loop shares no code with it, so a
 //! change there that moves one float of the strict trajectory fails
 //! `strict_reference_bitwise_matches_reference_on_50_seeded_graphs`
 //! below.
@@ -77,7 +77,8 @@ fn max_concurrent_flow_graph(
 
     // reachability check up front (also seeds the first dual bound and
     // the unit: a phase routes `unit·d`, the power of two nearest twice
-    // the opening bound when that is below 1/16, so λ* is about ½ in it)
+    // the opening bound when that is outside [1/4, 8], so λ* is about ½
+    // in it)
     let mut best_dual = f64::INFINITY;
     let mut unit = 1.0f64;
     {
@@ -87,7 +88,7 @@ fn max_concurrent_flow_graph(
         if bound.is_finite() {
             best_dual = best_dual.min(bound);
         }
-        if bound > 0.0 && bound < 1.0 / 16.0 {
+        if bound.is_normal() && bound > 0.0 && !(0.25..=8.0).contains(&bound) {
             unit = 2f64.powi((2.0 * bound).log2().round() as i32);
         }
     }
@@ -374,26 +375,25 @@ fn nine_node_instance() -> (Graph, Vec<Commodity>) {
 }
 
 /// Dense demand on seeded graph `seed`: every ordered pair of its first
-/// eight nodes at demand 64, so the opening bound falls below 1/16 and
-/// the phases route in a scaled unit.
-fn dense_instance(seed: u64) -> (Graph, Vec<Commodity>) {
+/// eight nodes at `demand`, so the opening bound falls below 1/4 and the
+/// phases route in a scaled unit.
+fn dense_instance(seed: u64, demand: f64) -> (Graph, Vec<Commodity>) {
     let g = seeded_graph(seed);
     let nodes = g.node_count().min(8);
     let cs = (0..nodes)
         .flat_map(|s| (0..nodes).filter(move |&t| t != s).map(move |t| (s, t)))
-        .map(|(src, dst)| Commodity {
-            src,
-            dst,
-            demand: 64.0,
-        })
+        .map(|(src, dst)| Commodity { src, dst, demand })
         .collect();
     (g, cs)
 }
 
 /// The `strict_reference` trajectory reproduces the model bit for bit
-/// on 50 seeded graphs, the nine-node instance and four dense instances
-/// whose phases route in a scaled unit — λ, the bound, the phase count,
-/// every arc flow and every rate.
+/// on 50 seeded graphs, the nine-node instance, five dense instances and
+/// a sparse one whose phases route in a scaled unit — λ, the bound, the
+/// phase count, every arc flow and every rate. Of the seeded graphs,
+/// whose opening bounds lie between 2 and 25, some keep the caller's
+/// unit and some scale it up; one dense instance opens in `[1/16, 1/4)`
+/// and the sparse one, at demand 1/64, above 8.
 #[test]
 fn strict_reference_bitwise_matches_reference_on_50_seeded_graphs() {
     let short = FlowOptions {
@@ -403,28 +403,50 @@ fn strict_reference_bitwise_matches_reference_on_50_seeded_graphs() {
         stall_phases: 40,
         ..FlowOptions::default()
     };
-    let mut instances: Vec<(String, Graph, Vec<Commodity>, FlowOptions)> = (0..50u64)
+    // the name, the instance, its options and the unit its phases must
+    // route in (any, for the seeded graphs)
+    type Instance = (String, Graph, Vec<Commodity>, FlowOptions, Option<f64>);
+    let mut instances: Vec<Instance> = (0..50u64)
         .map(|seed| {
             let g = seeded_graph(seed);
             let n = g.node_count();
             let cs = (0..3).map(|i| Commodity::unit(i, n / 2 + i)).collect();
-            (format!("seed {seed}"), g, cs, short)
+            (format!("seed {seed}"), g, cs, short, None)
         })
         .collect();
     let (g, cs) = nine_node_instance();
-    instances.push(("nine nodes".into(), g, cs, opts()));
-    for seed in 0..4 {
-        let (g, cs) = dense_instance(seed);
-        instances.push((format!("dense seed {seed}"), g, cs, short));
+    instances.push(("nine nodes".into(), g, cs, opts(), Some(1.0)));
+    for (seed, unit) in [
+        (0, 1.0 / 256.0),
+        (1, 1.0 / 32.0),
+        (2, 1.0 / 32.0),
+        (3, 1.0 / 32.0),
+    ] {
+        let (g, cs) = dense_instance(seed, 64.0);
+        instances.push((format!("dense seed {seed}"), g, cs, short, Some(unit)));
     }
-    for (name, g, cs, o) in &instances {
+    // opening bound 0.16
+    let (g, cs) = dense_instance(1, 8.0);
+    instances.push(("dense seed 1 at 8".into(), g, cs, short, Some(0.25)));
+    // opening bound 1,140
+    let g = seeded_graph(1);
+    let n = g.node_count();
+    let cs = (0..3)
+        .map(|i| Commodity {
+            src: i,
+            dst: n / 2 + i,
+            demand: 1.0 / 64.0,
+        })
+        .collect();
+    instances.push(("sparse seed 1".into(), g, cs, short, Some(2048.0)));
+    let mut seeded_units = Vec::new();
+    for (name, g, cs, o, expected) in &instances {
         let o = o.with_strict_reference(true);
         let (model, unit) = max_concurrent_flow_graph(g, cs, &o).unwrap();
-        assert_eq!(
-            unit < 1.0,
-            name.starts_with("dense"),
-            "{name}: routed in unit {unit}"
-        );
+        match expected {
+            Some(expected) => assert_eq!(unit, *expected, "{name}: routed in unit {unit}"),
+            None => seeded_units.push(unit),
+        }
         let strict = production(g, cs, &o).unwrap();
         assert_eq!(
             model.throughput.to_bits(),
@@ -444,4 +466,5 @@ fn strict_reference_bitwise_matches_reference_on_50_seeded_graphs() {
             assert_eq!(x.to_bits(), y.to_bits(), "{name}");
         }
     }
+    assert!(seeded_units.contains(&1.0) && seeded_units.iter().any(|&u| u > 1.0));
 }

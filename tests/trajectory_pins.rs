@@ -34,14 +34,14 @@
 //! more when every loop began routing dense demand in a power-of-two
 //! unit scaled to its first estimate of λ* (`flow::gk`, `Core::normalise`):
 //! these three are all-to-all with several servers per switch, and the
-//! grouped loop reads a first-phase λ under 1/16 on each, so from phase 2
-//! on a phase routes about twice what the network carries instead of
-//! hundreds of times it. Their certified gaps closed from 39.6 / 47.3 /
-//! 49.7 % to 2.8 / 2.2 / 2.7 %, in 1,905 / 2,076 / 1,775 short phases and
-//! 1.8 / 2.3 / 1.3 M settles against 152 / 164 / 318 phases and
-//! 5.6 / 10.7 / 8.1 M. Every other row opens above 1/16 and kept its
-//! bits. No strict, KSP or `grouped-list` row has moved since the first
-//! capture.
+//! grouped loop reads a first-phase λ far under 1/4 on each, so from
+//! phase 2 on a phase routes about twice what the network carries
+//! instead of hundreds of times it. Their certified gaps closed from
+//! 39.6 / 47.3 / 49.7 % to 2.8 / 2.2 / 2.7 %, in 1,905 / 2,076 / 1,775
+//! short phases and 1.8 / 2.3 / 1.3 M settles against 152 / 164 / 318
+//! phases and 5.6 / 10.7 / 8.1 M. Every other row opens inside `[1/4, 8]`,
+//! the band that keeps the caller's unit, and has kept its bits. No
+//! strict, KSP or `grouped-list` row has moved since the first capture.
 //!
 //! The third instance runs on a `with_scaled_capacity(1.5)` view:
 //! `x / 1.5` and `x * (1 / 1.5)` differ in the last place, so a solver
