@@ -164,7 +164,7 @@ fn aggregate_profile_trace_matches_the_pre_swap_trajectory() {
                 "solve groups {} phases {}{} settles {}\n",
                 count("groups"),
                 count("phases"),
-                bits(&["lambda", "upper_bound"]),
+                bits(&["lambda", "upper_bound", "unit"]),
                 count("settles")
             ),
             other => panic!("unexpected trace event {other:?}"),
