@@ -132,7 +132,11 @@ fn figures_match_the_goldens_at_every_width() {
 /// The final harvest then moved to the sinks' side (8 reverse trees in
 /// place of 504 forward ones): the twelve `phase` lines and λ stayed,
 /// settles fell to 3,192,320, and only the last bits of the harvest's
-/// α, its bound and `upper_bound` were re-pinned.
+/// α, its bound and `upper_bound` were re-pinned. Then the phase unit
+/// became two-sided (`flow::gk`, `KEEP_UNIT`): phase 1's λ of exactly
+/// 1/16 lies outside `[1/4, 8]`, so phases 2–12 route at unit ⅛, which
+/// the solve line now pins; phase 1 kept its bits, λ fell 0.063439 →
+/// 0.063295, the bound 0.064493 → 0.063885 and settles to 3,104,256.
 #[test]
 fn aggregate_profile_trace_matches_the_pre_swap_trajectory() {
     let path = format!("{}/profile_agg_trace.jsonl", env!("CARGO_TARGET_TMPDIR"));
