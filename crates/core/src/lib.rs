@@ -50,8 +50,7 @@ pub use dctopo_obs as obs;
 pub use packet::{CoValidation, PacketError, PacketParams, RoutingMode};
 pub use scenario::{AppliedScenario, Degradation, Scenario};
 pub use solve::{
-    aggregate_groups, solve_throughput, AggregateThroughputResult, Decomposition, ThroughputEngine,
-    ThroughputResult,
+    aggregate_groups, solve_throughput, Decomposition, ThroughputEngine, ThroughputResult,
 };
 pub use sweep::{
     BackendChoice, CellMetrics, ErrorKindCount, ErrorSummary, SpecError, SweepCell, SweepReport,

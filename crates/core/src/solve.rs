@@ -28,7 +28,8 @@ use dctopo_traffic::{AggregatePattern, AggregateTraffic, TrafficMatrix};
 use crate::ladder::hop_alpha;
 use crate::scenario::AppliedScenario;
 
-/// Result of [`solve_throughput`].
+/// Result of [`solve_throughput`] and every [`ThroughputEngine`] solve,
+/// pair list or aggregated traffic alike.
 #[derive(Debug, Clone)]
 pub struct ThroughputResult {
     /// The paper's throughput: minimum per-flow rate, capped at the NIC
@@ -39,13 +40,16 @@ pub struct ThroughputResult {
     pub network_lambda: f64,
     /// Certified upper bound on the optimal network λ.
     pub network_upper_bound: f64,
-    /// The NIC cap `1 / max(flows per server NIC)`.
+    /// The NIC cap `1 / max(flows per server NIC)` (for aggregated
+    /// traffic, the analytic [`AggregateTraffic::nic_limit`]).
     pub nic_limit: f64,
     /// The switch-level commodities that were solved (deterministic
-    /// `(src, dst)` order).
+    /// `(src, dst)` order); empty for an aggregated solve
+    /// ([`ThroughputEngine::solve_aggregate`]), which never lists them.
     pub commodities: Vec<Commodity>,
     /// The underlying flow solution (`None` when all traffic was
-    /// switch-local and no network solve was needed).
+    /// switch-local and no network solve was needed). An aggregated
+    /// solve's holds one rate factor per demand group.
     pub solved: Option<SolvedFlow>,
 }
 
@@ -64,10 +68,14 @@ impl ThroughputResult {
     /// divided by their total demand — the same definition the screening
     /// ladder bounds λ with.
     ///
-    /// `None` when there was no network solve, or when a commodity is
-    /// disconnected on `net`.
+    /// `None` when there was no network solve, when it was aggregated
+    /// (no commodities to weigh), or when a commodity is disconnected on
+    /// `net`.
     pub fn decomposition(&self, net: &CsrNet) -> Option<Decomposition> {
         let solved = self.solved.as_ref()?;
+        if self.commodities.is_empty() {
+            return None;
+        }
         let alpha = hop_alpha(net, &self.commodities);
         if alpha.is_infinite() {
             return None;
@@ -243,23 +251,6 @@ pub fn aggregate_groups(topo: &Topology, traffic: &AggregateTraffic) -> Vec<Dema
     }
 }
 
-/// Result of [`ThroughputEngine::solve_aggregate`]: the grouped-demand
-/// analogue of [`ThroughputResult`].
-#[derive(Debug, Clone)]
-pub struct AggregateThroughputResult {
-    /// Throughput capped at the analytic NIC limit.
-    pub throughput: f64,
-    /// Network-only concurrent flow value λ.
-    pub network_lambda: f64,
-    /// Certified upper bound on the optimal network λ.
-    pub network_upper_bound: f64,
-    /// The analytic NIC cap ([`AggregateTraffic::nic_limit`]).
-    pub nic_limit: f64,
-    /// The underlying grouped flow, one rate factor per demand group
-    /// (`None` when all demand was switch-local).
-    pub solved: Option<SolvedFlow>,
-}
-
 /// A topology preprocessed for repeated throughput solves.
 ///
 /// Builds the switch graph's [`CsrNet`] once and owns a
@@ -380,7 +371,7 @@ impl<'t> ThroughputEngine<'t> {
         floor: f64,
     ) -> Result<ThroughputResult, FlowError> {
         let (commodities, nic, flows) = self.demand(tm);
-        lowered(commodities, nic, flows, |cs| {
+        lowered(commodities, &[], nic, flows, |cs| {
             dctopo_flow::certify_floor(net, cs, opts, &self.cache, floor)
         })
     }
@@ -448,7 +439,7 @@ impl<'t> ThroughputEngine<'t> {
         opts: &FlowOptions,
         warm: &[f64],
     ) -> Result<ThroughputResult, FlowError> {
-        lowered(commodities, nic, flows, |cs| {
+        lowered(commodities, &[], nic, flows, |cs| {
             dctopo_flow::solve_from(net, cs, opts, &self.cache, warm)
         })
     }
@@ -456,7 +447,8 @@ impl<'t> ThroughputEngine<'t> {
     /// Solve an [`AggregateTraffic`] pattern through the grouped-demand
     /// FPTAS ([`dctopo_flow::solve_grouped`]): the scale path for dense
     /// matrices, `O(arcs + switches)` memory end to end where the
-    /// pair-list path is `Θ(servers²)`.
+    /// pair-list path is `Θ(servers²)`. The result lists no
+    /// `commodities` and has no [`ThroughputResult::decomposition`].
     ///
     /// # Errors
     /// As [`ThroughputEngine::solve`] (notably
@@ -465,35 +457,24 @@ impl<'t> ThroughputEngine<'t> {
         &self,
         traffic: &AggregateTraffic,
         opts: &FlowOptions,
-    ) -> Result<AggregateThroughputResult, FlowError> {
+    ) -> Result<ThroughputResult, FlowError> {
         let groups = aggregate_groups(self.topo, traffic);
-        let nic = traffic.nic_limit();
-        if groups.is_empty() {
-            // all demand is intra-switch: NIC-limited only
-            return Ok(AggregateThroughputResult {
-                throughput: nic.min(1.0),
-                network_lambda: f64::INFINITY,
-                network_upper_bound: f64::INFINITY,
-                nic_limit: nic,
-                solved: None,
-            });
-        }
-        let solved = dctopo_flow::solve_grouped(&self.net, &groups, opts)?;
-        Ok(AggregateThroughputResult {
-            throughput: solved.throughput.min(nic),
-            network_lambda: solved.throughput,
-            network_upper_bound: solved.upper_bound,
-            nic_limit: nic,
-            solved: Some(solved),
+        // an aggregated pattern always has flows, so only the NIC and
+        // network results are reachable
+        let flows = usize::try_from(traffic.flow_count()).unwrap_or(usize::MAX);
+        lowered(Vec::new(), &groups, traffic.nic_limit(), flows, |_| {
+            dctopo_flow::solve_grouped(&self.net, &groups, opts)
         })
     }
 }
 
-/// The result of solving `commodities` — lowered with NIC cap `nic`
-/// from `flows` server flows — with `solve`, which runs only when the
-/// network has something to carry.
+/// The result of solving a switch-level demand — `commodities` or
+/// aggregated `groups`, the other one empty — lowered with NIC cap
+/// `nic` from `flows` server flows, with `solve`, which runs only when
+/// the network has something to carry.
 fn lowered(
     commodities: Vec<Commodity>,
+    groups: &[DemandGroup],
     nic: f64,
     flows: usize,
     solve: impl FnOnce(&[Commodity]) -> Result<SolvedFlow, FlowError>,
@@ -513,7 +494,7 @@ fn lowered(
             solved: None,
         });
     }
-    if commodities.is_empty() {
+    if commodities.is_empty() && groups.is_empty() {
         // all traffic is intra-switch: NIC-limited only
         return Ok(ThroughputResult {
             throughput: nic.min(1.0),
@@ -951,6 +932,10 @@ mod aggregate_tests {
         // Theorem 1 binds the grouped solve like any other
         let hop = hop_throughput_bound(engine.net(), &aggregate_commodities(&topo, &tm));
         assert!(gr.network_lambda <= hop * (1.0 + 1e-9));
+        // an aggregated solve lists no commodities, so it has no
+        // decomposition rather than NaN factors
+        assert!(gr.commodities.is_empty() && gr.solved.is_some());
+        assert!(gr.decomposition(engine.net()).is_none());
     }
 
     #[test]

@@ -7,19 +7,23 @@
 //!
 //! | backend | algorithm | role |
 //! |---|---|---|
-//! | [`Backend::Fptas`] | parallel Garg–Könemann / Fleischer (the pairwise loop in `fptas`) | production path |
+//! | [`Backend::Fptas`] | parallel Garg–Könemann / Fleischer (the pairwise loop in `fptas`, the aggregated one in `grouped`) | production path |
 //! | [`Backend::ExactLp`] | path LP by column generation via `dctopo-linprog` (`exact`) | ground truth on small instances |
 //! | [`Backend::KspRestricted`] | multiplicative weights on frozen k-shortest path sets (`ksp`) | practical-routing model (§8) |
 //!
-//! Every pairwise solve goes through one private dispatch, the only
-//! place a backend is chosen; [`solve_with_cache`], [`solve_from`] and
-//! [`certify_floor`] are that dispatch with a cold start, a warm start
-//! and a floor stop.
+//! Every solve of either demand shape — a commodity list or
+//! [`DemandGroup`]s — goes through one private dispatch, the only place
+//! a loop is chosen and a demand validated. [`solve_with_cache`],
+//! [`solve_from`] and [`certify_floor`] are that dispatch with a cold
+//! start, a warm start and a floor stop; [`solve_grouped`] is the cold
+//! start on demand groups, and [`max_concurrent_flow_warm`] the warm
+//! start in the shape the benchmark's probe calls.
 
 use dctopo_graph::CsrNet;
 
 use crate::cache::PathSetCache;
-use crate::{Commodity, FlowError, FlowOptions, SolvedFlow};
+use crate::grouped::DemandGroup;
+use crate::{validate_opts, Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// Value-level backend selector carried inside [`FlowOptions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,36 +43,80 @@ pub enum Backend {
     },
 }
 
-impl Backend {
-    /// The backend's short stable name (used in logs and benchmark
-    /// output).
-    pub fn name(self) -> &'static str {
+/// The demand one solve routes: a commodity list, or aggregated demand
+/// groups.
+#[derive(Clone, Copy)]
+enum Demand<'d> {
+    Pairs(&'d [Commodity]),
+    Groups(&'d [DemandGroup]),
+}
+
+impl Demand<'_> {
+    fn is_empty(self) -> bool {
         match self {
-            Backend::Fptas => "fptas",
-            Backend::ExactLp => "exact-lp",
-            Backend::KspRestricted { .. } => "ksp",
+            Demand::Pairs(cs) => cs.is_empty(),
+            Demand::Groups(gs) => gs.is_empty(),
+        }
+    }
+
+    /// Check every item, in input order, against a net of `n` nodes.
+    fn check_items(self, n: usize) -> Result<(), FlowError> {
+        match self {
+            Demand::Pairs(cs) => (cs.iter().enumerate()).try_for_each(|(i, c)| c.check(i, n)),
+            Demand::Groups(gs) => (gs.iter().enumerate()).try_for_each(|(i, g)| g.check(i, n)),
         }
     }
 }
 
-/// The one backend dispatch. `cache` serves [`Backend::KspRestricted`]'s
-/// frozen path sets; `warm` is the opener of the FPTAS fast path (the
-/// strict trajectory ignores it); `floor` adds the floor stop to the
-/// iterative loops. [`Backend::ExactLp`] uses none of the three.
+/// The one dispatch: its one `match` picks the loop for each (backend,
+/// shape) pair and refuses by name the pairs no loop serves. It
+/// validates once, in this order: empty input, the refusal, the options,
+/// then each item (`valid`, run by every served arm). `cache` serves
+/// [`Backend::KspRestricted`]'s frozen path sets; `warm` is the opener
+/// of the FPTAS fast path (the strict trajectory ignores it); `floor`
+/// adds the floor stop to the pairwise loops. [`Backend::ExactLp`] uses
+/// none of the three, and demand groups arrive only cold and without a
+/// floor ([`solve_grouped`]).
 fn dispatch(
     net: &CsrNet,
-    commodities: &[Commodity],
+    demand: Demand<'_>,
     opts: &FlowOptions,
     cache: &PathSetCache,
     warm: &[f64],
     floor: Option<f64>,
 ) -> Result<SolvedFlow, FlowError> {
-    match opts.backend {
-        Backend::Fptas => crate::fptas::pairwise(net, commodities, opts, warm, floor),
-        Backend::KspRestricted { k } => {
-            crate::ksp::solve_ksp(net, commodities, k, opts, cache, floor)
+    if demand.is_empty() {
+        return Err(FlowError::NoCommodities);
+    }
+    let refused = |name: &str| {
+        Err(FlowError::BadOptions(format!(
+            "aggregated demand is solved by the default FPTAS only, not by backend {name}"
+        )))
+    };
+    let valid = || {
+        validate_opts(opts)?;
+        demand.check_items(net.node_count())
+    };
+    match (opts.backend, demand) {
+        (Backend::Fptas, Demand::Pairs(cs)) => {
+            valid()?;
+            crate::fptas::pairwise(net, cs, opts, warm, floor)
         }
-        Backend::ExactLp => crate::exact::exact_solved_flow(net, commodities, opts),
+        (Backend::KspRestricted { k }, Demand::Pairs(cs)) => {
+            valid()?;
+            crate::ksp::solve_ksp(net, cs, k, opts, cache, floor)
+        }
+        (Backend::ExactLp, Demand::Pairs(cs)) => {
+            valid()?;
+            crate::exact::exact_solved_flow(net, cs, opts)
+        }
+        (Backend::Fptas, Demand::Groups(gs)) if !opts.strict_reference => {
+            valid()?;
+            crate::grouped::solve(net, gs, opts, |_, _| {})
+        }
+        (Backend::Fptas, Demand::Groups(_)) => refused("fptas-strict"),
+        (Backend::ExactLp, Demand::Groups(_)) => refused("exact"),
+        (Backend::KspRestricted { k }, Demand::Groups(_)) => refused(&format!("ksp:{k}")),
     }
 }
 
@@ -89,7 +137,7 @@ pub fn solve_with_cache(
     opts: &FlowOptions,
     cache: &PathSetCache,
 ) -> Result<SolvedFlow, FlowError> {
-    dispatch(net, commodities, opts, cache, &[], None)
+    dispatch(net, Demand::Pairs(commodities), opts, cache, &[], None)
 }
 
 /// [`solve_with_cache`] warm-started from `warm`, the
@@ -119,7 +167,7 @@ pub fn solve_from(
     cache: &PathSetCache,
     warm: &[f64],
 ) -> Result<SolvedFlow, FlowError> {
-    dispatch(net, commodities, opts, cache, warm, None)
+    dispatch(net, Demand::Pairs(commodities), opts, cache, warm, None)
 }
 
 /// [`solve_with_cache`] for a caller that reads the answer only through
@@ -143,7 +191,70 @@ pub fn certify_floor(
     cache: &PathSetCache,
     floor: f64,
 ) -> Result<SolvedFlow, FlowError> {
-    dispatch(net, commodities, opts, cache, &[], Some(floor))
+    dispatch(
+        net,
+        Demand::Pairs(commodities),
+        opts,
+        cache,
+        &[],
+        Some(floor),
+    )
+}
+
+/// Solve max concurrent flow for aggregated demand groups: the cold
+/// solve of `groups`, on the default [`Backend::Fptas`] fast path only.
+///
+/// Same guarantees as the pairwise fast path — feasible `throughput`,
+/// certified `upper_bound`, bit-identical across thread counts — with
+/// working memory `O(arcs + nodes)` instead of `O(n²)`. The answer's
+/// [`SolvedFlow::commodity_rate`] holds one rate factor per group, its
+/// [`SolvedFlow::commodity_arc_flow`] is `None`, and
+/// [`SolvedFlow::certify_groups`] re-derives it.
+///
+/// # Errors
+///
+/// * [`FlowError::Unreachable`] if any group has a positive-demand
+///   sink outside its source's component.
+/// * [`FlowError::BadOptions`] naming the backend as `--backend` spells
+///   it (`fptas-strict`, `exact`, `ksp:<k>`) when `opts` selects
+///   anything but the default [`Backend::Fptas`] fast path.
+/// * Validation errors for empty/invalid inputs (see [`FlowError`]).
+pub fn solve_grouped(
+    net: &CsrNet,
+    groups: &[DemandGroup],
+    opts: &FlowOptions,
+) -> Result<SolvedFlow, FlowError> {
+    dispatch(
+        net,
+        Demand::Groups(groups),
+        opts,
+        &PathSetCache::new(),
+        &[],
+        None,
+    )
+}
+
+/// [`solve_from`] with a fresh cache, in the shape the benchmark's warm
+/// probe calls: `None` is cold, and the certificate's `dual_lengths`
+/// come back beside the solve for the next call.
+///
+/// # Errors
+/// As [`solve_with_cache`].
+pub fn max_concurrent_flow_warm(
+    net: &CsrNet,
+    commodities: &[Commodity],
+    opts: &FlowOptions,
+    warm: Option<&Vec<f64>>,
+) -> Result<(SolvedFlow, Vec<f64>), FlowError> {
+    let sol = solve_from(
+        net,
+        commodities,
+        opts,
+        &PathSetCache::new(),
+        warm.map_or(&[], Vec::as_slice),
+    )?;
+    let lengths = sol.dual_lengths.clone();
+    Ok((sol, lengths))
 }
 
 #[cfg(test)]
@@ -161,14 +272,6 @@ mod tests {
 
     fn cold(net: &CsrNet, cs: &[Commodity], opts: &FlowOptions) -> SolvedFlow {
         solve_with_cache(net, cs, opts, &PathSetCache::new()).unwrap()
-    }
-
-    #[test]
-    fn backend_names_stable() {
-        assert_eq!(Backend::Fptas.name(), "fptas");
-        assert_eq!(Backend::ExactLp.name(), "exact-lp");
-        assert_eq!(Backend::KspRestricted { k: 4 }.name(), "ksp");
-        assert_eq!(Backend::default(), Backend::Fptas);
     }
 
     #[test]
@@ -219,15 +322,54 @@ mod tests {
         for b in backends {
             let opts = FlowOptions::default().with_backend(b);
             let s = cold(&net, &cs, &opts);
-            assert!(s.throughput > 1.5, "{}: λ = {}", b.name(), s.throughput);
+            assert!(s.throughput > 1.5, "{b:?}: λ = {}", s.throughput);
             let warm = solve_from(&net, &cs, &opts, &PathSetCache::new(), &[]).unwrap();
             assert_eq!(warm.throughput.to_bits(), s.throughput.to_bits());
-            assert_eq!(warm.phases, s.phases, "{}", b.name());
+            assert_eq!(warm.phases, s.phases, "{b:?}");
             for floor in [1.0, 3.0] {
                 let f = certify_floor(&net, &cs, &opts, &PathSetCache::new(), floor).unwrap();
-                assert_eq!(f.throughput >= floor, s.throughput >= floor, "{}", b.name());
-                assert!(f.throughput <= s.throughput, "{}", b.name());
+                assert_eq!(f.throughput >= floor, s.throughput >= floor, "{b:?}");
+                assert!(f.throughput <= s.throughput, "{b:?}");
             }
         }
+    }
+
+    /// The dispatch refuses bad input before any loop runs, in one
+    /// order: empty input, then the options, then each commodity.
+    #[test]
+    fn validation_catches_bad_inputs() {
+        let mut g = Graph::new(2);
+        g.add_unit_edge(0, 1).unwrap();
+        let net = CsrNet::from_graph(&g);
+        let solve = |cs: &[Commodity], o: &FlowOptions| {
+            solve_with_cache(&net, cs, o, &PathSetCache::new()).map(|s| s.throughput)
+        };
+        let opts = FlowOptions::default();
+        let bad = FlowOptions {
+            epsilon: 0.0,
+            ..opts
+        };
+        assert_eq!(solve(&[], &bad), Err(FlowError::NoCommodities));
+        let negative = Commodity {
+            src: 0,
+            dst: 1,
+            demand: -1.0,
+        };
+        assert!(matches!(
+            solve(&[negative], &opts),
+            Err(FlowError::BadDemand { .. })
+        ));
+        assert!(matches!(
+            solve(&[Commodity::unit(1, 1)], &opts),
+            Err(FlowError::SelfCommodity { .. })
+        ));
+        assert!(matches!(
+            solve(&[Commodity::unit(0, 9)], &opts),
+            Err(FlowError::Graph(_))
+        ));
+        assert!(matches!(
+            solve(&[negative], &bad),
+            Err(FlowError::BadOptions(_))
+        ));
     }
 }

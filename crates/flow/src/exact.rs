@@ -22,7 +22,7 @@ use dctopo_graph::csr::DijkstraWorkspace;
 use dctopo_graph::{ArcId, CsrNet};
 use dctopo_linprog::{LinearProgram, LpError};
 
-use crate::{validate, Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow};
+use crate::{Commodity, FlowError, FlowOptions, PathSetCache, SolvedFlow};
 
 /// Upper bound on the master's rows × tableau columns (a slack per row,
 /// `λ` and the pooled paths) — what the simplex pays for, per pivot and
@@ -59,15 +59,12 @@ const MAX_GAP: f64 = 1e-6;
 /// [`MAX_TABLEAU_CELLS`] (the message names its rows and columns), the
 /// simplex fails or the answer's gap exceeds [`MAX_GAP`];
 /// [`FlowError::Unreachable`] for a disconnected commodity (from the
-/// seed freeze); validation errors as usual.
+/// seed freeze). The dispatch has validated the input.
 pub fn exact_solved_flow(
     net: &CsrNet,
     commodities: &[Commodity],
     opts: &FlowOptions,
 ) -> Result<SolvedFlow, FlowError> {
-    // validation shared with the FPTAS (iterative knobs are ignored here
-    // but still range-checked for interface uniformity)
-    validate(net.node_count(), commodities, opts)?;
     let (k, m) = (commodities.len(), net.arc_count());
     let guard = |paths: usize| {
         let (rows, cols) = (m + k, m + k + 1 + paths);

@@ -110,7 +110,7 @@ use dctopo_obs as obs;
 use rayon::prelude::*;
 
 use crate::gk::{Cong, Core, Pairwise, Stop, RESCALE_ABOVE};
-use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
+use crate::{Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// Minimum `source groups × arcs` before a multi-tree pass fans out on
 /// rayon; below this, even a pool dispatch costs more than the pass.
@@ -358,9 +358,9 @@ fn group_by_source(commodities: &[Commodity], n: usize) -> Vec<GroupState> {
     groups
 }
 
-/// The [`crate::Backend::Fptas`] arm of the backend dispatch: solve on
-/// `net` for `commodities` with the phase-parallel FPTAS — the
-/// incremental fast path, opened on `warm` when it is a usable
+/// The [`crate::Backend::Fptas`] arm of the backend dispatch, which has
+/// validated `commodities` and `opts`: solve on `net` with the
+/// phase-parallel FPTAS — the incremental fast path, opened on `warm` when it is a usable
 /// certificate's lengths ([`crate::solve_from`]), or the strict
 /// trajectory when [`FlowOptions::strict_reference`] is set (which never
 /// warm-starts) — stopped as soon as `λ ≥ floor` is certified either way
@@ -372,34 +372,8 @@ pub(crate) fn pairwise(
     warm: &[f64],
     floor: Option<f64>,
 ) -> Result<SolvedFlow, FlowError> {
-    validate(net.node_count(), commodities, opts)?;
     let ladder = (!opts.strict_reference).then(|| Ladder::new(net, warm));
     solve_pairwise(net, commodities, opts, ladder, floor)
-}
-
-/// [`crate::solve_from`] in the shape the benchmark's warm probe calls,
-/// for the default FPTAS: `None` is cold, and the certificate's
-/// `dual_lengths` come back beside the solve for the next call. It
-/// exists only for that probe; everything else calls
-/// [`crate::solve_from`].
-///
-/// # Errors
-/// As [`crate::solve_with_cache`].
-pub fn max_concurrent_flow_warm(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    opts: &FlowOptions,
-    warm: Option<&Vec<f64>>,
-) -> Result<(SolvedFlow, Vec<f64>), FlowError> {
-    let sol = pairwise(
-        net,
-        commodities,
-        opts,
-        warm.map_or(&[], Vec::as_slice),
-        None,
-    )?;
-    let lengths = sol.dual_lengths.clone();
-    Ok((sol, lengths))
 }
 
 /// The pairwise phase loop. `ladder: None` is the strict trajectory and
@@ -1146,7 +1120,7 @@ mod tests {
         let cs: Vec<Commodity> = (0..6).map(|v| Commodity::unit(v, (v + 5) % 12)).collect();
         let o = opts();
         let cold = pairwise(&net, &cs, &o, &[], None).unwrap();
-        let (none, lengths) = max_concurrent_flow_warm(&net, &cs, &o, None).unwrap();
+        let (none, lengths) = crate::max_concurrent_flow_warm(&net, &cs, &o, None).unwrap();
         let cache = crate::PathSetCache::new();
         let empty = crate::solve_from(&net, &cs, &o, &cache, &[]).unwrap();
         // wrong arc space → degrade to cold

@@ -95,9 +95,7 @@ use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 
 use crate::gk::{Cong, Core, Stop};
-use crate::{
-    demand_in_range, node_in_range, validate_opts, Backend, FlowError, FlowOptions, SolvedFlow,
-};
+use crate::{demand_in_range, node_in_range, FlowError, FlowOptions, SolvedFlow};
 
 /// One source and its aggregated sinks — the grouped analogue of a run
 /// of [`crate::Commodity`] entries sharing a `src`: demand `scale ·
@@ -150,10 +148,41 @@ impl DemandGroup {
         self.for_each_sink(|_, _| k += 1);
         k
     }
+
+    /// Check this group, the `index`-th of a solve on a net of `n`
+    /// nodes: its source on the net, one finite non-negative weight per
+    /// node, and every sink's demand `scale · w` (which also refuses a
+    /// bad `scale`) and the group's total in [`crate::MIN_DEMAND`,
+    /// [`crate::MAX_DEMAND`]]; no sinks is a total of zero.
+    pub(crate) fn check(&self, index: usize, n: usize) -> Result<(), FlowError> {
+        node_in_range(self.src, n)?;
+        if self.weights.len() != n {
+            return Err(FlowError::BadOptions(format!(
+                "group {index}: weight vector has {} entries, net has {n} nodes",
+                self.weights.len()
+            )));
+        }
+        if self.weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
+            return Err(FlowError::BadOptions(format!(
+                "group {index}: weights must be finite and non-negative"
+            )));
+        }
+        let (mut total, mut out_of_range) = (0.0f64, None);
+        self.for_each_sink(|_, d| {
+            total += d;
+            if !demand_in_range(d) {
+                out_of_range = out_of_range.or(Some(d));
+            }
+        });
+        match out_of_range.or((!demand_in_range(total)).then_some(total)) {
+            Some(demand) => Err(FlowError::BadDemand { index, demand }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl SolvedFlow {
-    /// Re-derive a [`solve_grouped`] certificate, solved on `net` for
+    /// Re-derive a [`crate::solve_grouped`] certificate, solved on `net` for
     /// `groups`, with [`certify::check`]: every sink of group `g` is one
     /// commodity at rate `commodity_rate[g] · demand`. Returns the
     /// re-derived bound.
@@ -181,93 +210,17 @@ impl SolvedFlow {
     }
 }
 
-fn validate_grouped(
-    node_count: usize,
-    groups: &[DemandGroup],
-    opts: &FlowOptions,
-) -> Result<(), FlowError> {
-    if groups.is_empty() {
-        return Err(FlowError::NoCommodities);
-    }
-    // the one loop here is the fast FPTAS's: a backend or trajectory it
-    // cannot follow is refused, not silently ignored
-    let refused = match (opts.backend, opts.strict_reference) {
-        (Backend::Fptas, false) => None,
-        (Backend::Fptas, true) => Some("fptas-strict".to_string()),
-        (Backend::KspRestricted { k }, _) => Some(format!("ksp:{k}")),
-        (Backend::ExactLp, _) => Some(Backend::ExactLp.name().to_string()),
-    };
-    if let Some(name) = refused {
-        return Err(FlowError::BadOptions(format!(
-            "aggregated demand is solved by the default FPTAS only, not by backend {name}"
-        )));
-    }
-    validate_opts(opts)?;
-    for (gi, g) in groups.iter().enumerate() {
-        node_in_range(g.src, node_count)?;
-        if g.weights.len() != node_count {
-            return Err(FlowError::BadOptions(format!(
-                "group {gi}: weight vector has {} entries, net has {node_count} nodes",
-                g.weights.len()
-            )));
-        }
-        if g.weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return Err(FlowError::BadOptions(format!(
-                "group {gi}: weights must be finite and non-negative"
-            )));
-        }
-        // every sink's demand `scale · w` (which also refuses a bad
-        // `scale`) and the group's total lie in [MIN_DEMAND,
-        // MAX_DEMAND]; no sinks is a total of zero
-        let (mut total, mut out_of_range) = (0.0f64, None);
-        g.for_each_sink(|_, d| {
-            total += d;
-            if !demand_in_range(d) {
-                out_of_range = out_of_range.or(Some(d));
-            }
-        });
-        if let Some(demand) = out_of_range.or((!demand_in_range(total)).then_some(total)) {
-            return Err(FlowError::BadDemand { index: gi, demand });
-        }
-    }
-    Ok(())
-}
-
-/// Solve max concurrent flow for aggregated demand groups.
-///
-/// Same guarantees as the pairwise [`crate::Backend::Fptas`] — feasible
-/// `throughput`, certified `upper_bound`, bit-identical across thread
-/// counts — with working memory `O(arcs + nodes)` instead of `O(n²)`.
-/// The answer's [`SolvedFlow::commodity_rate`] holds one rate factor
-/// per group and its [`SolvedFlow::commodity_arc_flow`] is `None`. See
-/// the module docs for the algorithm.
-///
-/// # Errors
-///
-/// * [`FlowError::Unreachable`] if any group has a positive-demand
-///   sink outside its source's component.
-/// * [`FlowError::BadOptions`] naming the backend when `opts` selects
-///   anything but the default [`Backend::Fptas`] fast path.
-/// * Validation errors for empty/invalid inputs (see [`FlowError`]).
-pub fn solve_grouped(
-    net: &CsrNet,
-    groups: &[DemandGroup],
-    opts: &FlowOptions,
-) -> Result<SolvedFlow, FlowError> {
-    solve_grouped_observed(net, groups, opts, |_, _| {})
-}
-
-/// [`solve_grouped`], showing `phase_end` the arc lengths each phase
-/// ends on and the settles so far (tests compare shortest-path kernels
-/// on the lengths and split the harvest's settles from the phases').
-fn solve_grouped_observed(
+/// The aggregated arm of the backend dispatch, which has validated
+/// `groups` and `opts`: solve on `net` with the tree-aggregated loop
+/// (module docs), showing `phase_end` the arc lengths each phase ends
+/// on and the settles so far (tests compare shortest-path kernels on
+/// the lengths and split the harvest's settles from the phases').
+pub(crate) fn solve(
     net: &CsrNet,
     groups: &[DemandGroup],
     opts: &FlowOptions,
     mut phase_end: impl FnMut(&[f64], u64),
 ) -> Result<SolvedFlow, FlowError> {
-    validate_grouped(net.node_count(), groups, opts)?;
-
     let n = net.node_count();
     // lengths l(a) = 1/c(a) initially, as in the pairwise solver, and
     // the strict pairwise loop's `x / c(a)` (this loop was written from
@@ -447,7 +400,7 @@ fn solve_grouped_observed(
             .emit();
     }
 
-    // `validate_opts` refused `max_phases == 0`, so a phase set `best`
+    // the dispatch refused `max_phases == 0`, so a phase set `best`
     let mut sol = best.expect("at least one phase ran");
     sol.upper_bound = core.best_dual();
     sol.dual_lengths = core.take_dual_lengths();
@@ -547,7 +500,7 @@ fn harvest_alpha(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_with_cache, Commodity, PathSetCache};
+    use crate::{solve_grouped, solve_with_cache, Backend, Commodity, PathSetCache};
     // the retired bucketed kernel, kept as the differential's other side
     use dctopo_graph::delta as bucketed;
     use dctopo_graph::{Graph, GraphError};
@@ -765,7 +718,7 @@ mod tests {
         assert!(solve_grouped(&net, &groups, &opts()).is_ok());
         let refused = [
             ("fptas-strict", opts().with_strict_reference(true)),
-            ("exact-lp", opts().with_backend(Backend::ExactLp)),
+            ("exact", opts().with_backend(Backend::ExactLp)),
             (
                 "ksp:2",
                 opts().with_backend(Backend::KspRestricted { k: 2 }),
@@ -860,7 +813,7 @@ mod tests {
                 let mut heap = DijkstraWorkspace::new(n);
                 let mut buckets = DijkstraWorkspace::new(n);
                 let mut phase = 0;
-                solve_grouped_observed(&net, groups, &o, |length, _| {
+                solve(&net, groups, &o, |length, _| {
                     phase += 1;
                     for g in groups {
                         net.dijkstra(g.src, length, &mut heap);
@@ -974,7 +927,7 @@ mod tests {
                 for (view, net) in [("base", &base), ("failed", &failed)] {
                     let what = format!("seed {seed} RRG({n}, {r}) {view} {shape}");
                     let mut last = (Vec::new(), 0u64);
-                    let s = solve_grouped_observed(net, &groups, &o, |len, settles| {
+                    let s = solve(net, &groups, &o, |len, settles| {
                         last = (len.to_vec(), settles);
                     })
                     .unwrap();

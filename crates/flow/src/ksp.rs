@@ -39,7 +39,7 @@ use dctopo_obs as obs;
 
 use crate::cache::{FrozenPathSet, PathSetCache};
 use crate::gk::{Cong, Core, Pairwise, Stop};
-use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
+use crate::{Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// The largest `k` a solve accepts. Freezing cost grows about fourfold
 /// per doubling of `k`: `{"backend":"ksp:K"}` to `topobench serve rrg
@@ -48,8 +48,10 @@ use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 /// K = 128 … 2,048, and K = 4,096 stalled the server past 30 s.
 pub(crate) const MAX_KSP_K: usize = 256;
 
-/// Solve max concurrent flow where commodity `j` may only use its `k`
-/// shortest (by hop count) simple paths, frozen through `cache`;
+/// The [`crate::Backend::KspRestricted`] arm of the backend dispatch,
+/// which has validated `commodities` and `opts`: solve max concurrent
+/// flow where commodity `j` may only use its `k` shortest (by hop
+/// count) simple paths, frozen through `cache`;
 /// `throughput` ≤ the unrestricted optimum by construction. Stopped as
 /// soon as `λ ≥ floor` is certified either way when a `floor` is given.
 ///
@@ -65,7 +67,6 @@ pub(crate) fn solve_ksp(
     cache: &PathSetCache,
     floor: Option<f64>,
 ) -> Result<SolvedFlow, FlowError> {
-    validate(net.node_count(), commodities, opts)?;
     if !(1..=MAX_KSP_K).contains(&k) {
         return Err(FlowError::BadOptions(format!(
             "ksp:{k} is outside k = 1..={MAX_KSP_K} paths per pair"

@@ -78,13 +78,16 @@
 //!   multi-matrix sweeps pay for Yen's algorithm once per
 //!   `(topology, k)`.
 //!
-//! One private dispatch in [`backend`] picks the solver, and three
-//! entries call it: [`solve_with_cache`] (a fresh [`PathSetCache`] is
-//! the cold solve), [`solve_from`] (the same, warm-started from an
-//! earlier certificate's [`SolvedFlow::dual_lengths`]) and
+//! One private dispatch in [`backend`] validates the demand and picks
+//! the loop, for a commodity list and for [`DemandGroup`]s alike, and
+//! every entry calls it: [`solve_with_cache`] (a fresh [`PathSetCache`]
+//! is the cold solve), [`solve_from`] (the same, warm-started from an
+//! earlier certificate's [`SolvedFlow::dual_lengths`]),
 //! [`certify_floor`] (for a caller that reads the answer only through
 //! `λ ≥ floor`: each loop stops as soon as that comparison is
-//! certified). Aggregated demand goes through [`solve_grouped`].
+//! certified) and [`solve_grouped`] (the cold solve of aggregated
+//! demand, which only the default FPTAS fast path serves; the other
+//! backends and the strict trajectory are refused by name).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,7 +98,7 @@ pub mod decompose;
 mod exact;
 mod fptas;
 mod gk;
-pub mod grouped;
+mod grouped;
 mod ksp;
 
 use std::fmt;
@@ -106,11 +109,12 @@ use dctopo_graph::{CsrNet, GraphError};
 /// Re-export: node index type used by [`Commodity`].
 pub use dctopo_graph::NodeId;
 
-pub use backend::{certify_floor, solve_from, solve_with_cache, Backend};
+pub use backend::{
+    certify_floor, max_concurrent_flow_warm, solve_from, solve_grouped, solve_with_cache, Backend,
+};
 pub use cache::{CacheStats, KeyStats, PathSetCache, PATH_CACHE_KEYS};
 pub use decompose::{decompose_paths, PathFlow};
-pub use fptas::max_concurrent_flow_warm;
-pub use grouped::{solve_grouped, DemandGroup};
+pub use grouped::DemandGroup;
 
 /// One commodity: `demand` units want to travel from `src` to `dst`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,6 +135,22 @@ impl Commodity {
             dst,
             demand: 1.0,
         }
+    }
+
+    /// Check this commodity, the `index`-th of a solve on a net of `n`
+    /// nodes: its demand in range, then distinct endpoints on the net.
+    pub(crate) fn check(&self, index: usize, n: usize) -> Result<(), FlowError> {
+        if !demand_in_range(self.demand) {
+            return Err(FlowError::BadDemand {
+                index,
+                demand: self.demand,
+            });
+        }
+        if self.src == self.dst {
+            return Err(FlowError::SelfCommodity { index });
+        }
+        node_in_range(self.src, n)?;
+        node_in_range(self.dst, n)
     }
 }
 
@@ -156,11 +176,11 @@ pub struct FlowOptions {
     /// `[1/4, 8]` routes its phases in a scaled unit). Set to
     /// `max_phases` to disable.
     pub stall_phases: usize,
-    /// Which [`Backend`] the pairwise entries ([`solve_with_cache`],
-    /// [`solve_from`], [`certify_floor`]) dispatch to. The iterative
-    /// knobs above apply to the FPTAS and k-shortest-path backends;
-    /// [`Backend::ExactLp`] ignores them. [`solve_grouped`] runs only
-    /// the default.
+    /// Which [`Backend`] the dispatch runs. The iterative knobs above
+    /// apply to the FPTAS and k-shortest-path backends;
+    /// [`Backend::ExactLp`] ignores them. Aggregated demand
+    /// ([`solve_grouped`]) is served by the default only: any other
+    /// backend is refused by name.
     pub backend: Backend,
     /// Route [`Backend::Fptas`] through the strict trajectory
     /// (recompute every group's shortest-path tree per augmentation,
@@ -174,14 +194,16 @@ pub struct FlowOptions {
     /// `D(l)/α(l)` bound — and is bit-identical across thread counts,
     /// but follows its own (cheaper) trajectory. See
     /// `docs/ARCHITECTURE.md` for the full determinism contract.
-    /// Ignored by the other backends; [`solve_grouped`] refuses it.
+    /// Ignored by the other backends; refused by name for aggregated
+    /// demand ([`solve_grouped`]), which has no strict loop.
     pub strict_reference: bool,
     /// Also record each commodity's own arc flows
     /// ([`SolvedFlow::commodity_arc_flow`]), enabling
     /// [`decompose::decompose_paths`]. Costs `O(commodities × arcs)`
     /// memory plus a second tree walk per augmentation, so it is off by
-    /// default. Honoured by every pairwise backend; [`solve_grouped`]
-    /// keeps no per-commodity state and ignores it.
+    /// default. Honoured by every backend on a commodity list; the
+    /// aggregated loop ([`solve_grouped`]) keeps no per-commodity state
+    /// and ignores it.
     pub record_commodity_flows: bool,
 }
 
@@ -416,33 +438,6 @@ impl From<GraphError> for FlowError {
     }
 }
 
-/// Validate options and commodities against a network of `node_count`
-/// nodes.
-pub(crate) fn validate(
-    node_count: usize,
-    commodities: &[Commodity],
-    opts: &FlowOptions,
-) -> Result<(), FlowError> {
-    if commodities.is_empty() {
-        return Err(FlowError::NoCommodities);
-    }
-    validate_opts(opts)?;
-    for (index, c) in commodities.iter().enumerate() {
-        if !demand_in_range(c.demand) {
-            return Err(FlowError::BadDemand {
-                index,
-                demand: c.demand,
-            });
-        }
-        if c.src == c.dst {
-            return Err(FlowError::SelfCommodity { index });
-        }
-        node_in_range(c.src, node_count)?;
-        node_in_range(c.dst, node_count)?;
-    }
-    Ok(())
-}
-
 /// The smallest demand a solve accepts. The routing loops stop charging
 /// a remainder at `1e-12` of the unit their phases route in, so a demand
 /// of at least `1e-6` loses at most a millionth of itself to that
@@ -471,8 +466,8 @@ pub(crate) fn node_in_range(node: NodeId, n: usize) -> Result<(), FlowError> {
     Ok(())
 }
 
-/// Validate the iterative-solver knobs every multiplicative-weights
-/// entry point shares (pairwise and grouped alike).
+/// Validate the iterative-solver knobs every solve shares (the exact LP
+/// ignores them but they are range-checked all the same).
 pub(crate) fn validate_opts(opts: &FlowOptions) -> Result<(), FlowError> {
     if !(opts.epsilon > 0.0 && opts.epsilon < 1.0) {
         return Err(FlowError::BadOptions(format!(
@@ -495,40 +490,6 @@ pub(crate) fn validate_opts(opts: &FlowOptions) -> Result<(), FlowError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validation_catches_bad_inputs() {
-        let opts = FlowOptions::default();
-        assert_eq!(validate(2, &[], &opts), Err(FlowError::NoCommodities));
-        assert!(matches!(
-            validate(
-                2,
-                &[Commodity {
-                    src: 0,
-                    dst: 1,
-                    demand: -1.0
-                }],
-                &opts
-            ),
-            Err(FlowError::BadDemand { .. })
-        ));
-        assert!(matches!(
-            validate(2, &[Commodity::unit(1, 1)], &opts),
-            Err(FlowError::SelfCommodity { .. })
-        ));
-        assert!(matches!(
-            validate(2, &[Commodity::unit(0, 9)], &opts),
-            Err(FlowError::Graph(_))
-        ));
-        let bad = FlowOptions {
-            epsilon: 0.0,
-            ..opts
-        };
-        assert!(matches!(
-            validate(2, &[Commodity::unit(0, 1)], &bad),
-            Err(FlowError::BadOptions(_))
-        ));
-    }
 
     #[test]
     fn flow_options_profiles_ordered() {

@@ -108,25 +108,12 @@ pub struct Instance {
 }
 
 /// The certified numbers of one solve, whichever way the traffic was
-/// given; `Display` is the line `solve` and `profile` both print.
-pub struct Certified {
-    pub throughput: f64,
-    lambda: f64,
-    upper_bound: f64,
-    nic_limit: f64,
-    /// The full result of a pair-list solve (what the decomposition
-    /// reads); aggregated solves never materialize per-commodity flows.
-    pub pairwise: Option<ThroughputResult>,
-}
-
-impl std::fmt::Display for Certified {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "throughput {:.4} (network λ {:.4} ≤ {:.4} certified, NIC cap {:.4})",
-            self.throughput, self.lambda, self.upper_bound, self.nic_limit
-        )
-    }
+/// given: the line `solve` and `profile` both print.
+pub fn certified_line(r: &ThroughputResult) -> String {
+    format!(
+        "throughput {:.4} (network λ {:.4} ≤ {:.4} certified, NIC cap {:.4})",
+        r.throughput, r.network_lambda, r.network_upper_bound, r.nic_limit
+    )
 }
 
 impl Instance {
@@ -149,22 +136,10 @@ impl Instance {
         &self,
         engine: &ThroughputEngine,
         opts: &FlowOptions,
-    ) -> Result<Certified, dctopo::flow::FlowError> {
+    ) -> Result<ThroughputResult, dctopo::flow::FlowError> {
         match &self.traffic {
-            Traffic::Aggregate(agg) => engine.solve_aggregate(agg, opts).map(|r| Certified {
-                throughput: r.throughput,
-                lambda: r.network_lambda,
-                upper_bound: r.network_upper_bound,
-                nic_limit: r.nic_limit,
-                pairwise: None,
-            }),
-            Traffic::Pairs(tm) => engine.solve(tm, opts).map(|r| Certified {
-                throughput: r.throughput,
-                lambda: r.network_lambda,
-                upper_bound: r.network_upper_bound,
-                nic_limit: r.nic_limit,
-                pairwise: Some(r),
-            }),
+            Traffic::Aggregate(agg) => engine.solve_aggregate(agg, opts),
+            Traffic::Pairs(tm) => engine.solve(tm, opts),
         }
     }
 }

@@ -6,7 +6,7 @@ use dctopo::obs::{self as obs, Json};
 use dctopo::prelude::*;
 
 use crate::args::{Args, CliError, CliResult, OrFail};
-use crate::instance::{FamilyArg, Setup};
+use crate::instance::{certified_line, FamilyArg, Setup};
 
 /// A deterministic field of a parsed trace event, as f64 (0.0 when
 /// absent).
@@ -49,7 +49,7 @@ pub fn run(args: &Args) -> CliResult {
     // --trace file sink installed by main: nothing was emitted yet);
     // --trace makes the drained events land on disk afterwards too
     obs::enable_memory();
-    let certified = inst
+    let res = inst
         .solve(&engine, &setup.opts)
         .or_fail("profile solve failed")?;
     engine.emit_cache_trace();
@@ -62,7 +62,7 @@ pub fn run(args: &Args) -> CliResult {
         eprintln!("# wrote {} trace events to {path}", lines.len());
     }
 
-    println!("{certified}");
+    println!("{}", certified_line(&res));
 
     let events: Vec<Json> = lines.iter().filter_map(|l| Json::parse(l).ok()).collect();
     // wall/count breakdown keyed by event kind, first-appearance order

@@ -5,7 +5,7 @@ use dctopo::core::ThroughputEngine;
 use dctopo::prelude::*;
 
 use crate::args::{Args, CliError, CliResult, OrFail};
-use crate::instance::{FamilyArg, Setup};
+use crate::instance::{certified_line, FamilyArg, Setup};
 
 pub fn run(args: &Args) -> CliResult {
     let runs: usize = args.get("runs")?.unwrap_or(3);
@@ -20,7 +20,7 @@ pub fn run(args: &Args) -> CliResult {
         // one CSR flattening per topology, shared by whichever backend
         // `opts.backend` selects
         let engine = ThroughputEngine::new(topo);
-        let certified = inst
+        let res = inst
             .solve(&engine, &setup.opts)
             .or_fail(format_args!("run {run}: solve failed"))?;
         if run == 0 {
@@ -31,19 +31,15 @@ pub fn run(args: &Args) -> CliResult {
                 topo.server_count(),
                 inst.traffic.flows()
             );
-            let decomposition = certified
-                .pairwise
-                .as_ref()
-                .and_then(|res| res.decomposition(engine.net()));
-            if let Some(d) = decomposition {
+            if let Some(d) = res.decomposition(engine.net()) {
                 println!(
                     "decomposition: U = {:.3}, <D> = {:.3}, stretch = {:.3}",
                     d.utilization, d.aspl, d.stretch
                 );
             }
         }
-        println!("run {run}: {certified}");
-        throughputs.push(certified.throughput);
+        println!("run {run}: {}", certified_line(&res));
+        throughputs.push(res.throughput);
     }
     let mean = throughputs.iter().sum::<f64>() / throughputs.len() as f64;
     println!("mean throughput over {runs} runs: {mean:.4}");

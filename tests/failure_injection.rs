@@ -5,8 +5,8 @@ use dctopo::core::packet::PacketParams;
 use dctopo::core::solve::surviving_traffic;
 use dctopo::core::{solve_throughput, AppliedScenario, Degradation, Scenario, ThroughputResult};
 use dctopo::flow::{
-    solve_grouped, solve_with_cache, Backend, Commodity, DemandGroup, FlowError, FlowOptions,
-    PathSetCache, SolvedFlow, MAX_DEMAND, MIN_DEMAND,
+    certify_floor, solve_from, solve_grouped, solve_with_cache, Backend, Commodity, DemandGroup,
+    FlowError, FlowOptions, PathSetCache, SolvedFlow, MAX_DEMAND, MIN_DEMAND,
 };
 use dctopo::graph::{CsrNet, Graph, GraphError};
 use dctopo::packetsim::{simulate, FlowSpec, PathSpec, SimConfig, SimError};
@@ -216,8 +216,7 @@ fn link_failure_deltas_fail_loudly_or_route_around() {
         let s = solve_cold(&half, &cs, &opts.with_backend(backend)).unwrap();
         assert!(
             (s.throughput - 1.0).abs() < 0.05,
-            "{}: detour should carry λ ≈ 1, got {}",
-            backend.name(),
+            "{backend:?}: detour should carry λ ≈ 1, got {}",
             s.throughput
         );
         assert_eq!(s.arc_flow[0], 0.0);
@@ -307,12 +306,13 @@ fn every_backend() -> [FlowOptions; 4] {
 }
 
 /// Demands at the edges of the `f64` range are refused as `BadDemand`
-/// on every backend and by `solve_grouped`, before any arithmetic: two
-/// `1e308` demands summed to ∞ (an unreachable sink on a connected
-/// ring, a bound of ∞ on `ksp:2`, a false `λ* ≤ 0` from the LP), a
-/// weighted `scale · w` of `1e400` did the same after passing
-/// validation, and a subnormal demand certified λ = ∞. A demand at
-/// each limit solves and its certificate checks out.
+/// on every backend, through every entry (cold, warm from a
+/// wrong-length vector, and with a floor), and by `solve_grouped`,
+/// before any arithmetic: two `1e308` demands summed to ∞ (an
+/// unreachable sink on a connected ring, a bound of ∞ on `ksp:2`, a
+/// false `λ* ≤ 0` from the LP), a weighted `scale · w` of `1e400` did
+/// the same after passing validation, and a subnormal demand certified
+/// λ = ∞. A demand at each limit solves and its certificate checks out.
 #[test]
 fn demands_outside_the_range_are_refused_and_the_limits_solve() {
     let mut g = Graph::new(4);
@@ -357,8 +357,14 @@ fn demands_outside_the_range_are_refused_and_the_limits_solve() {
         ),
     ] {
         for opts in every_backend() {
+            let on = format!("on {:?}", opts.backend);
             let r = solve_cold(&net, &cs, &opts).map(|s| s.throughput);
-            refused(r, &format!("{what} on {:?}", opts.backend));
+            refused(r, &format!("{what} {on}"));
+            let cache = PathSetCache::new();
+            let r = solve_from(&net, &cs, &opts, &cache, &[1.0; 3]).map(|s| s.throughput);
+            refused(r, &format!("{what} warm {on}"));
+            let r = certify_floor(&net, &cs, &opts, &cache, 1.0).map(|s| s.throughput);
+            refused(r, &format!("{what} floored {on}"));
         }
         let sinks = cs.iter().map(|c| (c.dst, c.demand)).collect();
         refused(

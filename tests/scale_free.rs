@@ -215,8 +215,7 @@ fn dense_all_to_all_certifies_within_the_gap_of_the_exact_optimum() {
         let s = solve_cold(&net, &commodities, &opts.with_backend(backend));
         assert!(
             s.throughput >= (1.0 - opts.target_gap) * exact.throughput,
-            "{}: λ {} against λ* {}",
-            backend.name(),
+            "{backend:?}: λ {} against λ* {}",
             s.throughput,
             exact.throughput
         );
